@@ -186,7 +186,6 @@ def _cmd_suite(args) -> str:
         block_size=args.block_size,
         store_path=args.store,
         progress=args.progress,
-        sim_backend=args.sim_backend,
     )
     json_path = args.json or f"repro-suite-{args.name}.json"
     out = report.ascii_table()
@@ -226,7 +225,6 @@ def _cmd_transfer(args) -> str:
         cache_path=args.cache,
         shard_workers=args.shard_workers,
         block_size=args.block_size,
-        sim_backend=args.sim_backend,
     )
     out = result.report()
     json_path = args.json or "repro-transfer.json"
@@ -298,7 +296,6 @@ def _train_store(args, store, machine) -> list:
         cache_path=args.cache,
         shard_workers=args.shard_workers,
         block_size=args.block_size,
-        sim_backend=args.sim_backend,
     )
     return publish_artifacts(
         store,
@@ -463,7 +460,6 @@ def _cmd_search(args) -> str:
             store_path=args.store if args.guided else None,
             shard_workers=args.shard_workers,
             progress=args.progress,
-            sim_backend=args.sim_backend,
         )
         result = sharded.result
         wall = time.perf_counter() - t0
@@ -487,7 +483,6 @@ def _cmd_search(args) -> str:
             MeasurementConfig(),
             workers=args.workers,
             cache=MeasurementCache(args.cache) if args.cache else None,
-            sim_backend=args.sim_backend,
         )
         try:
             if args.strategy == "exhaustive":
@@ -561,10 +556,10 @@ def _cmd_trace(args) -> str:
     directories, or archive roots (``--archive DIR``; resolves to the
     archive's latest run).  ``--diff BASELINE CURRENT`` gates on the
     thresholds and exits nonzero on any regression — the same gate CI
-    and ``benchmarks/compare_bench.py`` use.  ``--analyze --json`` emits
-    the analysis tables as machine-readable JSON (the history store's
-    ingestion format); ``--export-perfetto OUT.json`` lowers the trace
-    to Chrome/Perfetto trace-event JSON for ``ui.perfetto.dev``.
+    uses.  ``--analyze --json`` emits the analysis tables as
+    machine-readable JSON (the history store's ingestion format);
+    ``--export-perfetto OUT.json`` lowers the trace to Chrome/Perfetto
+    trace-event JSON for ``ui.perfetto.dev``.
     """
     import json as json_mod
 
@@ -799,24 +794,6 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sim_backend_option(parser: argparse.ArgumentParser) -> None:
-    """Simulation-backend knob for the measuring commands."""
-    parser.add_argument(
-        "--sim-backend",
-        dest="sim_backend",
-        type=str,
-        default="auto",
-        choices=("reference", "batch", "auto"),
-        help=(
-            "simulation backend: 'reference' interprets each schedule on "
-            "the discrete-event engine; 'batch' compiles the program once "
-            "and replays schedule blocks as array sweeps (bit-identical "
-            "results); 'auto' (default) uses batch wherever the compiled "
-            "context supports the program and falls back otherwise"
-        ),
-    )
-
-
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
     """Run-telemetry flags (repro.obs) for the long-running commands."""
     parser.add_argument(
@@ -943,7 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_options(p)
     _add_sharding_options(p)
-    _add_sim_backend_option(p)
     _add_obs_options(p)
     p.add_argument(
         "--progress",
@@ -994,7 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_options(p)
     _add_sharding_options(p)
-    _add_sim_backend_option(p)
     _add_obs_options(p)
 
     p = sub.add_parser(
@@ -1040,7 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_options(p)
     _add_sharding_options(p)
-    _add_sim_backend_option(p)
     _add_obs_options(p)
 
     p = sub.add_parser(
@@ -1107,7 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_options(p)
     _add_sharding_options(p)
-    _add_sim_backend_option(p)
     _add_obs_options(p)
     p.add_argument(
         "--progress",

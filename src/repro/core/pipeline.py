@@ -59,8 +59,6 @@ class PipelineConfig:
     #: Enumeration block size for :meth:`DesignRulePipeline.run_streaming`;
     #: ``None`` falls back to ``batch_size``.
     block_size: Optional[int] = None
-    #: Simulation backend for evaluation (``reference``|``batch``|``auto``).
-    sim_backend: str = "auto"
 
 
 @dataclass
@@ -206,7 +204,6 @@ class DesignRulePipeline:
                     cfg.measurement,
                     workers=cfg.workers,
                     cache=self._measurement_cache(),
-                    sim_backend=cfg.sim_backend,
                 )
             return self._parallel
         # Serial wraps the *current* benchmarker so callers may swap in a
@@ -217,7 +214,6 @@ class DesignRulePipeline:
             cfg.measurement,
             benchmarker=self.benchmarker,
             cache=self._measurement_cache(),
-            sim_backend=cfg.sim_backend,
         )
 
     def make_strategy(self):

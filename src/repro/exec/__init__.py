@@ -11,7 +11,7 @@ pieces compose:
   time.
 * :class:`ParallelEvaluator` — the same semantics on a
   ``multiprocessing`` worker pool; every worker owns a private simulator
-  (and, under the batch ``sim_backend``, one compiled replay context
+  (and, where batch replay runs the program, one compiled replay context
   built in the pool initializer and reused across tasks).
 * :class:`MeasurementCache` — a persistent SQLite store keyed by
   canonical fingerprints of (program, machine, measurement config,

@@ -35,7 +35,7 @@ import hashlib
 import json
 import sqlite3
 import time
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.dag.program import Program
@@ -151,7 +151,8 @@ class MeasurementCache:
 
     #: Wait this long (ms) for a competing writer before raising.
     _BUSY_TIMEOUT_MS = 30_000
-    #: put_many retries on a locked database, with exponential backoff.
+    #: Setup and put_many retry on a locked database, with exponential
+    #: backoff.
     _WRITE_RETRIES = 5
     _RETRY_BASE_DELAY_S = 0.05
 
@@ -167,6 +168,11 @@ class MeasurementCache:
             self.path, timeout=self._BUSY_TIMEOUT_MS / 1000.0
         )
         self._conn.execute(f"PRAGMA busy_timeout = {self._BUSY_TIMEOUT_MS}")
+        # Processes opening a fresh file at once contend for the journal
+        # switch and the schema write, so setup retries like writes do.
+        self._retry_locked(self._setup)
+
+    def _setup(self) -> None:
         if self.path != ":memory:":
             # WAL needs a real file; some filesystems refuse it — the
             # returned mode tells us, and rollback journaling still works.
@@ -177,6 +183,31 @@ class MeasurementCache:
             self.journal_mode = "memory"
         self._conn.execute(_SCHEMA)
         self._conn.commit()
+
+    def _retry_locked(self, work: Callable[[], None]) -> None:
+        """Run ``work`` (which commits), retrying ``database is locked``
+        with exponential backoff."""
+        for attempt in range(self._WRITE_RETRIES + 1):
+            try:
+                work()
+                return
+            except sqlite3.OperationalError as exc:
+                # Roll back even on the terminal raise: a partially
+                # applied batch left in an open transaction would shadow
+                # this connection's subsequent reads and later commits.
+                self._conn.rollback()
+                locked = "locked" in str(exc) or "busy" in str(exc)
+                if not locked or attempt == self._WRITE_RETRIES:
+                    raise
+                self.n_lock_retries += 1
+                obs.add("cache.lock_retries")
+                obs.log.warning(
+                    "cache.locked_retry",
+                    path=self.path,
+                    attempt=attempt + 1,
+                    retries=self._WRITE_RETRIES,
+                )
+                time.sleep(self._RETRY_BASE_DELAY_S * (2**attempt))
 
     # ------------------------------------------------------------------
     def get(self, context: str, schedule_fp: str) -> Optional[Measurement]:
@@ -245,33 +276,17 @@ class MeasurementCache:
             )
             for fp, m in entries
         ]
-        for attempt in range(self._WRITE_RETRIES + 1):
-            try:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO measurements "
-                    "(context, schedule, time, n_samples, per_rank) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    rows,
-                )
-                self._conn.commit()
-                return
-            except sqlite3.OperationalError as exc:
-                # Roll back even on the terminal raise: a partially
-                # applied batch left in an open transaction would shadow
-                # this connection's subsequent reads and later commits.
-                self._conn.rollback()
-                locked = "locked" in str(exc) or "busy" in str(exc)
-                if not locked or attempt == self._WRITE_RETRIES:
-                    raise
-                self.n_lock_retries += 1
-                obs.add("cache.lock_retries")
-                obs.log.warning(
-                    "cache.locked_retry",
-                    path=self.path,
-                    attempt=attempt + 1,
-                    retries=self._WRITE_RETRIES,
-                )
-                time.sleep(self._RETRY_BASE_DELAY_S * (2**attempt))
+
+        def write() -> None:
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO measurements "
+                "(context, schedule, time, n_samples, per_rank) "
+                "VALUES (?, ?, ?, ?, ?)",
+                rows,
+            )
+            self._conn.commit()
+
+        self._retry_locked(write)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -12,12 +12,12 @@ cluster later) — all backends must return bit-identical measurements.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.exec.cache import MeasurementCache, context_fingerprint
 from repro.schedule.schedule import Schedule
-from repro.sim.batch import CompiledContext, resolve_backend
+from repro.sim.batch import count_engines, select_engine
 from repro.sim.measure import Benchmarker, Measurement
 
 
@@ -81,49 +81,29 @@ class SerialEvaluator(Evaluator):
     """Evaluates batches in-process through a
     :class:`~repro.sim.measure.Benchmarker`.
 
-    ``sim_backend`` selects how un-memoized schedules are simulated:
+    :func:`~repro.sim.batch.select_engine` picks the engine for the
+    benchmarker's context once, here: the compiled batch replay
+    (:mod:`repro.sim.batch`) wherever it can run the program, the
+    reference event-loop engine otherwise.  Schedules a compiled context
+    cannot replay fall back to the reference engine one by one.  Either
+    way results are bit-identical to the reference engine, and every
+    freshly simulated schedule is counted under the engine that ran it
+    (:func:`~repro.sim.batch.count_engines`).
 
-    * ``"reference"`` (the constructor default) — the event-loop engine,
-      one schedule at a time.  Every other backend must agree with it
-      bit-for-bit.
-    * ``"batch"`` — the compiled array-replay backend
-      (:mod:`repro.sim.batch`); schedules its compiled context cannot
-      replay fall back to the reference engine per schedule, counted in
-      ``sim.fallbacks``.
-    * ``"auto"`` — ``"batch"`` when the program compiles cleanly,
-      ``"reference"`` otherwise.  :func:`repro.exec.parallel
-      .build_evaluator` defaults to this.
-
-    The compiled context is built once here and reused across every
-    batch and block this evaluator measures.  An optional
-    :class:`MeasurementCache` is consulted before the benchmarker and
-    updated with fresh results; the benchmarker's in-memory memo and the
-    disk cache share the same schedule fingerprints (the disk cache is
-    backend-agnostic — backends are bit-identical by CI-asserted
-    contract — while the in-memory memo is backend-keyed so mixed
-    sessions can never alias).
+    An optional :class:`MeasurementCache` is consulted before the
+    benchmarker and updated with fresh results; the benchmarker's
+    in-memory memo and the disk cache share the same schedule
+    fingerprints.
     """
 
     def __init__(
         self,
         benchmarker: Benchmarker,
         cache: Optional[MeasurementCache] = None,
-        sim_backend: str = "reference",
     ) -> None:
         self.benchmarker = benchmarker
         self.cache = cache
-        executor = benchmarker.executor
-        resolved: Tuple[str, Optional[CompiledContext]] = resolve_backend(
-            sim_backend,
-            executor.program,
-            executor.machine,
-            benchmarker.config,
-            sample_offset=benchmarker.sample_offset,
-            needs_reference=(
-                executor.collect_trace or executor.payload_init is not None
-            ),
-        )
-        self.sim_backend, self._compiled = resolved
+        self._compiled, self._reason = select_engine(benchmarker)
         self._context: Optional[str] = None
         #: Fingerprints known to be on disk (read or written by us), so a
         #: warm-cache run doesn't rewrite the database it just read.
@@ -146,28 +126,28 @@ class SerialEvaluator(Evaluator):
             "eval.batch",
             n=len(schedules),
             backend="serial",
-            sim=self.sim_backend,
+            sim="reference" if self._compiled is None else "batch",
         ):
-            sims_before = self.benchmarker.n_simulations
+            bench = self.benchmarker
+            sims_before = bench.n_simulations
             if self.cache is not None:
                 self._preload_from_cache(schedules)
             if self._compiled is not None:
-                results, n_replayed, n_fallbacks = self._compiled.measure_into(
-                    self.benchmarker, schedules, backend=self.sim_backend
+                results, n_replayed, fallbacks = self._compiled.measure_into(
+                    bench, schedules
                 )
-                if n_replayed:
-                    obs.add("sim.batch_replays", n_replayed)
-                if n_fallbacks:
-                    obs.add("sim.fallbacks", n_fallbacks)
+                count_engines(n_replayed, fallbacks)
             else:
-                results = [
-                    self.benchmarker.measure(s, backend=self.sim_backend)
-                    for s in schedules
-                ]
+                memo_before = bench.n_unique_schedules
+                results = [bench.measure(s) for s in schedules]
+                count_engines(
+                    reason=self._reason,
+                    n_reference=bench.n_unique_schedules - memo_before,
+                )
             if self.cache is not None:
                 self._write_back(schedules, results)
             obs.add("eval.schedules", len(schedules))
-            obs.add("eval.simulations", self.benchmarker.n_simulations - sims_before)
+            obs.add("eval.simulations", bench.n_simulations - sims_before)
         return results
 
     # ------------------------------------------------------------------
@@ -175,13 +155,13 @@ class SerialEvaluator(Evaluator):
         missing: Dict[str, Schedule] = {
             s.fingerprint(): s
             for s in schedules
-            if self.benchmarker.cached(s, backend=self.sim_backend) is None
+            if self.benchmarker.cached(s) is None
         }
         if not missing:
             return
         hits = self.cache.get_many(self._context, list(missing))
         for fp, m in hits.items():
-            self.benchmarker.seed_cache(missing[fp], m, backend=self.sim_backend)
+            self.benchmarker.seed_cache(missing[fp], m)
         self._on_disk.update(hits)
 
     def _write_back(

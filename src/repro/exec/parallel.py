@@ -39,7 +39,12 @@ from repro.exec.cache import MeasurementCache, context_fingerprint
 from repro.exec.evaluator import Evaluator, SerialEvaluator
 from repro.platform.machine import MachineConfig
 from repro.schedule.schedule import Schedule
-from repro.sim.batch import CompiledContext, compile_count, resolve_backend
+from repro.sim.batch import (
+    CompiledContext,
+    compile_count,
+    count_engines,
+    select_engine,
+)
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.measure import Benchmarker, Measurement, MeasurementConfig
 
@@ -58,20 +63,15 @@ def _init_worker(
     machine: MachineConfig,
     config: MeasurementConfig,
     sample_offset: int,
-    sim_backend: str = "reference",
 ) -> None:
     global _WORKER_BENCH, _WORKER_REPLAYER, _WORKER_COMPILES
     compiles_before = compile_count()
     executor = ScheduleExecutor(program, machine)
     _WORKER_BENCH = Benchmarker(executor, config, sample_offset=sample_offset)
-    _WORKER_REPLAYER = None
-    if sim_backend == "batch":
-        # Parent resolved "auto" already; only the concrete backend
-        # arrives here.  obs counters recorded in this process are never
-        # shipped home — the parent does the metrics accounting.
-        _, _WORKER_REPLAYER = resolve_backend(
-            sim_backend, program, machine, config, sample_offset=sample_offset
-        )
+    # The same choice the parent made for this context.  obs counters
+    # recorded in this process are never shipped home — the parent does
+    # the metrics accounting.
+    _WORKER_REPLAYER, _ = select_engine(_WORKER_BENCH)
     _WORKER_COMPILES = compile_count() - compiles_before
 
 
@@ -83,14 +83,12 @@ def _measure_one(schedule: Schedule) -> Measurement:
 def _measure_chunk(schedules: List[Schedule]) -> List[Measurement]:
     """Measure one dispatched chunk with the worker's warm state.
 
-    Chunks (not single schedules) are the dispatch unit so the replay
-    backend gets a real batch dimension per sweep.
+    Chunks (not single schedules) are the dispatch unit so batch replay
+    gets a real batch dimension per sweep.
     """
     assert _WORKER_BENCH is not None, "worker pool not initialized"
     if _WORKER_REPLAYER is not None:
-        results, _, _ = _WORKER_REPLAYER.measure_into(
-            _WORKER_BENCH, schedules, backend="batch"
-        )
+        results, _, _ = _WORKER_REPLAYER.measure_into(_WORKER_BENCH, schedules)
         return results
     return [_WORKER_BENCH.measure(s) for s in schedules]
 
@@ -121,7 +119,6 @@ def build_evaluator(
     cache: Optional[MeasurementCache] = None,
     benchmarker: Optional[Benchmarker] = None,
     sample_offset: int = 0,
-    sim_backend: str = "auto",
 ) -> Evaluator:
     """Construct the configured evaluation backend in one place.
 
@@ -129,10 +126,8 @@ def build_evaluator(
     :class:`~repro.exec.evaluator.SerialEvaluator` wrapping
     ``benchmarker`` (or a fresh one).  Call sites that offer a
     workers/cache knob (pipeline, workbench) share this logic so the
-    two backends cannot drift.  ``sim_backend`` defaults to ``"auto"``
-    here (batch replay wherever the compiled context supports the
-    program) while the raw evaluator constructors keep their
-    ``"reference"`` default.
+    two backends cannot drift.  Both pick their simulation engine with
+    :func:`~repro.sim.batch.select_engine`.
     """
     if workers > 1:
         return ParallelEvaluator(
@@ -142,7 +137,6 @@ def build_evaluator(
             n_workers=workers,
             cache=cache,
             sample_offset=sample_offset,
-            sim_backend=sim_backend,
         )
     if benchmarker is None:
         benchmarker = Benchmarker(
@@ -150,7 +144,7 @@ def build_evaluator(
             config,
             sample_offset=sample_offset,
         )
-    return SerialEvaluator(benchmarker, cache=cache, sim_backend=sim_backend)
+    return SerialEvaluator(benchmarker, cache=cache)
 
 
 class ParallelEvaluator(Evaluator):
@@ -176,12 +170,12 @@ class ParallelEvaluator(Evaluator):
     chunksize:
         Schedules per worker task; defaults to a heuristic that spreads
         each batch roughly four tasks per worker.
-    sim_backend:
-        ``"reference"`` (default), ``"batch"``, or ``"auto"``.  The
-        parent resolves ``"auto"`` with its own compiled context (also
-        used for metrics accounting, since worker registries are never
-        shipped home) and each worker then compiles its replay context
-        exactly once, in the pool initializer.
+
+    The parent picks the engine with
+    :func:`~repro.sim.batch.select_engine` and keeps its compiled context
+    for metrics accounting, since worker registries are never shipped
+    home; each worker makes the same choice once, in the pool
+    initializer, and reuses its compiled context across tasks.
     """
 
     def __init__(
@@ -195,7 +189,6 @@ class ParallelEvaluator(Evaluator):
         sample_offset: int = 0,
         start_method: Optional[str] = None,
         chunksize: Optional[int] = None,
-        sim_backend: str = "reference",
     ) -> None:
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -210,8 +203,12 @@ class ParallelEvaluator(Evaluator):
             start_method = "fork" if "fork" in methods else methods[0]
         self.start_method = start_method
         self.chunksize = chunksize
-        self.sim_backend, self._compiled = resolve_backend(
-            sim_backend, program, machine, config, sample_offset=sample_offset
+        self._compiled, self._reason = select_engine(
+            Benchmarker(
+                ScheduleExecutor(program, machine),
+                config,
+                sample_offset=sample_offset,
+            )
         )
         self._context = context_fingerprint(program, machine, config, sample_offset)
         self._memo: Dict[str, Measurement] = {}
@@ -238,7 +235,6 @@ class ParallelEvaluator(Evaluator):
                     self.machine,
                     self.config,
                     self.sample_offset,
-                    self.sim_backend,
                 ),
             )
         return self._pool
@@ -249,7 +245,7 @@ class ParallelEvaluator(Evaluator):
             "eval.batch",
             n=len(schedules),
             backend="parallel",
-            sim=self.sim_backend,
+            sim="reference" if self._compiled is None else "batch",
         ):
             sims_before = self._n_simulations
             fps = [s.fingerprint() for s in schedules]
@@ -264,17 +260,15 @@ class ParallelEvaluator(Evaluator):
                     self._memo[fp] = m
                     del pending[fp]
             if pending:
+                # Workers do the simulating, but their metrics registries
+                # are never shipped home — count the engines here, where
+                # the snapshot lives.
                 if self._compiled is not None:
-                    # Workers do the replaying, but their metrics
-                    # registries are never shipped home — count the
-                    # partition here, where the snapshot lives.
-                    n_replayed = sum(
-                        1 for s in pending.values() if self._compiled.supports(s)
-                    )
-                    if n_replayed:
-                        obs.add("sim.batch_replays", n_replayed)
-                    if len(pending) - n_replayed:
-                        obs.add("sim.fallbacks", len(pending) - n_replayed)
+                    reasons = map(self._compiled.unsupported_reason, pending.values())
+                    fallbacks = [why for why in reasons if why is not None]
+                    count_engines(len(pending) - len(fallbacks), fallbacks)
+                else:
+                    count_engines(reason=self._reason, n_reference=len(pending))
                 fresh = self._dispatch(list(pending.values()))
                 if self.cache is not None:
                     self.cache.put_many(self._context, fresh.items())

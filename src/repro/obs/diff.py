@@ -19,8 +19,8 @@ bundles up by span path and metric name and classifies every delta:
   gate inputs, which is how the serving-latency benchmark (ROADMAP
   item 1) will pin ``advisor.recommend_s`` tails.
 
-The same :class:`RunDiff` object backs the CLI gate, the CI smoke-run
-identity check, and ``benchmarks/compare_bench.py``.
+The same :class:`RunDiff` object backs the CLI gate and the CI smoke-run
+identity check.
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
-"""Adapters that feed external perf data into the run-diff gate.
+"""Adapters that feed external perf data into the obs tooling.
 
-``benchmarks/compare_bench.py`` (the nightly workflow's gate) used to
-hand-roll its own mean-extraction and ratio check; it now converts each
-pytest-benchmark JSON file into a synthetic
-:class:`~repro.obs.trace_io.TraceData` — one root span per benchmark,
-duration = mean wall — and gates through the exact
-:func:`repro.obs.diff.diff_runs` thresholds ``repro trace --diff``
-applies to real traces.  One gate implementation, every consumer.
+:func:`bench_json_to_trace` converts a pytest-benchmark JSON file into a
+synthetic :class:`~repro.obs.trace_io.TraceData` — one root span per
+benchmark, duration = mean wall — so the history store
+(:mod:`repro.obs.history`) ingests benchmark runs exactly as it ingests
+archived traces, and :func:`repro.obs.diff.diff_runs` can compare them.
 """
 
 from __future__ import annotations

@@ -83,9 +83,6 @@ class WorkloadTask:
     #: shard builds a :class:`~repro.advisor.guided.ScheduleGuide` and
     #: runs its range branch-and-bound instead of unguided.
     store_path: Optional[str] = None
-    #: Simulation backend knob for the task's evaluators
-    #: (``reference`` | ``batch`` | ``auto``).
-    sim_backend: str = "auto"
     #: Indices of tasks that must complete before this one starts.
     depends_on: Tuple[int, ...] = ()
 
@@ -147,7 +144,6 @@ def plan_suite(
     cache_path: Optional[str] = None,
     seed: int = 0,
     block_size: Optional[int] = None,
-    sim_backend: str = "auto",
 ) -> ExecutionPlan:
     """Turn a suite run into an execution plan.
 
@@ -174,7 +170,6 @@ def plan_suite(
                 seed=seed,
                 workers=workers,
                 cache_path=cache_path,
-                sim_backend=sim_backend,
             )
         )
     if suite.cross_workload_rules:
@@ -190,7 +185,6 @@ def plan_suite(
                     workers=workers,
                     cache_path=cache_path,
                     block_size=block_size,
-                    sim_backend=sim_backend,
                 )
             )
     return ExecutionPlan(machine=machine, tasks=tuple(tasks))
@@ -205,7 +199,6 @@ def plan_rules(
     workers: int = 0,
     cache_path: Optional[str] = None,
     block_size: Optional[int] = None,
-    sim_backend: str = "auto",
 ) -> ExecutionPlan:
     """Per-workload exhaustive rule pipelines as an execution plan (the
     front half of the cross-workload tables and the transfer matrix)."""
@@ -221,7 +214,6 @@ def plan_rules(
             workers=workers,
             cache_path=cache_path,
             block_size=block_size,
-            sim_backend=sim_backend,
         )
         for i, spec in enumerate(specs)
     )

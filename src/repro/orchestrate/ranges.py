@@ -96,7 +96,6 @@ def run_range_sharded_search(
     shard_workers: int = 0,
     start_method: Optional[str] = None,
     progress: bool = False,
-    sim_backend: str = "auto",
 ) -> RangeShardedSearch:
     """Exhaustively sweep one workload's space as ``n_shards`` ranges.
 
@@ -142,7 +141,6 @@ def run_range_sharded_search(
             range_start=r.start,
             range_limit=r.limit,
             store_path=store_path,
-            sim_backend=sim_backend,
         )
         for i, r in enumerate(ranges)
     )

@@ -194,7 +194,6 @@ def _run_suite_cells(machine: MachineConfig, task: WorkloadTask) -> object:
             task.measurement,
             workers=task.workers,
             cache=cache,
-            sim_backend=task.sim_backend,
         )
         try:
             for strat_name in task.strategies:
@@ -241,7 +240,6 @@ def _run_workload_rules(machine: MachineConfig, task: WorkloadTask) -> object:
         cache_path=task.cache_path,
         program=program,
         block_size=task.block_size,
-        sim_backend=task.sim_backend,
     )
     try:
         with obs.stage("enumerate"):
@@ -292,7 +290,6 @@ def _run_search_range(machine: MachineConfig, task: WorkloadTask) -> object:
             task.measurement,
             workers=task.workers,
             cache=cache,
-            sim_backend=task.sim_backend,
         )
         try:
             with obs.stage("search"):

@@ -15,6 +15,12 @@ choices created.  ``available_actions`` yields the legal next steps:
 
 Cross-stream GPU→GPU dependencies insert their record/stream-wait pair
 atomically with the dependent kernel (see :mod:`repro.schedule.sync`).
+A GPU op with both CPU and GPU successors therefore has its record on
+offer twice: standalone, and at the head of a cross-stream group.  A
+standalone record directly followed by a group that opens with a wait on
+the same event would spell the group that carries the record itself, so
+that step is not offered — every schedule has exactly one decision path
+and :meth:`DesignSpace.count` counts schedules.
 
 An *action* is a tuple of :class:`~repro.schedule.schedule.BoundOp` —
 almost always a single op; atomic sync groups make it longer.
@@ -88,12 +94,27 @@ class DecisionState:
     def apply(self, action: Action) -> "DecisionState":
         return DecisionState(space=self.space, placed=self.placed + action)
 
+    def fresh_record(self) -> Optional[str]:
+        """Event of a standalone record placed by the last action, when
+        its GPU op also has GPU successors; None otherwise.
+
+        The next action may not be a group opening with a wait on that
+        event: the parent state offered the same ops as one group.
+        """
+        if not self.placed:
+            return None
+        last = self.placed[-1]
+        if last.name in self.space.shared_records:
+            return last.event
+        return None
+
     # ------------------------------------------------------------------
     def available_actions(self) -> Tuple[Action, ...]:
         space = self.space
         plan = space.sync_plan
         placed = self.placed_names
         gpu_streams = self.gpu_streams
+        fresh_event = self.fresh_record()
         actions: List[Action] = []
 
         # Canonical stream choices: any stream already used, plus one fresh.
@@ -139,6 +160,13 @@ class DecisionState:
                                 event=event_name(u),
                             )
                         )
+                    if (
+                        fresh_event is not None
+                        and group
+                        and group[0].kind is OpKind.STREAM_WAIT
+                        and group[0].event == fresh_event
+                    ):
+                        continue  # duplicate of the record-carrying group
                     group.append(BoundOp(vertex=v, stream=s))
                     actions.append(tuple(group))
             else:  # pragma: no cover - program_ops excludes START/END
@@ -276,9 +304,16 @@ class DesignSpace:
         self.kind_of: Dict[str, OpKind] = {
             v.name: v.kind for v in self.program_ops
         }
+        #: Records offered both standalone and inside cross-stream groups
+        #: (see :meth:`DecisionState.fresh_record`).
+        self.shared_records: FrozenSet[str] = frozenset(
+            cer_name(u)
+            for u, _ in self.sync_plan.gpu_gpu_edges
+            if u in self.sync_plan.cer_sources
+        )
         #: Completion-count memo shared by :meth:`count`, :meth:`seek`,
         #: and cut-leaf accounting in :meth:`_stream`.  Key is (placed
-        #: names, GPU bindings) — see :meth:`_completions`.
+        #: names, GPU bindings, fresh record) — see :meth:`_completions`.
         self._count_memo: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------
@@ -476,10 +511,11 @@ class DesignSpace:
     def _completions(self, state: DecisionState) -> int:
         """Number of complete schedules reachable from ``state``.
 
-        The memo key is (set of placed names, GPU bindings): the count of
-        completions depends only on what is placed and where GPU ops run,
-        not on the order they were placed in.  The memo lives on the
-        space instance so :meth:`count`, :meth:`seek`, and cut-leaf
+        The memo key is (set of placed names, GPU bindings, fresh record):
+        the count of completions depends only on what is placed, where
+        GPU ops run, and whether the last action was a shared standalone
+        record — not on the order ops were placed in.  The memo lives on
+        the space instance so :meth:`count`, :meth:`seek`, and cut-leaf
         accounting in :meth:`_stream` all share one table.
         """
         if state.is_complete():
@@ -487,6 +523,7 @@ class DesignSpace:
         k = (
             state.placed_names,
             tuple(sorted(state.gpu_streams.items())),
+            state.fresh_record(),
         )
         hit = self._count_memo.get(k)
         if hit is not None:

@@ -9,18 +9,18 @@ a deterministic discrete-event simulator with
   (:mod:`repro.sim.network`),
 * a schedule executor that interprets a bound operation sequence per rank
   (:mod:`repro.sim.executor`),
-* a compiled batch backend that replays whole schedule blocks as numpy
-  array sweeps, bit-identical to the reference engine
+* a compiled batch engine that replays whole schedule blocks as numpy
+  array sweeps, bit-identical to the reference engine, plus the one rule
+  that picks the engine for a measurement context
   (:mod:`repro.sim.batch`), and
 * timeline tracing and a numeric-payload context for end-to-end
   verification (:mod:`repro.sim.trace`, :mod:`repro.sim.semantics`).
 """
 
 from repro.sim.batch import (
-    SIM_BACKENDS,
     CompiledContext,
     compile_context,
-    resolve_backend,
+    select_engine,
 )
 from repro.sim.engine import AllOf, AnyOf, Environment, Event, Process, Timeout
 from repro.sim.executor import ScheduleExecutor, SimResult
@@ -43,9 +43,8 @@ __all__ = [
     "PayloadContext",
     "Process",
     "RankContext",
-    "resolve_backend",
     "ScheduleExecutor",
-    "SIM_BACKENDS",
+    "select_engine",
     "SimResult",
     "Timeout",
     "Trace",

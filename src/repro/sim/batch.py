@@ -1,4 +1,4 @@
-"""Compiled batch simulation backend.
+"""Compiled batch simulation engine.
 
 The reference engine (:mod:`repro.sim.engine` + :class:`ScheduleExecutor`)
 re-instantiates a discrete-event loop — one Python generator per op and
@@ -33,27 +33,34 @@ a pure function of ``(seed, sample, rank, op name)`` — schedule
 independent — so jittered duration tables are precomputed per sample and
 shared by every schedule in the block.
 
-What falls back
----------------
+Which engine runs
+-----------------
 
-Anything whose timing is *not* a per-rank recurrence goes to the
-reference engine, transparently and counted in metrics
-(``sim.fallbacks``):
+:func:`select_engine` picks the engine once per measurement context;
+both evaluators call it.  Whatever replay cannot reproduce runs on the
+reference engine, counted per schedule in ``sim.reference.<reason>``:
 
-* programs with MPI actions (cross-rank NIC-channel occupancy depends on
-  event tie order at equal timestamps) — a compile-time check;
-* schedules that use an event before (or without) recording it, record
-  an event twice, reference unknown ops or out-of-range streams, or
-  contain artificial START/END vertices — per-schedule
-  :meth:`CompiledContext.supports` checks, which also preserve the
-  reference engine's error behaviour for degenerate schedules.
+* programs with MPI actions (``mpi-comm``: cross-rank NIC-channel
+  occupancy depends on event tie order at equal timestamps) and
+  programs built for another rank count (``rank-mismatch``) — both
+  compile-time verdicts;
+* executors that collect a timeline (``trace``) or run numeric payloads
+  (``payload``), which replay cannot produce;
+* single schedules that use an event before (or without) recording it,
+  record an event twice, reference unknown ops or out-of-range streams,
+  or contain artificial START/END vertices — per-schedule
+  :meth:`CompiledContext.unsupported_reason` checks, which also preserve
+  the reference engine's error behaviour for degenerate schedules.
+  These also count in ``sim.fallbacks``.
 
-``ActionKind.NOOP`` actions have zero timing effect and stay on the
-batch path.
+Replayed schedules count in ``sim.batch_replays`` (see
+:func:`count_engines`).  ``ActionKind.NOOP`` actions have zero timing
+effect and stay on the batch path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,9 +72,6 @@ from repro.platform.costs import CostModel
 from repro.platform.machine import MachineConfig
 from repro.schedule.schedule import Schedule
 from repro.sim.measure import Benchmarker, Measurement, MeasurementConfig
-
-#: Backend names accepted by the exec layer's ``sim_backend`` knob.
-SIM_BACKENDS = ("reference", "batch", "auto")
 
 _CPU = 0
 _GPU = 1
@@ -385,70 +389,91 @@ class CompiledContext:
         return results
 
     def measure_into(
-        self,
-        benchmarker: Benchmarker,
-        schedules: Sequence[Schedule],
-        backend: str = "batch",
-    ) -> Tuple[List[Measurement], int, int]:
+        self, benchmarker: Benchmarker, schedules: Sequence[Schedule]
+    ) -> Tuple[List[Measurement], int, List[str]]:
         """Measure ``schedules`` through ``benchmarker``'s memo via replay.
 
         Un-memoized supported schedules are replayed in one block and
         seeded into the memo (with reference-equivalent ``n_simulations``
         accounting); unsupported ones fall back to
         ``benchmarker.measure``.  Returns ``(results, n_replayed,
-        n_fallbacks)`` so callers can do their own metrics accounting —
-        this function does not touch ``obs`` counters (it also runs
-        inside pool workers whose registries are never shipped home).
+        fallbacks)``, one :meth:`unsupported_reason` per fallback, so
+        callers can do their own metrics accounting (see
+        :func:`count_engines`) — this function does not touch ``obs``
+        counters (it also runs inside pool workers whose registries are
+        never shipped home).
         """
         todo: List[Schedule] = []
-        n_fallbacks = 0
+        fallbacks: List[str] = []
         seen = set()
         for s in schedules:
             fp = s.fingerprint()
             if fp in seen:
                 continue
             seen.add(fp)
-            if benchmarker.cached(s, backend=backend) is not None:
+            if benchmarker.cached(s) is not None:
                 continue
-            if self.supports(s):
+            why = self.unsupported_reason(s)
+            if why is None:
                 todo.append(s)
             else:
-                n_fallbacks += 1
+                fallbacks.append(why)
         for s, m in zip(todo, self.measure_block(todo)):
-            benchmarker.seed_cache(s, m, backend=backend)
+            benchmarker.seed_cache(s, m)
             benchmarker.n_simulations += m.n_samples
-        results = [benchmarker.measure(s, backend=backend) for s in schedules]
-        return results, len(todo), n_fallbacks
+        results = [benchmarker.measure(s) for s in schedules]
+        return results, len(todo), fallbacks
 
 
-def resolve_backend(
-    sim_backend: str,
-    program: Program,
-    machine: MachineConfig,
-    config: MeasurementConfig = MeasurementConfig(),
-    *,
-    sample_offset: int = 0,
-    needs_reference: bool = False,
-) -> Tuple[str, Optional["CompiledContext"]]:
-    """Resolve a ``sim_backend`` knob to ``(backend, compiled context)``.
+def select_engine(
+    benchmarker: Benchmarker,
+) -> Tuple[Optional[CompiledContext], Optional[str]]:
+    """The simulation engine for ``benchmarker``'s measurement context.
 
-    ``"auto"`` compiles the context and picks ``"batch"`` when it is
-    usable, ``"reference"`` otherwise.  An explicit ``"batch"`` keeps the
-    (possibly unusable) context so every schedule takes the counted
-    per-schedule fallback path.  ``needs_reference`` is for callers whose
-    executor uses features replay cannot produce (trace collection,
-    payload execution) — they always resolve to the reference engine.
+    Returns ``(compiled context, None)`` when batch replay can run the
+    context, else ``(None, reason)`` for the reference engine: ``trace``
+    or ``payload`` when the executor needs features replay cannot
+    produce (checked first, without compiling), otherwise the compile
+    verdict (``mpi-comm`` or ``rank-mismatch``).
     """
-    if sim_backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown sim backend {sim_backend!r}; expected one of {SIM_BACKENDS}"
-        )
-    if sim_backend == "reference" or needs_reference:
-        return "reference", None
-    ctx = compile_context(program, machine, config, sample_offset=sample_offset)
-    if ctx.ok or sim_backend == "batch":
-        return "batch", ctx
-    return "reference", None
+    executor = benchmarker.executor
+    if executor.collect_trace:
+        return None, "trace"
+    if executor.payload_init is not None:
+        return None, "payload"
+    ctx = compile_context(
+        executor.program,
+        executor.machine,
+        benchmarker.config,
+        sample_offset=benchmarker.sample_offset,
+    )
+    return (ctx, None) if ctx.ok else (None, ctx.reason)
+
+
+def count_engines(
+    n_replayed: int = 0,
+    fallbacks: Sequence[str] = (),
+    *,
+    reason: Optional[str] = None,
+    n_reference: int = 0,
+) -> None:
+    """Count freshly simulated schedules under the engine that ran them.
+
+    ``n_replayed`` adds to ``sim.batch_replays``.  Every reference-engine
+    schedule adds to ``sim.reference.<reason>``: ``n_reference`` of them
+    under a context's ``reason`` from :func:`select_engine`, and one per
+    per-schedule ``fallbacks`` entry under its kind (the part before
+    ``:``), which also counts in ``sim.fallbacks``.
+    """
+    if n_replayed:
+        obs.add("sim.batch_replays", n_replayed)
+    if n_reference:
+        obs.add(f"sim.reference.{reason}", n_reference)
+    if fallbacks:
+        obs.add("sim.fallbacks", len(fallbacks))
+        kinds = Counter(why.split(":", 1)[0] for why in fallbacks)
+        for kind, n in sorted(kinds.items()):
+            obs.add(f"sim.reference.{kind}", n)
 
 
 def compile_context(

@@ -60,13 +60,6 @@ class Benchmarker:
     implementation.  Fingerprint keying makes the memo stable across
     processes and shareable with the persistent cache in
     :mod:`repro.exec.cache`.
-
-    The memo is additionally keyed by the simulation backend that
-    produced (or vouches for) each entry.  Backends are bit-identical by
-    contract, but the memo must not *rely* on that contract: a session
-    mixing evaluators with different ``sim_backend`` settings can never
-    alias one backend's entry to another's.  The default ``"reference"``
-    backend keeps the historical bare-fingerprint keys.
     """
 
     def __init__(
@@ -83,40 +76,22 @@ class Benchmarker:
         self.n_simulations = 0
 
     # ------------------------------------------------------------------
-    def _key(self, schedule: Schedule, backend: str) -> str:
-        fp = schedule.fingerprint()
-        return fp if backend == "reference" else f"{backend}:{fp}"
-
-    def cached(
-        self, schedule: Schedule, backend: str = "reference"
-    ) -> Optional[Measurement]:
+    def cached(self, schedule: Schedule) -> Optional[Measurement]:
         """Memoized measurement for ``schedule``, or ``None``."""
-        return self._cache.get(self._key(schedule, backend))
+        return self._cache.get(schedule.fingerprint())
 
-    def seed_cache(
-        self,
-        schedule: Schedule,
-        measurement: Measurement,
-        backend: str = "reference",
-    ) -> None:
+    def seed_cache(self, schedule: Schedule, measurement: Measurement) -> None:
         """Install an externally obtained measurement into the memo.
 
         Used by the exec layer to share results between the on-disk cache,
-        parallel workers, and this in-memory memo without re-simulating.
+        parallel workers, batch replay, and this in-memory memo without
+        re-simulating.
         """
-        self._cache[self._key(schedule, backend)] = measurement
+        self._cache[schedule.fingerprint()] = measurement
 
-    def measure(
-        self, schedule: Schedule, backend: str = "reference"
-    ) -> Measurement:
-        """Measure via the reference engine, memoized under ``backend``.
-
-        ``backend`` only keys the memo — the simulation below is always
-        the reference engine.  Batch-backend callers seed replayed
-        results first and use this as their per-schedule fallback, which
-        is why a fallback result lands under the session's backend key.
-        """
-        key = self._key(schedule, backend)
+    def measure(self, schedule: Schedule) -> Measurement:
+        """Measure on the reference engine, memoized by fingerprint."""
+        key = schedule.fingerprint()
         cached = self._cache.get(key)
         if cached is not None:
             return cached

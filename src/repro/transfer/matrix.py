@@ -473,7 +473,6 @@ def run_transfer_matrix(
     cache_path: Optional[str] = None,
     shard_workers: int = 0,
     block_size: Optional[int] = None,
-    sim_backend: str = "auto",
 ) -> TransferMatrixResult:
     """End-to-end: exhaustive pipelines on every spec, then the matrix.
 
@@ -493,7 +492,6 @@ def run_transfer_matrix(
         cache_path=cache_path,
         shard_workers=shard_workers,
         block_size=block_size,
-        sim_backend=sim_backend,
     )
     result = transfer_matrix_from(per_workload)
     result.timing = plan_run.timing()

@@ -97,7 +97,6 @@ def pipeline_for_spec(
     cache_path: Optional[str] = None,
     program: Optional[Program] = None,
     block_size: Optional[int] = None,
-    sim_backend: str = "auto",
 ) -> DesignRulePipeline:
     """Exhaustive design-rule pipeline for one workload spec.
 
@@ -119,7 +118,6 @@ def pipeline_for_spec(
             strategy="exhaustive",
             workers=workers,
             cache_path=cache_path,
-            sim_backend=sim_backend,
             **kwargs,
         ),
     )
@@ -156,7 +154,6 @@ def workload_rules(
     workers: int = 0,
     cache_path: Optional[str] = None,
     block_size: Optional[int] = None,
-    sim_backend: str = "auto",
 ) -> WorkloadRules:
     """Run the exhaustive pipeline on ``spec`` and reduce to rules +
     fast/slow labeled schedule classes."""
@@ -170,7 +167,6 @@ def workload_rules(
         cache_path=cache_path,
         program=program,
         block_size=block_size,
-        sim_backend=sim_backend,
     )
     try:
         result = pipe.run()
@@ -204,7 +200,6 @@ def run_rules_plan(
     cache_path: Optional[str] = None,
     shard_workers: int = 0,
     block_size: Optional[int] = None,
-    sim_backend: str = "auto",
 ):
     """Per-workload exhaustive pipelines as an orchestrate plan.
 
@@ -229,7 +224,6 @@ def run_rules_plan(
         workers=workers,
         cache_path=cache_path,
         block_size=block_size,
-        sim_backend=sim_backend,
     )
     run = execute_plan(plan, shard_workers=shard_workers)
     return [restore_rules_payload(r) for r in run.results], run
@@ -245,7 +239,6 @@ def rules_for_specs(
     cache_path: Optional[str] = None,
     shard_workers: int = 0,
     block_size: Optional[int] = None,
-    sim_backend: str = "auto",
 ) -> List[WorkloadRules]:
     """Run the exhaustive pipeline on every spec (the shared front half of
     the satisfaction table and the transfer matrix)."""
@@ -258,7 +251,6 @@ def rules_for_specs(
         cache_path=cache_path,
         shard_workers=shard_workers,
         block_size=block_size,
-        sim_backend=sim_backend,
     )
     return per_workload
 
@@ -273,7 +265,6 @@ def run_cross_workload(
     cache_path: Optional[str] = None,
     shard_workers: int = 0,
     block_size: Optional[int] = None,
-    sim_backend: str = "auto",
 ) -> CrossWorkloadResult:
     """Score every workload's fastest-class rules on every other workload."""
     if len(specs) < 2:
@@ -287,6 +278,5 @@ def run_cross_workload(
         cache_path=cache_path,
         shard_workers=shard_workers,
         block_size=block_size,
-        sim_backend=sim_backend,
     )
     return score_cross_workload(per_workload)

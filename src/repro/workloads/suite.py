@@ -296,9 +296,8 @@ class SuiteReport:
             sim_stats["batch_replays"] or sim_stats["fallbacks"]
         ):
             lines.append(
-                f"Sim backend {sim_stats['backend']!r}: "
-                f"{sim_stats['batch_replays']} batch replays / "
-                f"{sim_stats['fallbacks']} reference fallbacks "
+                f"Batch engine: {sim_stats['batch_replays']} replays, "
+                f"{sim_stats['fallbacks']} per-schedule fallbacks "
                 f"({sim_stats['compiled_contexts']} compiled contexts)"
             )
         if self.published:
@@ -394,7 +393,6 @@ class SuiteRunner:
         block_size: Optional[int] = None,
         store_path: Optional[str] = None,
         progress: bool = False,
-        sim_backend: str = "auto",
     ) -> None:
         self.suite = suite
         self.machine = machine if machine is not None else perlmutter_like()
@@ -408,9 +406,6 @@ class SuiteRunner:
         self.store_path = store_path
         #: Live stderr progress over completed plan tasks (``--progress``).
         self.progress = progress
-        #: Simulation backend for every task evaluator
-        #: (``reference`` | ``batch`` | ``auto``).
-        self.sim_backend = sim_backend
 
     # ------------------------------------------------------------------
     def run(self) -> SuiteReport:
@@ -430,7 +425,6 @@ class SuiteRunner:
             cache_path=self.cache_path,
             seed=self.seed,
             block_size=self.block_size,
-            sim_backend=self.sim_backend,
         )
         obs.log.info(
             "suite.run",
@@ -466,7 +460,9 @@ class SuiteRunner:
                     "lock_retries": int(delta.counter("cache.lock_retries")),
                 },
                 "sim": {
-                    "backend": self.sim_backend,
+                    # Kept for report compatibility: the engine is now
+                    # chosen per context, as the old "auto" setting did.
+                    "backend": "auto",
                     "batch_replays": int(delta.counter("sim.batch_replays")),
                     "fallbacks": int(delta.counter("sim.fallbacks")),
                     "compiled_contexts": int(
@@ -546,7 +542,6 @@ def run_suite(
     block_size: Optional[int] = None,
     store_path: Optional[str] = None,
     progress: bool = False,
-    sim_backend: str = "auto",
 ) -> SuiteReport:
     """Convenience: look up a built-in suite by name and run it."""
     return SuiteRunner(
@@ -559,5 +554,4 @@ def run_suite(
         block_size=block_size,
         store_path=store_path,
         progress=progress,
-        sim_backend=sim_backend,
     ).run()

@@ -1,6 +1,7 @@
 """Tests for fingerprints and the persistent measurement cache."""
 
 import dataclasses
+import sqlite3
 
 from repro.exec.cache import MeasurementCache, context_fingerprint, program_fingerprint
 from repro.platform.noise import NoiseModel
@@ -176,6 +177,29 @@ def _contend_writer(path, context, writer_id, n_rounds, n_per_round):
     return writer_id
 
 
+def _open_fresh(path, barrier):
+    barrier.wait(timeout=30)
+    MeasurementCache(path).close()
+
+
+class _LockedOnce:
+    """A connection whose first journal-mode switch fails as if another
+    process held the lock."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self._locked = True
+
+    def execute(self, sql, *args):
+        if self._locked and sql.startswith("PRAGMA journal_mode"):
+            self._locked = False
+            raise sqlite3.OperationalError("database is locked")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 class TestConcurrentWriters:
     """Regression test for shard-concurrent cache access: multiple
     processes writing one cache file must neither raise ``database is
@@ -189,6 +213,40 @@ class TestConcurrentWriters:
     def test_memory_cache_skips_wal(self):
         with MeasurementCache(":memory:") as cache:
             assert cache.journal_mode == "memory"
+
+    def test_locked_setup_is_retried(self, tmp_path, monkeypatch):
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *a, **kw: _LockedOnce(connect(*a, **kw))
+        )
+        monkeypatch.setattr(MeasurementCache, "_RETRY_BASE_DELAY_S", 0.0)
+        with MeasurementCache(str(tmp_path / "locked.sqlite")) as cache:
+            assert cache.n_lock_retries == 1
+            assert cache.journal_mode == "wal"
+            assert len(cache) == 0
+
+    def test_simultaneous_fresh_opens(self, tmp_path):
+        """Processes opening one fresh file at the same moment contend for
+        the WAL switch and the schema write; setup must retry rather than
+        raise ``database is locked``."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        failed = 0
+        for trial in range(200):
+            path = str(tmp_path / f"fresh{trial}.sqlite")
+            barrier = ctx.Barrier(4)
+            procs = [
+                ctx.Process(target=_open_fresh, args=(path, barrier))
+                for _ in range(4)
+            ]
+            for p in procs:
+                p.start()
+            for p in procs:
+                p.join(timeout=60)
+            # A process still running after the timeout has no exit code.
+            failed += any(p.exitcode != 0 for p in procs)
+        assert failed == 0
 
     def test_concurrent_shard_writers(self, tmp_path):
         from concurrent.futures import ProcessPoolExecutor

@@ -106,7 +106,7 @@ def test_trace_diff_flags_injected_slowdown(tmp_path, capsys):
     _slowed_copy(base, slow)
     capsys.readouterr()
     # A 2x per-stage slowdown must trip the default wall gate.  The
-    # min-wall floor is zeroed because the batch sim backend finishes
+    # min-wall floor is zeroed because batch replay finishes
     # this tiny search in well under the default 5ms noise floor.
     with pytest.raises(SystemExit, match="regression"):
         main(["trace", "--diff", base, slow, "--min-wall-ms", "0"])
@@ -177,8 +177,9 @@ def test_search_progress_requires_exhaustive():
         main(SEARCH_ARGV + ["--strategy", "random", "--progress"])
 
 
-def test_suite_progress_counts_tasks(capsys):
-    assert main(["suite", "smoke", "--progress"]) == 0
+def test_suite_progress_counts_tasks(capsys, tmp_path):
+    json_path = str(tmp_path / "smoke.json")
+    assert main(["suite", "smoke", "--progress", "--json", json_path]) == 0
     err = capsys.readouterr().err
     lines = [line for line in err.splitlines() if line.startswith("suite smoke")]
     assert lines, err

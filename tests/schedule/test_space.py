@@ -29,6 +29,16 @@ def gpu_chain_space(n_streams=2):
     return DesignSpace(p, n_streams=n_streams)
 
 
+def shared_record_space(n_streams=2):
+    """k0(GPU) -> k1(GPU), k0 -> c(CPU): one record serves both edges."""
+    g = Graph()
+    k0, k1, c = gpu_op("k0"), gpu_op("k1"), cpu_op("c")
+    g.add_edge(k0, k1)
+    g.add_edge(k0, c)
+    p = Program(graph=g.with_start_end(), n_ranks=1)
+    return DesignSpace(p, n_streams=n_streams)
+
+
 class TestEnumeration:
     def test_every_schedule_contains_sync_chain(self):
         space = simple_space()
@@ -95,6 +105,19 @@ class TestCrossStreamSync:
             if s.stream_of("a") != s.stream_of("b"):
                 w = s.ops[s.position("CSWE-b-waits-a")]
                 assert w.stream == s.stream_of("b")
+
+    def test_shared_record_schedules_counted_once(self):
+        # CER-after-k0 is offered standalone (for c) and at the head of
+        # k1's cross-stream group.  Same stream: k1 in any of 4 slots
+        # around CER < CES < c.  Cross stream: CER first, then 3
+        # interleavings of (CSWE, k1) with (CES, c).
+        space = shared_record_space()
+        schedules = list(space.enumerate_schedules())
+        assert len(schedules) == 7
+        assert len(set(schedules)) == 7
+        assert space.count() == 7
+        for s in schedules:
+            space.validate_schedule(s)
 
 
 class TestRandomSampling:

@@ -1,10 +1,10 @@
-"""Differential tests for the compiled batch simulation backend.
+"""Differential tests for the compiled batch simulation engine.
 
 The contract under test (:mod:`repro.sim.batch`): replayed measurements
 are **bit-identical** to the reference discrete-event engine — not close,
 equal — for every registered workload family, with and without noise,
-and anything the compiled context cannot replay falls back to the
-reference engine transparently (counted in ``sim.fallbacks``).
+and anything batch replay cannot run goes to the reference engine
+transparently, counted under ``sim.reference.<reason>``.
 """
 
 import numpy as np
@@ -12,11 +12,16 @@ import pytest
 
 from repro import obs
 from repro.dag.vertex import START, OpKind, Vertex, gpu_op
-from repro.exec import SerialEvaluator, build_evaluator
+from repro.exec import MeasurementCache, SerialEvaluator, build_evaluator
 from repro.platform import noiseless, perlmutter_like
 from repro.schedule.schedule import BoundOp, Schedule
 from repro.schedule.space import DesignSpace
-from repro.sim.batch import CompiledContext, compile_context, resolve_backend
+from repro.sim.batch import (
+    CompiledContext,
+    compile_context,
+    compile_count,
+    select_engine,
+)
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.measure import Benchmarker, MeasurementConfig
 from repro.workloads import build_workload, builtin_suites
@@ -99,11 +104,9 @@ def test_measure_into_counts_and_seeds_memo():
     bench = Benchmarker(ScheduleExecutor(program, machine), cfg)
     schedules = _random_schedules(program, 8)
     # Duplicate the batch: dedup must replay each unique schedule once.
-    results, n_replayed, n_fallbacks = ctx.measure_into(
-        bench, schedules + schedules, backend="batch"
-    )
+    results, n_replayed, fallbacks = ctx.measure_into(bench, schedules + schedules)
     unique = len({s.fingerprint() for s in schedules})
-    assert n_replayed == unique and n_fallbacks == 0
+    assert n_replayed == unique and fallbacks == []
     assert len(results) == 2 * len(schedules)
     assert results[: len(schedules)] == results[len(schedules) :]
     # n_simulations accounting matches the reference protocol.
@@ -113,10 +116,8 @@ def test_measure_into_counts_and_seeds_memo():
     assert bench.n_simulations == ref_bench.n_simulations
     # A second call is fully memoized: nothing replayed, nothing simulated.
     sims = bench.n_simulations
-    _, n_replayed, n_fallbacks = ctx.measure_into(
-        bench, schedules, backend="batch"
-    )
-    assert (n_replayed, n_fallbacks) == (0, 0)
+    _, n_replayed, fallbacks = ctx.measure_into(bench, schedules)
+    assert (n_replayed, fallbacks) == (0, [])
     assert bench.n_simulations == sims
 
 
@@ -130,31 +131,69 @@ def test_mpi_program_falls_back_to_reference_results():
     assert not ctx.ok
     schedules = _random_schedules(program, 4)
     bench = Benchmarker(ScheduleExecutor(program, machine), cfg)
-    results, n_replayed, n_fallbacks = ctx.measure_into(
-        bench, schedules, backend="batch"
-    )
+    results, n_replayed, fallbacks = ctx.measure_into(bench, schedules)
     assert n_replayed == 0
-    assert n_fallbacks == len({s.fingerprint() for s in schedules})
+    assert fallbacks == ["mpi-comm"] * len({s.fingerprint() for s in schedules})
     assert results == _reference(program, machine, cfg, schedules)
 
 
+def _sim_delta(evaluator, schedules):
+    """Run one batch; return (results, sim.* counter deltas)."""
+    before = obs.metrics_snapshot()
+    results = evaluator.evaluate_batch(schedules)
+    delta = obs.metrics_snapshot().diff(before)
+    return results, {
+        name: delta.counter(name)
+        for name in delta.counters
+        if name.startswith("sim.") and delta.counter(name)
+    }
+
+
 def test_serial_evaluator_counts_fallbacks():
-    """An explicit batch backend on an unsupported program: reference
-    results, every schedule counted in ``sim.fallbacks``."""
+    """Schedules a compiled context cannot replay run on the reference
+    engine one by one, counted in ``sim.fallbacks`` and under their
+    reason kind."""
+    spec = next(s for s in SMOKE_SPECS if s.family == "layered_random")
+    program = build_workload(spec)
+    machine = noiseless(perlmutter_like()).with_ranks(program.n_ranks)
+    cfg = MeasurementConfig(max_samples=1)
+    schedules = _random_schedules(program, 4)
+    v = next(v for v in program.schedulable_vertices() if v.kind is OpKind.GPU)
+    impostor = Vertex(name=v.name, kind=v.kind, duration=1e-6)
+    schedules.append(Schedule([BoundOp(impostor, stream=0)]))
+    bench = Benchmarker(ScheduleExecutor(program, machine), cfg)
+    ev = SerialEvaluator(bench)
+    assert ev._compiled is not None
+    results, counts = _sim_delta(ev, schedules)
+    assert counts == {
+        "sim.batch_replays": len({s.fingerprint() for s in schedules}) - 1,
+        "sim.fallbacks": 1,
+        "sim.reference.op-mismatch": 1,
+    }
+    assert results == _reference(program, machine, cfg, schedules)
+
+
+def test_serial_evaluator_counts_reference_reason():
+    """An MPI program runs on the reference engine: every fresh schedule
+    counts under ``sim.reference.mpi-comm``; memo and disk-cache hits
+    count nowhere."""
     spec = next(s for s in SMOKE_SPECS if s.family == "spmv")
     program = build_workload(spec)
     machine = noiseless(perlmutter_like()).with_ranks(program.n_ranks)
     cfg = MeasurementConfig(max_samples=1)
     schedules = _random_schedules(program, 5)
-    bench = Benchmarker(ScheduleExecutor(program, machine), cfg)
-    ev = SerialEvaluator(bench, sim_backend="batch")
-    assert ev.sim_backend == "batch" and ev._compiled is not None
-    before = obs.metrics_snapshot()
-    results = ev.evaluate_batch(schedules)
-    delta = obs.metrics_snapshot().diff(before)
-    assert delta.counter("sim.fallbacks") == len(schedules)
-    assert delta.counter("sim.batch_replays") == 0
-    assert results == _reference(program, machine, cfg, schedules)
+    unique = len({s.fingerprint() for s in schedules})
+    with MeasurementCache(":memory:") as cache:
+        bench = Benchmarker(ScheduleExecutor(program, machine), cfg)
+        ev = SerialEvaluator(bench, cache=cache)
+        assert ev._compiled is None and ev._reason == "mpi-comm"
+        results, counts = _sim_delta(ev, schedules)
+        assert counts == {"sim.reference.mpi-comm": unique}
+        assert results == _reference(program, machine, cfg, schedules)
+        assert _sim_delta(ev, schedules)[1] == {}  # memo hits
+        bench = Benchmarker(ScheduleExecutor(program, machine), cfg)
+        fresh = SerialEvaluator(bench, cache=cache)
+        assert _sim_delta(fresh, schedules) == (results, {})  # disk-cache hits
 
 
 def test_serial_evaluator_counts_replays():
@@ -164,15 +203,10 @@ def test_serial_evaluator_counts_replays():
     cfg = MeasurementConfig(max_samples=1)
     schedules = _random_schedules(program, 6)
     bench = Benchmarker(ScheduleExecutor(program, machine), cfg)
-    ev = SerialEvaluator(bench, sim_backend="auto")
-    assert ev.sim_backend == "batch"
-    before = obs.metrics_snapshot()
-    results = ev.evaluate_batch(schedules)
-    delta = obs.metrics_snapshot().diff(before)
-    assert delta.counter("sim.batch_replays") == len(
-        {s.fingerprint() for s in schedules}
-    )
-    assert delta.counter("sim.fallbacks") == 0
+    ev = SerialEvaluator(bench)
+    assert ev._compiled is not None
+    results, counts = _sim_delta(ev, schedules)
+    assert counts == {"sim.batch_replays": len({s.fingerprint() for s in schedules})}
     assert results == _reference(program, machine, cfg, schedules)
 
 
@@ -180,22 +214,33 @@ def test_auto_resolves_to_reference_on_mpi_programs():
     spec = next(s for s in SMOKE_SPECS if s.family == "halo3d")
     program = build_workload(spec)
     machine = noiseless(perlmutter_like()).with_ranks(program.n_ranks)
-    backend, ctx = resolve_backend("auto", program, machine)
-    assert backend == "reference" and ctx is None
-    backend, ctx = resolve_backend("batch", program, machine)
-    assert backend == "batch" and ctx is not None and not ctx.ok
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        resolve_backend("vectorized", program, machine)
-
-
-def test_needs_reference_forces_reference_backend():
+    bench = Benchmarker(ScheduleExecutor(program, machine))
+    assert select_engine(bench) == (None, "mpi-comm")
     spec = next(s for s in SMOKE_SPECS if s.family == "wavefront")
     program = build_workload(spec)
     machine = noiseless(perlmutter_like()).with_ranks(program.n_ranks)
-    backend, ctx = resolve_backend(
-        "auto", program, machine, needs_reference=True
-    )
-    assert backend == "reference" and ctx is None
+    ctx, reason = select_engine(Benchmarker(ScheduleExecutor(program, machine)))
+    assert ctx is not None and ctx.ok and reason is None
+
+
+def test_needs_reference_forces_reference_backend():
+    """Trace collection and payload runs need the reference engine; the
+    choice is made without compiling, and schedules count under it."""
+    spec = next(s for s in SMOKE_SPECS if s.family == "wavefront")
+    program = build_workload(spec)
+    machine = noiseless(perlmutter_like()).with_ranks(program.n_ranks)
+    traced = ScheduleExecutor(program, machine, collect_trace=True)
+    payload = ScheduleExecutor(program, machine, payload_init=lambda ctx: None)
+    compiles = compile_count()
+    assert select_engine(Benchmarker(traced)) == (None, "trace")
+    assert select_engine(Benchmarker(payload)) == (None, "payload")
+    assert compile_count() == compiles
+    cfg = MeasurementConfig(max_samples=1)
+    schedules = _random_schedules(program, 3)
+    ev = SerialEvaluator(Benchmarker(traced, cfg))
+    results, counts = _sim_delta(ev, schedules)
+    assert counts == {"sim.reference.trace": len({s.fingerprint() for s in schedules})}
+    assert results == _reference(program, machine, cfg, schedules)
 
 
 # -- per-schedule capability guards ------------------------------------
@@ -286,14 +331,13 @@ def test_build_evaluator_batch_vs_reference_serial():
     machine = perlmutter_like(noise_sigma=0.01).with_ranks(program.n_ranks)
     cfg = MeasurementConfig(max_samples=2)
     schedules = _random_schedules(program, 25)
-    ref_ev = build_evaluator(program, machine, cfg, sim_backend="reference")
-    bat_ev = build_evaluator(program, machine, cfg, sim_backend="auto")
-    assert bat_ev.sim_backend == "batch"
+    ref_bench = Benchmarker(ScheduleExecutor(program, machine), cfg)
+    bat_ev = build_evaluator(program, machine, cfg)
+    assert bat_ev._compiled is not None
     try:
-        assert bat_ev.evaluate_batch(schedules) == ref_ev.evaluate_batch(
-            schedules
-        )
-        assert bat_ev.n_simulations == ref_ev.n_simulations
+        assert bat_ev.evaluate_batch(schedules) == [
+            ref_bench.measure(s) for s in schedules
+        ]
+        assert bat_ev.n_simulations == ref_bench.n_simulations
     finally:
-        ref_ev.close()
         bat_ev.close()
