@@ -152,17 +152,8 @@ def _candidates(
 
 def _p_fast(union: UnionArtifact, x: np.ndarray) -> np.ndarray:
     """Leaf-proportion probability of the fast class per row of ``x``."""
-    tree = union.tree
-    out = np.empty(len(x))
-    for i, row in enumerate(np.asarray(x)):
-        node = tree.root
-        while not node.is_leaf:
-            node = (
-                node.left if row[node.feature] <= node.threshold else node.right
-            )
-        props = node.class_proportions()
-        out[i] = float(props[FAST]) if len(props) > FAST else 0.0
-    return out
+    proba = union.tree.predict_proba(x)
+    return proba[:, FAST] if proba.shape[1] > FAST else np.zeros(len(proba))
 
 
 # ----------------------------------------------------------------------

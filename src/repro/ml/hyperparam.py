@@ -6,6 +6,24 @@ iteratively increased until classification error no longer shrinks" —
 ``max_depth = max_leaf_nodes - 1``.  The search keeps trying up to five
 larger sizes after each accepted size; the first improvement is accepted
 (greedy), and if none of the five improves, the search stops.
+
+The trees of all sizes nest, so the search runs one best-first growth
+(:class:`~repro.ml.tree.TreeGrowth`) instead of training one tree per
+size, and the ``k``-leaf tree is the growth after its first ``k - 1``
+splits:
+
+* the depth cap never binds: a node at depth ``k - 1`` or deeper only
+  appears once the tree already has ``k`` leaves, so the uncapped growth
+  makes the same first ``k - 1`` splits as training with
+  ``max_depth = k - 1``;
+* the growth splits leaves in a fixed order (greatest gain, ties to the
+  leaf created first), whatever the leaf budget;
+* node ids follow creation order, so the prefix numbers its nodes as the
+  ``k``-leaf training run does.
+
+The sizes the search tries are consecutive, so each one costs one more
+split, and its training error comes from per-leaf misclassified counts
+the growth keeps, with no ``predict`` pass.
 """
 
 from __future__ import annotations
@@ -15,8 +33,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.ml.metrics import training_error
-from repro.ml.tree import DecisionTree, TreeConfig
+from repro.ml.tree import DecisionTree, TreeConfig, TreeGrowth
 
 
 @dataclass
@@ -49,29 +66,32 @@ def search_tree_size(
     Returns the selected classifier and the evaluation trace (Figure 5).
     """
     trace = HyperparamTrace()
+    growth = TreeGrowth(
+        x, y, TreeConfig(criterion=criterion, class_weight=class_weight)
+    )
 
-    def train(mln: int) -> Tuple[float, DecisionTree]:
-        clf = DecisionTree(
-            TreeConfig(
-                criterion=criterion,
-                class_weight=class_weight,
-                max_leaf_nodes=mln,
-                max_depth=mln - 1,
-            )
-        ).fit(x, y)
-        err = training_error(clf, x, y)
-        trace.record(mln, err, clf.depth)
-        return err, clf
+    def train(mln: int) -> float:
+        growth.grow_to(mln)
+        err = growth.error
+        trace.record(mln, err, growth.depth)
+        return err
 
     mln = 2
     err = np.inf
-    cur, clf = train(mln)
+    cur = train(mln)
     while cur < err:
         err = cur
         for i in range(1, patience + 1):
-            cur, nclf = train(mln + i)
+            cur = train(mln + i)
             if cur < err:
-                clf = nclf
                 mln = mln + i
                 break
-    return clf, trace
+    clf = DecisionTree(
+        TreeConfig(
+            criterion=criterion,
+            class_weight=class_weight,
+            max_leaf_nodes=mln,
+            max_depth=mln - 1,
+        )
+    )
+    return growth.build(clf), trace

@@ -11,7 +11,9 @@ same algorithm:
   ``n_samples / (n_classes * count(class))``;
 * growth: best-first — repeatedly split the leaf with the greatest
   weighted impurity decrease — which is exactly how scikit-learn grows
-  trees when ``max_leaf_nodes`` is set;
+  trees when ``max_leaf_nodes`` is set.  :class:`TreeGrowth` makes the
+  splits one at a time, so Algorithm 1 (:mod:`repro.ml.hyperparam`) reads
+  every tree size off one growth;
 * splits: binary tests ``x[f] <= threshold``; for the pipeline's binary
   features the threshold is always 0.5 (left = feature 0, right = 1).
 """
@@ -114,21 +116,21 @@ class _Candidate:
     threshold: float = field(compare=False, default=0.0)
 
 
-class DecisionTree:
-    """Best-first CART classifier."""
+class TreeGrowth:
+    """One best-first growth, advanced a split at a time.
 
-    def __init__(self, config: TreeConfig = TreeConfig()) -> None:
-        self.config = config
-        self.root: Optional[TreeNode] = None
-        self.n_classes = 0
-        self.n_features = 0
-        self.n_leaves = 0
-        self.depth = 0
-        self._next_id = 0
-        self._tiebreak = 0
+    The heap pops the leaf with the greatest gain, ties going to the leaf
+    created first, and node ids follow creation order.  So the first
+    ``s`` splits do not depend on how far the growth goes afterwards:
+    :meth:`build` can hand out the tree after any prefix of the splits.
 
-    # ------------------------------------------------------------------
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTree":
+    The growth also keeps the unweighted training error of the tree grown
+    so far.  Every training row lies in exactly one leaf, and a split
+    swaps that leaf's misclassified count for its two children's, so the
+    error never needs a ``predict`` pass.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, config: TreeConfig) -> None:
         x = np.asarray(x)
         y = np.asarray(y, dtype=int)
         if x.ndim != 2:
@@ -137,42 +139,103 @@ class DecisionTree:
             raise TrainingError("x and y length mismatch")
         if len(x) == 0:
             raise TrainingError("cannot fit on zero samples")
-        self.n_classes = int(y.max()) + 1 if len(y) else 0
+        self.config = config
+        self.x = x
+        self.y = y
+        self.n_classes = int(y.max()) + 1
         self.n_features = x.shape[1]
-        weights = self._sample_weights(y)
+        self.weights = self._sample_weights()
+        #: Every node made so far, indexed by id; split ``j`` made nodes
+        #: ``2j + 1`` (left) and ``2j + 2`` (right).
+        self.nodes: List[TreeNode] = []
+        #: ``(node id, feature, threshold)`` of each split, in order.
+        self.splits: List[Tuple[int, int, float]] = []
+        #: Depth of the grown tree.
+        self.depth = 0
+        #: Misclassified training rows (unweighted) per node id.
+        self._misclassified: List[int] = []
+        self._heap: List[_Candidate] = []
+        self._tiebreak = 0
+        root = np.arange(len(y))
+        #: Training rows the grown tree misclassifies (unweighted).
+        self.misclassified = self._push(self._make_node(root, depth=0), root)
 
-        self.root = self._make_node(np.arange(len(y)), y, weights, depth=0)
-        self.n_leaves = 1
-        heap: List[_Candidate] = []
-        first = self._best_split(self.root, np.arange(len(y)), x, y, weights)
-        if first is not None:
-            heapq.heappush(heap, first)
+    @property
+    def n_leaves(self) -> int:
+        return len(self.splits) + 1
 
-        max_leaves = self.config.max_leaf_nodes or np.inf
-        while heap and self.n_leaves < max_leaves:
-            cand = heapq.heappop(heap)
-            # Zero-gain splits are allowed when min_impurity_decrease is 0
-            # (matches scikit-learn; required for XOR-style interactions
-            # where the first split alone does not reduce impurity).
-            if -cand.neg_gain < self.config.min_impurity_decrease:
-                break
-            node, idx = cand.node, cand.indices
-            go_left = x[idx, cand.feature] <= cand.threshold
-            li, ri = idx[go_left], idx[~go_left]
-            node.feature = cand.feature
-            node.threshold = cand.threshold
-            node.left = self._make_node(li, y, weights, node.depth + 1)
-            node.right = self._make_node(ri, y, weights, node.depth + 1)
-            self.n_leaves += 1
-            self.depth = max(self.depth, node.depth + 1)
-            for child, cidx in ((node.left, li), (node.right, ri)):
-                nxt = self._best_split(child, cidx, x, y, weights)
-                if nxt is not None:
-                    heapq.heappush(heap, nxt)
-        return self
+    @property
+    def error(self) -> float:
+        """Misclassification rate of the grown tree on its training rows."""
+        return self.misclassified / len(self.y)
+
+    def split(self) -> bool:
+        """Make the next split; False once no leaf can be split."""
+        # Zero-gain splits are allowed when min_impurity_decrease is 0
+        # (matches scikit-learn; required for XOR-style interactions
+        # where the first split alone does not reduce impurity).
+        if (
+            not self._heap
+            or -self._heap[0].neg_gain < self.config.min_impurity_decrease
+        ):
+            return False
+        cand = heapq.heappop(self._heap)
+        node, idx = cand.node, cand.indices
+        go_left = self.x[idx, cand.feature] <= cand.threshold
+        li, ri = idx[go_left], idx[~go_left]
+        left = self._make_node(li, node.depth + 1)
+        right = self._make_node(ri, node.depth + 1)
+        self.splits.append((node.node_id, cand.feature, cand.threshold))
+        self.depth = max(self.depth, node.depth + 1)
+        self.misclassified += (
+            self._push(left, li)
+            + self._push(right, ri)
+            - self._misclassified[node.node_id]
+        )
+        return True
+
+    def grow_to(self, max_leaf_nodes: Optional[int]) -> None:
+        """Split until the tree has ``max_leaf_nodes`` leaves (None: no
+        limit) or no leaf can be split."""
+        while (
+            max_leaf_nodes is None or self.n_leaves < max_leaf_nodes
+        ) and self.split():
+            pass
+
+    def build(self, tree: "DecisionTree") -> "DecisionTree":
+        """Fill ``tree`` with this growth up to ``tree.config``'s leaf
+        budget, growing further if needed, and return it.
+
+        ``tree.config`` must equal the growth's config apart from
+        ``max_leaf_nodes``; or the growth has no depth cap and the tree's
+        is ``max_leaf_nodes - 1``, which cannot bind: a node that deep
+        appears only once the tree already has ``max_leaf_nodes`` leaves.
+        """
+        budget = tree.config.max_leaf_nodes
+        self.grow_to(budget)
+        n_splits = len(self.splits) if budget is None else min(
+            budget - 1, len(self.splits)
+        )
+        nodes = [
+            TreeNode(n.node_id, n.depth, n.n_samples, n.weighted_counts)
+            for n in self.nodes[: 2 * n_splits + 1]
+        ]
+        for j, (node_id, feature, threshold) in enumerate(self.splits[:n_splits]):
+            node = nodes[node_id]
+            node.feature = feature
+            node.threshold = threshold
+            node.left = nodes[2 * j + 1]
+            node.right = nodes[2 * j + 2]
+        tree.n_classes = self.n_classes
+        tree.n_features = self.n_features
+        tree.n_leaves = n_splits + 1
+        tree.depth = max(n.depth for n in nodes)
+        tree.root = nodes[0]
+        return tree
 
     # ------------------------------------------------------------------
-    def _sample_weights(self, y: np.ndarray) -> np.ndarray:
+    def _sample_weights(self) -> np.ndarray:
+        y = self.y
         if self.config.class_weight is None:
             return np.ones(len(y))
         counts = np.bincount(y, minlength=self.n_classes).astype(float)
@@ -181,31 +244,31 @@ class DecisionTree:
         class_w[nonzero] = len(y) / (nonzero.sum() * counts[nonzero])
         return class_w[y]
 
-    def _make_node(
-        self,
-        indices: np.ndarray,
-        y: np.ndarray,
-        weights: np.ndarray,
-        depth: int,
-    ) -> TreeNode:
+    def _make_node(self, indices: np.ndarray, depth: int) -> TreeNode:
         wc = np.zeros(self.n_classes)
-        np.add.at(wc, y[indices], weights[indices])
+        np.add.at(wc, self.y[indices], self.weights[indices])
         node = TreeNode(
-            node_id=self._next_id,
+            node_id=len(self.nodes),
             depth=depth,
             n_samples=len(indices),
             weighted_counts=wc,
         )
-        self._next_id += 1
+        self.nodes.append(node)
         return node
 
+    def _push(self, node: TreeNode, indices: np.ndarray) -> int:
+        """Queue the new leaf's best split; return its misclassified count."""
+        wrong = len(indices) - int(
+            np.count_nonzero(self.y[indices] == node.predicted_class)
+        )
+        self._misclassified.append(wrong)
+        cand = self._best_split(node, indices)
+        if cand is not None:
+            heapq.heappush(self._heap, cand)
+        return wrong
+
     def _best_split(
-        self,
-        node: TreeNode,
-        indices: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        weights: np.ndarray,
+        self, node: TreeNode, indices: np.ndarray
     ) -> Optional[_Candidate]:
         """Best (feature, threshold) for this leaf, as a heap candidate."""
         if self.config.max_depth is not None and node.depth >= self.config.max_depth:
@@ -219,9 +282,9 @@ class DecisionTree:
             return None
         best_gain = -1.0
         best: Optional[Tuple[int, float]] = None
-        xv = x[indices]
-        yv = y[indices]
-        wv = weights[indices]
+        xv = self.x[indices]
+        yv = self.y[indices]
+        wv = self.weights[indices]
         for f in range(self.n_features):
             col = xv[:, f]
             values = np.unique(col)
@@ -256,30 +319,65 @@ class DecisionTree:
             threshold=best[1],
         )
 
+
+class DecisionTree:
+    """Best-first CART classifier."""
+
+    def __init__(self, config: TreeConfig = TreeConfig()) -> None:
+        self.config = config
+        self.root: Optional[TreeNode] = None
+        self.n_classes = 0
+        self.n_features = 0
+        self.n_leaves = 0
+        self.depth = 0
+
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTree":
+        return TreeGrowth(x, y, self.config).build(self)
+
     # ------------------------------------------------------------------
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def _route(self, x: np.ndarray) -> Tuple[List[TreeNode], np.ndarray]:
+        """Send every row of ``x`` to its leaf.
+
+        Rows are partitioned down the tree, one vectorized test per
+        internal node.  Returns every leaf once, and for each row the
+        position of its leaf in that list.
+        """
         if self.root is None:
             raise TrainingError("tree is not fitted")
         x = np.asarray(x)
-        out = np.empty(len(x), dtype=int)
-        for i, row in enumerate(x):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.predicted_class
-        return out
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise TrainingError(
+                f"x must be 2-D with {self.n_features} feature columns, "
+                f"got shape {x.shape}"
+            )
+        leaves: List[TreeNode] = []
+        where = np.empty(len(x), dtype=np.intp)
+        stack = [(self.root, np.arange(len(x)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                where[rows] = len(leaves)
+                leaves.append(node)
+                continue
+            go_left = x[rows, node.feature] <= node.threshold
+            stack.append((node.right, rows[~go_left]))
+            stack.append((node.left, rows[go_left]))
+        return leaves, where
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        leaves, where = self._route(x)
+        return np.array([n.predicted_class for n in leaves], dtype=int)[where]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf node id for each sample."""
-        if self.root is None:
-            raise TrainingError("tree is not fitted")
-        out = np.empty(len(x), dtype=int)
-        for i, row in enumerate(np.asarray(x)):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.node_id
-        return out
+        leaves, where = self._route(x)
+        return np.array([n.node_id for n in leaves], dtype=int)[where]
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Weighted class proportions of each sample's leaf,
+        shape ``(n_samples, n_classes)``."""
+        leaves, where = self._route(x)
+        return np.array([n.class_proportions() for n in leaves])[where]
 
     # ------------------------------------------------------------------
     def leaves(self) -> List[TreeNode]:
@@ -384,8 +482,6 @@ class DecisionTree:
             return node
 
         tree.root = build(data.get("root"))
-        if tree.root is not None:
-            tree._next_id = 1 + max(n.node_id for n in tree.nodes())
         return tree
 
     # ------------------------------------------------------------------

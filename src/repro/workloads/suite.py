@@ -481,24 +481,27 @@ class SuiteRunner:
                 restore_rules_payload(task)
                 for task in run.of_kind(TASK_WORKLOAD_RULES)
             ]
-            report.rules_table = score_cross_workload(per_workload).rows()
-            matrix = transfer_matrix_from(per_workload)
+            with obs.stage("score-rules"):
+                report.rules_table = score_cross_workload(per_workload).rows()
+            with obs.stage("transfer-matrix"):
+                matrix = transfer_matrix_from(per_workload)
             report.transfer_table = matrix.rows()
             report.union_table = [u.to_dict() for u in matrix.union_rows]
             report.union_note = matrix.union_note
             if self.store_path is not None:
                 from repro.advisor import ArtifactStore, publish_artifacts
 
-                report.published = publish_artifacts(
-                    ArtifactStore(self.store_path),
-                    per_workload,
-                    machine=self.machine.name,
-                    n_streams=suite.n_streams,
-                    advisories=[
-                        (c.source, c.target, c.mean_discrimination)
-                        for c in matrix.advisories()
-                    ],
-                )
+                with obs.stage("publish"):
+                    report.published = publish_artifacts(
+                        ArtifactStore(self.store_path),
+                        per_workload,
+                        machine=self.machine.name,
+                        n_streams=suite.n_streams,
+                        advisories=[
+                            (c.source, c.target, c.mean_discrimination)
+                            for c in matrix.advisories()
+                        ],
+                    )
         elif self.store_path is not None:
             report.store_note = (
                 f"store {self.store_path!r} not updated: suite "

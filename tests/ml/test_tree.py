@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TrainingError
 from repro.ml.metrics import training_error
@@ -139,3 +140,96 @@ class TestStructure:
         t = DecisionTree(TreeConfig(max_leaf_nodes=4)).fit(x, y)
         assert len(t.leaves()) == t.n_leaves
         assert sum(leaf.n_samples for leaf in t.leaves()) == len(y)
+
+
+def walk_to_leaves(tree, x):
+    """Reference lookup: walk the tree row by row."""
+    out = []
+    for row in np.asarray(x):
+        node = tree.root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out.append(node)
+    return out
+
+
+def assert_lookup_matches_walk(tree, x):
+    leaves = walk_to_leaves(tree, x)
+    pred = tree.predict(x)
+    assert pred.dtype == int
+    assert pred.tolist() == [n.predicted_class for n in leaves]
+    assert tree.apply(x).tolist() == [n.node_id for n in leaves]
+    proba = tree.predict_proba(x)
+    assert proba.shape == (len(leaves), tree.n_classes)
+    for got, leaf in zip(proba, leaves):
+        assert got.tolist() == leaf.class_proportions().tolist()
+
+
+class TestLeafLookup:
+    """predict / apply / predict_proba share one vectorized lookup; each
+    must agree with the per-row walk."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([None, 2, 5, 12]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, seed, f, mln):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 2, size=(60, f)).astype(np.uint8)
+        y = rng.integers(0, 3, size=60)
+        tree = DecisionTree(TreeConfig(max_leaf_nodes=mln)).fit(x, y)
+        assert_lookup_matches_walk(tree, x)
+        assert_lookup_matches_walk(tree, rng.integers(0, 2, size=(30, f)))
+
+    def test_numeric_thresholds(self):
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 20, size=(80, 2)).astype(float)
+        y = (x[:, 0] > 7).astype(int) + (x[:, 1] > 12).astype(int)
+        tree = DecisionTree().fit(x, y)
+        assert tree.n_leaves >= 3
+        # Every threshold itself, and values just either side of it.
+        values = [
+            n.threshold + d
+            for n in tree.nodes()
+            if not n.is_leaf
+            for d in (-0.5, 0.0, 0.5)
+        ]
+        probes = np.array([[a, b] for a in values for b in values])
+        assert_lookup_matches_walk(tree, probes)
+        assert_lookup_matches_walk(tree, x)
+
+    def test_zero_rows(self):
+        x, y = xor_data()
+        tree = DecisionTree(TreeConfig(max_leaf_nodes=4)).fit(x, y)
+        assert_lookup_matches_walk(tree, np.zeros((0, 2)))
+
+    def test_single_leaf_tree(self):
+        tree = DecisionTree().fit(np.zeros((10, 3)), np.zeros(10, dtype=int))
+        assert tree.n_leaves == 1
+        assert_lookup_matches_walk(tree, np.ones((5, 3)))
+
+    def test_from_dict_tree(self):
+        x, y = xor_data()
+        tree = DecisionTree(TreeConfig(max_leaf_nodes=4)).fit(x, y)
+        restored = DecisionTree.from_dict(tree.to_dict())
+        assert_lookup_matches_walk(restored, x)
+        assert restored.predict_proba(x).tolist() == tree.predict_proba(x).tolist()
+
+    @pytest.mark.parametrize("method", ["predict", "apply", "predict_proba"])
+    def test_rejects_x_of_wrong_shape(self, method):
+        """1-D x on a single-leaf tree and on a split tree, and 7 columns
+        on a 3-feature tree."""
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 2, size=(40, 3))
+        split = DecisionTree().fit(x, x[:, 0] ^ x[:, 2])
+        single = DecisionTree().fit(x, np.zeros(40, dtype=int))
+        assert single.n_leaves == 1 and split.n_leaves > 1
+        for tree, bad in (
+            (single, np.zeros(5)),
+            (split, np.zeros(3)),
+            (split, np.zeros((4, 7))),
+        ):
+            with pytest.raises(TrainingError):
+                getattr(tree, method)(bad)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.errors import WorkloadError
 from repro.platform.presets import perlmutter_like
 from repro.sim.measure import MeasurementConfig
@@ -193,6 +194,21 @@ class TestCrossWorkloadTables:
         data = json.loads(report.to_json())
         assert "transfer_table" in data
         assert "union_table" in data
+
+    def test_reduce_steps_traced_as_root_spans(self, report, tmp_path):
+        """Scoring, the transfer matrix and publishing each get a root
+        span after the plan; the report is the untraced one."""
+        with obs.capture(trace=True) as cap:
+            traced = SuiteRunner(TINY_RULES, store_path=str(tmp_path)).run()
+        assert [s.name for s in cap.spans] == [
+            "plan.execute",
+            "stage:score-rules",
+            "stage:transfer-matrix",
+            "stage:publish",
+        ]
+        assert traced.published
+        traced.published = []
+        assert _report_comparable(traced) == _report_comparable(report)
 
     def test_sharded_cross_workload_report_identical(self, report):
         """Sharding covers the rule pipelines too: every table of the
