@@ -279,6 +279,7 @@ _SMOKE_TARGET = ("layered_random", {"layers": 3, "width": 2, "edge_p": 0.7}, 5)
 
 def _train_store(args, store, machine) -> list:
     """Run the training suite's rule pipelines and publish artifacts."""
+    from repro import obs
     from repro.advisor import publish_artifacts
     from repro.sim.measure import MeasurementConfig
     from repro.workloads import get_suite, rules_for_specs
@@ -297,12 +298,13 @@ def _train_store(args, store, machine) -> list:
         shard_workers=args.shard_workers,
         block_size=args.block_size,
     )
-    return publish_artifacts(
-        store,
-        per_workload,
-        machine=machine.name,
-        n_streams=suite.n_streams,
-    )
+    with obs.stage("publish"):
+        return publish_artifacts(
+            store,
+            per_workload,
+            machine=machine.name,
+            n_streams=suite.n_streams,
+        )
 
 
 def _cmd_advise(args) -> str:

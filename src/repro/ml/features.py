@@ -314,22 +314,6 @@ class MappedFeatureExtractor:
         self._fitted = False
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _schedule_groups(
-        schedule: Schedule, mapping: KeyMapping
-    ) -> Tuple[Dict[str, List[int]], Dict[str, List[int]]]:
-        """(key -> launch positions, key -> GPU stream bindings)."""
-        order: Dict[str, List[int]] = {}
-        streams: Dict[str, List[int]] = {}
-        for i, op in enumerate(schedule.ops):
-            key = mapping.get(op.name)
-            if key is None:
-                continue
-            order.setdefault(key, []).append(i)
-            if op.kind is OpKind.GPU:
-                streams.setdefault(key, []).append(op.stream)  # type: ignore[arg-type]
-        return order, streams
-
     def fit(
         self,
         tagged: Sequence[Tuple[Sequence[Schedule], KeyMapping]],
@@ -347,18 +331,20 @@ class MappedFeatureExtractor:
             raise TrainingError("cannot fit mapped features on zero schedules")
         if min_sets is None:
             min_sets = min(2, len(tagged))
+        spans = [
+            _KeySpans(
+                schedules,
+                mapping,
+                sorted({k for k in mapping.values() if k is not None}),
+            )
+            for schedules, mapping in tagged
+        ]
         seen_in: Dict[str, int] = {}
         gpu_seen_in: Dict[str, int] = {}
-        for schedules, mapping in tagged:
-            present: set = set()
-            gpu_present: set = set()
-            for s in schedules:
-                order, streams = self._schedule_groups(s, mapping)
-                present |= set(order)
-                gpu_present |= set(streams)
-            for key in present:
+        for sp in spans:
+            for key in sp.present_keys():
                 seen_in[key] = seen_in.get(key, 0) + 1
-            for key in gpu_present:
+            for key in sp.present_keys(gpu=True):
                 gpu_seen_in[key] = gpu_seen_in.get(key, 0) + 1
         self.keys = tuple(
             sorted(k for k, n in seen_in.items() if n >= min_sets)
@@ -372,18 +358,17 @@ class MappedFeatureExtractor:
         candidates += [
             StreamFeature(u, v) for u, v in combinations(self.gpu_keys, 2)
         ]
-        blocks = [
-            self._raw_matrix(schedules, mapping, candidates)
-            for schedules, mapping in tagged
-            if schedules
-        ]
-        full = np.concatenate(blocks, axis=0)
-        keep = [
-            j
-            for j in range(full.shape[1])
-            if not np.all(full[:, j] == full[0, j])
-        ]
-        self.features = [candidates[j] for j in keep]
+        # A column is constant over the concatenated sets iff it equals
+        # the first row's value everywhere.
+        spans = [sp for sp in spans if sp.n_schedules]
+        varying = np.zeros(len(candidates), dtype=bool)
+        for lo in range(0, len(candidates), _CHUNK):
+            chunk = candidates[lo : lo + _CHUNK]
+            blocks = [sp.columns(chunk) for sp in spans]
+            ref = blocks[0][:, :1]
+            for block in blocks:
+                varying[lo : lo + len(chunk)] |= (block != ref).any(axis=1)
+        self.features = [f for f, keep in zip(candidates, varying) if keep]
         self._fitted = True
         return self
 
@@ -392,30 +377,101 @@ class MappedFeatureExtractor:
     ) -> FeatureMatrix:
         if not self._fitted:
             raise TrainingError("extractor is not fitted")
-        return FeatureMatrix(
-            matrix=self._raw_matrix(schedules, mapping, self.features),
-            features=self.features,
-        )
+        keys = sorted({k for f in self.features for k in (f.u, f.v)})
+        spans = _KeySpans(schedules, mapping, keys)
+        matrix = np.zeros((len(schedules), len(self.features)), dtype=np.uint8)
+        for lo in range(0, len(self.features), _CHUNK):
+            chunk = self.features[lo : lo + _CHUNK]
+            matrix[:, lo : lo + len(chunk)] = spans.columns(chunk).T
+        return FeatureMatrix(matrix=matrix, features=self.features)
 
-    # ------------------------------------------------------------------
-    def _raw_matrix(
+
+#: Features evaluated per numpy pass; bounds the ``[chunk, schedules]``
+#: temporaries of :meth:`_KeySpans.columns`.
+_CHUNK = 64
+
+
+class _KeySpans:
+    """Where each key sits in each schedule of one set, in one pass.
+
+    ``[key, schedule]`` arrays: ``first`` / ``last`` launch position of
+    the key's ops (``last`` is -1 where the schedule has none) and
+    ``lo`` / ``hi`` GPU stream of its GPU ops (``hi`` is -1 where it has
+    none).  Universally quantified features reduce to comparisons of
+    these: "every ``u`` op before every ``v`` op" is ``last[u] <
+    first[v]``, and "all cross pairs share a stream" is ``lo == hi`` on
+    both keys with equal ``lo``.
+    """
+
+    def __init__(
         self,
         schedules: Sequence[Schedule],
         mapping: KeyMapping,
-        features: Sequence[Feature],
-    ) -> np.ndarray:
-        mat = np.zeros((len(schedules), len(features)), dtype=np.uint8)
+        keys: Sequence[str],
+    ) -> None:
+        self.keys = tuple(keys)
+        self.n_schedules = len(schedules)
+        self._index = {k: i for i, k in enumerate(self.keys)}
+        slot = {
+            name: self._index[key]
+            for name, key in mapping.items()
+            if key is not None and key in self._index
+        }
+        n_keys = len(self.keys)
+        big = int(np.iinfo(np.int32).max)
+        shape = (n_keys, self.n_schedules)
+        self.first = np.full(shape, big, dtype=np.int32)
+        self.last = np.full(shape, -1, dtype=np.int32)
+        self.lo = np.full(shape, big, dtype=np.int32)
+        self.hi = np.full(shape, -1, dtype=np.int32)
         for i, s in enumerate(schedules):
-            order, streams = self._schedule_groups(s, mapping)
-            for j, f in enumerate(features):
-                if isinstance(f, OrderFeature):
-                    us, vs = order.get(f.u), order.get(f.v)
-                    if us and vs:
-                        mat[i, j] = 1 if max(us) < min(vs) else 0
-                else:
-                    su, sv = streams.get(f.u), streams.get(f.v)
-                    if su and sv:
-                        mat[i, j] = (
-                            1 if all(a == b for a in su for b in sv) else 0
-                        )
-        return mat
+            first = [big] * n_keys
+            last = [-1] * n_keys
+            lo = [big] * n_keys
+            hi = [-1] * n_keys
+            for pos, op in enumerate(s.ops):
+                k = slot.get(op.name)
+                if k is None:
+                    continue
+                if last[k] < 0:
+                    first[k] = pos
+                last[k] = pos
+                if op.kind is OpKind.GPU:
+                    stream = op.stream
+                    if stream < lo[k]:
+                        lo[k] = stream
+                    if stream > hi[k]:
+                        hi[k] = stream
+            self.first[:, i] = first
+            self.last[:, i] = last
+            self.lo[:, i] = lo
+            self.hi[:, i] = hi
+
+    def present_keys(self, *, gpu: bool = False) -> List[str]:
+        """Keys some schedule has (GPU ops of, with ``gpu``)."""
+        seen = (self.hi if gpu else self.last) >= 0
+        return [k for k, hit in zip(self.keys, seen.any(axis=1)) if hit]
+
+    def columns(self, features: Sequence[Feature]) -> np.ndarray:
+        """``[feature, schedule]`` values; 0 where a key is absent."""
+        out = np.zeros((len(features), self.n_schedules), dtype=np.uint8)
+        for j, f in enumerate(features):
+            u = self._index.get(f.u)
+            v = self._index.get(f.v)
+            if u is None or v is None:
+                continue  # the set maps no op to one of the keys
+            if isinstance(f, OrderFeature):
+                hit = (
+                    (self.last[u] >= 0)
+                    & (self.last[v] >= 0)
+                    & (self.last[u] < self.first[v])
+                )
+            else:
+                hit = (
+                    (self.hi[u] >= 0)
+                    & (self.lo[u] == self.hi[u])
+                    & (self.lo[v] == self.hi[v])
+                    & (self.lo[u] == self.lo[v])
+                )
+            out[j] = hit
+        return out

@@ -30,8 +30,10 @@ clock ``t``, per-stream clocks, and per-event fire times:
 These are insensitive to event-loop tie ordering, so evaluating them as
 numpy float64 column sweeps reproduces the engine bit for bit.  Noise is
 a pure function of ``(seed, sample, rank, op name)`` — schedule
-independent — so jittered duration tables are precomputed per sample and
-shared by every schedule in the block.
+independent — so each sample's durations come from the same
+:func:`~repro.sim.durations.sample_durations` table the reference engine
+reads, turned into ``[rank, vertex]`` arrays once per sample and shared
+by every schedule in the block.
 
 Which engine runs
 -----------------
@@ -68,9 +70,9 @@ import numpy as np
 from repro import obs
 from repro.dag.program import Program
 from repro.dag.vertex import ActionKind, OpKind
-from repro.platform.costs import CostModel
 from repro.platform.machine import MachineConfig
 from repro.schedule.schedule import Schedule
+from repro.sim.durations import sample_durations
 from repro.sim.measure import Benchmarker, Measurement, MeasurementConfig
 
 _CPU = 0
@@ -178,18 +180,8 @@ class CompiledContext:
                     self.reason = "mpi-comm"
                     break
 
-        cost = CostModel(machine)
-        self._launch = cost.launch_overhead()
-        n_v = len(self._vertices)
-        self._base = np.zeros((self.n_ranks, n_v))
-        if self.ok:
-            for r in range(self.n_ranks):
-                for j, v in enumerate(self._vertices):
-                    self._base[r, j] = cost.base_duration(program, v, r)
-        # Per-sample jittered duration tables: adv = CPU-side advance of
-        # each op (CPU duration / GPU launch / sync-call overhead), kdur =
-        # GPU kernel duration.  Noise keys are schedule-independent, so
-        # one table per absolute sample index serves every schedule.
+        # Per-sample ``(adv, kdur)`` arrays of the sample's duration
+        # table, one per absolute sample index (see _sample_tables).
         self._tables: Dict[Optional[int], Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
@@ -260,24 +252,15 @@ class CompiledContext:
         return _Pack(kind, vid, sid, eid, dur, max(len(events), 1))
 
     def _sample_tables(self, sample: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``adv`` (CPU-side advance of each op: CPU duration, GPU launch,
+        sync-call overhead) and ``kdur`` (GPU kernel duration) as
+        ``[rank, vertex]`` arrays of ``sample``'s duration table."""
         key: Optional[int] = sample if self._noise.enabled else None
         tables = self._tables.get(key)
         if tables is None:
-            noise = self._noise
-            adv = np.zeros_like(self._base)
-            kdur = np.zeros_like(self._base)
-            for r in range(self.n_ranks):
-                for j, v in enumerate(self._vertices):
-                    base = self._base[r, j]
-                    if v.kind is OpKind.CPU:
-                        adv[r, j] = noise.jitter(base, sample, r, v.name)
-                    elif v.kind is OpKind.GPU:
-                        adv[r, j] = noise.jitter(
-                            self._launch, sample, r, v.name, "launch"
-                        )
-                        kdur[r, j] = noise.jitter(base, sample, r, v.name)
-                    else:
-                        adv[r, j] = base  # sync-call overheads: no jitter
+            table = sample_durations(self.program, self.machine, sample)
+            adv = np.array(table.adv, dtype=float)
+            kdur = np.array(table.kdur, dtype=float)
             # The engine advances only on strictly positive durations;
             # clamping keeps a (pathological) negative explicit duration
             # from advancing time backwards.

@@ -22,6 +22,15 @@ cudaStreamWaitEvent    pay call overhead, enqueue wait on its stream
 After the sequence the rank performs a device synchronize (the artificial
 ``end`` vertex) and waits for any still-pending MPI requests it posted.
 The run's elapsed time is the maximum completion time across ranks.
+
+Jittered durations (CPU ops, launches, kernels, message posts, wire
+times) come from the sample's :class:`~repro.sim.durations.SampleDurations`
+table, built once per sample index on first use and shared by every
+schedule this executor runs — the same table batch replay reads.  An op
+whose vertex is not the program's own keeps the per-op path: a sync op
+the design space inserted pays its unjittered call overhead, and a
+same-name vertex that differs is jittered per op by the same functions,
+so degenerate schedules keep their results and errors.
 """
 
 from __future__ import annotations
@@ -35,6 +44,13 @@ from repro.errors import ScheduleError, SimulationError
 from repro.platform.costs import CostModel
 from repro.platform.machine import MachineConfig
 from repro.schedule.schedule import BoundOp, Schedule
+from repro.sim.durations import (
+    SampleDurations,
+    launch_time,
+    op_time,
+    post_costs,
+    sample_durations,
+)
 from repro.sim.engine import Environment
 from repro.sim.network import MpiRequest, Network
 from repro.sim.semantics import PayloadContext
@@ -89,11 +105,23 @@ class ScheduleExecutor:
         self.collect_trace = collect_trace
         self.payload_init = payload_init
         self.strict_hazards = strict_hazards
+        self._tables: Dict[Optional[int], SampleDurations] = {}
 
     # ------------------------------------------------------------------
+    def durations(self, sample: int) -> SampleDurations:
+        """The jittered durations of ``sample``, evaluated on first use
+        (without noise every sample shares one table)."""
+        key = sample if self.machine.noise.enabled else None
+        table = self._tables.get(key)
+        if table is None:
+            table = sample_durations(self.program, self.machine, sample)
+            self._tables[key] = table
+        return table
+
     def run(self, schedule: Schedule, sample: int = 0) -> SimResult:
         """Simulate one invocation of ``schedule``; deterministic in
         ``(schedule, sample, machine.noise.seed)``."""
+        table = self.durations(sample)
         env = Environment()
         trace = Trace() if self.collect_trace else None
         payload: Optional[PayloadContext] = None
@@ -124,6 +152,7 @@ class ScheduleExecutor:
             self.machine.noise,
             sample=sample,
             on_transfer=on_transfer,
+            wire_times=table.wire,
         )
         stream_sets = [
             StreamSet(
@@ -139,7 +168,7 @@ class ScheduleExecutor:
         for rank in range(self.machine.n_ranks):
             env.process(
                 self._cpu_process(
-                    env, rank, schedule, sample, net, stream_sets[rank],
+                    env, rank, schedule, sample, table, net, stream_sets[rank],
                     trace, payload, finish_at,
                 ),
                 name=f"rank{rank}.cpu",
@@ -156,15 +185,13 @@ class ScheduleExecutor:
         )
 
     # ------------------------------------------------------------------
-    def _jitter(self, duration: float, sample: int, rank: int, *key) -> float:
-        return self.machine.noise.jitter(duration, sample, rank, *key)
-
     def _cpu_process(
         self,
         env: Environment,
         rank: int,
         schedule: Schedule,
         sample: int,
+        table: SampleDurations,
         net: Network,
         streams: StreamSet,
         trace: Optional[Trace],
@@ -173,6 +200,8 @@ class ScheduleExecutor:
     ):
         program = self.program
         cost = self.cost
+        adv = table.adv[rank]
+        kdurs = table.kdur[rank]
         requests: Dict[str, Dict[str, List[MpiRequest]]] = {}
 
         def record_cpu(op_name: str, start: float) -> None:
@@ -195,27 +224,23 @@ class ScheduleExecutor:
         for op in schedule.ops:
             v = op.vertex
             start = env.now
+            j = table.position(v)
             if v.kind is OpKind.CPU:
-                dur = self._jitter(
-                    cost.base_duration(program, v, rank), sample, rank, v.name
-                )
+                dur = adv[j] if j >= 0 else op_time(cost, program, v, rank, sample)
                 if dur > 0:
                     yield env.timeout(dur)
                 if v.action is not None:
                     yield from self._do_action(
-                        env, rank, op, sample, net, requests, payload
+                        env, rank, op, sample, table if j >= 0 else None,
+                        net, requests, payload,
                     )
                 run_payload(op, start)
                 record_cpu(v.name, start)
             elif v.kind is OpKind.GPU:
-                launch = self._jitter(
-                    cost.launch_overhead(), sample, rank, v.name, "launch"
-                )
+                launch = adv[j] if j >= 0 else launch_time(cost, v, rank, sample)
                 if launch > 0:
                     yield env.timeout(launch)
-                kdur = self._jitter(
-                    cost.base_duration(program, v, rank), sample, rank, v.name
-                )
+                kdur = kdurs[j] if j >= 0 else op_time(cost, program, v, rank, sample)
 
                 def kernel_done(kstart: float, op=op) -> None:
                     if trace is not None:
@@ -289,34 +314,41 @@ class ScheduleExecutor:
         rank: int,
         op: BoundOp,
         sample: int,
+        table: Optional[SampleDurations],
         net: Network,
         requests: Dict[str, Dict[str, List[MpiRequest]]],
         payload: Optional[PayloadContext],
     ):
+        """Perform ``op``'s MPI action; ``table`` is ``None`` when ``op``
+        is not the program's own vertex, which prices it per message."""
         action = op.vertex.action
         assert action is not None
-        plan = self.program.comm_plan(action.group)
         group = requests.setdefault(action.group, {"sends": [], "recvs": []})
-        post_cost = self.cost.post_message_cost()
-        if action.kind is ActionKind.POST_SENDS:
-            for msg in plan.sends_from(rank):
-                dt = self._jitter(post_cost, sample, rank, op.name, msg.dst)
+        if table is not None:
+            sends = table.sends[rank][action.group]
+            recvs = table.recvs[rank][action.group]
+        else:
+            plan = self.program.comm_plan(action.group)
+            sends = plan.sends_from(rank)
+            recvs = plan.recvs_to(rank)
+        if action.kind in (ActionKind.POST_SENDS, ActionKind.POST_RECVS):
+            sending = action.kind is ActionKind.POST_SENDS
+            kind = "sends" if sending else "recvs"
+            post = net.post_send if sending else net.post_recv
+            if table is not None:
+                posts = table.posts[rank][op.name]
+            else:
+                posts = post_costs(
+                    self.cost, op.vertex, rank, sends if sending else recvs,
+                    sample,
+                )
+            for msg, dt in posts:
                 if dt > 0:
                     yield env.timeout(dt)
-                group["sends"].append(net.post_send(msg))
-        elif action.kind is ActionKind.POST_RECVS:
-            for msg in plan.recvs_to(rank):
-                dt = self._jitter(post_cost, sample, rank, op.name, msg.src)
-                if dt > 0:
-                    yield env.timeout(dt)
-                group["recvs"].append(net.post_recv(msg))
+                group[kind].append(post(msg))
         elif action.kind in (ActionKind.WAIT_SENDS, ActionKind.WAIT_RECVS):
             kind = "sends" if action.kind is ActionKind.WAIT_SENDS else "recvs"
-            expected = (
-                plan.sends_from(rank)
-                if action.kind is ActionKind.WAIT_SENDS
-                else plan.recvs_to(rank)
-            )
+            expected = sends if kind == "sends" else recvs
             if expected and not group[kind]:
                 raise ScheduleError(
                     f"rank {rank}: {op.name!r} waits on comm group "

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.dag.program import Message
 from repro.errors import MpiError
 from repro.platform.machine import NetworkModel, Protocol
 from repro.platform.noise import NoiseModel
+from repro.sim.durations import wire_time
 from repro.sim.engine import Channel, Environment, Event
 
 
@@ -52,7 +53,12 @@ TransferHook = Callable[[Message, float, float], None]
 
 
 class Network:
-    """Message-matching and transfer engine shared by all ranks."""
+    """Message-matching and transfer engine shared by all ranks.
+
+    ``wire_times`` holds precomputed wire times (a sample's
+    :attr:`~repro.sim.durations.SampleDurations.wire`); a message it
+    lacks is priced on the spot by the same function.
+    """
 
     def __init__(
         self,
@@ -61,12 +67,14 @@ class Network:
         noise: NoiseModel,
         sample: int = 0,
         on_transfer: Optional[TransferHook] = None,
+        wire_times: Optional[Mapping[Message, float]] = None,
     ) -> None:
         self.env = env
         self.model = model
         self.noise = noise
         self.sample = sample
         self.on_transfer = on_transfer
+        self._wire_times = wire_times if wire_times is not None else {}
         self._pending_sends: Dict[Tuple[int, int, int], Deque[MpiRequest]] = {}
         self._pending_recvs: Dict[Tuple[int, int, int], Deque[MpiRequest]] = {}
         self._send_ch: Dict[int, Channel] = {}
@@ -122,10 +130,10 @@ class Network:
         return self.model.protocol
 
     def _wire_time(self, msg: Message) -> float:
-        base = self.model.transfer_time(msg.nbytes)
-        return self.noise.jitter(
-            base, self.sample, "xfer", msg.src, msg.dst, msg.tag
-        )
+        wire = self._wire_times.get(msg)
+        if wire is None:
+            wire = wire_time(self.model, self.noise, msg, self.sample)
+        return wire
 
     def _occupy_channels(self, msg: Message, ready: float, wire: float):
         """Reserve NIC channels; returns the (begin, end) wire interval."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.dag.vertex import OpKind
 from repro.errors import TrainingError
 from repro.ml.features import OrderFeature
@@ -493,6 +494,7 @@ def run_transfer_matrix(
         shard_workers=shard_workers,
         block_size=block_size,
     )
-    result = transfer_matrix_from(per_workload)
+    with obs.stage("transfer-matrix"):
+        result = transfer_matrix_from(per_workload)
     result.timing = plan_run.timing()
     return result

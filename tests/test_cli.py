@@ -270,6 +270,39 @@ def test_advise_from_store_writes_json(tiny_store, tmp_path, capsys):
         assert data["confidence"] > 0
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "command,reduce_span",
+    [("transfer", "stage:transfer-matrix"), ("advise", "stage:publish")],
+)
+def test_smoke_reduce_step_traced_as_root_span(
+    command, reduce_span, tmp_path, capsys
+):
+    """`--smoke --trace` spans the reduce step after the plan as a root
+    span, and tracing leaves the JSON output (bar wall-clock timing)
+    unchanged."""
+    import json
+
+    from repro import obs
+
+    def run(name, *extra):
+        argv = [command, "--smoke", "--json", str(tmp_path / f"{name}.json")]
+        if command == "advise":
+            argv += ["--store", str(tmp_path / f"{name}-store")]
+        assert main(argv + list(extra)) == 0
+        data = json.loads((tmp_path / f"{name}.json").read_text())
+        data.pop("timing", None)
+        return data
+
+    plain = run("plain")
+    trace_path = tmp_path / "run.jsonl"
+    traced = run("traced", "--trace", str(trace_path))
+    capsys.readouterr()
+    roots = [s.name for s in obs.read_trace(str(trace_path)).spans]
+    assert roots[:2] == ["plan.execute", reduce_span]
+    assert traced == plain
+
+
 def test_advise_requires_family_without_smoke():
     with pytest.raises(SystemExit, match="--family"):
         main(["advise", "--store", "unused"])
