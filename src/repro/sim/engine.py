@@ -1,21 +1,29 @@
-"""A small generator-based discrete-event simulation kernel.
+"""A small discrete-event simulation kernel.
 
 Processes are Python generators that ``yield`` waitables (:class:`Event`,
-:class:`Timeout`, :class:`AllOf`, :class:`AnyOf`); the
+:class:`Timeout`, :class:`AllOf`, :class:`AnyOf`); other actors, such as
+GPU streams and the network, hang plain callbacks on events instead.  The
 :class:`Environment` advances simulated time by draining a priority queue
 of scheduled event firings.  The design follows the SimPy process model but
 is self-contained, deterministic (ties broken by insertion order), and adds
 deadlock detection: if the queue drains while processes are still blocked,
 :class:`~repro.errors.DeadlockError` is raised with a description of who is
 waiting on what.
+
+Labels exist for diagnostics only, so the engine keeps them unformatted:
+besides a string, a label may be a ``(format, *args)`` tuple, which
+becomes ``format.format(*args)`` only when an error or ``repr`` reads it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import DeadlockError, SimulationError
+
+#: A label: text, or a ``(format, *args)`` tuple formatted when read.
+Label = Union[str, Tuple[Any, ...]]
 
 
 class Event:
@@ -25,14 +33,21 @@ class Event:
     in the waiting process.
     """
 
-    __slots__ = ("env", "triggered", "value", "_callbacks", "label")
+    __slots__ = ("env", "triggered", "value", "_callbacks", "_label")
 
-    def __init__(self, env: "Environment", label: str = "") -> None:
+    def __init__(self, env: "Environment", label: Label = "") -> None:
         self.env = env
         self.triggered = False
         self.value: Any = None
         self._callbacks: List[Callable[["Event"], None]] = []
-        self.label = label
+        self._label = label
+
+    @property
+    def label(self) -> str:
+        label = self._label
+        if type(label) is tuple:
+            return label[0].format(*label[1:])
+        return label
 
     def succeed(self, value: Any = None) -> "Event":
         """Fire the event now, resuming all waiters. Fails if already fired."""
@@ -51,7 +66,7 @@ class Event:
         else:
             self._callbacks.append(cb)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "fired" if self.triggered else "pending"
         return f"Event({self.label!r}, {state})"
 
@@ -61,27 +76,38 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", delay: float, label: str = "") -> None:
+    def __init__(self, env: "Environment", delay: float, label: Label = "") -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
-        super().__init__(env, label or f"timeout+{delay:g}")
-        env._schedule(env.now + delay, self)
+        # Event.__init__ and Environment._schedule, inlined: the hottest
+        # allocation in the engine, and never due before now.
+        self.env = env
+        self.triggered = False
+        self.value = None
+        self._callbacks = []
+        self._label = label or ("timeout+{:g}", delay)
+        env._seq += 1
+        heapq.heappush(env._queue, (env.now + delay, env._seq, self))
 
 
 class _Composite(Event):
     __slots__ = ("_pending",)
 
-    def __init__(self, env: "Environment", events: Iterable[Event], label: str) -> None:
+    def __init__(
+        self, env: "Environment", events: Iterable[Event], label: Label
+    ) -> None:
         super().__init__(env, label)
         events = list(events)
-        self._pending = 0
+        self._pending = len(events)
         if not events:
             # Fire immediately via the queue to preserve causal ordering.
             env._schedule(env.now, self)
             return
-        self._arm(events)
+        on_fire = self._on_fire
+        for e in events:
+            e.add_callback(on_fire)
 
-    def _arm(self, events: List[Event]) -> None:
+    def _on_fire(self, evt: Event) -> None:
         raise NotImplementedError
 
 
@@ -90,19 +116,15 @@ class AllOf(_Composite):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", events: Iterable[Event], label: str = "all") -> None:
+    def __init__(
+        self, env: "Environment", events: Iterable[Event], label: Label = "all"
+    ) -> None:
         super().__init__(env, events, label)
 
-    def _arm(self, events: List[Event]) -> None:
-        self._pending = len(events)
-
-        def on_fire(_evt: Event) -> None:
-            self._pending -= 1
-            if self._pending == 0 and not self.triggered:
-                self.succeed()
-
-        for e in events:
-            e.add_callback(on_fire)
+    def _on_fire(self, _evt: Event) -> None:
+        self._pending -= 1
+        if self._pending == 0 and not self.triggered:
+            self.succeed()
 
 
 class AnyOf(_Composite):
@@ -110,16 +132,14 @@ class AnyOf(_Composite):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", events: Iterable[Event], label: str = "any") -> None:
+    def __init__(
+        self, env: "Environment", events: Iterable[Event], label: Label = "any"
+    ) -> None:
         super().__init__(env, events, label)
 
-    def _arm(self, events: List[Event]) -> None:
-        def on_fire(evt: Event) -> None:
-            if not self.triggered:
-                self.succeed(evt.value)
-
-        for e in events:
-            e.add_callback(on_fire)
+    def _on_fire(self, evt: Event) -> None:
+        if not self.triggered:
+            self.succeed(evt.value)
 
 
 class Process:
@@ -143,13 +163,13 @@ class Process:
         self.name = name
         self._gen = gen
         self.daemon = daemon
-        self.done = Event(env, label=f"{name}.done")
+        self.done = Event(env, ("{}.done", name))
         self._waiting_on: Optional[Event] = None
         env._live_processes.append(self)
         # Start on the next queue drain at current time (causal ordering).
-        kick = Event(env, label=f"{name}.start")
+        kick = Event(env, ("{}.start", name))
         env._schedule(env.now, kick)
-        kick.add_callback(lambda _e: self._resume(None))
+        kick.add_callback(self._resume)
 
     @property
     def alive(self) -> bool:
@@ -159,10 +179,12 @@ class Process:
     def waiting_on(self) -> Optional[Event]:
         return self._waiting_on
 
-    def _resume(self, value: Any) -> None:
+    def _resume(self, fired: Event) -> None:
+        """Send ``fired``'s value into the generator (the start kick's is
+        ``None``) and wait on whatever it yields next."""
         self._waiting_on = None
         try:
-            target = self._gen.send(value)
+            target = self._gen.send(fired.value)
         except StopIteration as stop:
             self.env._live_processes.remove(self)
             self.done.succeed(stop.value)
@@ -173,7 +195,7 @@ class Process:
                 f"yield Event instances"
             )
         self._waiting_on = target
-        target.add_callback(lambda evt: self._resume(evt.value))
+        target.add_callback(self._resume)
 
 
 class Environment:
@@ -195,16 +217,16 @@ class Environment:
         heapq.heappush(self._queue, (at, self._seq, event))
 
     # public factory helpers -------------------------------------------
-    def event(self, label: str = "") -> Event:
+    def event(self, label: Label = "") -> Event:
         return Event(self, label)
 
-    def timeout(self, delay: float, label: str = "") -> Timeout:
+    def timeout(self, delay: float, label: Label = "") -> Timeout:
         return Timeout(self, delay, label)
 
-    def all_of(self, events: Iterable[Event], label: str = "all") -> AllOf:
+    def all_of(self, events: Iterable[Event], label: Label = "all") -> AllOf:
         return AllOf(self, events, label)
 
-    def any_of(self, events: Iterable[Event], label: str = "any") -> AnyOf:
+    def any_of(self, events: Iterable[Event], label: Label = "any") -> AnyOf:
         return AnyOf(self, events, label)
 
     def process(
@@ -213,14 +235,13 @@ class Environment:
         name: str = "process",
         daemon: bool = False,
     ) -> Process:
-        """Start a process.  Daemon processes (e.g. GPU stream servers) are
-        allowed to outlive the event queue without tripping deadlock
-        detection."""
+        """Start a process.  Daemon processes are allowed to outlive the
+        event queue without tripping deadlock detection."""
         return Process(self, gen, name, daemon)
 
-    def fire_at(self, at: float, label: str = "") -> Event:
+    def fire_at(self, at: float, label: Label = "") -> Event:
         """An event that fires at absolute time ``at``."""
-        e = Event(self, label or f"at{at:g}")
+        e = Event(self, label or ("at{:g}", at))
         self._schedule(at, e)
         return e
 
@@ -228,14 +249,19 @@ class Environment:
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue; returns the final simulation time.
 
-        Raises :class:`DeadlockError` if the queue empties while processes
-        are still alive (e.g. waiting on an event nobody will fire).
+        With ``until``, stop before the first event due after it (that
+        event stays queued, so a later ``run`` fires it) and return
+        ``until``.  Raises :class:`DeadlockError` if the queue empties
+        while processes are still alive (e.g. waiting on an event nobody
+        will fire).
         """
-        while self._queue:
-            at, _seq, event = heapq.heappop(self._queue)
-            if until is not None and at > until:
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self.now = until
                 return self.now
+            at, _seq, event = pop(queue)
             self.now = at
             if not event.triggered:
                 event.succeed(event.value)
@@ -253,9 +279,10 @@ class Environment:
 class Channel:
     """A capacity-1 serializing resource (e.g. one direction of a NIC).
 
-    ``acquire_for(duration)`` returns an event that fires when the caller's
-    exclusive occupation of the channel *ends*; occupations are granted in
-    request order starting no earlier than the request time.
+    ``occupy(start, duration)`` reserves the channel for ``duration`` from
+    ``start`` or, if it is still occupied then, from the end of the
+    previous occupation, and returns the ``(begin, end)`` interval;
+    occupations are granted in request order.
     """
 
     __slots__ = ("env", "name", "_free_at")

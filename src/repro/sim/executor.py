@@ -146,12 +146,13 @@ class ScheduleExecutor:
                     payload.transfer(msg.src, msg.dst, msg.src_buf, msg.dst_buf)
                     payload.hazards.mark_ready(msg.dst, msg.dst_buf, end)
 
+        hooked = trace is not None or payload is not None
         net = Network(
             env,
             self.machine.net,
             self.machine.noise,
             sample=sample,
-            on_transfer=on_transfer,
+            on_transfer=on_transfer if hooked else None,
             wire_times=table.wire,
         )
         stream_sets = [
@@ -203,23 +204,22 @@ class ScheduleExecutor:
         adv = table.adv[rank]
         kdurs = table.kdur[rank]
         requests: Dict[str, Dict[str, List[MpiRequest]]] = {}
+        # Payload and kernel hooks exist only when a run collects them.
+        run_payload = None
+        if payload is not None:
 
-        def record_cpu(op_name: str, start: float) -> None:
-            if trace is not None and env.now > start:
-                trace.add(rank, "cpu", op_name, start, env.now)
+            def run_payload(op: BoundOp, start: float) -> None:
+                """Hazard checks + numeric callback at op completion."""
+                v = op.vertex
+                for buf in v.reads:
+                    payload.hazards.check_read(rank, v.name, buf, start)
+                fn = program.payload_fn(v)
+                if fn is not None:
+                    fn(payload[rank])
+                for buf in v.writes:
+                    payload.hazards.mark_ready(rank, buf, env.now)
 
-        def run_payload(op: BoundOp, start: float) -> None:
-            """Hazard checks + numeric callback at op completion."""
-            if payload is None:
-                return
-            v = op.vertex
-            for buf in v.reads:
-                payload.hazards.check_read(rank, v.name, buf, start)
-            fn = program.payload_fn(v)
-            if fn is not None:
-                fn(payload[rank])
-            for buf in v.writes:
-                payload.hazards.mark_ready(rank, buf, env.now)
+        hooked = trace is not None or payload is not None
 
         for op in schedule.ops:
             v = op.vertex
@@ -234,39 +234,35 @@ class ScheduleExecutor:
                         env, rank, op, sample, table if j >= 0 else None,
                         net, requests, payload,
                     )
-                run_payload(op, start)
-                record_cpu(v.name, start)
+                if run_payload is not None:
+                    run_payload(op, start)
             elif v.kind is OpKind.GPU:
                 launch = adv[j] if j >= 0 else launch_time(cost, v, rank, sample)
                 if launch > 0:
                     yield env.timeout(launch)
                 kdur = kdurs[j] if j >= 0 else op_time(cost, program, v, rank, sample)
+                kernel_done = None
+                if hooked:
 
-                def kernel_done(kstart: float, op=op) -> None:
-                    if trace is not None:
-                        trace.add(
-                            rank, f"stream{op.stream}", op.name, kstart, env.now
-                        )
-                    run_payload(op, kstart)
+                    def kernel_done(kstart: float, op=op) -> None:
+                        if trace is not None:
+                            trace.add(
+                                rank, f"stream{op.stream}", op.name, kstart, env.now
+                            )
+                        if run_payload is not None:
+                            run_payload(op, kstart)
 
                 streams.stream(op.stream).enqueue(
-                    StreamItem(
-                        kind="kernel",
-                        name=v.name,
-                        duration=kdur,
-                        on_complete=kernel_done,
-                    )
+                    StreamItem("kernel", v.name, kdur, None, kernel_done)
                 )
-                record_cpu(f"launch:{v.name}", start)
             elif v.kind is OpKind.EVENT_RECORD:
                 dur = cost.base_duration(program, v, rank)
                 if dur > 0:
                     yield env.timeout(dur)
                 evt = streams.cuda_event(op.event)
                 streams.stream(op.stream).enqueue(
-                    StreamItem(kind="record", name=v.name, event=evt)
+                    StreamItem("record", v.name, 0.0, evt)
                 )
-                record_cpu(v.name, start)
             elif v.kind is OpKind.EVENT_SYNC:
                 dur = cost.base_duration(program, v, rank)
                 if dur > 0:
@@ -274,16 +270,14 @@ class ScheduleExecutor:
                 evt = streams.cuda_event(op.event)
                 if not evt.fired:
                     yield evt.wait_event
-                record_cpu(v.name, start)
             elif v.kind is OpKind.STREAM_WAIT:
                 dur = cost.base_duration(program, v, rank)
                 if dur > 0:
                     yield env.timeout(dur)
                 evt = streams.cuda_event(op.event)
                 streams.stream(op.stream).enqueue(
-                    StreamItem(kind="wait", name=v.name, event=evt)
+                    StreamItem("wait", v.name, 0.0, evt)
                 )
-                record_cpu(v.name, start)
             elif v.kind in (OpKind.START, OpKind.END):
                 raise ScheduleError(
                     f"artificial vertex {v.name!r} must not appear in a "
@@ -291,6 +285,9 @@ class ScheduleExecutor:
                 )
             else:  # pragma: no cover - exhaustive above
                 raise SimulationError(f"unhandled op kind {v.kind}")
+            if trace is not None and env.now > start:
+                name = f"launch:{v.name}" if v.kind is OpKind.GPU else v.name
+                trace.add(rank, "cpu", name, start, env.now)
 
         # Artificial `end`: device synchronize + complete leftover requests.
         sync_start = env.now
@@ -303,8 +300,9 @@ class ScheduleExecutor:
             if not req.is_complete
         ]
         if pending:
-            yield env.all_of(pending, label=f"rank{rank}.finalize")
-        record_cpu("end", sync_start)
+            yield env.all_of(pending, label=("rank{}.finalize", rank))
+        if trace is not None and env.now > sync_start:
+            trace.add(rank, "cpu", "end", sync_start, env.now)
         finish_at[rank] = env.now
 
     # ------------------------------------------------------------------
@@ -359,7 +357,7 @@ class ScheduleExecutor:
                 yield env.timeout(dt)
             outstanding = [r.done for r in group[kind] if not r.is_complete]
             if outstanding:
-                yield env.all_of(outstanding, label=f"rank{rank}.{op.name}")
+                yield env.all_of(outstanding, label=("rank{}.{}", rank, op.name))
         elif action.kind is ActionKind.NOOP:
             return
         else:  # pragma: no cover - exhaustive above

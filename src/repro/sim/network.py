@@ -94,7 +94,7 @@ class Network:
             kind="send",
             message=msg,
             posted_at=self.env.now,
-            done=self.env.event(f"send {msg.src}->{msg.dst} tag{msg.tag}"),
+            done=self.env.event(("send {}->{} tag{}", msg.src, msg.dst, msg.tag)),
         )
         if self._protocol_for(msg) is Protocol.EAGER:
             # Buffered injection: the wire transfer happens now and the send
@@ -113,7 +113,7 @@ class Network:
             kind="recv",
             message=msg,
             posted_at=self.env.now,
-            done=self.env.event(f"recv {msg.src}->{msg.dst} tag{msg.tag}"),
+            done=self.env.event(("recv {}->{} tag{}", msg.src, msg.dst, msg.tag)),
         )
         key = (msg.src, msg.dst, msg.tag)
         sends = self._pending_sends.get(key)
@@ -159,7 +159,7 @@ class Network:
             req.done.succeed()
 
         self.env.fire_at(
-            max(end, self.env.now), f"eager_injected:{msg.src}->{msg.dst}"
+            max(end, self.env.now), ("eager_injected:{}->{}", msg.src, msg.dst)
         ).add_callback(complete_send)
 
     def _complete_pair(self, send: MpiRequest, recv: MpiRequest) -> None:
@@ -182,7 +182,7 @@ class Network:
                 req.done.succeed()
 
             self.env.fire_at(
-                send_done_at, f"xfer_send_done:{msg.src}->{msg.dst}"
+                send_done_at, ("xfer_send_done:{}->{}", msg.src, msg.dst)
             ).add_callback(complete_send)
 
         def complete_recv(_evt: Event, req=recv, at=recv_done_at, b=begin) -> None:
@@ -192,7 +192,7 @@ class Network:
             req.done.succeed()
 
         self.env.fire_at(
-            recv_done_at, f"xfer_recv_done:{msg.src}->{msg.dst}"
+            recv_done_at, ("xfer_recv_done:{}->{}", msg.src, msg.dst)
         ).add_callback(complete_recv)
 
     # ------------------------------------------------------------------

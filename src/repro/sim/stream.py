@@ -5,11 +5,11 @@ complete before the next begins. ... A CUDA event represents a particular
 point in a stream's execution" — the CPU can block on it
 (``cudaEventSynchronize``) or another stream can (``cudaStreamWaitEvent``).
 
-A :class:`Stream` is a simulation process draining a FIFO of
-:class:`StreamItem`; :class:`CudaEvent` wraps an engine event plus recorded
-state so waits placed before the record (legal in CUDA only if the event
-object exists; here creation is implicit at first reference) behave like
-CUDA: waiting on an already-fired event proceeds immediately.
+A :class:`Stream` drains a FIFO of :class:`StreamItem`, driven by
+callbacks on engine events; :class:`CudaEvent` wraps an engine event plus
+recorded state so waits placed before the record (legal in CUDA only if
+the event object exists; here creation is implicit at first reference)
+behave like CUDA: waiting on an already-fired event proceeds immediately.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class CudaEvent:
 
     def __init__(self, env: Environment, name: str) -> None:
         self.name = name
-        self._evt = Event(env, label=f"cuda_event:{name}")
+        self._evt = Event(env, ("cuda_event:{}", name))
         self.fired_at: Optional[float] = None
         self.source_stream: Optional[int] = None
 
@@ -54,7 +54,7 @@ class CudaEvent:
         return self._evt
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamItem:
     """One entry in a stream's FIFO queue."""
 
@@ -66,15 +66,24 @@ class StreamItem:
 
 
 class Stream:
-    """FIFO GPU stream as a simulation process.
+    """FIFO GPU stream, driven by callbacks on engine events.
 
-    The CPU enqueues items; the stream executes them in order:
+    The CPU enqueues items; the stream executes them in order, each once
+    the one before it has completed:
 
     * ``kernel`` — advance time by the kernel duration, then invoke the
       completion callback (used for tracing, payload execution, and
-      dependency bookkeeping);
+      dependency bookkeeping) with the kernel's start time;
     * ``record`` — fire the attached :class:`CudaEvent` at the current time;
-    * ``wait``  — block the stream until the attached event has fired.
+    * ``wait``  — block the stream until the attached event has fired
+      (plus the cross-GPU fence when another device recorded it).
+
+    An idle stream starts an enqueued item at once, inside :meth:`enqueue`;
+    a busy one queues it.  When an item has to wait (a kernel's timeout,
+    an unfired event, a fence), the stream hangs a callback on that engine
+    event, which completes the item and goes on down the queue.  A stream
+    is therefore no simulation process: it needs no start event, and
+    deadlock detection never sees it.
     """
 
     def __init__(
@@ -92,22 +101,18 @@ class Stream:
         self.cross_gpu_extra_s = cross_gpu_extra_s
         self.name = f"rank{rank}.stream{stream_id}"
         self._queue: Deque[StreamItem] = deque()
-        self._wakeup: Optional[Event] = None
-        self._idle = True
-        self._drained = Event(env, label=f"{self.name}.init-drained")
-        self._drained.succeed()
-        self.busy_until = 0.0
-        env.process(self._run(), name=self.name, daemon=True)
+        #: True from the start of an item until the queue runs dry.
+        self._busy = False
+        #: The item in progress while the stream waits on its kernel, its
+        #: event or its fence.
+        self._current: Optional[StreamItem] = None
+        self._kernel_start = 0.0
 
     # ------------------------------------------------------------------
     def enqueue(self, item: StreamItem) -> None:
         self._queue.append(item)
-        wakeup = self._wakeup
-        if wakeup is not None and not wakeup.triggered:
-            # Clear before firing: the resumed stream may drain the queue
-            # and install a *new* wakeup synchronously inside succeed().
-            self._wakeup = None
-            wakeup.succeed()
+        if not self._busy:
+            self._advance()
 
     def drained_event(self) -> Event:
         """Event firing when the queue (as of now) is fully executed.
@@ -115,41 +120,80 @@ class Stream:
         Implemented by enqueueing an internal record; used by the device
         synchronize at program ``end``.
         """
-        marker = CudaEvent(self.env, f"{self.name}.drain")
-        self.enqueue(StreamItem(kind="record", name=f"{self.name}.drain", event=marker))
+        name = f"{self.name}.drain"
+        marker = CudaEvent(self.env, name)
+        self.enqueue(StreamItem("record", name, 0.0, marker))
         return marker.wait_event
 
     # ------------------------------------------------------------------
-    def _run(self):
-        while True:
-            if not self._queue:
-                self._wakeup = Event(self.env, label=f"{self.name}.wakeup")
-                yield self._wakeup
-                continue
-            item = self._queue.popleft()
-            if item.kind == "kernel":
-                start = self.env.now
-                if item.duration > 0:
-                    yield self.env.timeout(item.duration, label=item.name)
-                self.busy_until = self.env.now
-                if item.on_complete is not None:
-                    item.on_complete(start)
-            elif item.kind == "record":
-                assert item.event is not None
-                item.event.fire(self.env.now, source_stream=self.stream_id)
-                if item.on_complete is not None:
-                    item.on_complete(self.env.now)
-            elif item.kind == "wait":
-                assert item.event is not None
-                if not item.event.fired:
-                    yield item.event.wait_event
-                extra = self._cross_gpu_penalty(item.event)
-                if extra > 0:
-                    yield self.env.timeout(extra, label=f"{item.name}.xgpu")
-                if item.on_complete is not None:
-                    item.on_complete(self.env.now)
-            else:  # pragma: no cover - guarded by construction
-                raise SimulationError(f"unknown stream item kind {item.kind!r}")
+    def _advance(self) -> None:
+        """Run queued items in order until one has to wait or none is left."""
+        self._busy = True
+        queue = self._queue
+        while queue:
+            if self._start(queue.popleft()):
+                return
+        self._busy = False
+
+    def _start(self, item: StreamItem) -> bool:
+        """Start ``item``; True when it waits on an engine event."""
+        env = self.env
+        kind = item.kind
+        if kind == "kernel":
+            if item.duration > 0:
+                self._current = item
+                self._kernel_start = env.now
+                env.timeout(item.duration, item.name).add_callback(
+                    self._kernel_done
+                )
+                return True
+            if item.on_complete is not None:
+                item.on_complete(env.now)
+        elif kind == "record":
+            assert item.event is not None
+            item.event.fire(env.now, source_stream=self.stream_id)
+            if item.on_complete is not None:
+                item.on_complete(env.now)
+        elif kind == "wait":
+            assert item.event is not None
+            self._current = item
+            if not item.event.fired:
+                item.event.wait_event.add_callback(self._event_fired)
+                return True
+            return self._after_wait()
+        else:  # pragma: no cover - guarded by construction
+            raise SimulationError(f"unknown stream item kind {kind!r}")
+        return False
+
+    def _after_wait(self) -> bool:
+        """The current wait's event has fired: start its cross-GPU fence
+        (True), or complete the wait (False)."""
+        item = self._current
+        extra = self._cross_gpu_penalty(item.event)
+        if extra > 0:
+            self.env.timeout(extra, ("{}.xgpu", item.name)).add_callback(
+                self._fence_done
+            )
+            return True
+        if item.on_complete is not None:
+            item.on_complete(self.env.now)
+        return False
+
+    def _kernel_done(self, _timeout: Event) -> None:
+        item = self._current
+        if item.on_complete is not None:
+            item.on_complete(self._kernel_start)
+        self._advance()
+
+    def _event_fired(self, _evt: Event) -> None:
+        if not self._after_wait():
+            self._advance()
+
+    def _fence_done(self, _timeout: Event) -> None:
+        item = self._current
+        if item.on_complete is not None:
+            item.on_complete(self.env.now)
+        self._advance()
 
     def _cross_gpu_penalty(self, event: CudaEvent) -> float:
         """Inter-device fence cost when waiting on another GPU's event.
@@ -217,5 +261,5 @@ class StreamSet:
         """Event firing when every stream has drained its current queue."""
         return self.env.all_of(
             [s.drained_event() for s in self.streams],
-            label=f"rank{self.rank}.device_sync",
+            label=("rank{}.device_sync", self.rank),
         )

@@ -42,6 +42,25 @@ def test_unsafe_space_contains_deadlocking_schedule(unsafe_instance):
     assert deadlocks == 3
 
 
+def test_deadlock_names_what_each_rank_waits_on(unsafe_instance):
+    space = DesignSpace(unsafe_instance.program, n_streams=2)
+    ex = ScheduleExecutor(unsafe_instance.program, noiseless(perlmutter_like()))
+    schedule = next(
+        s
+        for s in space.enumerate_schedules()
+        if s.op_names().index("WaitRecv") < s.op_names().index("PostSends")
+    )
+    with pytest.raises(DeadlockError) as info:
+        ex.run(schedule)
+    assert str(info.value) == (
+        "simulation deadlock at t=3.1e-06: "
+        "rank0.cpu waiting on Event('rank0.WaitRecv', pending), "
+        "rank1.cpu waiting on Event('rank1.WaitRecv', pending), "
+        "rank2.cpu waiting on Event('rank2.WaitRecv', pending), "
+        "rank3.cpu waiting on Event('rank3.WaitRecv', pending)"
+    )
+
+
 def test_safe_space_runs_everywhere(spmv_space, spmv_instance, machine):
     """Every 20th schedule of the safe space simulates without deadlock."""
     ex = ScheduleExecutor(spmv_instance.program, machine)

@@ -1,6 +1,14 @@
 """Additional edge-case tests for the simulation kernel."""
 
+import pytest
+
+from repro.dag.program import Message
+from repro.errors import DeadlockError, SimulationError
+from repro.mpi.comm import SimMpiWorld
+from repro.platform import perlmutter_like
 from repro.sim.engine import Environment
+from repro.sim.network import Network
+from repro.sim.stream import StreamSet
 
 
 class TestAnyOfValues:
@@ -61,6 +69,22 @@ class TestFireAt:
         assert env.run(until=4.0) == 4.0
         assert env.now == 4.0
 
+    def test_run_until_keeps_the_first_later_event(self):
+        """Stopping at ``until`` leaves the event due after it queued, so
+        the next ``run`` resumes its waiter on time."""
+        env = Environment()
+        resumed = []
+
+        def proc():
+            yield env.timeout(10.0)
+            resumed.append(env.now)
+
+        env.process(proc())
+        assert env.run(until=4.0) == 4.0
+        assert resumed == []
+        assert env.run() == 10.0
+        assert resumed == [10.0]
+
 
 class TestNestedProcessResume:
     def test_deep_chain_of_immediate_events(self):
@@ -97,3 +121,76 @@ class TestNestedProcessResume:
         env.process(proc())
         env.run()
         assert got == [(0.0, 42)]
+
+
+class TestDiagnosticText:
+    """Labels are formatted only when an error or ``repr`` reads them;
+    the text is pinned as the eagerly formatting engine wrote it."""
+
+    def test_timeout_repr(self):
+        env = Environment()
+        assert repr(env.timeout(2.5)) == "Event('timeout+2.5', pending)"
+        assert repr(env.timeout(1e-6)) == "Event('timeout+1e-06', pending)"
+        assert repr(env.timeout(3.0, label="k")) == "Event('k', pending)"
+        assert repr(env.fire_at(2.5)) == "Event('at2.5', pending)"
+        env.run()
+        assert repr(env.timeout(0.0)) == "Event('timeout+0', pending)"
+
+    def test_fired_twice(self):
+        env = Environment()
+        event = env.event("x")
+        event.succeed()
+        with pytest.raises(SimulationError) as info:
+            event.succeed()
+        assert str(info.value) == "event 'x' fired twice"
+        timeout = env.timeout(1.5)
+        env.run()
+        assert repr(timeout) == "Event('timeout+1.5', fired)"
+        with pytest.raises(SimulationError) as info:
+            timeout.succeed()
+        assert str(info.value) == "event 'timeout+1.5' fired twice"
+
+    def test_cuda_event_text(self):
+        env = Environment()
+        event = StreamSet(env, rank=1, n_streams=2).cuda_event("ev")
+        assert repr(event.wait_event) == "Event('cuda_event:rank1:ev', pending)"
+        event.fire(0.0)
+        with pytest.raises(SimulationError) as info:
+            event.fire(1.0)
+        assert str(info.value) == "CUDA event 'rank1:ev' recorded twice"
+
+    def test_mpi_request_text(self):
+        env = Environment()
+        machine = perlmutter_like()
+        net = Network(env, machine.net, machine.noise)
+        send = net.post_send(Message(src=0, dst=1, nbytes=8.0, tag=7))
+        recv = net.post_recv(Message(src=2, dst=3, nbytes=8.0, tag=1))
+        assert repr(send.done) == "Event('send 0->1 tag7', pending)"
+        assert repr(recv.done) == "Event('recv 2->3 tag1', pending)"
+        send.done.succeed()
+        with pytest.raises(SimulationError) as info:
+            send.done.succeed()
+        assert str(info.value) == "event 'send 0->1 tag7' fired twice"
+
+    def test_process_and_composite_text(self):
+        env = Environment()
+        process = env.process(iter([]), name="p")
+        assert repr(process.done) == "Event('p.done', pending)"
+        composite = env.all_of([env.event("a")], label="rank0.x")
+        assert repr(composite) == "Event('rank0.x', pending)"
+
+    def test_mpi_deadlock_text(self):
+        world = SimMpiWorld(perlmutter_like(n_ranks=2))
+
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.recv(source=1, tag=5)
+            else:
+                yield from comm.compute(1e-3)
+
+        with pytest.raises(DeadlockError) as info:
+            world.run(program)
+        assert str(info.value) == (
+            "simulation deadlock at t=0.001: "
+            "mpi.rank0 waiting on Event('recv 1->0 tag5', pending)"
+        )
