@@ -48,7 +48,9 @@ class CostModel:
         blocking lasts until the awaited condition holds.
         """
         if vertex.duration is not None:
-            return vertex.duration
+            # A float, so the simulator's CPU processes can yield it as a
+            # delay even when the program gave an int.
+            return float(vertex.duration)
         g = self.machine.gpu
         if vertex.kind is OpKind.EVENT_RECORD:
             return g.event_record_s

@@ -3,10 +3,10 @@
 This package is the hardware substitute for the paper's Perlmutter testbed:
 a deterministic discrete-event simulator with
 
-* a discrete-event kernel with generator processes and event callbacks
-  (:mod:`repro.sim.engine`),
-* FIFO GPU streams with CUDA-event semantics, driven by event callbacks
-  (:mod:`repro.sim.stream`),
+* a discrete-event kernel whose queue holds callbacks, with generator
+  processes that yield events or plain delays (:mod:`repro.sim.engine`),
+* FIFO GPU streams with CUDA-event semantics, driven by queue and event
+  callbacks (:mod:`repro.sim.stream`),
 * an MPI network engine with message matching and an α-β transfer model
   (:mod:`repro.sim.network`),
 * a schedule executor that interprets a bound operation sequence per rank

@@ -1,14 +1,27 @@
 """A small discrete-event simulation kernel.
 
-Processes are Python generators that ``yield`` waitables (:class:`Event`,
-:class:`Timeout`, :class:`AllOf`, :class:`AnyOf`); other actors, such as
-GPU streams and the network, hang plain callbacks on events instead.  The
-:class:`Environment` advances simulated time by draining a priority queue
-of scheduled event firings.  The design follows the SimPy process model but
-is self-contained, deterministic (ties broken by insertion order), and adds
-deadlock detection: if the queue drains while processes are still blocked,
-:class:`~repro.errors.DeadlockError` is raised with a description of who is
-waiting on what.
+The :class:`Environment` advances simulated time by draining a priority
+queue of ``(time, seq, callback)`` entries: at each entry's time it calls
+``callback()``, and ties fire in push order (``seq``).  Two kinds of entry
+share the queue:
+
+* a scheduled :class:`Event` (a :class:`Timeout`, an empty composite)
+  pushes its bound ``_fire``, which fires the event and so resumes
+  whatever waits on it;
+* everything else pushes a bare callback through
+  :meth:`Environment.call_at`: a process's start and its resume after a
+  delay, a GPU stream's kernel and fence completions, and the network's
+  transfer completions.
+
+Processes are Python generators that ``yield`` either a waitable
+(:class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`) or a
+plain ``float`` delay in seconds; a delay resumes the process through the
+queue without allocating an event, and fires at the same point in the
+queue as ``env.timeout(delay)`` would.  The design follows the SimPy
+process model but is self-contained, deterministic, and adds deadlock
+detection: if the queue drains while processes are still blocked,
+:class:`~repro.errors.DeadlockError` is raised with a description of who
+is waiting on what.
 
 Labels exist for diagnostics only, so the engine keeps them unformatted:
 besides a string, a label may be a ``(format, *args)`` tuple, which
@@ -17,7 +30,7 @@ becomes ``format.format(*args)`` only when an error or ``repr`` reads it.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import DeadlockError, SimulationError
@@ -39,7 +52,7 @@ class Event:
         self.env = env
         self.triggered = False
         self.value: Any = None
-        self._callbacks: List[Callable[["Event"], None]] = []
+        self._callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._label = label
 
     @property
@@ -55,7 +68,8 @@ class Event:
             raise SimulationError(f"event {self.label!r} fired twice")
         self.triggered = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
+        # A fired event calls later callbacks at once, so it keeps none.
+        callbacks, self._callbacks = self._callbacks, None
         for cb in callbacks:
             cb(self)
         return self
@@ -65,6 +79,12 @@ class Event:
             cb(self)
         else:
             self._callbacks.append(cb)
+
+    def _fire(self) -> None:
+        """Queue callback of a scheduled event: fire it, unless something
+        fired it before its time came."""
+        if not self.triggered:
+            self.succeed(self.value)
 
     def __repr__(self) -> str:
         state = "fired" if self.triggered else "pending"
@@ -79,15 +99,15 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, label: Label = "") -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
-        # Event.__init__ and Environment._schedule, inlined: the hottest
-        # allocation in the engine, and never due before now.
+        # Event.__init__ and Environment.call_at, inlined: never due
+        # before now.
         self.env = env
         self.triggered = False
         self.value = None
         self._callbacks = []
         self._label = label or ("timeout+{:g}", delay)
         env._seq += 1
-        heapq.heappush(env._queue, (env.now + delay, env._seq, self))
+        heappush(env._queue, (env.now + delay, env._seq, self._fire))
 
 
 class _Composite(Event):
@@ -101,7 +121,7 @@ class _Composite(Event):
         self._pending = len(events)
         if not events:
             # Fire immediately via the queue to preserve causal ordering.
-            env._schedule(env.now, self)
+            env.call_at(env.now, self._fire)
             return
         on_fire = self._on_fire
         for e in events:
@@ -142,60 +162,72 @@ class AnyOf(_Composite):
             self.succeed(evt.value)
 
 
+#: What a process yields: a waitable, or a delay in seconds.
+Yieldable = Union[Event, float]
+
+
 class Process:
     """A running simulation process wrapping a generator.
 
-    The generator yields waitables; the process resumes with the waitable's
-    value when it fires.  ``Process.done`` is itself an :class:`Event` that
-    fires with the generator's return value.
+    The generator yields waitables or ``float`` delays; the process
+    resumes with the waitable's value when it fires, or with ``None`` once
+    the delay has elapsed.  ``Process.done`` is itself an :class:`Event`
+    that fires with the generator's return value.
     """
 
-    __slots__ = ("env", "name", "_gen", "done", "_waiting_on", "daemon")
+    __slots__ = ("env", "name", "_gen", "done", "_waiting_on")
 
     def __init__(
         self,
         env: "Environment",
-        gen: Generator[Event, Any, Any],
+        gen: Generator[Yieldable, Any, Any],
         name: str = "process",
-        daemon: bool = False,
     ) -> None:
         self.env = env
         self.name = name
         self._gen = gen
-        self.daemon = daemon
         self.done = Event(env, ("{}.done", name))
-        self._waiting_on: Optional[Event] = None
+        self._waiting_on: Optional[Yieldable] = None
         env._live_processes.append(self)
         # Start on the next queue drain at current time (causal ordering).
-        kick = Event(env, ("{}.start", name))
-        env._schedule(env.now, kick)
-        kick.add_callback(self._resume)
+        env.call_at(env.now, self._resume)
 
     @property
     def alive(self) -> bool:
         return not self.done.triggered
 
     @property
-    def waiting_on(self) -> Optional[Event]:
+    def waiting_on(self) -> Optional[Yieldable]:
+        """The event or the delay the process is waiting on."""
         return self._waiting_on
 
-    def _resume(self, fired: Event) -> None:
-        """Send ``fired``'s value into the generator (the start kick's is
-        ``None``) and wait on whatever it yields next."""
+    def _resume(self, fired: Optional[Event] = None) -> None:
+        """Send ``fired``'s value into the generator (``None`` when called
+        from the queue: at the start, or after a delay) and wait on
+        whatever it yields next."""
         self._waiting_on = None
         try:
-            target = self._gen.send(fired.value)
+            target = self._gen.send(None if fired is None else fired.value)
         except StopIteration as stop:
             self.env._live_processes.remove(self)
             self.done.succeed(stop.value)
             return
-        if not isinstance(target, Event):
+        if isinstance(target, float):
+            if target < 0:
+                raise SimulationError(f"negative timeout {target}")
+            self._waiting_on = target
+            # Environment.call_at, inlined: the hottest push in the engine.
+            env = self.env
+            env._seq += 1
+            heappush(env._queue, (env.now + target, env._seq, self._resume))
+        elif isinstance(target, Event):
+            self._waiting_on = target
+            target.add_callback(self._resume)
+        else:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must "
                 f"yield Event instances"
             )
-        self._waiting_on = target
-        target.add_callback(self._resume)
 
 
 class Environment:
@@ -203,18 +235,20 @@ class Environment:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._live_processes: List[Process] = []
 
     # ------------------------------------------------------------------
-    def _schedule(self, at: float, event: Event) -> None:
+    def call_at(self, at: float, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` when the clock reaches ``at``; entries due
+        at the same time are called in the order they were pushed."""
         if at < self.now:
             raise SimulationError(
                 f"cannot schedule event at {at} before now={self.now}"
             )
         self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, event))
+        heappush(self._queue, (at, self._seq, callback))
 
     # public factory helpers -------------------------------------------
     def event(self, label: Label = "") -> Event:
@@ -230,24 +264,14 @@ class Environment:
         return AnyOf(self, events, label)
 
     def process(
-        self,
-        gen: Generator[Event, Any, Any],
-        name: str = "process",
-        daemon: bool = False,
+        self, gen: Generator[Yieldable, Any, Any], name: str = "process"
     ) -> Process:
-        """Start a process.  Daemon processes are allowed to outlive the
-        event queue without tripping deadlock detection."""
-        return Process(self, gen, name, daemon)
-
-    def fire_at(self, at: float, label: Label = "") -> Event:
-        """An event that fires at absolute time ``at``."""
-        e = Event(self, label or ("at{:g}", at))
-        self._schedule(at, e)
-        return e
+        """Start a process on the next queue drain at the current time."""
+        return Process(self, gen, name)
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event queue; returns the final simulation time.
+        """Drain the queue; returns the final simulation time.
 
         With ``until``, stop before the first event due after it (that
         event stays queued, so a later ``run`` fires it) and return
@@ -256,19 +280,18 @@ class Environment:
         will fire).
         """
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         while queue:
             if until is not None and queue[0][0] > until:
                 self.now = until
                 return self.now
-            at, _seq, event = pop(queue)
+            at, _seq, callback = pop(queue)
             self.now = at
-            if not event.triggered:
-                event.succeed(event.value)
-        blocked = [p for p in self._live_processes if not p.daemon]
-        if blocked:
+            callback()
+        if self._live_processes:
             waiters = ", ".join(
-                f"{p.name} waiting on {p.waiting_on!r}" for p in blocked
+                f"{p.name} waiting on {p.waiting_on!r}"
+                for p in self._live_processes
             )
             raise DeadlockError(
                 f"simulation deadlock at t={self.now:g}: {waiters}"

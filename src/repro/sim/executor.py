@@ -22,6 +22,8 @@ cudaStreamWaitEvent    pay call overhead, enqueue wait on its stream
 After the sequence the rank performs a device synchronize (the artificial
 ``end`` vertex) and waits for any still-pending MPI requests it posted.
 The run's elapsed time is the maximum completion time across ranks.
+A CPU process yields each time advance as a plain ``float`` delay, one
+queue entry and no event (see :mod:`repro.sim.engine`).
 
 Jittered durations (CPU ops, launches, kernels, message posts, wire
 times) come from the sample's :class:`~repro.sim.durations.SampleDurations`
@@ -36,7 +38,7 @@ so degenerate schedules keep their results and errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dag.program import Message, Program
 from repro.dag.vertex import ActionKind, OpKind
@@ -56,6 +58,19 @@ from repro.sim.network import MpiRequest, Network
 from repro.sim.semantics import PayloadContext
 from repro.sim.stream import StreamItem, StreamSet
 from repro.sim.trace import Trace
+
+# Enum members as module globals: ``OpKind.CPU`` costs a class-attribute
+# lookup on every op of every rank.
+_CPU, _GPU = OpKind.CPU, OpKind.GPU
+_EVENT_RECORD, _EVENT_SYNC, _STREAM_WAIT = (
+    OpKind.EVENT_RECORD, OpKind.EVENT_SYNC, OpKind.STREAM_WAIT
+)
+_POST_SENDS, _POST_RECVS = ActionKind.POST_SENDS, ActionKind.POST_RECVS
+_WAIT_SENDS, _WAIT_RECVS = ActionKind.WAIT_SENDS, ActionKind.WAIT_RECVS
+
+#: One op of a schedule plan: its kind, its position in the duration rows
+#: (-1 for a vertex that is not the program's own), and the op.
+Step = Tuple[OpKind, int, BoundOp]
 
 
 @dataclass
@@ -122,6 +137,10 @@ class ScheduleExecutor:
         """Simulate one invocation of ``schedule``; deterministic in
         ``(schedule, sample, machine.noise.seed)``."""
         table = self.durations(sample)
+        # What every rank would otherwise look up per op, looked up once.
+        plan: List[Step] = [
+            (op.vertex.kind, table.position(op.vertex), op) for op in schedule.ops
+        ]
         env = Environment()
         trace = Trace() if self.collect_trace else None
         payload: Optional[PayloadContext] = None
@@ -169,7 +188,7 @@ class ScheduleExecutor:
         for rank in range(self.machine.n_ranks):
             env.process(
                 self._cpu_process(
-                    env, rank, schedule, sample, table, net, stream_sets[rank],
+                    env, rank, plan, sample, table, net, stream_sets[rank],
                     trace, payload, finish_at,
                 ),
                 name=f"rank{rank}.cpu",
@@ -190,7 +209,7 @@ class ScheduleExecutor:
         self,
         env: Environment,
         rank: int,
-        schedule: Schedule,
+        plan: List[Step],
         sample: int,
         table: SampleDurations,
         net: Network,
@@ -221,14 +240,13 @@ class ScheduleExecutor:
 
         hooked = trace is not None or payload is not None
 
-        for op in schedule.ops:
+        for kind, j, op in plan:
             v = op.vertex
             start = env.now
-            j = table.position(v)
-            if v.kind is OpKind.CPU:
+            if kind is _CPU:
                 dur = adv[j] if j >= 0 else op_time(cost, program, v, rank, sample)
                 if dur > 0:
-                    yield env.timeout(dur)
+                    yield dur
                 if v.action is not None:
                     yield from self._do_action(
                         env, rank, op, sample, table if j >= 0 else None,
@@ -236,10 +254,10 @@ class ScheduleExecutor:
                     )
                 if run_payload is not None:
                     run_payload(op, start)
-            elif v.kind is OpKind.GPU:
+            elif kind is _GPU:
                 launch = adv[j] if j >= 0 else launch_time(cost, v, rank, sample)
                 if launch > 0:
-                    yield env.timeout(launch)
+                    yield launch
                 kdur = kdurs[j] if j >= 0 else op_time(cost, program, v, rank, sample)
                 kernel_done = None
                 if hooked:
@@ -255,38 +273,38 @@ class ScheduleExecutor:
                 streams.stream(op.stream).enqueue(
                     StreamItem("kernel", v.name, kdur, None, kernel_done)
                 )
-            elif v.kind is OpKind.EVENT_RECORD:
-                dur = cost.base_duration(program, v, rank)
+            elif kind is _EVENT_RECORD:
+                dur = adv[j] if j >= 0 else cost.base_duration(program, v, rank)
                 if dur > 0:
-                    yield env.timeout(dur)
+                    yield dur
                 evt = streams.cuda_event(op.event)
                 streams.stream(op.stream).enqueue(
                     StreamItem("record", v.name, 0.0, evt)
                 )
-            elif v.kind is OpKind.EVENT_SYNC:
-                dur = cost.base_duration(program, v, rank)
+            elif kind is _EVENT_SYNC:
+                dur = adv[j] if j >= 0 else cost.base_duration(program, v, rank)
                 if dur > 0:
-                    yield env.timeout(dur)
+                    yield dur
                 evt = streams.cuda_event(op.event)
                 if not evt.fired:
                     yield evt.wait_event
-            elif v.kind is OpKind.STREAM_WAIT:
-                dur = cost.base_duration(program, v, rank)
+            elif kind is _STREAM_WAIT:
+                dur = adv[j] if j >= 0 else cost.base_duration(program, v, rank)
                 if dur > 0:
-                    yield env.timeout(dur)
+                    yield dur
                 evt = streams.cuda_event(op.event)
                 streams.stream(op.stream).enqueue(
                     StreamItem("wait", v.name, 0.0, evt)
                 )
-            elif v.kind in (OpKind.START, OpKind.END):
+            elif kind in (OpKind.START, OpKind.END):
                 raise ScheduleError(
                     f"artificial vertex {v.name!r} must not appear in a "
                     f"schedule"
                 )
             else:  # pragma: no cover - exhaustive above
-                raise SimulationError(f"unhandled op kind {v.kind}")
+                raise SimulationError(f"unhandled op kind {kind}")
             if trace is not None and env.now > start:
-                name = f"launch:{v.name}" if v.kind is OpKind.GPU else v.name
+                name = f"launch:{v.name}" if kind is _GPU else v.name
                 trace.add(rank, "cpu", name, start, env.now)
 
         # Artificial `end`: device synchronize + complete leftover requests.
@@ -319,9 +337,12 @@ class ScheduleExecutor:
     ):
         """Perform ``op``'s MPI action; ``table`` is ``None`` when ``op``
         is not the program's own vertex, which prices it per message."""
-        action = op.vertex.action
+        v = op.vertex
+        action = v.action
         assert action is not None
-        group = requests.setdefault(action.group, {"sends": [], "recvs": []})
+        group = requests.get(action.group)
+        if group is None:
+            group = requests[action.group] = {"sends": [], "recvs": []}
         if table is not None:
             sends = table.sends[rank][action.group]
             recvs = table.recvs[rank][action.group]
@@ -329,35 +350,34 @@ class ScheduleExecutor:
             plan = self.program.comm_plan(action.group)
             sends = plan.sends_from(rank)
             recvs = plan.recvs_to(rank)
-        if action.kind in (ActionKind.POST_SENDS, ActionKind.POST_RECVS):
-            sending = action.kind is ActionKind.POST_SENDS
+        if action.kind in (_POST_SENDS, _POST_RECVS):
+            sending = action.kind is _POST_SENDS
             kind = "sends" if sending else "recvs"
             post = net.post_send if sending else net.post_recv
             if table is not None:
-                posts = table.posts[rank][op.name]
+                posts = table.posts[rank][v.name]
             else:
                 posts = post_costs(
-                    self.cost, op.vertex, rank, sends if sending else recvs,
-                    sample,
+                    self.cost, v, rank, sends if sending else recvs, sample
                 )
             for msg, dt in posts:
                 if dt > 0:
-                    yield env.timeout(dt)
+                    yield dt
                 group[kind].append(post(msg))
-        elif action.kind in (ActionKind.WAIT_SENDS, ActionKind.WAIT_RECVS):
-            kind = "sends" if action.kind is ActionKind.WAIT_SENDS else "recvs"
+        elif action.kind in (_WAIT_SENDS, _WAIT_RECVS):
+            kind = "sends" if action.kind is _WAIT_SENDS else "recvs"
             expected = sends if kind == "sends" else recvs
             if expected and not group[kind]:
                 raise ScheduleError(
-                    f"rank {rank}: {op.name!r} waits on comm group "
+                    f"rank {rank}: {v.name!r} waits on comm group "
                     f"{action.group!r} before its messages were posted"
                 )
             dt = self.cost.wait_overhead()
             if dt > 0:
-                yield env.timeout(dt)
-            outstanding = [r.done for r in group[kind] if not r.is_complete]
+                yield dt
+            outstanding = [r.done for r in group[kind] if not r.done.triggered]
             if outstanding:
-                yield env.all_of(outstanding, label=("rank{}.{}", rank, op.name))
+                yield env.all_of(outstanding, label=("rank{}.{}", rank, v.name))
         elif action.kind is ActionKind.NOOP:
             return
         else:  # pragma: no cover - exhaustive above

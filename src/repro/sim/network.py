@@ -15,12 +15,18 @@ rendezvous):
 * **eager** — the transfer starts when the send is posted; the send request
   completes at injection end, and the receive completes at
   ``max(arrival, recv posted)``.
+
+A completion is a bare callback on the environment's queue
+(:meth:`~repro.sim.engine.Environment.call_at`), pushed when its time is
+known: the request's :meth:`MpiRequest.complete`, or, when the network
+reports transfers to a hook, :meth:`Network._deliver` for a receive.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.dag.program import Message
@@ -31,7 +37,7 @@ from repro.sim.durations import wire_time
 from repro.sim.engine import Channel, Environment, Event
 
 
-@dataclass
+@dataclass(slots=True)
 class MpiRequest:
     """Handle for one posted non-blocking operation."""
 
@@ -47,6 +53,15 @@ class MpiRequest:
     def is_complete(self) -> bool:
         return self.done.triggered
 
+    def complete(self) -> None:
+        """Queue callback: the request completes now."""
+        self.completed_at = self.done.env.now
+        self.done.succeed()
+
+
+#: ``Protocol.EAGER`` as a module global: enum member lookups on a class
+#: are slow, and this one is read twice per message.
+_EAGER = Protocol.EAGER
 
 #: Callback invoked when a transfer completes: (message, begin, end).
 TransferHook = Callable[[Message, float, float], None]
@@ -90,13 +105,10 @@ class Network:
         return ch
 
     def post_send(self, msg: Message) -> MpiRequest:
-        req = MpiRequest(
-            kind="send",
-            message=msg,
-            posted_at=self.env.now,
-            done=self.env.event(("send {}->{} tag{}", msg.src, msg.dst, msg.tag)),
-        )
-        if self._protocol_for(msg) is Protocol.EAGER:
+        env = self.env
+        label = ("send {}->{} tag{}", msg.src, msg.dst, msg.tag)
+        req = MpiRequest("send", msg, env.now, Event(env, label))
+        if self._protocol_for(msg) is _EAGER:
             # Buffered injection: the wire transfer happens now and the send
             # completes at injection end, whether or not a receive exists.
             self._inject_eager(req)
@@ -109,12 +121,9 @@ class Network:
         return req
 
     def post_recv(self, msg: Message) -> MpiRequest:
-        req = MpiRequest(
-            kind="recv",
-            message=msg,
-            posted_at=self.env.now,
-            done=self.env.event(("recv {}->{} tag{}", msg.src, msg.dst, msg.tag)),
-        )
+        env = self.env
+        label = ("recv {}->{} tag{}", msg.src, msg.dst, msg.tag)
+        req = MpiRequest("recv", msg, env.now, Event(env, label))
         key = (msg.src, msg.dst, msg.tag)
         sends = self._pending_sends.get(key)
         if sends:
@@ -126,7 +135,7 @@ class Network:
     # ------------------------------------------------------------------
     def _protocol_for(self, msg: Message) -> Protocol:
         if self.model.is_eager(msg.nbytes):
-            return Protocol.EAGER
+            return _EAGER
         return self.model.protocol
 
     def _wire_time(self, msg: Message) -> float:
@@ -153,20 +162,13 @@ class Network:
         msg = send.message
         begin, end = self._occupy_channels(msg, send.posted_at, self._wire_time(msg))
         send.transfer_interval = (begin, end)
-
-        def complete_send(_evt: Event, req=send, at=end) -> None:
-            req.completed_at = at
-            req.done.succeed()
-
-        self.env.fire_at(
-            max(end, self.env.now), ("eager_injected:{}->{}", msg.src, msg.dst)
-        ).add_callback(complete_send)
+        self.env.call_at(max(end, self.env.now), send.complete)
 
     def _complete_pair(self, send: MpiRequest, recv: MpiRequest) -> None:
         """A send/recv pair has matched; schedule the remaining completions."""
         msg = send.message
         self.n_transfers += 1
-        if self._protocol_for(msg) is Protocol.EAGER:
+        if self._protocol_for(msg) is _EAGER:
             begin, end = send.transfer_interval
             recv_done_at = max(end, recv.posted_at, self.env.now)
         else:
@@ -174,26 +176,18 @@ class Network:
             # (i.e. now); both requests complete when it ends.
             ready = max(send.posted_at, recv.posted_at, self.env.now)
             begin, end = self._occupy_channels(msg, ready, self._wire_time(msg))
-            send_done_at = max(end, self.env.now)
-            recv_done_at = send_done_at
+            recv_done_at = max(end, self.env.now)
+            self.env.call_at(recv_done_at, send.complete)
+        if self.on_transfer is None:
+            self.env.call_at(recv_done_at, recv.complete)
+        else:
+            self.env.call_at(recv_done_at, partial(self._deliver, recv, begin))
 
-            def complete_send(_evt: Event, req=send, at=send_done_at) -> None:
-                req.completed_at = at
-                req.done.succeed()
-
-            self.env.fire_at(
-                send_done_at, ("xfer_send_done:{}->{}", msg.src, msg.dst)
-            ).add_callback(complete_send)
-
-        def complete_recv(_evt: Event, req=recv, at=recv_done_at, b=begin) -> None:
-            req.completed_at = at
-            if self.on_transfer is not None:
-                self.on_transfer(req.message, b, at)
-            req.done.succeed()
-
-        self.env.fire_at(
-            recv_done_at, ("xfer_recv_done:{}->{}", msg.src, msg.dst)
-        ).add_callback(complete_recv)
+    def _deliver(self, recv: MpiRequest, begin: float) -> None:
+        """Queue callback of a receive when transfers are reported: report
+        the transfer that began at ``begin``, then complete the receive."""
+        self.on_transfer(recv.message, begin, self.env.now)
+        recv.complete()
 
     # ------------------------------------------------------------------
     def unmatched(self) -> List[MpiRequest]:

@@ -5,8 +5,8 @@ complete before the next begins. ... A CUDA event represents a particular
 point in a stream's execution" — the CPU can block on it
 (``cudaEventSynchronize``) or another stream can (``cudaStreamWaitEvent``).
 
-A :class:`Stream` drains a FIFO of :class:`StreamItem`, driven by
-callbacks on engine events; :class:`CudaEvent` wraps an engine event plus
+A :class:`Stream` drains a FIFO of :class:`StreamItem`, driven by queue
+and event callbacks; :class:`CudaEvent` wraps an engine event plus
 recorded state so waits placed before the record (legal in CUDA only if
 the event object exists; here creation is implicit at first reference)
 behave like CUDA: waiting on an already-fired event proceeds immediately.
@@ -66,7 +66,7 @@ class StreamItem:
 
 
 class Stream:
-    """FIFO GPU stream, driven by callbacks on engine events.
+    """FIFO GPU stream, driven by queue and event callbacks.
 
     The CPU enqueues items; the stream executes them in order, each once
     the one before it has completed:
@@ -79,12 +79,19 @@ class Stream:
       (plus the cross-GPU fence when another device recorded it).
 
     An idle stream starts an enqueued item at once, inside :meth:`enqueue`;
-    a busy one queues it.  When an item has to wait (a kernel's timeout,
-    an unfired event, a fence), the stream hangs a callback on that engine
-    event, which completes the item and goes on down the queue.  A stream
-    is therefore no simulation process: it needs no start event, and
-    deadlock detection never sees it.
+    a busy one queues it.  When an item has to wait, the stream leaves a
+    callback that completes the item and goes on down the queue: a
+    kernel's or a fence's end is a bare callback on the environment's
+    queue (:meth:`~repro.sim.engine.Environment.call_at`), an unfired
+    CUDA event gets a callback on its engine event.  A stream is therefore
+    no simulation process: it needs no start event, and deadlock detection
+    never sees it.
     """
+
+    __slots__ = (
+        "env", "rank", "stream_id", "gpu", "cross_gpu_extra_s", "_gpu_of",
+        "_queue", "_busy", "_current", "_kernel_start",
+    )
 
     def __init__(
         self,
@@ -99,7 +106,8 @@ class Stream:
         self.stream_id = stream_id
         self.gpu = gpu
         self.cross_gpu_extra_s = cross_gpu_extra_s
-        self.name = f"rank{rank}.stream{stream_id}"
+        #: Stream id -> device; injected by StreamSet (None: one device).
+        self._gpu_of: Optional[Callable[[int], int]] = None
         self._queue: Deque[StreamItem] = deque()
         #: True from the start of an item until the queue runs dry.
         self._busy = False
@@ -113,17 +121,6 @@ class Stream:
         self._queue.append(item)
         if not self._busy:
             self._advance()
-
-    def drained_event(self) -> Event:
-        """Event firing when the queue (as of now) is fully executed.
-
-        Implemented by enqueueing an internal record; used by the device
-        synchronize at program ``end``.
-        """
-        name = f"{self.name}.drain"
-        marker = CudaEvent(self.env, name)
-        self.enqueue(StreamItem("record", name, 0.0, marker))
-        return marker.wait_event
 
     # ------------------------------------------------------------------
     def _advance(self) -> None:
@@ -143,9 +140,7 @@ class Stream:
             if item.duration > 0:
                 self._current = item
                 self._kernel_start = env.now
-                env.timeout(item.duration, item.name).add_callback(
-                    self._kernel_done
-                )
+                env.call_at(env.now + item.duration, self._kernel_done)
                 return True
             if item.on_complete is not None:
                 item.on_complete(env.now)
@@ -171,15 +166,13 @@ class Stream:
         item = self._current
         extra = self._cross_gpu_penalty(item.event)
         if extra > 0:
-            self.env.timeout(extra, ("{}.xgpu", item.name)).add_callback(
-                self._fence_done
-            )
+            self.env.call_at(self.env.now + extra, self._fence_done)
             return True
         if item.on_complete is not None:
             item.on_complete(self.env.now)
         return False
 
-    def _kernel_done(self, _timeout: Event) -> None:
+    def _kernel_done(self) -> None:
         item = self._current
         if item.on_complete is not None:
             item.on_complete(self._kernel_start)
@@ -189,26 +182,20 @@ class Stream:
         if not self._after_wait():
             self._advance()
 
-    def _fence_done(self, _timeout: Event) -> None:
+    def _fence_done(self) -> None:
         item = self._current
         if item.on_complete is not None:
             item.on_complete(self.env.now)
         self._advance()
 
     def _cross_gpu_penalty(self, event: CudaEvent) -> float:
-        """Inter-device fence cost when waiting on another GPU's event.
-
-        The drain markers used by device synchronize record on the waiting
-        stream itself (same device), so they never pay this.
-        """
+        """Inter-device fence cost when waiting on another GPU's event."""
         src = event.source_stream
         if src is None or self._gpu_of is None:
             return 0.0
         if self._gpu_of(src) == self.gpu:
             return 0.0
         return self.cross_gpu_extra_s
-
-    _gpu_of = None  # injected by StreamSet
 
 
 class StreamSet:
@@ -226,13 +213,7 @@ class StreamSet:
         self.rank = rank
         self.n_gpus = n_gpus
         self.streams: List[Stream] = [
-            Stream(
-                env,
-                rank,
-                s,
-                gpu=s % n_gpus,
-                cross_gpu_extra_s=cross_gpu_extra_s,
-            )
+            Stream(env, rank, s, s % n_gpus, cross_gpu_extra_s)
             for s in range(n_streams)
         ]
         gpu_of = lambda sid: sid % n_gpus  # noqa: E731 - tiny closure
@@ -258,8 +239,24 @@ class StreamSet:
         return evt
 
     def device_synchronize_event(self) -> Event:
-        """Event firing when every stream has drained its current queue."""
-        return self.env.all_of(
-            [s.drained_event() for s in self.streams],
-            label=("rank{}.device_sync", self.rank),
-        )
+        """Event firing when every stream has drained its current queue.
+
+        Each busy stream gets a zero-length kernel behind its queued work,
+        whose completion counts the stream off; an idle stream has nothing
+        to drain, so with none busy the event has fired already.
+        """
+        done = Event(self.env, ("rank{}.device_sync", self.rank))
+        busy = [s for s in self.streams if s._busy]
+        if not busy:
+            return done.succeed()
+        left = len(busy)
+
+        def drained(_now: float) -> None:
+            nonlocal left
+            left -= 1
+            if left == 0:
+                done.succeed()
+
+        for stream in busy:
+            stream.enqueue(StreamItem("kernel", "drain", 0.0, None, drained))
+        return done

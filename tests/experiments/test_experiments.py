@@ -16,8 +16,10 @@ from repro.experiments import (
     run_rule_tables,
     run_table5,
 )
+from repro.ml.labeling import label_by_performance
 from repro.platform import perlmutter_like
-from repro.sim import MeasurementConfig
+from repro.search import ExhaustiveSearch
+from repro.sim import Benchmarker, MeasurementConfig, ScheduleExecutor
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +119,40 @@ class TestAblations:
         for row in r.rows:
             assert int(row[1]) >= 1  # at least one class
         assert "sigma" in r.report()
+
+    def test_noise_sensitivity_reuses_the_workbench_sweep(self, wb, monkeypatch):
+        """Rows equal a fresh sweep per σ on a new perlmutter-like
+        machine, and the workbench's own σ simulates nothing once the
+        workbench has swept its space."""
+        sigmas = (0.0, 0.01, 0.02)
+        want = []
+        for sigma in sigmas:
+            executor = ScheduleExecutor(
+                wb.instance.program, perlmutter_like(noise_sigma=sigma)
+            )
+            search = ExhaustiveSearch(
+                wb.space, Benchmarker(executor, wb.measurement)
+            ).run()
+            lab = label_by_performance(search.times(), wb.labeling)
+            spread = search.worst().time / search.best().time
+            want.append(
+                [
+                    f"{sigma:.3f}",
+                    lab.n_classes,
+                    [c.size for c in lab.classes],
+                    f"{spread:.3f}",
+                ]
+            )
+        assert run_noise_sensitivity(wb, sigmas=sigmas).rows == want
+
+        wb.full_search()
+        runs = []
+        real_run = ScheduleExecutor.run
+
+        def counting_run(self, schedule, sample=0):
+            runs.append(sample)
+            return real_run(self, schedule, sample)
+
+        monkeypatch.setattr(ScheduleExecutor, "run", counting_run)
+        assert run_noise_sensitivity(wb, sigmas=(0.01,)).rows == want[1:2]
+        assert runs == []

@@ -165,25 +165,12 @@ class TestDeadlock:
         with pytest.raises(DeadlockError, match="stuck"):
             env.run()
 
-    def test_daemon_may_outlive_queue(self):
-        env = Environment()
-
-        def daemon():
-            yield env.event("never")
-
-        def worker():
-            yield env.timeout(1.0)
-
-        env.process(daemon(), name="d", daemon=True)
-        env.process(worker())
-        assert env.run() == 1.0
-
     def test_scheduling_in_past_rejected(self):
         env = Environment()
 
         def proc():
             yield env.timeout(1.0)
-            env.fire_at(0.5)
+            env.call_at(0.5, lambda: None)
 
         env.process(proc())
         with pytest.raises(SimulationError, match="before now"):

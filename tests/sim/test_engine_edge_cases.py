@@ -1,6 +1,7 @@
 """Additional edge-case tests for the simulation kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dag.program import Message
 from repro.errors import DeadlockError, SimulationError
@@ -47,25 +48,13 @@ class TestAnyOfValues:
 
 
 class TestFireAt:
-    def test_fires_at_absolute_time(self):
-        env = Environment()
-        seen = []
-
-        def proc():
-            yield env.fire_at(3.5)
-            seen.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert seen == [3.5]
-
     def test_run_until_stops_early(self):
         env = Environment()
 
         def proc():
             yield env.timeout(10.0)
 
-        env.process(proc(), daemon=True)
+        env.process(proc())
         assert env.run(until=4.0) == 4.0
         assert env.now == 4.0
 
@@ -123,6 +112,67 @@ class TestNestedProcessResume:
         assert got == [(0.0, 42)]
 
 
+#: One process step: a delay, a timeout, a wait on shared event k, or
+#: firing it.
+STEP = st.one_of(
+    st.tuples(
+        st.sampled_from(["delay", "timeout"]), st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    ),
+    st.tuples(st.sampled_from(["wait", "fire"]), st.integers(0, 2)),
+)
+
+
+def run_steps(programs, plain):
+    """Run one process per step list.  A delay step yields ``d`` itself
+    when ``plain``, else ``env.timeout(d)``; a timeout step always yields
+    ``env.timeout(d)``, so plain delays share the queue with events.
+    Returns every resume as ``(process, step, now)`` in order, and how the
+    run ended."""
+    env = Environment()
+    shared = [env.event(f"e{k}") for k in range(3)]
+    resumes = []
+
+    def proc(i, steps):
+        for n, (what, arg) in enumerate(steps):
+            if what == "delay" and plain:
+                yield arg
+            elif what in ("delay", "timeout"):
+                yield env.timeout(arg)
+            elif what == "wait":
+                yield shared[arg]
+            elif not shared[arg].triggered:
+                shared[arg].succeed()
+            resumes.append((i, n, env.now))
+
+    for i, steps in enumerate(programs):
+        env.process(proc(i, steps), name=f"p{i}")
+    try:
+        end = env.run()
+    except DeadlockError as error:
+        end = str(error)
+    return resumes, end
+
+
+class TestPlainDelays:
+    """A process may yield a ``float`` delay instead of ``env.timeout``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(STEP, max_size=6), min_size=1, max_size=4))
+    def test_same_order_and_times_as_timeouts(self, programs):
+        assert run_steps(programs, plain=True) == run_steps(programs, plain=False)
+
+    def test_negative_delay_rejected(self):
+        env = Environment()
+
+        def proc():
+            yield -0.5
+
+        env.process(proc())
+        with pytest.raises(SimulationError) as info:
+            env.run()
+        assert str(info.value) == "negative timeout -0.5"
+
+
 class TestDiagnosticText:
     """Labels are formatted only when an error or ``repr`` reads them;
     the text is pinned as the eagerly formatting engine wrote it."""
@@ -132,7 +182,6 @@ class TestDiagnosticText:
         assert repr(env.timeout(2.5)) == "Event('timeout+2.5', pending)"
         assert repr(env.timeout(1e-6)) == "Event('timeout+1e-06', pending)"
         assert repr(env.timeout(3.0, label="k")) == "Event('k', pending)"
-        assert repr(env.fire_at(2.5)) == "Event('at2.5', pending)"
         env.run()
         assert repr(env.timeout(0.0)) == "Event('timeout+0', pending)"
 

@@ -1,22 +1,34 @@
-"""Oracle test: the callback-driven reference engine against the
-generator-driven one it replaced.
+"""Oracle test: the reference engine on its callback queue against the
+generator-driven, event-only engine it replaced.
 
-The engine pieces below are the implementation the lean engine replaced,
-kept as they were (without docstrings and type hints, trimmed to what the
-executor uses): a GPU stream ran as a generator process (a start kick, a
+The engine pieces below are the implementation the current engine
+replaced, kept as they were (without docstrings and type hints, trimmed to what the
+executor uses): every queue entry was an event (a timeout for each CPU
+delay, kernel and fence, a ``fire_at`` event for each network
+completion), a GPU stream ran as a generator process (a start kick, a
 wakeup event per idle spell), processes resumed through a new lambda per
 ``yield``, composites through closures, ``run`` popped before checking
 ``until``, every label was formatted eagerly, and the executor built its
 trace and payload hooks for every op whether or not a run collected
-them.  ``reference_run`` drives them, with ``repro.sim.stream.Stream``
-swapped for :class:`GeneratorStream` by monkeypatch.
+them, and a device synchronize put a drain marker on every stream.
+``reference_run`` drives them, with ``repro.sim.stream.Stream`` swapped
+for :class:`GeneratorStream` by monkeypatch.  The reference has its own
+environment, queue, processes, timeouts, composites, network completions
+and device synchronize; it shares with the live engine only ``Event``,
+``CudaEvent``, ``StreamItem``, message matching and NIC channels.
 
 Both engines must push every queue entry that does something at the same
 point, so they must fire the same entries in the same order: each run
 logs its queue pops, and the logs must match, leaving out only the
-reference streams' start kicks.  Results are compared exactly as well:
-per-rank and elapsed times, transfer counts, every trace record in order
-(``collect_trace=True``) and, on spmv, every payload buffer and hazard.
+reference streams' start kicks.  The live engine's bare callbacks are
+named as the reference's events were labelled (:func:`entry_name`): a
+process's start ``<process>.start`` and its delay ``timeout+<delay>``, a
+kernel's end the kernel's name, a fence's end ``<wait>.xgpu``, and a
+network completion ``eager_injected``, ``xfer_send_done`` or
+``xfer_recv_done`` with its ``src->dst``.  Results are compared exactly
+as well: per-rank and elapsed times, transfer counts, every trace record
+in order (``collect_trace=True``) and, on spmv, every payload buffer and
+hazard.
 The cases cover the paper's MPI programs and two synthetic families,
 exact ties (σ = 0) and noise (σ = 0.05), eager and rendezvous messages,
 NIC serialization on and off, and one or two GPUs per rank (two reach the
@@ -30,7 +42,7 @@ import re
 import sys
 from collections import deque
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Any, Dict, List, Optional
 
@@ -42,16 +54,17 @@ import repro.sim.engine as engine_module
 import repro.sim.stream as stream_module
 from repro.apps.spmv import SpmvCase, build_spmv_program
 from repro.dag.program import Message
-from repro.dag.vertex import OpKind
+from repro.dag.vertex import ActionKind, OpKind
 from repro.errors import DeadlockError, ScheduleError, SimulationError
 from repro.platform import perlmutter_like
+from repro.platform.machine import Protocol
 from repro.schedule.space import DesignSpace
-from repro.sim.durations import launch_time, op_time
-from repro.sim.engine import Environment, Event
+from repro.sim.durations import launch_time, op_time, post_costs
+from repro.sim.engine import Event, Process
 from repro.sim.executor import ScheduleExecutor, SimResult
-from repro.sim.network import Network
+from repro.sim.network import MpiRequest, Network
 from repro.sim.semantics import PayloadContext
-from repro.sim.stream import CudaEvent, StreamItem, StreamSet
+from repro.sim.stream import CudaEvent, Stream, StreamItem, StreamSet
 from repro.sim.trace import Trace
 from repro.workloads import WorkloadSpec, build_workload
 
@@ -143,7 +156,21 @@ class RefProcess:
         target.add_callback(lambda evt: self._resume(evt.value))
 
 
-class RefEnvironment(Environment):
+class RefEnvironment:
+    def __init__(self):
+        self.now = 0.0
+        self._queue = []
+        self._seq = 0
+        self._live_processes = []
+
+    def _schedule(self, at, event):
+        if at < self.now:
+            raise SimulationError(
+                f"cannot schedule event at {at} before now={self.now}"
+            )
+        self._seq += 1
+        heapq.heappush(self._queue, (at, self._seq, event))
+
     def event(self, label=""):
         return Event(self, label)
 
@@ -182,6 +209,54 @@ class RefEnvironment(Environment):
                 f"simulation deadlock at t={self.now:g}: {waiters}"
             )
         return self.now
+
+
+class RefNetwork(Network):
+    """The network with its completions as ``fire_at`` events; matching
+    and channel occupation are the live network's."""
+
+    def _inject_eager(self, send):
+        msg = send.message
+        begin, end = self._occupy_channels(msg, send.posted_at, self._wire_time(msg))
+        send.transfer_interval = (begin, end)
+
+        def complete_send(_evt, req=send, at=end):
+            req.completed_at = at
+            req.done.succeed()
+
+        self.env.fire_at(
+            max(end, self.env.now), f"eager_injected:{msg.src}->{msg.dst}"
+        ).add_callback(complete_send)
+
+    def _complete_pair(self, send, recv):
+        msg = send.message
+        self.n_transfers += 1
+        if self._protocol_for(msg) is Protocol.EAGER:
+            begin, end = send.transfer_interval
+            recv_done_at = max(end, recv.posted_at, self.env.now)
+        else:
+            ready = max(send.posted_at, recv.posted_at, self.env.now)
+            begin, end = self._occupy_channels(msg, ready, self._wire_time(msg))
+            send_done_at = max(end, self.env.now)
+            recv_done_at = send_done_at
+
+            def complete_send(_evt, req=send, at=send_done_at):
+                req.completed_at = at
+                req.done.succeed()
+
+            self.env.fire_at(
+                send_done_at, f"xfer_send_done:{msg.src}->{msg.dst}"
+            ).add_callback(complete_send)
+
+        def complete_recv(_evt, req=recv, at=recv_done_at, b=begin):
+            req.completed_at = at
+            if self.on_transfer is not None:
+                self.on_transfer(req.message, b, at)
+            req.done.succeed()
+
+        self.env.fire_at(
+            recv_done_at, f"xfer_recv_done:{msg.src}->{msg.dst}"
+        ).add_callback(complete_recv)
 
 
 class GeneratorStream:
@@ -258,6 +333,17 @@ class GeneratorStream:
     _gpu_of = None
 
 
+class RefStreamSet(StreamSet):
+    """The live stream set (making :class:`GeneratorStream` streams when
+    patched in), with a drain marker on every stream at device sync."""
+
+    def device_synchronize_event(self):
+        return self.env.all_of(
+            [s.drained_event() for s in self.streams],
+            label=f"rank{self.rank}.device_sync",
+        )
+
+
 def reference_run(executor: ScheduleExecutor, schedule, sample: int = 0) -> SimResult:
     """``ScheduleExecutor.run`` on the reference engine (requires
     :class:`GeneratorStream` patched in as ``repro.sim.stream.Stream``)."""
@@ -287,7 +373,7 @@ def reference_run(executor: ScheduleExecutor, schedule, sample: int = 0) -> SimR
                 payload.transfer(msg.src, msg.dst, msg.src_buf, msg.dst_buf)
                 payload.hazards.mark_ready(msg.dst, msg.dst_buf, end)
 
-    net = Network(
+    net = RefNetwork(
         env,
         self.machine.net,
         self.machine.noise,
@@ -296,7 +382,7 @@ def reference_run(executor: ScheduleExecutor, schedule, sample: int = 0) -> SimR
         wire_times=table.wire,
     )
     stream_sets = [
-        StreamSet(
+        RefStreamSet(
             env,
             rank,
             self.machine.n_streams,
@@ -363,9 +449,9 @@ def reference_cpu_process(
             if dur > 0:
                 yield env.timeout(dur)
             if v.action is not None:
-                yield from self._do_action(
-                    env, rank, op, sample, table if j >= 0 else None,
-                    net, requests, payload,
+                yield from reference_do_action(
+                    self, env, rank, op, sample, table if j >= 0 else None,
+                    net, requests,
                 )
             run_payload(op, start)
             record_cpu(v.name, start)
@@ -437,6 +523,50 @@ def reference_cpu_process(
     finish_at[rank] = env.now
 
 
+def reference_do_action(self, env, rank, op, sample, table, net, requests):
+    action = op.vertex.action
+    group = requests.setdefault(action.group, {"sends": [], "recvs": []})
+    if table is not None:
+        sends = table.sends[rank][action.group]
+        recvs = table.recvs[rank][action.group]
+    else:
+        plan = self.program.comm_plan(action.group)
+        sends = plan.sends_from(rank)
+        recvs = plan.recvs_to(rank)
+    if action.kind in (ActionKind.POST_SENDS, ActionKind.POST_RECVS):
+        sending = action.kind is ActionKind.POST_SENDS
+        kind = "sends" if sending else "recvs"
+        post = net.post_send if sending else net.post_recv
+        if table is not None:
+            posts = table.posts[rank][op.name]
+        else:
+            posts = post_costs(
+                self.cost, op.vertex, rank, sends if sending else recvs, sample
+            )
+        for msg, dt in posts:
+            if dt > 0:
+                yield env.timeout(dt)
+            group[kind].append(post(msg))
+    elif action.kind in (ActionKind.WAIT_SENDS, ActionKind.WAIT_RECVS):
+        kind = "sends" if action.kind is ActionKind.WAIT_SENDS else "recvs"
+        expected = sends if kind == "sends" else recvs
+        if expected and not group[kind]:
+            raise ScheduleError(
+                f"rank {rank}: {op.name!r} waits on comm group "
+                f"{action.group!r} before its messages were posted"
+            )
+        dt = self.cost.wait_overhead()
+        if dt > 0:
+            yield env.timeout(dt)
+        outstanding = [r.done for r in group[kind] if not r.is_complete]
+        if outstanding:
+            yield env.all_of(outstanding, label=f"rank{rank}.{op.name}")
+    elif action.kind is ActionKind.NOOP:
+        return
+    else:
+        raise SimulationError(f"unhandled action {action.kind}")
+
+
 # -- cases -------------------------------------------------------------------
 SPMV_SCALE = 0.025
 PROGRAMS = {
@@ -483,29 +613,67 @@ def machine_for(program, sigma, protocol, serialize_nic, n_gpus):
     return replace(machine, net=net, n_gpus=n_gpus)
 
 
+def entry_name(callback):
+    """What a live queue entry fires, named as the reference labelled the
+    event it replaces; ``None`` for a scheduled event something fired
+    before its time.  Read at pop time, before the callback runs."""
+    if isinstance(callback, partial) and callback.func.__func__ is Network._deliver:
+        callback = callback.args[0].complete
+    owner = getattr(callback, "__self__", None)
+    func = getattr(callback, "__func__", None)
+    if func is Event._fire:
+        return None if owner.triggered else owner.label
+    if func is Process._resume:
+        if owner.waiting_on is None:
+            return f"{owner.name}.start"
+        return f"timeout+{owner.waiting_on:g}"
+    if func is Stream._kernel_done:
+        return owner._current.name
+    if func is Stream._fence_done:
+        return f"{owner._current.name}.xgpu"
+    if func is MpiRequest.complete:
+        msg = owner.message
+        if owner.kind == "recv":
+            what = "xfer_recv_done"
+        elif owner.transfer_interval is not None:
+            what = "eager_injected"
+        else:
+            what = "xfer_send_done"
+        return f"{what}:{msg.src}->{msg.dst}"
+    return f"unknown callback {callback!r}"
+
+
 class FiringLog:
-    """Stands in for ``heapq`` in an engine module and logs every popped
-    queue entry: its time, its event, and whether it was already fired."""
+    """Stands in for ``heapq`` (the reference) or ``heappop`` (the live
+    engine) and logs every popped queue entry: its time, and its label
+    from ``name`` (``None`` if already fired)."""
 
     heappush = staticmethod(heapq.heappush)
     _pop = staticmethod(heapq.heappop)
 
-    def __init__(self) -> None:
+    def __init__(self, name) -> None:
+        self.name = name
         self.popped = []
 
     def heappop(self, queue):
-        at, seq, event = self._pop(queue)
-        self.popped.append((at, event, event.triggered))
-        return at, seq, event
+        entry = self._pop(queue)
+        self.popped.append((entry[0], self.name(entry[2])))
+        return entry
 
     def fired(self):
-        """(time, label) of every entry that fired its event, in order,
+        """(time, label) of every entry that fired something, in order,
         leaving out the stream start kicks only the reference has."""
         return [
-            (at, event.label)
-            for at, event, done in self.popped
-            if not done and not STREAM_KICK.fullmatch(event.label)
+            (at, label)
+            for at, label in self.popped
+            if label is not None and not STREAM_KICK.fullmatch(label)
         ]
+
+
+def ref_entry_name(event):
+    """A reference queue entry is an event: its label, or ``None`` if
+    something fired it before its time."""
+    return None if event.triggered else event.label
 
 
 #: A generator stream's start kick; it finds the queue empty and only
@@ -514,21 +682,20 @@ STREAM_KICK = re.compile(r"rank\d+\.stream\d+\.start")
 
 
 def assert_same_run(executor, schedule, sample):
-    ref_log, log = FiringLog(), FiringLog()
+    ref_log, log = FiringLog(ref_entry_name), FiringLog(entry_name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stream_module, "Stream", GeneratorStream)
-        mp.setattr(engine_module, "heapq", ref_log)
         mp.setattr(sys.modules[__name__], "heapq", ref_log)
         want = reference_run(executor, schedule, sample)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine_module, "heapq", log)
+        mp.setattr(engine_module, "heappop", log.heappop)
         got = executor.run(schedule, sample)
     # The reference streams' start kicks are its first pops, before any
     # CPU process starts, so each found its queue empty.
     kicks = [
         i
-        for i, (_at, event, _done) in enumerate(ref_log.popped)
-        if STREAM_KICK.fullmatch(event.label)
+        for i, (_at, label) in enumerate(ref_log.popped)
+        if label is not None and STREAM_KICK.fullmatch(label)
     ]
     assert kicks == list(range(len(kicks)))
     # Same queue entries, fired in the same order at the same times.
