@@ -3,20 +3,22 @@
 The read side has to stay interactive on real archived runs: a sharded
 paper-scale sweep produces tens of thousands of spans, and ``repro
 trace <archive> --analyze`` / ``--diff`` parse and fold the whole
-bundle on every invocation.  Four pinned measurements on a synthetic
->=50k-span archived trace (same shape as a sharded suite run — one
-``plan.execute`` root fanning out into task/stage/batch subtrees):
+bundle on every invocation.  Four timings on a synthetic >=50k-span
+archived trace (same shape as a sharded suite run — one
+``plan.execute`` root fanning out into task/stage/batch subtrees),
+recorded without a budget:
 
 * JSONL parse (``read_trace``) of the archived bundle;
 * per-span-path aggregation (``aggregate_spans``);
 * concurrent-aware critical-path extraction (``critical_path``);
-* full run diff (``diff_runs``) of two archived runs of that trace.
+* counter identity check (``diff_runs``) of two archived runs of that
+  trace.
 
-Plus the live-progress overhead gate: an instrumented sweep under
-``obs.progress_scope`` (heartbeat/progress ticker armed, counters
-ticking on every ``obs.add``) must stay within 5% of the identical
-heartbeat-off sweep, asserted on interleaved best-of-N walls just like
-``bench_obs_overhead.py``.
+The one budget is the live-progress overhead gate: an instrumented
+sweep under ``obs.progress_scope`` (heartbeat/progress ticker armed,
+counters ticking on every ``obs.add``) must stay within 5% of the
+identical heartbeat-off sweep, asserted on interleaved best-of-N walls
+just like ``bench_obs_overhead.py``.
 """
 
 from __future__ import annotations
@@ -152,13 +154,12 @@ def test_bench_critical_path_50k(benchmark, big_archive):
 
 
 def test_bench_diff_runs_50k(benchmark, big_archive):
-    """Full archived-run diff: aggregate both sides + threshold pass."""
+    """Archived-run diff: exact counter comparison of both sides."""
     baseline = big_archive.load("baseline")
     current = big_archive.load("rerun")
 
     diff = benchmark(lambda: diff_runs(baseline, current))
-    benchmark.extra_info["n_shared_paths"] = diff.n_shared_paths()
-    # 1.02x is inside the default 25% budget, counters are identical.
+    # The rerun is 1.02x slower, but its counters are identical.
     assert diff.ok
     assert not diff.counters
 

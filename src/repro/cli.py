@@ -556,17 +556,17 @@ def _cmd_trace(args) -> str:
 
     Accepts bare trace files (``--trace PATH`` output), run-bundle
     directories, or archive roots (``--archive DIR``; resolves to the
-    archive's latest run).  ``--diff BASELINE CURRENT`` gates on the
-    thresholds and exits nonzero on any regression — the same gate CI
-    uses.  ``--analyze --json`` emits the analysis tables as
-    machine-readable JSON (the history store's ingestion format);
+    archive's latest run).  ``--diff BASELINE CURRENT`` compares the
+    two runs' counters exactly and exits nonzero when any differs — the
+    check CI runs on its serial and sharded archives.  ``--analyze
+    --json`` emits the analysis tables as machine-readable JSON (the
+    history store's ingestion format);
     ``--export-perfetto OUT.json`` lowers the trace to Chrome/Perfetto
     trace-event JSON for ``ui.perfetto.dev``.
     """
     import json as json_mod
 
     from repro.obs import (
-        DiffThresholds,
         analysis_to_dict,
         diff_runs,
         export_perfetto,
@@ -581,18 +581,10 @@ def _cmd_trace(args) -> str:
             raise SystemExit(
                 "repro trace --diff takes exactly two runs: BASELINE CURRENT"
             )
-        thresholds = DiffThresholds(
-            max_wall_delta=args.max_wall_delta,
-            min_wall_s=args.min_wall_ms / 1000.0,
-            counter_tolerance=args.counter_tolerance,
-            max_quantile_delta=args.max_quantile_delta,
-        )
         diff = diff_runs(
-            resolve_trace(args.paths[0]),
-            resolve_trace(args.paths[1]),
-            thresholds,
+            resolve_trace(args.paths[0]), resolve_trace(args.paths[1])
         )
-        report = render_diff(diff, top=args.top)
+        report = render_diff(diff)
         if not diff.ok:
             print(report)
             raise SystemExit(
@@ -635,6 +627,7 @@ def _cmd_obs(args) -> str:
     import os as os_mod
 
     from repro.obs import HistoryStore, detect_regressions
+    from repro.obs.history import MIN_POINTS
 
     store = HistoryStore(args.store)
     if args.obs_command != "history":  # pragma: no cover - argparse gates
@@ -653,9 +646,7 @@ def _cmd_obs(args) -> str:
                     )
                 added = store.ingest_archive(source)
             elif source.endswith(".json"):
-                added = store.ingest_bench(
-                    source, sha=args.sha or "", pattern=args.bench_pattern
-                )
+                added = store.ingest_bench(source, sha=args.sha or "")
             else:
                 raise SystemExit(
                     f"{source}: expected an archive directory or a "
@@ -692,24 +683,12 @@ def _cmd_obs(args) -> str:
         return "\n".join(lines)
 
     if args.history_command == "gate":
-        prefixes = (
-            tuple(args.prefix)
-            if args.prefix
-            else ("span:", "bench:", "hist:")
-        )
-        regressions = detect_regressions(
-            store,
-            window=args.window,
-            mad_k=args.mad_k,
-            min_rel=args.min_rel,
-            min_points=args.min_points,
-            prefixes=prefixes,
-        )
+        regressions = detect_regressions(store)
         n_series = len(store.series())
         if not regressions:
             return (
                 f"history gate: OK ({n_series} series, no trend "
-                f"regressions; series under {args.min_points} points "
+                f"regressions; series under {MIN_POINTS} points "
                 "are warn-only)"
             )
         report = "\n".join(
@@ -1130,9 +1109,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--diff",
         action="store_true",
         help=(
-            "compare two runs (BASELINE CURRENT): per-span-path wall "
-            "deltas, counter deltas, histogram quantile deltas; exits "
-            "nonzero when a threshold is violated"
+            "compare two runs (BASELINE CURRENT) counter by counter; "
+            "exits nonzero when any counter differs or exists in only "
+            "one run (wall time is judged by `repro obs history gate`)"
         ),
     )
     p.add_argument(
@@ -1140,51 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         metavar="N",
-        help="rows per table in --analyze/--diff output (default 10)",
-    )
-    p.add_argument(
-        "--max-wall-delta",
-        dest="max_wall_delta",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help=(
-            "--diff: allowed relative wall growth per shared span path "
-            "(default 0.25 = +25%%)"
-        ),
-    )
-    p.add_argument(
-        "--min-wall-ms",
-        dest="min_wall_ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help=(
-            "--diff: ignore wall deltas on span paths whose baseline "
-            "total is under this many milliseconds (default 5)"
-        ),
-    )
-    p.add_argument(
-        "--counter-tolerance",
-        dest="counter_tolerance",
-        type=float,
-        default=0.0,
-        metavar="FRAC",
-        help=(
-            "--diff: allowed relative counter drift (default 0 = "
-            "bit-exact counters, the serial/sharded identity gate)"
-        ),
-    )
-    p.add_argument(
-        "--max-quantile-delta",
-        dest="max_quantile_delta",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help=(
-            "--diff: also gate on histogram p50/p95/p99 growth beyond "
-            "this fraction (default: informational only)"
-        ),
+        help="rows per table in --analyze output (default 10)",
     )
     p.add_argument(
         "--json",
@@ -1249,14 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="git sha to stamp on benchmark points (archives carry their own)",
     )
-    hp.add_argument(
-        "--bench-pattern",
-        dest="bench_pattern",
-        type=str,
-        default=None,
-        metavar="REGEX",
-        help="only ingest benchmarks whose fullname matches REGEX",
-    )
 
     hp = hist_sub.add_parser(
         "show", help="print stored series and their recent values"
@@ -1280,57 +1207,13 @@ def build_parser() -> argparse.ArgumentParser:
     hp = hist_sub.add_parser(
         "gate",
         help=(
-            "exit nonzero when any series' newest point breaks its "
-            "rolling median + MAD trend band (series with fewer than "
-            "--min-points runs are skipped: warn-only until a baseline "
-            "accumulates)"
+            "exit nonzero when any span:, bench: or hist: series' newest "
+            "point breaks its rolling median + MAD trend band (series "
+            "with fewer than 5 runs are skipped: warn-only until a "
+            "baseline accumulates)"
         ),
     )
     hp.add_argument("store", help="history store directory")
-    hp.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        metavar="N",
-        help="baseline window: median/MAD over the last N prior points",
-    )
-    hp.add_argument(
-        "--mad-k",
-        dest="mad_k",
-        type=float,
-        default=4.0,
-        metavar="K",
-        help="band half-width in scaled-MAD units (default 4.0)",
-    )
-    hp.add_argument(
-        "--min-rel",
-        dest="min_rel",
-        type=float,
-        default=0.10,
-        metavar="FRAC",
-        help=(
-            "relative floor: never flag below median * (1 + FRAC) "
-            "(default 0.10)"
-        ),
-    )
-    hp.add_argument(
-        "--min-points",
-        dest="min_points",
-        type=int,
-        default=5,
-        metavar="N",
-        help="series with fewer points are skipped (default 5)",
-    )
-    hp.add_argument(
-        "--prefix",
-        action="append",
-        default=None,
-        metavar="PREFIX",
-        help=(
-            "series-name prefixes to gate on (repeatable; default "
-            "span:, bench:, hist:)"
-        ),
-    )
     return parser
 
 
@@ -1414,7 +1297,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_dispatch(args))
         return 0
     # Archiving implies span capture: a bundle without spans can't be
-    # critical-path-analyzed or wall-diffed later.
+    # critical-path-analyzed or ingested as span: history series later.
     with obs.capture(
         trace=trace_path is not None or archive_dir is not None,
         telemetry=telemetry,

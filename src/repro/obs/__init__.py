@@ -15,9 +15,10 @@ The shared observability substrate for the whole search/serve stack:
   ``render_trace`` — JSONL export and the ``repro trace`` ASCII view.
 * ``RunArchive`` / ``resolve_trace`` — persisted, self-describing run
   bundles (``--archive DIR``) behind an append-only index.
-* ``aggregate_spans`` / ``critical_path`` / ``hotspots`` /
-  ``diff_runs`` — the read side: per-span-path analytics and the
-  threshold-gated run diff CI and ``repro trace --diff`` gate on.
+* ``aggregate_spans`` / ``critical_path`` / ``hotspots`` — the read
+  side: per-span-path analytics for ``repro trace --analyze``.
+* ``diff_runs`` — exact counter identity between two runs
+  (``repro trace --diff``; CI runs it on serial vs. sharded archives).
 * ``progress_scope`` + worker heartbeats — throttled stderr progress
   lines with ETA for long serial and sharded runs (``--progress``).
 * ``TelemetrySampler`` / ``resource_stats`` / ``worker_stats`` —
@@ -26,8 +27,8 @@ The shared observability substrate for the whole search/serve stack:
 * ``to_perfetto`` / ``export_perfetto`` — lower any archived trace to
   Chrome/Perfetto trace-event JSON (``--export-perfetto``).
 * ``HistoryStore`` / ``detect_regressions`` — cross-run per-metric time
-  series with a rolling median + MAD trend gate
-  (``repro obs history ingest|show|gate``).
+  series with a rolling median + MAD trend gate, the one wall-time
+  regression gate (``repro obs history ingest|show|gate``).
 * ``obs.log`` — the structured stdlib logger all library code uses
   instead of printing.
 """
@@ -52,17 +53,8 @@ from repro.obs.archive import (
     git_revision,
     resolve_trace,
 )
-from repro.obs.diff import (
-    CounterDelta,
-    DiffThresholds,
-    PathDelta,
-    QuantileDelta,
-    RunDiff,
-    diff_runs,
-    render_diff,
-)
+from repro.obs.diff import CounterDelta, RunDiff, diff_runs, render_diff
 from repro.obs.export import check_perfetto, export_perfetto, to_perfetto
-from repro.obs.gate import bench_json_to_trace
 from repro.obs.history import (
     HistoryPoint,
     HistoryStore,
@@ -132,16 +124,13 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "CounterDelta",
     "CriticalStep",
-    "DiffThresholds",
     "HeartbeatWriter",
     "HistoryPoint",
     "HistoryStore",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "PathDelta",
     "PathStats",
     "ProgressMeter",
-    "QuantileDelta",
     "Regression",
     "ResourceSample",
     "ResourceStats",
@@ -158,7 +147,6 @@ __all__ = [
     "add",
     "aggregate_spans",
     "analysis_to_dict",
-    "bench_json_to_trace",
     "capture",
     "check_perfetto",
     "configure_logging",

@@ -5,8 +5,9 @@ to a span (``plan.execute/task:spmv[scale=0.025]/stage:search:random``).
 Paths are pure functions of the instrumented code and the workload
 labels — never of pids, timestamps, or completion order — so the same
 run configuration always produces the same path set.  That stability is
-what makes traces *comparable*: :func:`repro.obs.diff.diff_runs` lines
-two runs up path by path, and CI gates on the per-path deltas.
+what makes traces *comparable*: the history store
+(:mod:`repro.obs.history`) keys its ``span:<path>`` series by path and
+trends each one across runs.
 
 Three read-side primitives over a :class:`~repro.obs.span.SpanRecord`
 forest:

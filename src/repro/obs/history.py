@@ -8,19 +8,19 @@ two sources:
   :meth:`ingest_analysis`), whose per-span-path wall totals become
   ``span:<path>`` series, counters ``counter:<name>`` series, and
   histogram quantiles ``hist:<name>:<q>`` series;
-* pytest-benchmark JSON artifacts (:meth:`ingest_bench`, via
-  :func:`repro.obs.gate.bench_json_to_trace`), whose per-benchmark
-  means become ``bench:<fullname>`` series.
+* pytest-benchmark JSON artifacts (:meth:`ingest_bench`), whose
+  per-benchmark means become ``bench:<fullname>`` series.
 
 Runs are deduplicated by ``run_id``, so re-ingesting the same archive
 is idempotent and CI can cache the store across nightly jobs.
 
-:func:`detect_regressions` is the trend gate pairwise
-:func:`repro.obs.diff.diff_runs` cannot be: for each series it compares
-the newest point against the rolling median of the preceding window and
-flags values beyond ``median + max(k * 1.4826 * MAD, rel_floor,
-abs_floor)`` — robust to outliers in the baseline window, and silent
-(warn-only by construction) until ``min_points`` runs have accumulated.
+:func:`detect_regressions` is the one wall-time regression gate: for
+each series it compares the newest point against the rolling median of
+the preceding :data:`WINDOW` points and flags values beyond ``median +
+max(MAD_K * 1.4826 * MAD, MIN_REL * median, MIN_ABS)`` — robust to
+outliers in the baseline window, and silent (warn-only by construction)
+until :data:`MIN_POINTS` runs have accumulated.  Counters are not
+trended: ``repro trace --diff`` checks them exactly.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
-from repro.obs.gate import bench_json_to_trace
+from repro.obs.trace_io import TraceSchemaError
 
 __all__ = [
     "HistoryPoint",
@@ -44,6 +44,20 @@ _HISTORY_FILE = "history.jsonl"
 #: Scale factor making the median absolute deviation a consistent
 #: estimator of the standard deviation under normality.
 MAD_SCALE = 1.4826
+
+#: Trend-gate baseline: median and MAD of a series' last WINDOW prior
+#: points.  The band's half-width is the largest of MAD_K scaled MADs,
+#: MIN_REL of the median, and MIN_ABS.
+WINDOW = 8
+MAD_K = 4.0
+MIN_REL = 0.10
+MIN_ABS = 1e-6
+#: Series with fewer points are skipped: warn-only until a baseline
+#: accumulates.
+MIN_POINTS = 5
+#: Series the gate judges: wall-carrying ones.  Counters are exact
+#: (``repro trace --diff``), so their trends are never gated.
+GATED_PREFIXES = ("span:", "bench:", "hist:")
 
 
 @dataclass(frozen=True)
@@ -208,15 +222,23 @@ class HistoryStore:
             )
         return added
 
-    def ingest_bench(
-        self,
-        path: str,
-        *,
-        sha: str = "",
-        pattern: Optional[str] = None,
-    ) -> int:
-        """Ingest one pytest-benchmark JSON artifact; points added."""
-        data = bench_json_to_trace(path, pattern)
+    def ingest_bench(self, path: str, *, sha: str = "") -> int:
+        """Ingest one pytest-benchmark JSON artifact; points added.
+
+        Each benchmark's mean wall time becomes one ``bench:<fullname>``
+        point, in fullname order.  Rows without a string ``fullname``, a
+        ``stats`` object and a numeric mean are skipped.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as err:
+            raise TraceSchemaError(
+                f"{path}: not a benchmark JSON file: {err}"
+            )
+        benches = data.get("benchmarks") if isinstance(data, dict) else None
+        if not isinstance(benches, list):
+            raise TraceSchemaError(f"{path}: no 'benchmarks' array")
         run_id = os.path.basename(path)
         if run_id in self.run_ids():
             return 0
@@ -224,18 +246,29 @@ class HistoryStore:
             ts = os.path.getmtime(path)
         except OSError:
             ts = 0.0
-        points = [
+        means = []
+        for bench in benches:
+            if not isinstance(bench, dict):
+                continue
+            fullname = bench.get("fullname")
+            stats = bench.get("stats")
+            if not isinstance(fullname, str) or not isinstance(stats, dict):
+                continue
+            mean = stats.get("mean")
+            if isinstance(mean, (int, float)):
+                means.append((fullname, float(mean)))
+        means.sort(key=lambda item: item[0])
+        return self.append(
             HistoryPoint(
-                series=f"bench:{rec.name}",
-                value=rec.duration,
+                series=f"bench:{name}",
+                value=mean,
                 sha=sha,
                 ts=ts,
                 run_id=run_id,
                 source=path,
             )
-            for rec in data.spans
-        ]
-        return self.append(points)
+            for name, mean in means
+        )
 
 
 def _parse_created(created: str) -> float:
@@ -287,39 +320,29 @@ def _median(values: Sequence[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def detect_regressions(
-    store: HistoryStore,
-    *,
-    window: int = 8,
-    mad_k: float = 4.0,
-    min_rel: float = 0.10,
-    min_abs: float = 1e-6,
-    min_points: int = 5,
-    prefixes: Tuple[str, ...] = ("span:", "bench:", "hist:"),
-) -> List[Regression]:
+def detect_regressions(store: HistoryStore) -> List[Regression]:
     """Flag series whose newest point exceeds the rolling-trend band.
 
-    For each series with at least ``min_points`` observations, the
-    newest value is compared against the median of the preceding
-    ``window`` points; it regresses when it exceeds ``median +
-    max(mad_k * 1.4826 * MAD, min_rel * median, min_abs)``.  The MAD
-    term adapts the band to each series' noise; the relative and
-    absolute floors keep near-constant series (MAD ~ 0) from flagging
-    on measurement jitter.  Series below ``min_points`` are skipped —
-    the gate is warn-only until a real baseline accumulates.
+    For each :data:`GATED_PREFIXES` series with at least
+    :data:`MIN_POINTS` observations, the newest value is compared
+    against the median of the preceding :data:`WINDOW` points; it
+    regresses when it exceeds ``median + max(MAD_K * 1.4826 * MAD,
+    MIN_REL * median, MIN_ABS)``.  The MAD term adapts the band to each
+    series' noise; the relative and absolute floors keep near-constant
+    series (MAD ~ 0) from flagging on measurement jitter.
     """
     out: List[Regression] = []
     for name, points in sorted(store.series().items()):
-        if prefixes and not name.startswith(prefixes):
+        if not name.startswith(GATED_PREFIXES):
             continue
-        if len(points) < min_points:
+        if len(points) < MIN_POINTS:
             continue
         newest = points[-1]
-        baseline = [p.value for p in points[:-1]][-window:]
+        baseline = [p.value for p in points[:-1]][-WINDOW:]
         med = _median(baseline)
         mad = _median([abs(v - med) for v in baseline])
         threshold = med + max(
-            mad_k * MAD_SCALE * mad, min_rel * med, min_abs
+            MAD_K * MAD_SCALE * mad, MIN_REL * med, MIN_ABS
         )
         if newest.value > threshold:
             out.append(

@@ -1,4 +1,4 @@
-"""Execution plans: a suite or transfer run as a DAG of workload tasks.
+"""Execution plans: a suite or transfer run as independent workload tasks.
 
 A :class:`WorkloadTask` is the unit of sharding — one workload's whole
 per-workload pipeline (build → search/enumerate → label → extract-rules),
@@ -20,11 +20,9 @@ Two task kinds exist today:
   :class:`~repro.workloads.generalization.WorkloadRules` (the shared
   front half of the cross-workload tables and the transfer matrix).
 
-Tasks may declare ``depends_on`` (indices of prerequisite tasks); the
-runner topologically gates submission.  Current plans are embarrassingly
-parallel — the reduce steps (transfer matrix assembly, report building)
-run in the parent — but the field keeps the plan shape honest for future
-staged work.
+Tasks are independent: plans are embarrassingly parallel, and the
+reduce steps (transfer matrix assembly, report building) run in the
+parent.
 """
 
 from __future__ import annotations
@@ -83,8 +81,6 @@ class WorkloadTask:
     #: shard builds a :class:`~repro.advisor.guided.ScheduleGuide` and
     #: runs its range branch-and-bound instead of unguided.
     store_path: Optional[str] = None
-    #: Indices of tasks that must complete before this one starts.
-    depends_on: Tuple[int, ...] = ()
 
     @property
     def label(self) -> str:
@@ -121,11 +117,6 @@ class ExecutionPlan:
                 raise WorkloadError(
                     f"task index {task.index} at position {pos}: plan "
                     "tasks must be indexed contiguously in order"
-                )
-            if any(d >= task.index for d in task.depends_on):
-                raise WorkloadError(
-                    f"task {task.index} depends on a later task; plans "
-                    "must be topologically ordered"
                 )
 
     def __len__(self) -> int:

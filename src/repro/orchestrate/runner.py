@@ -391,9 +391,7 @@ def execute_plan(
 ) -> PlanRun:
     """Run every task of ``plan``; sharded when ``shard_workers > 1``.
 
-    Dependency edges (``task.depends_on``) gate submission: a task is
-    submitted only once its prerequisites completed.  Results are
-    returned in task-index order either way.
+    Results are returned in task-index order either way.
     """
     t0 = time.perf_counter()
     obs.log.info(
@@ -442,34 +440,25 @@ def _execute_sharded(
         methods = multiprocessing.get_all_start_methods()
         start_method = "fork" if "fork" in methods else methods[0]
     n_workers = min(shard_workers, len(plan.tasks))
-    pending = {t.index: t for t in plan.tasks}
     costs = {t.index: estimate_task_cost(t) for t in plan.tasks}
-    done: set = set()
     results: List[TaskResult] = []
     with ProcessPoolExecutor(
         max_workers=n_workers,
         mp_context=multiprocessing.get_context(start_method),
     ) as pool:
-        in_flight: Dict[object, int] = {}
-
-        def submit_ready() -> None:
-            # Costliest-first: long-pole workloads hit the pool before
-            # cheap ones, so no shard drains while a giant waits queued.
-            for index in submission_order(pending.values(), costs):
-                task = pending[index]
-                if all(dep in done for dep in task.depends_on):
-                    future = pool.submit(
-                        _execute_task_shipped,
-                        plan.machine,
-                        task,
-                        obs.tracing_active(),
-                        obs.progress_heartbeat_path(task.index),
-                        obs.telemetry_active(),
-                    )
-                    in_flight[future] = index
-                    del pending[index]
-
-        submit_ready()
+        # Costliest-first: long-pole workloads hit the pool before
+        # cheap ones, so no shard drains while a giant waits queued.
+        in_flight: Dict[object, int] = {
+            pool.submit(
+                _execute_task_shipped,
+                plan.machine,
+                plan.tasks[index],
+                obs.tracing_active(),
+                obs.progress_heartbeat_path(index),
+                obs.telemetry_active(),
+            ): index
+            for index in submission_order(plan.tasks, costs)
+        }
         # Under --progress the wait times out at the heartbeat cadence so
         # worker counter updates surface between task completions.
         poll_timeout = obs.progress_poll_interval()
@@ -483,7 +472,6 @@ def _execute_sharded(
             for future in completed:
                 index = in_flight.pop(future)
                 results.append(future.result())  # re-raises task errors
-                done.add(index)
                 # The result now carries this task's counters; drop its
                 # heartbeat file so the meter never counts both once the
                 # snapshot is absorbed (monotone max smooths the gap).
@@ -494,9 +482,4 @@ def _execute_sharded(
                     except OSError:
                         pass
                 obs.add("plan.tasks_completed")
-            submit_ready()
-    if pending:  # pragma: no cover - guarded by ExecutionPlan validation
-        raise WorkloadError(
-            f"plan deadlocked with tasks {sorted(pending)} unsubmitted"
-        )
     return results, start_method

@@ -72,48 +72,12 @@ def test_trace_diff_same_config_passes_counters_exact(tmp_path, capsys):
     assert main(SEARCH_ARGV + ["--archive", a]) == 0
     assert main(SEARCH_ARGV + ["--archive", b]) == 0
     capsys.readouterr()
-    # Same config twice: counters identical, walls within the loose CI
-    # budget; the gate passes.
-    assert (
-        main(["trace", "--diff", a, b, "--max-wall-delta", "25.0"]) == 0
-    )
+    # Same config twice: counters identical, so the check passes
+    # whatever the two runs' walls.
+    assert main(["trace", "--diff", a, b]) == 0
     out = capsys.readouterr().out
     assert "counters: identical" in out
     assert "RESULT: ok" in out
-
-
-def _slowed_copy(src_root, dst_root, factor=2.0):
-    """Archive a copy of src's latest run with every span slowed."""
-    rec = RunArchive(src_root).latest()
-    data = rec.load()
-
-    def slow(rec_):
-        rec_.duration *= factor
-        for child in rec_.children:
-            slow(child)
-
-    for root in data.spans:
-        slow(root)
-    RunArchive(dst_root).record(
-        list(data.spans), data.metrics, command="search", run_id="slowed"
-    )
-
-
-def test_trace_diff_flags_injected_slowdown(tmp_path, capsys):
-    base = str(tmp_path / "base")
-    slow = str(tmp_path / "slow")
-    assert main(SEARCH_ARGV + ["--archive", base]) == 0
-    _slowed_copy(base, slow)
-    capsys.readouterr()
-    # A 2x per-stage slowdown must trip the default wall gate.  The
-    # min-wall floor is zeroed because batch replay finishes
-    # this tiny search in well under the default 5ms noise floor.
-    with pytest.raises(SystemExit, match="regression"):
-        main(["trace", "--diff", base, slow, "--min-wall-ms", "0"])
-    out = capsys.readouterr().out
-    assert "REGRESSED" in out
-    # Counters were copied verbatim: the regression is wall-only.
-    assert "counters: identical" in out
 
 
 def test_trace_diff_counter_drift_fails(tmp_path, capsys):
@@ -125,7 +89,7 @@ def test_trace_diff_counter_drift_fails(tmp_path, capsys):
     ) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit, match="regression"):
-        main(["trace", "--diff", a, b, "--max-wall-delta", "1000"])
+        main(["trace", "--diff", a, b])
     assert "counter" in capsys.readouterr().out
 
 

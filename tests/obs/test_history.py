@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.obs import HistoryPoint, HistoryStore, detect_regressions
+from repro.obs import (
+    HistoryPoint,
+    HistoryStore,
+    TraceSchemaError,
+    detect_regressions,
+    history,
+)
 
 
 def _store(tmp_path):
@@ -112,6 +118,54 @@ def test_ingest_bench_uses_benchmark_means(tmp_path):
     assert store.ingest_bench(str(bench)) == 0
 
 
+def test_ingest_bench_one_point_per_benchmark_in_fullname_order(tmp_path):
+    payload = {
+        "benchmarks": [
+            {"fullname": "bench_b.py::test_y", "stats": {"mean": 0.25}},
+            {"fullname": "bench_a.py::test_x", "stats": {"mean": 0.5}},
+        ]
+    }
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(payload))
+    store = _store(tmp_path)
+    assert store.ingest_bench(str(path)) == 2
+    assert [(p.series, p.value) for p in store.load()] == [
+        ("bench:bench_a.py::test_x", 0.5),
+        ("bench:bench_b.py::test_y", 0.25),
+    ]
+
+
+def test_ingest_bench_skips_bad_rows(tmp_path):
+    payload = {
+        "benchmarks": [
+            {"fullname": "bench_keep.py::t", "stats": {"mean": 0.1}},
+            {"fullname": "bench_keep.py::no_stats"},
+            {"stats": {"mean": 0.1}},
+            {"fullname": "bench_keep.py::bad_mean", "stats": {"mean": "x"}},
+            "not a row",
+        ]
+    }
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(payload))
+    store = _store(tmp_path)
+    assert store.ingest_bench(str(path)) == 1
+    assert [p.series for p in store.load()] == ["bench:bench_keep.py::t"]
+
+
+def test_ingest_bench_rejects_garbage(tmp_path):
+    store = _store(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    with pytest.raises(TraceSchemaError, match="not a benchmark JSON"):
+        store.ingest_bench(str(bad))
+    for name, text in (("empty.json", "{}"), ("list.json", "[1, 2]")):
+        empty = tmp_path / name
+        empty.write_text(text)
+        with pytest.raises(TraceSchemaError, match="no 'benchmarks' array"):
+            store.ingest_bench(str(empty))
+    assert store.load() == []
+
+
 # -- trend gate --------------------------------------------------------
 def _ingest_runs(store, walls):
     for i, wall in enumerate(walls):
@@ -146,10 +200,10 @@ def test_gate_warn_only_below_min_points(tmp_path):
     store = _store(tmp_path)
     # A blatant regression with only 4 runs of history: skipped.
     _ingest_runs(store, [1.0, 1.0, 1.0, 10.0])
-    assert detect_regressions(store, min_points=5) == []
+    assert detect_regressions(store) == []
     # One more run and the (still-regressed) series is eligible.
     store.ingest_analysis(_analysis(10.0), ts=9.0, run_id="run-9")
-    assert detect_regressions(store, min_points=5)
+    assert detect_regressions(store)
 
 
 def test_gate_mad_band_tolerates_noisy_series(tmp_path):
@@ -169,7 +223,7 @@ def test_gate_relative_floor_protects_constant_series(tmp_path):
     assert detect_regressions(store2)
 
 
-def test_gate_prefix_filter_ignores_counters(tmp_path):
+def test_gate_prefix_filter_ignores_counters(tmp_path, monkeypatch):
     store = _store(tmp_path)
     for i in range(6):
         store.ingest_analysis(
@@ -179,7 +233,9 @@ def test_gate_prefix_filter_ignores_counters(tmp_path):
         )
     # Counter series explode by 10x per run but are not gated on.
     assert detect_regressions(store) == []
-    regs = detect_regressions(store, prefixes=("counter:",))
+    # The same series would flag if counters were gated.
+    monkeypatch.setattr(history, "GATED_PREFIXES", ("counter:",))
+    regs = detect_regressions(store)
     assert [r.series for r in regs] == ["counter:cache.hits"]
 
 

@@ -85,19 +85,6 @@ class TestPlans:
         with pytest.raises(WorkloadError, match="indexed contiguously"):
             ExecutionPlan(machine=_machine(), tasks=(task,))
 
-    def test_forward_dependency_rejected(self):
-        tasks = (
-            WorkloadTask(
-                index=0,
-                kind=TASK_WORKLOAD_RULES,
-                spec=SPECS[0],
-                depends_on=(1,),
-            ),
-            WorkloadTask(index=1, kind=TASK_WORKLOAD_RULES, spec=SPECS[1]),
-        )
-        with pytest.raises(WorkloadError, match="topologically"):
-            ExecutionPlan(machine=_machine(), tasks=tasks)
-
 
 def _comparable_cells(run):
     return [
@@ -125,6 +112,8 @@ class TestExecution:
         serial = execute_plan(plan)
         sharded = execute_plan(plan, shard_workers=2)
         assert sharded.shard_workers == 2
+        # Whatever the completion order, results come back by index.
+        assert [r.index for r in sharded.results] == [0, 1]
         assert _comparable_cells(serial) == _comparable_cells(sharded)
 
     def test_rules_plan_sharded_matches_serial(self):
@@ -147,28 +136,6 @@ class TestExecution:
             assert {"build", "enumerate", "label+train", "extract-rules"} <= set(
                 stages
             )
-
-    def test_dependencies_gate_submission(self):
-        """A dependent task still runs (after its prerequisite) and
-        results stay index-ordered."""
-        tasks = (
-            WorkloadTask(
-                index=0,
-                kind=TASK_WORKLOAD_RULES,
-                spec=SPECS[0],
-                measurement=MEASUREMENT,
-            ),
-            WorkloadTask(
-                index=1,
-                kind=TASK_WORKLOAD_RULES,
-                spec=SPECS[1],
-                measurement=MEASUREMENT,
-                depends_on=(0,),
-            ),
-        )
-        plan = ExecutionPlan(machine=_machine(), tasks=tasks)
-        run = execute_plan(plan, shard_workers=2)
-        assert [r.index for r in run.results] == [0, 1]
 
     def test_cost_aware_submission_order(self):
         """Sharded submission is costliest-first: the long-pole workload

@@ -33,6 +33,19 @@ def _report_comparable(report):
     return data
 
 
+def _run_counting(suite, **kwargs):
+    """Run ``suite``; return its report and the run's obs metrics delta."""
+    before = obs.metrics_snapshot()
+    report = SuiteRunner(suite, **kwargs).run()
+    return report, obs.metrics_snapshot().diff(before)
+
+
+def _assert_same_counters(serial, sharded):
+    """Sharding must not change any counter (``repro trace --diff``)."""
+    assert serial.counters == sharded.counters
+    assert serial.digest() == sharded.digest()
+
+
 TINY = Suite(
     name="tiny",
     description="two tiny workloads for tests",
@@ -127,11 +140,12 @@ class TestRunner:
     def test_shard_workers_do_not_change_results(self):
         """Workload-level sharding: the whole report (not just cells) is
         bit-identical to serial, excluding wall-clock timing."""
-        serial = SuiteRunner(TINY).run()
-        sharded = SuiteRunner(TINY, shard_workers=2).run()
+        serial, serial_delta = _run_counting(TINY)
+        sharded, sharded_delta = _run_counting(TINY, shard_workers=2)
         assert _report_comparable(serial) == _report_comparable(sharded)
         assert sharded.timing["shard_workers"] == 2
         assert serial.timing["shard_workers"] == 0
+        _assert_same_counters(serial_delta, sharded_delta)
 
     def test_timing_records_per_task_stages(self):
         report = SuiteRunner(TINY).run()
@@ -165,8 +179,12 @@ class TestRunner:
 
 class TestCrossWorkloadTables:
     @pytest.fixture(scope="class")
-    def report(self):
-        return SuiteRunner(TINY_RULES).run()
+    def serial_run(self):
+        return _run_counting(TINY_RULES)
+
+    @pytest.fixture(scope="class")
+    def report(self, serial_run):
+        return serial_run[0]
 
     def test_rules_and_transfer_tables_populated(self, report):
         n = len(TINY_RULES.specs)
@@ -210,13 +228,16 @@ class TestCrossWorkloadTables:
         traced.published = []
         assert _report_comparable(traced) == _report_comparable(report)
 
-    def test_sharded_cross_workload_report_identical(self, report):
+    def test_sharded_cross_workload_report_identical(self, serial_run):
         """Sharding covers the rule pipelines too: every table of the
-        generalization-style report matches the serial run."""
-        sharded = SuiteRunner(TINY_RULES, shard_workers=2).run()
+        generalization-style report, and every counter, matches the
+        serial run."""
+        report, serial_delta = serial_run
+        sharded, sharded_delta = _run_counting(TINY_RULES, shard_workers=2)
         assert _report_comparable(sharded) == _report_comparable(report)
         kinds = {t["kind"] for t in sharded.timing["tasks"]}
         assert kinds == {"suite-cells", "workload-rules"}
+        _assert_same_counters(serial_delta, sharded_delta)
 
 
 @pytest.mark.slow
