@@ -15,10 +15,10 @@ recorded without a budget:
   trace.
 
 The one budget is the live-progress overhead gate: an instrumented
-sweep under ``obs.progress_scope`` (heartbeat/progress ticker armed,
-counters ticking on every ``obs.add``) must stay within 5% of the
-identical heartbeat-off sweep, asserted on interleaved best-of-N walls
-just like ``bench_obs_overhead.py``.
+sweep under ``obs.progress_scope`` (the progress meter installed as
+the ticker, so every ``obs.add`` makes its throttled clock check) must
+stay within 5% of the identical progress-off sweep, asserted on
+interleaved best-of-N walls just like ``bench_obs_overhead.py``.
 """
 
 from __future__ import annotations
@@ -192,7 +192,9 @@ def _interleaved_best(fns, rounds: int):
 
 
 def test_bench_progress_heartbeat_overhead(benchmark):
-    """Progress-ticked sweep vs. the identical heartbeat-off run."""
+    """Progress-ticker overhead: a meter-ticked sweep vs. the same sweep
+    with progress off.  (The name predates the removal of worker
+    heartbeat files; the history store keys ``bench:`` series by it.)"""
     obs.reset()
     _sweep()  # warm imports and caches outside the timed region
 

@@ -816,10 +816,10 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
         dest="telemetry",
         action="store_true",
         help=(
-            "sample per-process resources (CPU, RSS, GC; tracemalloc "
-            "peak with REPRO_TELEMETRY_MALLOC=1) across the run and "
-            "every shard worker; samples land in the trace/archive and "
-            "surface in `repro trace --analyze` resource columns"
+            "sample per-process resources (CPU, RSS, GC) across the run "
+            "and every shard worker; workers ship their samples home "
+            "with their task results, samples land in the trace/archive "
+            "and surface in `repro trace --analyze` resource columns"
         ),
     )
 
@@ -907,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "live stderr progress line over completed workload tasks "
-            "(sharded runs report through worker heartbeats)"
+            "(sharded runs advance as each task finishes)"
         ),
     )
 
@@ -1068,8 +1068,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "live stderr progress line with ETA over enumeration "
-            "positions retired (exhaustive sweeps; range shards report "
-            "through worker heartbeats)"
+            "positions retired (exhaustive sweeps; range-sharded sweeps "
+            "advance as each range finishes)"
         ),
     )
 

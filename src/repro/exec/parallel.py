@@ -65,12 +65,14 @@ def _init_worker(
     sample_offset: int,
 ) -> None:
     global _WORKER_BENCH, _WORKER_REPLAYER, _WORKER_COMPILES
+    # obs state recorded in this process is never shipped home — the
+    # parent does the metrics accounting — so drop the copy fork gave us:
+    # the parent's progress meter, tracer and sampler must not tick here.
+    obs.reset()
     compiles_before = compile_count()
     executor = ScheduleExecutor(program, machine)
     _WORKER_BENCH = Benchmarker(executor, config, sample_offset=sample_offset)
-    # The same choice the parent made for this context.  obs counters
-    # recorded in this process are never shipped home — the parent does
-    # the metrics accounting.
+    # The same choice the parent made for this context.
     _WORKER_REPLAYER, _ = select_engine(_WORKER_BENCH)
     _WORKER_COMPILES = compile_count() - compiles_before
 

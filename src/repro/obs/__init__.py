@@ -19,11 +19,12 @@ The shared observability substrate for the whole search/serve stack:
   side: per-span-path analytics for ``repro trace --analyze``.
 * ``diff_runs`` — exact counter identity between two runs
   (``repro trace --diff``; CI runs it on serial vs. sharded archives).
-* ``progress_scope`` + worker heartbeats — throttled stderr progress
-  lines with ETA for long serial and sharded runs (``--progress``).
+* ``progress_scope`` / ``progress_shipped`` — throttled stderr progress
+  lines with ETA for long serial and sharded runs (``--progress``);
+  sharded work counts as each task's shipped counters come home.
 * ``TelemetrySampler`` / ``resource_stats`` / ``worker_stats`` —
   ``--telemetry`` resource sampling (CPU, RSS, GC) attributed to span
-  paths and worker pids, riding heartbeats and ``TaskResult`` payloads.
+  paths and worker pids, riding ``TaskResult`` payloads.
 * ``to_perfetto`` / ``export_perfetto`` — lower any archived trace to
   Chrome/Perfetto trace-event JSON (``--export-perfetto``).
 * ``HistoryStore`` / ``detect_regressions`` — cross-run per-metric time
@@ -71,10 +72,7 @@ from repro.obs.metrics import (
 from repro.obs.progress import (
     PLAN_PROGRESS_COUNTERS,
     SEARCH_PROGRESS_COUNTERS,
-    HeartbeatWriter,
     ProgressMeter,
-    read_heartbeats,
-    read_heartbeats_full,
 )
 from repro.obs.render import render_metrics, render_span_tree, render_trace
 from repro.obs.runtime import (
@@ -84,18 +82,14 @@ from repro.obs.runtime import (
     gauge,
     metrics_snapshot,
     observe,
-    progress_active,
     progress_enabled,
-    progress_heartbeat_path,
-    progress_poll,
-    progress_poll_interval,
     progress_scope,
+    progress_shipped,
     reset,
     span,
     stage,
     task_scope,
     telemetry_active,
-    telemetry_sampler,
     tracing_active,
     worker_capture,
 )
@@ -103,7 +97,6 @@ from repro.obs.span import SpanRecord, Tracer, walk_spans
 from repro.obs.telemetry import (
     ResourceSample,
     TelemetrySampler,
-    malloc_tracking_enabled,
     read_resources,
     sample_now,
 )
@@ -124,7 +117,6 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "CounterDelta",
     "CriticalStep",
-    "HeartbeatWriter",
     "HistoryPoint",
     "HistoryStore",
     "MetricsRegistry",
@@ -158,17 +150,11 @@ __all__ = [
     "git_revision",
     "hotspots",
     "log",
-    "malloc_tracking_enabled",
     "metrics_snapshot",
     "observe",
-    "progress_active",
     "progress_enabled",
-    "progress_heartbeat_path",
-    "progress_poll",
-    "progress_poll_interval",
     "progress_scope",
-    "read_heartbeats",
-    "read_heartbeats_full",
+    "progress_shipped",
     "read_resources",
     "read_trace",
     "render_analysis",
@@ -185,7 +171,6 @@ __all__ = [
     "summarize_histogram",
     "task_scope",
     "telemetry_active",
-    "telemetry_sampler",
     "to_perfetto",
     "tracing_active",
     "validate_trace",

@@ -1,21 +1,20 @@
-"""Live progress for long runs: worker heartbeats + a stderr meter.
+"""Live progress for long runs: a throttled stderr meter.
 
-Two halves, glued together by the ambient obs state
-(:mod:`repro.obs.runtime`):
+The parent installs a :class:`ProgressMeter` as the ambient counter
+ticker (:mod:`repro.obs.runtime`).  Its ``done`` count is the sum of
+two sources that never overlap:
 
-* **Workers** install a :class:`HeartbeatWriter` as their counter
-  ticker.  Every counter bump may (throttled) rewrite one small JSON
-  file — ``task-<index>.json`` in a directory the parent owns — with
-  the worker's current counters.  Writes are atomic (tmp +
-  ``os.replace``) and failure-tolerant: a progress heartbeat must never
-  kill a worker.
-* **The parent** installs a :class:`ProgressMeter`.  Its ``done`` count
-  is the sum of the parent registry's own counter deltas (serial work)
-  plus :func:`read_heartbeats` over the worker files (sharded work in
-  flight).  Those two sources never overlap because worker snapshots
-  are only absorbed into the parent registry *after* every task
-  completes — at which point :meth:`ProgressMeter.finish` switches to
-  the registry alone for the exact 100% line.
+* the parent registry's own counter deltas (serial work, and worker
+  results already absorbed);
+* the counters of finished worker tasks that are not absorbed yet.  A
+  worker ships its counters home on its ``TaskResult``; the plan runner
+  hands them to :meth:`ProgressMeter.ship` when the task's future
+  completes, and :func:`repro.obs.absorb` takes them back out of this
+  pool as it merges them into the registry.
+
+So sharded progress advances once per finished task, and
+:meth:`ProgressMeter.finish` prints the exact 100% line from the
+absorbed registry alone.
 
 Progress totals come from ``DesignSpace.count()`` — the denominator is
 exact, so the meter ends at precisely 100% and the final line's
@@ -25,21 +24,16 @@ the acceptance tests pin).
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
-from typing import Callable, Dict, Iterable, Optional, TextIO, Tuple
+from typing import Callable, Iterable, Optional, TextIO, Tuple
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 
 __all__ = [
     "PLAN_PROGRESS_COUNTERS",
     "SEARCH_PROGRESS_COUNTERS",
-    "HeartbeatWriter",
     "ProgressMeter",
-    "read_heartbeats",
-    "read_heartbeats_full",
 ]
 
 #: Progress numerator for schedule sweeps: every leaf the enumeration
@@ -52,131 +46,6 @@ SEARCH_PROGRESS_COUNTERS: Tuple[str, ...] = (
 
 #: Progress numerator for plan execution: completed tasks.
 PLAN_PROGRESS_COUNTERS: Tuple[str, ...] = ("plan.tasks_completed",)
-
-_HEARTBEAT_PREFIX = "task-"
-_HEARTBEAT_SUFFIX = ".json"
-
-
-def heartbeat_filename(index: int) -> str:
-    return f"{_HEARTBEAT_PREFIX}{index}{_HEARTBEAT_SUFFIX}"
-
-
-class HeartbeatWriter:
-    """Worker-side: periodically dump counters to one atomic file."""
-
-    def __init__(
-        self,
-        path: str,
-        interval: float = 0.5,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.path = path
-        self.interval = interval
-        self._clock = clock
-        self._last_write = -1.0
-        #: Optional zero-arg callable returning a live-resource dict
-        #: (``TelemetrySampler.heartbeat_payload``); set by the capture
-        #: scope when telemetry is on so heartbeats carry RSS/CPU.
-        self.resource_fn: Optional[Callable[[], Dict[str, object]]] = None
-
-    def tick(self, registry: MetricsRegistry) -> None:
-        """Throttled write; called on every counter bump."""
-        now = self._clock()
-        if (
-            self._last_write >= 0
-            and now - self._last_write < self.interval
-        ):
-            return
-        self._write(registry, now)
-
-    def flush(self, registry: MetricsRegistry) -> None:
-        """Unthrottled write; called once when the task finishes."""
-        self._write(registry, self._clock())
-
-    def _write(self, registry: MetricsRegistry, now: float) -> None:
-        self._last_write = now
-        payload = {
-            "pid": os.getpid(),
-            "counters": dict(registry.snapshot().counters),
-        }
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            if self.resource_fn is not None:
-                payload["resources"] = self.resource_fn()
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self.path)
-        except OSError:
-            # The heartbeat channel is best-effort; never fail the task.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe; unknown states count as alive."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # e.g. EPERM: exists but not ours
-    return True
-
-
-def read_heartbeats_full(
-    directory: str,
-) -> Tuple[Dict[str, float], Dict[int, Dict[str, object]]]:
-    """Heartbeat counter totals plus per-pid live-resource payloads.
-
-    Tolerant by construction: missing directory, vanished files, and
-    half-written JSON all contribute nothing.  Heartbeat files whose
-    recorded pid is dead are *reaped* (unlinked and skipped) — a crashed
-    worker's last heartbeat must not count toward progress forever.
-    Files without a usable pid are counted but never reaped.
-    """
-    totals: Dict[str, float] = {}
-    resources: Dict[int, Dict[str, object]] = {}
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return totals, resources
-    for name in names:
-        if not (
-            name.startswith(_HEARTBEAT_PREFIX)
-            and name.endswith(_HEARTBEAT_SUFFIX)
-        ):
-            continue
-        full = os.path.join(directory, name)
-        try:
-            with open(full, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if not isinstance(payload, dict):
-            continue
-        pid = payload.get("pid")
-        if isinstance(pid, int) and not _pid_alive(pid):
-            try:
-                os.unlink(full)
-            except OSError:
-                pass
-            continue
-        counters = payload.get("counters")
-        if isinstance(counters, dict):
-            for key, value in counters.items():
-                if isinstance(value, (int, float)):
-                    totals[key] = totals.get(key, 0) + value
-        res = payload.get("resources")
-        if isinstance(pid, int) and isinstance(res, dict):
-            resources[pid] = res
-    return totals, resources
-
-
-def read_heartbeats(directory: str) -> Dict[str, float]:
-    """Sum counters across every live heartbeat file in ``directory``."""
-    return read_heartbeats_full(directory)[0]
 
 
 def _fmt_eta(seconds: float) -> str:
@@ -192,7 +61,7 @@ class ProgressMeter:
     """Parent-side throttled stderr progress line with ETA.
 
     ``done`` is monotone by construction (``max`` against the last
-    report) so racy heartbeat reads can never walk the line backwards.
+    report), so the line never walks backwards.
     """
 
     def __init__(
@@ -203,7 +72,6 @@ class ProgressMeter:
         counters: Iterable[str] = SEARCH_PROGRESS_COUNTERS,
         stream: Optional[TextIO] = None,
         interval: float = 0.5,
-        heartbeat_dir: Optional[str] = None,
         baseline: Optional[MetricsSnapshot] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -212,36 +80,25 @@ class ProgressMeter:
         self.counters = tuple(counters)
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
-        self.heartbeat_dir = heartbeat_dir
         self.baseline = baseline or MetricsSnapshot()
         self._clock = clock
         self._started = clock()
         self._last_emit = -1.0
         self._last_done = 0
-        self._last_rss = 0
-        self.n_lines = 0
+        #: Progress counted from shipped worker results not yet absorbed.
+        self._shipped = 0.0
 
     # -- accounting ----------------------------------------------------
+    def _progress_of(self, snap: MetricsSnapshot) -> float:
+        return sum(snap.counter(name) for name in self.counters)
+
     def _registry_done(self, registry: MetricsRegistry) -> float:
-        snap = registry.snapshot()
-        return sum(
-            snap.counter(name) - self.baseline.counter(name)
-            for name in self.counters
+        return self._progress_of(registry.snapshot()) - self._progress_of(
+            self.baseline
         )
 
     def current_done(self, registry: MetricsRegistry) -> int:
-        done = self._registry_done(registry)
-        if self.heartbeat_dir is not None:
-            beats, resources = read_heartbeats_full(self.heartbeat_dir)
-            done += sum(beats.get(name, 0) for name in self.counters)
-            rss = sum(
-                int(r.get("rss_bytes", 0))
-                for r in resources.values()
-                if isinstance(r.get("rss_bytes"), (int, float))
-            )
-            if rss > 0:
-                self._last_rss = rss
-        done = int(done)
+        done = int(self._registry_done(registry) + self._shipped)
         self._last_done = max(self._last_done, done)
         return self._last_done
 
@@ -265,10 +122,7 @@ class ProgressMeter:
                 eta = "eta --"
         else:
             eta = "eta --"
-        line = f"{self.label}: {pct} ({done}/{self.total}) {eta}"
-        if self._last_rss > 0:
-            line += f" rss {self._last_rss / (1024 * 1024):.0f}MB"
-        return line
+        return f"{self.label}: {pct} ({done}/{self.total}) {eta}"
 
     def _emit(self, done: int, final: bool) -> None:
         line = self._line(done, final)
@@ -282,7 +136,6 @@ class ProgressMeter:
             self.stream.flush()
         except (OSError, ValueError):
             pass
-        self.n_lines += 1
 
     # -- hooks ---------------------------------------------------------
     def tick(self, registry: MetricsRegistry) -> None:
@@ -296,9 +149,14 @@ class ProgressMeter:
         self._last_emit = now
         self._emit(self.current_done(registry), final=False)
 
-    def poll(self, registry: MetricsRegistry) -> None:
-        """Wait-loop hook: re-read heartbeats even with no local bump."""
+    def ship(self, snapshot: MetricsSnapshot, registry: MetricsRegistry) -> None:
+        """Count a finished worker task's shipped counters, then tick."""
+        self._shipped += self._progress_of(snapshot)
         self.tick(registry)
+
+    def absorbed(self, snapshot: MetricsSnapshot) -> None:
+        """``snapshot`` is merged into the registry: stop counting it here."""
+        self._shipped -= self._progress_of(snapshot)
 
     def finish(self, registry: MetricsRegistry) -> int:
         """Final 100% line from the registry alone (post-absorb)."""

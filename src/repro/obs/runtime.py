@@ -20,30 +20,20 @@ Worker processes never share this state usefully (fork inherits a stale
 copy): :class:`worker_capture` swaps in a fresh registry/tracer for the
 duration of one task and the parent folds the shipped results back with
 :func:`absorb` — the same merge discipline ``execute_plan`` applies to
-task payloads.
+task payloads.  A shipped ``TaskResult`` is the only channel from a
+worker to the parent; evaluation-pool workers, whose registries are
+never shipped, drop the inherited copy with :func:`reset`.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.progress import (
-    SEARCH_PROGRESS_COUNTERS,
-    HeartbeatWriter,
-    ProgressMeter,
-    heartbeat_filename,
-)
+from repro.obs.progress import SEARCH_PROGRESS_COUNTERS, ProgressMeter
 from repro.obs.span import SpanRecord, Tracer
-from repro.obs.telemetry import (
-    ResourceSample,
-    TelemetrySampler,
-    malloc_tracking_enabled,
-)
+from repro.obs.telemetry import ResourceSample, TelemetrySampler
 
 __all__ = [
     "absorb",
@@ -51,18 +41,14 @@ __all__ = [
     "capture",
     "gauge",
     "metrics_snapshot",
-    "progress_active",
     "progress_enabled",
-    "progress_heartbeat_path",
-    "progress_poll",
-    "progress_poll_interval",
     "progress_scope",
+    "progress_shipped",
     "reset",
     "span",
     "stage",
     "task_scope",
     "telemetry_active",
-    "telemetry_sampler",
     "tracing_active",
     "worker_capture",
 ]
@@ -74,7 +60,6 @@ class _ObsState:
         "metrics",
         "stage_log",
         "ticker",
-        "progress",
         "telemetry",
     )
 
@@ -82,11 +67,10 @@ class _ObsState:
         self.tracer: Optional[Tracer] = None
         self.metrics: MetricsRegistry = MetricsRegistry()
         self.stage_log: Optional[List[Tuple[str, float]]] = None
-        #: Counter-bump hook: a ProgressMeter (parent) or HeartbeatWriter
-        #: (worker).  Called from :func:`add`, so it must be cheap.
-        self.ticker: Optional[object] = None
-        #: The active :class:`progress_scope`, parent process only.
-        self.progress: Optional["progress_scope"] = None
+        #: Counter-bump hook: the active :class:`progress_scope`'s meter
+        #: (parent process only).  Called from :func:`add`, so it must be
+        #: cheap.
+        self.ticker: Optional[ProgressMeter] = None
         #: Resource sampler (``--telemetry``), installed by capture scopes.
         self.telemetry: Optional[TelemetrySampler] = None
 
@@ -95,14 +79,16 @@ _STATE = _ObsState()
 
 
 def reset() -> None:
-    """Drop all ambient state (fresh registry, no tracer). Test helper."""
-    if _STATE.telemetry is not None:
-        _STATE.telemetry.stop()
+    """Drop all ambient state (fresh registry, no tracer, no meter).
+
+    Tests call it between cases; evaluation-pool workers call it first
+    thing, so a forked child never ticks the parent's meter or collects
+    spans nobody ships home.
+    """
     _STATE.tracer = None
     _STATE.metrics = MetricsRegistry()
     _STATE.stage_log = None
     _STATE.ticker = None
-    _STATE.progress = None
     _STATE.telemetry = None
 
 
@@ -201,11 +187,6 @@ def telemetry_active() -> bool:
     return _STATE.telemetry is not None
 
 
-def telemetry_sampler() -> Optional[TelemetrySampler]:
-    """The installed resource sampler, or None when telemetry is off."""
-    return _STATE.telemetry
-
-
 def _force_sample() -> None:
     """Boundary sample (task/stage open+close) so CPU deltas bracket."""
     sampler = _STATE.telemetry
@@ -221,13 +202,12 @@ class progress_scope:
     """Live progress for one long operation (``--progress``).
 
     Installs a :class:`~repro.obs.progress.ProgressMeter` as the ambient
-    counter ticker so serial counter bumps update the stderr line, and
-    owns a temporary heartbeat directory so sharded workers can report
-    through :func:`progress_heartbeat_path` /
-    :class:`~repro.obs.progress.HeartbeatWriter`.  On clean exit the
-    meter prints its exact 100% line from the post-absorb registry;
-    ``.done`` then holds the final numerator.  With ``enabled=False``
-    the scope is inert — call sites keep one code path.
+    counter ticker so serial counter bumps update the stderr line.
+    Sharded work reaches the meter through :func:`progress_shipped`, once
+    per finished task.  On clean exit the meter prints its exact 100%
+    line from the post-absorb registry; ``.done`` then holds the final
+    numerator.  With ``enabled=False`` the scope is inert — call sites
+    keep one code path.
     """
 
     def __init__(
@@ -247,47 +227,33 @@ class progress_scope:
         self.stream = stream
         self.interval = interval
         self.meter: Optional[ProgressMeter] = None
-        self.heartbeat_dir: Optional[str] = None
         self.done = 0
 
     def __enter__(self) -> "progress_scope":
         if not self.enabled:
             return self
         self._prev_ticker = _STATE.ticker
-        self._prev_progress = _STATE.progress
-        self.heartbeat_dir = tempfile.mkdtemp(prefix="repro-progress-")
         self.meter = ProgressMeter(
             self.total,
             label=self.label,
             counters=self.counters,
             stream=self.stream,
             interval=self.interval,
-            heartbeat_dir=self.heartbeat_dir,
             baseline=_STATE.metrics.snapshot(),
         )
         _STATE.ticker = self.meter
-        _STATE.progress = self
         return self
 
     def __exit__(self, exc_type: object, *exc: object) -> None:
         if not self.enabled:
             return
         _STATE.ticker = self._prev_ticker
-        _STATE.progress = self._prev_progress
         if exc_type is None and self.meter is not None:
             self.done = self.meter.finish(_STATE.metrics)
-        if self.heartbeat_dir is not None:
-            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
-            self.heartbeat_dir = None
-
-    def heartbeat_path(self, index: int) -> Optional[str]:
-        if self.heartbeat_dir is None:
-            return None
-        return os.path.join(self.heartbeat_dir, heartbeat_filename(index))
 
 
 def progress_enabled() -> bool:
-    """True when a ticker is installed (meter here, heartbeat in workers).
+    """True inside an enabled :class:`progress_scope` (parent only).
 
     Hot paths use this to turn on accounting that only progress needs
     (e.g. counting leaves under cut subtrees), so disabled runs pay
@@ -296,31 +262,16 @@ def progress_enabled() -> bool:
     return _STATE.ticker is not None
 
 
-def progress_active() -> Optional[progress_scope]:
-    return _STATE.progress
+def progress_shipped(snapshot: MetricsSnapshot) -> None:
+    """Count a finished worker task's shipped counters toward progress.
 
-
-def progress_heartbeat_path(index: int) -> Optional[str]:
-    """Heartbeat file for shipped task ``index``, or None without progress."""
-    scope = _STATE.progress
-    if scope is None:
-        return None
-    return scope.heartbeat_path(index)
-
-
-def progress_poll() -> None:
-    """Refresh the progress line from worker heartbeats (wait loops)."""
-    scope = _STATE.progress
-    if scope is not None and scope.meter is not None:
-        scope.meter.poll(_STATE.metrics)
-
-
-def progress_poll_interval() -> Optional[float]:
-    """Wait-loop timeout so heartbeats surface between task completions."""
-    scope = _STATE.progress
-    if scope is not None and scope.meter is not None:
-        return scope.meter.interval
-    return None
+    The plan runner calls this as each shard's future completes; the
+    counters leave the meter's pool again when :func:`absorb` merges the
+    same snapshot into the registry, so nothing is counted twice.
+    """
+    meter = _STATE.ticker
+    if meter is not None:
+        meter.ship(snapshot, _STATE.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +391,7 @@ class capture:
             _STATE.tracer = Tracer()
         if self.telemetry:
             sampler = TelemetrySampler(
-                epoch=_STATE.tracer.epoch if self.trace else None,
-                malloc=malloc_tracking_enabled(),
+                epoch=_STATE.tracer.epoch if self.trace else None
             )
             _STATE.telemetry = sampler
             sampler.sample("")  # baseline reading before any work
@@ -451,7 +401,6 @@ class capture:
         sampler = _STATE.telemetry
         if self.telemetry and sampler is not None:
             sampler.sample(_open_span_path())
-            sampler.stop()
             self.resources = tuple(sampler.samples)
             self.epoch = sampler.epoch
             for name, value in sampler.summary().items():
@@ -475,33 +424,24 @@ class worker_capture:
     Swaps in a *fresh* registry (and tracer, when the parent is tracing)
     so a pooled worker process — which may run many tasks back to back —
     never leaks metrics between tasks.  After exit, ``.spans`` and
-    ``.snapshot`` are the picklable payloads to ship on the TaskResult.
+    ``.snapshot`` are the picklable payloads to ship on the TaskResult;
+    the parent counts that snapshot toward progress when the task
+    finishes (:func:`progress_shipped`).
 
-    ``heartbeat`` (a file path from the parent's
-    :func:`progress_heartbeat_path`) installs a
-    :class:`~repro.obs.progress.HeartbeatWriter` as the ticker for the
-    task's duration and force-flushes it on exit.  The ticker/progress
-    slots are *always* overridden — a forked worker inherits the
-    parent's ProgressMeter in its stale state copy, and ticking that
-    from a worker would corrupt the parent-side accounting.  The
-    telemetry slot is overridden for the same reason: with
-    ``telemetry=True`` a fresh sampler is installed (and its live
-    payload wired onto the heartbeat file), otherwise the inherited
-    stale sampler is masked with None.
+    The ticker slot is *always* cleared for the task — a forked worker
+    inherits the parent's ProgressMeter in its stale state copy, and
+    ticking that from a worker would print a stale line from the child.
+    The telemetry slot is overridden for the same reason: with
+    ``telemetry=True`` a fresh sampler is installed, otherwise the
+    inherited stale sampler is masked with None.
 
     After exit ``.resources`` holds the worker's samples and ``.epoch``
     the worker-side clock origin, which :func:`absorb` uses to rebase
     shipped timestamps (and span starts) onto the parent clock.
     """
 
-    def __init__(
-        self,
-        trace: bool = False,
-        heartbeat: Optional[str] = None,
-        telemetry: bool = False,
-    ) -> None:
+    def __init__(self, trace: bool = False, telemetry: bool = False) -> None:
         self.trace = trace
-        self.heartbeat = heartbeat
         self.telemetry = telemetry
         self.spans: Tuple[SpanRecord, ...] = ()
         self.snapshot = MetricsSnapshot()
@@ -512,24 +452,16 @@ class worker_capture:
         self._prev_tracer = _STATE.tracer
         self._prev_metrics = _STATE.metrics
         self._prev_ticker = _STATE.ticker
-        self._prev_progress = _STATE.progress
         self._prev_telemetry = _STATE.telemetry
         _STATE.tracer = Tracer() if self.trace else None
         _STATE.metrics = MetricsRegistry()
         sampler = (
-            TelemetrySampler(
-                epoch=_STATE.tracer.epoch if self.trace else None,
-                malloc=malloc_tracking_enabled(),
-            )
+            TelemetrySampler(epoch=_STATE.tracer.epoch if self.trace else None)
             if self.telemetry
             else None
         )
         _STATE.telemetry = sampler
-        ticker = HeartbeatWriter(self.heartbeat) if self.heartbeat else None
-        if ticker is not None and sampler is not None:
-            ticker.resource_fn = sampler.heartbeat_payload
-        _STATE.ticker = ticker
-        _STATE.progress = None
+        _STATE.ticker = None
         if sampler is not None:
             sampler.sample("")  # baseline reading before any work
         return self
@@ -538,7 +470,6 @@ class worker_capture:
         sampler = _STATE.telemetry
         if self.telemetry and sampler is not None:
             sampler.sample(_open_span_path())
-            sampler.stop()
             self.resources = tuple(sampler.samples)
             self.epoch = sampler.epoch
         if self.trace and _STATE.tracer is not None:
@@ -547,14 +478,10 @@ class worker_capture:
                 # Ship the clock origin even without telemetry so the
                 # parent can rebase span starts onto its own axis.
                 self.epoch = _STATE.tracer.epoch
-        ticker = _STATE.ticker
-        if isinstance(ticker, HeartbeatWriter):
-            ticker.flush(_STATE.metrics)
         self.snapshot = _STATE.metrics.snapshot()
         _STATE.tracer = self._prev_tracer
         _STATE.metrics = self._prev_metrics
         _STATE.ticker = self._prev_ticker
-        _STATE.progress = self._prev_progress
         _STATE.telemetry = self._prev_telemetry
 
 
@@ -573,18 +500,22 @@ def absorb(
 ) -> None:
     """Fold a worker's shipped telemetry into the ambient state.
 
-    Metrics merge into the live registry; span subtrees graft under the
-    current open span (``plan.execute`` during plan merging), giving one
-    coherent trace tree per run.  When the worker ships its clock
-    ``epoch``, span starts and sample timestamps are rebased by
-    ``worker_epoch - parent_epoch`` first — ``perf_counter`` is the
-    system-wide monotonic clock on the platforms we run on, so after
-    rebasing one trace holds a single coherent cross-pid timeline.
+    Metrics merge into the live registry (and leave the progress meter's
+    pool of shipped counters, see :func:`progress_shipped`); span
+    subtrees graft under the current open span (``plan.execute`` during
+    plan merging), giving one coherent trace tree per run.  When the
+    worker ships its clock ``epoch``, span starts and sample timestamps
+    are rebased by ``worker_epoch - parent_epoch`` first —
+    ``perf_counter`` is the system-wide monotonic clock on the platforms
+    we run on, so after rebasing one trace holds a single coherent
+    cross-pid timeline.
     Resource sample paths are grafted under the open span path, the same
     discipline span subtrees get.
     """
     if snapshot is not None and not snapshot.is_empty():
         _STATE.metrics.merge_snapshot(snapshot)
+        if _STATE.ticker is not None:
+            _STATE.ticker.absorbed(snapshot)
     tracer = _STATE.tracer
     sampler = _STATE.telemetry
     shift = 0.0

@@ -1,12 +1,11 @@
-"""Per-process resource telemetry: CPU, RSS, GC, optional tracemalloc.
+"""Per-process resource telemetry: CPU, RSS, GC.
 
 A :class:`TelemetrySampler` periodically reads this process's resource
 state — cumulative CPU user/system time and resident set size from
-``/proc/self`` (with a ``resource.getrusage`` fallback off Linux), GC
-collection counts, and (behind a flag, because tracing allocations is
-itself expensive) the ``tracemalloc`` peak — and records it as a
-:class:`ResourceSample` tagged with the span path that was open at
-sample time.  Samples ride the exact channels spans already use:
+``/proc/self`` (with a ``resource.getrusage`` fallback off Linux) and GC
+collection counts — and records it as a :class:`ResourceSample` tagged
+with the span path that was open at sample time.  Samples ride the
+exact channels spans already use:
 
 * the ambient hooks in :mod:`repro.obs.runtime` sample (throttled) on
   every counter bump and (forced) at task/stage boundaries, so every
@@ -15,9 +14,7 @@ sample time.  Samples ride the exact channels spans already use:
 * ``worker_capture`` ships a worker task's samples home on the
   ``TaskResult`` for :func:`repro.obs.absorb`, which rebases their
   timestamps onto the parent clock and grafts their paths under the
-  open span — the same merge discipline span subtrees get;
-* the worker heartbeat file carries a live resource payload, so the
-  parent can see a shard's RSS while the task is still running.
+  open span — the same merge discipline span subtrees get.
 
 Reading ``/proc`` costs a few microseconds and sampling is throttled
 (default 50ms), so telemetry-on runs stay within the <5% overhead
@@ -37,25 +34,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "ResourceSample",
     "TelemetrySampler",
-    "malloc_tracking_enabled",
     "read_resources",
     "sample_now",
 ]
 
-#: Environment flag enabling tracemalloc peak tracking in samples.
-MALLOC_ENV = "REPRO_TELEMETRY_MALLOC"
-
 #: Default sampling throttle (seconds between ambient samples).
 SAMPLE_INTERVAL_S = 0.05
-
-
-def malloc_tracking_enabled() -> bool:
-    """True when ``REPRO_TELEMETRY_MALLOC`` asks for tracemalloc peaks."""
-    return os.environ.get(MALLOC_ENV, "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-    )
 
 
 @dataclass(frozen=True)
@@ -77,7 +61,6 @@ class ResourceSample:
     cpu_utime_s: float
     cpu_stime_s: float
     gc_collections: int
-    malloc_peak_bytes: Optional[int] = None
 
     @property
     def cpu_s(self) -> float:
@@ -126,20 +109,7 @@ def _gc_collections() -> int:
     return sum(int(s.get("collections", 0)) for s in gc.get_stats())
 
 
-def _malloc_peak() -> Optional[int]:
-    import tracemalloc
-
-    if not tracemalloc.is_tracing():
-        return None
-    return tracemalloc.get_traced_memory()[1]
-
-
-def sample_now(
-    path: str = "",
-    ts: float = 0.0,
-    *,
-    malloc: bool = False,
-) -> ResourceSample:
+def sample_now(path: str = "", ts: float = 0.0) -> ResourceSample:
     """One immediate :class:`ResourceSample` of the calling process."""
     rss, utime, stime = read_resources()
     return ResourceSample(
@@ -150,7 +120,6 @@ def sample_now(
         cpu_utime_s=utime,
         cpu_stime_s=stime,
         gc_collections=_gc_collections(),
-        malloc_peak_bytes=_malloc_peak() if malloc else None,
     )
 
 
@@ -163,37 +132,20 @@ class TelemetrySampler:
     throttled — while ``sample`` forces a reading at span boundaries.
     """
 
-    __slots__ = (
-        "interval",
-        "epoch",
-        "malloc",
-        "samples",
-        "_clock",
-        "_last",
-        "_owns_tracemalloc",
-    )
+    __slots__ = ("interval", "epoch", "samples", "_clock", "_last")
 
     def __init__(
         self,
         *,
         interval: float = SAMPLE_INTERVAL_S,
         epoch: Optional[float] = None,
-        malloc: bool = False,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.interval = interval
         self._clock = clock
         self.epoch = clock() if epoch is None else epoch
-        self.malloc = malloc
         self.samples: List[ResourceSample] = []
         self._last = float("-inf")
-        self._owns_tracemalloc = False
-        if malloc:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._owns_tracemalloc = True
 
     # ------------------------------------------------------------------
     def due(self) -> bool:
@@ -204,7 +156,7 @@ class TelemetrySampler:
         """Force one sample now, tagged with ``path``."""
         now = self._clock()
         self._last = now
-        rec = sample_now(path, ts=now - self.epoch, malloc=self.malloc)
+        rec = sample_now(path, ts=now - self.epoch)
         self.samples.append(rec)
         return rec
 
@@ -237,16 +189,6 @@ class TelemetrySampler:
                 path = f"{prefix}/{path}" if path else prefix
             self.samples.append(replace(rec, ts=rec.ts + shift, path=path))
 
-    def heartbeat_payload(self) -> Dict[str, object]:
-        """Small live-resource dict for the worker heartbeat file."""
-        rss, utime, stime = read_resources()
-        return {
-            "rss_bytes": rss,
-            "cpu_utime_s": utime,
-            "cpu_stime_s": stime,
-            "gc_collections": _gc_collections(),
-        }
-
     def summary(self) -> Dict[str, float]:
         """Run-level rollup: peak RSS and total CPU across own samples."""
         own = [s for s in self.samples if s.pid == os.getpid()]
@@ -259,11 +201,3 @@ class TelemetrySampler:
             peak = float(max(s.rss_bytes for s in series))
             out["rss_max_bytes"] = max(out.get("rss_max_bytes", 0.0), peak)
         return out
-
-    def stop(self) -> None:
-        """Release tracemalloc if this sampler started it."""
-        if self._owns_tracemalloc:
-            import tracemalloc
-
-            tracemalloc.stop()
-            self._owns_tracemalloc = False

@@ -7,9 +7,10 @@ Schema (one JSON object per line):
   "start": ..., "dur": ..., "pid": ..., "attrs": {...}}``; ids are
   depth-first preorder, so every parent id precedes its children.
 * sample lines (v2) — ``{"type": "sample", "ts": ..., "pid": ...,
-  "path": ..., "rss": ..., "utime": ..., "stime": ..., "gc": ...,
-  "malloc": N|null}``: one :class:`~repro.obs.telemetry.ResourceSample`
-  recorded under ``--telemetry``.
+  "path": ..., "rss": ..., "utime": ..., "stime": ..., "gc": ...}``: one
+  :class:`~repro.obs.telemetry.ResourceSample` recorded under
+  ``--telemetry``.  Older v2 files may also carry a ``"malloc"`` key;
+  the reader ignores it.
 * metric lines — ``{"type": "counter"|"gauge", "name": ..., "value": ...}``
   and ``{"type": "hist", "name": ..., "values": [...]}`` (raw samples,
   so quantiles survive the round-trip exactly).
@@ -120,7 +121,6 @@ def write_trace(
                         "utime": rec.cpu_utime_s,
                         "stime": rec.cpu_stime_s,
                         "gc": rec.gc_collections,
-                        "malloc": rec.malloc_peak_bytes,
                     },
                     sort_keys=True,
                 )
@@ -244,7 +244,6 @@ def read_trace(path: str) -> TraceData:
                 raise TraceSchemaError(
                     f"{path}:{i + 1}: sample missing keys {sorted(missing)}"
                 )
-            malloc = obj.get("malloc")
             try:
                 samples.append(
                     ResourceSample(
@@ -255,9 +254,6 @@ def read_trace(path: str) -> TraceData:
                         cpu_utime_s=float(obj["utime"]),
                         cpu_stime_s=float(obj["stime"]),
                         gc_collections=int(obj["gc"]),
-                        malloc_peak_bytes=(
-                            None if malloc is None else int(malloc)
-                        ),
                     )
                 )
             except (TypeError, ValueError) as err:

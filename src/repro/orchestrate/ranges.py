@@ -106,13 +106,12 @@ def run_range_sharded_search(
     (guided runs: identical kept samples; counters are shard sums).
 
     ``progress=True`` wraps execution in an :func:`obs.progress_scope`
-    over the exact ``space.count()`` denominator: shard workers flush
-    heartbeat counters mid-task, and the stderr line tracks enumeration
-    positions retired (enumerated + cut) with an ETA.  Under
-    ``--telemetry`` the same heartbeat files additionally carry each
-    shard's live RSS/CPU (installed by ``worker_capture``), and every
-    shard ships its resource samples home for parent-side absorption —
-    no extra wiring here, the plan runner threads it through.
+    over the exact ``space.count()`` denominator: the stderr line tracks
+    enumeration positions retired (enumerated + cut) with an ETA, and
+    advances as each range finishes and its shipped counters come home.
+    Under ``--telemetry`` every shard ships its resource samples home the
+    same way, for parent-side absorption — no extra wiring here, the
+    plan runner threads it through.
     """
     t0 = time.perf_counter()
     space = DesignSpace(build_workload(spec), n_streams=n_streams)

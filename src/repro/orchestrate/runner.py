@@ -19,6 +19,12 @@ Task payloads must pickle.  Programs may not (payload closures), so
 ``workload-rules`` payloads travel without their program and
 :func:`restore_rules_payload` rebuilds it in the parent from the spec —
 bit-identical by the workload determinism contract.
+
+The :class:`TaskResult` is a worker's only channel to the parent: its
+counters, spans and resource samples ship home with the payload.  As
+each shard's future completes, the progress meter counts the shipped
+counters (:func:`repro.obs.progress_shipped`); once every task is back,
+``execute_plan`` absorbs them all in task-index order.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import functools
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -335,7 +341,6 @@ def _execute_task_shipped(
     machine: MachineConfig,
     task: WorkloadTask,
     observe: bool = False,
-    heartbeat_path: Optional[str] = None,
     telemetry: bool = False,
 ) -> TaskResult:
     """Worker-side entry: run the task, then make the result picklable.
@@ -349,14 +354,11 @@ def _execute_task_shipped(
     Telemetry crosses the boundary the same way: the task runs against a
     fresh worker-local registry (and tracer, when the parent traces —
     ``observe``), whose snapshot and span subtrees ship home on the
-    result for :func:`repro.obs.absorb` in ``execute_plan``.  With a
-    ``heartbeat_path`` (parent runs under ``--progress``) the worker
-    additionally flushes throttled counter heartbeats to that file so
-    the parent's meter can see in-flight work before absorption.
+    result for :func:`repro.obs.absorb` in ``execute_plan``.  The result
+    is the worker's only channel home: the parent's progress meter counts
+    its shipped counters when the task finishes.
     """
-    with obs.worker_capture(
-        trace=observe, heartbeat=heartbeat_path, telemetry=telemetry
-    ) as cap:
+    with obs.worker_capture(trace=observe, telemetry=telemetry) as cap:
         result = execute_task(machine, task)
     payload = result.payload
     if getattr(payload, "program", None) is not None:
@@ -448,38 +450,21 @@ def _execute_sharded(
     ) as pool:
         # Costliest-first: long-pole workloads hit the pool before
         # cheap ones, so no shard drains while a giant waits queued.
-        in_flight: Dict[object, int] = {
+        futures = [
             pool.submit(
                 _execute_task_shipped,
                 plan.machine,
                 plan.tasks[index],
                 obs.tracing_active(),
-                obs.progress_heartbeat_path(index),
                 obs.telemetry_active(),
-            ): index
-            for index in submission_order(plan.tasks, costs)
-        }
-        # Under --progress the wait times out at the heartbeat cadence so
-        # worker counter updates surface between task completions.
-        poll_timeout = obs.progress_poll_interval()
-        while in_flight:
-            completed, _ = wait(
-                list(in_flight),
-                timeout=poll_timeout,
-                return_when=FIRST_COMPLETED,
             )
-            obs.progress_poll()
-            for future in completed:
-                index = in_flight.pop(future)
-                results.append(future.result())  # re-raises task errors
-                # The result now carries this task's counters; drop its
-                # heartbeat file so the meter never counts both once the
-                # snapshot is absorbed (monotone max smooths the gap).
-                beat = obs.progress_heartbeat_path(index)
-                if beat is not None:
-                    try:
-                        os.unlink(beat)
-                    except OSError:
-                        pass
-                obs.add("plan.tasks_completed")
+            for index in submission_order(plan.tasks, costs)
+        ]
+        for future in as_completed(futures):
+            result = future.result()  # re-raises task errors
+            results.append(result)
+            # Progress counts the shipped counters now; execute_plan
+            # absorbs them into the registry once every task is back.
+            obs.progress_shipped(result.metrics)
+            obs.add("plan.tasks_completed")
     return results, start_method

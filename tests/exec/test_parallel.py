@@ -6,15 +6,25 @@ serial reference, because a measurement is a pure function of
 (schedule, context) — schedules are deterministically "seeded" by content.
 """
 
+import itertools
+import os
+
 import pytest
 
+from repro import obs
 from repro.dag.graph import Graph
 from repro.dag.program import CommPlan, Message, Program
 from repro.dag.vertex import Action, ActionKind, cpu_op
 from repro.errors import ScheduleError
-from repro.exec import MeasurementCache, ParallelEvaluator, SerialEvaluator
+from repro.exec import (
+    MeasurementCache,
+    ParallelEvaluator,
+    SerialEvaluator,
+    build_evaluator,
+)
 from repro.platform.machine import MachineConfig
 from repro.schedule.schedule import BoundOp, Schedule
+from repro.schedule.space import DesignSpace
 from repro.search import (
     BeamSearch,
     ExhaustiveSearch,
@@ -24,6 +34,7 @@ from repro.search import (
 )
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.measure import Benchmarker, MeasurementConfig
+from repro.workloads import WorkloadSpec, build_workload
 
 CFG = MeasurementConfig(max_samples=1)
 
@@ -210,3 +221,44 @@ class TestWorkerCrashPropagation:
         with ParallelEvaluator(program, machine, CFG, n_workers=2) as ev:
             with pytest.raises(ScheduleError):
                 ev.evaluate_batch([bad])
+
+
+class _PidTaggedStream:
+    """Appends every write to a file, prefixed with the writer's pid.
+
+    A forked pool worker writes through its own copy of this object, so
+    the file records which process printed each progress line.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def write(self, text):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {text}")
+
+    def flush(self):
+        pass
+
+
+class TestWorkerObsState:
+    def test_pool_workers_never_print_the_parents_progress(self, machine, tmp_path):
+        """Pool workers drop the obs state they inherit by fork: the
+        parent's progress meter prints every line, so the count can never
+        go backwards to a child's stale copy."""
+        program = build_workload(
+            WorkloadSpec("fork_join", {"stages": 2, "branches": 2, "depth": 1})
+        )
+        space = DesignSpace(program, n_streams=2)
+        schedules = list(itertools.islice(space.enumerate_schedules(), 8))
+        log = tmp_path / "progress.log"
+        with obs.progress_scope(1000, interval=0.0, stream=_PidTaggedStream(str(log))):
+            ev = build_evaluator(
+                program, machine.with_ranks(program.n_ranks), CFG, workers=2
+            )
+            try:
+                assert len(ev.evaluate_batch(schedules)) == 8
+            finally:
+                ev.close()
+        pids = [int(line.split()[0]) for line in log.read_text().splitlines()]
+        assert pids and set(pids) == {os.getpid()}

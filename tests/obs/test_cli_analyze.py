@@ -136,6 +136,24 @@ def test_search_progress_range_sharded_monotone_to_100(capsys):
     assert "evaluated 16 schedules" in captured.out
 
 
+def test_search_progress_shard_workers_count_finished_ranges(capsys):
+    # Four 4-schedule ranges on two worker processes: the parent counts
+    # each range's shipped counters when it finishes, so every line shows
+    # whole ranges and the last one the exact total.
+    argv = SEARCH_ARGV + [
+        "--range-shards", "4", "--shard-workers", "2", "--progress",
+    ]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    lines = _progress_lines(captured.err)
+    assert lines, captured.err
+    done = _done_counts(lines)
+    assert done == sorted(done)
+    assert all(n % 4 == 0 for n in done), done
+    assert "(16/16)" in lines[-1] and "done" in lines[-1]
+    assert "evaluated 16 schedules" in captured.out
+
+
 def test_search_progress_requires_exhaustive():
     with pytest.raises(SystemExit, match="--progress requires"):
         main(SEARCH_ARGV + ["--strategy", "random", "--progress"])

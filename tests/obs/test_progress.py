@@ -1,17 +1,11 @@
-"""Heartbeats + ProgressMeter + progress_scope wiring."""
+"""ProgressMeter + progress_scope wiring + shipped worker counters."""
 
 import io
-import json
-import os
+import re
 
 from repro import obs
-from repro.obs import (
-    HeartbeatWriter,
-    MetricsRegistry,
-    ProgressMeter,
-    read_heartbeats,
-)
-from repro.obs.progress import heartbeat_filename
+from repro.obs import MetricsRegistry, ProgressMeter
+from repro.obs.runtime import _STATE
 
 
 class FakeClock:
@@ -27,50 +21,6 @@ def _registry(**counters):
     for name, value in counters.items():
         registry.add(name, value)
     return registry
-
-
-# -- HeartbeatWriter ---------------------------------------------------
-def test_heartbeat_writer_atomic_payload(tmp_path):
-    path = str(tmp_path / heartbeat_filename(0))
-    writer = HeartbeatWriter(path, clock=FakeClock())
-    writer.flush(_registry(**{"space.schedules_enumerated": 5}))
-
-    with open(path) as fh:
-        payload = json.load(fh)
-    assert payload["pid"] == os.getpid()
-    assert payload["counters"] == {"space.schedules_enumerated": 5}
-    assert not [n for n in os.listdir(tmp_path) if ".tmp." in n]
-
-
-def test_heartbeat_writer_throttles_ticks(tmp_path):
-    clock = FakeClock()
-    path = str(tmp_path / heartbeat_filename(0))
-    writer = HeartbeatWriter(path, interval=0.5, clock=clock)
-    writer.tick(_registry(n=1))  # first tick always writes
-    writer.tick(_registry(n=2))  # within the interval: suppressed
-    assert json.load(open(path))["counters"] == {"n": 1}
-    clock.t = 0.6
-    writer.tick(_registry(n=3))
-    assert json.load(open(path))["counters"] == {"n": 3}
-
-
-def test_heartbeat_writer_tolerates_unwritable_path(tmp_path):
-    writer = HeartbeatWriter(str(tmp_path / "no-such-dir" / "t.json"))
-    writer.flush(_registry(n=1))  # must not raise
-
-
-def test_read_heartbeats_sums_and_tolerates_garbage(tmp_path):
-    for i, n in enumerate((3, 4)):
-        HeartbeatWriter(
-            str(tmp_path / heartbeat_filename(i)), clock=FakeClock()
-        ).flush(_registry(**{"space.schedules_enumerated": n}))
-    (tmp_path / heartbeat_filename(9)).write_text('{"cou')  # torn write
-    (tmp_path / "unrelated.txt").write_text("ignored")
-    (tmp_path / heartbeat_filename(8)).write_text('{"counters": [1]}')
-
-    totals = read_heartbeats(str(tmp_path))
-    assert totals == {"space.schedules_enumerated": 7}
-    assert read_heartbeats(str(tmp_path / "missing")) == {}
 
 
 # -- ProgressMeter -----------------------------------------------------
@@ -91,43 +41,43 @@ def test_meter_line_has_pct_counts_and_eta():
     assert "eta 3s" in line
 
 
-def test_meter_monotone_against_racy_heartbeat_reads(tmp_path):
-    clock = FakeClock()
-    stream = io.StringIO()
+def test_meter_monotone_against_racy_heartbeat_reads():
+    # The shipped pool is the meter's live read of worker progress and
+    # can drain (absorbed) before the registry has merged the same
+    # counters: done must not walk backwards, nor count them twice.
     meter = ProgressMeter(
-        10, counters=("n",), stream=stream, interval=0.0,
-        heartbeat_dir=str(tmp_path), clock=clock,
+        10, counters=("n",), stream=io.StringIO(), interval=0.0,
+        clock=FakeClock(),
     )
     registry = MetricsRegistry()
-    HeartbeatWriter(
-        str(tmp_path / heartbeat_filename(0)), clock=clock
-    ).flush(_registry(n=6))
+    snap = _registry(n=6).snapshot()
+    meter.ship(snap, registry)
     assert meter.current_done(registry) == 6
-    # Heartbeat vanishes (task completed, file deleted) before the
-    # registry absorbs: done must not walk backwards.
-    os.unlink(tmp_path / heartbeat_filename(0))
+    meter.absorbed(snap)
     assert meter.current_done(registry) == 6
-    registry.add("n", 6)  # parent absorbs the worker snapshot
+    registry.add("n", 6)  # the registry merges the shipped snapshot
     assert meter.current_done(registry) == 6
 
 
-def test_meter_finish_uses_registry_only(tmp_path):
-    clock = FakeClock()
+def test_meter_finish_uses_registry_only():
+    # A finished task's shipped counters count from the moment its
+    # future completes until absorb merges the same snapshot into the
+    # registry -- never both -- and finish() reads the registry alone.
     stream = io.StringIO()
-    meter = ProgressMeter(
-        8, label="s", counters=("n",), stream=stream, interval=0.0,
-        heartbeat_dir=str(tmp_path), clock=clock,
-    )
-    # Stale heartbeat from an already-absorbed task must not double the
-    # final count: finish() reads the registry alone.
-    HeartbeatWriter(
-        str(tmp_path / heartbeat_filename(0)), clock=clock
-    ).flush(_registry(n=8))
-    registry = _registry(n=8)
-    done = meter.finish(registry)
-    assert done == 8
-    final = stream.getvalue().strip().splitlines()[-1]
-    assert "100.0%" in final and "(8/8)" in final and "done" in final
+    shipped = [_registry(n=3).snapshot(), _registry(n=5).snapshot()]
+    with obs.progress_scope(
+        8, label="s", counters=("n",), stream=stream, interval=0.0
+    ) as scope:
+        for snap in shipped:
+            obs.progress_shipped(snap)
+        for snap in shipped:
+            obs.absorb(snapshot=snap)
+            obs.add("other")  # tick between absorbs: no double count
+    assert scope.done == 8
+    lines = stream.getvalue().splitlines()
+    counts = [int(re.search(r"\((\d+)/8\)", line).group(1)) for line in lines]
+    assert counts == [3, 8, 8, 8, 8]
+    assert "100.0%" in lines[-1] and "done" in lines[-1]
 
 
 def test_meter_baseline_excludes_preexisting_counts():
@@ -167,39 +117,31 @@ def test_progress_scope_installs_ticker_and_counts_adds():
         5, label="sweep", counters=("n",), stream=stream, interval=0.0
     ) as scope:
         assert obs.progress_enabled()
-        assert obs.progress_active() is scope
-        assert obs.progress_poll_interval() == 0.0
-        hb = obs.progress_heartbeat_path(3)
-        assert hb is not None and hb.endswith(heartbeat_filename(3))
+        assert _STATE.ticker is scope.meter
         for _ in range(5):
             obs.add("n")
-        obs.progress_poll()
     assert scope.done == 5
     assert not obs.progress_enabled()
-    assert obs.progress_heartbeat_path(0) is None
     assert "100.0%" in stream.getvalue()
-    # The heartbeat dir is cleaned up on exit.
-    assert scope.heartbeat_dir is None
 
 
 def test_progress_scope_disabled_is_inert():
     with obs.progress_scope(5, enabled=False) as scope:
         assert not obs.progress_enabled()
-        assert scope.heartbeat_path(0) is None
         obs.add("n", 5)
     assert scope.done == 0
 
 
-def test_worker_capture_overrides_parent_meter(tmp_path):
-    hb = str(tmp_path / heartbeat_filename(0))
+def test_worker_capture_overrides_parent_meter():
     stream = io.StringIO()
     with obs.progress_scope(4, counters=("n",), stream=stream, interval=0.0):
-        # A same-process "worker" (in-process executor) must tick its
-        # heartbeat, not the parent's meter.
-        with obs.worker_capture(heartbeat=hb) as cap:
-            assert not obs.progress_active()
+        # A same-process "worker" (in-process executor) must not tick
+        # the parent's meter: its counters reach the parent on the
+        # shipped snapshot only.
+        with obs.worker_capture() as cap:
+            assert _STATE.ticker is None
             obs.add("n", 2)
-        assert json.load(open(hb))["counters"] == {"n": 2}
+        assert stream.getvalue() == ""
         assert cap.snapshot.counter("n") == 2
         obs.absorb(snapshot=cap.snapshot)
     # finish() sees the absorbed counters in the parent registry.

@@ -1,19 +1,8 @@
-"""Progress hardening: instant finishes, dead-worker heartbeat reaping."""
+"""Progress hardening: instant finishes and the zero-elapsed ETA guard."""
 
 import io
-import json
-import os
-import subprocess
-import sys
 
-from repro.obs import (
-    HeartbeatWriter,
-    MetricsRegistry,
-    ProgressMeter,
-    read_heartbeats,
-    read_heartbeats_full,
-)
-from repro.obs.progress import heartbeat_filename
+from repro.obs import MetricsRegistry, ProgressMeter
 
 
 class FakeClock:
@@ -69,80 +58,3 @@ def test_positive_elapsed_still_produces_real_eta():
     clock.t = 2.0
     meter.tick(_registry(n=50))
     assert "eta 2s" in stream.getvalue()
-
-
-def test_meter_line_appends_worker_rss(tmp_path):
-    clock = FakeClock()
-    meter = ProgressMeter(
-        10,
-        counters=("n",),
-        stream=io.StringIO(),
-        interval=0.0,
-        heartbeat_dir=str(tmp_path),
-        clock=clock,
-    )
-    payload = {
-        "pid": os.getpid(),
-        "counters": {"n": 3},
-        "resources": {"rss_bytes": 64 * 1024 * 1024},
-    }
-    (tmp_path / heartbeat_filename(0)).write_text(json.dumps(payload))
-    assert meter.current_done(MetricsRegistry()) == 3
-    assert "rss 64MB" in meter._line(3, final=False)
-
-
-# -- satellite: dead-pid heartbeat reaping -----------------------------
-def _write_heartbeat(path, pid, n=5):
-    path.write_text(
-        json.dumps({"pid": pid, "counters": {"n": n}})
-    )
-
-
-def test_killed_worker_heartbeat_is_reaped(tmp_path):
-    # A real child that has already exited: its pid is reliably dead.
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    dead = tmp_path / heartbeat_filename(0)
-    _write_heartbeat(dead, proc.pid, n=7)
-    live = tmp_path / heartbeat_filename(1)
-    _write_heartbeat(live, os.getpid(), n=2)
-
-    totals = read_heartbeats(str(tmp_path))
-    # The dead worker's stale count is dropped and its file unlinked.
-    assert totals == {"n": 2}
-    assert not dead.exists()
-    assert live.exists()
-
-
-def test_heartbeat_without_pid_is_counted_never_reaped(tmp_path):
-    path = tmp_path / heartbeat_filename(0)
-    path.write_text(json.dumps({"counters": {"n": 4}}))
-    assert read_heartbeats(str(tmp_path)) == {"n": 4}
-    assert path.exists()
-
-
-def test_read_heartbeats_full_returns_live_resources(tmp_path):
-    writer = HeartbeatWriter(
-        str(tmp_path / heartbeat_filename(0)), clock=FakeClock()
-    )
-    writer.resource_fn = lambda: {"rss_bytes": 123, "cpu_utime_s": 0.5}
-    writer.flush(_registry(n=1))
-    totals, resources = read_heartbeats_full(str(tmp_path))
-    assert totals == {"n": 1}
-    assert resources[os.getpid()]["rss_bytes"] == 123
-
-
-def test_progress_meter_drops_dead_worker_from_done(tmp_path):
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    _write_heartbeat(tmp_path / heartbeat_filename(0), proc.pid, n=9)
-    meter = ProgressMeter(
-        10,
-        counters=("n",),
-        stream=io.StringIO(),
-        interval=0.0,
-        heartbeat_dir=str(tmp_path),
-        clock=FakeClock(),
-    )
-    # The crashed worker's 9 never enters the done count.
-    assert meter.current_done(MetricsRegistry()) == 0

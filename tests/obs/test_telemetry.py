@@ -6,12 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs import ResourceSample, TelemetrySampler, sample_now
-from repro.obs.telemetry import (
-    MALLOC_ENV,
-    _read_proc_self,
-    malloc_tracking_enabled,
-    read_resources,
-)
+from repro.obs.telemetry import _read_proc_self, read_resources
 
 
 class FakeClock:
@@ -61,32 +56,6 @@ def test_sample_now_tags_path_and_pid():
     assert rec.pid == os.getpid()
     assert rec.rss_bytes > 0
     assert rec.cpu_s == rec.cpu_utime_s + rec.cpu_stime_s
-    assert rec.malloc_peak_bytes is None
-
-
-def test_malloc_flag_parses_env(monkeypatch):
-    monkeypatch.delenv(MALLOC_ENV, raising=False)
-    assert not malloc_tracking_enabled()
-    monkeypatch.setenv(MALLOC_ENV, "0")
-    assert not malloc_tracking_enabled()
-    monkeypatch.setenv(MALLOC_ENV, "1")
-    assert malloc_tracking_enabled()
-
-
-def test_malloc_sampler_records_tracemalloc_peak():
-    import tracemalloc
-
-    sampler = TelemetrySampler(malloc=True, clock=FakeClock())
-    try:
-        assert tracemalloc.is_tracing()
-        blob = [0] * 50_000
-        rec = sampler.sample("alloc")
-        assert rec.malloc_peak_bytes is not None
-        assert rec.malloc_peak_bytes > 0
-        del blob
-    finally:
-        sampler.stop()
-    assert not tracemalloc.is_tracing()
 
 
 # -- throttling --------------------------------------------------------
