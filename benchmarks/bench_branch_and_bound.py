@@ -25,6 +25,7 @@ counts independent of trained-model drift.
 import pytest
 
 from benchmarks.conftest import SMOKE
+from repro.exec import ExecConfig
 from repro.orchestrate import run_range_sharded_search
 from repro.platform import noiseless, perlmutter_like
 from repro.schedule.space import DesignSpace
@@ -137,7 +138,7 @@ def test_bench_range_sharded_search(benchmark, halo_serial):
             machine=machine,
             n_shards=4,
             measurement=MEASUREMENT,
-            shard_workers=0 if SMOKE else 2,
+            execution=ExecConfig(shard_workers=0 if SMOKE else 2),
         )
 
     sharded = benchmark.pedantic(run, rounds=2, iterations=1)

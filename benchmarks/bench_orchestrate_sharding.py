@@ -6,14 +6,15 @@ Measures what the orchestrate layer buys over the serial sweep:
   processes (the PR's headline speedup path);
 * the per-workload exhaustive rule pipelines (the transfer-matrix front
   half) serial vs. sharded;
-* streaming enumeration (``DesignSpace.iter_blocks``) vs. materializing
-  the whole space into a list — the constant-residency path exhaustive
-  pipelines now ride on.
+* block enumeration (``DesignSpace.iter_blocks``, the path exhaustive
+  sweeps and range shards enumerate through, one block resident at a
+  time) vs. materializing the whole space into a list.
 
 Shard counts are intentionally small (2) so the nightly CI runner's two
 cores show the overlap without oversubscription noise.
 """
 
+from repro.exec import ExecConfig
 from repro.schedule.space import DesignSpace
 from repro.sim.measure import MeasurementConfig
 from repro.workloads import (
@@ -48,7 +49,7 @@ def test_bench_smoke_suite_two_shards(benchmark):
     suite = get_suite("smoke")
 
     def run():
-        return SuiteRunner(suite, shard_workers=2).run()
+        return SuiteRunner(suite, execution=ExecConfig(shard_workers=2)).run()
 
     report = benchmark.pedantic(run, rounds=2, iterations=1)
     assert report.timing["shard_workers"] == 2
@@ -66,7 +67,9 @@ def test_bench_rules_pipelines_serial(benchmark):
 def test_bench_rules_pipelines_two_shards(benchmark):
     def run():
         return rules_for_specs(
-            RULES_SPECS, measurement=MEASUREMENT, shard_workers=2
+            RULES_SPECS,
+            measurement=MEASUREMENT,
+            execution=ExecConfig(shard_workers=2),
         )
 
     per_workload = benchmark.pedantic(run, rounds=2, iterations=1)

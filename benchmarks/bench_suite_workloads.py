@@ -7,6 +7,7 @@ the batched evaluation substrate serially vs. with a worker pool.
 
 import pytest
 
+from repro.exec import ExecConfig
 from repro.workloads import WorkloadSpec, build_workload
 from repro.workloads.suite import SuiteRunner, get_suite
 
@@ -38,7 +39,7 @@ def test_bench_smoke_suite_two_workers(benchmark):
     suite = get_suite("smoke")
 
     def run():
-        return SuiteRunner(suite, workers=2).run()
+        return SuiteRunner(suite, execution=ExecConfig(workers=2)).run()
 
     report = benchmark.pedantic(run, rounds=2, iterations=1)
     assert len(report.cells) == len(suite.specs) * len(suite.strategies)

@@ -36,7 +36,6 @@ from repro.core import (
     DesignRulePipeline,
     PipelineConfig,
     PipelineResult,
-    StreamingPipelineResult,
 )
 from repro.dag import (
     Action,
@@ -151,7 +150,6 @@ __all__ = [
     "SignatureMatcher",
     "SimResult",
     "SpmvCase",
-    "StreamingPipelineResult",
     "Suite",
     "SuiteReport",
     "SuiteRunner",

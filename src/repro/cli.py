@@ -23,14 +23,25 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.platform.presets import describe
 
 
+def _execution(args):
+    """The run's :class:`~repro.exec.ExecConfig`, from ``--workers`` and
+    ``--cache`` plus, on commands that have them, ``--shard-workers`` and
+    ``--block-size``."""
+    from repro.exec import ExecConfig
+
+    return ExecConfig(
+        workers=args.workers,
+        cache_path=args.cache,
+        shard_workers=getattr(args, "shard_workers", 0),
+        block_size=getattr(args, "block_size", None),
+    )
+
+
 def _wb(args):
     from repro.experiments import default_workbench
 
     return default_workbench(
-        scale=args.scale,
-        noise_sigma=args.noise,
-        workers=args.workers,
-        cache_path=args.cache,
+        scale=args.scale, noise_sigma=args.noise, execution=_execution(args)
     )
 
 
@@ -179,11 +190,8 @@ def _cmd_suite(args) -> str:
     report = run_suite(
         args.name,
         machine=perlmutter_like(noise_sigma=args.noise),
-        workers=args.workers,
-        cache_path=args.cache,
         seed=args.seed,
-        shard_workers=args.shard_workers,
-        block_size=args.block_size,
+        execution=_execution(args),
         store_path=args.store,
         progress=args.progress,
     )
@@ -221,10 +229,7 @@ def _cmd_transfer(args) -> str:
         machine=perlmutter_like(noise_sigma=args.noise),
         n_streams=suite.n_streams,
         measurement=measurement,
-        workers=args.workers,
-        cache_path=args.cache,
-        shard_workers=args.shard_workers,
-        block_size=args.block_size,
+        execution=_execution(args),
     )
     out = result.report()
     json_path = args.json or "repro-transfer.json"
@@ -293,10 +298,7 @@ def _train_store(args, store, machine) -> list:
         machine=machine,
         n_streams=suite.n_streams,
         measurement=measurement,
-        workers=args.workers,
-        cache_path=args.cache,
-        shard_workers=args.shard_workers,
-        block_size=args.block_size,
+        execution=_execution(args),
     )
     with obs.stage("publish"):
         return publish_artifacts(
@@ -420,12 +422,10 @@ def _cmd_search(args) -> str:
 
     from repro.advisor import ArtifactStore, ScheduleGuide
     from repro.exec import build_evaluator
+    from repro.orchestrate import make_strategy, run_range_sharded_search
     from repro.platform.presets import perlmutter_like
     from repro.schedule.space import DesignSpace
-    from repro.search.beam import BeamSearch
     from repro.search.exhaustive import ExhaustiveSearch
-    from repro.search.mcts import MctsConfig, MctsSearch
-    from repro.search.random_search import RandomSearch
     from repro.sim.measure import MeasurementConfig
     from repro.workloads import build_workload
 
@@ -436,17 +436,21 @@ def _cmd_search(args) -> str:
             "--progress requires --strategy exhaustive (the meter's "
             "denominator is the enumerated space)"
         )
+    if args.shard_workers > 1 and args.range_shards <= 1:
+        raise SystemExit(
+            "--shard-workers requires --range-shards (only range shards "
+            "run in worker processes)"
+        )
     spec = _target_spec(args)
     machine = perlmutter_like(noise_sigma=args.noise)
     program = build_workload(spec)
     space = DesignSpace(program, n_streams=args.streams)
+    execution = _execution(args)
     guide = None
     lines = []
     if args.range_shards > 1:
         # Range-sharded exhaustive: split the enumeration order into
         # seek-delimited slices and merge — bit-identical to serial.
-        from repro.orchestrate import run_range_sharded_search
-
         if args.strategy != "exhaustive":
             raise SystemExit("--range-shards requires --strategy exhaustive")
         t0 = time.perf_counter()
@@ -456,11 +460,8 @@ def _cmd_search(args) -> str:
             n_streams=args.streams,
             n_shards=args.range_shards,
             measurement=MeasurementConfig(),
-            workers=args.workers,
-            cache_path=args.cache,
-            block_size=args.block_size,
+            execution=execution,
             store_path=args.store if args.guided else None,
-            shard_workers=args.shard_workers,
             progress=args.progress,
         )
         result = sharded.result
@@ -477,34 +478,26 @@ def _cmd_search(args) -> str:
                 machine=machine.name,
             )
             lines.append(guide.describe())
-        from repro.exec import MeasurementCache
-
         evaluator = build_evaluator(
             program,
             machine.with_ranks(program.n_ranks),
             MeasurementConfig(),
-            workers=args.workers,
-            cache=MeasurementCache(args.cache) if args.cache else None,
+            workers=execution.workers,
+            cache_path=execution.cache_path,
         )
         try:
             if args.strategy == "exhaustive":
-                strategy = ExhaustiveSearch(space, evaluator, guide=guide)
+                strategy = ExhaustiveSearch(
+                    space,
+                    evaluator,
+                    batch_size=execution.block_size or 64,
+                    guide=guide,
+                )
                 budget = args.iterations  # None = exhaust
             else:
-                if args.strategy == "random":
-                    strategy = RandomSearch(
-                        space, evaluator, seed=args.seed, guide=guide
-                    )
-                elif args.strategy == "beam":
-                    strategy = BeamSearch(
-                        space, evaluator, seed=args.seed, guide=guide
-                    )
-                elif args.strategy == "mcts":
-                    strategy = MctsSearch(
-                        space, evaluator, MctsConfig(seed=args.seed), guide=guide
-                    )
-                else:
-                    raise SystemExit(f"unknown strategy {args.strategy!r}")
+                strategy = make_strategy(
+                    args.strategy, space, evaluator, args.seed, guide=guide
+                )
                 budget = args.iterations or 64
             t0 = time.perf_counter()
             from repro import obs
@@ -755,9 +748,10 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help=(
-            "processes sharding whole workloads across the run "
-            "(0/1 = in-process; composes with --workers, which "
-            "parallelizes within each workload)"
+            "processes sharding whole workloads across the run, or "
+            "repro search's --range-shards ranges (0/1 = in-process; "
+            "composes with --workers, which parallelizes within each "
+            "workload)"
         ),
     )
     parser.add_argument(
@@ -767,10 +761,10 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="B",
         help=(
-            "schedules per enumeration/evaluation block in the exhaustive "
-            "rule pipelines (these runs keep labeled schedules for transfer "
-            "scoring; fully bounded residency is the "
-            "DesignRulePipeline.run_streaming API)"
+            "schedules per enumeration/evaluation block of every exhaustive "
+            "sweep the command runs (default 64; the rule pipelines keep "
+            "every labeled schedule for transfer scoring, so this bounds "
+            "evaluation batches, not memory)"
         ),
     )
 

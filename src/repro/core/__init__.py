@@ -8,12 +8,10 @@ from repro.core.pipeline import (
     DesignRulePipeline,
     PipelineConfig,
     PipelineResult,
-    StreamingPipelineResult,
 )
 
 __all__ = [
     "DesignRulePipeline",
     "PipelineConfig",
     "PipelineResult",
-    "StreamingPipelineResult",
 ]

@@ -18,6 +18,14 @@ pieces compose:
   sample offset) × schedule, so repeated runs never re-simulate a known
   implementation.
 
+:func:`build_evaluator` is the one place that opens a cache: given a
+``cache_path`` it opens the file, hands the connection to the evaluator
+it returns, and that evaluator's ``close()`` closes it.  A run's
+execution settings (evaluation ``workers``, ``cache_path``, plan
+``shard_workers`` and exhaustive ``block_size``) travel together as one
+:class:`ExecConfig`; ``MeasurementConfig`` stays separate because it
+does change results.
+
 Determinism guarantees
 ----------------------
 1. **Per-schedule seeding.**  A measurement is a pure function of the
@@ -41,11 +49,13 @@ Determinism guarantees
 """
 
 from repro.exec.cache import MeasurementCache, context_fingerprint, program_fingerprint
+from repro.exec.config import ExecConfig
 from repro.exec.evaluator import Evaluator, SerialEvaluator, as_evaluator
 from repro.exec.parallel import ParallelEvaluator, build_evaluator
 
 __all__ = [
     "Evaluator",
+    "ExecConfig",
     "MeasurementCache",
     "ParallelEvaluator",
     "SerialEvaluator",

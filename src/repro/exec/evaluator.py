@@ -12,7 +12,7 @@ cluster later) — all backends must return bit-identical measurements.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.exec.cache import MeasurementCache, context_fingerprint
@@ -50,29 +50,6 @@ class Evaluator(abc.ABC):
     def times_of(self, schedules: Sequence[Schedule]) -> List[float]:
         return [m.time for m in self.evaluate_batch(schedules)]
 
-    def evaluate_blocks(
-        self, blocks: Iterable[Sequence[Schedule]]
-    ) -> Iterator[List[Measurement]]:
-        """Measure a *stream* of schedule blocks, one result list per block.
-
-        The lazy generator form of :meth:`evaluate_batch`: only the block
-        currently being measured is resident, so an exhaustive pipeline
-        can walk a six-figure design space (via
-        :meth:`repro.schedule.space.DesignSpace.iter_blocks`) holding
-        ``block_size`` schedules at a time.  Backends inherit this
-        loop — a :class:`~repro.exec.parallel.ParallelEvaluator` fans
-        each block across its worker pool — and the per-schedule purity
-        contract makes the measurements independent of the block split.
-
-        Interface contract: implementations must consume ``blocks``
-        lazily, at most one block ahead of the results they yield —
-        callers (the streaming pipeline) rely on that to bound schedule
-        residency.  An override that prefetches the stream breaks the
-        bound.
-        """
-        for block in blocks:
-            yield self.evaluate_batch(block)
-
     def close(self) -> None:
         """Release any resources (worker pools, cache connections)."""
 
@@ -93,7 +70,7 @@ class SerialEvaluator(Evaluator):
     An optional :class:`MeasurementCache` is consulted before the
     benchmarker and updated with fresh results; the benchmarker's
     in-memory memo and the disk cache share the same schedule
-    fingerprints.
+    fingerprints.  The evaluator owns that cache: :meth:`close` closes it.
     """
 
     def __init__(
@@ -149,6 +126,10 @@ class SerialEvaluator(Evaluator):
             obs.add("eval.schedules", len(schedules))
             obs.add("eval.simulations", bench.n_simulations - sims_before)
         return results
+
+    def close(self) -> None:
+        if self.cache is not None:
+            self.cache.close()
 
     # ------------------------------------------------------------------
     def _preload_from_cache(self, schedules: Sequence[Schedule]) -> None:

@@ -118,7 +118,7 @@ def build_evaluator(
     config: MeasurementConfig = MeasurementConfig(),
     *,
     workers: int = 0,
-    cache: Optional[MeasurementCache] = None,
+    cache_path: Optional[str] = None,
     benchmarker: Optional[Benchmarker] = None,
     sample_offset: int = 0,
 ) -> Evaluator:
@@ -126,11 +126,13 @@ def build_evaluator(
 
     ``workers > 1`` yields a :class:`ParallelEvaluator`; anything else a
     :class:`~repro.exec.evaluator.SerialEvaluator` wrapping
-    ``benchmarker`` (or a fresh one).  Call sites that offer a
-    workers/cache knob (pipeline, workbench) share this logic so the
-    two backends cannot drift.  Both pick their simulation engine with
+    ``benchmarker`` (or a fresh one).  This is the only code that opens a
+    :class:`MeasurementCache`: with ``cache_path`` set, the returned
+    evaluator holds the connection and its ``close()`` closes it.  Both
+    backends pick their simulation engine with
     :func:`~repro.sim.batch.select_engine`.
     """
+    cache = MeasurementCache(cache_path) if cache_path is not None else None
     if workers > 1:
         return ParallelEvaluator(
             program,
@@ -163,7 +165,7 @@ class ParallelEvaluator(Evaluator):
         Pool size; defaults to ``os.cpu_count()``.
     cache:
         Optional persistent :class:`MeasurementCache` consulted before
-        dispatch and updated with fresh results.
+        dispatch and updated with fresh results; :meth:`close` closes it.
     sample_offset:
         Forwarded to each worker's benchmarker.
     start_method:
@@ -331,6 +333,8 @@ class ParallelEvaluator(Evaluator):
             self._probe_worker_resources()
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        if self.cache is not None:
+            self.cache.close()
 
     def __enter__(self) -> "ParallelEvaluator":
         return self

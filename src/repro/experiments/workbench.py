@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.apps.spmv import SpmvCase, SpmvInstance, build_spmv_program
 from repro.core.pipeline import DesignRulePipeline, PipelineConfig, PipelineResult
-from repro.exec import Evaluator, MeasurementCache, build_evaluator
+from repro.exec import Evaluator, ExecConfig, build_evaluator
 from repro.ml.labeling import LabelingConfig
 from repro.platform.machine import MachineConfig
 from repro.platform.presets import perlmutter_like
@@ -38,15 +38,13 @@ class SpmvWorkbench:
     )
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
     n_streams: int = 2
-    #: Worker processes for schedule evaluation (<= 1: serial).
-    workers: int = 0
-    #: Optional persistent measurement cache shared by all pipelines.
-    cache_path: Optional[str] = None
+    #: Evaluation workers and measurement cache of the shared evaluator
+    #: (the bench runs no plan, and its sweeps keep their default block).
+    execution: ExecConfig = ExecConfig()
     _instance: Optional[SpmvInstance] = None
     _space: Optional[DesignSpace] = None
     _benchmarker: Optional[Benchmarker] = None
     _evaluator: Optional[Evaluator] = None
-    _cache: Optional[MeasurementCache] = None
     _full: Optional[SearchResult] = None
     _full_pipeline: Optional[PipelineResult] = None
 
@@ -76,16 +74,14 @@ class SpmvWorkbench:
     def evaluator(self) -> Evaluator:
         """The shared evaluation backend: every experiment on this bench
         (exhaustive sweep, searches, pipelines) measures through one
-        memo/pool, honoring ``workers`` and ``cache_path``."""
+        memo/pool, with ``execution``'s workers and cache."""
         if self._evaluator is None:
-            if self.cache_path is not None and self._cache is None:
-                self._cache = MeasurementCache(self.cache_path)
             self._evaluator = build_evaluator(
                 self.instance.program,
                 self.machine,
                 self.measurement,
-                workers=self.workers,
-                cache=self._cache,
+                workers=self.execution.workers,
+                cache_path=self.execution.cache_path,
                 benchmarker=self.benchmarker,
             )
         return self._evaluator
@@ -95,9 +91,6 @@ class SpmvWorkbench:
         if self._evaluator is not None:
             self._evaluator.close()
             self._evaluator = None
-        if self._cache is not None:
-            self._cache.close()
-            self._cache = None
 
     # ------------------------------------------------------------------
     def full_search(self) -> SearchResult:
@@ -123,13 +116,11 @@ class SpmvWorkbench:
                 measurement=self.measurement,
                 labeling=self.labeling,
                 seed=seed,
-                workers=self.workers,
-                cache_path=self.cache_path,
             ),
+            evaluator=self.evaluator,
         )
         # Share the benchmark cache across all experiments on this bench.
         pipe.benchmarker = self.benchmarker
-        pipe.evaluator = self.evaluator
         return pipe
 
     def mcts(self, seed: int = 0) -> MctsSearch:
@@ -152,19 +143,17 @@ class SpmvWorkbench:
 def default_workbench(
     scale: float = 1.0,
     noise_sigma: float = 0.01,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
+    execution: ExecConfig = ExecConfig(),
 ) -> SpmvWorkbench:
     """The paper's SpMV on the perlmutter-like platform (memoized).
 
     ``scale < 1`` shrinks the matrix proportionally for fast tests;
-    ``workers``/``cache_path`` configure the evaluation substrate of every
-    pipeline the workbench builds (see :mod:`repro.exec`).
+    ``execution`` configures the evaluation substrate of every pipeline
+    the workbench builds (see :mod:`repro.exec`).
     """
     case = SpmvCase() if scale >= 1.0 else SpmvCase().scaled(scale)
     return SpmvWorkbench(
         case=case,
         machine=perlmutter_like(noise_sigma=noise_sigma),
-        workers=workers,
-        cache_path=cache_path,
+        execution=execution,
     )

@@ -11,7 +11,6 @@ from repro.ml.features import (
     FeatureMatrix,
     OrderFeature,
     StreamFeature,
-    StreamingFeatureFit,
 )
 from repro.ml.hyperparam import HyperparamTrace, search_tree_size
 from repro.ml.labeling import (
@@ -34,7 +33,6 @@ __all__ = [
     "LabelingConfig",
     "OrderFeature",
     "StreamFeature",
-    "StreamingFeatureFit",
     "TreeConfig",
     "TreeNode",
     "find_peaks",

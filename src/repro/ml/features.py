@@ -172,112 +172,6 @@ class FeatureExtractor:
         return mat
 
 
-class StreamingFeatureFit:
-    """Incremental :class:`FeatureExtractor` fit over schedule blocks.
-
-    ``fit_transform`` needs every schedule at once — twice over (once to
-    intersect the op vocabulary, once for the matrix) — which defeats
-    streaming enumeration.  This accumulator takes the common-op
-    vocabulary up front (for an exhaustive walk it is exactly
-    :meth:`repro.schedule.space.DesignSpace.all_op_names`: program ops
-    plus the always-inserted CER/CES sync ops), consumes blocks one at a
-    time, and keeps only the *varying* candidate columns — never the
-    schedules, and never the constant columns that dominate the candidate
-    matrix (most pairwise candidates are dependency-forced).
-
-    Column compaction is incremental: a candidate column is stored only
-    from the first block where it deviates from the reference (first)
-    row; earlier blocks' values for it are, by definition of "constant so
-    far", exactly the reference value, so ``finish`` backfills them and
-    the result stays bit-identical to
-    ``FeatureExtractor().fit_transform(all_schedules)`` whenever
-    ``common_ops`` matches the schedules' true common-op set.  Peak
-    memory is one full-width *block* (not space) plus the varying
-    columns of everything seen — the difference between labeling a
-    10^7-schedule space and not.
-    """
-
-    def __init__(self, common_ops: Sequence[str]) -> None:
-        self._common = frozenset(common_ops)
-        if not self._common:
-            raise TrainingError("cannot fit features on an empty vocabulary")
-        self._extractor = FeatureExtractor()
-        self._candidates: Optional[List[Feature]] = None
-        self._first_row: Optional[np.ndarray] = None
-        self._varying: List[int] = []  # ascending candidate indices
-        self._varying_set: set = set()
-        #: Per-block chunks: (candidate indices stored, their values).
-        self._chunks: List[Tuple[Tuple[int, ...], np.ndarray]] = []
-        self.n_schedules = 0
-
-    @property
-    def n_candidates(self) -> int:
-        """Pairwise candidate features before constant-column pruning."""
-        return len(self._candidates) if self._candidates is not None else 0
-
-    @property
-    def n_varying(self) -> int:
-        """Candidate columns seen to vary so far (= final feature count
-        once the stream is done)."""
-        return len(self._varying)
-
-    def add_block(self, schedules: Sequence[Schedule]) -> None:
-        """Featurize one block of schedules against the candidate set.
-
-        The first block's first schedule fixes the op order (its launch
-        sequence, restricted to the common vocabulary) exactly as
-        :meth:`FeatureExtractor.fit` does with the first schedule of a
-        fully materialized set.
-        """
-        if not schedules:
-            return
-        if self._candidates is None:
-            self._candidates = self._fix_vocabulary(schedules[0])
-        block = self._extractor._raw_matrix(schedules, self._candidates)
-        if self._first_row is None:
-            self._first_row = block[0].copy()
-        if len(self._varying) < len(self._candidates):
-            deviates = np.nonzero(np.any(block != self._first_row, axis=0))[0]
-            new = [int(j) for j in deviates if j not in self._varying_set]
-            if new:
-                self._varying_set.update(new)
-                self._varying = sorted(self._varying_set)
-        cols = tuple(self._varying)
-        self._chunks.append((cols, block[:, list(cols)]))
-        self.n_schedules += len(schedules)
-
-    def finish(self) -> Tuple[FeatureExtractor, FeatureMatrix]:
-        """Drop constant columns and seal the extractor."""
-        if self._candidates is None or not self.n_schedules:
-            raise TrainingError("cannot fit features on zero schedules")
-        keep = self._varying
-        self._extractor.features = [self._candidates[j] for j in keep]
-        self._extractor._fitted = True
-        full = np.empty((self.n_schedules, len(keep)), dtype=np.uint8)
-        col_pos = {j: p for p, j in enumerate(keep)}
-        row = 0
-        for cols, mat in self._chunks:
-            n = mat.shape[0]
-            # Columns this chunk predates were still constant then: their
-            # values are the reference row's, backfilled by broadcast.
-            full[row : row + n] = self._first_row[keep]
-            for local, j in enumerate(cols):
-                full[row : row + n, col_pos[j]] = mat[:, local]
-            row += n
-        return self._extractor, FeatureMatrix(
-            matrix=full, features=list(self._extractor.features)
-        )
-
-    # ------------------------------------------------------------------
-    def _fix_vocabulary(self, template: Schedule) -> List[Feature]:
-        missing = self._common - set(template.op_names())
-        if missing:
-            raise TrainingError(
-                f"template schedule lacks common ops: {sorted(missing)}"
-            )
-        return self._extractor._set_vocabulary(template, self._common)
-
-
 #: Schedule op name -> canonical key; ``None``/absent ops do not
 #: participate in mapped features.
 KeyMapping = Mapping[str, Optional[str]]

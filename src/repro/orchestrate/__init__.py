@@ -2,7 +2,7 @@
 
 PR 1 parallelized *within* a (workload × strategy) cell; this subsystem
 parallelizes *across* cells.  A suite or transfer run is compiled into an
-:class:`ExecutionPlan` — a DAG of :class:`WorkloadTask` units, each one
+:class:`ExecutionPlan` — independent :class:`WorkloadTask` units, each one
 whole workload's pipeline (build → search/enumerate → label →
 extract-rules) — and :func:`execute_plan` runs the tasks in-process or
 across a ``ProcessPoolExecutor`` of whole-workload shards.
@@ -20,10 +20,11 @@ Guarantees:
   SQLite WAL + busy-timeout make concurrent writers safe.
 
 :class:`~repro.workloads.suite.SuiteRunner`,
-:func:`~repro.workloads.generalization.rules_for_specs`, and
-:func:`~repro.transfer.matrix.run_transfer_matrix` are all built on
-plans; the CLI exposes the knobs as ``repro suite/transfer
---shard-workers N --block-size B``.
+:func:`~repro.workloads.generalization.rules_for_specs`,
+:func:`~repro.transfer.matrix.run_transfer_matrix` and
+:func:`run_range_sharded_search` are all built on plans and take one
+:class:`~repro.exec.ExecConfig`; the CLI builds it from ``--workers``,
+``--cache``, ``--shard-workers`` and ``--block-size``.
 """
 
 from repro.orchestrate.plan import (

@@ -9,7 +9,7 @@ determinism contract), so tasks can run in any order, in any process,
 and the collected results — ordered by ``task.index`` — are bit-identical
 to a serial sweep.
 
-Two task kinds exist today:
+Three task kinds exist today:
 
 * ``suite-cells`` — run every search strategy of a suite against one
   workload (all strategies share one evaluator memo, exactly as the
@@ -18,11 +18,19 @@ Two task kinds exist today:
 * ``workload-rules`` — run the exhaustive design-rule pipeline on one
   workload and reduce it to
   :class:`~repro.workloads.generalization.WorkloadRules` (the shared
-  front half of the cross-workload tables and the transfer matrix).
+  front half of the cross-workload tables and the transfer matrix);
+* ``search-range`` — sweep one slice of a workload's enumeration order
+  (:mod:`repro.orchestrate.ranges`).
 
 Tasks are independent: plans are embarrassingly parallel, and the
 reduce steps (transfer matrix assembly, report building) run in the
 parent.
+
+The planners take a run's :class:`~repro.exec.ExecConfig` and copy the
+settings a task acts on (inner ``workers``, ``cache_path`` and, for the
+exhaustive pipelines, ``block_size``) into flat task fields;
+``shard_workers`` is the plan runner's business
+(:func:`~repro.orchestrate.runner.execute_plan`).
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
+from repro.exec import ExecConfig
 from repro.platform.machine import MachineConfig
 from repro.sim.measure import MeasurementConfig
 from repro.workloads.spec import WorkloadSpec
@@ -131,10 +140,8 @@ def plan_suite(
     suite: "Suite",
     *,
     machine: MachineConfig,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
     seed: int = 0,
-    block_size: Optional[int] = None,
+    execution: ExecConfig = ExecConfig(),
 ) -> ExecutionPlan:
     """Turn a suite run into an execution plan.
 
@@ -159,8 +166,8 @@ def plan_suite(
                 strategies=tuple(suite.strategies),
                 n_iterations=suite.n_iterations,
                 seed=seed,
-                workers=workers,
-                cache_path=cache_path,
+                workers=execution.workers,
+                cache_path=execution.cache_path,
             )
         )
     if suite.cross_workload_rules:
@@ -173,9 +180,9 @@ def plan_suite(
                     n_streams=suite.n_streams,
                     measurement=suite.measurement,
                     seed=seed,
-                    workers=workers,
-                    cache_path=cache_path,
-                    block_size=block_size,
+                    workers=execution.workers,
+                    cache_path=execution.cache_path,
+                    block_size=execution.block_size,
                 )
             )
     return ExecutionPlan(machine=machine, tasks=tuple(tasks))
@@ -187,9 +194,7 @@ def plan_rules(
     machine: MachineConfig,
     n_streams: int = 2,
     measurement: Optional[MeasurementConfig] = None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
-    block_size: Optional[int] = None,
+    execution: ExecConfig = ExecConfig(),
 ) -> ExecutionPlan:
     """Per-workload exhaustive rule pipelines as an execution plan (the
     front half of the cross-workload tables and the transfer matrix)."""
@@ -202,9 +207,9 @@ def plan_rules(
             measurement=(
                 measurement if measurement is not None else MeasurementConfig()
             ),
-            workers=workers,
-            cache_path=cache_path,
-            block_size=block_size,
+            workers=execution.workers,
+            cache_path=execution.cache_path,
+            block_size=execution.block_size,
         )
         for i, spec in enumerate(specs)
     )

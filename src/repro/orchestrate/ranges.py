@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import WorkloadError
+from repro.exec import ExecConfig
 from repro.orchestrate.plan import TASK_SEARCH_RANGE, ExecutionPlan, WorkloadTask
 from repro.orchestrate.runner import PlanRun, execute_plan
 from repro.platform.machine import MachineConfig
@@ -89,11 +90,8 @@ def run_range_sharded_search(
     n_streams: int = 2,
     n_shards: int = 2,
     measurement: Optional[MeasurementConfig] = None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
-    block_size: Optional[int] = None,
+    execution: ExecConfig = ExecConfig(),
     store_path: Optional[str] = None,
-    shard_workers: int = 0,
     start_method: Optional[str] = None,
     progress: bool = False,
 ) -> RangeShardedSearch:
@@ -104,6 +102,9 @@ def run_range_sharded_search(
     :class:`SearchResult` payloads in task order.  The merged result is
     bit-identical to ``ExhaustiveSearch(...).run()`` on the whole space
     (guided runs: identical kept samples; counters are shard sums).
+    ``execution`` sets the shard pool (``shard_workers``) and each shard's
+    evaluator and sweep block (``workers``, ``cache_path``,
+    ``block_size``); none of them changes the merged result.
 
     ``progress=True`` wraps execution in an :func:`obs.progress_scope`
     over the exact ``space.count()`` denominator: the stderr line tracks
@@ -122,7 +123,7 @@ def run_range_sharded_search(
         spec=spec.family,
         total=total,
         n_shards=len(ranges),
-        shard_workers=shard_workers,
+        shard_workers=execution.shard_workers,
     )
     measurement = (
         measurement if measurement is not None else MeasurementConfig()
@@ -134,9 +135,9 @@ def run_range_sharded_search(
             spec=spec,
             n_streams=n_streams,
             measurement=measurement,
-            workers=workers,
-            cache_path=cache_path,
-            block_size=block_size,
+            workers=execution.workers,
+            cache_path=execution.cache_path,
+            block_size=execution.block_size,
             range_start=r.start,
             range_limit=r.limit,
             store_path=store_path,
@@ -148,7 +149,9 @@ def run_range_sharded_search(
         total, label=f"search {spec.family}", enabled=progress
     ):
         run: PlanRun = execute_plan(
-            plan, shard_workers=shard_workers, start_method=start_method
+            plan,
+            shard_workers=execution.shard_workers,
+            start_method=start_method,
         )
     merged = SearchResult(strategy="exhaustive")
     for task_result in run.results:

@@ -8,12 +8,13 @@ a pure function of the task value, so the sharded run is bit-identical
 to the serial one (per-task wall-clock aside).  Results always come back
 ordered by ``task.index`` regardless of completion order.
 
-Sharding composes with PR 1's within-cell parallelism: ``task.workers``
-still controls each task's *inner* evaluator pool, so ``--shard-workers
-2 --workers 4`` is two concurrent workloads, each measuring schedules
-four at a time.  All shards may share one persistent
-:class:`~repro.exec.MeasurementCache` path; every process opens its own
-connection and SQLite's WAL mode serializes the writes.
+Sharding composes with within-cell parallelism: every task executor
+gets its evaluator the same way, from :func:`~repro.exec.build_evaluator`
+with the task's ``workers`` and ``cache_path``, so ``--shard-workers 2
+--workers 4`` is two concurrent workloads, each measuring schedules four
+at a time.  All shards may share one persistent measurement cache path;
+each task's evaluator opens its own connection and closes it when the
+task ends, and SQLite's WAL mode serializes the writes.
 
 Task payloads must pickle.  Programs may not (payload closures), so
 ``workload-rules`` payloads travel without their program and
@@ -39,8 +40,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.core.pipeline import DesignRulePipeline, PipelineConfig
+from repro.dag.program import Program
 from repro.errors import WorkloadError
-from repro.exec import MeasurementCache, build_evaluator
+from repro.exec import Evaluator, build_evaluator
 from repro.obs import MetricsSnapshot, ResourceSample, SpanRecord
 from repro.orchestrate.plan import (
     TASK_SEARCH_RANGE,
@@ -163,16 +166,31 @@ def submission_order(
 
 
 def make_strategy(
-    name: str, space: DesignSpace, evaluator, seed: int
+    name: str, space: DesignSpace, evaluator, seed: int, *, guide=None
 ) -> SearchStrategy:
-    """Suite strategy registry (random / mcts / beam)."""
+    """Sampling-strategy registry (random / mcts / beam), optionally
+    rule-guided (:class:`~repro.advisor.guided.ScheduleGuide`)."""
     if name == "random":
-        return RandomSearch(space, evaluator, seed=seed)
+        return RandomSearch(space, evaluator, seed=seed, guide=guide)
     if name == "mcts":
-        return MctsSearch(space, evaluator, MctsConfig(seed=seed))
+        return MctsSearch(space, evaluator, MctsConfig(seed=seed), guide=guide)
     if name == "beam":
-        return BeamSearch(space, evaluator, seed=seed)
+        return BeamSearch(space, evaluator, seed=seed, guide=guide)
     raise WorkloadError(f"unknown suite strategy {name!r}")
+
+
+def _task_evaluator(
+    machine: MachineConfig, task: WorkloadTask, program: Program
+) -> Evaluator:
+    """The one way a task gets its evaluator; the task closes it (and
+    with it the task's cache connection) when it ends."""
+    return build_evaluator(
+        program,
+        machine.with_ranks(program.n_ranks),
+        task.measurement,
+        workers=task.workers,
+        cache_path=task.cache_path,
+    )
 
 
 def _run_suite_cells(machine: MachineConfig, task: WorkloadTask) -> object:
@@ -187,73 +205,55 @@ def _run_suite_cells(machine: MachineConfig, task: WorkloadTask) -> object:
     with obs.stage("build"):
         program = build_workload(task.spec)
         space = DesignSpace(program, n_streams=task.n_streams)
-    cache = (
-        MeasurementCache(task.cache_path)
-        if task.cache_path is not None
-        else None
-    )
     cells = []
+    evaluator = _task_evaluator(machine, task, program)
     try:
-        evaluator = build_evaluator(
-            program,
-            machine.with_ranks(program.n_ranks),
-            task.measurement,
-            workers=task.workers,
-            cache=cache,
-        )
-        try:
-            for strat_name in task.strategies:
-                sims_before = evaluator.n_simulations
-                with obs.stage(f"search:{strat_name}") as st:
-                    strategy = make_strategy(
-                        strat_name, space, evaluator, task.seed
-                    )
-                    result = strategy.run(task.n_iterations)
-                cells.append(
-                    _cell_from_result(
-                        task.spec,
-                        strat_name,
-                        space,
-                        result,
-                        evaluator.n_simulations - sims_before,
-                        st.duration,
-                    )
+        for strat_name in task.strategies:
+            sims_before = evaluator.n_simulations
+            with obs.stage(f"search:{strat_name}") as st:
+                strategy = make_strategy(strat_name, space, evaluator, task.seed)
+                result = strategy.run(task.n_iterations)
+            cells.append(
+                _cell_from_result(
+                    task.spec,
+                    strat_name,
+                    space,
+                    result,
+                    evaluator.n_simulations - sims_before,
+                    st.duration,
                 )
-        finally:
-            evaluator.close()
+            )
     finally:
-        if cache is not None:
-            cache.close()
+        evaluator.close()
     return cells
 
 
 def _run_workload_rules(machine: MachineConfig, task: WorkloadTask) -> object:
     """One workload's exhaustive design-rule pipeline, reduced to a
     (program-free, picklable) :class:`WorkloadRules` payload."""
-    from repro.workloads.generalization import (
-        pipeline_for_spec,
-        reduce_workload_rules,
-    )
+    from repro.workloads.generalization import reduce_workload_rules
 
     with obs.stage("build"):
         program = build_workload(task.spec)
-    pipe = pipeline_for_spec(
-        task.spec,
-        machine,
-        n_streams=task.n_streams,
-        measurement=task.measurement,
-        workers=task.workers,
-        cache_path=task.cache_path,
-        program=program,
-        block_size=task.block_size,
-    )
+    evaluator = _task_evaluator(machine, task, program)
     try:
+        pipe = DesignRulePipeline(
+            program,
+            machine.with_ranks(program.n_ranks),
+            PipelineConfig(
+                n_streams=task.n_streams,
+                strategy="exhaustive",
+                measurement=task.measurement,
+                block_size=task.block_size,
+            ),
+            evaluator=evaluator,
+        )
         with obs.stage("enumerate"):
             search = pipe.explore()
         with obs.stage("label+train"):
             result = pipe.run(search)
     finally:
-        pipe.close()
+        evaluator.close()
     with obs.stage("extract-rules"):
         rules = reduce_workload_rules(task.spec, program, result)
     return rules
@@ -284,34 +284,19 @@ def _run_search_range(machine: MachineConfig, task: WorkloadTask) -> object:
             guide = ScheduleGuide.from_store(
                 ArtifactStore(task.store_path), program, machine=machine.name
             )
-    cache = (
-        MeasurementCache(task.cache_path)
-        if task.cache_path is not None
-        else None
-    )
+    evaluator = _task_evaluator(machine, task, program)
     try:
-        evaluator = build_evaluator(
-            program,
-            machine.with_ranks(program.n_ranks),
-            task.measurement,
-            workers=task.workers,
-            cache=cache,
-        )
-        try:
-            with obs.stage("search"):
-                result = ExhaustiveSearch(
-                    space,
-                    evaluator,
-                    batch_size=task.block_size or 64,
-                    guide=guide,
-                    cursor=cursor,
-                    limit=task.range_limit,
-                ).run()
-        finally:
-            evaluator.close()
+        with obs.stage("search"):
+            result = ExhaustiveSearch(
+                space,
+                evaluator,
+                batch_size=task.block_size or 64,
+                guide=guide,
+                cursor=cursor,
+                limit=task.range_limit,
+            ).run()
     finally:
-        if cache is not None:
-            cache.close()
+        evaluator.close()
     return result
 
 

@@ -735,14 +735,6 @@ class DesignSpace:
         return state.schedule()
 
     # ------------------------------------------------------------------
-    def all_op_names(self) -> Tuple[str, ...]:
-        """Names of ops common to every schedule: program ops plus the
-        always-inserted CER/CES sync ops (stream waits vary by binding)."""
-        names = [v.name for v in self.program_ops]
-        names += sorted(cer_name(u) for u in self.sync_plan.cer_sources)
-        names += sorted(self.sync_plan.ces_name_of.values())
-        return tuple(names)
-
     def validate_schedule(self, schedule: Schedule) -> None:
         """Check that ``schedule`` is a member of this design space.
 

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.dag.vertex import OpKind
 from repro.errors import TrainingError
+from repro.exec import ExecConfig
 from repro.ml.features import OrderFeature
 from repro.platform.machine import MachineConfig
 from repro.rules.ruleset import Rule
@@ -470,16 +471,13 @@ def run_transfer_matrix(
     machine: Optional[MachineConfig] = None,
     n_streams: int = 2,
     measurement=None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
-    shard_workers: int = 0,
-    block_size: Optional[int] = None,
+    execution: ExecConfig = ExecConfig(),
 ) -> TransferMatrixResult:
     """End-to-end: exhaustive pipelines on every spec, then the matrix.
 
     The per-workload pipelines are an orchestrate plan: with
-    ``shard_workers > 1`` whole workloads run concurrently, and the
-    result carries the plan's per-task timing — everything else is
+    ``execution.shard_workers > 1`` whole workloads run concurrently, and
+    the result carries the plan's per-task timing — everything else is
     bit-identical to the serial run.
     """
     if len(specs) < 2:
@@ -489,10 +487,7 @@ def run_transfer_matrix(
         machine=machine,
         n_streams=n_streams,
         measurement=measurement,
-        workers=workers,
-        cache_path=cache_path,
-        shard_workers=shard_workers,
-        block_size=block_size,
+        execution=execution,
     )
     with obs.stage("transfer-matrix"):
         result = transfer_matrix_from(per_workload)

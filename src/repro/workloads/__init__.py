@@ -23,7 +23,6 @@ from repro.workloads.generalization import (
     WorkloadRules,
     reduce_workload_rules,
     rules_for_specs,
-    run_cross_workload,
     run_rules_plan,
     score_cross_workload,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "list_families",
     "reduce_workload_rules",
     "rules_for_specs",
-    "run_cross_workload",
     "run_rules_plan",
     "run_suite",
     "score_cross_workload",

@@ -23,14 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import DesignRulePipeline, PipelineConfig, PipelineResult
+from repro.core.pipeline import PipelineResult
 from repro.dag.program import Program
+from repro.exec import ExecConfig
 from repro.platform.machine import MachineConfig
 from repro.platform.presets import perlmutter_like
 from repro.rules.ruleset import Rule
 from repro.rules.score import class_rules, score_rules, transfer_summary
 from repro.schedule.schedule import Schedule
-from repro.workloads.spec import WorkloadSpec, build_workload
+from repro.workloads.spec import WorkloadSpec
 
 #: The fastest performance class (labeling orders classes fastest-first).
 FASTEST_CLASS = 0
@@ -87,42 +88,6 @@ class CrossWorkloadResult:
         return "\n".join(lines)
 
 
-def pipeline_for_spec(
-    spec: WorkloadSpec,
-    machine: MachineConfig,
-    *,
-    n_streams: int = 2,
-    measurement=None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
-    program: Optional[Program] = None,
-    block_size: Optional[int] = None,
-) -> DesignRulePipeline:
-    """Exhaustive design-rule pipeline for one workload spec.
-
-    ``block_size`` bounds how many schedules are enumerated and staged
-    per evaluation batch (see
-    :meth:`~repro.schedule.space.DesignSpace.iter_blocks`).
-    """
-    if program is None:
-        program = build_workload(spec)
-    kwargs = {} if measurement is None else {"measurement": measurement}
-    if block_size is not None:
-        kwargs["batch_size"] = block_size
-        kwargs["block_size"] = block_size
-    return DesignRulePipeline(
-        program,
-        machine.with_ranks(program.n_ranks),
-        PipelineConfig(
-            n_streams=n_streams,
-            strategy="exhaustive",
-            workers=workers,
-            cache_path=cache_path,
-            **kwargs,
-        ),
-    )
-
-
 def reduce_workload_rules(
     spec: WorkloadSpec,
     program: Program,
@@ -143,36 +108,6 @@ def reduce_workload_rules(
         slow_schedules=slow,
         program=program,
     )
-
-
-def workload_rules(
-    spec: WorkloadSpec,
-    machine: MachineConfig,
-    *,
-    n_streams: int = 2,
-    measurement=None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
-    block_size: Optional[int] = None,
-) -> WorkloadRules:
-    """Run the exhaustive pipeline on ``spec`` and reduce to rules +
-    fast/slow labeled schedule classes."""
-    program = build_workload(spec)
-    pipe = pipeline_for_spec(
-        spec,
-        machine,
-        n_streams=n_streams,
-        measurement=measurement,
-        workers=workers,
-        cache_path=cache_path,
-        program=program,
-        block_size=block_size,
-    )
-    try:
-        result = pipe.run()
-    finally:
-        pipe.close()
-    return reduce_workload_rules(spec, program, result)
 
 
 def score_cross_workload(
@@ -196,18 +131,15 @@ def run_rules_plan(
     machine: Optional[MachineConfig] = None,
     n_streams: int = 2,
     measurement=None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
-    shard_workers: int = 0,
-    block_size: Optional[int] = None,
+    execution: ExecConfig = ExecConfig(),
 ):
     """Per-workload exhaustive pipelines as an orchestrate plan.
 
     Returns ``(per_workload, plan_run)`` — the :class:`WorkloadRules`
     list in spec order plus the :class:`~repro.orchestrate.PlanRun`
-    carrying per-task wall/stage timing.  ``shard_workers > 1`` shards
-    whole workloads across processes; results are bit-identical to the
-    serial sweep either way.
+    carrying per-task wall/stage timing.  ``execution.shard_workers > 1``
+    shards whole workloads across processes; results are bit-identical to
+    the serial sweep for any ``execution``.
     """
     from repro.orchestrate import (
         execute_plan,
@@ -221,11 +153,9 @@ def run_rules_plan(
         machine=machine,
         n_streams=n_streams,
         measurement=measurement,
-        workers=workers,
-        cache_path=cache_path,
-        block_size=block_size,
+        execution=execution,
     )
-    run = execute_plan(plan, shard_workers=shard_workers)
+    run = execute_plan(plan, shard_workers=execution.shard_workers)
     return [restore_rules_payload(r) for r in run.results], run
 
 
@@ -235,10 +165,7 @@ def rules_for_specs(
     machine: Optional[MachineConfig] = None,
     n_streams: int = 2,
     measurement=None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
-    shard_workers: int = 0,
-    block_size: Optional[int] = None,
+    execution: ExecConfig = ExecConfig(),
 ) -> List[WorkloadRules]:
     """Run the exhaustive pipeline on every spec (the shared front half of
     the satisfaction table and the transfer matrix)."""
@@ -247,36 +174,6 @@ def rules_for_specs(
         machine=machine,
         n_streams=n_streams,
         measurement=measurement,
-        workers=workers,
-        cache_path=cache_path,
-        shard_workers=shard_workers,
-        block_size=block_size,
+        execution=execution,
     )
     return per_workload
-
-
-def run_cross_workload(
-    specs: Sequence[WorkloadSpec],
-    *,
-    machine: Optional[MachineConfig] = None,
-    n_streams: int = 2,
-    measurement=None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
-    shard_workers: int = 0,
-    block_size: Optional[int] = None,
-) -> CrossWorkloadResult:
-    """Score every workload's fastest-class rules on every other workload."""
-    if len(specs) < 2:
-        raise ValueError("need at least two workloads to generalize across")
-    per_workload = rules_for_specs(
-        specs,
-        machine=machine,
-        n_streams=n_streams,
-        measurement=measurement,
-        workers=workers,
-        cache_path=cache_path,
-        shard_workers=shard_workers,
-        block_size=block_size,
-    )
-    return score_cross_workload(per_workload)

@@ -2,10 +2,9 @@
 
 A :class:`Suite` names a set of workload specs and search strategies; the
 :class:`SuiteRunner` fans every (workload × strategy) cell through the
-batched :mod:`repro.exec` evaluation substrate — honoring ``workers`` and
-a shared persistent :class:`~repro.exec.MeasurementCache` — and collects
-one :class:`SuiteCell` per cell into a :class:`SuiteReport` (JSON +
-ASCII).
+batched :mod:`repro.exec` evaluation substrate — run as one
+:class:`~repro.exec.ExecConfig` says — and collects one
+:class:`SuiteCell` per cell into a :class:`SuiteReport` (JSON + ASCII).
 
 Built-in suites
 ---------------
@@ -31,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import WorkloadError
+from repro.exec import ExecConfig
 from repro.platform.machine import MachineConfig
 from repro.platform.presets import perlmutter_like
 from repro.schedule.space import DesignSpace
@@ -370,15 +370,15 @@ class SuiteRunner:
 
     The run is compiled into a :class:`repro.orchestrate.ExecutionPlan` —
     one task per workload (plus one exhaustive rule-pipeline task per
-    workload for cross-workload suites) — and executed in-process or,
-    with ``shard_workers > 1``, across a pool of whole-workload shards.
-    Within each task one evaluator is shared by all strategies (so they
-    share its memo), optionally backed by ``workers`` inner evaluation
-    processes and a shared persistent measurement cache.  Measurement
-    determinism makes every report field except ``timing`` (and, when a
-    cache is shared — concurrent tasks cross-seed it — the incidental
-    ``n_simulations`` counters) independent of ``shard_workers``,
-    ``workers``, and cache state.
+    workload for cross-workload suites) — and executed as ``execution``
+    says: in-process or, with ``shard_workers > 1``, across a pool of
+    whole-workload shards.  Within each task one evaluator is shared by
+    all strategies (so they share its memo), optionally backed by
+    ``workers`` inner evaluation processes and a shared persistent
+    measurement cache.  Measurement determinism makes every report field
+    except ``timing`` (and, when a cache is shared — concurrent tasks
+    cross-seed it — the incidental ``n_simulations`` counters)
+    independent of ``execution``.
     """
 
     def __init__(
@@ -386,21 +386,15 @@ class SuiteRunner:
         suite: Suite,
         *,
         machine: Optional[MachineConfig] = None,
-        workers: int = 0,
-        cache_path: Optional[str] = None,
         seed: int = 0,
-        shard_workers: int = 0,
-        block_size: Optional[int] = None,
+        execution: ExecConfig = ExecConfig(),
         store_path: Optional[str] = None,
         progress: bool = False,
     ) -> None:
         self.suite = suite
         self.machine = machine if machine is not None else perlmutter_like()
-        self.workers = workers
-        self.cache_path = cache_path
         self.seed = seed
-        self.shard_workers = shard_workers
-        self.block_size = block_size
+        self.execution = execution
         #: Advisor artifact store directory; cross-workload suite runs
         #: publish their trained outputs there (:mod:`repro.advisor`).
         self.store_path = store_path
@@ -418,19 +412,15 @@ class SuiteRunner:
         )
 
         suite = self.suite
+        shard_workers = self.execution.shard_workers
         plan = plan_suite(
-            suite,
-            machine=self.machine,
-            workers=self.workers,
-            cache_path=self.cache_path,
-            seed=self.seed,
-            block_size=self.block_size,
+            suite, machine=self.machine, seed=self.seed, execution=self.execution
         )
         obs.log.info(
             "suite.run",
             suite=suite.name,
             n_tasks=len(plan.tasks),
-            shard_workers=self.shard_workers,
+            shard_workers=shard_workers,
         )
         metrics_before = obs.metrics_snapshot()
         # Suite progress counts whole tasks: the denominator is exact and
@@ -441,7 +431,7 @@ class SuiteRunner:
             counters=obs.PLAN_PROGRESS_COUNTERS,
             enabled=self.progress,
         ):
-            run = execute_plan(plan, shard_workers=self.shard_workers)
+            run = execute_plan(plan, shard_workers=shard_workers)
         delta = obs.metrics_snapshot().diff(metrics_before)
         cells: List[SuiteCell] = [
             cell
@@ -538,11 +528,8 @@ def run_suite(
     name: str,
     *,
     machine: Optional[MachineConfig] = None,
-    workers: int = 0,
-    cache_path: Optional[str] = None,
     seed: int = 0,
-    shard_workers: int = 0,
-    block_size: Optional[int] = None,
+    execution: ExecConfig = ExecConfig(),
     store_path: Optional[str] = None,
     progress: bool = False,
 ) -> SuiteReport:
@@ -550,11 +537,8 @@ def run_suite(
     return SuiteRunner(
         get_suite(name),
         machine=machine,
-        workers=workers,
-        cache_path=cache_path,
         seed=seed,
-        shard_workers=shard_workers,
-        block_size=block_size,
+        execution=execution,
         store_path=store_path,
         progress=progress,
     ).run()

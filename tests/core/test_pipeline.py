@@ -100,88 +100,3 @@ class TestPipeline:
         search = pipe.explore()
         result = pipe.run(search)
         assert pipe.generalization_accuracy(result, search) == 1.0
-
-
-class TestStreamingPipeline:
-    """run_streaming: bounded schedule residency, bit-identical output."""
-
-    @pytest.fixture(scope="class")
-    def exhaustive_config(self):
-        return PipelineConfig(
-            strategy="exhaustive",
-            measurement=MeasurementConfig(max_samples=1),
-        )
-
-    @pytest.fixture(scope="class")
-    def materialized(self, spmv_instance, machine, exhaustive_config):
-        pipe = DesignRulePipeline(
-            spmv_instance.program, machine, exhaustive_config
-        )
-        return pipe.run()
-
-    @pytest.fixture(scope="class")
-    def streamed(self, spmv_instance, machine, exhaustive_config):
-        pipe = DesignRulePipeline(
-            spmv_instance.program, machine, exhaustive_config
-        )
-        return pipe.run_streaming(block_size=37)
-
-    def test_bit_identical_to_materializing_run(self, materialized, streamed):
-        import numpy as np
-
-        assert np.array_equal(
-            materialized.labeling.labels, streamed.labeling.labels
-        )
-        assert np.array_equal(
-            materialized.features.matrix, streamed.features.matrix
-        )
-        assert [f.name for f in materialized.features.features] == [
-            f.name for f in streamed.features.features
-        ]
-        assert materialized.tree.n_leaves == streamed.tree.n_leaves
-        assert [str(r) for r in materialized.rulesets] == [
-            str(r) for r in streamed.rulesets
-        ]
-        assert materialized.training_error == streamed.training_error
-
-    def test_residency_bounded_by_block_size(self, streamed, spmv_space):
-        assert streamed.peak_resident <= 37
-        assert streamed.n_schedules == spmv_space.count()
-        assert streamed.n_unique == streamed.n_schedules
-        assert streamed.n_blocks == -(-streamed.n_schedules // 37)
-
-    def test_summary_reports_streaming_stats(self, streamed):
-        text = streamed.summary()
-        assert "streamed" in text
-        assert "peak 37 resident" in text or "peak" in text
-
-    def test_feature_compaction_stats(self, streamed):
-        assert streamed.n_candidate_features > 0
-        assert 0 < streamed.n_varying_features <= streamed.n_candidate_features
-        assert (
-            f"kept {streamed.n_varying_features} varying of "
-            f"{streamed.n_candidate_features} candidates"
-        ) in streamed.summary()
-
-    def test_requires_exhaustive_strategy(self, spmv_instance, machine):
-        pipe = DesignRulePipeline(
-            spmv_instance.program, machine, PipelineConfig(strategy="mcts")
-        )
-        with pytest.raises(SearchError, match="exhaustive"):
-            pipe.run_streaming()
-
-    def test_block_size_config_default(self, spmv_instance, machine):
-        """PipelineConfig.block_size drives run_streaming when no explicit
-        size is passed."""
-        pipe = DesignRulePipeline(
-            spmv_instance.program,
-            machine,
-            PipelineConfig(
-                strategy="exhaustive",
-                measurement=MeasurementConfig(max_samples=1),
-                block_size=100,
-            ),
-        )
-        result = pipe.run_streaming()
-        assert result.peak_resident <= 100
-        assert result.n_blocks == -(-result.n_schedules // 100)

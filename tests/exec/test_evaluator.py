@@ -114,32 +114,3 @@ class TestAsEvaluator:
     def test_interface_is_abstract(self):
         with pytest.raises(TypeError):
             Evaluator()
-
-
-class TestEvaluateBlocks:
-    def test_streamed_blocks_match_batched(self, bench, spmv_schedules):
-        ev = SerialEvaluator(bench)
-        schedules = spmv_schedules[:20]
-        blocks = [schedules[i : i + 6] for i in range(0, len(schedules), 6)]
-        streamed = [m for ms in ev.evaluate_blocks(blocks) for m in ms]
-        reference = SerialEvaluator(
-            Benchmarker(bench.executor, bench.config)
-        ).evaluate_batch(schedules)
-        assert streamed == reference
-
-    def test_lazy_one_block_at_a_time(self, bench, spmv_schedules):
-        """The generator must not pre-consume the block stream."""
-        ev = SerialEvaluator(bench)
-        consumed = []
-
-        def blocks():
-            for i in range(3):
-                consumed.append(i)
-                yield spmv_schedules[4 * i : 4 * i + 4]
-
-        it = ev.evaluate_blocks(blocks())
-        assert consumed == []
-        next(it)
-        assert consumed == [0]
-        next(it)
-        assert consumed == [0, 1]

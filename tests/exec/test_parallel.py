@@ -8,6 +8,7 @@ serial reference, because a measurement is a pure function of
 
 import itertools
 import os
+import sqlite3
 
 import pytest
 
@@ -188,6 +189,36 @@ class TestParallelWithCache:
         ) as par:
             assert par.evaluate_batch(batch) == warm
             assert par.n_simulations == 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_build_evaluator_owns_its_cache(
+        self, spmv_instance, machine, spmv_schedules, tmp_path, workers
+    ):
+        """build_evaluator opens the cache at ``cache_path``, and closing
+        the evaluator closes it; the measurements stay on disk."""
+        path = str(tmp_path / "m.sqlite")
+        batch = spmv_schedules[:6]
+
+        def evaluator():
+            return build_evaluator(
+                spmv_instance.program,
+                machine,
+                CFG,
+                workers=workers,
+                cache_path=path,
+            )
+
+        first = evaluator()
+        warm = first.evaluate_batch(batch)
+        first.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(first.cache)
+        second = evaluator()
+        try:
+            assert second.evaluate_batch(batch) == warm
+            assert second.n_simulations == 0
+        finally:
+            second.close()
 
 
 class TestWorkerCrashPropagation:

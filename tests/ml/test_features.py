@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.ml.features import (
-    FeatureExtractor,
-    OrderFeature,
-    StreamFeature,
-    StreamingFeatureFit,
-)
+from repro.ml.features import FeatureExtractor, OrderFeature, StreamFeature
 
 
 class TestFeatureNaming:
@@ -98,71 +93,3 @@ class TestExtractor:
         fm = fx.fit_transform(spmv_schedules[:50])
         f = fm.features[0]
         assert np.array_equal(fm.column(f), fm.matrix[:, 0])
-
-
-class TestStreamingFit:
-    def _common_ops(self, spmv_space):
-        return spmv_space.all_op_names()
-
-    @pytest.mark.parametrize("block_size", [1, 7, 64, 10_000])
-    def test_bit_identical_to_fit_transform(
-        self, spmv_space, spmv_schedules, block_size
-    ):
-        """Chunked accumulation with incremental column compaction must
-        reproduce the all-at-once fit exactly: same features, same order,
-        same matrix bytes."""
-        fm_ref = FeatureExtractor().fit_transform(spmv_schedules)
-        fit = StreamingFeatureFit(self._common_ops(spmv_space))
-        for i in range(0, len(spmv_schedules), block_size):
-            fit.add_block(spmv_schedules[i : i + block_size])
-        fx, fm = fit.finish()
-        assert fm.features == fm_ref.features
-        assert fm.matrix.dtype == fm_ref.matrix.dtype
-        assert np.array_equal(fm.matrix, fm_ref.matrix)
-        assert fx.features == fm_ref.features
-
-    def test_counts_surface(self, spmv_space, spmv_schedules):
-        fit = StreamingFeatureFit(self._common_ops(spmv_space))
-        assert fit.n_candidates == 0
-        fit.add_block(spmv_schedules[:32])
-        assert fit.n_candidates > 0
-        mid = fit.n_varying
-        assert 0 < mid <= fit.n_candidates
-        for i in range(32, len(spmv_schedules), 64):
-            fit.add_block(spmv_schedules[i : i + 64])
-        _, fm = fit.finish()
-        # Varying can only grow as more schedules arrive, and the final
-        # count is exactly the surviving feature count.
-        assert fit.n_varying >= mid
-        assert fit.n_varying == fm.n_features
-
-    def test_empty_block_is_noop(self, spmv_space, spmv_schedules):
-        fit = StreamingFeatureFit(self._common_ops(spmv_space))
-        fit.add_block([])
-        fit.add_block(spmv_schedules[:16])
-        fit.add_block([])
-        assert fit.n_schedules == 16
-        fm_ref = FeatureExtractor().fit_transform(spmv_schedules[:16])
-        _, fm = fit.finish()
-        assert np.array_equal(fm.matrix, fm_ref.matrix)
-
-    def test_zero_schedules_rejected(self, spmv_space):
-        with pytest.raises(TrainingError):
-            StreamingFeatureFit(self._common_ops(spmv_space)).finish()
-
-    def test_empty_vocabulary_rejected(self):
-        with pytest.raises(TrainingError):
-            StreamingFeatureFit([])
-
-    def test_transform_after_finish(self, spmv_space, spmv_schedules):
-        """The sealed extractor featurizes held-out schedules just like a
-        conventionally fitted one (the rule-transfer path)."""
-        fit = StreamingFeatureFit(self._common_ops(spmv_space))
-        fit.add_block(spmv_schedules[:100])
-        fx, _ = fit.finish()
-        fm = fx.transform(spmv_schedules[100:150])
-        ref = FeatureExtractor()
-        ref.fit(spmv_schedules[:100])
-        assert np.array_equal(fm.matrix, ref.transform(
-            spmv_schedules[100:150]
-        ).matrix)

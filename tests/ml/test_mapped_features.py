@@ -16,6 +16,7 @@ from repro.dag.vertex import OpKind, cpu_op, gpu_op
 from repro.ml.features import MappedFeatureExtractor, OrderFeature, StreamFeature
 from repro.schedule.schedule import BoundOp, Schedule
 from repro.schedule.space import DesignSpace
+from repro.schedule.sync import cer_name
 from repro.workloads import WorkloadSpec, build_workload
 
 
@@ -149,6 +150,15 @@ def _space(i):
     return _SPACES[i]
 
 
+def _common_op_names(space):
+    """Ops every schedule of ``space`` holds: the program ops plus the
+    always-inserted CER/CES sync ops (stream waits vary by binding)."""
+    names = [v.name for v in space.program_ops]
+    names += sorted(cer_name(u) for u in space.sync_plan.cer_sources)
+    names += sorted(space.sync_plan.ces_name_of.values())
+    return names
+
+
 @given(
     st.lists(
         st.tuples(
@@ -171,7 +181,7 @@ def test_matches_reference_on_random_schedules_of_small_programs(
         space = _space(program)
         rng = np.random.default_rng(seed)
         schedules = [space.random_schedule(rng) for _ in range(n)]
-        names = space.all_op_names()
+        names = _common_op_names(space)
         mapping = {
             name: data.draw(st.sampled_from(KEYS), label=name) for name in names
         }

@@ -10,6 +10,7 @@ shard task.
 import pytest
 
 from repro import obs
+from repro.exec import ExecConfig
 from repro.obs import walk_spans
 from repro.orchestrate import run_range_sharded_search
 from repro.platform.presets import noiseless, perlmutter_like
@@ -32,7 +33,7 @@ def _sweep_delta(machine, shard_workers):
         machine=machine,
         n_shards=3,
         measurement=MEASUREMENT,
-        shard_workers=shard_workers,
+        execution=ExecConfig(shard_workers=shard_workers),
     )
     return sharded, obs.metrics_snapshot().diff(before)
 
@@ -50,10 +51,11 @@ class TestCrossProcessMetrics:
 
     def test_suite_report_carries_cache_metrics(self, machine, tmp_path):
         cache = str(tmp_path / "cache.sqlite")
-        cold = run_suite("smoke", machine=machine, cache_path=cache)
+        execution = ExecConfig(cache_path=cache)
+        cold = run_suite("smoke", machine=machine, execution=execution)
         assert cold.metrics["cache"]["misses"] > 0
         assert cold.metrics["cache"]["hits"] == 0
-        warm = run_suite("smoke", machine=machine, cache_path=cache)
+        warm = run_suite("smoke", machine=machine, execution=execution)
         assert warm.metrics["cache"]["hits"] > 0
         assert "metrics" in cold.to_dict()
         assert "cache" in warm.ascii_table()
@@ -67,7 +69,7 @@ class TestCrossProcessTrace:
                 machine=machine,
                 n_shards=3,
                 measurement=MEASUREMENT,
-                shard_workers=2,
+                execution=ExecConfig(shard_workers=2),
             )
         (root,) = cap.spans
         assert root.name == "plan.execute"
@@ -91,7 +93,7 @@ class TestCrossProcessTrace:
                 machine=machine,
                 n_shards=3,
                 measurement=MEASUREMENT,
-                shard_workers=0,
+                execution=ExecConfig(shard_workers=0),
             )
         (root,) = cap.spans
         tasks = [s for s in root.children if s.name.startswith("task:")]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.exec import ExecConfig
 from repro.orchestrate import (
     TASK_SUITE_CELLS,
     TASK_WORKLOAD_RULES,
@@ -202,7 +203,9 @@ class TestExecution:
             n_iterations=4,
             measurement=MEASUREMENT,
         )
-        plan = plan_suite(suite, machine=_machine(), cache_path=cache)
+        plan = plan_suite(
+            suite, machine=_machine(), execution=ExecConfig(cache_path=cache)
+        )
         first = execute_plan(plan, shard_workers=2)
         second = execute_plan(plan, shard_workers=2)
         cells_first = _comparable_cells(first)

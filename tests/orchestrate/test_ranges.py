@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.exec import ExecConfig
 from repro.orchestrate import (
     TASK_SEARCH_RANGE,
     WorkloadTask,
@@ -119,7 +120,7 @@ class TestRangeShardedSearch:
             machine=machine,
             n_shards=3,
             measurement=MEASUREMENT,
-            shard_workers=2,
+            execution=ExecConfig(shard_workers=2),
         )
         assert [
             (s.schedule.fingerprint(), s.time)

@@ -169,10 +169,3 @@ class TestValidation:
         ]
         with pytest.raises(ScheduleError, match="out of range"):
             spmv_space.validate_schedule(Schedule(ops))
-
-    def test_all_op_names_vocabulary(self, spmv_space):
-        names = spmv_space.all_op_names()
-        assert "Pack" in names
-        assert "CER-after-Pack" in names
-        assert "CES-b4-PostSends" in names
-        assert len(names) == 9

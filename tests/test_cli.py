@@ -361,6 +361,36 @@ def test_search_requires_family():
         main(["search"])
 
 
+_SEARCH_WAVEFRONT = [
+    "search",
+    "--family",
+    "wavefront",
+    "--param",
+    "width=2",
+    "--param",
+    "height=2",
+]
+
+
+def test_search_block_size_batches_direct_sweep(tmp_path, capsys):
+    """--block-size reaches the unsharded exhaustive sweep."""
+    from repro.obs import read_trace
+
+    path = str(tmp_path / "search.jsonl")
+    assert main(_SEARCH_WAVEFRONT + ["--block-size", "7", "--trace", path]) == 0
+    (sweep,) = [
+        s for s in read_trace(path).walk() if s.name == "search.exhaustive"
+    ]
+    assert sweep.attrs["batch_size"] == 7
+
+
+def test_search_shard_workers_need_range_shards():
+    """A direct search runs in one process, so --shard-workers alone
+    would be silently serial: the command refuses it."""
+    with pytest.raises(SystemExit, match="--range-shards"):
+        main(_SEARCH_WAVEFRONT + ["--shard-workers", "2"])
+
+
 def test_bad_param_rejected():
     with pytest.raises(SystemExit, match="k=v"):
         main(

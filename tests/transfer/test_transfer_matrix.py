@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.exec import ExecConfig
 from repro.rules.score import rule_satisfied
 from repro.sim.measure import MeasurementConfig
 from repro.transfer.matrix import (
@@ -129,7 +130,7 @@ class TestDeterminism:
 
     def test_sharded_matches_serial_modulo_timing(self, matrix):
         sharded = run_transfer_matrix(
-            SPECS, measurement=MEASUREMENT, shard_workers=2
+            SPECS, measurement=MEASUREMENT, execution=ExecConfig(shard_workers=2)
         )
         assert sharded.timing["shard_workers"] == 2
         assert _no_timing(sharded) == _no_timing(matrix)

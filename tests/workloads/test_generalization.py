@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.platform.presets import perlmutter_like
 from repro.sim.measure import MeasurementConfig
-from repro.workloads import WorkloadSpec, run_cross_workload
-from repro.workloads.generalization import workload_rules
+from repro.workloads import WorkloadSpec, rules_for_specs, score_cross_workload
 
 #: Tiny exhaustible spaces (40 and 72 schedules respectively).
 SPECS = [
@@ -16,14 +14,18 @@ SPECS = [
 MEASUREMENT = MeasurementConfig(max_samples=1)
 
 
+def _cross_workload():
+    return score_cross_workload(rules_for_specs(SPECS, measurement=MEASUREMENT))
+
+
 @pytest.fixture(scope="module")
 def cross_result():
-    return run_cross_workload(SPECS, measurement=MEASUREMENT)
+    return _cross_workload()
 
 
 class TestWorkloadRules:
     def test_pipeline_reduction(self):
-        wr = workload_rules(SPECS[0], perlmutter_like(), measurement=MEASUREMENT)
+        (wr,) = rules_for_specs(SPECS[:1], measurement=MEASUREMENT)
         assert wr.spec == SPECS[0]
         assert wr.fast_schedules  # fastest class is never empty
         # every fast schedule was labeled class 0
@@ -62,10 +64,6 @@ class TestCrossWorkload:
         for (src, dst) in cross_result.matrix:
             assert f"{src} -> {dst}" in text
 
-    def test_needs_two_workloads(self):
-        with pytest.raises(ValueError, match="at least two"):
-            run_cross_workload(SPECS[:1], measurement=MEASUREMENT)
-
     def test_deterministic(self, cross_result):
-        again = run_cross_workload(SPECS, measurement=MEASUREMENT)
+        again = _cross_workload()
         assert again.matrix == cross_result.matrix

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.errors import WorkloadError
+from repro.exec import ExecConfig
 from repro.platform.presets import perlmutter_like
 from repro.sim.measure import MeasurementConfig
 from repro.workloads import (
@@ -132,7 +133,7 @@ class TestRunner:
 
     def test_workers_do_not_change_results(self):
         serial = SuiteRunner(TINY).run()
-        parallel = SuiteRunner(TINY, workers=2).run()
+        parallel = SuiteRunner(TINY, execution=ExecConfig(workers=2)).run()
         assert [_comparable(c) for c in serial.cells] == [
             _comparable(c) for c in parallel.cells
         ]
@@ -141,7 +142,9 @@ class TestRunner:
         """Workload-level sharding: the whole report (not just cells) is
         bit-identical to serial, excluding wall-clock timing."""
         serial, serial_delta = _run_counting(TINY)
-        sharded, sharded_delta = _run_counting(TINY, shard_workers=2)
+        sharded, sharded_delta = _run_counting(
+            TINY, execution=ExecConfig(shard_workers=2)
+        )
         assert _report_comparable(serial) == _report_comparable(sharded)
         assert sharded.timing["shard_workers"] == 2
         assert serial.timing["shard_workers"] == 0
@@ -161,8 +164,9 @@ class TestRunner:
         """Same suite, same cache file ⇒ second run re-simulates nothing
         (workload fingerprints are bit-stable)."""
         cache = str(tmp_path / "suite.sqlite")
-        first = SuiteRunner(TINY, cache_path=cache).run()
-        second = SuiteRunner(TINY, cache_path=cache).run()
+        execution = ExecConfig(cache_path=cache)
+        first = SuiteRunner(TINY, execution=execution).run()
+        second = SuiteRunner(TINY, execution=execution).run()
         assert sum(c.n_simulations for c in first.cells) > 0
         assert sum(c.n_simulations for c in second.cells) == 0
         drop = ("wall_s", "n_simulations")
@@ -228,12 +232,39 @@ class TestCrossWorkloadTables:
         traced.published = []
         assert _report_comparable(traced) == _report_comparable(report)
 
+    @pytest.mark.parametrize(
+        ("execution", "span", "attr", "value"),
+        [
+            (ExecConfig(workers=2), "eval.batch", "backend", "parallel"),
+            (ExecConfig(block_size=7), "search.exhaustive", "batch_size", 7),
+        ],
+        ids=["workers", "block_size"],
+    )
+    def test_exec_settings_do_not_change_tables(
+        self, report, execution, span, attr, value
+    ):
+        """Inner evaluation workers and the exhaustive block size reach
+        the rule pipelines (the traced spans show it) and change no cell
+        and no cross-workload table."""
+        with obs.capture(trace=True) as cap:
+            other = SuiteRunner(TINY_RULES, execution=execution).run()
+        seen = [s.attrs[attr] for s in obs.walk_spans(cap.spans) if s.name == span]
+        assert seen and set(seen) == {value}
+        assert [_comparable(c) for c in other.cells] == [
+            _comparable(c) for c in report.cells
+        ]
+        assert other.rules_table == report.rules_table
+        assert other.transfer_table == report.transfer_table
+        assert other.union_table == report.union_table
+
     def test_sharded_cross_workload_report_identical(self, serial_run):
         """Sharding covers the rule pipelines too: every table of the
         generalization-style report, and every counter, matches the
         serial run."""
         report, serial_delta = serial_run
-        sharded, sharded_delta = _run_counting(TINY_RULES, shard_workers=2)
+        sharded, sharded_delta = _run_counting(
+            TINY_RULES, execution=ExecConfig(shard_workers=2)
+        )
         assert _report_comparable(sharded) == _report_comparable(report)
         kinds = {t["kind"] for t in sharded.timing["tasks"]}
         assert kinds == {"suite-cells", "workload-rules"}
