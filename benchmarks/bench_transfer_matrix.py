@@ -1,12 +1,14 @@
 """Transfer-subsystem benchmarks (not paper experiments).
 
 Tracks the cost of the cross-program machinery: computing structural
-signatures, discrimination-scoring one source's rules on one target, and
-the full leave-one-workload-out matrix over a small workload set.
+signatures, discrimination-scoring one source's rules on one target, the
+full leave-one-workload-out matrix over a small workload set, and
+publishing that set's advisor artifacts.
 """
 
 import pytest
 
+from repro.advisor import ArtifactStore, publish_artifacts
 from repro.sim.measure import MeasurementConfig
 from repro.transfer import program_signatures, run_transfer_matrix, score_transfer
 from repro.transfer.matrix import transfer_matrix_from
@@ -62,6 +64,18 @@ def test_bench_transfer_matrix_from(benchmark, per_workload):
         lambda: transfer_matrix_from(per_workload), rounds=2, iterations=1
     )
     assert len(result.cells) == len(MATRIX_SPECS) * (len(MATRIX_SPECS) - 1)
+
+
+def test_bench_publish_artifacts(benchmark, per_workload, tmp_path):
+    """``repro advise --train``'s reduce: advisories from the
+    discrimination grid, then one all-workload union tree."""
+    store = ArtifactStore(str(tmp_path))
+    paths = benchmark.pedantic(
+        lambda: publish_artifacts(store, per_workload, machine="perlmutter-like"),
+        rounds=2,
+        iterations=1,
+    )
+    assert len(paths) == len(MATRIX_SPECS) + 1
 
 
 def test_bench_transfer_matrix_end_to_end(benchmark):

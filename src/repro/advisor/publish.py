@@ -124,16 +124,18 @@ def publish_artifacts(
 
     Returns the written file paths (workloads first, spec order, union
     last when trainable).  When ``advisories`` is ``None`` and at least
-    two workloads are present, the do-not-transfer edges are computed
-    from the transfer matrix over ``per_workload``.
+    two workloads are present, the do-not-transfer edges are the
+    transfer matrix's over ``per_workload``, computed from its
+    discrimination grid alone
+    (:func:`repro.transfer.matrix.transfer_advisories`): the only union
+    tree trained here is the published all-workload one.
     """
     if advisories is None and len(per_workload) >= 2:
-        from repro.transfer.matrix import transfer_matrix_from
+        from repro.transfer.matrix import transfer_advisories
 
-        matrix = transfer_matrix_from(per_workload)
         advisories = [
             (c.source, c.target, c.mean_discrimination)
-            for c in matrix.advisories()
+            for c in transfer_advisories(per_workload)
         ]
     paths = [
         store.publish(

@@ -117,11 +117,7 @@ class FeatureExtractor:
     @staticmethod
     def _varying_columns(full: np.ndarray) -> List[int]:
         """Indices of non-constant columns (the paper drops the rest)."""
-        return [
-            j
-            for j in range(full.shape[1])
-            if not np.all(full[:, j] == full[0, j])
-        ]
+        return np.flatnonzero((full != full[:1]).any(axis=0)).tolist()
 
     def fit(self, schedules: Sequence[Schedule]) -> "FeatureExtractor":
         if not schedules:
@@ -151,24 +147,47 @@ class FeatureExtractor:
     def _raw_matrix(
         self, schedules: Sequence[Schedule], features: Sequence[Feature]
     ) -> np.ndarray:
+        """``[schedule, feature]`` values, every column computed by numpy.
+
+        One pass over each schedule's ``key`` fills a position table and a
+        stream table over the ops the features name (-1 where a schedule
+        lacks the op, or, for streams, where the op has none).  A feature
+        naming an op a schedule lacks raises :class:`TrainingError`.
+        """
+        names = list(dict.fromkeys(n for f in features for n in (f.u, f.v)))
+        column = {name: j for j, name in enumerate(names)}
+        positions = []
+        streams = []
+        for s in schedules:
+            pos = [-1] * len(names)
+            stream = [-1] * len(names)
+            for k, (name, on, _event) in enumerate(s.key):
+                j = column.get(name)
+                if j is not None:
+                    pos[j] = k
+                    if on is not None:
+                        stream[j] = on
+            positions.append(pos)
+            streams.append(stream)
+        shape = (len(schedules), len(names))
+        order = [j for j, f in enumerate(features) if isinstance(f, OrderFeature)]
+        same = [j for j, f in enumerate(features) if not isinstance(f, OrderFeature)]
         mat = np.zeros((len(schedules), len(features)), dtype=np.uint8)
-        for i, s in enumerate(schedules):
-            pos = {op.name: k for k, op in enumerate(s.ops)}
-            streams = {
-                op.name: op.stream
-                for op in s.ops
-                if op.kind is OpKind.GPU
-            }
-            for j, f in enumerate(features):
-                if isinstance(f, OrderFeature):
-                    pu, pv = pos.get(f.u), pos.get(f.v)
-                    if pu is None or pv is None:
-                        raise TrainingError(
-                            f"schedule missing op for feature {f}"
-                        )
-                    mat[i, j] = 1 if pu < pv else 0
-                else:
-                    mat[i, j] = 1 if streams[f.u] == streams[f.v] else 0
+        missing = np.zeros(mat.shape, dtype=bool)
+        for cols, table, holds in (
+            (order, positions, np.less),
+            (same, streams, np.equal),
+        ):
+            if not cols:
+                continue
+            table = np.array(table, dtype=np.int32).reshape(shape)
+            u = table[:, [column[features[j].u] for j in cols]]
+            v = table[:, [column[features[j].v] for j in cols]]
+            mat[:, cols] = holds(u, v)
+            missing[:, cols] = (u < 0) | (v < 0)
+        if missing.any():
+            _, j = np.argwhere(missing)[0]
+            raise TrainingError(f"schedule missing op for feature {features[j]}")
         return mat
 
 
@@ -199,6 +218,14 @@ class MappedFeatureExtractor:
     stream.  A feature whose keys a schedule lacks evaluates to 0 there —
     a constraint about structure a program does not have is unsatisfied,
     not an error — which also makes held-out-workload projection total.
+
+    Every feature value comes from a :class:`KeySpans` table, one scan of
+    one schedule set.  :meth:`fit_spans` and :meth:`project` take built
+    tables, so a caller that trains on the same sets several times (the
+    transfer matrix's leave-one-out folds, through
+    :class:`repro.transfer.union.UnionWorkload`) scans each set once;
+    :meth:`fit` and :meth:`transform` build a table per set they are
+    given.
     """
 
     def __init__(self) -> None:
@@ -215,24 +242,26 @@ class MappedFeatureExtractor:
         min_sets: Optional[int] = None,
     ) -> "MappedFeatureExtractor":
         """Fix the key vocabulary and feature set from several schedule
-        sets, each with its own name→key mapping.
+        sets, each with its own name→key mapping (one span table per set;
+        see :meth:`fit_spans`)."""
+        return self.fit_spans(
+            [KeySpans(schedules, mapping) for schedules, mapping in tagged],
+            min_sets=min_sets,
+        )
+
+    def fit_spans(
+        self, spans: Sequence["KeySpans"], *, min_sets: Optional[int] = None
+    ) -> "MappedFeatureExtractor":
+        """Fit from one :class:`KeySpans` table per schedule set.
 
         A key enters the vocabulary when it appears (in some schedule)
-        in at least ``min_sets`` sets — default ``min(2, len(tagged))``.
+        in at least ``min_sets`` sets — default ``min(2, len(spans))``.
         Constant columns over the concatenated sets are dropped.
         """
-        if not tagged or not any(schedules for schedules, _ in tagged):
+        if not spans or not any(sp.n_schedules for sp in spans):
             raise TrainingError("cannot fit mapped features on zero schedules")
         if min_sets is None:
-            min_sets = min(2, len(tagged))
-        spans = [
-            _KeySpans(
-                schedules,
-                mapping,
-                sorted({k for k in mapping.values() if k is not None}),
-            )
-            for schedules, mapping in tagged
-        ]
+            min_sets = min(2, len(spans))
         seen_in: Dict[str, int] = {}
         gpu_seen_in: Dict[str, int] = {}
         for sp in spans:
@@ -269,11 +298,17 @@ class MappedFeatureExtractor:
     def transform(
         self, schedules: Sequence[Schedule], mapping: KeyMapping
     ) -> FeatureMatrix:
+        """Project one schedule set (one span table; see :meth:`project`)."""
+        return self.project(KeySpans(schedules, mapping))
+
+    def project(self, spans: "KeySpans") -> FeatureMatrix:
+        """The fitted features' values on the set ``spans`` was built from;
+        a feature key the set's mapping does not name evaluates to 0."""
         if not self._fitted:
             raise TrainingError("extractor is not fitted")
-        keys = sorted({k for f in self.features for k in (f.u, f.v)})
-        spans = _KeySpans(schedules, mapping, keys)
-        matrix = np.zeros((len(schedules), len(self.features)), dtype=np.uint8)
+        matrix = np.zeros(
+            (spans.n_schedules, len(self.features)), dtype=np.uint8
+        )
         for lo in range(0, len(self.features), _CHUNK):
             chunk = self.features[lo : lo + _CHUNK]
             matrix[:, lo : lo + len(chunk)] = spans.columns(chunk).T
@@ -281,11 +316,11 @@ class MappedFeatureExtractor:
 
 
 #: Features evaluated per numpy pass; bounds the ``[chunk, schedules]``
-#: temporaries of :meth:`_KeySpans.columns`.
+#: temporaries of :meth:`KeySpans.columns`.
 _CHUNK = 64
 
 
-class _KeySpans:
+class KeySpans:
     """Where each key sits in each schedule of one set, in one pass.
 
     ``[key, schedule]`` arrays: ``first`` / ``last`` launch position of
@@ -294,22 +329,19 @@ class _KeySpans:
     none).  Universally quantified features reduce to comparisons of
     these: "every ``u`` op before every ``v`` op" is ``last[u] <
     first[v]``, and "all cross pairs share a stream" is ``lo == hi`` on
-    both keys with equal ``lo``.
+    both keys with equal ``lo``.  The keys are every key ``mapping``
+    names, so any fitted :class:`MappedFeatureExtractor` can project the
+    table.
     """
 
-    def __init__(
-        self,
-        schedules: Sequence[Schedule],
-        mapping: KeyMapping,
-        keys: Sequence[str],
-    ) -> None:
-        self.keys = tuple(keys)
+    def __init__(self, schedules: Sequence[Schedule], mapping: KeyMapping) -> None:
+        self.keys = tuple(sorted({k for k in mapping.values() if k is not None}))
         self.n_schedules = len(schedules)
         self._index = {k: i for i, k in enumerate(self.keys)}
         slot = {
             name: self._index[key]
             for name, key in mapping.items()
-            if key is not None and key in self._index
+            if key is not None
         }
         n_keys = len(self.keys)
         big = int(np.iinfo(np.int32).max)

@@ -35,6 +35,20 @@ rule operand (a source-program op name) to a canonical group key and
 to match operations by *structural* signature (action kind, device,
 comm-group topology, dependence-chain position), so families with
 disjoint naming can still exchange rules.
+
+Evaluation
+----------
+Each side is keyed once.  :func:`group_schedules` scans every schedule
+once into its op groups (key -> launch positions, GPU key -> streams),
+keying each distinct op name once, and :func:`resolve_rules` maps each
+rule's two operands to keys once per rule, not once per schedule.
+:func:`tally` counts over grouped schedules where a resolved rule
+transfers and where it holds; it is the one place the quantifiers are
+evaluated, for :func:`rule_satisfied` (one schedule), :func:`score_rules`,
+:func:`score_groups` and the discrimination scores of
+:mod:`repro.transfer.scoring`.  Callers scoring many rule sets on one
+target (the cross-workload tables) group the target once and pass the
+groups to :func:`score_groups`.
 """
 
 from __future__ import annotations
@@ -81,6 +95,14 @@ def op_role(name: str) -> str:
 #: Maps an op name to its grouping key; ``None`` = does not participate.
 KeyFn = Callable[[str], Optional[str]]
 
+#: One schedule's op groups: key -> launch positions, and GPU op key ->
+#: stream bindings (ops keyed ``None`` are dropped).
+Groups = Tuple[Dict[str, List[int]], Dict[str, List[int]]]
+
+#: A rule with its operands resolved to group keys:
+#: ``(is_order, key_u, key_v, value)``; ``None`` when it cannot transfer.
+ResolvedRule = Optional[Tuple[bool, str, str, bool]]
+
 
 def _key_fns(by_role: bool, matcher) -> Tuple[KeyFn, KeyFn]:
     """``(rule_key, op_key)`` for the requested matching mode."""
@@ -92,59 +114,82 @@ def _key_fns(by_role: bool, matcher) -> Tuple[KeyFn, KeyFn]:
     return (identity, identity)
 
 
-def _order_groups(
-    schedule: Schedule, op_key: KeyFn
-) -> Dict[str, List[int]]:
-    """Op key -> launch positions (ops keyed ``None`` are dropped)."""
-    groups: Dict[str, List[int]] = {}
-    for i, op in enumerate(schedule.ops):
-        key = op_key(op.name)
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    return groups
+def group_schedules(
+    schedules: Sequence[Schedule], *, by_role: bool = False, matcher=None
+) -> Tuple[Groups, ...]:
+    """Every schedule's op groups under the matching mode's op key.
+
+    Each op name is keyed once per call.  Positions are appended in
+    launch order, so a group's first and last entries are its earliest
+    and latest launch.
+    """
+    _, op_key = _key_fns(by_role, matcher)
+    names = {name for s in schedules for name, _, _ in s.key}
+    key_of = {name: op_key(name) for name in names}
+    out: List[Groups] = []
+    for schedule in schedules:
+        order: Dict[str, List[int]] = {}
+        streams: Dict[str, List[int]] = {}
+        for i, op in enumerate(schedule.ops):
+            key = key_of[op.name]
+            if key is None:
+                continue
+            order.setdefault(key, []).append(i)
+            if op.kind is OpKind.GPU:
+                streams.setdefault(key, []).append(op.stream)
+        out.append((order, streams))
+    return tuple(out)
 
 
-def _stream_groups(
-    schedule: Schedule, op_key: KeyFn
-) -> Dict[str, List[int]]:
-    """GPU op key -> stream bindings (ops keyed ``None`` are dropped)."""
-    groups: Dict[str, List[int]] = {}
-    for op in schedule.ops:
-        if op.kind is not OpKind.GPU:
-            continue
-        key = op_key(op.name)
-        if key is not None:
-            groups.setdefault(key, []).append(op.stream)  # type: ignore[arg-type]
-    return groups
-
-
-def _eval_rule(
-    rule: Rule,
-    order_groups: Dict[str, List[int]],
-    stream_groups: Dict[str, List[int]],
-    rule_key: KeyFn,
-) -> Optional[bool]:
+def _resolve(rule: Rule, rule_key: KeyFn) -> ResolvedRule:
     f = rule.feature
-    if isinstance(f, OrderFeature):
-        groups = order_groups
-    elif isinstance(f, StreamFeature):
-        groups = stream_groups
-    else:
+    if not isinstance(f, (OrderFeature, StreamFeature)):
         return None
     key_u = rule_key(f.u)
     key_v = rule_key(f.v)
     if key_u is None or key_v is None or key_u == key_v:
         return None
-    us, vs = groups.get(key_u), groups.get(key_v)
-    if not us or not vs:
-        return None
-    if isinstance(f, OrderFeature):
-        if rule.value:
-            return max(us) < min(vs)
-        return max(vs) < min(us)
-    if rule.value:
-        return all(a == b for a in us for b in vs)
-    return all(a != b for a in us for b in vs)
+    return (isinstance(f, OrderFeature), key_u, key_v, rule.value)
+
+
+def resolve_rules(
+    rules: Iterable[Rule], *, by_role: bool = False, matcher=None
+) -> List[Tuple[Rule, ResolvedRule]]:
+    """Each rule with its operand keys, in rule-text order."""
+    rule_key, _ = _key_fns(by_role, matcher)
+    return [
+        (rule, _resolve(rule, rule_key))
+        for rule in sorted(rules, key=lambda r: r.text)
+    ]
+
+
+def tally(
+    resolved: ResolvedRule, grouped: Iterable[Groups]
+) -> Tuple[int, int]:
+    """``(n_transferred, n_satisfied)`` of a resolved rule over grouped
+    schedules: how many hold a group for each operand, and how many of
+    those follow the rule on every cross pair of the two groups."""
+    if resolved is None:
+        return (0, 0)
+    is_order, key_u, key_v, value = resolved
+    side = 0 if is_order else 1
+    n_t = 0
+    n_s = 0
+    for groups in grouped:
+        us = groups[side].get(key_u)
+        vs = groups[side].get(key_v)
+        if not us or not vs:
+            continue
+        n_t += 1
+        if is_order:  # positions ascend: [0] is the earliest, [-1] the latest
+            ok = us[-1] < vs[0] if value else vs[-1] < us[0]
+        elif value:
+            ok = all(a == b for a in us for b in vs)
+        else:
+            ok = all(a != b for a in us for b in vs)
+        if ok:
+            n_s += 1
+    return (n_t, n_s)
 
 
 def rule_satisfied(
@@ -162,13 +207,12 @@ def rule_satisfied(
     side; the rule is satisfied iff every cross pair satisfies the
     constraint.
     """
-    rule_key, op_key = _key_fns(by_role, matcher)
-    return _eval_rule(
-        rule,
-        _order_groups(schedule, op_key),
-        _stream_groups(schedule, op_key),
-        rule_key,
+    rule_key, _ = _key_fns(by_role, matcher)
+    n_t, n_s = tally(
+        _resolve(rule, rule_key),
+        group_schedules([schedule], by_role=by_role, matcher=matcher),
     )
+    return bool(n_s) if n_t else None
 
 
 def rule_transfers(
@@ -209,29 +253,29 @@ def score_rules(
     """Evaluate every rule against every schedule.
 
     Deterministic order: rules sorted by text, so reports and JSON output
-    are stable across runs and processes.  Per-schedule op groups are
-    computed once and shared by all rules.  An empty rule iterable or an
+    are stable across runs and processes.  An empty rule iterable or an
     empty schedule sequence is well-defined (empty list / all-zero
     scores), never an error.
     """
-    rule_key, op_key = _key_fns(by_role, matcher)
-    grouped = [
-        (_order_groups(s, op_key), _stream_groups(s, op_key))
-        for s in schedules
+    grouped = group_schedules(schedules, by_role=by_role, matcher=matcher)
+    return score_groups(rules, grouped, by_role=by_role, matcher=matcher)
+
+
+def score_groups(
+    rules: Iterable[Rule],
+    grouped: Sequence[Groups],
+    *,
+    by_role: bool = False,
+    matcher=None,
+) -> List[RuleScore]:
+    """:func:`score_rules` over schedules already grouped by
+    :func:`group_schedules` under the same matching mode."""
+    return [
+        RuleScore(rule, *tally(resolved, grouped))
+        for rule, resolved in resolve_rules(
+            rules, by_role=by_role, matcher=matcher
+        )
     ]
-    out: List[RuleScore] = []
-    for rule in sorted(rules, key=lambda r: r.text):
-        n_t = 0
-        n_s = 0
-        for order_groups, stream_groups in grouped:
-            verdict = _eval_rule(rule, order_groups, stream_groups, rule_key)
-            if verdict is None:
-                continue
-            n_t += 1
-            if verdict:
-                n_s += 1
-        out.append(RuleScore(rule=rule, n_transferred=n_t, n_satisfied=n_s))
-    return out
 
 
 def transfer_summary(

@@ -20,7 +20,8 @@ design knowledge across *different programs*:
   held-out workload.
 * :mod:`repro.transfer.matrix` — the leave-one-workload-out transfer
   matrix experiment (source × target discrimination grid, per-target
-  vacuous-rule controls, and the union-tree accuracy row).
+  vacuous-rule controls, and the union-tree accuracy row), plus the
+  grid's do-not-transfer advisories alone for publishing.
 """
 
 from repro.transfer.matrix import (

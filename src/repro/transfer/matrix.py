@@ -174,11 +174,7 @@ class TransferMatrixResult:
 
     def advisories(self) -> List[TransferCell]:
         """Strongly negative cells: do *not* move rules along these edges."""
-        return [
-            self.cells[key]
-            for key in sorted(self.cells)
-            if self.cells[key].do_not_transfer
-        ]
+        return _advisories(self.cells)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -346,10 +342,19 @@ def _union_workload(
 
 
 # ----------------------------------------------------------------------
-def transfer_matrix_from(
-    per_workload: Sequence[WorkloadRules],
-) -> TransferMatrixResult:
-    """Build the full transfer matrix from precomputed pipeline outputs."""
+@dataclass
+class _Grid:
+    """The discrimination grid and the per-workload tables behind it."""
+
+    signatures: Dict[str, Dict[str, OpSignature]]
+    #: Target label -> its fast/slow classes under its identity matcher.
+    grouped: Dict[str, GroupedClasses]
+    cells: Dict[Tuple[str, str], TransferCell]
+    scores: Dict[Tuple[str, str], List[DiscriminationScore]]
+
+
+def _discrimination_grid(per_workload: Sequence[WorkloadRules]) -> _Grid:
+    """Score every source's rules on every other target's classes."""
     if len(per_workload) < 2:
         raise ValueError("need at least two workloads for a transfer matrix")
     signatures = {
@@ -401,13 +406,35 @@ def transfer_matrix_from(
                     best.discrimination if best is not None else 0.0
                 ),
             )
+    return _Grid(signatures, grouped, cells, scores)
+
+
+def _advisories(cells: Dict[Tuple[str, str], TransferCell]) -> List[TransferCell]:
+    return [cells[key] for key in sorted(cells) if cells[key].do_not_transfer]
+
+
+def transfer_advisories(
+    per_workload: Sequence[WorkloadRules],
+) -> List[TransferCell]:
+    """The do-not-transfer cells of the matrix over ``per_workload``
+    (:meth:`TransferMatrixResult.advisories`), from the discrimination
+    grid alone: no controls, no union training."""
+    return _advisories(_discrimination_grid(per_workload).cells)
+
+
+def transfer_matrix_from(
+    per_workload: Sequence[WorkloadRules],
+) -> TransferMatrixResult:
+    """Build the full transfer matrix from precomputed pipeline outputs."""
+    grid = _discrimination_grid(per_workload)
+    signatures = grid.signatures
 
     controls = [
         row
         for wl in per_workload
         if (
             row := _control_row(
-                wl, signatures[wl.spec.label], grouped[wl.spec.label]
+                wl, signatures[wl.spec.label], grid.grouped[wl.spec.label]
             )
         )
         is not None
@@ -417,6 +444,8 @@ def transfer_matrix_from(
     skipped: List[str] = []
     union_note = ""
     if len(per_workload) >= MIN_UNION_WORKLOADS:
+        # One list across every fold: each workload's span table is built
+        # once and shared by the folds that train on or hold it out.
         union_workloads = [
             _union_workload(wl, signatures[wl.spec.label])
             for wl in per_workload
@@ -457,11 +486,11 @@ def transfer_matrix_from(
 
     return TransferMatrixResult(
         workloads=[wl.spec.label for wl in per_workload],
-        cells=cells,
+        cells=grid.cells,
         controls=controls,
         union_rows=union_rows,
         union_note=union_note,
-        scores=scores,
+        scores=grid.scores,
     )
 
 

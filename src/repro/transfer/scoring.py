@@ -26,14 +26,11 @@ weight 0, regardless of coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.rules.ruleset import Rule
-from repro.rules.score import _eval_rule, _key_fns, _order_groups, _stream_groups
+from repro.rules.score import Groups, group_schedules, resolve_rules, tally
 from repro.schedule.schedule import Schedule
-
-#: Per-schedule (order groups, stream groups) pair.
-_Groups = Tuple[Dict[str, List[int]], Dict[str, List[int]]]
 
 
 @dataclass(frozen=True)
@@ -94,13 +91,14 @@ class GroupedClasses:
 
     Grouping a target's schedules depends only on the *target-side* key
     function, so when many sources are scored against the same target
-    (the transfer matrix), compute this once per target via
-    :func:`group_classes` and score each source with
-    :func:`score_grouped`.
+    (the transfer matrix, the suite's role-matched table), compute this
+    once per target via :func:`group_classes` and score each source with
+    :func:`score_grouped`, or pass ``fast`` to
+    :func:`repro.rules.score.score_groups`.
     """
 
-    fast: Tuple[_Groups, ...]
-    slow: Tuple[_Groups, ...]
+    fast: Tuple[Groups, ...]
+    slow: Tuple[Groups, ...]
     n_total: int
 
 
@@ -112,16 +110,9 @@ def group_classes(
     matcher=None,
 ) -> GroupedClasses:
     """Group a target's labeled schedules by the matching mode's op key."""
-    _, op_key = _key_fns(by_role, matcher)
     return GroupedClasses(
-        fast=tuple(
-            (_order_groups(s, op_key), _stream_groups(s, op_key))
-            for s in fast_schedules
-        ),
-        slow=tuple(
-            (_order_groups(s, op_key), _stream_groups(s, op_key))
-            for s in slow_schedules
-        ),
+        fast=group_schedules(fast_schedules, by_role=by_role, matcher=matcher),
+        slow=group_schedules(slow_schedules, by_role=by_role, matcher=matcher),
         n_total=len(fast_schedules) + len(slow_schedules),
     )
 
@@ -135,27 +126,13 @@ def score_grouped(
 ) -> List[DiscriminationScore]:
     """Score rules against pre-grouped target classes.
 
-    Only the rule-side key function of the matching mode is consulted;
-    the op-side keys are already baked into ``grouped``.
+    Only the rule-side key function of the matching mode is consulted
+    (once per rule); the op-side keys are already baked into ``grouped``.
     """
-    rule_key, _ = _key_fns(by_role, matcher)
     out: List[DiscriminationScore] = []
-    for rule in sorted(rules, key=lambda r: r.text):
-        counts = []
-        for side in (grouped.fast, grouped.slow):
-            n_t = 0
-            n_s = 0
-            for order_groups, stream_groups in side:
-                verdict = _eval_rule(
-                    rule, order_groups, stream_groups, rule_key
-                )
-                if verdict is None:
-                    continue
-                n_t += 1
-                if verdict:
-                    n_s += 1
-            counts.append((n_t, n_s))
-        (f_t, f_s), (s_t, s_s) = counts
+    for rule, resolved in resolve_rules(rules, by_role=by_role, matcher=matcher):
+        f_t, f_s = tally(resolved, grouped.fast)
+        s_t, s_s = tally(resolved, grouped.slow)
         out.append(
             DiscriminationScore(
                 rule=rule,

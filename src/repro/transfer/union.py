@@ -21,12 +21,13 @@ of the paper's Table V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.ml.features import MappedFeatureExtractor
+from repro.ml.features import KeySpans, MappedFeatureExtractor
 from repro.ml.hyperparam import search_tree_size
 from repro.ml.tree import DecisionTree
 from repro.schedule.schedule import Schedule
@@ -38,7 +39,13 @@ FAST, SLOW = 0, 1
 
 @dataclass
 class UnionWorkload:
-    """One workload's contribution to the union training set."""
+    """One workload's contribution to the union training set.
+
+    Its schedules are scanned once, into :attr:`spans`, on first use;
+    every fold that trains on or holds out this workload reads that one
+    table.  Hold the same objects across folds (as the transfer matrix
+    does) to share it.
+    """
 
     label: str
     schedules: Sequence[Schedule]
@@ -50,6 +57,11 @@ class UnionWorkload:
     @property
     def key_mapping(self) -> Dict[str, str]:
         return {name: sig.key for name, sig in self.signatures.items()}
+
+    @cached_property
+    def spans(self) -> KeySpans:
+        """The schedules' span table over every signature key they map."""
+        return KeySpans(self.schedules, self.key_mapping)
 
 
 def binary_labels(class_labels: Sequence[int]) -> np.ndarray:
@@ -79,16 +91,6 @@ class UnionTrainingResult:
         return len(self.extractor.features)
 
 
-def _accuracy(
-    tree: DecisionTree,
-    extractor: MappedFeatureExtractor,
-    wl: UnionWorkload,
-) -> float:
-    x = extractor.transform(wl.schedules, wl.key_mapping).matrix
-    pred = tree.predict(x)
-    return float(np.mean(pred == wl.labels))
-
-
 def train_union(
     workloads: Sequence[UnionWorkload],
     *,
@@ -98,11 +100,14 @@ def train_union(
     """Train one tree on the union of ``workloads`` (minus ``holdout``).
 
     The feature vocabulary is fitted on the *training* workloads only —
-    the held-out workload plays no part in choosing features — and the
-    held-out evaluation uses only the features both sides share; if the
-    held-out workload lacks one of them, the feature simply evaluates on
-    its own signature groups (its programs carry the same structural
-    signatures, which is what makes the projection possible at all).
+    the held-out workload plays no part in choosing features.  The
+    projection is total: a feature whose signature keys the held-out
+    program lacks evaluates to 0 there (a structurally absent constraint
+    is unsatisfied), so the tree always predicts foreign schedules.
+
+    Every workload is read through its :attr:`UnionWorkload.spans`
+    table, and the tree predicts the training matrix once: train and
+    per-workload accuracy are slices of that one prediction.
     """
     train = [w for w in workloads if w.label != holdout]
     if holdout is not None and len(train) == len(workloads):
@@ -110,44 +115,30 @@ def train_union(
     if len(train) < 2:
         raise TrainingError("union training needs at least two workloads")
 
-    extractor = MappedFeatureExtractor().fit(
-        [(w.schedules, w.key_mapping) for w in train]
-    )
+    extractor = MappedFeatureExtractor().fit_spans([w.spans for w in train])
     if not extractor.features:
         raise TrainingError(
             "no shared, non-constant signature features across the union"
         )
-    x = np.concatenate(
-        [extractor.transform(w.schedules, w.key_mapping).matrix for w in train]
-    )
+    blocks = [extractor.project(w.spans).matrix for w in train]
+    x = np.concatenate(blocks)
     y = np.concatenate([np.asarray(w.labels, dtype=int) for w in train])
     tree, _ = search_tree_size(x, y, criterion=criterion)
 
-    per_wl = {w.label: _accuracy(tree, extractor, w) for w in train}
+    hit = tree.predict(x) == y
+    per_block = np.split(hit, np.cumsum([len(b) for b in blocks])[:-1])
     result = UnionTrainingResult(
         extractor=extractor,
         tree=tree,
         trained_on=tuple(w.label for w in train),
-        train_accuracy=float(np.mean(tree.predict(x) == y)),
-        per_workload_accuracy=per_wl,
+        train_accuracy=float(np.mean(hit)),
+        per_workload_accuracy={
+            w.label: float(np.mean(part)) for w, part in zip(train, per_block)
+        },
         holdout=holdout,
     )
     if holdout is not None:
         held = next(w for w in workloads if w.label == holdout)
-        result.holdout_accuracy = _holdout_accuracy(tree, extractor, held)
+        pred = tree.predict(extractor.project(held.spans).matrix)
+        result.holdout_accuracy = float(np.mean(pred == held.labels))
     return result
-
-
-def _holdout_accuracy(
-    tree: DecisionTree,
-    extractor: MappedFeatureExtractor,
-    held: UnionWorkload,
-) -> float:
-    """Accuracy on the held-out workload.
-
-    The mapped extractor's projection is total: features whose signature
-    keys the held-out program lacks evaluate to 0 (structurally absent
-    constraints are unsatisfied), so the tree always yields a
-    prediction for foreign schedules.
-    """
-    return _accuracy(tree, extractor, held)

@@ -29,7 +29,12 @@ from repro.exec import ExecConfig
 from repro.platform.machine import MachineConfig
 from repro.platform.presets import perlmutter_like
 from repro.rules.ruleset import Rule
-from repro.rules.score import class_rules, score_rules, transfer_summary
+from repro.rules.score import (
+    class_rules,
+    group_schedules,
+    score_groups,
+    transfer_summary,
+)
 from repro.schedule.schedule import Schedule
 from repro.workloads.spec import WorkloadSpec
 
@@ -114,13 +119,21 @@ def score_cross_workload(
     per_workload: Sequence[WorkloadRules],
 ) -> CrossWorkloadResult:
     """Pairwise role-matched satisfaction table over precomputed
-    per-workload pipeline outputs."""
+    per-workload pipeline outputs.
+
+    Each target's fast schedules are grouped once and scored against
+    every other workload's rules.
+    """
+    fast = {
+        wl.spec.label: group_schedules(wl.fast_schedules, by_role=True)
+        for wl in per_workload
+    }
     matrix: Dict[Tuple[str, str], Tuple[int, int, float]] = {}
     for src in per_workload:
         for dst in per_workload:
             if src.spec.label == dst.spec.label:
                 continue
-            scores = score_rules(src.rules, dst.fast_schedules, by_role=True)
+            scores = score_groups(src.rules, fast[dst.spec.label], by_role=True)
             matrix[(src.spec.label, dst.spec.label)] = transfer_summary(scores)
     return CrossWorkloadResult(workloads=list(per_workload), matrix=matrix)
 

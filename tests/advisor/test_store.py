@@ -1,6 +1,7 @@
 """Artifact store round-trips, validation, and version error paths."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -12,11 +13,14 @@ from repro.advisor import (
     ArtifactStore,
     ScoredRule,
     artifact_from_dict,
+    publish,
+    publish_artifacts,
 )
 from repro.errors import ArtifactError
 from repro.ml.features import OrderFeature
 from repro.rules.ruleset import Rule
 from repro.sim.measure import MeasurementConfig
+from repro.transfer import matrix, union
 from repro.workloads import Suite, SuiteRunner, WorkloadSpec
 
 MACHINE_NAME = "perlmutter-like"
@@ -258,3 +262,46 @@ class TestUnionArtifactShape:
             "stencil" in src and dst.startswith("wavefront")
             for src, dst in pairs
         )
+
+
+class TestPublishAdvisories:
+    def test_derived_advisories_train_only_the_published_tree(
+        self, tmp_path, trained_workloads, monkeypatch
+    ):
+        """Without ``advisories``, publishing derives them from the
+        discrimination grid: the all-workload tree is the only union tree
+        it trains, and every file equals publishing the full matrix's
+        advisories."""
+        calls = []
+
+        def counting(workloads, **kwargs):
+            calls.append(kwargs.get("holdout"))
+            return union.train_union(workloads, **kwargs)
+
+        monkeypatch.setattr(publish, "train_union", counting)
+        monkeypatch.setattr(matrix, "train_union", counting)
+        derived = publish_artifacts(
+            ArtifactStore(str(tmp_path / "derived")),
+            trained_workloads,
+            machine=MACHINE_NAME,
+        )
+        assert calls == [None]
+        monkeypatch.undo()
+
+        full = matrix.transfer_matrix_from(trained_workloads)
+        assert full.advisories()
+        given = publish_artifacts(
+            ArtifactStore(str(tmp_path / "given")),
+            trained_workloads,
+            machine=MACHINE_NAME,
+            advisories=[
+                (c.source, c.target, c.mean_discrimination)
+                for c in full.advisories()
+            ],
+        )
+        assert [os.path.basename(p) for p in derived] == [
+            os.path.basename(p) for p in given
+        ]
+        for a, b in zip(derived, given):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read()

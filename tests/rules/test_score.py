@@ -1,6 +1,8 @@
 """Tests for cross-workload rule scoring (repro.rules.score)."""
 
-from repro.dag.vertex import cpu_op, gpu_op
+from hypothesis import given, settings, strategies as st
+
+from repro.dag.vertex import OpKind, cpu_op, gpu_op
 from repro.ml.features import OrderFeature, StreamFeature
 from repro.rules.ruleset import Rule, RuleSet
 from repro.rules.score import (
@@ -204,3 +206,114 @@ class TestMatcherMode:
         rule = Rule(OrderFeature("pack_x", "unpack_x"), True)
         [score] = score_rules([rule], [SCHED], matcher=self._Upper())
         assert (score.n_transferred, score.n_satisfied) == (1, 1)
+
+
+# ----------------------------------------------------------------------
+# Resolved-key scoring against per-(rule, schedule) evaluation.
+
+#: Op pool: role-qualified names share roles, and some GPU groups span
+#: several ops, so groups with several positions and streams occur.
+POOL = {
+    "Pack_0": True,
+    "Pack_1": True,
+    "Post_x": False,
+    "Post_y": False,
+    "Work": True,
+    "Wait": False,
+}
+
+
+def reference_satisfied(rule, schedule, rule_key, op_key):
+    """Group ``schedule`` and resolve both rule operands for this one
+    (rule, schedule) pair, as every pair used to."""
+    order, streams = {}, {}
+    for i, op in enumerate(schedule.ops):
+        key = op_key(op.name)
+        if key is not None:
+            order.setdefault(key, []).append(i)
+    for op in schedule.ops:
+        key = op_key(op.name)
+        if op.kind is OpKind.GPU and key is not None:
+            streams.setdefault(key, []).append(op.stream)
+    f = rule.feature
+    groups = order if isinstance(f, OrderFeature) else streams
+    key_u, key_v = rule_key(f.u), rule_key(f.v)
+    if key_u is None or key_v is None or key_u == key_v:
+        return None
+    us, vs = groups.get(key_u), groups.get(key_v)
+    if not us or not vs:
+        return None
+    if isinstance(f, OrderFeature):
+        return max(us) < min(vs) if rule.value else max(vs) < min(us)
+    if rule.value:
+        return all(a == b for a in us for b in vs)
+    return all(a != b for a in us for b in vs)
+
+
+class _DictMatcher:
+    def __init__(self, source, target):
+        self.source, self.target = source, target
+
+    def rule_key(self, name):
+        return self.source.get(name)
+
+    def op_key(self, name):
+        return self.target.get(name)
+
+
+@st.composite
+def scoring_cases(draw):
+    names = list(POOL)
+    schedules = []
+    for _ in range(draw(st.integers(0, 6))):
+        chosen = draw(st.permutations(names))
+        chosen = chosen[: draw(st.integers(0, len(names)))]
+        schedules.append(
+            Schedule(
+                [
+                    _gpu(n, draw(st.integers(0, 2))) if POOL[n] else _cpu(n)
+                    for n in chosen
+                ]
+            )
+        )
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    rules = [
+        Rule(
+            draw(st.sampled_from([OrderFeature, StreamFeature]))(u, v),
+            draw(st.booleans()),
+        )
+        for u, v in draw(st.lists(pair, min_size=1, max_size=8))
+    ]
+    keys = st.sampled_from(["A", "B", "C", None])
+    matcher = _DictMatcher(
+        {n: draw(keys) for n in names}, {n: draw(keys) for n in names}
+    )
+    return rules, schedules, matcher
+
+
+@given(scoring_cases(), st.sampled_from(["exact", "role", "matcher"]))
+@settings(max_examples=300, deadline=None)
+def test_scoring_matches_per_pair_evaluation(case, mode):
+    rules, schedules, matcher = case
+    kwargs = {
+        "exact": {},
+        "role": {"by_role": True},
+        "matcher": {"matcher": matcher},
+    }[mode]
+    if mode == "matcher":
+        rule_key, op_key = matcher.rule_key, matcher.op_key
+    elif mode == "role":
+        rule_key = op_key = op_role
+    else:
+        rule_key = op_key = lambda name: name  # noqa: E731
+    want = []
+    for rule in sorted(rules, key=lambda r: r.text):
+        verdicts = [
+            reference_satisfied(rule, s, rule_key, op_key) for s in schedules
+        ]
+        for s, verdict in zip(schedules, verdicts):
+            assert rule_satisfied(rule, s, **kwargs) is verdict
+        held = [v for v in verdicts if v is not None]
+        want.append((rule, len(held), sum(held)))
+    got = score_rules(rules, schedules, **kwargs)
+    assert [(s.rule, s.n_transferred, s.n_satisfied) for s in got] == want

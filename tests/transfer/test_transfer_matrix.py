@@ -8,8 +8,10 @@ import pytest
 from repro.exec import ExecConfig
 from repro.rules.score import rule_satisfied
 from repro.sim.measure import MeasurementConfig
+from repro.transfer import matrix as matrix_module
 from repro.transfer.matrix import (
     run_transfer_matrix,
+    transfer_advisories,
     transfer_matrix_from,
     vacuous_control_rule,
 )
@@ -173,6 +175,15 @@ class TestAdvisories:
         for cell in matrix.cells.values():
             if cell.n_transferable == 0 or cell.mean_discrimination >= 0:
                 assert not cell.do_not_transfer
+
+    def test_advisories_need_no_union_training(
+        self, per_workload, matrix, monkeypatch
+    ):
+        def no_union(*args, **kwargs):
+            raise AssertionError("advisories trained a union tree")
+
+        monkeypatch.setattr(matrix_module, "train_union", no_union)
+        assert transfer_advisories(per_workload) == matrix.advisories()
 
 
 class TestSuiteIntegration:

@@ -1,15 +1,21 @@
 """Tests for union-feature training (repro.transfer.union +
 repro.ml.features.MappedFeatureExtractor)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.dag.vertex import cpu_op, gpu_op
 from repro.errors import TrainingError
+from repro.ml import features
 from repro.ml.features import MappedFeatureExtractor, OrderFeature, StreamFeature
+from repro.ml.hyperparam import search_tree_size
 from repro.schedule.schedule import BoundOp, Schedule
-from repro.transfer.signature import OpSignature
+from repro.sim.measure import MeasurementConfig
+from repro.transfer.signature import OpSignature, program_signatures
 from repro.transfer.union import UnionWorkload, binary_labels, train_union
+from repro.workloads import WorkloadSpec, rules_for_specs
 
 
 def _gpu(name, stream):
@@ -183,3 +189,112 @@ class TestTrainUnion:
         )
         with pytest.raises(TrainingError, match="no shared"):
             train_union([w1, w2])
+
+
+# ----------------------------------------------------------------------
+# Shared span tables against per-call projection.
+
+
+def reference_train_union(workloads, holdout=None):
+    """``train_union`` projecting each workload with ``transform``: one
+    span table per fit set, per training block and per accuracy, and one
+    ``predict`` per training workload on top of the training matrix's."""
+    train = [w for w in workloads if w.label != holdout]
+    ex = MappedFeatureExtractor().fit([(w.schedules, w.key_mapping) for w in train])
+    if not ex.features:
+        raise TrainingError(
+            "no shared, non-constant signature features across the union"
+        )
+    x = np.concatenate(
+        [ex.transform(w.schedules, w.key_mapping).matrix for w in train]
+    )
+    y = np.concatenate([np.asarray(w.labels, dtype=int) for w in train])
+    tree, _ = search_tree_size(x, y)
+
+    def accuracy(w):
+        pred = tree.predict(ex.transform(w.schedules, w.key_mapping).matrix)
+        return float(np.mean(pred == w.labels))
+
+    held = [w for w in workloads if w.label == holdout]
+    return (
+        ex.features,
+        tree.to_dict(),
+        float(np.mean(tree.predict(x) == y)),
+        {w.label: accuracy(w) for w in train},
+        accuracy(held[0]) if held else None,
+    )
+
+
+#: Tiny exhaustible programs with shared structural signatures.
+REAL_SPECS = [
+    WorkloadSpec("fork_join", {"stages": 1, "branches": 2, "depth": 1}),
+    WorkloadSpec("tree_allreduce", {"rounds": 1, "elems": 16384}),
+    WorkloadSpec("wavefront", {"width": 2, "height": 2}),
+    WorkloadSpec("stencil_reduce", {"width": 2, "height": 2}),
+]
+
+
+@pytest.fixture(scope="module")
+def real_workloads():
+    per_workload = rules_for_specs(
+        REAL_SPECS, measurement=MeasurementConfig(max_samples=1)
+    )
+    return [
+        UnionWorkload(
+            label=wl.spec.label,
+            schedules=list(wl.result.search.schedules()),
+            labels=binary_labels(wl.result.labeling.labels),
+            signatures=program_signatures(wl.program),
+        )
+        for wl in per_workload
+    ]
+
+
+def _summary(result):
+    return (
+        result.extractor.features,
+        result.tree.to_dict(),
+        result.train_accuracy,
+        result.per_workload_accuracy,
+        result.holdout_accuracy,
+    )
+
+
+def test_synthetic_union_matches_transform_projection():
+    workloads = TestTrainUnion()._workloads()
+    for holdout in (None, "A", "B", "C"):
+        assert _summary(
+            train_union(workloads, holdout=holdout)
+        ) == reference_train_union(workloads, holdout)
+
+
+def _outcome(train, workloads, holdout):
+    try:
+        return train(workloads, holdout)
+    except TrainingError as exc:
+        return str(exc)
+
+
+def test_real_union_matches_transform_projection(real_workloads, monkeypatch):
+    """Every leave-one-out fold and the all-workload tree agree with
+    per-call projection (a fold with no shared features fails in both),
+    and together they scan each workload once."""
+    built = []
+    init = features.KeySpans.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def new(workloads, holdout):
+        return _summary(train_union(workloads, holdout=holdout))
+
+    monkeypatch.setattr(features.KeySpans, "__init__", counting)
+    fresh = [dataclasses.replace(w) for w in real_workloads]
+    folds = [None] + [w.label for w in fresh]
+    got = [_outcome(new, fresh, held) for held in folds]
+    assert len(built) == len(fresh)
+    monkeypatch.undo()
+    want = [_outcome(reference_train_union, real_workloads, h) for h in folds]
+    assert got == want
+    assert sum(isinstance(g, tuple) for g in got) >= 3

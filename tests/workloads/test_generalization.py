@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.rules.score import score_rules, transfer_summary
 from repro.sim.measure import MeasurementConfig
-from repro.workloads import WorkloadSpec, rules_for_specs, score_cross_workload
+from repro.workloads import (
+    WorkloadSpec,
+    generalization,
+    rules_for_specs,
+    score_cross_workload,
+)
 
 #: Tiny exhaustible spaces (40 and 72 schedules respectively).
 SPECS = [
@@ -67,3 +73,58 @@ class TestCrossWorkload:
     def test_deterministic(self, cross_result):
         again = _cross_workload()
         assert again.matrix == cross_result.matrix
+
+
+# ----------------------------------------------------------------------
+# The role table against the per-pair loop it replaced.
+
+#: Programs whose op names share roles (``Pack``/``Pack_x``, posts and
+#: waits), so role-matched rules transfer between them.
+ROLE_SPECS = [
+    WorkloadSpec("spmv", {"scale": 0.025}),
+    WorkloadSpec(
+        "halo3d",
+        {"nx": 32, "ny": 32, "nz": 32, "px": 2, "py": 2, "pz": 1, "axes": "x"},
+    ),
+    WorkloadSpec("tree_allreduce", {"rounds": 1, "elems": 16384}),
+    WorkloadSpec("fork_join", {"stages": 1, "branches": 2, "depth": 1}),
+]
+
+
+@pytest.fixture(scope="module")
+def role_workloads():
+    return rules_for_specs(ROLE_SPECS, measurement=MEASUREMENT)
+
+
+def test_role_table_matches_per_pair_scoring(role_workloads, monkeypatch):
+    """Each target's fast schedules are grouped once, and the table
+    equals scoring every (source, target) pair on its own."""
+    groupings = []
+    group_schedules = generalization.group_schedules
+
+    def counting(schedules, **kwargs):
+        groupings.append(len(schedules))
+        return group_schedules(schedules, **kwargs)
+
+    monkeypatch.setattr(generalization, "group_schedules", counting)
+    rows = score_cross_workload(role_workloads).rows()
+    assert len(groupings) == len(role_workloads)
+
+    want = []
+    for src in role_workloads:
+        for dst in role_workloads:
+            if src is dst:
+                continue
+            scores = score_rules(src.rules, dst.fast_schedules, by_role=True)
+            n_rules, n_trans, sat = transfer_summary(scores)
+            want.append(
+                {
+                    "source": src.spec.label,
+                    "target": dst.spec.label,
+                    "n_rules": n_rules,
+                    "n_transferable": n_trans,
+                    "mean_satisfaction": sat,
+                }
+            )
+    assert rows == sorted(want, key=lambda r: (r["source"], r["target"]))
+    assert any(r["n_transferable"] for r in rows)

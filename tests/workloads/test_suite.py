@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.errors import WorkloadError
 from repro.exec import ExecConfig
+from repro.ml import features
 from repro.platform.presets import perlmutter_like
 from repro.sim.measure import MeasurementConfig
 from repro.workloads import (
@@ -231,6 +232,25 @@ class TestCrossWorkloadTables:
         assert traced.published
         traced.published = []
         assert _report_comparable(traced) == _report_comparable(report)
+
+    def test_reduce_scans_each_workload_at_most_twice(
+        self, report, tmp_path, monkeypatch
+    ):
+        """The transfer matrix's union folds share one span table per
+        workload, and publishing builds one more for the union artifact."""
+        built = []
+        init = features.KeySpans.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(features.KeySpans, "__init__", counting)
+        stored = SuiteRunner(TINY_RULES, store_path=str(tmp_path)).run()
+        assert report.union_table and stored.published
+        assert 0 < len(built) <= 2 * len(TINY_RULES.specs)
+        stored.published = []
+        assert _report_comparable(stored) == _report_comparable(report)
 
     @pytest.mark.parametrize(
         ("execution", "span", "attr", "value"),
