@@ -63,7 +63,7 @@ def big_space():
     space = DesignSpace(build_workload(BIG), n_streams=2)
     if not SMOKE:
         assert space.count() >= 10_000_000
-    space.seek(0)  # warm the completion-count memo outside timing
+    space.seek(0)  # fill the state graph and its counts outside timing
     return space
 
 

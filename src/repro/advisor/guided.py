@@ -328,14 +328,10 @@ class ScheduleGuide:
         return self.score_detail(schedule).score
 
     def admits(self, schedule: Schedule) -> bool:
-        """False when the schedule violates any prune-strength rule."""
-        order, streams = self._groups(schedule.ops)
-        for rule in self.rules:
-            if rule.weight < self.prune_threshold:
-                continue
-            if self._violated(rule, order, streams) is True:
-                return False
-        return True
+        """False when the schedule violates any prune-strength rule:
+        :meth:`admits_prefix` on the whole launch sequence, which is exact
+        on a complete schedule (every verdict is decided)."""
+        return self.admits_prefix(schedule.ops)
 
     def admits_prefix(self, ops: Sequence[BoundOp]) -> bool:
         """False when a (partial) launch sequence *determinately*

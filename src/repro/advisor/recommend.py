@@ -136,21 +136,24 @@ def _candidates(
 ) -> Tuple[List[Schedule], int]:
     """Deterministic candidate set and the number of random draws made:
     the whole space (no draws) when it fits, a seeded deduplicated sample
-    of at most ``DRAWS_PER_CANDIDATE * max_candidates`` draws otherwise."""
+    of at most ``DRAWS_PER_CANDIDATE * max_candidates`` draws otherwise.
+
+    Draws are decision paths; each schedule has exactly one, so a
+    schedule is built only for a path not drawn before."""
     if space.count() <= max_candidates:
         return list(space.enumerate_schedules()), 0
     rng = np.random.default_rng(seed)
     out: List[Schedule] = []
-    seen: Set[Schedule] = set()
+    seen: Set[Tuple[int, ...]] = set()
     draws = 0
     max_draws = DRAWS_PER_CANDIDATE * max_candidates
     while len(out) < max_candidates and draws < max_draws:
         draws += 1
-        schedule = space.random_schedule(rng)
-        if schedule in seen:
+        path = space.random_path(rng)
+        if path in seen:
             continue
-        seen.add(schedule)
-        out.append(schedule)
+        seen.add(path)
+        out.append(space.schedule_at(path))
     return out, draws
 
 
@@ -177,12 +180,14 @@ def recommend(
     ``store`` is an :class:`ArtifactStore` (its union artifact is used
     unless ``union`` is passed explicitly) or a plain artifact sequence.
     ``machine`` filters artifacts by platform preset name.  The result is
-    deterministic in (store contents, program, seed).
+    deterministic in (store contents, program, seed).  ``max_candidates``
+    (at least 1) caps the schedules ranked.
 
     Every call lands in the ``advisor.recommend_s`` latency histogram
-    (p50/p95/p99 via ``obs``) — the number the ROADMAP's
-    advisor-as-a-service item must hold at service rates.
+    (p50/p95/p99 via ``obs``).
     """
+    if max_candidates < 1:
+        raise ValueError("max_candidates must be >= 1")
     t0 = time.perf_counter()
     with obs.span("advisor.recommend", program=program.name):
         rec = _recommend(

@@ -26,16 +26,30 @@ An *action* is a tuple of :class:`~repro.schedule.schedule.BoundOp` —
 almost always a single op; atomic sync groups make it longer.
 
 Every strategy (exhaustive DFS, ``count`` / ``seek``, MCTS, beam, random)
-and the advisor's ``recommend`` walk these states, so a state never
-rescans its prefix.  Each :class:`DesignSpace` builds one bit index
-(:class:`_OpIndex`) over the op names its schedules can hold, with
-per-op predecessor and CES-needed masks, GPU predecessors in name order
-and every :class:`BoundOp` an action can carry; a state carries its
-placed mask, GPU bindings and used-stream mask forward in
-:meth:`DecisionState.apply`.  Action order — hence enumeration order,
-counts, ``seek`` cursors and every strategy's rng stream — is that of
-the prefix-rescanning implementation that
-``tests/schedule/test_decision_state.py`` keeps as its reference.
+and the advisor's ``recommend`` walk these states.  Each
+:class:`DesignSpace` builds one bit index (:class:`_OpIndex`) over the op
+names its schedules can hold, with per-op predecessor and CES-needed
+masks, GPU predecessors in name order and every :class:`BoundOp` an
+action can carry, and one lazily built **state graph**
+(:class:`_StateGraph`) with a node per decision-state key: the placed
+mask, the GPU bindings and the fresh record.  A node holds the state's
+actions, from one frontier scan; its child nodes, filled on first
+descent; and its completion count, filled by :meth:`DesignSpace.count`,
+:meth:`~DesignSpace.seek` or cut-leaf accounting.  The key is enough:
+the scan reads only which ops are placed, where placed GPU ops run and
+the fresh record, never the order they were placed in.  Its one other
+input, the mask of streams in use, is the mask of the bindings' streams,
+because a record runs on its GPU op's stream and a stream wait on its
+kernel's.  So two prefixes with one key offer the same actions and have
+the same completions.  The graph only grows along walks, so it never
+holds more nodes than the space has reachable keys, the number
+:meth:`DesignSpace.count` visits (2,818 on halo3d xy, the largest
+benchmark space); a random draw adds at most one node per step.
+
+Action order — hence enumeration order, counts, ``seek`` cursors and
+every strategy's rng stream — is that of the prefix-rescanning
+implementation that ``tests/schedule/test_decision_state.py`` keeps as
+its reference.
 """
 
 from __future__ import annotations
@@ -88,7 +102,7 @@ class _Wait(NamedTuple):
 
 
 class _ProgramOp(NamedTuple):
-    """Program op ``v`` as :meth:`DecisionState.available_actions` tests it."""
+    """Program op ``v`` as :meth:`_StateGraph._scan` tests it."""
 
     bit: int  # mask of the op itself
     preds: int  # mask of its DAG predecessors
@@ -122,7 +136,7 @@ class _OpIndex:
     CER, CES and CSWE the sync plan can insert follows.  Each op's
     predecessor and CES-needed masks, its GPU predecessors in name order
     and every :class:`BoundOp` an action can carry are made here, so a
-    state answers queries with mask tests and never builds an op.
+    frontier scan is mask tests and never builds an op.
     """
 
     def __init__(self, space: "DesignSpace") -> None:
@@ -198,114 +212,123 @@ class _OpIndex:
         )
 
 
-class DecisionState:
-    """Immutable prefix of a schedule (the paper's ``P_k``).
+class _Node:
+    """One decision-state key of a space's :class:`_StateGraph`.
 
-    Besides ``placed`` a state carries what its queries need, extended by
-    :meth:`apply` instead of rebuilt from the prefix: the mask of placed
-    op names (bits from the space's :class:`_OpIndex`), each program op's
-    stream (``None`` unless it is a placed GPU op), the mask of streams in
-    use, and :meth:`fresh_record`.  Equality and hashing are on
-    ``(space, placed)``; treat states as values and never assign to them.
+    ``used`` is the mask of the bindings' streams.  ``actions`` come from
+    one frontier scan, run when the node is made; ``children[i]`` is the
+    node ``actions[i]`` leads to, filled on first descent; ``count`` is
+    the number of complete schedules below, None until first asked.
     """
 
-    __slots__ = ("space", "placed", "_mask", "_streams", "_used", "_fresh")
+    __slots__ = (
+        "mask",
+        "streams",
+        "used",
+        "fresh",
+        "complete",
+        "actions",
+        "children",
+        "count",
+    )
 
     def __init__(
-        self, space: "DesignSpace", placed: Tuple[BoundOp, ...] = ()
+        self,
+        mask: int,
+        streams: Tuple[Optional[int], ...],
+        used: int,
+        fresh: Optional[str],
+        complete: bool,
+        actions: Tuple[Action, ...],
     ) -> None:
-        self.space = space
-        self.placed: Tuple[BoundOp, ...] = ()
-        self._mask = 0
-        self._streams = space._index.unbound
-        self._used = 0
-        self._fresh: Optional[str] = None
-        if placed:
-            grown = self.apply(tuple(placed))
-            for name in DecisionState.__slots__:
-                setattr(self, name, getattr(grown, name))
+        self.mask = mask
+        self.streams = streams
+        self.used = used
+        self.fresh = fresh
+        self.complete = complete
+        self.actions = actions
+        self.children: List[Optional[_Node]] = [None] * len(actions)
+        self.count: Optional[int] = 1 if complete else None
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DecisionState:
-            return NotImplemented
-        return (self.space, self.placed) == (other.space, other.placed)
 
-    def __hash__(self) -> int:
-        return hash((self.space, self.placed))
+class _StateGraph:
+    """A space's decision states, one :class:`_Node` per key (placed
+    mask, GPU bindings, fresh record), made on first visit."""
 
-    def __repr__(self) -> str:
-        return f"DecisionState(space={self.space!r}, placed={self.placed!r})"
+    def __init__(self, space: "DesignSpace") -> None:
+        self.index = space._index
+        self.n_streams = space.n_streams
+        self.shared_records = space.shared_records
+        self.nodes: Dict[Tuple, _Node] = {}
+        self.root = self.node(0, self.index.unbound, None)
 
-    @property
-    def placed_names(self) -> FrozenSet[str]:
-        return frozenset(op.name for op in self.placed)
+    def node(
+        self,
+        mask: int,
+        streams: Tuple[Optional[int], ...],
+        fresh: Optional[str],
+    ) -> _Node:
+        key = (mask, streams, fresh)
+        node = self.nodes.get(key)
+        if node is None:
+            used = 0
+            for s in streams:
+                if s is not None:
+                    used |= 1 << s
+            complete = self.index.complete
+            node = self.nodes[key] = _Node(
+                mask,
+                streams,
+                used,
+                fresh,
+                mask & complete == complete,
+                self._scan(mask, streams, used, fresh),
+            )
+        return node
 
-    @property
-    def gpu_streams(self) -> Dict[str, int]:
-        return {
-            v.name: s
-            for v, s in zip(self.space.program_ops, self._streams)
-            if s is not None
-        }
-
-    @property
-    def n_streams_used(self) -> int:
-        return self._used.bit_count()
-
-    def is_complete(self) -> bool:
-        complete = self.space._index.complete
-        return (self._mask & complete) == complete
-
-    def schedule(self) -> Schedule:
-        if not self.is_complete():
-            raise ScheduleError("state is not a complete schedule")
-        return Schedule(self.placed)
-
-    def apply(self, action: Action) -> "DecisionState":
-        space = self.space
-        pos = space._index.pos
-        mask, streams, used = self._mask, self._streams, self._used
+    def step(self, node: _Node, action: Action) -> _Node:
+        """The node reached by appending ``action`` (any op sequence)."""
+        pos = self.index.pos
+        mask, streams = node.mask, node.streams
         for op in action:
             i = pos[op.vertex.name]
             mask |= 1 << i
-            s = op.stream
-            if s is not None:
-                used |= 1 << s
-                if op.vertex.kind is OpKind.GPU:
-                    streams = streams[:i] + (s,) + streams[i + 1 :]
-        fresh = self._fresh
+            if op.vertex.kind is OpKind.GPU:
+                streams = streams[:i] + (op.stream,) + streams[i + 1 :]
+        fresh = node.fresh
         if action:
             last = action[-1]
-            fresh = last.event if last.vertex.name in space.shared_records else None
-        state = DecisionState.__new__(DecisionState)
-        state.space = space
-        state.placed = self.placed + action
-        state._mask = mask
-        state._streams = streams
-        state._used = used
-        state._fresh = fresh
-        return state
+            fresh = last.event if last.vertex.name in self.shared_records else None
+        return self.node(mask, streams, fresh)
 
-    def fresh_record(self) -> Optional[str]:
-        """Event of a standalone record placed by the last action, when
-        its GPU op also has GPU successors; None otherwise.
+    def child(self, node: _Node, i: int) -> _Node:
+        child = node.children[i]
+        if child is None:
+            child = node.children[i] = self.step(node, node.actions[i])
+        return child
 
-        The next action may not be a group opening with a wait on that
-        event: the parent state offered the same ops as one group.
-        """
-        return self._fresh
+    def completions(self, node: _Node) -> int:
+        """Number of complete schedules reachable from ``node``."""
+        if node.count is None:
+            total = 0
+            for i in range(len(node.actions)):
+                total += self.completions(self.child(node, i))
+            node.count = total
+        return node.count
 
-    # ------------------------------------------------------------------
-    def available_actions(self) -> Tuple[Action, ...]:
-        space = self.space
-        index = space._index
-        mask = self._mask
-        streams = self._streams
-        fresh = self._fresh
+    def _scan(
+        self,
+        mask: int,
+        streams: Tuple[Optional[int], ...],
+        used: int,
+        fresh: Optional[str],
+    ) -> Tuple[Action, ...]:
+        """The frontier: every legal next action, in reference order."""
+        index = self.index
         actions: List[Action] = []
 
         # Canonical stream choices: any stream already used, plus one fresh.
-        choices = range(min(self._used.bit_count() + 1, space.n_streams))
+        choices = range(min(used.bit_count() + 1, self.n_streams))
 
         for bit, preds, needs, on, waits in index.ops:
             if mask & bit or preds & ~mask:
@@ -344,6 +367,85 @@ class DecisionState:
                 actions.append((op,))
 
         return tuple(actions)
+
+
+#: One level of a depth-first walk: a node, the ops placed before it, and
+#: the index of the action taken from it.
+_Frame = Tuple[_Node, Tuple[BoundOp, ...], int]
+
+
+class DecisionState:
+    """Immutable prefix of a schedule (the paper's ``P_k``).
+
+    A state is its ``placed`` ops and the state-graph node of its key,
+    which answers every query: completeness, actions, bindings, streams
+    in use and :meth:`fresh_record`.  Equality and hashing are on
+    ``(space, placed)``; treat states as values and never assign to them.
+    """
+
+    __slots__ = ("space", "placed", "_node")
+
+    def __init__(
+        self, space: "DesignSpace", placed: Tuple[BoundOp, ...] = ()
+    ) -> None:
+        graph = space._graph
+        self.space = space
+        self.placed: Tuple[BoundOp, ...] = tuple(placed)
+        self._node = graph.step(graph.root, self.placed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DecisionState:
+            return NotImplemented
+        return (self.space, self.placed) == (other.space, other.placed)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.placed))
+
+    def __repr__(self) -> str:
+        return f"DecisionState(space={self.space!r}, placed={self.placed!r})"
+
+    @property
+    def placed_names(self) -> FrozenSet[str]:
+        return frozenset(op.name for op in self.placed)
+
+    @property
+    def gpu_streams(self) -> Dict[str, int]:
+        return {
+            v.name: s
+            for v, s in zip(self.space.program_ops, self._node.streams)
+            if s is not None
+        }
+
+    @property
+    def n_streams_used(self) -> int:
+        return self._node.used.bit_count()
+
+    def is_complete(self) -> bool:
+        return self._node.complete
+
+    def schedule(self) -> Schedule:
+        if not self._node.complete:
+            raise ScheduleError("state is not a complete schedule")
+        return Schedule(self.placed)
+
+    def apply(self, action: Action) -> "DecisionState":
+        state = DecisionState.__new__(DecisionState)
+        state.space = self.space
+        state.placed = self.placed + action
+        state._node = self.space._graph.step(self._node, action)
+        return state
+
+    def fresh_record(self) -> Optional[str]:
+        """Event of a standalone record placed by the last action, when
+        its GPU op also has GPU successors; None otherwise.
+
+        The next action may not be a group opening with a wait on that
+        event: the parent state offered the same ops as one group.
+        """
+        return self._node.fresh
+
+    def available_actions(self) -> Tuple[Action, ...]:
+        return self._node.actions
 
 
 @dataclass(frozen=True)
@@ -454,10 +556,8 @@ class DesignSpace:
             if u in self.sync_plan.cer_sources
         )
         self._index = _OpIndex(self)
-        #: Completion-count memo shared by :meth:`count`, :meth:`seek`,
-        #: and cut-leaf accounting in :meth:`_stream`.  Key is (placed
-        #: mask, GPU bindings, fresh record) — see :meth:`_completions`.
-        self._count_memo: Dict[Tuple, int] = {}
+        #: Every walk's decision states, one node per key (module docs).
+        self._graph = _StateGraph(self)
 
     # ------------------------------------------------------------------
     def initial_state(self) -> DecisionState:
@@ -477,10 +577,11 @@ class DesignSpace:
         pairs, optionally resuming strictly after the leaf at ``after``.
 
         The explicit stack replaces the natural recursion so the walk can
-        be suspended at any leaf and resumed from its path alone —
-        decision states are rebuilt on resume, never serialized.  The
-        leaf order is identical to the recursive formulation: first child
-        first, complete states are leaves (no further expansion).
+        be suspended at any leaf and resumed from its path alone — the
+        path's nodes are found again in the state graph, never
+        serialized.  The leaf order is identical to the recursive
+        formulation: first child first, complete states are leaves (no
+        further expansion).
 
         ``keep_prefix`` is the branch-and-bound hook: every *expanded*
         incomplete state is tested, and a rejected prefix discards its
@@ -490,54 +591,66 @@ class DesignSpace:
         rebuilt along a resume path are not re-tested: a cursor always
         addresses a leaf that was actually produced, so its prefix
         already passed.  Cuts are tallied in ``cuts`` when given; leaf
-        counting additionally uses the completion-count DP so callers
-        can track exact enumeration positions under pruning.
+        counting additionally reads the graph's completion counts so
+        callers can track exact enumeration positions under pruning.
         """
-        stack: List[Tuple[DecisionState, Tuple[Action, ...], int]] = []
-        state: Optional[DecisionState] = self.initial_state()
-        for depth, idx in enumerate(after):
-            actions = state.available_actions()
-            if not 0 <= idx < len(actions):
-                raise ScheduleError(
-                    f"cursor index {idx} at depth {depth} does not address "
-                    f"this design space ({len(actions)} actions available)"
-                )
-            stack.append((state, actions, idx))
-            state = state.apply(actions[idx])
+        graph = self._graph
+        stack, node, placed = self._descend(after)
         if after:
-            if not state.is_complete():
+            if not node.complete:
                 raise ScheduleError(
                     "cursor path does not end at a complete schedule"
                 )
-            state = None  # resume with the backtrack step past this leaf
+            node = None  # resume with the backtrack step past this leaf
         while True:
-            if state is None:
+            if node is None:
                 # Backtrack to the deepest level with an untried action.
                 while stack:
-                    prev, actions, i = stack.pop()
-                    if i + 1 < len(actions):
-                        stack.append((prev, actions, i + 1))
-                        state = prev.apply(actions[i + 1])
+                    prev, prefix, i = stack.pop()
+                    if i + 1 < len(prev.actions):
+                        stack.append((prev, prefix, i + 1))
+                        placed = prefix + prev.actions[i + 1]
+                        node = graph.child(prev, i + 1)
                         break
                 else:
                     return
-            elif state.is_complete():
-                yield tuple(i for _, _, i in stack), state.schedule()
-                state = None
+            elif node.complete:
+                yield tuple(i for _, _, i in stack), Schedule(placed)
+                node = None
             else:
-                if keep_prefix is not None and not keep_prefix(state.placed):
+                if keep_prefix is not None and not keep_prefix(placed):
                     if cuts is not None:
                         cuts.n_subtrees += 1
                         if cuts.count_leaves:
-                            cuts.n_leaves += self._completions(state)
-                    state = None  # cut: the whole subtree is skipped
+                            cuts.n_leaves += graph.completions(node)
+                    node = None  # cut: the whole subtree is skipped
                     continue
-                actions = state.available_actions()
-                if not actions:  # dead branch: contributes no schedules
-                    state = None
+                if not node.actions:  # dead branch: contributes no schedules
+                    node = None
                 else:
-                    stack.append((state, actions, 0))
-                    state = state.apply(actions[0])
+                    stack.append((node, placed, 0))
+                    placed = placed + node.actions[0]
+                    node = graph.child(node, 0)
+
+    def _descend(
+        self, path: Tuple[int, ...]
+    ) -> Tuple[List[_Frame], _Node, Tuple[BoundOp, ...]]:
+        """Follow an action-index path from the root: the ``(node,
+        prefix, index)`` frame of every step, the node reached and its
+        prefix."""
+        graph = self._graph
+        frames: List[_Frame] = []
+        node, placed = graph.root, ()
+        for depth, idx in enumerate(path):
+            if not 0 <= idx < len(node.actions):
+                raise ScheduleError(
+                    f"cursor index {idx} at depth {depth} does not address "
+                    f"this design space ({len(node.actions)} actions available)"
+                )
+            frames.append((node, placed, idx))
+            placed = placed + node.actions[idx]
+            node = graph.child(node, idx)
+        return frames, node, placed
 
     def iter_blocks(
         self,
@@ -648,43 +761,23 @@ class DesignSpace:
             yield block
 
     def count(self) -> int:
-        """Number of schedules, via memoized DP over decision states."""
-        return self._completions(self.initial_state())
-
-    def _completions(self, state: DecisionState) -> int:
-        """Number of complete schedules reachable from ``state``.
-
-        The memo key is (placed mask, GPU bindings, fresh record): the
-        count of completions depends only on what is placed, where GPU
-        ops run, and whether the last action was a shared standalone
-        record — not on the order ops were placed in.  The memo lives on
-        the space instance so :meth:`count`, :meth:`seek`, and cut-leaf
-        accounting in :meth:`_stream` all share one table.
-        """
-        if state.is_complete():
-            return 1
-        k = (state._mask, state._streams, state._fresh)
-        hit = self._count_memo.get(k)
-        if hit is not None:
-            return hit
-        total = sum(
-            self._completions(state.apply(a))
-            for a in state.available_actions()
-        )
-        self._count_memo[k] = total
-        return total
+        """Number of schedules, via the completion counts of the state
+        graph: each key's count is the sum of its children's, computed
+        once."""
+        return self._graph.completions(self._graph.root)
 
     def seek(self, index: int) -> EnumerationCursor:
         """Cursor that resumes enumeration at schedule ``index`` — without
         enumerating anything.
 
         The descent picks, level by level, the child whose completion
-        count (the same DP :meth:`count` uses) contains the target leaf
-        rank, so cost is O(depth × branching) DP lookups instead of
-        O(index) schedule constructions.  ``seek(0)`` is the start cursor,
-        ``seek(count())`` the exhausted one; together with ``limit`` in
-        :meth:`iter_blocks` this splits one huge sweep into independent
-        ranges that concatenate bit-identically to the serial walk.
+        count (the same counts :meth:`count` sums) contains the target
+        leaf rank, so cost is O(depth × branching) count lookups instead
+        of O(index) schedule constructions.  ``seek(0)`` is the start
+        cursor, ``seek(count())`` the exhausted one; together with
+        ``limit`` in :meth:`iter_blocks` this splits one huge sweep into
+        independent ranges that concatenate bit-identically to the serial
+        walk.
         """
         total = self.count()
         if not 0 <= index <= total:
@@ -695,44 +788,70 @@ class DesignSpace:
             return EnumerationCursor()
         if index == total:
             return EnumerationCursor(exhausted=True)
+        graph = self._graph
         target = index - 1  # rank of the last already-produced leaf
         path: List[int] = []
-        state = self.initial_state()
-        while not state.is_complete():
-            for i, action in enumerate(state.available_actions()):
-                child = state.apply(action)
-                below = self._completions(child)
+        node = graph.root
+        while not node.complete:
+            for i in range(len(node.actions)):
+                child = graph.child(node, i)
+                below = graph.completions(child)
                 if target < below:
                     path.append(i)
-                    state = child
+                    node = child
                     break
                 target -= below
             else:  # pragma: no cover - counts partition the leaf ranks
                 raise ScheduleError("seek descent ran out of actions")
         return EnumerationCursor(path=tuple(path))
 
-    def random_schedule(
+    def random_path(
         self,
         rng: np.random.Generator,
         keep_prefix: Optional[Callable[[Tuple[BoundOp, ...]], bool]] = None,
-    ) -> Optional[Schedule]:
-        """Frontier-uniform random completion (the paper's rollout policy).
+    ) -> Optional[Tuple[int, ...]]:
+        """Action-index path of a frontier-uniform random completion (the
+        paper's rollout policy): one ``rng.integers`` draw per decision.
 
         With ``keep_prefix`` the rollout is abandoned — returning None —
         the moment its prefix is rejected, mirroring the enumerator's
         branch-and-bound cut instead of finishing a doomed completion.
         """
-        state = self.initial_state()
-        while not state.is_complete():
-            if keep_prefix is not None and not keep_prefix(state.placed):
+        graph = self._graph
+        node, placed = graph.root, ()
+        path: List[int] = []
+        while not node.complete:
+            if keep_prefix is not None and not keep_prefix(placed):
                 return None
-            actions = state.available_actions()
+            actions = node.actions
             if not actions:
                 raise ScheduleError(
                     "dead end while sampling; program DAG is inconsistent"
                 )
-            state = state.apply(actions[int(rng.integers(len(actions)))])
-        return state.schedule()
+            i = int(rng.integers(len(actions)))
+            path.append(i)
+            if keep_prefix is not None:
+                placed = placed + actions[i]
+            node = graph.child(node, i)
+        return tuple(path)
+
+    def schedule_at(self, path: Tuple[int, ...]) -> Schedule:
+        """The schedule at an action-index path (a cursor's ``path``, or
+        :meth:`random_path`'s); each schedule has exactly one."""
+        _, node, placed = self._descend(path)
+        if not node.complete:
+            raise ScheduleError("cursor path does not end at a complete schedule")
+        return Schedule(placed)
+
+    def random_schedule(
+        self,
+        rng: np.random.Generator,
+        keep_prefix: Optional[Callable[[Tuple[BoundOp, ...]], bool]] = None,
+    ) -> Optional[Schedule]:
+        """:meth:`schedule_at` of :meth:`random_path`: a frontier-uniform
+        random completion, or None when ``keep_prefix`` abandons it."""
+        path = self.random_path(rng, keep_prefix)
+        return None if path is None else self.schedule_at(path)
 
     # ------------------------------------------------------------------
     def validate_schedule(self, schedule: Schedule) -> None:

@@ -74,7 +74,6 @@ class MctsNode:
         "action",
         "state",
         "children",
-        "_actions",
         "n_rollouts",
         "t_min",
         "t_max",
@@ -91,7 +90,6 @@ class MctsNode:
         self.action = action
         self.state = state
         self.children: Dict[Tuple, "MctsNode"] = {}
-        self._actions: Optional[Tuple[Action, ...]] = None
         self.n_rollouts = 0
         self.t_min = math.inf
         self.t_max = -math.inf
@@ -100,9 +98,7 @@ class MctsNode:
     # ------------------------------------------------------------------
     @property
     def actions(self) -> Tuple[Action, ...]:
-        if self._actions is None:
-            self._actions = self.state.available_actions()
-        return self._actions
+        return self.state.available_actions()
 
     @property
     def is_terminal(self) -> bool:

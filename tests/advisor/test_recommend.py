@@ -16,7 +16,11 @@ from repro.advisor import (
     WorkloadArtifact,
     recommend,
 )
-from repro.advisor.recommend import DRAWS_PER_CANDIDATE
+from repro.advisor.recommend import (
+    DRAWS_PER_CANDIDATE,
+    MAX_CANDIDATES,
+    _candidates,
+)
 from repro.ml.features import OrderFeature
 from repro.rules.ruleset import Rule
 from repro.schedule.space import DesignSpace
@@ -148,9 +152,9 @@ class TestCandidateObservability:
     def test_attempt_cap_shows(self, held_program, trained_store, monkeypatch):
         """A sampler that only ever draws one schedule stops at the cap,
         and the span says so."""
-        only = next(DesignSpace(held_program, 2).enumerate_schedules())
+        path = DesignSpace(held_program, 2).seek(1).path
         monkeypatch.setattr(
-            DesignSpace, "random_schedule", lambda self, rng: only
+            DesignSpace, "random_path", lambda self, rng: path
         )
         rec, span, draws = _traced_recommend(
             held_program, trained_store, max_candidates=5
@@ -158,6 +162,70 @@ class TestCandidateObservability:
         assert rec.n_candidates == 1
         assert span.attrs["draws"] == draws == DRAWS_PER_CANDIDATE * 5
         assert span.attrs["capped"] is True
+
+
+def reference_candidates(space, max_candidates, seed):
+    """The sampler before decision paths: every draw builds its schedule,
+    and the schedules dedup."""
+    if space.count() <= max_candidates:
+        return list(space.enumerate_schedules()), 0
+    rng = np.random.default_rng(seed)
+    out, seen, draws = [], set(), 0
+    while (
+        len(out) < max_candidates
+        and draws < DRAWS_PER_CANDIDATE * max_candidates
+    ):
+        draws += 1
+        schedule = space.random_schedule(rng)
+        if schedule in seen:
+            continue
+        seen.add(schedule)
+        out.append(schedule)
+    return out, draws
+
+
+def _halo3d(axes):
+    params = {"nx": 32, "ny": 32, "nz": 32, "px": 2, "py": 2, "pz": 1}
+    return build_workload(WorkloadSpec("halo3d", {**params, "axes": axes}))
+
+
+class TestCandidateSampler:
+    """Deduplicating on decision paths keeps the sample, its order and
+    its draw count: each schedule has exactly one path."""
+
+    @pytest.mark.parametrize(
+        "axes, n_candidates, n_draws",
+        [("x", 974, DRAWS_PER_CANDIDATE * MAX_CANDIDATES), ("xy", 1024, 1024)],
+    )
+    def test_halo3d_matches_reference(self, axes, n_candidates, n_draws):
+        program = _halo3d(axes)
+        out, draws = _candidates(DesignSpace(program, 2), MAX_CANDIDATES, 0)
+        ref, ref_draws = reference_candidates(
+            DesignSpace(program, 2), MAX_CANDIDATES, 0
+        )
+        assert [s.key for s in out] == [s.key for s in ref]
+        assert (len(out), draws) == (len(ref), ref_draws)
+        assert (len(out), draws) == (n_candidates, n_draws)
+
+    def test_held_out_matches_reference(self, held_program):
+        out, draws = _candidates(DesignSpace(held_program, 2), 100, 0)
+        ref, ref_draws = reference_candidates(
+            DesignSpace(held_program, 2), 100, 0
+        )
+        assert [s.key for s in out] == [s.key for s in ref]
+        assert draws == ref_draws and len(out) == 100
+
+    @pytest.mark.parametrize("max_candidates", [0, -3])
+    def test_cap_below_one_rejected(
+        self, held_program, trained_store, max_candidates
+    ):
+        with pytest.raises(ValueError, match="max_candidates"):
+            recommend(
+                held_program,
+                trained_store,
+                machine=MACHINE_NAME,
+                max_candidates=max_candidates,
+            )
 
 
 # ----------------------------------------------------------------------

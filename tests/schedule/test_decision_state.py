@@ -1,13 +1,16 @@
 """Oracle test: bitmask decision states against the prefix-rescanning
 reference.
 
-``DecisionState`` carries its placed mask, GPU bindings and used-stream
-mask forward in ``apply``.  The functions below are the implementation it
-replaced, which rebuilt all three from the whole prefix on every query.
-At every step of random action paths, on Hypothesis DAGs and on every
-built-in workload family, both must offer the same actions in the same
-order; random draws (and the rng state they leave), ``count()`` and
-``seek()`` must agree as well.
+A ``DecisionState`` reads its placed mask, GPU bindings, used-stream mask
+and actions from its node in the space's state graph, one node per key
+(placed mask, bindings, fresh record) with one frontier scan each.  The
+functions below are the implementation it replaced, which rebuilt all of
+them from the whole prefix on every query.  At every step of random
+action paths, on Hypothesis DAGs and on every built-in workload family,
+both must offer the same actions in the same order, including states
+that reach one key by different paths; random draws (and the rng state
+they leave), ``count()``, ``seek()`` and the schedule at a path must
+agree as well.
 """
 
 import numpy as np
@@ -135,6 +138,16 @@ def ref_available_actions(space, placed):
     return tuple(actions)
 
 
+def ref_used_mask(placed):
+    """Streams of every stream-bound placed op, as ``apply`` once tracked
+    them."""
+    mask = 0
+    for op in placed:
+        if op.stream is not None:
+            mask |= 1 << op.stream
+    return mask
+
+
 def ref_random_schedule(space, rng):
     placed = ()
     while not ref_is_complete(space, placed):
@@ -213,6 +226,46 @@ def assert_draws_match(space, seed, n_draws):
         assert a.bit_generator.state == b.bit_generator.state
 
 
+def assert_shared_keys_match(space, rng, n_paths):
+    """Random action paths from the root, grouped by the graph node they
+    reach: every prefix of a node offers the reference's actions, and its
+    used-stream mask is its bindings' stream mask, so the key (placed
+    mask, bindings, fresh record) determines both.  Returns the number of
+    nodes reached by two or more different prefixes."""
+    prefixes = {}
+    for _ in range(n_paths):
+        state = space.initial_state()
+        while True:
+            prefixes.setdefault(state._node, {})[state.placed] = state
+            actions = state.available_actions()
+            if state.is_complete() or not actions:
+                break
+            state = state.apply(actions[int(rng.integers(len(actions)))])
+    shared = 0
+    for states in prefixes.values():
+        shared += len(states) > 1
+        for placed, state in states.items():
+            binding_mask = 0
+            for s in ref_gpu_streams(placed).values():
+                binding_mask |= 1 << s
+            assert ref_used_mask(placed) == binding_mask
+            assert state._node.used == binding_mask
+            assert keys(state.available_actions()) == keys(
+                ref_available_actions(space, placed)
+            )
+    return shared
+
+
+def assert_path_draws_match(space, seed, n_draws):
+    """``random_path`` then ``schedule_at`` is the reference walk: same
+    schedule, same rng state after every draw."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(n_draws):
+        path = space.random_path(a)
+        assert space.schedule_at(path).key == ref_random_schedule(space, b).key
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 def assert_count_and_seek_match(space, extra_indices=()):
     memo = {}
     total = ref_completions(space, (), memo)
@@ -270,6 +323,19 @@ def test_random_schedule_matches_reference(program, n_streams, seed):
     assert_draws_match(DesignSpace(program, n_streams=n_streams), seed, 5)
 
 
+@given(programs(), STREAMS, SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_shared_keys_match_reference(program, n_streams, seed):
+    space = DesignSpace(program, n_streams=n_streams)
+    assert_shared_keys_match(space, np.random.default_rng(seed), n_paths=12)
+
+
+@given(programs(), STREAMS, SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_random_path_matches_reference(program, n_streams, seed):
+    assert_path_draws_match(DesignSpace(program, n_streams=n_streams), seed, 5)
+
+
 @given(programs(), STREAMS, st.lists(st.integers(1, 10_000), max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_count_and_seek_match_reference(program, n_streams, extra):
@@ -297,3 +363,29 @@ def test_builtin_family_matches_reference(family):
     assert_walks_match(space, np.random.default_rng(0), n_paths=20)
     assert_draws_match(space, seed=3, n_draws=20)
     assert_count_and_seek_match(space)
+
+
+@pytest.mark.parametrize("family", [f.name for f in list_families()])
+def test_builtin_family_shared_keys_match_reference(family):
+    space = DesignSpace(
+        build_workload(WorkloadSpec(family, SMALL.get(family, {}))),
+        n_streams=2,
+    )
+    assert assert_shared_keys_match(space, np.random.default_rng(1), 20) > 0
+    assert_path_draws_match(space, seed=4, n_draws=20)
+
+
+@pytest.mark.parametrize("family", [f.name for f in list_families()])
+def test_schedule_at_matches_enumeration(family):
+    """The schedule at a path is the one the enumeration yields there, on
+    a graph the enumeration did not build: from the start and from the
+    middle of the space."""
+    program = build_workload(WorkloadSpec(family, SMALL.get(family, {})))
+    walked = DesignSpace(program, n_streams=2)
+    fresh = DesignSpace(program, n_streams=2)
+    middle = walked.seek(walked.count() // 2).path
+    for after in ((), middle):
+        for n, (path, schedule) in enumerate(walked._stream(after)):
+            assert fresh.schedule_at(path) == schedule
+            if n == 40:
+                break
