@@ -61,7 +61,7 @@ class SerialEvaluator(Evaluator):
     :func:`~repro.sim.batch.select_engine` picks the engine for the
     benchmarker's context once, here: the compiled batch replay
     (:mod:`repro.sim.batch`) wherever it can run the program, the
-    reference event-loop engine otherwise.  Schedules a compiled context
+    reference engine otherwise.  Schedules a compiled context
     cannot replay fall back to the reference engine one by one.  Either
     way results are bit-identical to the reference engine, and every
     freshly simulated schedule is counted under the engine that ran it

@@ -1,14 +1,13 @@
 """Compiled batch simulation engine.
 
-The reference engine (:mod:`repro.sim.engine` + :class:`ScheduleExecutor`)
-re-instantiates a discrete-event loop — one Python generator per op and
-per stream — for every single schedule it simulates, even though the
-program DAG, machine preset, and measurement protocol are fixed for an
-entire sweep.  This module compiles that fixed ``(program, machine,
-MeasurementConfig)`` context **once** into flat structure-of-arrays form
-and then replays whole schedule blocks through an array sweep: one numpy
-operation per schedule position per rank, vectorized over the batch
-dimension.
+The reference engine (:class:`ScheduleExecutor`, on its direct path or
+the :mod:`repro.sim.engine` event loop) interprets every single schedule
+it simulates op by op in Python, even though the program DAG, machine
+preset, and measurement protocol are fixed for an entire sweep.  This
+module compiles that fixed ``(program, machine, MeasurementConfig)``
+context **once** into flat structure-of-arrays form and then replays
+whole schedule blocks through an array sweep: one numpy operation per
+schedule position per rank, vectorized over the batch dimension.
 
 Bit-identity contract
 ---------------------
@@ -45,15 +44,18 @@ reference engine, counted per schedule in ``sim.reference.<reason>``:
 * programs with MPI actions (``mpi-comm``: cross-rank NIC-channel
   occupancy depends on event tie order at equal timestamps) and
   programs built for another rank count (``rank-mismatch``) — both
-  compile-time verdicts;
+  compile-time verdicts.  ``mpi-comm`` stays batch's verdict even though
+  the reference engine now evaluates most such samples on its direct
+  path, one schedule at a time (see :mod:`repro.sim.executor`);
 * executors that collect a timeline (``trace``) or run numeric payloads
   (``payload``), which replay cannot produce;
 * single schedules that use an event before (or without) recording it,
   record an event twice, reference unknown ops or out-of-range streams,
-  or contain artificial START/END vertices — per-schedule
-  :meth:`CompiledContext.unsupported_reason` checks, which also preserve
-  the reference engine's error behaviour for degenerate schedules.
-  These also count in ``sim.fallbacks``.
+  or contain artificial START/END vertices — the per-schedule
+  :func:`~repro.sim.executor.schedule_defect` check, which the reference
+  engine's direct path shares and which preserves the event loop's error
+  behaviour for degenerate schedules.  These also count in
+  ``sim.fallbacks``.
 
 Replayed schedules count in ``sim.batch_replays`` (see
 :func:`count_engines`).  ``ActionKind.NOOP`` actions have zero timing
@@ -73,6 +75,7 @@ from repro.dag.vertex import ActionKind, OpKind
 from repro.platform.machine import MachineConfig
 from repro.schedule.schedule import Schedule
 from repro.sim.durations import sample_durations
+from repro.sim.executor import schedule_defect
 from repro.sim.measure import Benchmarker, Measurement, MeasurementConfig
 
 _CPU = 0
@@ -188,37 +191,17 @@ class CompiledContext:
     def unsupported_reason(self, schedule: Schedule) -> Optional[str]:
         """Why ``schedule`` cannot be replayed, or ``None`` if it can.
 
-        Beyond the compile-time verdict this enforces the single-forward-
-        sweep requirement (every event recorded at an earlier schedule
-        position than its uses) and rejects exactly the degenerate
-        schedules the reference engine errors or deadlocks on, so the
-        fallback path preserves reference behaviour.
+        Beyond the compile-time verdict this is
+        :func:`~repro.sim.executor.schedule_defect`, the check the
+        reference engine's direct path makes too: it enforces the
+        single-forward-sweep requirement (every event recorded at an
+        earlier schedule position than its uses) and rejects exactly the
+        degenerate schedules the event loop errors or deadlocks on, so
+        the fallback path preserves reference behaviour.
         """
         if not self.ok:
             return self.reason
-        recorded = set()
-        for op in schedule.ops:
-            code = _KIND_CODE.get(op.vertex.kind)
-            if code is None:
-                return f"op-kind:{op.vertex.kind.value}"
-            known = self._by_name.get(op.name)
-            if known is not None:
-                if known != op.vertex:
-                    return f"op-mismatch:{op.name}"
-            elif code in (_CPU, _GPU):
-                # Program ops must come from the compiled program; sync
-                # ops are inserted by the design space and priced from
-                # machine scalars alone.
-                return f"unknown-op:{op.name}"
-            if op.stream is not None and not 0 <= op.stream < self.n_streams:
-                return f"stream-out-of-range:{op.stream}"
-            if code == _RECORD:
-                if op.event in recorded:
-                    return f"event-rerecord:{op.event}"
-                recorded.add(op.event)
-            elif code in (_SYNC, _WAIT) and op.event not in recorded:
-                return f"event-before-record:{op.event}"
-        return None
+        return schedule_defect(schedule, self._by_name, self.n_streams)
 
     def supports(self, schedule: Schedule) -> bool:
         return self.unsupported_reason(schedule) is None

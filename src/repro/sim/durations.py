@@ -20,11 +20,12 @@ A key names no schedule, so a duration depends only on ``(program,
 machine, sample)``.  :func:`sample_durations` therefore evaluates every
 one of them once per sample into a :class:`SampleDurations` table, which
 both engines read: the reference engine
-(:class:`~repro.sim.executor.ScheduleExecutor` and its
-:class:`~repro.sim.network.Network`) and batch replay
-(:class:`~repro.sim.batch.CompiledContext`).  The per-duration functions
-below also price what no table holds: ops that are not the program's
-own vertices, and the ad-hoc messages of :mod:`repro.mpi`.
+(:class:`~repro.sim.executor.ScheduleExecutor`, on its direct path and
+on its event loop with the :class:`~repro.sim.network.Network`) and
+batch replay (:class:`~repro.sim.batch.CompiledContext`).  The
+per-duration functions below also price what no table holds: ops that
+are not the program's own vertices, and the ad-hoc messages of
+:mod:`repro.mpi`.
 """
 
 from __future__ import annotations

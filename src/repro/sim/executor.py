@@ -22,8 +22,29 @@ cudaStreamWaitEvent    pay call overhead, enqueue wait on its stream
 After the sequence the rank performs a device synchronize (the artificial
 ``end`` vertex) and waits for any still-pending MPI requests it posted.
 The run's elapsed time is the maximum completion time across ranks.
-A CPU process yields each time advance as a plain ``float`` delay, one
-queue entry and no event (see :mod:`repro.sim.engine`).
+
+Two paths compute the same results:
+
+* **The event loop** (:meth:`ScheduleExecutor.run_event_loop`) runs one
+  CPU process per rank on :mod:`repro.sim.engine`; a process yields each
+  time advance as a plain ``float`` delay, one queue entry and no event.
+  It is the reference every other path is checked against, and the only
+  one that records a timeline, runs numeric payloads, or raises on a
+  degenerate schedule.
+* **The direct path** evaluates a sample in one pass per rank.  Within a
+  rank, CPU ops, GPU streams and CUDA events are the IEEE-exact
+  ``(+, max)`` recurrences batch replay uses (see :mod:`repro.sim.batch`).
+  Ranks meet only at message posts, which it takes in global time order
+  from a heap over each rank's next post; a rank whose wait has
+  unresolved requests pauses until a later post resolves them.  Each
+  ``(src, dst, tag)`` key has one sending and one receiving rank, each
+  posting in program order, and a NIC channel grants occupancy in the
+  order of the posts that trigger it (the send of an eager message, the
+  later post of a rendezvous pair), so time order reproduces the event
+  loop's ``(time, seq)`` order whenever no two posts share an instant.
+  A tie, a wait before its post, unmatched requests, a deadlock or a
+  schedule :func:`schedule_defect` declines hands the sample to the event
+  loop.
 
 Jittered durations (CPU ops, launches, kernels, message posts, wire
 times) come from the sample's :class:`~repro.sim.durations.SampleDurations`
@@ -37,14 +58,16 @@ so degenerate schedules keep their results and errors.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.dag.program import Message, Program
-from repro.dag.vertex import ActionKind, OpKind
+from repro.dag.vertex import Action, ActionKind, OpKind, Vertex
 from repro.errors import ScheduleError, SimulationError
 from repro.platform.costs import CostModel
-from repro.platform.machine import MachineConfig
+from repro.platform.machine import MachineConfig, Protocol
 from repro.schedule.schedule import BoundOp, Schedule
 from repro.sim.durations import (
     SampleDurations,
@@ -67,10 +90,67 @@ _EVENT_RECORD, _EVENT_SYNC, _STREAM_WAIT = (
 )
 _POST_SENDS, _POST_RECVS = ActionKind.POST_SENDS, ActionKind.POST_RECVS
 _WAIT_SENDS, _WAIT_RECVS = ActionKind.WAIT_SENDS, ActionKind.WAIT_RECVS
+#: The op kinds a forward pass evaluates: all but START and END.
+_FORWARD_KINDS = frozenset((_CPU, _GPU, _EVENT_RECORD, _EVENT_SYNC, _STREAM_WAIT))
 
 #: One op of a schedule plan: its kind, its position in the duration rows
 #: (-1 for a vertex that is not the program's own), and the op.
 Step = Tuple[OpKind, int, BoundOp]
+
+#: One op of a direct-path plan: kind, position in the duration rows (CPU
+#: and GPU ops), sync-call overhead (sync ops), stream, event, action, name.
+DirectStep = Tuple[
+    OpKind, int, float, Optional[int], Optional[str], Optional[Action], str
+]
+
+#: One message post of a sample: its matching key ``(src, dst, tag)``,
+#: wire time, whether it goes eager, and whether it is a send.
+Post = Tuple[Tuple[int, int, int], float, bool, bool]
+
+#: Direct-path request: ``[completion time or None, owner rank, end of an
+#: eager send's injection or None]``.
+Request = list
+
+
+def schedule_defect(
+    schedule: Schedule, vertices: Mapping[str, Vertex], n_streams: int
+) -> Optional[str]:
+    """Why ``schedule`` cannot be evaluated in one forward pass, or ``None``.
+
+    ``vertices`` maps the names of the program's schedulable vertices to
+    them.  A forward pass (batch replay, the executor's direct path) needs
+    program-owned CPU and GPU ops, streams in ``0..n_streams-1``, each
+    CUDA event recorded once and before any use, and no START/END vertex.
+    The schedules this declines are the ones the event loop raises on,
+    deadlocks on or prices op by op, so leaving them to it keeps its
+    results and errors.  A reason's kind (before ``:``) names its
+    ``sim.reference.<kind>`` counter.
+    """
+    recorded = set()
+    for op in schedule.ops:
+        v = op.vertex
+        kind = v.kind
+        if kind not in _FORWARD_KINDS:
+            return f"op-kind:{kind.value}"
+        known = vertices.get(v.name)
+        if known is not None:
+            if known is not v and known != v:
+                return f"op-mismatch:{v.name}"
+        elif kind is _CPU or kind is _GPU:
+            # Sync ops are inserted by the design space and priced from
+            # machine scalars alone; program ops must be the program's.
+            return f"unknown-op:{v.name}"
+        if op.stream is not None and not 0 <= op.stream < n_streams:
+            return f"stream-out-of-range:{op.stream}"
+        if kind is _EVENT_RECORD:
+            if op.event in recorded:
+                return f"event-rerecord:{op.event}"
+            recorded.add(op.event)
+        elif (kind is _EVENT_SYNC or kind is _STREAM_WAIT) and (
+            op.event not in recorded
+        ):
+            return f"event-before-record:{op.event}"
+    return None
 
 
 @dataclass
@@ -121,6 +201,16 @@ class ScheduleExecutor:
         self.payload_init = payload_init
         self.strict_hazards = strict_hazards
         self._tables: Dict[Optional[int], SampleDurations] = {}
+        # Direct path: the program's vertices and their rows by name, each
+        # sample's posts (keyed like the tables), and the last schedule's
+        # plan, which a measurement reuses for every sample.
+        vertices = program.schedulable_vertices()
+        self._vertices = {v.name: v for v in vertices}
+        self._index = {v.name: j for j, v in enumerate(vertices)}
+        self._posts: Dict[Optional[int], List[Dict[str, Tuple]]] = {}
+        self._last_plan: Tuple[Optional[Schedule], Optional[List[DirectStep]]] = (
+            None, None
+        )
 
     # ------------------------------------------------------------------
     def durations(self, sample: int) -> SampleDurations:
@@ -135,7 +225,19 @@ class ScheduleExecutor:
 
     def run(self, schedule: Schedule, sample: int = 0) -> SimResult:
         """Simulate one invocation of ``schedule``; deterministic in
-        ``(schedule, sample, machine.noise.seed)``."""
+        ``(schedule, sample, machine.noise.seed)``.
+
+        An untraced run without payloads takes the direct path unless it
+        defers to the event loop; both give the same results and errors.
+        """
+        if not self.collect_trace and self.payload_init is None:
+            result = self._run_direct(schedule, sample)
+            if result is not None:
+                return result
+        return self.run_event_loop(schedule, sample)
+
+    def run_event_loop(self, schedule: Schedule, sample: int = 0) -> SimResult:
+        """:meth:`run` on the discrete-event engine, the reference path."""
         table = self.durations(sample)
         # What every rank would otherwise look up per op, looked up once.
         plan: List[Step] = [
@@ -203,6 +305,255 @@ class ScheduleExecutor:
             payload=payload,
             n_transfers=net.n_transfers,
         )
+
+    # ------------------------------------------------------------------
+    def _run_direct(self, schedule: Schedule, sample: int) -> Optional[SimResult]:
+        """:meth:`run` in one pass per rank, or ``None`` where the event
+        loop must decide: a declined schedule, two posts at one instant,
+        a wait before its post, unmatched requests, or a deadlock."""
+        plan = self._direct_plan(schedule)
+        if plan is None:
+            return None
+        table = self.durations(sample)
+        posts = self._post_table(sample, table)
+        n_ranks = self.machine.n_ranks
+        walks = [
+            self._walk(rank, plan, table, posts[rank]) for rank in range(n_ranks)
+        ]
+        finish = [0.0] * n_ranks
+        # The unresolved requests each paused rank waits on.
+        paused: List[Optional[List[Request]]] = [None] * n_ranks
+        # ``(time, rank, post)`` of each rank's next message post.
+        heap: List[Tuple[float, int, Post]] = []
+
+        def resume(rank: int, value: Optional[Request]) -> bool:
+            """Run ``rank`` to its next post, pause or end; False when it
+            found a wait before its post."""
+            try:
+                out = walks[rank].send(value)
+            except StopIteration as stop:
+                finish[rank] = stop.value
+                return True
+            if type(out) is tuple:
+                heappush(heap, out)
+            elif out is None:
+                return False
+            else:
+                paused[rank] = out
+            return True
+
+        for rank in range(n_ranks):
+            if not resume(rank, None):
+                return None
+        serialize = self.machine.net.serialize_nic
+        send_free = [0.0] * n_ranks
+        recv_free = [0.0] * n_ranks
+        # Unmatched sends and receives by key, indexed by whether a post
+        # sends: a send looks for its receive at ``unmatched[True]``.
+        unmatched: Tuple[Dict[tuple, Deque[Request]], ...] = ({}, {})
+
+        def occupy(key: Tuple[int, int, int], ready: float, wire: float) -> float:
+            """End of a transfer ready at ``ready`` (Network._occupy_channels)."""
+            if not serialize:
+                return ready + wire
+            src, dst = key[0], key[1]
+            if send_free[src] > ready:
+                ready = send_free[src]
+            if recv_free[dst] > ready:
+                ready = recv_free[dst]
+            end = send_free[src] = recv_free[dst] = ready + wire
+            return end
+
+        n_transfers = 0
+        last: Optional[float] = None
+        while heap:
+            now, rank, (key, wire, eager, sending) = heappop(heap)
+            if now == last:
+                return None  # only the event loop's seq orders a tie
+            last = now
+            req: Request = [None, rank, None]
+            if sending and eager:
+                # Buffered injection at post time (Network._inject_eager).
+                end = req[2] = occupy(key, now, wire)
+                req[0] = end if end > now else now
+            peers = unmatched[sending].get(key)
+            other = peers.popleft() if peers else None
+            if other is None:
+                unmatched[not sending].setdefault(key, deque()).append(req)
+            else:
+                # Network._complete_pair, with ``now`` the later post.
+                n_transfers += 1
+                send, recv = (req, other) if sending else (other, req)
+                if eager:
+                    end = send[2]
+                    recv[0] = end if end > now else now
+                else:
+                    end = occupy(key, now, wire)
+                    send[0] = recv[0] = end if end > now else now
+            if not resume(rank, req):
+                return None
+            if other is not None:
+                owner = other[1]
+                waits = paused[owner]
+                if waits is not None and all(r[0] is not None for r in waits):
+                    paused[owner] = None
+                    if not resume(owner, None):
+                        return None
+        if any(w is not None for w in paused) or any(
+            queue for side in unmatched for queue in side.values()
+        ):
+            return None  # a deadlock or unmatched requests
+        return SimResult(
+            elapsed=max(finish), per_rank=finish, n_transfers=n_transfers
+        )
+
+    def _walk(
+        self,
+        rank: int,
+        plan: List[DirectStep],
+        table: SampleDurations,
+        posts: Dict[str, Tuple[Tuple[float, Post], ...]],
+    ):
+        """``rank``'s pass over ``plan``, as a generator.  It yields
+        ``(time, rank, post)`` at each message post, and is sent the
+        post's request; the list of unresolved requests at a wait that
+        must pause, and is sent ``None`` once they are resolved; ``None``
+        at a wait before its post.  It returns the rank's finish time."""
+        adv = table.adv[rank]
+        kdur = table.kdur[rank]
+        expected = (table.recvs[rank], table.sends[rank])
+        wait_dt = self.cost.wait_overhead()
+        n_gpus = self.machine.n_gpus
+        extra = self.machine.gpu.cross_gpu_sync_extra_s
+        clock = [0.0] * self.machine.n_streams
+        # Fire time and recording stream of each CUDA event.
+        fired: Dict[str, Tuple[float, int]] = {}
+        requests: Dict[Tuple[str, bool], List[Request]] = {}
+        t = 0.0
+        for kind, j, dur, s, event, action, name in plan:
+            if kind is _CPU:
+                d = adv[j]
+                if d > 0:
+                    t += d
+                if action is None:
+                    continue
+                a = action.kind
+                if a is _POST_SENDS or a is _POST_RECVS:
+                    reqs = requests.setdefault((action.group, a is _POST_SENDS), [])
+                    for dt, post in posts[name]:
+                        if dt > 0:
+                            t += dt
+                        reqs.append((yield t, rank, post))
+                elif a is _WAIT_SENDS or a is _WAIT_RECVS:
+                    sending = a is _WAIT_SENDS
+                    reqs = requests.get((action.group, sending))
+                    if not reqs and expected[sending][action.group]:
+                        yield None  # a wait before its post
+                    if wait_dt > 0:
+                        t += wait_dt
+                    if reqs:
+                        waits = [r for r in reqs if r[0] is None]
+                        if waits:
+                            yield waits
+                        for r in reqs:
+                            if r[0] > t:
+                                t = r[0]
+            elif kind is _GPU:
+                d = adv[j]
+                if d > 0:
+                    t += d
+                c = clock[s]
+                if t > c:
+                    c = t
+                d = kdur[j]
+                clock[s] = c + d if d > 0 else c
+            else:
+                if dur > 0:
+                    t += dur
+                if kind is _EVENT_RECORD:
+                    c = clock[s]
+                    if t > c:
+                        c = clock[s] = t
+                    fired[event] = (c, s)
+                elif kind is _EVENT_SYNC:
+                    at = fired[event][0]
+                    if at > t:
+                        t = at
+                else:  # stream wait
+                    at, src = fired[event]
+                    c = clock[s]
+                    if t > c:
+                        c = t
+                    if at > c:
+                        c = at
+                    if extra > 0 and src % n_gpus != s % n_gpus:
+                        c += extra
+                    clock[s] = c
+        # Device synchronize, then every request still in flight.
+        for c in clock:
+            if c > t:
+                t = c
+        waits = [r for reqs in requests.values() for r in reqs if r[0] is None]
+        if waits:
+            yield waits
+        for reqs in requests.values():
+            for r in reqs:
+                if r[0] > t:
+                    t = r[0]
+        return t
+
+    def _direct_plan(self, schedule: Schedule) -> Optional[List[DirectStep]]:
+        """``schedule``'s direct-path plan, or ``None`` if
+        :func:`schedule_defect` declines it; the last one is kept."""
+        last, plan = self._last_plan
+        if last is schedule:
+            return plan
+        plan = None
+        if schedule_defect(schedule, self._vertices, self.machine.n_streams) is None:
+            plan = []
+            for op in schedule.ops:
+                v = op.vertex
+                if v.kind is _CPU or v.kind is _GPU:
+                    j, dur = self._index[v.name], 0.0
+                else:
+                    # A sync call's overhead is unjittered and the same on
+                    # every rank (the table's ``adv`` holds it likewise).
+                    j, dur = -1, self.cost.base_duration(self.program, v, 0)
+                plan.append((v.kind, j, dur, op.stream, op.event, v.action, v.name))
+        self._last_plan = (schedule, plan)
+        return plan
+
+    def _post_table(
+        self, sample: int, table: SampleDurations
+    ) -> List[Dict[str, Tuple[Tuple[float, Post], ...]]]:
+        """Per rank and post op, ``(post cost, post)`` of each message of
+        ``sample``, built on first use like the duration tables."""
+        key = sample if self.machine.noise.enabled else None
+        posts = self._posts.get(key)
+        if posts is None:
+            net = self.machine.net
+            all_eager = net.protocol is Protocol.EAGER
+            posts = []
+            for rank in range(self.machine.n_ranks):
+                own = {}
+                for name, pairs in table.posts[rank].items():
+                    action = table.vertices[table.index[name]].action
+                    sending = action.kind is _POST_SENDS
+                    own[name] = tuple(
+                        (
+                            dt,
+                            (
+                                (m.src, m.dst, m.tag),
+                                table.wire[m],
+                                all_eager or net.is_eager(m.nbytes),
+                                sending,
+                            ),
+                        )
+                        for m, dt in pairs
+                    )
+                posts.append(own)
+            self._posts[key] = posts
+        return posts
 
     # ------------------------------------------------------------------
     def _cpu_process(

@@ -222,13 +222,13 @@ class StreamSet:
         self._events: Dict[str, CudaEvent] = {}
 
     def stream(self, stream_id: int) -> Stream:
-        try:
+        # A bare list index would let -1 alias the last stream.
+        if 0 <= stream_id < len(self.streams):
             return self.streams[stream_id]
-        except IndexError:
-            raise SimulationError(
-                f"rank {self.rank}: stream {stream_id} out of range "
-                f"(have {len(self.streams)})"
-            ) from None
+        raise SimulationError(
+            f"rank {self.rank}: stream {stream_id} out of range "
+            f"(have {len(self.streams)})"
+        )
 
     def cuda_event(self, name: str) -> CudaEvent:
         """Get or create the named CUDA event (per-rank namespace)."""

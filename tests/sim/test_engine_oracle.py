@@ -689,7 +689,8 @@ def assert_same_run(executor, schedule, sample):
         want = reference_run(executor, schedule, sample)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_module, "heappop", log.heappop)
-        got = executor.run(schedule, sample)
+        # The event loop itself: the direct path pops no queue entries.
+        got = executor.run_event_loop(schedule, sample)
     # The reference streams' start kicks are its first pops, before any
     # CPU process starts, so each found its queue empty.
     kicks = [

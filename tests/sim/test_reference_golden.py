@@ -11,6 +11,10 @@ sha256 of the ``repr`` of every schedule's ``(time, n_samples,
 per_rank_time)``, measured with ``MeasurementConfig(max_samples=3)`` at
 ``sample_offset=7``.  One traced timeline is pinned as well.
 
+Each digest is checked on both paths of the reference engine:
+``ScheduleExecutor.run`` (the direct path wherever it takes a sample)
+and ``ScheduleExecutor.run_event_loop`` (the discrete-event loop alone).
+
 The values were captured before the engine read its durations from
 per-sample tables (:mod:`repro.sim.durations`); any change to a digest
 is a change to simulated results and must be deliberate.
@@ -80,12 +84,16 @@ def _sha(values) -> str:
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
-def measurements_digest(name, sigma, seed, protocol, serialize_nic) -> str:
+def measurements_digest(
+    name, sigma, seed, protocol, serialize_nic, path="run"
+) -> str:
+    """Digest of every schedule's measurement, with ``path`` (an executor
+    method) simulating each sample."""
     program, schedules = _program_and_schedules(name)
     machine = _machine(program.n_ranks, sigma, seed, protocol, serialize_nic)
-    bench = Benchmarker(
-        ScheduleExecutor(program, machine), CONFIG, sample_offset=SAMPLE_OFFSET
-    )
+    executor = ScheduleExecutor(program, machine)
+    executor.run = getattr(executor, path)
+    bench = Benchmarker(executor, CONFIG, sample_offset=SAMPLE_OFFSET)
     values = []
     for s in schedules:
         m = bench.measure(s)
@@ -353,10 +361,24 @@ TIMELINE = (
 def test_reference_measurements_match_golden(
     name, sigma, seed, protocol, serialize_nic
 ):
+    """``run``: the direct path wherever it takes a sample."""
     key = f"{name} sigma={sigma} seed={seed} {protocol} nic={serialize_nic}"
     assert measurements_digest(name, sigma, seed, protocol, serialize_nic) == (
         GOLDEN[key]
     )
+
+
+@pytest.mark.parametrize("protocol,serialize_nic", NETS)
+@pytest.mark.parametrize("sigma,seed", NOISE)
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_event_loop_measurements_match_golden(
+    name, sigma, seed, protocol, serialize_nic
+):
+    """``run_event_loop``: the discrete-event loop alone."""
+    key = f"{name} sigma={sigma} seed={seed} {protocol} nic={serialize_nic}"
+    assert measurements_digest(
+        name, sigma, seed, protocol, serialize_nic, path="run_event_loop"
+    ) == (GOLDEN[key])
 
 
 def test_reference_timeline_matches_golden():
