@@ -14,19 +14,65 @@ same algorithm:
   trees when ``max_leaf_nodes`` is set.  :class:`TreeGrowth` makes the
   splits one at a time, so Algorithm 1 (:mod:`repro.ml.hyperparam`) reads
   every tree size off one growth;
-* splits: binary tests ``x[f] <= threshold``; for the pipeline's binary
-  features the threshold is always 0.5 (left = feature 0, right = 1).
+* splits: binary tests ``x[f] <= threshold``, one candidate between each
+  pair of consecutive distinct values ``a < b`` of the leaf's column.  The
+  threshold follows scikit-learn: ``a/2 + b/2`` in float64, or ``a`` when
+  that rounds onto ``b`` or is infinite.  Unlike ``(a + b) / 2`` in the
+  column's dtype it cannot wrap (uint8), overflow (``1e308``) or round
+  onto ``b``, so ``x[f] <= threshold`` holds exactly for ``x[f] <= a``.
+  Between integers ``k`` and ``k + 1`` it is ``k + 0.5``; for the
+  pipeline's 0/1 features, 0.5 (left = feature 0, right = 1).
+
+**Scoring a leaf.**  A growth rank-encodes each column once: its sorted
+distinct values, and each row's rank among them.  Slots number every
+column's distinct values in (feature, value) order, and each entry of
+``x`` is kept as one code, ``slot * n_classes + class``, in the
+narrowest unsigned dtype (uint8 for the pipeline's features).  A leaf's
+count table, rows per (slot, class), is one ``np.bincount`` of its rows'
+codes, taken in feature chunks so its temporary stays bounded.  A
+running total along the slots, less the leaf's class counts once per
+earlier feature, is each candidate's left side ("rank <= v", by the
+threshold rule); the leaf's counts minus it is the right side.
+Weighted sums, impurities and gains of all candidates are then a few
+array operations.  The winner's rows of those arrays are both
+children's class counts, weighted counts and impurities, so a new leaf
+is never summed again.
+
+**Why the result is exact.**  The reference, kept in
+``tests/ml/test_split_oracle.py``, loops over features and thresholds,
+sums each side's weights with ``np.add.at`` and takes each side's
+impurity from one vector, summing entropy over its nonzero terms only.
+Under ``balanced`` and ``None`` every row of a class weighs the same, so
+``np.add.at``'s sum over ``k`` rows of class ``c`` is ``k`` copies of
+that weight added one at a time: a lookup in a table made once per
+growth, bit for bit (``k`` times the weight is not).  Row sums reduce
+each row along its contiguous axis as numpy reduces one vector, and
+entropy sums each row's nonzero terms on their own, rows grouped by how
+many they have (a zero term would move numpy's pairwise grouping).
+Candidates are scanned in (feature, threshold) order, and a gain is
+taken only when it beats the best so far by more than ``1e-15``, as in
+the reference; ``argmax`` would pick differently on near-ties.
+
+**Input checks.**  :class:`TreeGrowth` raises :class:`TrainingError` for
+``x`` that is not 2-D or has no rows, ``x`` and ``y`` of different
+lengths, a non-finite feature (no threshold separates a number from
+NaN), and a negative or non-integral label (``0.0``, ``1.0`` pass).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TrainingError
+
+#: Codes per counting chunk.  ``np.bincount`` widens a chunk to intp
+#: (256 KiB), so a leaf's counting pass holds a bounded temporary.
+_COUNT_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -52,11 +98,67 @@ def _impurity(weighted_counts: np.ndarray, criterion: str) -> float:
     total = weighted_counts.sum()
     if total <= 0:
         return 0.0
-    p = weighted_counts / total
+    return float(_impurities(weighted_counts[None, :], total[None], criterion)[0])
+
+
+def _impurities(
+    weighted: np.ndarray, totals: np.ndarray, criterion: str
+) -> np.ndarray:
+    """Impurity of each row of ``weighted``, whose row sums ``totals`` are
+    positive.
+
+    Each row is reduced along its contiguous axis, so a row's impurity
+    does not depend on the rows beside it.  Entropy sums only a row's
+    nonzero terms: rows are grouped by how many they have, because a zero
+    term would move numpy's pairwise grouping of the sum.
+    """
+    p = weighted / totals[:, None]
     if criterion == "gini":
-        return float(1.0 - np.sum(p * p))
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+        return 1.0 - (p * p).sum(axis=1)
+    nonzero = p > 0
+    n_terms = np.count_nonzero(nonzero, axis=1)
+    out = np.empty(len(p))
+    for k in np.unique(n_terms).tolist():
+        rows = n_terms == k
+        q = p[rows][nonzero[rows]].reshape(-1, k)
+        out[rows] = -(q * np.log2(q)).sum(axis=1)
+    return out
+
+
+def _midpoint(a: float, b: float) -> float:
+    """Threshold between consecutive distinct values ``a < b``
+    (scikit-learn's rule; see the module docstring)."""
+    t = a / 2.0 + b / 2.0
+    if t == b or math.isinf(t):
+        return a
+    return t
+
+
+def _encode(
+    x: np.ndarray, y: np.ndarray, n_classes: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-encode each column, and code each entry's (feature, rank, class).
+
+    Slots number every column's distinct values in (feature, value)
+    order: column ``f``'s values, ascending, are the slots
+    ``starts[f]`` to ``starts[f + 1] - 1``, holding
+    ``levels[starts[f]:starts[f + 1]]``.  Returns ``(codes, levels,
+    starts)``, where ``codes[i, f]`` is ``slot * n_classes + y[i]`` for
+    the slot of ``x[i, f]``, in the narrowest unsigned dtype that holds
+    every code (uint8 for the pipeline's features).
+    """
+    columns = np.ascontiguousarray(x.T)
+    ordered = np.sort(columns, axis=1, kind="stable")
+    first = np.ones(columns.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    levels = ordered[first]
+    starts = np.concatenate(([0], np.cumsum(np.count_nonzero(first, axis=1))))
+    dtype = np.min_scalar_type(max(len(levels) * n_classes - 1, 0))
+    codes = np.empty(x.shape, dtype)
+    for f, column in enumerate(columns):
+        slot = np.searchsorted(levels[starts[f] : starts[f + 1]], column) + starts[f]
+        codes[:, f] = slot * n_classes + y
+    return codes, levels, starts
 
 
 class TreeNode:
@@ -112,8 +214,17 @@ class _Candidate:
     tiebreak: int
     node: TreeNode = field(compare=False)
     indices: np.ndarray = field(compare=False)
-    feature: int = field(compare=False, default=-1)
-    threshold: float = field(compare=False, default=0.0)
+    feature: int = field(compare=False)
+    threshold: float = field(compare=False)
+    #: The left child holds the leaf's rows whose code in ``feature`` is
+    #: below ``code_limit``: those of rank ``<= v``, which are exactly
+    #: those with ``x <= threshold``.
+    code_limit: int = field(compare=False)
+    #: Class counts, weighted class counts and impurities of the (left,
+    #: right) children.
+    child_counts: np.ndarray = field(compare=False)
+    child_weights: np.ndarray = field(compare=False)
+    child_impurities: List[float] = field(compare=False)
 
 
 class TreeGrowth:
@@ -132,19 +243,34 @@ class TreeGrowth:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, config: TreeConfig) -> None:
         x = np.asarray(x)
-        y = np.asarray(y, dtype=int)
+        y = np.asarray(y)
         if x.ndim != 2:
             raise TrainingError("x must be 2-D (n_samples, n_features)")
         if len(x) != len(y):
             raise TrainingError("x and y length mismatch")
         if len(x) == 0:
             raise TrainingError("cannot fit on zero samples")
+        if y.dtype.kind == "f" and not np.all(np.isfinite(y) & (y == np.trunc(y))):
+            raise TrainingError("labels must be integers")
+        y = y.astype(int)
+        if y.min() < 0:
+            raise TrainingError("labels must be non-negative")
+        if x.dtype.kind == "f" and not np.isfinite(x).all():
+            raise TrainingError("features must be finite")
         self.config = config
-        self.x = x
         self.y = y
         self.n_classes = int(y.max()) + 1
         self.n_features = x.shape[1]
-        self.weights = self._sample_weights()
+        class_counts = np.bincount(y, minlength=self.n_classes)
+        self._classes = np.arange(self.n_classes)
+        #: ``_weight_sums[k, c]``: ``k`` rows of class ``c`` weighed.
+        self._weight_sums = self._weight_table(class_counts)
+        self._codes, self._levels, self._starts = _encode(x, y, self.n_classes)
+        #: The feature of each slot (a column's distinct value) of a
+        #: leaf's count table.
+        self._slot_feature = np.repeat(
+            np.arange(self.n_features), np.diff(self._starts)
+        )
         #: Every node made so far, indexed by id; split ``j`` made nodes
         #: ``2j + 1`` (left) and ``2j + 2`` (right).
         self.nodes: List[TreeNode] = []
@@ -156,9 +282,16 @@ class TreeGrowth:
         self._misclassified: List[int] = []
         self._heap: List[_Candidate] = []
         self._tiebreak = 0
-        root = np.arange(len(y))
+        root = self._make_node(
+            len(y), 0, self._weight_sums[class_counts, self._classes]
+        )
         #: Training rows the grown tree misclassifies (unweighted).
-        self.misclassified = self._push(self._make_node(root, depth=0), root)
+        self.misclassified = self._push(
+            root,
+            np.arange(len(y)),
+            class_counts,
+            _impurity(root.weighted_counts, config.criterion),
+        )
 
     @property
     def n_leaves(self) -> int:
@@ -181,15 +314,17 @@ class TreeGrowth:
             return False
         cand = heapq.heappop(self._heap)
         node, idx = cand.node, cand.indices
-        go_left = self.x[idx, cand.feature] <= cand.threshold
+        go_left = self._codes[idx, cand.feature] < cand.code_limit
         li, ri = idx[go_left], idx[~go_left]
-        left = self._make_node(li, node.depth + 1)
-        right = self._make_node(ri, node.depth + 1)
+        depth = node.depth + 1
+        left = self._make_node(len(li), depth, cand.child_weights[0])
+        right = self._make_node(len(ri), depth, cand.child_weights[1])
         self.splits.append((node.node_id, cand.feature, cand.threshold))
-        self.depth = max(self.depth, node.depth + 1)
+        self.depth = max(self.depth, depth)
+        left_imp, right_imp = cand.child_impurities
         self.misclassified += (
-            self._push(left, li)
-            + self._push(right, ri)
+            self._push(left, li, cand.child_counts[0], left_imp)
+            + self._push(right, ri, cand.child_counts[1], right_imp)
             - self._misclassified[node.node_id]
         )
         return True
@@ -234,89 +369,120 @@ class TreeGrowth:
         return tree
 
     # ------------------------------------------------------------------
-    def _sample_weights(self) -> np.ndarray:
-        y = self.y
+    def _weight_table(self, class_counts: np.ndarray) -> np.ndarray:
+        """``table[k, c]``: class ``c``'s sample weight added ``k`` times,
+        one at a time, which is ``np.add.at``'s sum over any ``k`` rows of
+        class ``c`` (every row of a class weighs the same)."""
         if self.config.class_weight is None:
-            return np.ones(len(y))
-        counts = np.bincount(y, minlength=self.n_classes).astype(float)
-        nonzero = counts > 0
-        class_w = np.zeros(self.n_classes)
-        class_w[nonzero] = len(y) / (nonzero.sum() * counts[nonzero])
-        return class_w[y]
+            class_w = np.ones(self.n_classes)
+        else:
+            counts = class_counts.astype(float)
+            present = counts > 0
+            class_w = np.zeros(self.n_classes)
+            class_w[present] = len(self.y) / (present.sum() * counts[present])
+        table = np.zeros((int(class_counts.max()) + 1, self.n_classes))
+        np.cumsum(np.broadcast_to(class_w, table[1:].shape), axis=0, out=table[1:])
+        return table
 
-    def _make_node(self, indices: np.ndarray, depth: int) -> TreeNode:
-        wc = np.zeros(self.n_classes)
-        np.add.at(wc, self.y[indices], self.weights[indices])
+    def _make_node(
+        self, n_samples: int, depth: int, weighted_counts: np.ndarray
+    ) -> TreeNode:
         node = TreeNode(
             node_id=len(self.nodes),
             depth=depth,
-            n_samples=len(indices),
-            weighted_counts=wc,
+            n_samples=n_samples,
+            weighted_counts=weighted_counts,
         )
         self.nodes.append(node)
         return node
 
-    def _push(self, node: TreeNode, indices: np.ndarray) -> int:
+    def _push(
+        self,
+        node: TreeNode,
+        indices: np.ndarray,
+        class_counts: np.ndarray,
+        impurity: float,
+    ) -> int:
         """Queue the new leaf's best split; return its misclassified count."""
-        wrong = len(indices) - int(
-            np.count_nonzero(self.y[indices] == node.predicted_class)
-        )
+        wrong = node.n_samples - int(class_counts[node.predicted_class])
         self._misclassified.append(wrong)
-        cand = self._best_split(node, indices)
+        cand = self._best_split(node, indices, class_counts, impurity)
         if cand is not None:
             heapq.heappush(self._heap, cand)
         return wrong
 
+    def _count(self, indices: np.ndarray) -> np.ndarray:
+        """The leaf's count table: ``counts[s, c]`` rows of class ``c``
+        holding slot ``s``'s value in slot ``s``'s column."""
+        size = len(self._levels) * self.n_classes
+        width = max(1, _COUNT_CHUNK // len(indices))
+        counts = np.zeros(size, dtype=np.intp)
+        for f in range(0, self.n_features, width):
+            counts += np.bincount(
+                self._codes[indices, f : f + width].ravel(), minlength=size
+            )
+        return counts.reshape(-1, self.n_classes)
+
     def _best_split(
-        self, node: TreeNode, indices: np.ndarray
+        self,
+        node: TreeNode,
+        indices: np.ndarray,
+        class_counts: np.ndarray,
+        impurity: float,
     ) -> Optional[_Candidate]:
-        """Best (feature, threshold) for this leaf, as a heap candidate."""
+        """Best (feature, threshold) for this leaf, as a heap candidate.
+
+        ``class_counts`` and ``impurity`` are the leaf's, as the parent's
+        scoring (or the root's set-up) computed them.
+        """
         if self.config.max_depth is not None and node.depth >= self.config.max_depth:
             return None
         if len(indices) < 2:
             return None
-        crit = self.config.criterion
-        parent_imp = _impurity(node.weighted_counts, crit)
         w_total = node.weighted_counts.sum()
-        if parent_imp <= 0 or w_total <= 0:
+        if impurity <= 0 or w_total <= 0:
             return None
-        best_gain = -1.0
-        best: Optional[Tuple[int, float]] = None
-        xv = self.x[indices]
-        yv = self.y[indices]
-        wv = self.weights[indices]
-        for f in range(self.n_features):
-            col = xv[:, f]
-            values = np.unique(col)
-            if len(values) < 2:
-                continue
-            thresholds = (values[:-1] + values[1:]) / 2.0
-            for thr in thresholds:
-                mask = col <= thr
-                wl = np.zeros(self.n_classes)
-                wr = np.zeros(self.n_classes)
-                np.add.at(wl, yv[mask], wv[mask])
-                np.add.at(wr, yv[~mask], wv[~mask])
-                sl, sr = wl.sum(), wr.sum()
-                if sl <= 0 or sr <= 0:
-                    continue
-                child_imp = (
-                    sl * _impurity(wl, crit) + sr * _impurity(wr, crit)
-                ) / w_total
-                gain = (w_total / w_total) * (parent_imp - child_imp)
-                if gain > best_gain + 1e-15:
-                    best_gain = gain
-                    best = (f, float(thr))
-        if best is None:
+        counts = self._count(indices)
+        present = counts.any(axis=1)
+        # Rows of rank <= each slot's, per class: a running total over the
+        # slots, less the whole leaf once per earlier feature.
+        left = counts.cumsum(axis=0)
+        left -= np.multiply.outer(self._slot_feature, class_counts)
+        # Candidates: every distinct value of the leaf's column but the
+        # largest, in (feature, threshold) order.
+        slots = (present & (left.sum(axis=1) < len(indices))).nonzero()[0]
+        n = len(slots)
+        if n == 0:
             return None
+        lefts = left[slots]
+        sides = np.concatenate((lefts, class_counts - lefts))
+        weighted = self._weight_sums[sides, self._classes]
+        totals = weighted.sum(axis=1)
+        imp = _impurities(weighted, totals, self.config.criterion)
+        weighted_imp = totals * imp
+        gains = impurity - (weighted_imp[:n] + weighted_imp[n:]) / w_total
+        # A gain counts only when it beats the best so far by more than
+        # 1e-15, in candidate order; argmax would break near-ties otherwise.
+        best_gain, pick = -1.0, -1
+        for i, gain in enumerate(gains.tolist()):
+            if gain > best_gain + 1e-15:
+                best_gain, pick = gain, i
+        slot = int(slots[pick])
+        upper = slot + 1 + int(present[slot + 1 :].argmax())
+        feature = int(self._slot_feature[slot])
+        children = slice(pick, None, n)  # the winner's left and right rows
         self._tiebreak += 1
         return _Candidate(
             neg_gain=-best_gain,
             tiebreak=self._tiebreak,
             node=node,
             indices=indices,
-            feature=best[0],
-            threshold=best[1],
+            feature=feature,
+            threshold=_midpoint(float(self._levels[slot]), float(self._levels[upper])),
+            code_limit=(slot + 1) * self.n_classes,
+            child_counts=sides[children].copy(),
+            child_weights=weighted[children].copy(),
+            child_impurities=imp[children].tolist(),
         )
 
 

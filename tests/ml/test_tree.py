@@ -85,6 +85,31 @@ class TestFitPredict:
         with pytest.raises(TrainingError):
             DecisionTree().fit(np.zeros((0, 1)), np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        """No threshold separates a number from NaN, and none from inf."""
+        x = np.array([[0.0], [1.0], [bad], [2.0]])
+        with pytest.raises(TrainingError, match="finite"):
+            DecisionTree().fit(x, np.array([0, 1, 1, 0]))
+
+    def test_rejects_negative_labels(self):
+        with pytest.raises(TrainingError, match="non-negative"):
+            DecisionTree().fit(np.zeros((3, 1)), np.array([0, -1, 1]))
+
+    def test_rejects_non_integral_labels(self):
+        """0.6, 0.2, 1.9, 1.1 would otherwise train as classes 0, 0, 1, 1."""
+        x = np.array([[0], [0], [1], [1]])
+        with pytest.raises(TrainingError, match="integers"):
+            DecisionTree().fit(x, np.array([0.6, 0.2, 1.9, 1.1]))
+        with pytest.raises(TrainingError, match="integers"):
+            DecisionTree().fit(x, np.array([0.0, np.nan, 1.0, 1.0]))
+
+    def test_accepts_integral_float_labels(self):
+        x = np.array([[0], [0], [1], [1]])
+        tree = DecisionTree().fit(x, np.array([0.0, 0.0, 1.0, 1.0]))
+        assert tree.predict(x).tolist() == [0, 0, 1, 1]
+        assert DecisionTree().fit(np.zeros((3, 1)), np.zeros(3)).n_leaves == 1
+
     def test_numeric_threshold_split(self):
         """Non-binary features split at value midpoints."""
         x = np.array([[1.0], [2.0], [10.0], [11.0]])
