@@ -1,8 +1,8 @@
 """Figure 1: all implementations benchmarked, sorted fastest to slowest.
 
 Paper: 2036 implementations, 1.47x speedup, elapsed times ~5.5e-5..8e-5 s.
-Ours: 540 implementations (see DESIGN.md on the space-size difference),
-~1.5x speedup, ~6e-5..9e-5 s.
+Ours: 540 implementations (``repro.apps.spmv.dag`` explains the
+space-size difference), ~1.5x speedup, ~6e-5..9e-5 s.
 """
 
 from benchmarks.conftest import emit

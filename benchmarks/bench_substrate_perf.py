@@ -2,13 +2,11 @@
 
 Keeps an eye on the throughput numbers that make the paper experiments
 affordable: simulator runs/second, MCTS iteration cost, enumeration cost,
-tree-training cost, and the serial-vs-parallel evaluation speedup of the
-:mod:`repro.exec` substrate (compare the two ``exhaustive_sweep``
-benches; the parallel one should win by roughly the worker count on
-multi-core hosts).
+tree-training cost, and an exhaustive SpMV sweep through the
+:mod:`repro.exec` evaluator.
 """
 
-from repro.exec import ParallelEvaluator, SerialEvaluator
+from repro.exec import SerialEvaluator
 from repro.ml.tree import DecisionTree, TreeConfig
 from repro.search import ExhaustiveSearch, MctsSearch
 from repro.sim import Benchmarker, MeasurementConfig, ScheduleExecutor
@@ -57,24 +55,6 @@ def test_bench_exhaustive_sweep_serial(benchmark, wb):
         ExhaustiveSearch(wb.space, ev).run()
 
     benchmark.pedantic(run, rounds=2, iterations=1)
-
-
-def test_bench_exhaustive_sweep_parallel4(benchmark, wb):
-    """Same sweep sharded over 4 worker processes (fresh memo per round,
-    pool reused so startup cost is amortized as in real exploration)."""
-    with ParallelEvaluator(
-        wb.instance.program,
-        wb.machine,
-        MeasurementConfig(max_samples=1),
-        n_workers=4,
-    ) as ev:
-        ev.evaluate_batch(list(wb.space.enumerate_schedules())[:1])
-
-        def run():
-            ev._memo.clear()  # re-measure everything, keep the pool warm
-            ExhaustiveSearch(wb.space, ev).run()
-
-        benchmark.pedantic(run, rounds=2, iterations=1)
 
 
 def test_bench_feature_extraction(benchmark, wb):

@@ -1,13 +1,12 @@
 """Workload-subsystem benchmarks (not paper experiments).
 
-Tracks the cost of the scenario-space machinery PR 2 introduced: building
-each synthetic generator family, and pushing the ``smoke`` suite through
-the batched evaluation substrate serially vs. with a worker pool.
+Tracks the cost of the scenario-space machinery: building each synthetic
+generator family, and pushing the ``smoke`` suite through the batched
+evaluation substrate.
 """
 
 import pytest
 
-from repro.exec import ExecConfig
 from repro.workloads import WorkloadSpec, build_workload
 from repro.workloads.suite import SuiteRunner, get_suite
 
@@ -30,16 +29,6 @@ def test_bench_smoke_suite_serial(benchmark):
 
     def run():
         return SuiteRunner(suite).run()
-
-    report = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert len(report.cells) == len(suite.specs) * len(suite.strategies)
-
-
-def test_bench_smoke_suite_two_workers(benchmark):
-    suite = get_suite("smoke")
-
-    def run():
-        return SuiteRunner(suite, execution=ExecConfig(workers=2)).run()
 
     report = benchmark.pedantic(run, rounds=2, iterations=1)
     assert len(report.cells) == len(suite.specs) * len(suite.strategies)

@@ -1,8 +1,8 @@
 """repro — reproduction of "Machine Learning for CUDA+MPI Design Rules".
 
 Pearson, Javeed, Devine (Sandia National Laboratories), IPDPSW 2022,
-arXiv:2203.02530.  See README.md for a tour and DESIGN.md for the system
-inventory and the substitutions made for the paper's hardware testbed.
+arXiv:2203.02530.  See README.md for a tour, the package layout and the
+simulator that stands in for the paper's hardware testbed.
 
 Quick start::
 
@@ -50,7 +50,7 @@ from repro.dag import (
     cpu_op,
     gpu_op,
 )
-from repro.exec import Evaluator, MeasurementCache, ParallelEvaluator, SerialEvaluator
+from repro.exec import Evaluator, MeasurementCache, SerialEvaluator
 from repro.ml import (
     DecisionTree,
     FeatureExtractor,
@@ -131,7 +131,6 @@ __all__ = [
     "MeasurementCache",
     "MeasurementConfig",
     "Message",
-    "ParallelEvaluator",
     "NoiseModel",
     "OpKind",
     "OpSignature",

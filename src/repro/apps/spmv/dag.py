@@ -26,7 +26,7 @@ recoverable from the text (its vertex glyphs are mangled in the source),
 and no reconstruction we tried reproduces the reported 2036
 implementations exactly; the safe DAG yields 540 implementations on two
 streams, the unsafe one 2016.  Pass ``safe_waits=False`` to get the
-unsafe space (used by deadlock tests and documented in EXPERIMENTS.md).
+unsafe space (used by the deadlock tests).
 
 Cost characterization: kernels are memory-bound; sparse kernels see a
 fraction of peak bandwidth (random x gathers), captured by the

@@ -10,7 +10,7 @@ Examples::
     repro fig1 --scale 0.025        # sorted implementation sweep
     repro rules                     # Tables VI-VIII
     repro all                       # every paper experiment
-    repro suite smoke --workers 2   # cross-workload suite, parallel eval
+    repro suite smoke               # every workload family at tiny sizes
     repro suite paper --shard-workers 4   # whole workloads in parallel
 """
 
@@ -24,13 +24,11 @@ from repro.platform.presets import describe
 
 
 def _execution(args):
-    """The run's :class:`~repro.exec.ExecConfig`, from ``--workers`` and
-    ``--cache`` plus, on commands that have them, ``--shard-workers`` and
-    ``--block-size``."""
+    """The run's :class:`~repro.exec.ExecConfig`, from ``--cache`` plus,
+    on commands that have them, ``--shard-workers`` and ``--block-size``."""
     from repro.exec import ExecConfig
 
     return ExecConfig(
-        workers=args.workers,
         cache_path=args.cache,
         shard_workers=getattr(args, "shard_workers", 0),
         block_size=getattr(args, "block_size", None),
@@ -482,15 +480,15 @@ def _cmd_search(args) -> str:
             program,
             machine.with_ranks(program.n_ranks),
             MeasurementConfig(),
-            workers=execution.workers,
             cache_path=execution.cache_path,
         )
         try:
             if args.strategy == "exhaustive":
+                block = execution.block_size
                 strategy = ExhaustiveSearch(
                     space,
                     evaluator,
-                    batch_size=execution.block_size or 64,
+                    batch_size=64 if block is None else block,
                     guide=guide,
                 )
                 budget = args.iterations  # None = exhaust
@@ -719,15 +717,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         help="measurement noise sigma (lognormal)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for schedule evaluation "
-            "(0/1 = serial, the default)"
-        ),
-    )
-    parser.add_argument(
         "--cache",
         type=str,
         default=None,
@@ -737,6 +726,14 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
             "already-simulated schedules"
         ),
     )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of ``--block-size``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
@@ -749,15 +746,13 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "processes sharding whole workloads across the run, or "
-            "repro search's --range-shards ranges (0/1 = in-process; "
-            "composes with --workers, which parallelizes within each "
-            "workload)"
+            "repro search's --range-shards ranges (0/1 = in-process)"
         ),
     )
     parser.add_argument(
         "--block-size",
         dest="block_size",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="B",
         help=(

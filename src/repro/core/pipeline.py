@@ -8,10 +8,9 @@ sequences become binary feature vectors; a CART tree trained with
 Algorithm 1 yields per-class rulesets.
 
 Strategies measure through one :class:`~repro.exec.Evaluator`: the one
-the caller injects (built with :func:`repro.exec.build_evaluator` for a
-worker pool or a measurement cache, and closed by that caller), or else
-a serial one over the pipeline's own benchmarker, which holds nothing
-to close.
+the caller injects (built with :func:`repro.exec.build_evaluator`, say
+over a measurement cache, and closed by that caller), or else a serial
+one over the pipeline's own benchmarker, which holds nothing to close.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ class PipelineConfig:
     seed: int = 0
     #: Schedules per evaluator batch (exhaustive / random sample blocks).
     batch_size: int = 64
-    #: Leaf-parallel MCTS rollouts per batch; 1 = the paper's serial MCTS.
-    rollout_batch: int = 1
     #: Enumeration block size of the exhaustive strategy; ``None`` falls
     #: back to ``batch_size``.
     block_size: Optional[int] = None
@@ -119,8 +116,8 @@ class DesignRulePipeline:
         self.executor = ScheduleExecutor(program, machine)
         self.benchmarker = Benchmarker(self.executor, config.measurement)
         #: When set, every strategy measures through this evaluator (used
-        #: to share one pool/memo across many pipelines, see
-        #: SpmvWorkbench); it stays owned, and closed, by its caller.
+        #: to share one memo across many pipelines, see SpmvWorkbench);
+        #: it stays owned, and closed, by its caller.
         self.evaluator = evaluator
 
     # ------------------------------------------------------------------
@@ -136,13 +133,7 @@ class DesignRulePipeline:
         cfg = self.config
         evaluator = self.make_evaluator()
         if cfg.strategy == "mcts":
-            return MctsSearch(
-                self.space,
-                evaluator,
-                MctsConfig(
-                    seed=cfg.seed, rollout_batch=cfg.rollout_batch
-                ),
-            )
+            return MctsSearch(self.space, evaluator, MctsConfig(seed=cfg.seed))
         if cfg.strategy == "random":
             return RandomSearch(
                 self.space,
@@ -155,9 +146,8 @@ class DesignRulePipeline:
 
             return BeamSearch(self.space, evaluator, seed=cfg.seed)
         if cfg.strategy == "exhaustive":
-            return ExhaustiveSearch(
-                self.space, evaluator, batch_size=cfg.block_size or cfg.batch_size
-            )
+            block = cfg.batch_size if cfg.block_size is None else cfg.block_size
+            return ExhaustiveSearch(self.space, evaluator, batch_size=block)
         raise SearchError(f"unknown strategy {cfg.strategy!r}")
 
     def explore(self) -> SearchResult:

@@ -138,8 +138,8 @@ class MeasurementCache:
 
     Concurrency
     -----------
-    One cache file may be shared by many *processes* (workload shards,
-    parallel evaluators): file-backed connections enable SQLite's WAL
+    One cache file may be shared by many *processes* (plan shards, or
+    separate runs): file-backed connections enable SQLite's WAL
     journal (readers never block the writer) and a generous busy
     timeout, and batch writes retry on ``database is locked`` with
     exponential backoff, so concurrent shard writers serialize instead

@@ -8,7 +8,7 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """The four execution settings of a run, as one value.
+    """The three execution settings of a run, as one value.
 
     By the determinism contract (see :mod:`repro.exec`) none of them
     changes a measured result, so every layer between the CLI and the
@@ -16,8 +16,6 @@ class ExecConfig:
     hence hashable: memoized builders may key on it.
     """
 
-    #: Worker processes for each evaluator; <= 1 evaluates serially.
-    workers: int = 0
     #: Persistent measurement cache (SQLite path); None runs without one.
     cache_path: Optional[str] = None
     #: Processes running a plan's tasks (whole workloads or enumeration

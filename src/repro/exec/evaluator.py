@@ -3,10 +3,9 @@
 Search strategies submit *batches* of schedules through an
 :class:`Evaluator` instead of owning their measurement loops.  The
 interface decouples *what* is measured (the paper's protocol,
-:mod:`repro.sim.measure`) from *how* it is scheduled onto hardware
-(serially here, across a worker pool in
-:class:`repro.exec.parallel.ParallelEvaluator`, potentially across a
-cluster later) — all backends must return bit-identical measurements.
+:mod:`repro.sim.measure`) from how it is computed (batch replay or the
+reference engine, memo or disk cache); every implementation must return
+bit-identical measurements.
 """
 
 from __future__ import annotations
@@ -15,10 +14,13 @@ import abc
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.dag.program import Program
 from repro.exec.cache import MeasurementCache, context_fingerprint
+from repro.platform.machine import MachineConfig
 from repro.schedule.schedule import Schedule
 from repro.sim.batch import count_engines, select_engine
-from repro.sim.measure import Benchmarker, Measurement
+from repro.sim.executor import ScheduleExecutor
+from repro.sim.measure import Benchmarker, Measurement, MeasurementConfig
 
 
 class Evaluator(abc.ABC):
@@ -51,7 +53,7 @@ class Evaluator(abc.ABC):
         return [m.time for m in self.evaluate_batch(schedules)]
 
     def close(self) -> None:
-        """Release any resources (worker pools, cache connections)."""
+        """Release any resources (cache connections)."""
 
 
 class SerialEvaluator(Evaluator):
@@ -102,7 +104,6 @@ class SerialEvaluator(Evaluator):
         with obs.span(
             "eval.batch",
             n=len(schedules),
-            backend="serial",
             sim="reference" if self._compiled is None else "batch",
         ):
             bench = self.benchmarker
@@ -156,6 +157,30 @@ class SerialEvaluator(Evaluator):
         if entries:
             self.cache.put_many(self._context, entries.items())
             self._on_disk.update(entries)
+
+
+def build_evaluator(
+    program: Program,
+    machine: MachineConfig,
+    config: MeasurementConfig = MeasurementConfig(),
+    *,
+    workers: int = 0,
+    cache_path: Optional[str] = None,
+    benchmarker: Optional[Benchmarker] = None,
+) -> SerialEvaluator:
+    """A :class:`SerialEvaluator` over ``benchmarker`` (or a fresh one).
+
+    This is the only code that opens a :class:`MeasurementCache`: with
+    ``cache_path`` set, the returned evaluator holds the connection and
+    its ``close()`` closes it.  Evaluation is always in-process, so
+    ``workers`` accepts only 0 or 1.
+    """
+    if workers not in (0, 1):
+        raise ValueError(f"workers must be 0 or 1, got {workers}")
+    cache = MeasurementCache(cache_path) if cache_path is not None else None
+    if benchmarker is None:
+        benchmarker = Benchmarker(ScheduleExecutor(program, machine), config)
+    return SerialEvaluator(benchmarker, cache=cache)
 
 
 def as_evaluator(obj) -> Evaluator:

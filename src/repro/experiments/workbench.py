@@ -2,8 +2,8 @@
 
 All figure/table experiments operate on the same exhaustively-benchmarked
 SpMV design space (the paper's "2036 implementations"; 540 here, see
-DESIGN.md).  The workbench builds and caches that data so a bench session
-pays the exhaustive sweep once.
+:mod:`repro.apps.spmv.dag`).  The workbench builds and caches that data
+so a bench session pays the exhaustive sweep once.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class SpmvWorkbench:
     )
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
     n_streams: int = 2
-    #: Evaluation workers and measurement cache of the shared evaluator
-    #: (the bench runs no plan, and its sweeps keep their default block).
+    #: Measurement cache of the shared evaluator (the bench runs no plan,
+    #: and its sweeps keep their default block).
     execution: ExecConfig = ExecConfig()
     _instance: Optional[SpmvInstance] = None
     _space: Optional[DesignSpace] = None
@@ -73,21 +73,20 @@ class SpmvWorkbench:
     @property
     def evaluator(self) -> Evaluator:
         """The shared evaluation backend: every experiment on this bench
-        (exhaustive sweep, searches, pipelines) measures through one
-        memo/pool, with ``execution``'s workers and cache."""
+        (exhaustive sweep, searches, pipelines) measures through one memo,
+        with ``execution``'s cache."""
         if self._evaluator is None:
             self._evaluator = build_evaluator(
                 self.instance.program,
                 self.machine,
                 self.measurement,
-                workers=self.execution.workers,
                 cache_path=self.execution.cache_path,
                 benchmarker=self.benchmarker,
             )
         return self._evaluator
 
     def close(self) -> None:
-        """Release the evaluation backend (worker pool, cache connection)."""
+        """Release the evaluation backend (its cache connection)."""
         if self._evaluator is not None:
             self._evaluator.close()
             self._evaluator = None

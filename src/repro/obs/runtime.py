@@ -21,8 +21,7 @@ copy): :class:`worker_capture` swaps in a fresh registry/tracer for the
 duration of one task and the parent folds the shipped results back with
 :func:`absorb` — the same merge discipline ``execute_plan`` applies to
 task payloads.  A shipped ``TaskResult`` is the only channel from a
-worker to the parent; evaluation-pool workers, whose registries are
-never shipped, drop the inherited copy with :func:`reset`.
+worker to the parent.
 """
 
 from __future__ import annotations
@@ -81,9 +80,7 @@ _STATE = _ObsState()
 def reset() -> None:
     """Drop all ambient state (fresh registry, no tracer, no meter).
 
-    Tests call it between cases; evaluation-pool workers call it first
-    thing, so a forked child never ticks the parent's meter or collects
-    spans nobody ships home.
+    Tests call it between cases.
     """
     _STATE.tracer = None
     _STATE.metrics = MetricsRegistry()

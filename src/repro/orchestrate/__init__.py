@@ -1,11 +1,11 @@
 """repro.orchestrate — workload-level sharding for suites and transfer.
 
-PR 1 parallelized *within* a (workload × strategy) cell; this subsystem
-parallelizes *across* cells.  A suite or transfer run is compiled into an
-:class:`ExecutionPlan` — independent :class:`WorkloadTask` units, each one
-whole workload's pipeline (build → search/enumerate → label →
-extract-rules) — and :func:`execute_plan` runs the tasks in-process or
-across a ``ProcessPoolExecutor`` of whole-workload shards.
+A suite or transfer run is compiled into an :class:`ExecutionPlan` —
+independent :class:`WorkloadTask` units, each one whole workload's
+pipeline (build → search/enumerate → label → extract-rules) or one slice
+of an exhaustive sweep — and :func:`execute_plan` runs the tasks
+in-process or across a ``ProcessPoolExecutor`` of shards, the package's
+only process pool.  Within a task, schedules are measured in-process.
 
 Guarantees:
 
@@ -23,8 +23,8 @@ Guarantees:
 :func:`~repro.workloads.generalization.rules_for_specs`,
 :func:`~repro.transfer.matrix.run_transfer_matrix` and
 :func:`run_range_sharded_search` are all built on plans and take one
-:class:`~repro.exec.ExecConfig`; the CLI builds it from ``--workers``,
-``--cache``, ``--shard-workers`` and ``--block-size``.
+:class:`~repro.exec.ExecConfig`; the CLI builds it from ``--cache``,
+``--shard-workers`` and ``--block-size``.
 """
 
 from repro.orchestrate.plan import (

@@ -2,12 +2,11 @@
 
 A :class:`WorkloadTask` is the unit of sharding — one workload's whole
 per-workload pipeline (build → search/enumerate → label → extract-rules),
-not one schedule batch.  PR 1's :class:`~repro.exec.ParallelEvaluator`
-parallelizes *within* a cell; a plan parallelizes *across* cells: every
-task is a pure function of its spec + configuration (the workload
-determinism contract), so tasks can run in any order, in any process,
-and the collected results — ordered by ``task.index`` — are bit-identical
-to a serial sweep.
+or one slice of a workload's enumeration order, never one schedule
+batch.  Every task is a pure function of its spec + configuration (the
+workload determinism contract), so tasks can run in any order, in any
+process, and the collected results — ordered by ``task.index`` — are
+bit-identical to a serial sweep.
 
 Three task kinds exist today:
 
@@ -27,8 +26,8 @@ reduce steps (transfer matrix assembly, report building) run in the
 parent.
 
 The planners take a run's :class:`~repro.exec.ExecConfig` and copy the
-settings a task acts on (inner ``workers``, ``cache_path`` and, for the
-exhaustive pipelines, ``block_size``) into flat task fields;
+settings a task acts on (``cache_path`` and, for the exhaustive
+pipelines, ``block_size``) into flat task fields;
 ``shard_workers`` is the plan runner's business
 (:func:`~repro.orchestrate.runner.execute_plan`).
 """
@@ -73,8 +72,6 @@ class WorkloadTask:
     strategies: Tuple[str, ...] = ()
     n_iterations: int = 0
     seed: int = 0
-    #: Worker processes for the *inner* evaluator (within-cell batching).
-    workers: int = 0
     #: Shared persistent measurement cache; every executing process opens
     #: its own connection to this path (WAL-safe under concurrency).
     cache_path: Optional[str] = None
@@ -166,7 +163,6 @@ def plan_suite(
                 strategies=tuple(suite.strategies),
                 n_iterations=suite.n_iterations,
                 seed=seed,
-                workers=execution.workers,
                 cache_path=execution.cache_path,
             )
         )
@@ -180,7 +176,6 @@ def plan_suite(
                     n_streams=suite.n_streams,
                     measurement=suite.measurement,
                     seed=seed,
-                    workers=execution.workers,
                     cache_path=execution.cache_path,
                     block_size=execution.block_size,
                 )
@@ -207,7 +202,6 @@ def plan_rules(
             measurement=(
                 measurement if measurement is not None else MeasurementConfig()
             ),
-            workers=execution.workers,
             cache_path=execution.cache_path,
             block_size=execution.block_size,
         )

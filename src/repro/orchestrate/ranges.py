@@ -92,7 +92,6 @@ def run_range_sharded_search(
     measurement: Optional[MeasurementConfig] = None,
     execution: ExecConfig = ExecConfig(),
     store_path: Optional[str] = None,
-    start_method: Optional[str] = None,
     progress: bool = False,
 ) -> RangeShardedSearch:
     """Exhaustively sweep one workload's space as ``n_shards`` ranges.
@@ -103,8 +102,8 @@ def run_range_sharded_search(
     bit-identical to ``ExhaustiveSearch(...).run()`` on the whole space
     (guided runs: identical kept samples; counters are shard sums).
     ``execution`` sets the shard pool (``shard_workers``) and each shard's
-    evaluator and sweep block (``workers``, ``cache_path``,
-    ``block_size``); none of them changes the merged result.
+    measurement cache and sweep block (``cache_path``, ``block_size``);
+    none of them changes the merged result.
 
     ``progress=True`` wraps execution in an :func:`obs.progress_scope`
     over the exact ``space.count()`` denominator: the stderr line tracks
@@ -135,7 +134,6 @@ def run_range_sharded_search(
             spec=spec,
             n_streams=n_streams,
             measurement=measurement,
-            workers=execution.workers,
             cache_path=execution.cache_path,
             block_size=execution.block_size,
             range_start=r.start,
@@ -148,11 +146,7 @@ def run_range_sharded_search(
     with obs.progress_scope(
         total, label=f"search {spec.family}", enabled=progress
     ):
-        run: PlanRun = execute_plan(
-            plan,
-            shard_workers=execution.shard_workers,
-            start_method=start_method,
-        )
+        run: PlanRun = execute_plan(plan, shard_workers=execution.shard_workers)
     merged = SearchResult(strategy="exhaustive")
     for task_result in run.results:
         shard: SearchResult = task_result.payload  # type: ignore[assignment]

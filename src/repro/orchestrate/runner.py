@@ -8,13 +8,12 @@ a pure function of the task value, so the sharded run is bit-identical
 to the serial one (per-task wall-clock aside).  Results always come back
 ordered by ``task.index`` regardless of completion order.
 
-Sharding composes with within-cell parallelism: every task executor
-gets its evaluator the same way, from :func:`~repro.exec.build_evaluator`
-with the task's ``workers`` and ``cache_path``, so ``--shard-workers 2
---workers 4`` is two concurrent workloads, each measuring schedules four
-at a time.  All shards may share one persistent measurement cache path;
-each task's evaluator opens its own connection and closes it when the
-task ends, and SQLite's WAL mode serializes the writes.
+The shard pool is the only process pool: within a task, schedules are
+measured in-process.  Every task executor gets its evaluator the same
+way, from :func:`~repro.exec.build_evaluator` with the task's
+``cache_path``.  All shards may share one persistent measurement cache
+path; each task's evaluator opens its own connection and closes it when
+the task ends, and SQLite's WAL mode serializes the writes.
 
 Task payloads must pickle.  Programs may not (payload closures), so
 ``workload-rules`` payloads travel without their program and
@@ -104,7 +103,6 @@ class PlanRun:
     results: List[TaskResult]
     shard_workers: int
     wall_s: float
-    start_method: Optional[str] = None
 
     def of_kind(self, kind: str) -> List[TaskResult]:
         return [r for r in self.results if r.kind == kind]
@@ -188,7 +186,6 @@ def _task_evaluator(
         program,
         machine.with_ranks(program.n_ranks),
         task.measurement,
-        workers=task.workers,
         cache_path=task.cache_path,
     )
 
@@ -285,12 +282,13 @@ def _run_search_range(machine: MachineConfig, task: WorkloadTask) -> object:
                 ArtifactStore(task.store_path), program, machine=machine.name
             )
     evaluator = _task_evaluator(machine, task, program)
+    block = 64 if task.block_size is None else task.block_size
     try:
         with obs.stage("search"):
             result = ExhaustiveSearch(
                 space,
                 evaluator,
-                batch_size=task.block_size or 64,
+                batch_size=block,
                 guide=guide,
                 cursor=cursor,
                 limit=task.range_limit,
@@ -370,12 +368,7 @@ def restore_rules_payload(result: TaskResult) -> object:
 
 
 # ----------------------------------------------------------------------
-def execute_plan(
-    plan: ExecutionPlan,
-    *,
-    shard_workers: int = 0,
-    start_method: Optional[str] = None,
-) -> PlanRun:
+def execute_plan(plan: ExecutionPlan, *, shard_workers: int = 0) -> PlanRun:
     """Run every task of ``plan``; sharded when ``shard_workers > 1``.
 
     Results are returned in task-index order either way.
@@ -390,12 +383,9 @@ def execute_plan(
         "plan.execute", n_tasks=len(plan.tasks), shard_workers=shard_workers
     ):
         if shard_workers > 1 and len(plan.tasks) > 1:
-            results, method = _execute_sharded(
-                plan, shard_workers, start_method
-            )
+            results = _execute_sharded(plan, shard_workers)
         else:
             shard_workers = 0
-            method = None
             results = []
             for task in plan.tasks:
                 results.append(execute_task(plan.machine, task))
@@ -414,24 +404,18 @@ def execute_plan(
         results=results,
         shard_workers=shard_workers,
         wall_s=time.perf_counter() - t0,
-        start_method=method,
     )
 
 
-def _execute_sharded(
-    plan: ExecutionPlan,
-    shard_workers: int,
-    start_method: Optional[str],
-) -> Tuple[List[TaskResult], str]:
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
+def _execute_sharded(plan: ExecutionPlan, shard_workers: int) -> List[TaskResult]:
+    methods = multiprocessing.get_all_start_methods()
+    method = "fork" if "fork" in methods else methods[0]
     n_workers = min(shard_workers, len(plan.tasks))
     costs = {t.index: estimate_task_cost(t) for t in plan.tasks}
     results: List[TaskResult] = []
     with ProcessPoolExecutor(
         max_workers=n_workers,
-        mp_context=multiprocessing.get_context(start_method),
+        mp_context=multiprocessing.get_context(method),
     ) as pool:
         # Costliest-first: long-pole workloads hit the pool before
         # cheap ones, so no shard drains while a giant waits queued.
@@ -452,4 +436,4 @@ def _execute_sharded(
             # absorbs them into the registry once every task is back.
             obs.progress_shipped(result.metrics)
             obs.add("plan.tasks_completed")
-    return results, start_method
+    return results

@@ -1,9 +1,8 @@
 """Programmatic experiment reports (markdown).
 
 ``generate_report(wb)`` runs every paper experiment on a workbench and
-renders a single markdown document — the machine-generated counterpart of
-EXPERIMENTS.md, useful for regenerating results on a different platform
-configuration or problem scale.  ``render_transfer_report(result)``
+renders a single markdown document, useful for regenerating results on a
+different platform configuration or problem scale.  ``render_transfer_report(result)``
 renders a :class:`repro.transfer.TransferMatrixResult` the same way (the
 ``repro transfer --report`` output), and ``render_suite_report(report)``
 does the same for a :class:`repro.workloads.SuiteReport` (``repro suite

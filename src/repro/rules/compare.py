@@ -102,7 +102,7 @@ def compare_all(
 def consistency_summary(
     results: Sequence[CompareResult],
 ) -> Dict[str, int]:
-    """Counts per annotation kind (for EXPERIMENTS.md tables)."""
+    """Counts per annotation kind."""
     out: Dict[str, int] = {a.value: 0 for a in Annotation}
     for r in results:
         out[r.annotation.value] += 1

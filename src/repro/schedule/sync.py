@@ -22,8 +22,8 @@ sequence entries whose position *is part of the design space* — the paper's
 design rules constrain them (e.g. "yL before CES-b4-PostSend").  The
 cross-stream wait (CSWE) is inserted atomically with the dependent kernel
 because its stream is only known once that kernel is bound; this collapses
-a small amount of CSWE-placement freedom, documented in DESIGN.md (the
-SpMV program has no GPU->GPU edges, so its space is unaffected).
+a small amount of CSWE-placement freedom (the SpMV program has no GPU->GPU
+edges, so its space is unaffected).
 
 Edges into the artificial ``end`` vertex need no inserted ops: ``end`` is
 modeled as a device-wide synchronize.

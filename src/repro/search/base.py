@@ -99,11 +99,12 @@ class SearchStrategy(abc.ABC):
 
     Strategies submit *batches* of candidate schedules via
     :meth:`repro.exec.Evaluator.evaluate_batch` and never own a
-    measurement loop, so serial and parallel evaluation are
-    interchangeable.  For backwards compatibility a bare
+    measurement loop, so any evaluator (cached, traced, batch-replayed)
+    can stand behind them.  A bare
     :class:`~repro.sim.measure.Benchmarker` is accepted and wrapped in a
     :class:`~repro.exec.SerialEvaluator`; ``self.benchmarker`` then
-    aliases the wrapped benchmarker (``None`` for non-serial backends).
+    aliases the wrapped benchmarker (``None`` for evaluators without
+    one).
     """
 
     name: str = "search"

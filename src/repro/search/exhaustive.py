@@ -6,8 +6,8 @@ strategy reproduces that.  ``n_iterations`` is ignored beyond capping the
 number of schedules benchmarked (useful for tests).
 
 Enumeration streams through :meth:`repro.schedule.space.DesignSpace.iter_blocks`
-in blocks of ``batch_size`` schedules, so a parallel evaluator keeps all
-workers busy, results remain in enumeration order, and peak schedule
+in blocks of ``batch_size`` schedules, so batch replay gets a whole block
+per call, results remain in enumeration order, and peak schedule
 residency is one block — never the space.
 
 A rule ``guide`` (:class:`repro.advisor.guided.ScheduleGuide`) turns the

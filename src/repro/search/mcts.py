@@ -47,19 +47,6 @@ class MctsConfig:
     exploration_c: float = math.sqrt(2.0)
     #: RNG seed for rollouts and tie-breaking.
     seed: int = 0
-    #: Leaf-parallel rollouts per iteration group.  ``1`` (default) is the
-    #: paper's serial protocol: select → expand → rollout → backpropagate,
-    #: one schedule at a time.  With ``k > 1`` the search collects ``k``
-    #: rollout schedules before benchmarking them as one batch and
-    #: backpropagating the measurements *in collection order*; selection
-    #: then sees rollout statistics that are up to ``k - 1`` iterations
-    #: stale, the standard leaf-parallelization deviation (see
-    #: :mod:`repro.exec` for the full determinism contract).
-    rollout_batch: int = 1
-
-    def __post_init__(self) -> None:
-        if self.rollout_batch < 1:
-            raise ValueError("rollout_batch must be >= 1")
 
 
 class MctsNode:
@@ -200,31 +187,13 @@ class MctsSearch(SearchStrategy):
 
     def _run(self, n_iterations: int) -> SearchResult:
         result = SearchResult(strategy=self.name)
-        while result.n_iterations < n_iterations:
-            if self.root.fully_explored:
-                break
-            # Collect up to ``rollout_batch`` rollouts, then benchmark
-            # them as one batch and backpropagate in collection order.
-            k = min(
-                self.config.rollout_batch,
-                n_iterations - result.n_iterations,
-            )
-            pending: List[Tuple[Schedule, List[MctsNode]]] = []
-            for _ in range(k):
-                if self.root.fully_explored:
-                    break
-                node = self._select(self.root)
-                node = self._expand(node)
-                pending.append(self._rollout(node))
-            if not pending:
-                break
-            measurements = self.evaluator.evaluate_batch(
-                [schedule for schedule, _ in pending]
-            )
-            for (schedule, path), m in zip(pending, measurements):
-                self._backpropagate(path, m.time)
-                result.add(schedule, m.time)
-                result.n_iterations += 1
+        while result.n_iterations < n_iterations and not self.root.fully_explored:
+            node = self._expand(self._select(self.root))
+            schedule, path = self._rollout(node)
+            time = self.evaluator.evaluate(schedule).time
+            self._backpropagate(path, time)
+            result.add(schedule, time)
+            result.n_iterations += 1
         result.n_simulations = self.evaluator.n_simulations
         return result
 

@@ -135,8 +135,8 @@ class CompiledContext:
     """A ``(program, machine, MeasurementConfig)`` context compiled for replay.
 
     Construction is cheap relative to one simulation sweep but not free;
-    build it once per process (see ``SerialEvaluator`` /
-    ``ParallelEvaluator``) and reuse it across blocks.  ``ok`` is the
+    build it once per evaluator (see ``SerialEvaluator``) and reuse it
+    across blocks.  ``ok`` is the
     compile-time capability verdict; when ``False``, ``reason`` names the
     unsupported feature and :meth:`supports` rejects every schedule.
     """
@@ -365,9 +365,8 @@ class CompiledContext:
         ``benchmarker.measure``.  Returns ``(results, n_replayed,
         fallbacks)``, one :meth:`unsupported_reason` per fallback, so
         callers can do their own metrics accounting (see
-        :func:`count_engines`) — this function does not touch ``obs``
-        counters (it also runs inside pool workers whose registries are
-        never shipped home).
+        :func:`count_engines`); this function does not touch ``obs``
+        counters.
         """
         todo: List[Schedule] = []
         fallbacks: List[str] = []

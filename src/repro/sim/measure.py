@@ -84,8 +84,7 @@ class Benchmarker:
         """Install an externally obtained measurement into the memo.
 
         Used by the exec layer to share results between the on-disk cache,
-        parallel workers, batch replay, and this in-memory memo without
-        re-simulating.
+        batch replay, and this in-memory memo without re-simulating.
         """
         self._cache[schedule.fingerprint()] = measurement
 

@@ -201,8 +201,8 @@ class SuiteReport:
     union_note: str = ""
     #: Execution-plan timing: shard count, total wall, per-task wall and
     #: per-stage breakdown (:meth:`repro.orchestrate.PlanRun.timing`).
-    #: Wall-clock only — every other field is identical for any shard or
-    #: worker count.
+    #: Wall-clock only — every other field is identical for any shard
+    #: count.
     timing: Dict[str, object] = field(default_factory=dict)
     #: Run telemetry from the obs metrics registry delta — today the
     #: measurement-cache hit/miss/lock-retry counts, which are
@@ -373,12 +373,11 @@ class SuiteRunner:
     workload for cross-workload suites) — and executed as ``execution``
     says: in-process or, with ``shard_workers > 1``, across a pool of
     whole-workload shards.  Within each task one evaluator is shared by
-    all strategies (so they share its memo), optionally backed by
-    ``workers`` inner evaluation processes and a shared persistent
-    measurement cache.  Measurement determinism makes every report field
-    except ``timing`` (and, when a cache is shared — concurrent tasks
-    cross-seed it — the incidental ``n_simulations`` counters)
-    independent of ``execution``.
+    all strategies (so they share its memo), optionally backed by a
+    shared persistent measurement cache.  Measurement determinism makes
+    every report field except ``timing`` (and, when a cache is shared —
+    concurrent tasks cross-seed it — the incidental ``n_simulations``
+    counters) independent of ``execution``.
     """
 
     def __init__(

@@ -59,6 +59,19 @@ class TestPipeline:
         with pytest.raises(SearchError):
             pipe.explore()
 
+    def test_zero_block_size_is_not_the_default(self, spmv_instance, machine):
+        """Only ``block_size=None`` falls back to ``batch_size``; 0 is
+        refused by the sweep instead of standing in for the default."""
+
+        def strategy(**block):
+            config = PipelineConfig(strategy="exhaustive", batch_size=8, **block)
+            pipe = DesignRulePipeline(spmv_instance.program, machine, config)
+            return pipe.make_strategy()
+
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            strategy(block_size=0)
+        assert strategy().batch_size == 8
+
     def test_exhaustive_strategy_covers_space(self, spmv_instance, machine, spmv_space):
         pipe = DesignRulePipeline(
             spmv_instance.program,

@@ -1,8 +1,10 @@
 """Tests for the Evaluator interface and the serial backend."""
 
+import sqlite3
+
 import pytest
 
-from repro.exec import MeasurementCache, SerialEvaluator, as_evaluator
+from repro.exec import MeasurementCache, SerialEvaluator, as_evaluator, build_evaluator
 from repro.exec.evaluator import Evaluator
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.measure import Benchmarker, MeasurementConfig
@@ -95,6 +97,40 @@ class TestSerialEvaluatorWithCache:
         b.evaluate_batch(spmv_schedules[:4])
         # Different measurement config => different context => re-simulated.
         assert b.n_simulations > 0
+
+
+class TestBuildEvaluator:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_build_evaluator_owns_its_cache(
+        self, spmv_instance, machine, spmv_schedules, tmp_path, workers
+    ):
+        """build_evaluator opens the cache at ``cache_path``, and closing
+        the evaluator closes it; the measurements stay on disk."""
+        path = str(tmp_path / "m.sqlite")
+        batch = spmv_schedules[:6]
+        cfg = MeasurementConfig(max_samples=1)
+
+        def evaluator():
+            return build_evaluator(
+                spmv_instance.program, machine, cfg, workers=workers, cache_path=path
+            )
+
+        first = evaluator()
+        warm = first.evaluate_batch(batch)
+        first.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(first.cache)
+        second = evaluator()
+        try:
+            assert second.evaluate_batch(batch) == warm
+            assert second.n_simulations == 0
+        finally:
+            second.close()
+
+    def test_rejects_worker_pool(self, spmv_instance, machine):
+        """Evaluation is in-process only; asking for a pool is an error."""
+        with pytest.raises(ValueError, match="workers must be 0 or 1"):
+            build_evaluator(spmv_instance.program, machine, workers=2)
 
 
 class TestAsEvaluator:

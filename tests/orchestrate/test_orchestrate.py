@@ -1,7 +1,10 @@
 """repro.orchestrate: plan construction, execution, shard determinism."""
 
+import os
+
 import pytest
 
+from repro import obs
 from repro.errors import WorkloadError
 from repro.exec import ExecConfig
 from repro.orchestrate import (
@@ -220,3 +223,56 @@ class TestExecution:
             {k: v for k, v in c.items() if k not in drop}
             for c in cells_second
         ]
+
+
+class _PidTaggedStream:
+    """Appends every write to a file, prefixed with the writer's pid.
+
+    A forked shard worker writes through its own copy of this object, so
+    the file records which process printed each progress line.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def write(self, text):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {text}")
+
+    def flush(self):
+        pass
+
+
+class TestWorkerBoundary:
+    """What crosses the shard pool's process boundary besides payloads."""
+
+    def test_task_error_reaches_parent(self):
+        """A task that raises in a shard worker surfaces in the parent
+        as the original library exception, with the worker's traceback."""
+        tasks = tuple(
+            WorkloadTask(
+                index=i,
+                kind=TASK_SUITE_CELLS,
+                spec=spec,
+                measurement=MEASUREMENT,
+                strategies=("nope",),
+                n_iterations=1,
+            )
+            for i, spec in enumerate(SPECS)
+        )
+        plan = ExecutionPlan(machine=_machine(), tasks=tasks)
+        with pytest.raises(WorkloadError, match="unknown suite strategy 'nope'") as exc:
+            execute_plan(plan, shard_workers=2)
+        assert "make_strategy" in str(exc.value.__cause__)
+
+    def test_workers_never_print_the_parents_progress(self, tmp_path):
+        """Shard workers drop the progress meter they inherit by fork:
+        the parent prints every line, so the count can never go
+        backwards to a child's stale copy."""
+        log = tmp_path / "progress.log"
+        plan = plan_suite(TINY, machine=_machine())
+        with obs.progress_scope(1000, interval=0.0, stream=_PidTaggedStream(str(log))):
+            run = execute_plan(plan, shard_workers=2)
+        assert os.getpid() not in {r.pid for r in run.results}
+        pids = [int(line.split()[0]) for line in log.read_text().splitlines()]
+        assert pids and set(pids) == {os.getpid()}

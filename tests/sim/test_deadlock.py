@@ -22,7 +22,7 @@ def unsafe_instance():
 
 def test_unsafe_space_is_larger(unsafe_instance, spmv_space):
     unsafe_space = DesignSpace(unsafe_instance.program, n_streams=2)
-    assert unsafe_space.count() == 2016   # documented in DESIGN.md
+    assert unsafe_space.count() == 2016   # see repro.apps.spmv.dag
     assert spmv_space.count() == 540
 
 

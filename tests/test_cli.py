@@ -46,14 +46,6 @@ def test_multi_input_small_scale(capsys):
     assert "bw=n/4" in out and "bw=n/8" in out
 
 
-def test_fig4_with_workers_matches_serial(capsys):
-    """--workers shards evaluation but must not change any output."""
-    assert main(["fig4", "--scale", "0.025"]) == 0
-    serial_out = capsys.readouterr().out
-    assert main(["fig4", "--scale", "0.025", "--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial_out
-
-
 def test_fig4_with_cache(tmp_path, capsys):
     from repro.experiments import default_workbench
 
@@ -382,6 +374,16 @@ def test_search_block_size_batches_direct_sweep(tmp_path, capsys):
         s for s in read_trace(path).walk() if s.name == "search.exhaustive"
     ]
     assert sweep.attrs["batch_size"] == 7
+
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_block_size_must_be_positive(size, capsys):
+    """A non-positive --block-size is a usage error, not a default block
+    of 64 (0) or a traceback from inside the sweep (negative)."""
+    with pytest.raises(SystemExit) as exc:
+        main(_SEARCH_WAVEFRONT + ["--block-size", size])
+    assert exc.value.code == 2
+    assert f"--block-size: must be >= 1, got {size}" in capsys.readouterr().err
 
 
 def test_search_shard_workers_need_range_shards():

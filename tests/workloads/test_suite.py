@@ -132,13 +132,6 @@ class TestRunner:
             _comparable(c) for c in b.cells
         ]
 
-    def test_workers_do_not_change_results(self):
-        serial = SuiteRunner(TINY).run()
-        parallel = SuiteRunner(TINY, execution=ExecConfig(workers=2)).run()
-        assert [_comparable(c) for c in serial.cells] == [
-            _comparable(c) for c in parallel.cells
-        ]
-
     def test_shard_workers_do_not_change_results(self):
         """Workload-level sharding: the whole report (not just cells) is
         bit-identical to serial, excluding wall-clock timing."""
@@ -254,18 +247,15 @@ class TestCrossWorkloadTables:
 
     @pytest.mark.parametrize(
         ("execution", "span", "attr", "value"),
-        [
-            (ExecConfig(workers=2), "eval.batch", "backend", "parallel"),
-            (ExecConfig(block_size=7), "search.exhaustive", "batch_size", 7),
-        ],
-        ids=["workers", "block_size"],
+        [(ExecConfig(block_size=7), "search.exhaustive", "batch_size", 7)],
+        ids=["block_size"],
     )
     def test_exec_settings_do_not_change_tables(
         self, report, execution, span, attr, value
     ):
-        """Inner evaluation workers and the exhaustive block size reach
-        the rule pipelines (the traced spans show it) and change no cell
-        and no cross-workload table."""
+        """The exhaustive block size reaches the rule pipelines (the
+        traced spans show it) and changes no cell and no cross-workload
+        table."""
         with obs.capture(trace=True) as cap:
             other = SuiteRunner(TINY_RULES, execution=execution).run()
         seen = [s.attrs[attr] for s in obs.walk_spans(cap.spans) if s.name == span]
