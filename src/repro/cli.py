@@ -496,7 +496,7 @@ def _cmd_search(args) -> str:
                 strategy = make_strategy(
                     args.strategy, space, evaluator, args.seed, guide=guide
                 )
-                budget = args.iterations or 64
+                budget = 64 if args.iterations is None else args.iterations
             t0 = time.perf_counter()
             from repro import obs
 
@@ -729,10 +729,18 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``--block-size``: an integer >= 1."""
+    """argparse type of a count that must be at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of a process or shard count (0 and 1 = in-process)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -741,7 +749,7 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shard-workers",
         dest="shard_workers",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help=(
@@ -1021,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--iterations",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
@@ -1032,14 +1040,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--range-shards",
         dest="range_shards",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help=(
             "split an exhaustive sweep into N seek-delimited enumeration "
             "ranges executed as orchestrate tasks (results merge "
             "bit-identically to serial; combine with --shard-workers "
-            "for actual parallelism)"
+            "for actual parallelism; 0/1 = one unsplit sweep)"
         ),
     )
     p.add_argument(
@@ -1230,7 +1238,7 @@ def _add_target_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--streams",
-        type=int,
+        type=_positive_int,
         default=2,
         help="GPU streams in the design space (default 2)",
     )

@@ -9,9 +9,8 @@ pieces compose:
   backend wrapping the paper's :class:`~repro.sim.measure.Benchmarker`
   protocol, with batch replay wherever it can run the program.
 * :class:`MeasurementCache` — a persistent SQLite store keyed by
-  canonical fingerprints of (program, machine, measurement config,
-  sample offset) × schedule, so repeated runs never re-simulate a known
-  implementation.
+  canonical fingerprints of (program, machine, measurement config) ×
+  schedule, so repeated runs never re-simulate a known implementation.
 
 :func:`build_evaluator` is the one place that opens a cache: given a
 ``cache_path`` it opens the file, hands the connection to the evaluator

@@ -19,7 +19,7 @@ A cache entry is addressed by two canonical fingerprints:
   of everything else that determines a measurement: the program (graph
   structure, per-vertex durations/work, communication plans, work
   overrides), the machine configuration (including the noise model and
-  its seed), the measurement protocol knobs, and the sample offset.
+  its seed) and the measurement protocol knobs.
 
 Because a measurement is a pure function of (schedule, context), any
 cache hit is bit-identical to a fresh simulation; changing *any* input —
@@ -116,7 +116,6 @@ def context_fingerprint(
     program: Program,
     machine: MachineConfig,
     config: MeasurementConfig,
-    sample_offset: int = 0,
 ) -> str:
     """Stable hash of the full measurement context (everything but the
     schedule)."""
@@ -125,7 +124,6 @@ def context_fingerprint(
             "program": program_fingerprint(program),
             "machine": _canonical(machine),
             "measurement": _canonical(config),
-            "sample_offset": sample_offset,
         }
     )
 

@@ -92,7 +92,6 @@ class SerialEvaluator(Evaluator):
                 benchmarker.executor.program,
                 benchmarker.executor.machine,
                 benchmarker.config,
-                benchmarker.sample_offset,
             )
 
     # ------------------------------------------------------------------

@@ -93,41 +93,13 @@ class _PlainUctMcts(MctsSearch):
 
     Isolation of the paper's novel exploitation term: with V ≡ 1 the
     selection reduces to breadth-driven UCT over visit counts alone.
+    Expansion, rollouts and backpropagation are the paper's.
     """
 
     name = "mcts-plain-uct"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._patch()
-
-    def _patch(self) -> None:
-        def exploit_one(_node: MctsNode) -> float:
-            return 1.0
-
-        # Monkeypatch at the instance-tree level: nodes consult their own
-        # method, so wrap value computation instead.
-        self._exploit = exploit_one
-
-    def _select(self, root: MctsNode) -> MctsNode:  # same flow, V == 1
-        node = root
-        while True:
-            if node.is_terminal or node.unexpanded_actions():
-                return node
-            children = list(node.children.values())
-            if any(ch.n_rollouts == 0 for ch in children):
-                return node
-            viable = [ch for ch in children if not ch.fully_explored]
-            if not viable:
-                node.fully_explored = True
-                if node.parent is None:
-                    return node
-                node = node.parent
-                continue
-            c = self.config.exploration_c
-            node = max(
-                viable, key=lambda ch: ch.exploration_value(c) + 1.0
-            )
+    def _exploitation(self, node: MctsNode) -> float:
+        return 1.0
 
 
 def run_exploitation_ablation(

@@ -87,10 +87,6 @@ from repro.schedule.sync import (
 Action = Tuple[BoundOp, ...]
 
 
-def _action_key(action: Action) -> Tuple:
-    return tuple((op.name, op.stream, op.event) for op in action)
-
-
 class _Wait(NamedTuple):
     """GPU predecessor ``u`` of a GPU op ``v``, as ``v``'s cross-stream
     groups use it."""
@@ -428,11 +424,14 @@ class DecisionState:
             raise ScheduleError("state is not a complete schedule")
         return Schedule(self.placed)
 
-    def apply(self, action: Action) -> "DecisionState":
+    def child(self, i: int) -> "DecisionState":
+        """The state after ``available_actions()[i]``, on the graph's
+        cached child node."""
+        node = self._node
         state = DecisionState.__new__(DecisionState)
         state.space = self.space
-        state.placed = self.placed + action
-        state._node = self.space._graph.step(self._node, action)
+        state.placed = self.placed + node.actions[i]
+        state._node = self.space._graph.child(node, i)
         return state
 
     def fresh_record(self) -> Optional[str]:

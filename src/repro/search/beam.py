@@ -62,9 +62,7 @@ class BeamSearch(SearchStrategy):
     def _random_completion(self, state: DecisionState):
         while not state.is_complete():
             actions = state.available_actions()
-            state = state.apply(
-                actions[int(self.rng.integers(len(actions)))]
-            )
+            state = state.child(int(self.rng.integers(len(actions))))
         return state.schedule()
 
     # ------------------------------------------------------------------
@@ -97,17 +95,17 @@ class BeamSearch(SearchStrategy):
                     # (stable on the original action order for ties).
                     priced = sorted(
                         (
-                            (self.guide.prefix_penalty(state.placed + a), a)
-                            for a in actions
+                            (self.guide.prefix_penalty(state.placed + a), i)
+                            for i, a in enumerate(actions)
                         ),
-                        key=lambda pa: pa[0],
+                        key=lambda pi: pi[0],
                     )
                 else:
-                    priced = [(0.0, a) for a in actions]
-                for penalty, action in priced:
+                    priced = [(0.0, i) for i in range(len(actions))]
+                for penalty, i in priced:
                     if budget <= 0:
                         break
-                    child = state.apply(action)
+                    child = state.child(i)
                     idx = len(candidates)
                     candidates.append(child)
                     penalties.append(penalty)

@@ -1,27 +1,37 @@
 """Monte-Carlo tree search over CUDA+MPI schedules (paper §III-C).
 
-The four phases, exactly as specified:
+A tree node is a schedule prefix on the design space's state graph
+(:mod:`repro.schedule.space`); its children are keyed by the index of
+their action in the node's state's ``available_actions()``, in the order
+they were made.  One iteration runs the paper's four phases:
 
-* **Selection** — from the root, recursively pick the child maximizing
+* **Selection** — from the root, while every action of the node has a
+  child, descend to the child that is not fully explored maximizing
   ``exploration + exploitation``, where exploration is
-  ``c · sqrt(ln N / n)`` with ``c = sqrt(2)`` (``-inf`` once the child's
-  subtree is fully explored), and exploitation is the *coverage ratio*
+  ``c · sqrt(ln N / n)`` with ``c = sqrt(2)``, and exploitation is the
+  *coverage ratio*
 
   .. math:: V = (t^c_{max} - t^c_{min}) / (t^p_{max} - t^p_{min})
 
   when both child and parent have at least two rollouts, else 1.  "The
   intuition is to favor child nodes with times that represent greater
-  coverage of the parent's execution times."  Selection stops at any node
-  that has a child (possible action) with no rollouts.
+  coverage of the parent's execution times."
 
-* **Expansion** — create one zero-rollout child of the selected node.
+* **Expansion** — create the child of one uniformly drawn action that has
+  none yet.
 
 * **Rollout** — complete the prefix by uniformly random frontier choices,
   benchmark the resulting schedule, and add the rollout path's nodes to
   the tree "to retain their performance information".
 
 * **Backpropagation** — update ``t_min`` / ``t_max`` and rollout counts on
-  every node along the path, and propagate the fully-explored flag.
+  every node along the path, and mark fully explored each node that is
+  terminal or whose every action has a fully explored child.
+
+The paper stops selection "at any node that has a child with no
+rollouts".  Here no such child exists after an iteration: every node an
+iteration creates lies on its rollout path and is backpropagated, so
+selection only has to stop at a node with an action still unexpanded.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import numpy as np
 from repro import obs
 from repro.errors import SearchError
 from repro.schedule.schedule import Schedule
-from repro.schedule.space import Action, DecisionState, DesignSpace, _action_key
+from repro.schedule.space import Action, DecisionState, DesignSpace
 from repro.search.base import SearchResult, SearchStrategy
 
 
@@ -53,7 +63,8 @@ class MctsNode:
     """One node of the search tree: a prefix of a schedule.
 
     The root's prefix is empty; each child extends the parent by one
-    action (one operation, or an atomic sync group).
+    action (one operation, or an atomic sync group).  ``children[i]`` is
+    the child for ``actions[i]``.
     """
 
     __slots__ = (
@@ -76,7 +87,7 @@ class MctsNode:
         self.parent = parent
         self.action = action
         self.state = state
-        self.children: Dict[Tuple, "MctsNode"] = {}
+        self.children: Dict[int, "MctsNode"] = {}
         self.n_rollouts = 0
         self.t_min = math.inf
         self.t_max = -math.inf
@@ -91,19 +102,13 @@ class MctsNode:
     def is_terminal(self) -> bool:
         return self.state.is_complete()
 
-    def unexpanded_actions(self) -> List[Action]:
-        return [
-            a for a in self.actions if _action_key(a) not in self.children
-        ]
-
-    def child_for(self, action: Action) -> "MctsNode":
-        key = _action_key(action)
-        child = self.children.get(key)
+    def child_at(self, i: int) -> "MctsNode":
+        """The child for ``actions[i]``, made on first use."""
+        child = self.children.get(i)
         if child is None:
-            child = MctsNode(
-                parent=self, action=action, state=self.state.apply(action)
+            child = self.children[i] = MctsNode(
+                self, self.actions[i], self.state.child(i)
             )
-            self.children[key] = child
         return child
 
     # -- value terms ----------------------------------------------------
@@ -127,18 +132,6 @@ class MctsNode:
         if parent_range <= 0.0:
             return 1.0
         return (self.t_max - self.t_min) / parent_range
-
-    def value(self, c: float) -> float:
-        return self.exploration_value(c) + self.exploitation_value()
-
-    # ------------------------------------------------------------------
-    def depth(self) -> int:
-        d = 0
-        node = self
-        while node.parent is not None:
-            d += 1
-            node = node.parent
-        return d
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = (
@@ -198,43 +191,29 @@ class MctsSearch(SearchStrategy):
         return result
 
     # -- phases ----------------------------------------------------------
+    def _exploitation(self, node: MctsNode) -> float:
+        """The exploitation term of ``node`` in selection."""
+        return node.exploitation_value()
+
     def _select(self, root: MctsNode) -> MctsNode:
+        # A node with every action expanded and not fully explored has a
+        # child that is not fully explored (see _backpropagate).
+        c = self.config.exploration_c
         node = root
-        while True:
-            if node.is_terminal:
-                return node
-            if node.unexpanded_actions():
-                return node
-            children = list(node.children.values())
-            zero = [ch for ch in children if ch.n_rollouts == 0]
-            if zero:
-                # "The recursive search terminates at any node that has a
-                # child with no rollouts."
-                return node
-            viable = [ch for ch in children if not ch.fully_explored]
-            if not viable:
-                node.fully_explored = True
-                if node.parent is None:
-                    return node
-                node = node.parent
-                continue
-            c = self.config.exploration_c
-            best = max(viable, key=lambda ch: ch.value(c))
-            node = best
+        while not node.is_terminal and len(node.children) == len(node.actions):
+            node = max(
+                (ch for ch in node.children.values() if not ch.fully_explored),
+                key=lambda ch: ch.exploration_value(c) + self._exploitation(ch),
+            )
+        return node
 
     def _expand(self, node: MctsNode) -> MctsNode:
         if node.is_terminal:
-            return node
-        unexpanded = node.unexpanded_actions()
-        if unexpanded:
-            action = unexpanded[int(self.rng.integers(len(unexpanded)))]
-            return node.child_for(action)
-        zero = [
-            ch for ch in node.children.values() if ch.n_rollouts == 0
+            return node  # only a root with nothing to place
+        unexpanded = [
+            i for i in range(len(node.actions)) if i not in node.children
         ]
-        if zero:
-            return zero[int(self.rng.integers(len(zero)))]
-        raise SearchError("expansion called on a fully expanded node")
+        return node.child_at(unexpanded[int(self.rng.integers(len(unexpanded)))])
 
     def _rollout(self, node: MctsNode) -> Tuple[Schedule, List[MctsNode]]:
         """Random completion from ``node``; returns (schedule, tree path).
@@ -256,37 +235,36 @@ class MctsSearch(SearchStrategy):
                 raise SearchError(
                     "dead end during rollout; inconsistent design space"
                 )
+            choices = range(len(actions))
             if self.guide is not None and len(actions) > 1:
                 placed = current.state.placed
                 penalties = [
                     self.guide.prefix_penalty(placed + a) for a in actions
                 ]
                 floor = min(penalties)
-                actions = tuple(
-                    a for a, p in zip(actions, penalties) if p == floor
-                )
-            action = actions[int(self.rng.integers(len(actions)))]
-            current = current.child_for(action)
+                choices = [i for i, p in enumerate(penalties) if p == floor]
+            current = current.child_at(
+                choices[int(self.rng.integers(len(choices)))]
+            )
             path.append(current)
         return current.state.schedule(), path
 
     def _backpropagate(self, path: List[MctsNode], time: float) -> None:
-        # Terminal leaf of the rollout is fully explored by definition.
+        # Every node this iteration made lies on ``path`` (the tree only
+        # grows along it), so afterwards no node has a child without
+        # rollouts.  A node is fully explored once it is terminal or every
+        # action has a fully explored child; only the path's nodes can
+        # change that, and an ancestor of a node that is not cannot be.
+        explored = True  # the rollout's leaf is terminal
         for node in reversed(path):
             node.n_rollouts += 1
             node.t_min = min(node.t_min, time)
             node.t_max = max(node.t_max, time)
-        for node in reversed(path):
-            self._update_fully_explored(node)
-
-    def _update_fully_explored(self, node: MctsNode) -> None:
-        if node.is_terminal:
-            node.fully_explored = True
-            return
-        if node.unexpanded_actions():
-            return
-        if all(ch.fully_explored for ch in node.children.values()):
-            node.fully_explored = True
+            if explored:
+                explored = node.fully_explored = node.is_terminal or (
+                    len(node.children) == len(node.actions)
+                    and all(ch.fully_explored for ch in node.children.values())
+                )
 
     # ------------------------------------------------------------------
     def tree_size(self) -> int:
@@ -296,11 +274,3 @@ class MctsSearch(SearchStrategy):
             return 1 + sum(count(ch) for ch in node.children.values())
 
         return count(self.root)
-
-    def max_depth(self) -> int:
-        def depth(node: MctsNode) -> int:
-            if not node.children:
-                return 0
-            return 1 + max(depth(ch) for ch in node.children.values())
-
-        return depth(self.root)

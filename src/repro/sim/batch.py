@@ -146,13 +146,10 @@ class CompiledContext:
         program: Program,
         machine: MachineConfig,
         config: MeasurementConfig = MeasurementConfig(),
-        *,
-        sample_offset: int = 0,
     ) -> None:
         self.program = program
         self.machine = machine
         self.config = config
-        self.sample_offset = sample_offset
         self.n_ranks = machine.n_ranks
         self.n_streams = machine.n_streams
         self.n_gpus = machine.n_gpus
@@ -331,7 +328,7 @@ class CompiledContext:
         sample = 0
         while True:
             rows = np.nonzero(active)[0]
-            per_rank = self._replay(pack, rows, self.sample_offset + sample)
+            per_rank = self._replay(pack, rows, sample)
             acc[rows] += per_rank
             n[rows] += 1
             sample += 1
@@ -406,12 +403,7 @@ def select_engine(
         return None, "trace"
     if executor.payload_init is not None:
         return None, "payload"
-    ctx = compile_context(
-        executor.program,
-        executor.machine,
-        benchmarker.config,
-        sample_offset=benchmarker.sample_offset,
-    )
+    ctx = compile_context(executor.program, executor.machine, benchmarker.config)
     return (ctx, None) if ctx.ok else (None, ctx.reason)
 
 
@@ -445,8 +437,6 @@ def compile_context(
     program: Program,
     machine: MachineConfig,
     config: MeasurementConfig = MeasurementConfig(),
-    *,
-    sample_offset: int = 0,
 ) -> CompiledContext:
     """Compile a replay context; timed and counted in ``obs``.
 
@@ -457,9 +447,7 @@ def compile_context(
     global _N_COMPILES
     _N_COMPILES += 1
     with obs.stage("sim.compile") as st:
-        ctx = CompiledContext(
-            program, machine, config, sample_offset=sample_offset
-        )
+        ctx = CompiledContext(program, machine, config)
     obs.observe("sim.compile_s", st.duration)
     if ctx.ok:
         obs.add("sim.compiled_contexts")

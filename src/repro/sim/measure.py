@@ -66,12 +66,9 @@ class Benchmarker:
         self,
         executor: ScheduleExecutor,
         config: MeasurementConfig = MeasurementConfig(),
-        *,
-        sample_offset: int = 0,
     ) -> None:
         self.executor = executor
         self.config = config
-        self.sample_offset = sample_offset
         self._cache: Dict[str, Measurement] = {}
         self.n_simulations = 0
 
@@ -99,7 +96,7 @@ class Benchmarker:
         acc: List[float] = [0.0] * n_ranks
         n = 0
         while True:
-            result = self.executor.run(schedule, sample=self.sample_offset + n)
+            result = self.executor.run(schedule, sample=n)
             self.n_simulations += 1
             for r in range(n_ranks):
                 acc[r] += result.per_rank[r]

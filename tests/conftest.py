@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 Heavy artifacts (the SpMV instance, the enumerated design space, the
-exhaustive benchmark sweep) are session-scoped: they are deterministic and
-read-only, and many test modules consult them.
+exhaustive benchmark sweep, the trained advisor store) are session-scoped:
+they are deterministic and read-only, and many test modules consult them.
 """
 
 from __future__ import annotations
@@ -10,11 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.advisor import ArtifactStore, publish_artifacts
 from repro.apps.spmv import SpmvCase, build_spmv_program
 from repro.platform import noiseless, perlmutter_like
 from repro.schedule import DesignSpace
 from repro.search import ExhaustiveSearch
 from repro.sim import Benchmarker, MeasurementConfig, ScheduleExecutor
+from repro.workloads import WorkloadSpec
+from repro.workloads.generalization import rules_for_specs
 
 
 #: Scale used by most tests: 3750 rows, builds in ~10 ms, simulates fast.
@@ -78,3 +81,51 @@ def spmv_noisy_exhaustive(spmv_instance, spmv_space, noisy_machine):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+# -- advisor ------------------------------------------------------------------
+# One trained artifact store for the session.  Training runs the exhaustive
+# rule pipelines on seven small workloads (the generalization six plus
+# ``layered_random``) once; every advisor test (store round-trips, guided
+# search, recommendation) and the guided MCTS oracle consume the same
+# artifacts, exactly as a real deployment shares one store across consumers.
+
+#: Exhaustible training workloads: every family the advisor tests
+#: recommend for or guide on has a structural relative in here.
+TRAIN_SPECS = (
+    WorkloadSpec("spmv", {"scale": 0.025}),
+    WorkloadSpec(
+        "halo3d",
+        {"nx": 32, "ny": 32, "nz": 32, "px": 2, "py": 2, "pz": 1, "axes": "x"},
+    ),
+    WorkloadSpec("layered_random", {"layers": 3, "width": 2, "edge_p": 0.5}),
+    WorkloadSpec("tree_allreduce", {"rounds": 1, "elems": 16384}),
+    WorkloadSpec("fork_join", {"stages": 1, "branches": 2, "depth": 1}),
+    WorkloadSpec("wavefront", {"width": 2, "height": 2}),
+    WorkloadSpec("stencil_reduce", {"width": 2, "height": 2}),
+)
+
+ADVISOR_MACHINE = "perlmutter-like"
+
+
+@pytest.fixture(scope="session")
+def advisor_machine():
+    """Noiseless machine used for all advisor-test simulation."""
+    return noiseless(perlmutter_like())
+
+
+@pytest.fixture(scope="session")
+def trained_workloads():
+    """Per-workload pipeline outputs over the training specs."""
+    return rules_for_specs(
+        list(TRAIN_SPECS), measurement=MeasurementConfig(max_samples=1)
+    )
+
+
+@pytest.fixture(scope="session")
+def trained_store(tmp_path_factory, trained_workloads):
+    """An artifact store holding the trained workloads + union tree."""
+    root = tmp_path_factory.mktemp("advisor-store")
+    store = ArtifactStore(str(root))
+    publish_artifacts(store, trained_workloads, machine=ADVISOR_MACHINE)
+    return store

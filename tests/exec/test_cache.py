@@ -54,12 +54,6 @@ class TestContextFingerprint:
         }
         assert len(fps) == 3
 
-    def test_changes_with_sample_offset(self, spmv_instance, machine):
-        cfg = MeasurementConfig()
-        a = context_fingerprint(spmv_instance.program, machine, cfg, 0)
-        b = context_fingerprint(spmv_instance.program, machine, cfg, 1)
-        assert a != b
-
     def test_changes_with_program(self, spmv_instance, machine):
         other = dataclasses.replace(spmv_instance.program, name="renamed")
         cfg = MeasurementConfig()

@@ -21,12 +21,7 @@ from repro.dag.graph import Graph
 from repro.dag.program import Program
 from repro.dag.vertex import OpKind, cpu_op, gpu_op
 from repro.schedule.schedule import BoundOp, Schedule
-from repro.schedule.space import (
-    DecisionState,
-    DesignSpace,
-    EnumerationCursor,
-    _action_key,
-)
+from repro.schedule.space import DecisionState, DesignSpace, EnumerationCursor
 from repro.schedule.sync import (
     cer_name,
     event_name,
@@ -139,7 +134,7 @@ def ref_available_actions(space, placed):
 
 
 def ref_used_mask(placed):
-    """Streams of every stream-bound placed op, as ``apply`` once tracked
+    """Streams of every stream-bound placed op, as states once tracked
     them."""
     mask = 0
     for op in placed:
@@ -188,6 +183,10 @@ def ref_seek_path(space, index, memo):
 
 
 # -- checks ----------------------------------------------------------------
+def _action_key(action):
+    return tuple((op.name, op.stream, op.event) for op in action)
+
+
 def keys(actions):
     return [_action_key(a) for a in actions]
 
@@ -213,7 +212,7 @@ def assert_walks_match(space, rng, n_paths):
             actions = assert_state_matches(space, state)
             if state.is_complete() or not actions:
                 break
-            state = state.apply(actions[int(rng.integers(len(actions)))])
+            state = state.child(int(rng.integers(len(actions))))
         rebuilt = DecisionState(space, state.placed)
         assert rebuilt == state and hash(rebuilt) == hash(state)
         assert_state_matches(space, rebuilt)
@@ -240,7 +239,7 @@ def assert_shared_keys_match(space, rng, n_paths):
             actions = state.available_actions()
             if state.is_complete() or not actions:
                 break
-            state = state.apply(actions[int(rng.integers(len(actions)))])
+            state = state.child(int(rng.integers(len(actions))))
     shared = 0
     for states in prefixes.values():
         shared += len(states) > 1

@@ -15,8 +15,7 @@ def mcts(spmv_space, spmv_benchmarker):
 class TestValueTerms:
     def _tree(self, spmv_space):
         root = MctsNode(None, None, spmv_space.initial_state())
-        action = root.actions[0]
-        child = root.child_for(action)
+        child = root.child_at(0)
         return root, child
 
     def test_exploration_matches_formula(self, spmv_space):

@@ -8,8 +8,8 @@ vary noise level and seed, message protocol (the preset's eager
 threshold, or rendezvous or eager for every message) and NIC
 serialization.  Each digest is the
 sha256 of the ``repr`` of every schedule's ``(time, n_samples,
-per_rank_time)``, measured with ``MeasurementConfig(max_samples=3)`` at
-``sample_offset=7``.  One traced timeline is pinned as well.
+per_rank_time)``, measured with ``MeasurementConfig(max_samples=3)`` from
+sample index 7 on.  One traced timeline is pinned as well.
 
 Each digest is checked on both paths of the reference engine:
 ``ScheduleExecutor.run`` (the direct path wherever it takes a sample)
@@ -92,8 +92,13 @@ def measurements_digest(
     program, schedules = _program_and_schedules(name)
     machine = _machine(program.n_ranks, sigma, seed, protocol, serialize_nic)
     executor = ScheduleExecutor(program, machine)
-    executor.run = getattr(executor, path)
-    bench = Benchmarker(executor, CONFIG, sample_offset=SAMPLE_OFFSET)
+    simulate = getattr(executor, path)
+
+    def run(schedule, sample=0):
+        return simulate(schedule, sample=SAMPLE_OFFSET + sample)
+
+    executor.run = run
+    bench = Benchmarker(executor, CONFIG)
     values = []
     for s in schedules:
         m = bench.measure(s)

@@ -386,6 +386,38 @@ def test_block_size_must_be_positive(size, capsys):
     assert f"--block-size: must be >= 1, got {size}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy", ["mcts", "random"])
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_iterations_must_be_positive(strategy, n, capsys):
+    """A budget below 1 is a usage error, not 64 iterations (0) or a
+    traceback from an empty result (negative)."""
+    with pytest.raises(SystemExit) as exc:
+        main(_SEARCH_WAVEFRONT + ["--strategy", strategy, "--iterations", n])
+    assert exc.value.code == 2
+    assert f"--iterations: must be >= 1, got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["search", "advise"])
+def test_streams_must_be_positive(command, tmp_path, capsys):
+    """A design space needs a stream: --streams 0 is a usage error, not an
+    uncaught ScheduleError."""
+    argv = [command, "--family", "wavefront", "--streams", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--store", str(tmp_path / "store")])
+    assert exc.value.code == 2
+    assert "--streams: must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--range-shards", "--shard-workers"])
+def test_shard_counts_must_not_be_negative(flag, capsys):
+    """A negative shard count is a usage error, not one quiet serial
+    sweep; 0 and 1 still mean in-process."""
+    with pytest.raises(SystemExit) as exc:
+        main(_SEARCH_WAVEFRONT + [flag, "-3"])
+    assert exc.value.code == 2
+    assert f"{flag}: must be >= 0, got -3" in capsys.readouterr().err
+
+
 def test_search_shard_workers_need_range_shards():
     """A direct search runs in one process, so --shard-workers alone
     would be silently serial: the command refuses it."""
