@@ -23,8 +23,8 @@ from repro.advisor.store import (
 )
 from repro.errors import TrainingError
 from repro.exec.cache import program_fingerprint
-from repro.transfer.scoring import score_transfer
-from repro.transfer.signature import identity_matcher, program_signatures
+from repro.transfer.scoring import score_classes
+from repro.transfer.signature import identity_matcher
 from repro.transfer.union import UnionWorkload, binary_labels, train_union
 from repro.workloads.generalization import WorkloadRules
 
@@ -41,12 +41,11 @@ def workload_artifact(
     the workload's *own* fast/slow classes through the identity signature
     matcher — the weight a future consumer should trust the rule with.
     """
-    signatures = program_signatures(wl.program)
-    scores = score_transfer(
+    scores = score_classes(
         wl.rules,
-        wl.fast_schedules,
-        wl.slow_schedules,
-        matcher=identity_matcher(signatures),
+        wl.signature_spans,
+        wl.fast_rows,
+        matcher=identity_matcher(wl.signatures),
     )
     return WorkloadArtifact(
         label=wl.spec.label,
@@ -54,7 +53,7 @@ def workload_artifact(
         machine=machine,
         n_streams=n_streams,
         program_fingerprint=program_fingerprint(wl.program),
-        signatures=signatures,
+        signatures=wl.signatures,
         rules=[
             ScoredRule(
                 rule=s.rule,
@@ -87,10 +86,9 @@ def union_artifact(
         return None
     unions = [
         UnionWorkload(
-            label=wl.spec.label,
-            schedules=list(wl.result.search.schedules()),
-            labels=binary_labels(wl.result.labeling.labels),
-            signatures=program_signatures(wl.program),
+            wl.spec.label,
+            wl.signature_spans,
+            binary_labels(wl.result.labeling.labels),
         )
         for wl in per_workload
     ]

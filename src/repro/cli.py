@@ -17,6 +17,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -439,6 +440,11 @@ def _cmd_search(args) -> str:
             "--shard-workers requires --range-shards (only range shards "
             "run in worker processes)"
         )
+    if args.iterations is not None and args.range_shards > 1:
+        raise SystemExit(
+            "--iterations does not apply to --range-shards (a range-sharded "
+            "sweep evaluates the whole space)"
+        )
     spec = _target_spec(args)
     machine = perlmutter_like(noise_sigma=args.noise)
     program = build_workload(spec)
@@ -702,9 +708,9 @@ def _cmd_obs(args) -> str:
 def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=1.0,
-        help="matrix scale factor (1.0 = the paper's 150k-row case)",
+        help="matrix scale factor in (0, 1] (1.0 = the paper's 150k-row case)",
     )
     _add_common_options(parser)
 
@@ -712,7 +718,7 @@ def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--noise",
-        type=float,
+        type=_noise_sigma,
         default=0.01,
         help="measurement noise sigma (lognormal)",
     )
@@ -737,10 +743,29 @@ def _positive_int(text: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of a process or shard count (0 and 1 = in-process)."""
+    """argparse type of a seed, or of a process or shard count (0 and 1 =
+    in-process)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _noise_sigma(text: str) -> float:
+    """argparse type of a noise sigma: a finite number, at least 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}"
+        )
+    return value
+
+
+def _scale(text: str) -> float:
+    """argparse type of a matrix scale factor, in (0, 1]."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
     return value
 
 
@@ -864,7 +889,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("name", help="suite name (see `repro list`)")
     p.add_argument(
-        "--seed", type=int, default=0, help="seed for sampling strategies"
+        "--seed",
+        type=_non_negative_int,
+        default=0,
+        help="seed for sampling strategies",
     )
     p.add_argument(
         "--json",
@@ -1232,7 +1260,7 @@ def _add_target_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload-seed",
         dest="workload_seed",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="workload generation seed",
     )
@@ -1244,7 +1272,7 @@ def _add_target_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="seed for candidate sampling / search strategies",
     )

@@ -13,13 +13,20 @@ Feature naming matches the paper's rule text:
 * ordering feature value 1 → "u before v";     value 0 → "v before u"
 * stream feature value 1   → "u same stream as v"; value 0 →
   "u different stream than v"
+
+A schedule set is scanned once, into a :class:`ScheduleTable` (each op
+name's launch position and GPU stream per schedule).  Its readers — the
+paper's features here, the union trees' :class:`MappedFeatureExtractor`
+and rule scoring in :mod:`repro.rules.score` — reduce it to keys with
+:meth:`ScheduleTable.keyed`, and :meth:`KeySpans.relations` is the one
+evaluation of the order and stream relations they all share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +93,10 @@ class FeatureExtractor:
     on a search subset can featurize the full space consistently (needed
     for the Table V generalization experiment).  Constant columns are
     dropped at fit time; ``transform`` reuses the fitted set.
+
+    Each call scans its schedules once, into a :class:`ScheduleTable`
+    keyed by op name; :meth:`fit_transform` reads one table for both
+    steps.
     """
 
     def __init__(self) -> None:
@@ -95,16 +106,32 @@ class FeatureExtractor:
         self._fitted = False
 
     # ------------------------------------------------------------------
-    def _set_vocabulary(
-        self, template: Schedule, common: frozenset
-    ) -> List[Feature]:
-        """Fix op order (the template schedule's launch sequence restricted
-        to ``common``) and return the pairwise candidate features."""
-        self.ops = tuple(n for n in template.op_names() if n in common)
+    def fit(self, schedules: Sequence[Schedule]) -> "FeatureExtractor":
+        self._fit(ScheduleTable(schedules))
+        return self
+
+    def transform(self, schedules: Sequence[Schedule]) -> FeatureMatrix:
+        if not self._fitted:
+            raise TrainingError("extractor is not fitted")
+        return self._transform(ScheduleTable(schedules).keyed(_exact))
+
+    def fit_transform(self, schedules: Sequence[Schedule]) -> FeatureMatrix:
+        return self._transform(self._fit(ScheduleTable(schedules)))
+
+    # ------------------------------------------------------------------
+    def _fit(self, table: "ScheduleTable") -> "KeySpans":
+        """Fix op order (the first schedule's launch sequence restricted to
+        the ops every schedule has) and keep the varying pairwise
+        features; returns the table keyed by op name."""
+        if not table.n_schedules:
+            raise TrainingError("cannot fit features on zero schedules")
+        # The first schedule's ops hold the first slots, in launch order.
+        common = (table.position >= 0).all(axis=0)
+        self.ops = tuple(n for n, c in zip(table.names, common) if c)
         self.gpu_ops = tuple(
-            op.name
-            for op in template.ops
-            if op.kind is OpKind.GPU and op.name in common
+            n
+            for n, c, stream in zip(table.names, common, table.stream[0])
+            if c and stream >= 0
         )
         candidates: List[Feature] = [
             OrderFeature(u, v) for u, v in combinations(self.ops, 2)
@@ -112,83 +139,33 @@ class FeatureExtractor:
         candidates += [
             StreamFeature(u, v) for u, v in combinations(self.gpu_ops, 2)
         ]
-        return candidates
-
-    @staticmethod
-    def _varying_columns(full: np.ndarray) -> List[int]:
-        """Indices of non-constant columns (the paper drops the rest)."""
-        return np.flatnonzero((full != full[:1]).any(axis=0)).tolist()
-
-    def fit(self, schedules: Sequence[Schedule]) -> "FeatureExtractor":
-        if not schedules:
-            raise TrainingError("cannot fit features on zero schedules")
-        common = set(schedules[0].op_names())
-        for s in schedules[1:]:
-            common &= set(s.op_names())
-        candidates = self._set_vocabulary(schedules[0], frozenset(common))
-        full = self._raw_matrix(schedules, candidates)
-        keep = self._varying_columns(full)
-        self.features = [candidates[j] for j in keep]
+        spans = table.keyed(_exact)
+        full = self._matrix(spans, candidates)
+        # The paper drops the columns that are constant over the set.
+        keep = (full != full[:1]).any(axis=0)
+        self.features = [f for f, k in zip(candidates, keep) if k]
         self._fitted = True
-        return self
+        return spans
 
-    def transform(self, schedules: Sequence[Schedule]) -> FeatureMatrix:
-        if not self._fitted:
-            raise TrainingError("extractor is not fitted")
+    def _transform(self, spans: "KeySpans") -> FeatureMatrix:
         return FeatureMatrix(
-            matrix=self._raw_matrix(schedules, self.features),
-            features=self.features,
+            matrix=self._matrix(spans, self.features), features=self.features
         )
 
-    def fit_transform(self, schedules: Sequence[Schedule]) -> FeatureMatrix:
-        return self.fit(schedules).transform(schedules)
-
-    # ------------------------------------------------------------------
-    def _raw_matrix(
-        self, schedules: Sequence[Schedule], features: Sequence[Feature]
-    ) -> np.ndarray:
-        """``[schedule, feature]`` values, every column computed by numpy.
-
-        One pass over each schedule's ``key`` fills a position table and a
-        stream table over the ops the features name (-1 where a schedule
-        lacks the op, or, for streams, where the op has none).  A feature
-        naming an op a schedule lacks raises :class:`TrainingError`.
-        """
-        names = list(dict.fromkeys(n for f in features for n in (f.u, f.v)))
-        column = {name: j for j, name in enumerate(names)}
-        positions = []
-        streams = []
-        for s in schedules:
-            pos = [-1] * len(names)
-            stream = [-1] * len(names)
-            for k, (name, on, _event) in enumerate(s.key):
-                j = column.get(name)
-                if j is not None:
-                    pos[j] = k
-                    if on is not None:
-                        stream[j] = on
-            positions.append(pos)
-            streams.append(stream)
-        shape = (len(schedules), len(names))
-        order = [j for j, f in enumerate(features) if isinstance(f, OrderFeature)]
-        same = [j for j, f in enumerate(features) if not isinstance(f, OrderFeature)]
-        mat = np.zeros((len(schedules), len(features)), dtype=np.uint8)
-        missing = np.zeros(mat.shape, dtype=bool)
-        for cols, table, holds in (
-            (order, positions, np.less),
-            (same, streams, np.equal),
-        ):
-            if not cols:
-                continue
-            table = np.array(table, dtype=np.int32).reshape(shape)
-            u = table[:, [column[features[j].u] for j in cols]]
-            v = table[:, [column[features[j].v] for j in cols]]
-            mat[:, cols] = holds(u, v)
-            missing[:, cols] = (u < 0) | (v < 0)
-        if missing.any():
-            _, j = np.argwhere(missing)[0]
+    @staticmethod
+    def _matrix(spans: "KeySpans", features: Sequence[Feature]) -> np.ndarray:
+        """``[schedule, feature]`` values; a feature naming an op some
+        schedule lacks (as a GPU op, for a stream feature) raises
+        :class:`TrainingError`."""
+        defined, holds = spans.relations(features)
+        if not defined.all():
+            _, j = np.argwhere(~defined.T)[0]
             raise TrainingError(f"schedule missing op for feature {features[j]}")
-        return mat
+        return np.ascontiguousarray(holds.T, dtype=np.uint8)
+
+
+def _exact(name: str) -> str:
+    return name
 
 
 #: Schedule op name -> canonical key; ``None``/absent ops do not
@@ -212,20 +189,19 @@ class MappedFeatureExtractor:
     a union of communication patterns.
 
     Several ops of one schedule may share a key; features quantify
-    universally, matching rule evaluation in :mod:`repro.rules.score`:
-    an ordering feature is 1 iff every ``u``-key op launches before every
-    ``v``-key op, and a stream feature is 1 iff all cross pairs share a
-    stream.  A feature whose keys a schedule lacks evaluates to 0 there —
-    a constraint about structure a program does not have is unsatisfied,
-    not an error — which also makes held-out-workload projection total.
+    universally, as rule evaluation in :mod:`repro.rules.score` does
+    (both read :meth:`KeySpans.relations`): an ordering feature is 1 iff
+    every ``u``-key op launches before every ``v``-key op, and a stream
+    feature is 1 iff all cross pairs share a stream.  A feature whose
+    keys a schedule lacks evaluates to 0 there — a constraint about
+    structure a program does not have is unsatisfied, not an error —
+    which also makes held-out-workload projection total.
 
-    Every feature value comes from a :class:`KeySpans` table, one scan of
-    one schedule set.  :meth:`fit_spans` and :meth:`project` take built
-    tables, so a caller that trains on the same sets several times (the
-    transfer matrix's leave-one-out folds, through
+    :meth:`fit_spans` and :meth:`project` take :class:`KeySpans`, so a
+    caller that trains on the same sets several times (the transfer
+    matrix's leave-one-out folds, through
     :class:`repro.transfer.union.UnionWorkload`) scans each set once;
-    :meth:`fit` and :meth:`transform` build a table per set they are
-    given.
+    :meth:`fit` and :meth:`transform` scan each set they are given.
     """
 
     def __init__(self) -> None:
@@ -242,17 +218,19 @@ class MappedFeatureExtractor:
         min_sets: Optional[int] = None,
     ) -> "MappedFeatureExtractor":
         """Fix the key vocabulary and feature set from several schedule
-        sets, each with its own name→key mapping (one span table per set;
-        see :meth:`fit_spans`)."""
+        sets, each with its own name→key mapping (see :meth:`fit_spans`)."""
         return self.fit_spans(
-            [KeySpans(schedules, mapping) for schedules, mapping in tagged],
+            [
+                ScheduleTable(schedules).keyed(mapping.get)
+                for schedules, mapping in tagged
+            ],
             min_sets=min_sets,
         )
 
     def fit_spans(
         self, spans: Sequence["KeySpans"], *, min_sets: Optional[int] = None
     ) -> "MappedFeatureExtractor":
-        """Fit from one :class:`KeySpans` table per schedule set.
+        """Fit from one :class:`KeySpans` per schedule set.
 
         A key enters the vocabulary when it appears (in some schedule)
         in at least ``min_sets`` sets — default ``min(2, len(spans))``.
@@ -287,7 +265,7 @@ class MappedFeatureExtractor:
         varying = np.zeros(len(candidates), dtype=bool)
         for lo in range(0, len(candidates), _CHUNK):
             chunk = candidates[lo : lo + _CHUNK]
-            blocks = [sp.columns(chunk) for sp in spans]
+            blocks = [sp.relations(chunk)[1] for sp in spans]
             ref = blocks[0][:, :1]
             for block in blocks:
                 varying[lo : lo + len(chunk)] |= (block != ref).any(axis=1)
@@ -298,106 +276,163 @@ class MappedFeatureExtractor:
     def transform(
         self, schedules: Sequence[Schedule], mapping: KeyMapping
     ) -> FeatureMatrix:
-        """Project one schedule set (one span table; see :meth:`project`)."""
-        return self.project(KeySpans(schedules, mapping))
+        """Project one schedule set (see :meth:`project`)."""
+        return self.project(ScheduleTable(schedules).keyed(mapping.get))
 
     def project(self, spans: "KeySpans") -> FeatureMatrix:
         """The fitted features' values on the set ``spans`` was built from;
-        a feature key the set's mapping does not name evaluates to 0."""
+        a feature key the set does not map evaluates to 0."""
         if not self._fitted:
             raise TrainingError("extractor is not fitted")
-        matrix = np.zeros(
-            (spans.n_schedules, len(self.features)), dtype=np.uint8
+        _, holds = spans.relations(self.features)
+        return FeatureMatrix(
+            matrix=np.ascontiguousarray(holds.T, dtype=np.uint8),
+            features=self.features,
         )
-        for lo in range(0, len(self.features), _CHUNK):
-            chunk = self.features[lo : lo + _CHUNK]
-            matrix[:, lo : lo + len(chunk)] = spans.columns(chunk).T
-        return FeatureMatrix(matrix=matrix, features=self.features)
 
 
-#: Features evaluated per numpy pass; bounds the ``[chunk, schedules]``
-#: temporaries of :meth:`KeySpans.columns`.
+#: Features evaluated per numpy pass; bounds the ``[chunk, schedule,
+#: stream]`` temporaries of :meth:`KeySpans.relations`.
 _CHUNK = 64
 
 
-class KeySpans:
-    """Where each key sits in each schedule of one set, in one pass.
+class ScheduleTable:
+    """One schedule set, scanned once: where each op name launches, and on
+    which GPU stream.
 
-    ``[key, schedule]`` arrays: ``first`` / ``last`` launch position of
-    the key's ops (``last`` is -1 where the schedule has none) and
-    ``lo`` / ``hi`` GPU stream of its GPU ops (``hi`` is -1 where it has
-    none).  Universally quantified features reduce to comparisons of
-    these: "every ``u`` op before every ``v`` op" is ``last[u] <
-    first[v]``, and "all cross pairs share a stream" is ``lo == hi`` on
-    both keys with equal ``lo``.  The keys are every key ``mapping``
-    names, so any fitted :class:`MappedFeatureExtractor` can project the
-    table.
+    Every op name the set launches gets a slot, numbered in order of first
+    launch, so the first schedule's ops hold the first slots in its launch
+    order.  ``position`` and ``stream`` are ``[schedule, slot]`` int32
+    arrays: the op's launch index, and a GPU op's stream; -1 where the
+    schedule lacks the op (and, in ``stream``, where the op is not a GPU
+    op).  Features and rules read the table through :meth:`keyed`.
     """
 
-    def __init__(self, schedules: Sequence[Schedule], mapping: KeyMapping) -> None:
-        self.keys = tuple(sorted({k for k in mapping.values() if k is not None}))
+    def __init__(self, schedules: Sequence[Schedule]) -> None:
         self.n_schedules = len(schedules)
+        gpu = OpKind.GPU
+        slot_of: Dict[str, int] = {}
+        slots: List[int] = []
+        streams: List[int] = []
+        lengths: List[int] = []
+        for s in schedules:
+            lengths.append(len(s.ops))
+            for op in s.ops:
+                vertex = op.vertex
+                slots.append(slot_of.setdefault(vertex.name, len(slot_of)))
+                streams.append(op.stream if vertex.kind is gpu else -1)
+        self.names: Tuple[str, ...] = tuple(slot_of)
+        counts = np.asarray(lengths, dtype=np.intp)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        # Flat index of each op's [schedule, slot] cell.
+        cells = np.repeat(np.arange(self.n_schedules), counts) * len(self.names)
+        cells += np.asarray(slots, dtype=np.intp)
+        shape = (self.n_schedules, len(self.names))
+        self.position = np.full(shape, -1, dtype=np.int32)
+        self.position.flat[cells] = np.arange(len(slots)) - starts
+        self.stream = np.full(shape, -1, dtype=np.int32)
+        self.stream.flat[cells] = streams
+
+    def keyed(self, key_of: Callable[[str], Optional[str]]) -> "KeySpans":
+        """The table per key: ``key_of`` maps each op name, once, to its key
+        (several names may share one), or to ``None`` to leave it out."""
+        return KeySpans(self, key_of)
+
+
+class KeySpans:
+    """A :class:`ScheduleTable` reduced to keys.
+
+    ``[key, schedule]`` arrays ``first`` / ``last`` hold the launch
+    position of the key's earliest and latest op (``last`` is -1 where
+    the schedule has none), and the ``[key, schedule, stream]`` boolean
+    array ``streams`` marks the streams its GPU ops run on.  The keys
+    are those of the names the table holds; one more row, absent from
+    every schedule, stands for any other key, so a feature or rule naming
+    a key the set lacks evaluates as absent.
+    """
+
+    def __init__(
+        self, table: ScheduleTable, key_of: Callable[[str], Optional[str]]
+    ) -> None:
+        slot_keys = [key_of(name) for name in table.names]
+        self.keys = tuple(sorted({k for k in slot_keys if k is not None}))
+        self.n_schedules = table.n_schedules
         self._index = {k: i for i, k in enumerate(self.keys)}
-        slot = {
-            name: self._index[key]
-            for name, key in mapping.items()
-            if key is not None
-        }
-        n_keys = len(self.keys)
-        big = int(np.iinfo(np.int32).max)
-        shape = (n_keys, self.n_schedules)
+        # Slots sorted by key, so one ``reduceat`` per array folds them.
+        grouped = sorted(
+            (self._index[k], j) for j, k in enumerate(slot_keys) if k is not None
+        )
+        n_streams = int(table.stream.max(initial=-1)) + 1
+        shape = (len(self.keys) + 1, self.n_schedules)
+        big = np.iinfo(np.int32).max
         self.first = np.full(shape, big, dtype=np.int32)
         self.last = np.full(shape, -1, dtype=np.int32)
-        self.lo = np.full(shape, big, dtype=np.int32)
-        self.hi = np.full(shape, -1, dtype=np.int32)
-        for i, s in enumerate(schedules):
-            first = [big] * n_keys
-            last = [-1] * n_keys
-            lo = [big] * n_keys
-            hi = [-1] * n_keys
-            for pos, op in enumerate(s.ops):
-                k = slot.get(op.name)
-                if k is None:
-                    continue
-                if last[k] < 0:
-                    first[k] = pos
-                last[k] = pos
-                if op.kind is OpKind.GPU:
-                    stream = op.stream
-                    if stream < lo[k]:
-                        lo[k] = stream
-                    if stream > hi[k]:
-                        hi[k] = stream
-            self.first[:, i] = first
-            self.last[:, i] = last
-            self.lo[:, i] = lo
-            self.hi[:, i] = hi
+        self.streams = np.zeros(shape + (n_streams,), dtype=bool)
+        if grouped:
+            keys, cols = np.array(grouped).T
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            pos = table.position[:, cols]
+            self.last[:-1] = np.maximum.reduceat(pos, starts, axis=1).T
+            self.first[:-1] = np.minimum.reduceat(
+                np.where(pos < 0, big, pos), starts, axis=1
+            ).T
+            on = table.stream[:, cols, None] == np.arange(n_streams)
+            self.streams[:-1] = np.logical_or.reduceat(
+                on, starts, axis=1
+            ).transpose(1, 0, 2)
+        #: ``[key, schedule]`` number of distinct streams the key's GPU
+        #: ops run on (0: the schedule has none).
+        self.stream_counts = self.streams.sum(axis=2)
 
     def present_keys(self, *, gpu: bool = False) -> List[str]:
         """Keys some schedule has (GPU ops of, with ``gpu``)."""
-        seen = (self.hi if gpu else self.last) >= 0
+        seen = (self.stream_counts > 0) if gpu else (self.last >= 0)
         return [k for k, hit in zip(self.keys, seen.any(axis=1)) if hit]
 
-    def columns(self, features: Sequence[Feature]) -> np.ndarray:
-        """``[feature, schedule]`` values; 0 where a key is absent."""
-        out = np.zeros((len(features), self.n_schedules), dtype=np.uint8)
-        for j, f in enumerate(features):
-            u = self._index.get(f.u)
-            v = self._index.get(f.v)
-            if u is None or v is None:
-                continue  # the set maps no op to one of the keys
-            if isinstance(f, OrderFeature):
-                hit = (
-                    (self.last[u] >= 0)
-                    & (self.last[v] >= 0)
-                    & (self.last[u] < self.first[v])
-                )
-            else:
-                hit = (
-                    (self.hi[u] >= 0)
-                    & (self.lo[u] == self.hi[u])
-                    & (self.lo[v] == self.hi[v])
-                    & (self.lo[u] == self.lo[v])
-                )
-            out[j] = hit
-        return out
+    def relations(
+        self,
+        features: Sequence[Feature],
+        values: Optional[Sequence[bool]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(defined, holds)``: ``[feature, schedule]`` booleans of each
+        feature's relation with its value (``values``, default all
+        ``True``), quantified over every cross pair of the two keys' ops.
+
+        This is the one evaluation of the order and stream relations.  A
+        feature is defined on a schedule that holds ops of both keys (GPU
+        ops, for a stream feature); ``holds`` is set where it is defined
+        and the relation holds:
+
+        * order ``True``: every ``u`` op launches before every ``v`` op,
+          ``last[u] < first[v]``; ``False``: every ``v`` op before every
+          ``u`` op;
+        * stream ``True``: every cross pair shares a stream, so both keys
+          run on exactly one stream, the same one; ``False``: no cross
+          pair does, so their stream sets are disjoint.
+        """
+        n = len(features)
+        # A key the table lacks indexes the last row, absent everywhere.
+        u = np.array([self._index.get(f.u, -1) for f in features], dtype=np.intp)
+        v = np.array([self._index.get(f.v, -1) for f in features], dtype=np.intp)
+        value = np.ones(n, dtype=bool) if values is None else np.array(values, bool)
+        is_order = np.array([isinstance(f, OrderFeature) for f in features], bool)
+        defined = np.zeros((n, self.n_schedules), dtype=bool)
+        holds = np.zeros_like(defined)
+        for order, kind in ((True, is_order), (False, ~is_order)):
+            rows_of_kind = np.flatnonzero(kind)
+            for lo in range(0, len(rows_of_kind), _CHUNK):
+                rows = rows_of_kind[lo : lo + _CHUNK]
+                a, b, val = u[rows], v[rows], value[rows]
+                if order:
+                    a, b = np.where(val, a, b), np.where(val, b, a)
+                    both = (self.last[a] >= 0) & (self.last[b] >= 0)
+                    hit = self.last[a] < self.first[b]
+                else:
+                    count_a, count_b = self.stream_counts[a], self.stream_counts[b]
+                    both = (count_a > 0) & (count_b > 0)
+                    shared = (self.streams[a] & self.streams[b]).any(axis=2)
+                    single = (count_a == 1) & (count_b == 1)
+                    hit = np.where(val[:, None], single & shared, ~shared)
+                defined[rows] = both
+                holds[rows] = both & hit
+        return defined, holds

@@ -13,11 +13,11 @@ from repro.rules.extract import extract_rulesets
 from repro.rules.render import render_ruleset_table, render_rulesets
 from repro.rules.ruleset import Rule, RuleSet
 from repro.rules.score import (
+    ROLE,
     RuleScore,
     class_rules,
     op_role,
     rule_satisfied,
-    rule_transfers,
     score_rules,
     transfer_summary,
 )
@@ -26,6 +26,7 @@ from repro.rules.serialize import rule_from_dict, rule_to_dict
 __all__ = [
     "Annotation",
     "CompareResult",
+    "ROLE",
     "Rule",
     "RuleScore",
     "RuleSet",
@@ -38,7 +39,6 @@ __all__ = [
     "rule_from_dict",
     "rule_satisfied",
     "rule_to_dict",
-    "rule_transfers",
     "score_rules",
     "transfer_summary",
 ]

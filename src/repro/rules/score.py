@@ -12,43 +12,40 @@ Exact and role matching
 Workload generators qualify operation names per instance — SpMV has
 ``Pack``, the halo exchange ``Pack_x``, the allreduce ``Pack_0`` — so
 exact-name matching would make most cross-workload rules vacuously
-non-transferable.  *Role* matching (``by_role=True``) strips the
-positional qualifier (a trailing ``_<digits>`` or ``_<axis>``), including
-inside the scheduler's compound sync-op names (``CER-after-Pack_x`` →
-``CER-after-Pack``), and evaluates the rule universally: it holds on a
-schedule iff **every** pair of ops matching the two roles satisfies the
-constraint.
+non-transferable.  Every evaluation entry point takes a ``matcher``: an
+object with ``rule_key(name)`` mapping a rule operand (a source-program
+op name) to a canonical key and ``op_key(name)`` doing the same for
+target-schedule ops, either returning ``None`` for names that do not
+participate.  ``matcher=None`` matches exact names.  :data:`ROLE`
+strips the positional qualifier (a trailing ``_<digits>`` or
+``_<axis>``) on both sides, including inside the scheduler's compound
+sync-op names (``CER-after-Pack_x`` → ``CER-after-Pack``);
+:class:`repro.transfer.signature.SignatureMatcher` matches operations by
+*structural* signature (action kind, device, comm-group topology,
+dependence-chain position), so families with disjoint naming can still
+exchange rules.  Several ops may share a key, so a rule is evaluated
+universally: it holds on a schedule iff **every** pair of ops matching
+its two keys satisfies the constraint.
 
 This is the measurement behind the cross-workload generalization table
 (:mod:`repro.workloads.generalization`): a rule that separates fast from
 slow schedules on the workload it was learned on, *and* on workloads it
 never saw, is a genuine design rule rather than an artifact of one DAG.
 
-Signature matching
-------------------
-Role matching still presumes shared naming.  Every evaluation entry point
-also accepts a ``matcher`` — an object with ``rule_key(name)`` mapping a
-rule operand (a source-program op name) to a canonical group key and
-``op_key(name)`` doing the same for target-schedule ops, either returning
-``None`` for names that do not participate.  ``matcher`` overrides
-``by_role``; :class:`repro.transfer.signature.SignatureMatcher` uses it
-to match operations by *structural* signature (action kind, device,
-comm-group topology, dependence-chain position), so families with
-disjoint naming can still exchange rules.
-
 Evaluation
 ----------
-Each side is keyed once.  :func:`group_schedules` scans every schedule
-once into its op groups (key -> launch positions, GPU key -> streams),
-keying each distinct op name once, and :func:`resolve_rules` maps each
-rule's two operands to keys once per rule, not once per schedule.
-:func:`tally` counts over grouped schedules where a resolved rule
-transfers and where it holds; it is the one place the quantifiers are
-evaluated, for :func:`rule_satisfied` (one schedule), :func:`score_rules`,
-:func:`score_groups` and the discrimination scores of
+Each side is keyed once.  A target's schedules are scanned once into a
+:class:`~repro.ml.features.ScheduleTable`, which :func:`spans_of` reduces
+to the matcher's op keys (a :class:`~repro.ml.features.KeySpans`).
+:func:`tally` maps each rule's two operands to keys once per rule, not
+once per schedule, and evaluates every rule on every schedule with
+:meth:`~repro.ml.features.KeySpans.relations`, the relation evaluation
+the union-tree and paper features share.  It serves
+:func:`rule_satisfied` (one schedule), :func:`score_rules`,
+:func:`score_spans` and the discrimination scores of
 :mod:`repro.transfer.scoring`.  Callers scoring many rule sets on one
-target (the cross-workload tables) group the target once and pass the
-groups to :func:`score_groups`.
+target (the cross-workload tables) key the target once and pass the
+spans to :func:`score_spans`.
 """
 
 from __future__ import annotations
@@ -57,8 +54,15 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.dag.vertex import OpKind
-from repro.ml.features import OrderFeature, StreamFeature
+import numpy as np
+
+from repro.ml.features import (
+    Feature,
+    KeySpans,
+    OrderFeature,
+    ScheduleTable,
+    StreamFeature,
+)
 from repro.rules.ruleset import Rule
 from repro.schedule.schedule import Schedule
 
@@ -95,53 +99,34 @@ def op_role(name: str) -> str:
 #: Maps an op name to its grouping key; ``None`` = does not participate.
 KeyFn = Callable[[str], Optional[str]]
 
-#: One schedule's op groups: key -> launch positions, and GPU op key ->
-#: stream bindings (ops keyed ``None`` are dropped).
-Groups = Tuple[Dict[str, List[int]], Dict[str, List[int]]]
 
-#: A rule with its operands resolved to group keys:
-#: ``(is_order, key_u, key_v, value)``; ``None`` when it cannot transfer.
-ResolvedRule = Optional[Tuple[bool, str, str, bool]]
+class _RoleMatcher:
+    """Role matching: both sides key a name by :func:`op_role`."""
+
+    rule_key = staticmethod(op_role)
+    op_key = staticmethod(op_role)
 
 
-def _key_fns(by_role: bool, matcher) -> Tuple[KeyFn, KeyFn]:
-    """``(rule_key, op_key)`` for the requested matching mode."""
+#: The role matcher (``rule_key`` and ``op_key`` are both :func:`op_role`).
+ROLE = _RoleMatcher()
+
+
+def _key_fns(matcher) -> Tuple[KeyFn, KeyFn]:
+    """``(rule_key, op_key)`` of ``matcher``; exact names when ``None``."""
     if matcher is not None:
         return (matcher.rule_key, matcher.op_key)
-    if by_role:
-        return (op_role, op_role)
     identity: KeyFn = lambda name: name  # noqa: E731
     return (identity, identity)
 
 
-def group_schedules(
-    schedules: Sequence[Schedule], *, by_role: bool = False, matcher=None
-) -> Tuple[Groups, ...]:
-    """Every schedule's op groups under the matching mode's op key.
-
-    Each op name is keyed once per call.  Positions are appended in
-    launch order, so a group's first and last entries are its earliest
-    and latest launch.
-    """
-    _, op_key = _key_fns(by_role, matcher)
-    names = {name for s in schedules for name, _, _ in s.key}
-    key_of = {name: op_key(name) for name in names}
-    out: List[Groups] = []
-    for schedule in schedules:
-        order: Dict[str, List[int]] = {}
-        streams: Dict[str, List[int]] = {}
-        for i, op in enumerate(schedule.ops):
-            key = key_of[op.name]
-            if key is None:
-                continue
-            order.setdefault(key, []).append(i)
-            if op.kind is OpKind.GPU:
-                streams.setdefault(key, []).append(op.stream)
-        out.append((order, streams))
-    return tuple(out)
+def spans_of(table: ScheduleTable, matcher=None) -> KeySpans:
+    """``table`` keyed by ``matcher``'s op key."""
+    return table.keyed(_key_fns(matcher)[1])
 
 
-def _resolve(rule: Rule, rule_key: KeyFn) -> ResolvedRule:
+def _resolve(rule: Rule, rule_key: KeyFn) -> Optional[Tuple[Feature, bool]]:
+    """The rule's feature over its operands' keys, and its value; ``None``
+    when it cannot transfer."""
     f = rule.feature
     if not isinstance(f, (OrderFeature, StreamFeature)):
         return None
@@ -149,80 +134,42 @@ def _resolve(rule: Rule, rule_key: KeyFn) -> ResolvedRule:
     key_v = rule_key(f.v)
     if key_u is None or key_v is None or key_u == key_v:
         return None
-    return (isinstance(f, OrderFeature), key_u, key_v, rule.value)
-
-
-def resolve_rules(
-    rules: Iterable[Rule], *, by_role: bool = False, matcher=None
-) -> List[Tuple[Rule, ResolvedRule]]:
-    """Each rule with its operand keys, in rule-text order."""
-    rule_key, _ = _key_fns(by_role, matcher)
-    return [
-        (rule, _resolve(rule, rule_key))
-        for rule in sorted(rules, key=lambda r: r.text)
-    ]
+    return (type(f)(key_u, key_v), rule.value)
 
 
 def tally(
-    resolved: ResolvedRule, grouped: Iterable[Groups]
-) -> Tuple[int, int]:
-    """``(n_transferred, n_satisfied)`` of a resolved rule over grouped
-    schedules: how many hold a group for each operand, and how many of
-    those follow the rule on every cross pair of the two groups."""
-    if resolved is None:
-        return (0, 0)
-    is_order, key_u, key_v, value = resolved
-    side = 0 if is_order else 1
-    n_t = 0
-    n_s = 0
-    for groups in grouped:
-        us = groups[side].get(key_u)
-        vs = groups[side].get(key_v)
-        if not us or not vs:
-            continue
-        n_t += 1
-        if is_order:  # positions ascend: [0] is the earliest, [-1] the latest
-            ok = us[-1] < vs[0] if value else vs[-1] < us[0]
-        elif value:
-            ok = all(a == b for a in us for b in vs)
-        else:
-            ok = all(a != b for a in us for b in vs)
-        if ok:
-            n_s += 1
-    return (n_t, n_s)
+    rules: Iterable[Rule], spans: KeySpans, *, matcher=None
+) -> Tuple[List[Rule], np.ndarray, np.ndarray]:
+    """``rules`` in text order, with ``[rule, schedule]`` booleans over
+    the schedules of ``spans`` (keyed by :func:`spans_of` under the same
+    ``matcher``): where each rule transfers, as the schedule holds ops of
+    both its operands' keys, and where it is satisfied on every cross
+    pair.  A rule whose operands do not resolve to two keys transfers
+    nowhere."""
+    rule_key, _ = _key_fns(matcher)
+    rules = sorted(rules, key=lambda r: r.text)
+    resolved = [_resolve(rule, rule_key) for rule in rules]
+    live = [i for i, r in enumerate(resolved) if r is not None]
+    transferred = np.zeros((len(rules), spans.n_schedules), dtype=bool)
+    satisfied = np.zeros_like(transferred)
+    if live:
+        features, values = zip(*(resolved[i] for i in live))
+        transferred[live], satisfied[live] = spans.relations(features, values)
+    return rules, transferred, satisfied
 
 
 def rule_satisfied(
-    rule: Rule,
-    schedule: Schedule,
-    *,
-    by_role: bool = False,
-    matcher=None,
+    rule: Rule, schedule: Schedule, *, matcher=None
 ) -> Optional[bool]:
     """Whether ``schedule`` follows ``rule``; ``None`` if the rule does
     not transfer (an op/role/signature the rule mentions is absent, or
-    both of its operations collapse onto the same group).
+    both of its operations collapse onto the same key).
 
-    With ``by_role=True`` (or a ``matcher``) several ops may match each
-    side; the rule is satisfied iff every cross pair satisfies the
-    constraint.
+    Under a ``matcher`` several ops may match each side; the rule is
+    satisfied iff every cross pair satisfies the constraint.
     """
-    rule_key, _ = _key_fns(by_role, matcher)
-    n_t, n_s = tally(
-        _resolve(rule, rule_key),
-        group_schedules([schedule], by_role=by_role, matcher=matcher),
-    )
-    return bool(n_s) if n_t else None
-
-
-def rule_transfers(
-    rule: Rule, schedule: Schedule, *, by_role: bool = False, matcher=None
-) -> bool:
-    """True if the rule can be evaluated on ``schedule`` at all."""
-    return (
-        rule_satisfied(rule, schedule, by_role=by_role, matcher=matcher)
-        is not None
-    )
+    [score] = score_rules([rule], [schedule], matcher=matcher)
+    return bool(score.n_satisfied) if score.n_transferred else None
 
 
 @dataclass(frozen=True)
@@ -244,11 +191,7 @@ class RuleScore:
 
 
 def score_rules(
-    rules: Iterable[Rule],
-    schedules: Sequence[Schedule],
-    *,
-    by_role: bool = False,
-    matcher=None,
+    rules: Iterable[Rule], schedules: Sequence[Schedule], *, matcher=None
 ) -> List[RuleScore]:
     """Evaluate every rule against every schedule.
 
@@ -257,23 +200,29 @@ def score_rules(
     empty schedule sequence is well-defined (empty list / all-zero
     scores), never an error.
     """
-    grouped = group_schedules(schedules, by_role=by_role, matcher=matcher)
-    return score_groups(rules, grouped, by_role=by_role, matcher=matcher)
+    spans = spans_of(ScheduleTable(schedules), matcher)
+    return score_spans(rules, spans, matcher=matcher)
 
 
-def score_groups(
+def score_spans(
     rules: Iterable[Rule],
-    grouped: Sequence[Groups],
+    spans: KeySpans,
+    rows: Optional[np.ndarray] = None,
     *,
-    by_role: bool = False,
     matcher=None,
 ) -> List[RuleScore]:
-    """:func:`score_rules` over schedules already grouped by
-    :func:`group_schedules` under the same matching mode."""
+    """:func:`score_rules` over schedules already keyed by
+    :func:`spans_of` under the same ``matcher``, counting only the
+    schedules ``rows`` selects (a boolean mask; default all)."""
+    rules, transferred, satisfied = tally(rules, spans, matcher=matcher)
+    if rows is not None:
+        transferred, satisfied = transferred[:, rows], satisfied[:, rows]
     return [
-        RuleScore(rule, *tally(resolved, grouped))
-        for rule, resolved in resolve_rules(
-            rules, by_role=by_role, matcher=matcher
+        RuleScore(rule, n_t, n_s)
+        for rule, n_t, n_s in zip(
+            rules,
+            transferred.sum(axis=1).tolist(),
+            satisfied.sum(axis=1).tolist(),
         )
     ]
 

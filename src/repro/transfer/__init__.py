@@ -34,10 +34,8 @@ from repro.transfer.matrix import (
 )
 from repro.transfer.scoring import (
     DiscriminationScore,
-    GroupedClasses,
     discrimination_summary,
-    group_classes,
-    score_grouped,
+    score_classes,
     score_transfer,
 )
 from repro.transfer.signature import (
@@ -51,7 +49,6 @@ from repro.transfer.union import UnionTrainingResult, train_union
 __all__ = [
     "DO_NOT_TRANSFER_THRESHOLD",
     "DiscriminationScore",
-    "GroupedClasses",
     "OpSignature",
     "SignatureMatcher",
     "TransferCell",
@@ -59,10 +56,9 @@ __all__ = [
     "UnionRow",
     "UnionTrainingResult",
     "discrimination_summary",
-    "group_classes",
     "program_signatures",
     "run_transfer_matrix",
-    "score_grouped",
+    "score_classes",
     "score_transfer",
     "signature_fingerprint",
     "train_union",

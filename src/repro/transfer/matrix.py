@@ -16,6 +16,12 @@ moves between every ordered pair:
   *other* workload's schedules in the signature-canonical feature space
   (:mod:`repro.transfer.union`), evaluated on the held-out target.
 
+Every part reads each workload through what its
+:class:`~repro.workloads.generalization.WorkloadRules` caches — its
+signatures, its fast-row mask and its schedules scanned once into a
+signature-keyed table — so a workload's schedules are scanned once
+however many sources, controls and folds read them.
+
 Everything is deterministic given the specs, machine, and measurement
 configuration; rows are sorted, so JSON and ASCII output are stable
 across runs and processes.
@@ -33,20 +39,16 @@ from repro.exec import ExecConfig
 from repro.ml.features import OrderFeature
 from repro.platform.machine import MachineConfig
 from repro.rules.ruleset import Rule
-from repro.schedule.schedule import Schedule
 from repro.textutil import format_table
 from repro.transfer.scoring import (
     DiscriminationScore,
-    GroupedClasses,
     discrimination_summary,
-    group_classes,
-    score_grouped,
+    score_classes,
 )
 from repro.transfer.signature import (
     OpSignature,
     SignatureMatcher,
     identity_matcher,
-    program_signatures,
 )
 from repro.transfer.union import (
     UnionTrainingResult,
@@ -310,16 +312,16 @@ def vacuous_control_rule(
     return None
 
 
-def _control_row(
-    wl: WorkloadRules,
-    signatures: Dict[str, OpSignature],
-    grouped: GroupedClasses,
-) -> Optional[ControlRow]:
-    rule = vacuous_control_rule(wl, signatures)
+def _control_row(wl: WorkloadRules) -> Optional[ControlRow]:
+    rule = vacuous_control_rule(wl, wl.signatures)
     if rule is None:
         return None
-    matcher = identity_matcher(signatures)
-    [score] = score_grouped([rule], grouped, matcher=matcher)
+    [score] = score_classes(
+        [rule],
+        wl.signature_spans,
+        wl.fast_rows,
+        matcher=identity_matcher(wl.signatures),
+    )
     return ControlRow(
         target=wl.spec.label,
         rule=rule.text,
@@ -329,59 +331,28 @@ def _control_row(
     )
 
 
-def _union_workload(
-    wl: WorkloadRules, signatures: Dict[str, OpSignature]
-) -> UnionWorkload:
-    schedules: List[Schedule] = list(wl.result.search.schedules())
-    return UnionWorkload(
-        label=wl.spec.label,
-        schedules=schedules,
-        labels=binary_labels(wl.result.labeling.labels),
-        signatures=signatures,
-    )
-
-
 # ----------------------------------------------------------------------
-@dataclass
-class _Grid:
-    """The discrimination grid and the per-workload tables behind it."""
-
-    signatures: Dict[str, Dict[str, OpSignature]]
-    #: Target label -> its fast/slow classes under its identity matcher.
-    grouped: Dict[str, GroupedClasses]
-    cells: Dict[Tuple[str, str], TransferCell]
-    scores: Dict[Tuple[str, str], List[DiscriminationScore]]
-
-
-def _discrimination_grid(per_workload: Sequence[WorkloadRules]) -> _Grid:
-    """Score every source's rules on every other target's classes."""
+def _discrimination_grid(
+    per_workload: Sequence[WorkloadRules],
+) -> Tuple[
+    Dict[Tuple[str, str], TransferCell],
+    Dict[Tuple[str, str], List[DiscriminationScore]],
+]:
+    """Score every source's rules on every other target's classes:
+    ``(cells, scores)`` keyed by ``(source, target)``."""
     if len(per_workload) < 2:
         raise ValueError("need at least two workloads for a transfer matrix")
-    signatures = {
-        wl.spec.label: program_signatures(wl.program) for wl in per_workload
-    }
-    # Target-side grouping depends only on the target's signature map, so
-    # compute it once per workload rather than once per (source, target).
-    grouped = {
-        wl.spec.label: group_classes(
-            wl.fast_schedules,
-            wl.slow_schedules,
-            matcher=identity_matcher(signatures[wl.spec.label]),
-        )
-        for wl in per_workload
-    }
-
     cells: Dict[Tuple[str, str], TransferCell] = {}
     scores: Dict[Tuple[str, str], List[DiscriminationScore]] = {}
     for src in per_workload:
         for dst in per_workload:
             if src.spec.label == dst.spec.label:
                 continue
-            matcher = SignatureMatcher(
-                signatures[src.spec.label], signatures[dst.spec.label]
-            )
-            cell_scores = score_grouped(
-                src.rules, grouped[dst.spec.label], matcher=matcher
+            cell_scores = score_classes(
+                src.rules,
+                dst.signature_spans,
+                dst.fast_rows,
+                matcher=SignatureMatcher(src.signatures, dst.signatures),
             )
             n_rules, n_trans, mean_disc, mean_cov = discrimination_summary(
                 cell_scores
@@ -406,7 +377,7 @@ def _discrimination_grid(per_workload: Sequence[WorkloadRules]) -> _Grid:
                     best.discrimination if best is not None else 0.0
                 ),
             )
-    return _Grid(signatures, grouped, cells, scores)
+    return cells, scores
 
 
 def _advisories(cells: Dict[Tuple[str, str], TransferCell]) -> List[TransferCell]:
@@ -419,35 +390,29 @@ def transfer_advisories(
     """The do-not-transfer cells of the matrix over ``per_workload``
     (:meth:`TransferMatrixResult.advisories`), from the discrimination
     grid alone: no controls, no union training."""
-    return _advisories(_discrimination_grid(per_workload).cells)
+    return _advisories(_discrimination_grid(per_workload)[0])
 
 
 def transfer_matrix_from(
     per_workload: Sequence[WorkloadRules],
 ) -> TransferMatrixResult:
     """Build the full transfer matrix from precomputed pipeline outputs."""
-    grid = _discrimination_grid(per_workload)
-    signatures = grid.signatures
-
+    cells, scores = _discrimination_grid(per_workload)
     controls = [
-        row
-        for wl in per_workload
-        if (
-            row := _control_row(
-                wl, signatures[wl.spec.label], grid.grouped[wl.spec.label]
-            )
-        )
-        is not None
+        row for wl in per_workload if (row := _control_row(wl)) is not None
     ]
 
     union_rows: List[UnionRow] = []
     skipped: List[str] = []
     union_note = ""
     if len(per_workload) >= MIN_UNION_WORKLOADS:
-        # One list across every fold: each workload's span table is built
-        # once and shared by the folds that train on or hold it out.
+        # Every fold reads each workload's one signature-keyed table.
         union_workloads = [
-            _union_workload(wl, signatures[wl.spec.label])
+            UnionWorkload(
+                wl.spec.label,
+                wl.signature_spans,
+                binary_labels(wl.result.labeling.labels),
+            )
             for wl in per_workload
         ]
         for held in union_workloads:
@@ -486,11 +451,11 @@ def transfer_matrix_from(
 
     return TransferMatrixResult(
         workloads=[wl.spec.label for wl in per_workload],
-        cells=grid.cells,
+        cells=cells,
         controls=controls,
         union_rows=union_rows,
         union_note=union_note,
-        scores=grid.scores,
+        scores=scores,
     )
 
 

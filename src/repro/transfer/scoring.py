@@ -21,6 +21,14 @@ each rule is scored on both sides of the target's labeling:
 ``weight = discrimination × coverage`` is the headline number reported in
 the transfer matrix: an always-true rule has discrimination 0 and hence
 weight 0, regardless of coverage.
+
+A target is read as one keyed table over all its schedules plus a mask of
+its fast rows: :func:`score_classes` tallies every rule once with
+:func:`repro.rules.score.tally` and splits the counts by the mask, so
+callers scoring many sources on one target (the transfer matrix, through
+the cached :attr:`~repro.workloads.generalization.WorkloadRules.signature_spans`)
+key it once.  :func:`score_transfer` builds that table from two schedule
+lists.
 """
 
 from __future__ import annotations
@@ -28,8 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.ml.features import KeySpans, ScheduleTable
 from repro.rules.ruleset import Rule
-from repro.rules.score import Groups, group_schedules, resolve_rules, tally
+from repro.rules.score import spans_of, tally
 from repro.schedule.schedule import Schedule
 
 
@@ -85,89 +96,55 @@ class DiscriminationScore:
         return self.discrimination * self.coverage
 
 
-@dataclass(frozen=True)
-class GroupedClasses:
-    """Precomputed op groups of one target's fast/slow schedule classes.
-
-    Grouping a target's schedules depends only on the *target-side* key
-    function, so when many sources are scored against the same target
-    (the transfer matrix, the suite's role-matched table), compute this
-    once per target via :func:`group_classes` and score each source with
-    :func:`score_grouped`, or pass ``fast`` to
-    :func:`repro.rules.score.score_groups`.
-    """
-
-    fast: Tuple[Groups, ...]
-    slow: Tuple[Groups, ...]
-    n_total: int
-
-
-def group_classes(
-    fast_schedules: Sequence[Schedule],
-    slow_schedules: Sequence[Schedule],
-    *,
-    by_role: bool = False,
-    matcher=None,
-) -> GroupedClasses:
-    """Group a target's labeled schedules by the matching mode's op key."""
-    return GroupedClasses(
-        fast=group_schedules(fast_schedules, by_role=by_role, matcher=matcher),
-        slow=group_schedules(slow_schedules, by_role=by_role, matcher=matcher),
-        n_total=len(fast_schedules) + len(slow_schedules),
-    )
-
-
-def score_grouped(
-    rules: Iterable[Rule],
-    grouped: GroupedClasses,
-    *,
-    by_role: bool = False,
-    matcher=None,
-) -> List[DiscriminationScore]:
-    """Score rules against pre-grouped target classes.
-
-    Only the rule-side key function of the matching mode is consulted
-    (once per rule); the op-side keys are already baked into ``grouped``.
-    """
-    out: List[DiscriminationScore] = []
-    for rule, resolved in resolve_rules(rules, by_role=by_role, matcher=matcher):
-        f_t, f_s = tally(resolved, grouped.fast)
-        s_t, s_s = tally(resolved, grouped.slow)
-        out.append(
-            DiscriminationScore(
-                rule=rule,
-                n_fast_transferred=f_t,
-                n_fast_satisfied=f_s,
-                n_slow_transferred=s_t,
-                n_slow_satisfied=s_s,
-                n_total=grouped.n_total,
-            )
-        )
-    return out
-
-
 def score_transfer(
     rules: Iterable[Rule],
     fast_schedules: Sequence[Schedule],
     slow_schedules: Sequence[Schedule],
     *,
-    by_role: bool = False,
     matcher=None,
 ) -> List[DiscriminationScore]:
     """Score every rule's fast/slow discrimination on a target workload.
 
     ``fast_schedules`` / ``slow_schedules`` are the target's labeled
     schedule classes (fastest class vs. everything else).  Matching
-    follows :mod:`repro.rules.score`: exact names by default, role
-    stripping with ``by_role=True``, or structural signatures via a
-    ``matcher``.  Deterministic: rules are scored in text order.  Empty
+    follows :mod:`repro.rules.score`: exact names by default, or the
+    keys of a ``matcher`` (:data:`~repro.rules.score.ROLE`, structural
+    signatures).  Deterministic: rules are scored in text order.  Empty
     inputs are well-defined — no rules gives ``[]``, no schedules gives
     all-zero scores with discrimination 0.
     """
-    grouped = group_classes(
-        fast_schedules, slow_schedules, by_role=by_role, matcher=matcher
+    table = ScheduleTable([*fast_schedules, *slow_schedules])
+    fast = np.arange(table.n_schedules) < len(fast_schedules)
+    return score_classes(rules, spans_of(table, matcher), fast, matcher=matcher)
+
+
+def score_classes(
+    rules: Iterable[Rule], spans: KeySpans, fast: np.ndarray, *, matcher=None
+) -> List[DiscriminationScore]:
+    """:func:`score_transfer` on a target already keyed by
+    :func:`~repro.rules.score.spans_of` under the same ``matcher``;
+    ``fast`` marks its fast-class schedules, and the rest are slow.
+
+    Only the rule-side key function of ``matcher`` is consulted (once
+    per rule); the op-side keys are already baked into ``spans``.
+    """
+    rules, transferred, satisfied = tally(rules, spans, matcher=matcher)
+    f_t, f_s, s_t, s_s = (
+        counts[:, rows].sum(axis=1).tolist()
+        for rows in (fast, ~fast)
+        for counts in (transferred, satisfied)
     )
-    return score_grouped(rules, grouped, by_role=by_role, matcher=matcher)
+    return [
+        DiscriminationScore(
+            rule=rule,
+            n_fast_transferred=ft,
+            n_fast_satisfied=fs,
+            n_slow_transferred=st,
+            n_slow_satisfied=ss,
+            n_total=spans.n_schedules,
+        )
+        for rule, ft, fs, st, ss in zip(rules, f_t, f_s, s_t, s_s)
+    ]
 
 
 def discrimination_summary(

@@ -16,12 +16,17 @@ workloads but one, classify the held-out workload's schedules, and score
 against its own labeling.  High accuracy means the union tree has learned
 design guidance that moves across programs — the cross-program analogue
 of the paper's Table V.
+
+Each workload enters as a :class:`UnionWorkload` holding its schedules'
+signature-keyed :class:`~repro.ml.features.KeySpans` (the one table its
+:class:`~repro.workloads.generalization.WorkloadRules` caches), so the
+leave-one-out folds and the published all-workload tree scan no
+schedules of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,8 +35,6 @@ from repro.errors import TrainingError
 from repro.ml.features import KeySpans, MappedFeatureExtractor
 from repro.ml.hyperparam import search_tree_size
 from repro.ml.tree import DecisionTree
-from repro.schedule.schedule import Schedule
-from repro.transfer.signature import OpSignature
 
 #: Binary union labels.
 FAST, SLOW = 0, 1
@@ -41,27 +44,16 @@ FAST, SLOW = 0, 1
 class UnionWorkload:
     """One workload's contribution to the union training set.
 
-    Its schedules are scanned once, into :attr:`spans`, on first use;
-    every fold that trains on or holds out this workload reads that one
-    table.  Hold the same objects across folds (as the transfer matrix
-    does) to share it.
+    Every fold that trains on or holds out this workload reads its one
+    :attr:`spans` table, so holding the same objects across folds (as
+    the transfer matrix does) scans each workload once.
     """
 
     label: str
-    schedules: Sequence[Schedule]
+    #: The workload's schedules keyed by structural signature key.
+    spans: KeySpans
     #: Binary label per schedule: 0 = fastest class, 1 = slower.
     labels: np.ndarray
-    #: Op name -> structural signature (from program_signatures).
-    signatures: Dict[str, OpSignature]
-
-    @property
-    def key_mapping(self) -> Dict[str, str]:
-        return {name: sig.key for name, sig in self.signatures.items()}
-
-    @cached_property
-    def spans(self) -> KeySpans:
-        """The schedules' span table over every signature key they map."""
-        return KeySpans(self.schedules, self.key_mapping)
 
 
 def binary_labels(class_labels: Sequence[int]) -> np.ndarray:

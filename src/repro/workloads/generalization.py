@@ -21,22 +21,30 @@ Two numbers summarize each (source → target) pair:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.pipeline import PipelineResult
 from repro.dag.program import Program
 from repro.exec import ExecConfig
+from repro.ml.features import KeySpans, ScheduleTable
 from repro.platform.machine import MachineConfig
 from repro.platform.presets import perlmutter_like
 from repro.rules.ruleset import Rule
 from repro.rules.score import (
+    ROLE,
     class_rules,
-    group_schedules,
-    score_groups,
+    score_spans,
+    spans_of,
     transfer_summary,
 )
 from repro.schedule.schedule import Schedule
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.transfer.signature import OpSignature
 
 #: The fastest performance class (labeling orders classes fastest-first).
 FASTEST_CLASS = 0
@@ -56,6 +64,31 @@ class WorkloadRules:
     slow_schedules: List[Schedule]
     #: The concrete program the schedules were explored on.
     program: Program
+
+    # Every reduce step reads the workload through these, so its
+    # schedules are scanned once and its signatures derived once.
+    @cached_property
+    def table(self) -> ScheduleTable:
+        """The explored schedules, in ``result.search`` order."""
+        return ScheduleTable(self.result.search.schedules())
+
+    @cached_property
+    def fast_rows(self) -> np.ndarray:
+        """Which :attr:`table` rows are labeled into the fastest class."""
+        return np.asarray(self.result.labeling.labels) == FASTEST_CLASS
+
+    @cached_property
+    def signatures(self) -> Dict[str, OpSignature]:
+        """The program's structural op signatures."""
+        from repro.transfer.signature import program_signatures
+
+        return program_signatures(self.program)
+
+    @cached_property
+    def signature_spans(self) -> KeySpans:
+        """:attr:`table` keyed by structural signature."""
+        keys = {name: sig.key for name, sig in self.signatures.items()}
+        return self.table.keyed(keys.get)
 
 
 @dataclass
@@ -121,19 +154,18 @@ def score_cross_workload(
     """Pairwise role-matched satisfaction table over precomputed
     per-workload pipeline outputs.
 
-    Each target's fast schedules are grouped once and scored against
-    every other workload's rules.
+    Each target's table is keyed by role once, and every other
+    workload's rules are scored on its fast rows.
     """
-    fast = {
-        wl.spec.label: group_schedules(wl.fast_schedules, by_role=True)
-        for wl in per_workload
-    }
+    roles = {wl.spec.label: spans_of(wl.table, ROLE) for wl in per_workload}
     matrix: Dict[Tuple[str, str], Tuple[int, int, float]] = {}
     for src in per_workload:
         for dst in per_workload:
             if src.spec.label == dst.spec.label:
                 continue
-            scores = score_groups(src.rules, fast[dst.spec.label], by_role=True)
+            scores = score_spans(
+                src.rules, roles[dst.spec.label], dst.fast_rows, matcher=ROLE
+            )
             matrix[(src.spec.label, dst.spec.label)] = transfer_summary(scores)
     return CrossWorkloadResult(workloads=list(per_workload), matrix=matrix)
 

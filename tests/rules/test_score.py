@@ -6,10 +6,10 @@ from repro.dag.vertex import OpKind, cpu_op, gpu_op
 from repro.ml.features import OrderFeature, StreamFeature
 from repro.rules.ruleset import Rule, RuleSet
 from repro.rules.score import (
+    ROLE,
     class_rules,
     op_role,
     rule_satisfied,
-    rule_transfers,
     score_rules,
     transfer_summary,
 )
@@ -66,18 +66,17 @@ class TestRuleSatisfied:
     def test_exact_missing_op_is_none(self):
         rule = Rule(OrderFeature("Pack_y", "PostSends_x"), True)
         assert rule_satisfied(rule, SCHED) is None
-        assert not rule_transfers(rule, SCHED)
 
     def test_role_order_rule_transfers(self):
         # learned on SpMV (bare names), scored on the halo-style schedule
         rule = Rule(OrderFeature("Pack", "PostSends"), True)
         assert rule_satisfied(rule, SCHED) is None  # exact: no bare 'Pack'
-        assert rule_satisfied(rule, SCHED, by_role=True) is True
+        assert rule_satisfied(rule, SCHED, matcher=ROLE) is True
 
     def test_role_stream_rule(self):
         rule = Rule(StreamFeature("Pack", "Unpack"), True)
-        assert rule_satisfied(rule, SCHED, by_role=True) is False
-        assert rule_satisfied(rule.negated(), SCHED, by_role=True) is True
+        assert rule_satisfied(rule, SCHED, matcher=ROLE) is False
+        assert rule_satisfied(rule.negated(), SCHED, matcher=ROLE) is True
 
     def test_role_universal_quantification(self):
         two_axis = _sched(
@@ -87,7 +86,7 @@ class TestRuleSatisfied:
             _cpu("PostSends_y"),
         )
         rule = Rule(OrderFeature("Pack", "PostSends"), True)
-        assert rule_satisfied(rule, two_axis, by_role=True) is True
+        assert rule_satisfied(rule, two_axis, matcher=ROLE) is True
         mixed = _sched(
             _gpu("Pack_x", 0),
             _cpu("PostSends_x"),
@@ -95,11 +94,11 @@ class TestRuleSatisfied:
             _cpu("PostSends_y"),
         )
         # Pack_y launches after PostSends_x ⇒ not *every* pair ordered
-        assert rule_satisfied(rule, mixed, by_role=True) is False
+        assert rule_satisfied(rule, mixed, matcher=ROLE) is False
 
     def test_identical_roles_do_not_self_match(self):
         rule = Rule(OrderFeature("Pack_x", "Pack_y"), True)
-        assert rule_satisfied(rule, SCHED, by_role=True) is None
+        assert rule_satisfied(rule, SCHED, matcher=ROLE) is None
 
 
 class TestScoring:
@@ -108,7 +107,7 @@ class TestScoring:
             Rule(OrderFeature("Pack", "PostSends"), True),
             Rule(OrderFeature("nope", "PostSends"), True),
         ]
-        scores = score_rules(rules, [SCHED, SCHED], by_role=True)
+        scores = score_rules(rules, [SCHED, SCHED], matcher=ROLE)
         by_text = {s.rule.text: s for s in scores}
         hit = by_text["Pack before PostSends"]
         assert (hit.n_transferred, hit.n_satisfied) == (2, 2)
@@ -121,7 +120,7 @@ class TestScoring:
             Rule(OrderFeature("Pack", "PostSends"), True),
             Rule(OrderFeature("nope", "PostSends"), True),
         ]
-        scores = score_rules(rules, [SCHED], by_role=True)
+        scores = score_rules(rules, [SCHED], matcher=ROLE)
         n_rules, n_transferable, sat = transfer_summary(scores)
         assert (n_rules, n_transferable, sat) == (2, 1, 1.0)
 
@@ -156,8 +155,8 @@ class TestDegenerateCases:
 
     def test_zero_match_role_does_not_pass(self):
         rule = Rule(OrderFeature("nope", "PostSends"), True)
-        assert rule_satisfied(rule, SCHED, by_role=True) is None
-        [score] = score_rules([rule], [SCHED], by_role=True)
+        assert rule_satisfied(rule, SCHED, matcher=ROLE) is None
+        [score] = score_rules([rule], [SCHED], matcher=ROLE)
         assert score.n_transferred == 0
         assert score.n_satisfied == 0
         assert score.satisfaction == 0.0
@@ -167,17 +166,17 @@ class TestDegenerateCases:
         # over one group the constraint is meaningless, so it must be
         # "does not transfer", not "satisfied".
         rule = Rule(OrderFeature("Pack_x", "Pack_y"), True)
-        [score] = score_rules([rule], [SCHED], by_role=True)
+        [score] = score_rules([rule], [SCHED], matcher=ROLE)
         assert score.n_transferred == 0
 
     def test_summary_with_no_transferable_rules(self):
         rules = [Rule(OrderFeature("nope", "PostSends"), True)]
-        scores = score_rules(rules, [SCHED], by_role=True)
+        scores = score_rules(rules, [SCHED], matcher=ROLE)
         assert transfer_summary(scores) == (1, 0, 0.0)
 
 
 class TestMatcherMode:
-    """A matcher (rule_key/op_key) overrides exact and role matching."""
+    """A matcher (rule_key/op_key) replaces exact-name matching."""
 
     class _Upper:
         def rule_key(self, name):
@@ -297,7 +296,7 @@ def test_scoring_matches_per_pair_evaluation(case, mode):
     rules, schedules, matcher = case
     kwargs = {
         "exact": {},
-        "role": {"by_role": True},
+        "role": {"matcher": ROLE},
         "matcher": {"matcher": matcher},
     }[mode]
     if mode == "matcher":

@@ -418,6 +418,53 @@ def test_shard_counts_must_not_be_negative(flag, capsys):
     assert f"{flag}: must be >= 0, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["suite", "smoke", "--seed", "-1"], "--seed"),
+        (_SEARCH_WAVEFRONT + ["--workload-seed", "-1"], "--workload-seed"),
+        (_SEARCH_WAVEFRONT + ["--strategy", "random", "--seed", "-1"], "--seed"),
+    ],
+    ids=["suite-seed", "workload-seed", "search-seed"],
+)
+def test_seeds_must_not_be_negative(argv, flag, capsys):
+    """A negative seed is a usage error, not numpy's ValueError from deep
+    inside the run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{flag}: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["-0.5", "inf", "nan"])
+def test_noise_must_be_finite_and_non_negative(sigma, capsys):
+    """A negative sigma used to end in a ValueError, and an infinite one
+    in a search reporting a best time of nan."""
+    with pytest.raises(SystemExit) as exc:
+        main(_SEARCH_WAVEFRONT + ["--noise", sigma])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--noise: must be a finite number >= 0, got {sigma}" in err
+
+
+@pytest.mark.parametrize("scale", ["-1", "0", "1.5", "inf", "nan"])
+def test_scale_must_be_in_unit_interval(scale, capsys):
+    """Scales at or below 0 used to run a minimum-size matrix and scales
+    above 1 the full-size one, without a word.  ``platform`` runs no
+    matrix, so a value the parser lets through passes quickly."""
+    with pytest.raises(SystemExit) as exc:
+        main(["platform", "--scale", scale])
+    assert exc.value.code == 2
+    assert f"--scale: must be in (0, 1], got {scale}" in capsys.readouterr().err
+
+
+def test_search_iterations_not_with_range_shards():
+    """A range-sharded sweep evaluates the whole space, so a budget would
+    be silently ignored: the command refuses it."""
+    with pytest.raises(SystemExit, match="--iterations"):
+        main(_SEARCH_WAVEFRONT + ["--range-shards", "2", "--iterations", "3"])
+
+
 def test_search_shard_workers_need_range_shards():
     """A direct search runs in one process, so --shard-workers alone
     would be silently serial: the command refuses it."""

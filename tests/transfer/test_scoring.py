@@ -3,6 +3,7 @@
 from repro.dag.vertex import cpu_op, gpu_op
 from repro.ml.features import OrderFeature, StreamFeature
 from repro.rules.ruleset import Rule
+from repro.rules.score import ROLE
 from repro.schedule.schedule import BoundOp, Schedule
 from repro.transfer.scoring import (
     DiscriminationScore,
@@ -133,7 +134,7 @@ class TestMatchingModes:
         fast = [Schedule([_gpu("Pack_x", 0), _cpu("PostSends_x")])]
         slow = [Schedule([_cpu("PostSends_x"), _gpu("Pack_x", 0)])]
         rule = Rule(OrderFeature("Pack", "PostSends"), True)
-        [score] = score_transfer([rule], fast, slow, by_role=True)
+        [score] = score_transfer([rule], fast, slow, matcher=ROLE)
         assert score.discrimination == 1.0
 
     def test_matcher_mode(self):

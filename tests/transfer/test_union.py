@@ -1,19 +1,16 @@
 """Tests for union-feature training (repro.transfer.union +
 repro.ml.features.MappedFeatureExtractor)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.dag.vertex import cpu_op, gpu_op
 from repro.errors import TrainingError
-from repro.ml import features
-from repro.ml.features import MappedFeatureExtractor, OrderFeature, StreamFeature
+from repro.ml.features import MappedFeatureExtractor, OrderFeature, ScheduleTable
 from repro.ml.hyperparam import search_tree_size
 from repro.schedule.schedule import BoundOp, Schedule
 from repro.sim.measure import MeasurementConfig
-from repro.transfer.signature import OpSignature, program_signatures
+from repro.transfer.signature import program_signatures
 from repro.transfer.union import UnionWorkload, binary_labels, train_union
 from repro.workloads import WorkloadSpec, rules_for_specs
 
@@ -118,19 +115,11 @@ class TestBinaryLabels:
         assert labels.tolist() == [0, 1, 1, 0, 1]
 
 
-def _signatures(mapping):
-    return {
-        name: OpSignature(device="gpu", action=key)
-        for name, key in mapping.items()
-    }
-
-
 def _union_workload(label, schedules, labels, mapping):
+    """A union workload from raw parts: its schedules keyed by ``mapping``
+    (op name -> key)."""
     return UnionWorkload(
-        label=label,
-        schedules=schedules,
-        labels=np.asarray(labels),
-        signatures=_signatures(mapping),
+        label, ScheduleTable(schedules).keyed(mapping.get), np.asarray(labels)
     )
 
 
@@ -139,19 +128,24 @@ class TestTrainUnion:
     union of two differently-named programs, transferable to a third."""
 
     def _workloads(self):
+        return [_union_workload(*raw) for raw in self._raw()]
+
+    def _raw(self):
+        """``(label, schedules, labels, mapping)`` per workload."""
         a_fast = [_sched_a("KPW", {"K": 0, "W": 0}), _sched_a("KWP", {"K": 0, "W": 1})]
         a_slow = [_sched_a("WKP", {"K": 0, "W": 0}), _sched_a("PWK", {"K": 1, "W": 0})]
         b_fast = [_sched_b("KPW", {"K": 0, "W": 1}), _sched_b("KWP", {"K": 0, "W": 0})]
         b_slow = [_sched_b("WPK", {"K": 0, "W": 0}), _sched_b("PWK", {"K": 1, "W": 1})]
-        wa = _union_workload("A", a_fast + a_slow, [0, 0, 1, 1], MAP_A)
-        wb = _union_workload("B", b_fast + b_slow, [0, 0, 1, 1], MAP_B)
         map_c = {"PackC": "K", "PostC": "P", "WorkC": "W"}
         c_scheds = [
             Schedule([_gpu("PackC", 0), _cpu("PostC"), _gpu("WorkC", 1)]),
             Schedule([_gpu("WorkC", 0), _cpu("PostC"), _gpu("PackC", 0)]),
         ]
-        wc = _union_workload("C", c_scheds, [0, 1], map_c)
-        return [wa, wb, wc]
+        return [
+            ("A", a_fast + a_slow, [0, 0, 1, 1], MAP_A),
+            ("B", b_fast + b_slow, [0, 0, 1, 1], MAP_B),
+            ("C", c_scheds, [0, 1], map_c),
+        ]
 
     def test_holdout_generalizes(self):
         result = train_union(self._workloads(), holdout="C")
@@ -195,32 +189,32 @@ class TestTrainUnion:
 # Shared span tables against per-call projection.
 
 
-def reference_train_union(workloads, holdout=None):
-    """``train_union`` projecting each workload with ``transform``: one
-    span table per fit set, per training block and per accuracy, and one
-    ``predict`` per training workload on top of the training matrix's."""
-    train = [w for w in workloads if w.label != holdout]
-    ex = MappedFeatureExtractor().fit([(w.schedules, w.key_mapping) for w in train])
+def reference_train_union(raw, holdout=None):
+    """``train_union`` projecting each raw ``(label, schedules, labels,
+    mapping)`` workload with ``transform``: one table per fit set, per
+    training block and per accuracy, and one ``predict`` per training
+    workload on top of the training matrix's."""
+    train = [w for w in raw if w[0] != holdout]
+    ex = MappedFeatureExtractor().fit([(s, m) for _, s, _, m in train])
     if not ex.features:
         raise TrainingError(
             "no shared, non-constant signature features across the union"
         )
-    x = np.concatenate(
-        [ex.transform(w.schedules, w.key_mapping).matrix for w in train]
-    )
-    y = np.concatenate([np.asarray(w.labels, dtype=int) for w in train])
+    x = np.concatenate([ex.transform(s, m).matrix for _, s, _, m in train])
+    y = np.concatenate([np.asarray(labels, dtype=int) for _, _, labels, _ in train])
     tree, _ = search_tree_size(x, y)
 
     def accuracy(w):
-        pred = tree.predict(ex.transform(w.schedules, w.key_mapping).matrix)
-        return float(np.mean(pred == w.labels))
+        _, schedules, labels, mapping = w
+        pred = tree.predict(ex.transform(schedules, mapping).matrix)
+        return float(np.mean(pred == np.asarray(labels)))
 
-    held = [w for w in workloads if w.label == holdout]
+    held = [w for w in raw if w[0] == holdout]
     return (
         ex.features,
         tree.to_dict(),
         float(np.mean(tree.predict(x) == y)),
-        {w.label: accuracy(w) for w in train},
+        {w[0]: accuracy(w) for w in train},
         accuracy(held[0]) if held else None,
     )
 
@@ -236,15 +230,16 @@ REAL_SPECS = [
 
 @pytest.fixture(scope="module")
 def real_workloads():
+    """``(label, schedules, labels, signature-key mapping)`` per spec."""
     per_workload = rules_for_specs(
         REAL_SPECS, measurement=MeasurementConfig(max_samples=1)
     )
     return [
-        UnionWorkload(
-            label=wl.spec.label,
-            schedules=list(wl.result.search.schedules()),
-            labels=binary_labels(wl.result.labeling.labels),
-            signatures=program_signatures(wl.program),
+        (
+            wl.spec.label,
+            list(wl.result.search.schedules()),
+            binary_labels(wl.result.labeling.labels),
+            {n: sig.key for n, sig in program_signatures(wl.program).items()},
         )
         for wl in per_workload
     ]
@@ -261,11 +256,12 @@ def _summary(result):
 
 
 def test_synthetic_union_matches_transform_projection():
-    workloads = TestTrainUnion()._workloads()
+    raw = TestTrainUnion()._raw()
+    workloads = [_union_workload(*w) for w in raw]
     for holdout in (None, "A", "B", "C"):
         assert _summary(
             train_union(workloads, holdout=holdout)
-        ) == reference_train_union(workloads, holdout)
+        ) == reference_train_union(raw, holdout)
 
 
 def _outcome(train, workloads, holdout):
@@ -275,26 +271,17 @@ def _outcome(train, workloads, holdout):
         return str(exc)
 
 
-def test_real_union_matches_transform_projection(real_workloads, monkeypatch):
-    """Every leave-one-out fold and the all-workload tree agree with
-    per-call projection (a fold with no shared features fails in both),
-    and together they scan each workload once."""
-    built = []
-    init = features.KeySpans.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+def test_real_union_matches_transform_projection(real_workloads):
+    """Every leave-one-out fold and the all-workload tree, reading one
+    shared table per workload, agree with per-call projection (a fold
+    with no shared features fails in both)."""
 
     def new(workloads, holdout):
         return _summary(train_union(workloads, holdout=holdout))
 
-    monkeypatch.setattr(features.KeySpans, "__init__", counting)
-    fresh = [dataclasses.replace(w) for w in real_workloads]
-    folds = [None] + [w.label for w in fresh]
-    got = [_outcome(new, fresh, held) for held in folds]
-    assert len(built) == len(fresh)
-    monkeypatch.undo()
+    shared = [_union_workload(*w) for w in real_workloads]
+    folds = [None] + [w.label for w in shared]
+    got = [_outcome(new, shared, held) for held in folds]
     want = [_outcome(reference_train_union, real_workloads, h) for h in folds]
     assert got == want
     assert sum(isinstance(g, tuple) for g in got) >= 3

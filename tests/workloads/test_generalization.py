@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.rules.score import score_rules, transfer_summary
+from repro.ml.features import ScheduleTable
+from repro.rules.score import ROLE, score_rules, transfer_summary
 from repro.sim.measure import MeasurementConfig
-from repro.workloads import (
-    WorkloadSpec,
-    generalization,
-    rules_for_specs,
-    score_cross_workload,
-)
+from repro.workloads import WorkloadSpec, rules_for_specs, score_cross_workload
 
 #: Tiny exhaustible spaces (40 and 72 schedules respectively).
 SPECS = [
@@ -97,25 +93,26 @@ def role_workloads():
 
 
 def test_role_table_matches_per_pair_scoring(role_workloads, monkeypatch):
-    """Each target's fast schedules are grouped once, and the table
-    equals scoring every (source, target) pair on its own."""
-    groupings = []
-    group_schedules = generalization.group_schedules
+    """Each target's table is keyed by role once, and the table equals
+    scoring every (source, target) pair on its own."""
+    keyings = []
+    keyed = ScheduleTable.keyed
 
-    def counting(schedules, **kwargs):
-        groupings.append(len(schedules))
-        return group_schedules(schedules, **kwargs)
+    def counting(self, key_of):
+        keyings.append(self.n_schedules)
+        return keyed(self, key_of)
 
-    monkeypatch.setattr(generalization, "group_schedules", counting)
+    monkeypatch.setattr(ScheduleTable, "keyed", counting)
     rows = score_cross_workload(role_workloads).rows()
-    assert len(groupings) == len(role_workloads)
+    assert len(keyings) == len(role_workloads)
+    monkeypatch.undo()
 
     want = []
     for src in role_workloads:
         for dst in role_workloads:
             if src is dst:
                 continue
-            scores = score_rules(src.rules, dst.fast_schedules, by_role=True)
+            scores = score_rules(src.rules, dst.fast_schedules, matcher=ROLE)
             n_rules, n_trans, sat = transfer_summary(scores)
             want.append(
                 {

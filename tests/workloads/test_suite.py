@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.errors import WorkloadError
 from repro.exec import ExecConfig
-from repro.ml import features
+from repro.ml.features import ScheduleTable
 from repro.platform.presets import perlmutter_like
 from repro.sim.measure import MeasurementConfig
 from repro.workloads import (
@@ -226,22 +226,52 @@ class TestCrossWorkloadTables:
         traced.published = []
         assert _report_comparable(traced) == _report_comparable(report)
 
-    def test_reduce_scans_each_workload_at_most_twice(
+    def test_reduce_builds_one_table_per_workload(
         self, report, tmp_path, monkeypatch
     ):
-        """The transfer matrix's union folds share one span table per
-        workload, and publishing builds one more for the union artifact."""
-        built = []
-        init = features.KeySpans.__init__
+        """After the plan, a stored run scans each workload's schedules
+        once: the role table, the transfer matrix and publishing all read
+        that one table, and no union fold builds one."""
+        import repro.orchestrate
+        from repro.advisor import publish
+        from repro.transfer import matrix
 
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
+        builds = []
+        where = ["plan"]
 
-        monkeypatch.setattr(features.KeySpans, "__init__", counting)
+        def during(stage, fn):
+            def wrapped(*args, **kwargs):
+                outer, where[0] = where[0], stage
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where[0] = outer
+
+            return wrapped
+
+        init = ScheduleTable.__init__
+
+        def counting(self, schedules):
+            builds.append(where[0])
+            init(self, schedules)
+
+        monkeypatch.setattr(ScheduleTable, "__init__", counting)
+        execute_plan = repro.orchestrate.execute_plan
+
+        def plan_then_reduce(*args, **kwargs):
+            run = execute_plan(*args, **kwargs)
+            where[0] = "reduce"
+            return run
+
+        monkeypatch.setattr(repro.orchestrate, "execute_plan", plan_then_reduce)
+        for module in (matrix, publish):
+            monkeypatch.setattr(
+                module, "train_union", during("union", module.train_union)
+            )
         stored = SuiteRunner(TINY_RULES, store_path=str(tmp_path)).run()
         assert report.union_table and stored.published
-        assert 0 < len(built) <= 2 * len(TINY_RULES.specs)
+        assert builds.count("reduce") == len(TINY_RULES.specs)
+        assert "union" not in builds
         stored.published = []
         assert _report_comparable(stored) == _report_comparable(report)
 
