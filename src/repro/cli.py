@@ -1117,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--width",
-        type=int,
+        type=_positive_int,
         default=24,
         metavar="COLS",
         help="duration bar width in columns (default 24)",
@@ -1141,7 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="N",
         help="rows per table in --analyze output (default 10)",

@@ -6,12 +6,14 @@ vectors → decision tree → design rules.
 
 from repro.core.pipeline import (
     DesignRulePipeline,
+    FullSpace,
     PipelineConfig,
     PipelineResult,
 )
 
 __all__ = [
     "DesignRulePipeline",
+    "FullSpace",
     "PipelineConfig",
     "PipelineResult",
 ]

@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+import numpy as np
+
 from repro.dag.program import Program
 from repro.errors import SearchError
 from repro.exec import Evaluator, SerialEvaluator
-from repro.ml.features import FeatureExtractor, FeatureMatrix
+from repro.ml.features import FeatureExtractor, FeatureMatrix, KeySpans
 from repro.ml.hyperparam import HyperparamTrace, search_tree_size
 from repro.ml.labeling import LabelingConfig, LabelResult, label_by_performance
 from repro.ml.metrics import range_accuracy, training_error
@@ -96,6 +98,22 @@ class PipelineResult:
         )
         lines.append(f"{len(self.rulesets)} rulesets extracted")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class FullSpace:
+    """A whole design space as the Table V metric reads it: each unique
+    schedule's measured time and the set's spans keyed by op name
+    (:meth:`FeatureExtractor.spans`), scanned once however many trees
+    classify it."""
+
+    times: np.ndarray
+    spans: KeySpans
+
+    @classmethod
+    def of(cls, search: SearchResult) -> "FullSpace":
+        unique = search.unique()
+        return cls(unique.times(), FeatureExtractor.spans(unique.schedules()))
 
 
 class DesignRulePipeline:
@@ -189,12 +207,11 @@ class DesignRulePipeline:
 
     # ------------------------------------------------------------------
     def generalization_accuracy(
-        self, result: PipelineResult, full_search: SearchResult
+        self, result: PipelineResult, full: FullSpace
     ) -> float:
         """Table V metric: classify the *full* space with ``result``'s tree
         and labels, scoring times against the labeled class ranges."""
-        full = full_search.unique()
-        x_all = result.extractor.transform(full.schedules()).matrix
+        x_all = result.extractor.transform_spans(full.spans).matrix
         return range_accuracy(
-            result.tree, x_all, full.times(), result.labeling.classes
+            result.tree, x_all, full.times, result.labeling.classes
         )

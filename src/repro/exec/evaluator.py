@@ -67,7 +67,9 @@ class SerialEvaluator(Evaluator):
     cannot replay fall back to the reference engine one by one.  Either
     way results are bit-identical to the reference engine, and every
     freshly simulated schedule is counted under the engine that ran it
-    (:func:`~repro.sim.batch.count_engines`).
+    (:func:`~repro.sim.batch.count_engines`).  Each batch also adds the
+    reference engine's samples under the path that ran them,
+    ``sim.path.<path>`` (:meth:`~repro.sim.executor.ScheduleExecutor.run`).
 
     An optional :class:`MeasurementCache` is consulted before the
     benchmarker and updated with fresh results; the benchmarker's
@@ -125,6 +127,8 @@ class SerialEvaluator(Evaluator):
                 self._write_back(schedules, results)
             obs.add("eval.schedules", len(schedules))
             obs.add("eval.simulations", bench.n_simulations - sims_before)
+            for path, n in bench.executor.take_path_counts().items():
+                obs.add(f"sim.path.{path}", n)
         return results
 
     def close(self) -> None:

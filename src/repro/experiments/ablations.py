@@ -109,7 +109,7 @@ def run_exploitation_ablation(
 ) -> AblationResult:
     """Coverage-ratio exploitation vs plain UCT on the Table V metric."""
     iters = list(iterations) if iterations is not None else wb.iteration_grid()[:-1]
-    full_search = wb.full_search()
+    full = wb.full_space()
     rows: List[List[object]] = []
     for label, factory in (
         ("coverage-V", lambda seed: wb.mcts(seed=seed)),
@@ -126,7 +126,7 @@ def run_exploitation_ablation(
                 search = factory(seed).run(budget)
                 pipe = wb.pipeline(strategy="mcts", seed=seed)
                 result = pipe.run(search)
-                accs.append(pipe.generalization_accuracy(result, full_search))
+                accs.append(pipe.generalization_accuracy(result, full))
             rows.append(
                 [label, budget, f"{np.mean(accs):.3f}", f"{np.std(accs):.3f}"]
             )

@@ -51,6 +51,7 @@ def run_table5(
     """
     iters = list(iterations) if iterations is not None else wb.iteration_grid()
     full_search = wb.full_search()
+    full = wb.full_space()
     n_space = wb.space.count()
     accs: List[float] = []
     uniq: List[int] = []
@@ -62,7 +63,7 @@ def run_table5(
             pipe = wb.pipeline(strategy=strategy, seed=seed)
             search = pipe.make_strategy().run(budget)
         result = pipe.run(search)
-        accs.append(pipe.generalization_accuracy(result, full_search))
+        accs.append(pipe.generalization_accuracy(result, full))
         uniq.append(len(search.unique()))
     return Table5Result(iterations=iters, accuracies=accs, n_unique=uniq)
 

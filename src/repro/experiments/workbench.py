@@ -2,8 +2,9 @@
 
 All figure/table experiments operate on the same exhaustively-benchmarked
 SpMV design space (the paper's "2036 implementations"; 540 here, see
-:mod:`repro.apps.spmv.dag`).  The workbench builds and caches that data
-so a bench session pays the exhaustive sweep once.
+:mod:`repro.apps.spmv.dag`).  The workbench builds and caches that data,
+so its experiments pay the exhaustive sweep once and scan the swept space
+once for every Table V score (:meth:`SpmvWorkbench.full_space`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.apps.spmv import SpmvCase, SpmvInstance, build_spmv_program
-from repro.core.pipeline import DesignRulePipeline, PipelineConfig, PipelineResult
+from repro.core.pipeline import (
+    DesignRulePipeline,
+    FullSpace,
+    PipelineConfig,
+    PipelineResult,
+)
 from repro.exec import Evaluator, ExecConfig, build_evaluator
 from repro.ml.labeling import LabelingConfig
 from repro.platform.machine import MachineConfig
@@ -46,6 +52,7 @@ class SpmvWorkbench:
     _benchmarker: Optional[Benchmarker] = None
     _evaluator: Optional[Evaluator] = None
     _full: Optional[SearchResult] = None
+    _full_space: Optional[FullSpace] = None
     _full_pipeline: Optional[PipelineResult] = None
 
     # ------------------------------------------------------------------
@@ -97,6 +104,12 @@ class SpmvWorkbench:
         if self._full is None:
             self._full = ExhaustiveSearch(self.space, self.evaluator).run()
         return self._full
+
+    def full_space(self) -> FullSpace:
+        """The exhaustive benchmark as Table V scores it (cached)."""
+        if self._full_space is None:
+            self._full_space = FullSpace.of(self.full_search())
+        return self._full_space
 
     def full_pipeline(self) -> PipelineResult:
         """Canonical pipeline result from the exhaustive search (cached)."""

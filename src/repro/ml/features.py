@@ -95,8 +95,9 @@ class FeatureExtractor:
     dropped at fit time; ``transform`` reuses the fitted set.
 
     Each call scans its schedules once, into a :class:`ScheduleTable`
-    keyed by op name; :meth:`fit_transform` reads one table for both
-    steps.
+    keyed by op name (:meth:`spans`); :meth:`fit_transform` reads one
+    table for both steps, and :meth:`transform_spans` reads the spans of
+    a set featurized many times, scanned once.
     """
 
     def __init__(self) -> None:
@@ -111,12 +112,25 @@ class FeatureExtractor:
         return self
 
     def transform(self, schedules: Sequence[Schedule]) -> FeatureMatrix:
-        if not self._fitted:
-            raise TrainingError("extractor is not fitted")
-        return self._transform(ScheduleTable(schedules).keyed(_exact))
+        return self.transform_spans(self.spans(schedules))
 
     def fit_transform(self, schedules: Sequence[Schedule]) -> FeatureMatrix:
-        return self._transform(self._fit(ScheduleTable(schedules)))
+        return self.transform_spans(self._fit(ScheduleTable(schedules)))
+
+    def transform_spans(self, spans: "KeySpans") -> FeatureMatrix:
+        """The fitted features on the set ``spans`` was built from by
+        :meth:`spans`."""
+        if not self._fitted:
+            raise TrainingError("extractor is not fitted")
+        return FeatureMatrix(
+            matrix=self._matrix(spans, self.features), features=self.features
+        )
+
+    @staticmethod
+    def spans(schedules: Sequence[Schedule]) -> "KeySpans":
+        """``schedules`` scanned into a :class:`ScheduleTable` keyed by op
+        name, the keys the features name."""
+        return ScheduleTable(schedules).keyed(_exact)
 
     # ------------------------------------------------------------------
     def _fit(self, table: "ScheduleTable") -> "KeySpans":
@@ -146,11 +160,6 @@ class FeatureExtractor:
         self.features = [f for f, k in zip(candidates, keep) if k]
         self._fitted = True
         return spans
-
-    def _transform(self, spans: "KeySpans") -> FeatureMatrix:
-        return FeatureMatrix(
-            matrix=self._matrix(spans, self.features), features=self.features
-        )
 
     @staticmethod
     def _matrix(spans: "KeySpans", features: Sequence[Feature]) -> np.ndarray:

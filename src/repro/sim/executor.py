@@ -36,15 +36,25 @@ Two paths compute the same results:
   ``(+, max)`` recurrences batch replay uses (see :mod:`repro.sim.batch`).
   Ranks meet only at message posts, which it takes in global time order
   from a heap over each rank's next post; a rank whose wait has
-  unresolved requests pauses until a later post resolves them.  Each
-  ``(src, dst, tag)`` key has one sending and one receiving rank, each
-  posting in program order, and a NIC channel grants occupancy in the
-  order of the posts that trigger it (the send of an eager message, the
-  later post of a rendezvous pair), so time order reproduces the event
-  loop's ``(time, seq)`` order whenever no two posts share an instant.
-  A tie, a wait before its post, unmatched requests, a deadlock or a
-  schedule :func:`schedule_defect` declines hands the sample to the event
-  loop.
+  unresolved requests pauses until a later post resolves them, and
+  posts no earlier than they complete.  Posts that share an instant
+  interact in two ways only.  Each ``(src, dst, tag)`` key has one
+  sending and one receiving rank, each posting in program order, so FIFO
+  matching, a pair's ready time and an eager receive's completion do not
+  depend on which post comes first.  A NIC channel (one rank's send or
+  receive side, under ``serialize_nic``) is granted at the instant of
+  the post that triggers it (an eager send's own post, the later post
+  of a rendezvous pair), and grants on distinct channels commute; only
+  the event loop's ``seq`` orders two grants of one channel at one
+  instant.  Such a grant, a wait before its post, unmatched requests, a
+  deadlock or a schedule :func:`schedule_defect` declines hands the
+  sample to the event loop.
+
+:meth:`ScheduleExecutor.run` counts each sample under the path that ran
+it (:attr:`ScheduleExecutor.path_counts`): ``direct``, or
+``event_loop.<reason>`` with the reason ``trace``, ``payload``, a
+:func:`schedule_defect` kind, ``channel``, ``wait-before-post``,
+``deadlock`` or ``unmatched``.
 
 Jittered durations (CPU ops, launches, kernels, message posts, wire
 times) come from the sample's :class:`~repro.sim.durations.SampleDurations`
@@ -61,7 +71,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.dag.program import Message, Program
 from repro.dag.vertex import Action, ActionKind, OpKind, Vertex
@@ -124,7 +134,7 @@ def schedule_defect(
     The schedules this declines are the ones the event loop raises on,
     deadlocks on or prices op by op, so leaving them to it keeps its
     results and errors.  A reason's kind (before ``:``) names its
-    ``sim.reference.<kind>`` counter.
+    ``sim.reference.<kind>`` and ``sim.path.event_loop.<kind>`` counters.
     """
     recorded = set()
     for op in schedule.ops:
@@ -208,9 +218,12 @@ class ScheduleExecutor:
         self._vertices = {v.name: v for v in vertices}
         self._index = {v.name: j for j, v in enumerate(vertices)}
         self._posts: Dict[Optional[int], List[Dict[str, Tuple]]] = {}
-        self._last_plan: Tuple[Optional[Schedule], Optional[List[DirectStep]]] = (
-            None, None
+        self._last_plan: Tuple[Optional[Schedule], Union[List[DirectStep], str]] = (
+            None, []
         )
+        #: Samples :meth:`run` simulated since :meth:`take_path_counts`,
+        #: by path: ``direct`` or ``event_loop.<reason>``.
+        self.path_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def durations(self, sample: int) -> SampleDurations:
@@ -229,12 +242,27 @@ class ScheduleExecutor:
 
         An untraced run without payloads takes the direct path unless it
         defers to the event loop; both give the same results and errors.
+        The sample counts in :attr:`path_counts` under the path that ran
+        it.
         """
-        if not self.collect_trace and self.payload_init is None:
+        counts = self.path_counts
+        if self.collect_trace:
+            path = "event_loop.trace"
+        elif self.payload_init is not None:
+            path = "event_loop.payload"
+        else:
             result = self._run_direct(schedule, sample)
-            if result is not None:
+            if type(result) is SimResult:
+                counts["direct"] = counts.get("direct", 0) + 1
                 return result
+            path = f"event_loop.{result}"
+        counts[path] = counts.get(path, 0) + 1
         return self.run_event_loop(schedule, sample)
+
+    def take_path_counts(self) -> Dict[str, int]:
+        """Return :attr:`path_counts` and restart them from zero."""
+        counts, self.path_counts = self.path_counts, {}
+        return counts
 
     def run_event_loop(self, schedule: Schedule, sample: int = 0) -> SimResult:
         """:meth:`run` on the discrete-event engine, the reference path."""
@@ -307,13 +335,14 @@ class ScheduleExecutor:
         )
 
     # ------------------------------------------------------------------
-    def _run_direct(self, schedule: Schedule, sample: int) -> Optional[SimResult]:
-        """:meth:`run` in one pass per rank, or ``None`` where the event
-        loop must decide: a declined schedule, two posts at one instant,
-        a wait before its post, unmatched requests, or a deadlock."""
+    def _run_direct(self, schedule: Schedule, sample: int) -> Union[SimResult, str]:
+        """:meth:`run` in one pass per rank, or why the event loop must
+        decide: the :func:`schedule_defect` kind of a declined schedule,
+        ``channel`` (a NIC channel granted twice at one instant),
+        ``wait-before-post``, ``deadlock`` or ``unmatched``."""
         plan = self._direct_plan(schedule)
-        if plan is None:
-            return None
+        if type(plan) is str:
+            return plan
         table = self.durations(sample)
         posts = self._post_table(sample, table)
         n_ranks = self.machine.n_ranks
@@ -344,19 +373,32 @@ class ScheduleExecutor:
 
         for rank in range(n_ranks):
             if not resume(rank, None):
-                return None
+                return "wait-before-post"
         serialize = self.machine.net.serialize_nic
         send_free = [0.0] * n_ranks
         recv_free = [0.0] * n_ranks
+        # The instant of each channel's last grant.  Grants come in time
+        # order, so a channel granted at ``now`` already was when this
+        # equals ``now``.
+        send_granted: List[Optional[float]] = [None] * n_ranks
+        recv_granted: List[Optional[float]] = [None] * n_ranks
         # Unmatched sends and receives by key, indexed by whether a post
         # sends: a send looks for its receive at ``unmatched[True]``.
         unmatched: Tuple[Dict[tuple, Deque[Request]], ...] = ({}, {})
 
-        def occupy(key: Tuple[int, int, int], ready: float, wire: float) -> float:
-            """End of a transfer ready at ``ready`` (Network._occupy_channels)."""
+        def occupy(
+            key: Tuple[int, int, int], now: float, wire: float
+        ) -> Optional[float]:
+            """End of a transfer granted at ``now``
+            (Network._occupy_channels), or ``None`` when a channel it needs
+            was already granted at ``now``: grants on distinct channels
+            commute, but only the event loop's seq orders those two."""
             if not serialize:
-                return ready + wire
+                return now + wire
             src, dst = key[0], key[1]
+            if send_granted[src] == now or recv_granted[dst] == now:
+                return None
+            send_granted[src] = recv_granted[dst] = ready = now
             if send_free[src] > ready:
                 ready = send_free[src]
             if recv_free[dst] > ready:
@@ -365,16 +407,14 @@ class ScheduleExecutor:
             return end
 
         n_transfers = 0
-        last: Optional[float] = None
         while heap:
             now, rank, (key, wire, eager, sending) = heappop(heap)
-            if now == last:
-                return None  # only the event loop's seq orders a tie
-            last = now
             req: Request = [None, rank, None]
             if sending and eager:
                 # Buffered injection at post time (Network._inject_eager).
                 end = req[2] = occupy(key, now, wire)
+                if end is None:
+                    return "channel"
                 req[0] = end if end > now else now
             peers = unmatched[sending].get(key)
             other = peers.popleft() if peers else None
@@ -389,20 +429,22 @@ class ScheduleExecutor:
                     recv[0] = end if end > now else now
                 else:
                     end = occupy(key, now, wire)
+                    if end is None:
+                        return "channel"
                     send[0] = recv[0] = end if end > now else now
             if not resume(rank, req):
-                return None
+                return "wait-before-post"
             if other is not None:
                 owner = other[1]
                 waits = paused[owner]
                 if waits is not None and all(r[0] is not None for r in waits):
                     paused[owner] = None
                     if not resume(owner, None):
-                        return None
-        if any(w is not None for w in paused) or any(
-            queue for side in unmatched for queue in side.values()
-        ):
-            return None  # a deadlock or unmatched requests
+                        return "wait-before-post"
+        if any(w is not None for w in paused):
+            return "deadlock"
+        if any(queue for side in unmatched for queue in side.values()):
+            return "unmatched"
         return SimResult(
             elapsed=max(finish), per_rank=finish, n_transfers=n_transfers
         )
@@ -502,14 +544,16 @@ class ScheduleExecutor:
                     t = r[0]
         return t
 
-    def _direct_plan(self, schedule: Schedule) -> Optional[List[DirectStep]]:
-        """``schedule``'s direct-path plan, or ``None`` if
+    def _direct_plan(self, schedule: Schedule) -> Union[List[DirectStep], str]:
+        """``schedule``'s direct-path plan, or the kind of the reason
         :func:`schedule_defect` declines it; the last one is kept."""
         last, plan = self._last_plan
         if last is schedule:
             return plan
-        plan = None
-        if schedule_defect(schedule, self._vertices, self.machine.n_streams) is None:
+        defect = schedule_defect(schedule, self._vertices, self.machine.n_streams)
+        if defect is not None:
+            plan = defect.split(":", 1)[0]
+        else:
             plan = []
             for op in schedule.ops:
                 v = op.vertex

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import DesignRulePipeline, PipelineConfig
+from repro.core.pipeline import DesignRulePipeline, FullSpace, PipelineConfig
 from repro.errors import SearchError
 from repro.sim.measure import MeasurementConfig
 
@@ -96,7 +96,7 @@ class TestPipeline:
             ),
         )
         full = full_pipe.explore()
-        acc = pipeline.generalization_accuracy(result, full)
+        acc = pipeline.generalization_accuracy(result, FullSpace.of(full))
         assert 0.0 <= acc <= 1.0
         # 80 of 540 iterations should already generalize reasonably.
         assert acc > 0.4
@@ -112,4 +112,4 @@ class TestPipeline:
         )
         search = pipe.explore()
         result = pipe.run(search)
-        assert pipe.generalization_accuracy(result, search) == 1.0
+        assert pipe.generalization_accuracy(result, FullSpace.of(search)) == 1.0

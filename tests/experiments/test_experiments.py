@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.spmv import SpmvCase
+from repro.core.pipeline import DesignRulePipeline
 from repro.experiments import (
     SpmvWorkbench,
     run_exploitation_ablation,
@@ -16,7 +17,9 @@ from repro.experiments import (
     run_rule_tables,
     run_table5,
 )
+from repro.ml.features import ScheduleTable
 from repro.ml.labeling import label_by_performance
+from repro.ml.metrics import range_accuracy
 from repro.platform import perlmutter_like
 from repro.search import ExhaustiveSearch
 from repro.sim import Benchmarker, MeasurementConfig, ScheduleExecutor
@@ -82,6 +85,64 @@ class TestTable5:
         assert r.accuracies[0] <= r.accuracies[-1]
         assert all(0 <= a <= 1 for a in r.accuracies)
         assert "Table V" in r.report()
+
+
+def rescanned_accuracy(result, full_search) -> float:
+    """The Table V metric as computed before the workbench kept the full
+    space's table: every call rescans the whole space."""
+    full = full_search.unique()
+    x_all = result.extractor.transform(full.schedules()).matrix
+    return range_accuracy(result.tree, x_all, full.times(), result.labeling.classes)
+
+
+class TestTable5FullSpace:
+    def test_scores_match_rescanning_from_one_table(self, monkeypatch):
+        """Every Table V score of every budget, seed and strategy (and of
+        the exploitation ablation) equals the rescanning computation bit
+        for bit, and the workbench scans its full space once for all."""
+        wb = SpmvWorkbench(
+            case=SpmvCase().scaled(1 / 40),
+            machine=perlmutter_like(noise_sigma=0.01),
+            measurement=MeasurementConfig(max_samples=2),
+        )
+        n_space = wb.space.count()
+        scored = []
+        real_score = DesignRulePipeline.generalization_accuracy
+
+        def recording(self, result, full):
+            acc = real_score(self, result, full)
+            scored.append((result, acc))
+            return acc
+
+        tables = []
+        real_init = ScheduleTable.__init__
+
+        def counting(self, schedules):
+            real_init(self, schedules)
+            tables.append(self.n_schedules)
+
+        def table5(**options):
+            n = len(scored)
+            t5 = run_table5(wb, **options)
+            assert t5.accuracies == [acc for _, acc in scored[n:]]
+
+        budgets = wb.iteration_grid()
+        with monkeypatch.context() as mp:
+            mp.setattr(DesignRulePipeline, "generalization_accuracy", recording)
+            mp.setattr(ScheduleTable, "__init__", counting)
+            for strategy in ("mcts", "random", "beam"):
+                for seed in (0, 1, 2):
+                    table5(iterations=budgets[:-1], seed=seed, strategy=strategy)
+            run_exploitation_ablation(wb, iterations=budgets[:2], seeds=(0, 1))
+            # Below the full budget every full-space table is the kept one.
+            assert tables.count(n_space) == 1
+            table5(iterations=budgets[-1:])
+        assert len(scored) == 9 * (len(budgets) - 1) + 2 * 2 * 2 + 1
+        full_search = wb.full_search()
+        for result, acc in scored:
+            assert acc == rescanned_accuracy(result, full_search)
+        assert scored[-1][1] == 1.0
+        assert wb.full_space() is wb.full_space()
 
 
 class TestRuleTables:

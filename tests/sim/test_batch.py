@@ -169,14 +169,15 @@ def test_serial_evaluator_counts_fallbacks():
         "sim.batch_replays": len({s.fingerprint() for s in schedules}) - 1,
         "sim.fallbacks": 1,
         "sim.reference.op-mismatch": 1,
+        "sim.path.event_loop.op-mismatch": 1,
     }
     assert results == _reference(program, machine, cfg, schedules)
 
 
 def test_serial_evaluator_counts_reference_reason():
     """An MPI program runs on the reference engine: every fresh schedule
-    counts under ``sim.reference.mpi-comm``; memo and disk-cache hits
-    count nowhere."""
+    counts under ``sim.reference.mpi-comm``, and its one sample under the
+    reference engine's path; memo and disk-cache hits count nowhere."""
     spec = next(s for s in SMOKE_SPECS if s.family == "spmv")
     program = build_workload(spec)
     machine = noiseless(perlmutter_like()).with_ranks(program.n_ranks)
@@ -188,6 +189,9 @@ def test_serial_evaluator_counts_reference_reason():
         ev = SerialEvaluator(bench, cache=cache)
         assert ev._compiled is None and ev._reason == "mpi-comm"
         results, counts = _sim_delta(ev, schedules)
+        direct = counts.pop("sim.path.direct", 0)
+        deferred = counts.pop("sim.path.event_loop.channel", 0)
+        assert direct + deferred == unique
         assert counts == {"sim.reference.mpi-comm": unique}
         assert results == _reference(program, machine, cfg, schedules)
         assert _sim_delta(ev, schedules)[1] == {}  # memo hits
@@ -239,7 +243,11 @@ def test_needs_reference_forces_reference_backend():
     schedules = _random_schedules(program, 3)
     ev = SerialEvaluator(Benchmarker(traced, cfg))
     results, counts = _sim_delta(ev, schedules)
-    assert counts == {"sim.reference.trace": len({s.fingerprint() for s in schedules})}
+    unique = len({s.fingerprint() for s in schedules})
+    assert counts == {
+        "sim.reference.trace": unique,
+        "sim.path.event_loop.trace": unique,
+    }
     assert results == _reference(program, machine, cfg, schedules)
 
 

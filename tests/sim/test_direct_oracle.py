@@ -3,21 +3,28 @@
 ``ScheduleExecutor.run`` evaluates an untraced, payload-free sample in
 one pass per rank, taking message posts in global time order
 (``_run_direct``), and hands it to the event loop
-(``ScheduleExecutor.run_event_loop``) on a tie between two posts, a wait
-before its post, unmatched requests, a deadlock, or a schedule
-``schedule_defect`` declines.  The event loop is the oracle
-(``test_engine_oracle.py`` checks it against the engine it replaced).
-Checked here:
+(``ScheduleExecutor.run_event_loop``) when a NIC channel is granted twice
+at one instant, on a wait before its post, unmatched requests, a
+deadlock, or a schedule ``schedule_defect`` declines; ``_run_direct``
+returns the reason, and ``run`` counts each sample under its path.  The
+event loop is the oracle (``test_engine_oracle.py`` checks it against
+the engine it replaced).  Checked here:
 
 * per-rank and elapsed times and transfer counts are equal, float for
   float, on the paper's MPI programs and two synthetic families under
   every configuration of the engine oracle plus σ = 0.01, on fixed and
   Hypothesis schedules, and on Hypothesis-drawn halo3d, tree_allreduce
   and spmv instances;
-* the path taken: every MPI sample at σ > 0 runs directly, and every one
-  at σ = 0 (whose symmetric ranks post at the same instant) defers;
-* a hand-built tie defers, and degenerate schedules raise the event
-  loop's exception, type and message, on both paths.
+* the path taken: a sample defers exactly when the event loop grants
+  some channel twice at one instant (recorded by wrapping
+  ``Network._occupy_channels``), which only σ = 0 with a serialized NIC
+  brings about; every sample runs directly without ``serialize_nic`` or
+  at σ > 0, and a program without messages never defers;
+* a hand-built same-instant pair on one receive channel defers, and its
+  mirror on disjoint channels runs directly; degenerate schedules defer
+  with their reason and raise the event loop's exception, type and
+  message, on both paths;
+* ``SerialEvaluator`` adds the path counts to ``sim.path.*`` counters.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.dag.graph import Graph
 from repro.dag.program import CommPlan, Message, Program
 from repro.dag.vertex import Action, ActionKind, OpKind, Vertex, cpu_op
@@ -45,8 +53,10 @@ from repro.exec import SerialEvaluator
 from repro.platform import perlmutter_like
 from repro.schedule.schedule import BoundOp, Schedule
 from repro.schedule.space import DesignSpace
-from repro.sim.executor import ScheduleExecutor
+from repro.search.exhaustive import ExhaustiveSearch
+from repro.sim.executor import ScheduleExecutor, SimResult
 from repro.sim.measure import Benchmarker, MeasurementConfig
+from repro.sim.network import Network
 from repro.workloads import WorkloadSpec, build_workload
 from tests.sim.test_engine_oracle import (
     CONFIGS,
@@ -83,6 +93,25 @@ def event_loop_calls():
         yield calls
 
 
+def channel_tie(executor, schedule, sample) -> bool:
+    """Whether the event loop grants some NIC channel (one rank's send or
+    receive side) twice at one instant on this sample: the routing
+    reference, recorded by wrapping ``Network._occupy_channels``."""
+    grants = []
+    real = Network._occupy_channels
+
+    def recording(net, msg, ready, wire):
+        if net.model.serialize_nic:
+            grants.append(("send", msg.src, net.env.now))
+            grants.append(("recv", msg.dst, net.env.now))
+        return real(net, msg, ready, wire)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Network, "_occupy_channels", recording)
+        executor.run_event_loop(schedule, sample)
+    return len(set(grants)) < len(grants)
+
+
 def same(got, want) -> None:
     assert got.per_rank == want.per_rank
     assert got.elapsed == want.elapsed
@@ -94,10 +123,11 @@ def check(executor, schedule, sample) -> bool:
     event loop; True when the direct path took it."""
     want = executor.run_event_loop(schedule, sample)
     direct = executor._run_direct(schedule, sample)
-    if direct is not None:
+    took = type(direct) is SimResult
+    if took:
         same(direct, want)
     same(executor.run(schedule, sample), want)
-    return direct is not None
+    return took
 
 
 def fixed_schedules(space, n_first=2, n_random=2, seed=3):
@@ -129,7 +159,8 @@ def test_random_schedules_match_event_loop(name, config, seed, sample):
     schedule = space.random_schedule(np.random.default_rng(seed))
     executor = ScheduleExecutor(program, machine_for(program, *config))
     took = check(executor, schedule, sample)
-    if config[0] > 0:
+    sigma, _, nic, _ = config
+    if sigma > 0 or not nic:
         assert took
 
 
@@ -200,38 +231,39 @@ def test_random_mpi_programs_match_event_loop(
     rng = np.random.default_rng(seed)
     for sample in range(3):
         took = check(executor, space.random_schedule(rng), sample)
-        if sigma > 0:
+        if sigma > 0 or not nic:
             assert took
 
 
 # -- which path runs --------------------------------------------------------
 @pytest.mark.parametrize("name", NAMES)
-def test_mpi_samples_defer_exactly_at_sigma_zero(name):
-    """Measured through a ``Benchmarker``, every sample of a program that
-    posts messages defers at σ = 0 and none does at σ > 0; a program
-    without messages never defers."""
+def test_samples_defer_exactly_on_channel_ties(name):
+    """A sample defers, counted under ``event_loop.channel``, exactly when
+    the event loop grants some NIC channel twice at one instant, and runs
+    directly otherwise.  Only σ = 0 with a serialized NIC brings that
+    about, and a program without messages never defers."""
     program, space = program_and_space(name)
     mpi = posts_messages(program)
     schedules = fixed_schedules(space, n_first=3, n_random=3)
     for sigma, protocol, nic, n_gpus in ALL_CONFIGS:
         machine = machine_for(program, sigma, protocol, nic, n_gpus)
-        bench = Benchmarker(
-            ScheduleExecutor(program, machine), MeasurementConfig(max_samples=3)
-        )
-        with event_loop_calls() as calls:
-            for schedule in schedules:
-                bench.measure(schedule)
-        assert bench.n_simulations > 0
-        if mpi and sigma == 0.0:
-            assert len(calls) == bench.n_simulations
-        else:
-            assert calls == []
+        executor = ScheduleExecutor(program, machine)
+        for schedule in schedules:
+            for sample in range(3):
+                tie = channel_tie(executor, schedule, sample)
+                if tie:
+                    assert mpi and nic and sigma == 0.0
+                with event_loop_calls() as calls:
+                    executor.run(schedule, sample)
+                assert len(calls) == tie
+                path = "event_loop.channel" if tie else "direct"
+                assert executor.take_path_counts() == {path: 1}
 
 
-def tie_program() -> Program:
-    """Three ranks; ranks 1 and 2 each send one eager message to rank 0 in
-    one group, so at σ = 0 both sends are posted at the same instant and
-    their order decides who takes rank 0's receive channel first."""
+def tie_program(messages, n_ranks) -> Program:
+    """``n_ranks`` ranks exchanging eager ``messages`` in one group: at
+    σ = 0 every rank posts its sends at the same instant, and so do its
+    receives."""
     group = "g"
     ops = [
         cpu_op(name, action=Action(kind, group))
@@ -248,34 +280,111 @@ def tie_program() -> Program:
         ("PostSends", "WaitRecv"),
         ("PostRecvs", "WaitSend"),
     ]
-    messages = (
-        Message(src=1, dst=0, nbytes=1024.0),
-        Message(src=2, dst=0, nbytes=1024.0),
-    )
     return Program(
         graph=Graph.from_edges(ops, edges).with_start_end(),
-        n_ranks=3,
+        n_ranks=n_ranks,
         comm={group: CommPlan(group=group, messages=messages)},
         name="tie",
     )
 
 
-def test_tie_defers_to_event_loop():
-    program = tie_program()
-    machine = perlmutter_like(n_ranks=3, noise_sigma=0.0)
+def run_tie(messages, n_ranks):
+    """``(executor, schedule, result of run)`` of ``tie_program`` at σ = 0,
+    after checking ``run`` against the event loop."""
+    program = tie_program(messages, n_ranks)
+    machine = perlmutter_like(n_ranks=n_ranks, noise_sigma=0.0)
     assert machine.net.serialize_nic
-    assert machine.net.is_eager(1024.0)
+    assert all(machine.net.is_eager(m.nbytes) for m in messages)
     names = ("PostSends", "PostRecvs", "WaitSend", "WaitRecv")
     schedule = Schedule([BoundOp(program.graph.vertex(n)) for n in names])
     executor = ScheduleExecutor(program, machine)
-    assert executor._run_direct(schedule, 0) is None
-    with event_loop_calls() as calls:
-        result = executor.run(schedule)
-    assert calls == [schedule]
+    result = executor.run(schedule)
     same(result, executor.run_event_loop(schedule))
-    assert result.n_transfers == 2
+    assert result.n_transfers == len(messages)
+    return executor, schedule, result
+
+
+def test_tie_defers_to_event_loop():
+    """Ranks 1 and 2 send to rank 0 at one instant, so their order decides
+    who takes rank 0's receive channel first."""
+    messages = (
+        Message(src=1, dst=0, nbytes=1024.0),
+        Message(src=2, dst=0, nbytes=1024.0),
+    )
+    executor, schedule, result = run_tie(messages, 3)
+    assert executor.take_path_counts() == {"event_loop.channel": 1}
+    assert executor._run_direct(schedule, 0) == "channel"
+    assert channel_tie(executor, schedule, 0)
     # The second sender queues behind the first on rank 0's NIC.
     assert result.per_rank[2] > result.per_rank[1]
+
+
+def test_same_instant_posts_on_disjoint_channels_run_directly():
+    """The mirror of the tie: ranks 1 -> 0 and 2 -> 3 post at one instant
+    but share no channel, so the direct path takes the sample."""
+    messages = (
+        Message(src=1, dst=0, nbytes=1024.0),
+        Message(src=2, dst=3, nbytes=1024.0),
+    )
+    executor, schedule, result = run_tie(messages, 4)
+    assert executor.take_path_counts() == {"direct": 1}
+    assert not channel_tie(executor, schedule, 0)
+    assert result.per_rank[1] == result.per_rank[2]
+
+
+# -- path counters ------------------------------------------------------------
+def path_counters(program, machine, **executor_options):
+    """The ``sim.path.*`` counters of one exhaustive sweep through a
+    ``SerialEvaluator``, and the sweep's ``eval.simulations``."""
+    executor = ScheduleExecutor(program, machine, **executor_options)
+    bench = Benchmarker(executor, MeasurementConfig(max_samples=3))
+    before = obs.metrics_snapshot()
+    ExhaustiveSearch(DesignSpace(program, n_streams=2), bench).run()
+    delta = obs.metrics_snapshot().diff(before)
+    counts = {
+        name: delta.counter(name)
+        for name in delta.counters
+        if name.startswith("sim.path.")
+    }
+    assert executor.path_counts == {}  # every batch flushed its counts
+    return counts, delta.counter("eval.simulations")
+
+
+def test_noiseless_halo3d_sweep_runs_directly():
+    spec = WorkloadSpec(
+        "halo3d",
+        {"nx": 32, "ny": 32, "nz": 32, "px": 2, "py": 2, "pz": 1, "axes": "x"},
+    )
+    program = build_workload(spec)
+    machine = perlmutter_like(n_ranks=program.n_ranks, noise_sigma=0.0)
+    counts, n_simulations = path_counters(program, machine)
+    assert n_simulations == 1600
+    assert counts == {"sim.path.direct": 1600}
+
+
+def test_noiseless_spmv_sweep_counts_channel_ties():
+    """Each σ = 0 sample of the 0.025-scale SpMV sweep counts under
+    ``event_loop.channel`` exactly when the routing reference finds a
+    channel granted twice at one instant."""
+    program = build_workload(WorkloadSpec("spmv", {"scale": 0.025}))
+    machine = perlmutter_like(n_ranks=program.n_ranks, noise_sigma=0.0)
+    counts, n_simulations = path_counters(program, machine)
+    executor = ScheduleExecutor(program, machine)
+    space = DesignSpace(program, n_streams=2)
+    ties = sum(channel_tie(executor, s, 0) for s in space.enumerate_schedules())
+    assert 0 < ties < n_simulations
+    assert counts == {
+        "sim.path.direct": n_simulations - ties,
+        "sim.path.event_loop.channel": ties,
+    }
+
+
+def test_tracing_executor_counts_only_trace():
+    program, _ = program_and_space("tree_allreduce")
+    machine = machine_for(program, 0.05, "eager", True, 1)
+    counts, n_simulations = path_counters(program, machine, collect_trace=True)
+    assert n_simulations > 0
+    assert counts == {"sim.path.event_loop.trace": n_simulations}
 
 
 # -- degenerate schedules -----------------------------------------------------
@@ -340,28 +449,31 @@ def outcome(run, schedule):
     return result.per_rank, result.elapsed, result.n_transfers
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "wait-before-post",
-        "deadlock",
-        "unmatched-eager",
-        "unmatched-rendezvous",
-        "sync-before-record",
-        "wait-before-record",
-        "re-record",
-        "stream:-1",
-        "stream:2",
-    ],
-)
+#: Each degenerate case and the reason the direct path gives for it.
+DEFER_REASONS = {
+    "wait-before-post": "wait-before-post",
+    "deadlock": "deadlock",
+    "unmatched-eager": "unmatched",
+    "unmatched-rendezvous": "deadlock",
+    "sync-before-record": "event-before-record",
+    "wait-before-record": "event-before-record",
+    "re-record": "event-rerecord",
+    "stream:-1": "stream-out-of-range",
+    "stream:2": "stream-out-of-range",
+}
+
+
+@pytest.mark.parametrize("case", list(DEFER_REASONS))
 def test_degenerate_schedules_defer_to_event_loop(case):
     program, _ = program_and_space("tree_allreduce")
     schedule, protocol, error = degenerate(case)
     executor = ScheduleExecutor(
         program, machine_for(program, 0.05, protocol, True, 1)
     )
-    assert executor._run_direct(schedule, 0) is None
+    reason = DEFER_REASONS[case]
+    assert executor._run_direct(schedule, 0) == reason
     got = outcome(executor.run, schedule)
+    assert executor.take_path_counts() == {f"event_loop.{reason}": 1}
     assert got == outcome(executor.run_event_loop, schedule)
     if error is None:
         assert isinstance(got[0], list)

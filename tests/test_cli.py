@@ -436,6 +436,23 @@ def test_seeds_must_not_be_negative(argv, flag, capsys):
     assert f"{flag}: must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--top", "-1"), ("--top", "0"), ("--width", "-5"), ("--width", "0")],
+)
+def test_trace_rows_and_bar_width_must_be_positive(flag, value, tmp_path, capsys):
+    """`repro trace --analyze --top -1` used to print "(top -1)" tables
+    missing their last row, and `--width -5` one-column bars, both
+    exiting 0."""
+    path = str(tmp_path / "t.jsonl")
+    assert main(_SEARCH_WAVEFRONT + ["--trace", path]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", path, "--analyze", flag, value])
+    assert exc.value.code == 2
+    assert f"{flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sigma", ["-0.5", "inf", "nan"])
 def test_noise_must_be_finite_and_non_negative(sigma, capsys):
     """A negative sigma used to end in a ValueError, and an infinite one
