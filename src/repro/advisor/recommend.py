@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,6 +58,9 @@ MAX_CANDIDATES = 1024
 
 #: Random draws allowed per candidate slot before sampling stops short.
 DRAWS_PER_CANDIDATE = 20
+
+#: 32-bit words the sampler reads from its generator per call.
+BLOCK = 4096
 
 
 @dataclass
@@ -131,6 +134,42 @@ def _advisory_exclusions(
     )
 
 
+class _DrawSource:
+    """``np.random.default_rng(seed).integers(n)``, answered from 32-bit
+    words the generator hands out ``BLOCK`` at a time.
+
+    Below ``2**32`` numpy bounds an integer by Lemire's rule over the
+    generator's 32-bit words, the words a ``uint32`` block reads in the
+    same order: ``n == 1`` reads none; otherwise ``m = word * n`` is
+    redrawn while its low 32 bits are below ``(2**32 - n) % n``, and the
+    answer is ``m >> 32``.  So every answer equals the scalar call's,
+    while the generator runs up to a block ahead of it."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, seed: int) -> None:
+        self._words = self._read(np.random.default_rng(seed))
+
+    @staticmethod
+    def _read(rng: np.random.Generator) -> Iterator[int]:
+        while True:
+            yield from rng.integers(
+                0, 1 << 32, size=BLOCK, dtype=np.uint32
+            ).tolist()
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n < 1 << 32:
+            raise ValueError(f"n must be in [1, 2**32 - 1], got {n}")
+        m = next(self._words) * n
+        if m & 0xFFFFFFFF < n:  # n bounds the threshold: skip the modulo
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next(self._words) * n
+        return m >> 32
+
+
 def _candidates(
     space: DesignSpace, max_candidates: int, seed: int
 ) -> Tuple[List[Schedule], int]:
@@ -139,10 +178,13 @@ def _candidates(
     of at most ``DRAWS_PER_CANDIDATE * max_candidates`` draws otherwise.
 
     Draws are decision paths; each schedule has exactly one, so a
-    schedule is built only for a path not drawn before."""
+    schedule is built only for a path not drawn before.  The draws read
+    a :class:`_DrawSource` rather than a ``Generator``: its generator
+    runs ahead of the draws, which is exact only because the source owns
+    it, nothing else reads it, and it is dropped on return."""
     if space.count() <= max_candidates:
         return list(space.enumerate_schedules()), 0
-    rng = np.random.default_rng(seed)
+    rng = _DrawSource(seed)
     out: List[Schedule] = []
     seen: Set[Tuple[int, ...]] = set()
     draws = 0
@@ -181,13 +223,16 @@ def recommend(
     unless ``union`` is passed explicitly) or a plain artifact sequence.
     ``machine`` filters artifacts by platform preset name.  The result is
     deterministic in (store contents, program, seed).  ``max_candidates``
-    (at least 1) caps the schedules ranked.
+    (at least 1) caps the schedules ranked; ``seed`` (an integer >= 0)
+    seeds the sample of a space larger than the cap.
 
     Every call lands in the ``advisor.recommend_s`` latency histogram
     (p50/p95/p99 via ``obs``).
     """
     if max_candidates < 1:
         raise ValueError("max_candidates must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     t0 = time.perf_counter()
     with obs.span("advisor.recommend", program=program.name):
         rec = _recommend(

@@ -810,7 +810,10 @@ class DesignSpace:
         keep_prefix: Optional[Callable[[Tuple[BoundOp, ...]], bool]] = None,
     ) -> Optional[Tuple[int, ...]]:
         """Action-index path of a frontier-uniform random completion (the
-        paper's rollout policy): one ``rng.integers`` draw per decision.
+        paper's rollout policy): one ``rng.integers(n)`` draw per decision,
+        ``n`` the number of actions.  ``rng`` is a ``np.random.Generator``
+        or any source whose ``integers(n)`` returns an int in ``[0, n)``
+        (the advisor's sampler reads bulk words on the same stream).
 
         With ``keep_prefix`` the rollout is abandoned — returning None —
         the moment its prefix is rejected, mirroring the enumerator's

@@ -1,9 +1,12 @@
 """Recommendation for unseen programs: quality, determinism, refusals."""
 
+import importlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.advisor import (
@@ -17,9 +20,11 @@ from repro.advisor import (
     recommend,
 )
 from repro.advisor.recommend import (
+    BLOCK,
     DRAWS_PER_CANDIDATE,
     MAX_CANDIDATES,
     _candidates,
+    _DrawSource,
 )
 from repro.ml.features import OrderFeature
 from repro.rules.ruleset import Rule
@@ -28,6 +33,12 @@ from repro.sim.executor import ScheduleExecutor
 from repro.sim.measure import Benchmarker, MeasurementConfig
 from repro.transfer.signature import OpSignature, program_signatures
 from repro.workloads import WorkloadSpec, build_workload
+from repro.workloads.spec import list_families
+from tests.schedule.test_decision_state import SMALL
+
+#: The sampler module; the package attribute ``repro.advisor.recommend``
+#: is the function.
+recommend_module = importlib.import_module("repro.advisor.recommend")
 
 MEASUREMENT = MeasurementConfig(max_samples=1)
 MACHINE_NAME = "perlmutter-like"
@@ -190,22 +201,50 @@ def _halo3d(axes):
 
 
 class TestCandidateSampler:
-    """Deduplicating on decision paths keeps the sample, its order and
-    its draw count: each schedule has exactly one path."""
+    """Deduplicating on decision paths, and drawing them from bulk words,
+    keeps the sample, its order and its draw count: each schedule has
+    exactly one path, and each draw sees the generator's stream."""
 
     @pytest.mark.parametrize(
         "axes, n_candidates, n_draws",
         [("x", 974, DRAWS_PER_CANDIDATE * MAX_CANDIDATES), ("xy", 1024, 1024)],
     )
     def test_halo3d_matches_reference(self, axes, n_candidates, n_draws):
+        """At seeds 0-4; the size and draws are seed 0's."""
         program = _halo3d(axes)
-        out, draws = _candidates(DesignSpace(program, 2), MAX_CANDIDATES, 0)
-        ref, ref_draws = reference_candidates(
-            DesignSpace(program, 2), MAX_CANDIDATES, 0
-        )
-        assert [s.key for s in out] == [s.key for s in ref]
-        assert (len(out), draws) == (len(ref), ref_draws)
-        assert (len(out), draws) == (n_candidates, n_draws)
+        for seed in range(5):
+            out, draws = _candidates(
+                DesignSpace(program, 2), MAX_CANDIDATES, seed
+            )
+            ref, ref_draws = reference_candidates(
+                DesignSpace(program, 2), MAX_CANDIDATES, seed
+            )
+            assert [s.key for s in out] == [s.key for s in ref], seed
+            assert (len(out), draws) == (len(ref), ref_draws), seed
+            if seed == 0:
+                assert (len(out), draws) == (n_candidates, n_draws)
+
+    def test_halo3d_reads_generator_in_blocks(self, monkeypatch):
+        """Halo3d x's 20,480 draws make 204,800 decisions, each a scalar
+        ``integers`` call on a generator; the draw source reads at most
+        one word per decision (but for rare rejections), ``BLOCK`` words
+        per call."""
+        calls = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                calls.append(kwargs.get("size"))
+                return self._rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        out, draws = _candidates(DesignSpace(_halo3d("x"), 2), MAX_CANDIDATES, 0)
+        assert (len(out), draws) == (974, DRAWS_PER_CANDIDATE * MAX_CANDIDATES)
+        assert set(calls) == {BLOCK}
+        assert len(calls) <= math.ceil(204_800 / BLOCK) + 1
 
     def test_held_out_matches_reference(self, held_program):
         out, draws = _candidates(DesignSpace(held_program, 2), 100, 0)
@@ -226,6 +265,89 @@ class TestCandidateSampler:
                 machine=MACHINE_NAME,
                 max_candidates=max_candidates,
             )
+
+    @pytest.mark.parametrize("max_candidates", [MAX_CANDIDATES, 100])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(
+        self, held_program, trained_store, seed, max_candidates, monkeypatch
+    ):
+        """Whether or not the space is sampled (it is under the cap of
+        100, not under the default), and before the store is read."""
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the store was read")
+
+        monkeypatch.setattr(ArtifactStore, "load_workloads", unread)
+        with pytest.raises(ValueError, match="seed"):
+            recommend(
+                held_program,
+                trained_store,
+                machine=MACHINE_NAME,
+                max_candidates=max_candidates,
+                seed=seed,
+            )
+
+    def test_numpy_integer_seed_accepted(self, held_program, trained_store):
+        recs = [
+            recommend(
+                held_program,
+                trained_store,
+                machine=MACHINE_NAME,
+                max_candidates=100,
+                seed=seed,
+            ).to_dict()
+            for seed in (3, np.int64(3), np.uint8(3))
+        ]
+        assert recs[0]["status"] == STATUS_OK
+        assert recs[1] == recs[0] == recs[2]
+
+
+#: Bounds at which numpy's bounded draw rejects about half and about a
+#: quarter of the words, and the largest bound below ``2**32``.
+REJECTION_HEAVY = [2**31 + 1, 3 * 2**30 + 7, 2**32 - 1]
+BOUNDS = st.one_of(
+    st.integers(1, 9),
+    st.sampled_from(REJECTION_HEAVY),
+    st.integers(1, 2**32 - 1),
+)
+
+
+class TestDrawSource:
+    """The sampler's draw source answers ``integers(n)`` exactly as the
+    generator it owns would, call for call, across block boundaries."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        block=st.integers(1, 9),
+        bounds=st.lists(BOUNDS, min_size=1, max_size=60),
+    )
+    def test_matches_generator(self, seed, block, bounds):
+        """A small block puts many boundaries in a short draw sequence,
+        some inside a rejection loop; the halo3d tests above cross
+        ``BLOCK``-word boundaries tens of times per seed."""
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recommend_module, "BLOCK", block)
+            source = _DrawSource(seed)
+            assert [source.integers(n) for n in bounds] == [
+                int(rng.integers(n)) for n in bounds
+            ]
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40])
+    def test_bound_outside_range_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            _DrawSource(0).integers(n)
+
+    @pytest.mark.parametrize("family", [f.name for f in list_families()])
+    def test_random_path_matches_generator(self, family):
+        space = DesignSpace(
+            build_workload(WorkloadSpec(family, SMALL.get(family, {}))),
+            n_streams=2,
+        )
+        rng, source = np.random.default_rng(11), _DrawSource(11)
+        for _ in range(60):
+            assert space.random_path(source) == space.random_path(rng)
 
 
 # ----------------------------------------------------------------------
