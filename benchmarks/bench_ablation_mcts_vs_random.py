@@ -9,11 +9,10 @@ from benchmarks.conftest import emit
 from repro.experiments import run_mcts_vs_random
 
 
-def test_mcts_vs_random(benchmark, small_wb, capfd):
-    small_wb.full_pipeline()
+def test_mcts_vs_random(benchmark, fresh_small_wb, capfd):
     result = benchmark.pedantic(
         lambda: run_mcts_vs_random(
-            small_wb, iterations=[27, 54, 108], seeds=(0, 1, 2)
+            fresh_small_wb, iterations=[27, 54, 108], seeds=(0, 1, 2)
         ),
         rounds=1,
         iterations=1,

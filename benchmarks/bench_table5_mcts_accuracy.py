@@ -12,10 +12,9 @@ from benchmarks.conftest import emit
 from repro.experiments import run_table5
 
 
-def test_table5_mcts_iterations(benchmark, wb, capfd):
-    wb.full_pipeline()  # warm the shared cache
+def test_table5_mcts_iterations(benchmark, fresh_wb, capfd):
     result = benchmark.pedantic(
-        lambda: run_table5(wb), rounds=1, iterations=1
+        lambda: run_table5(fresh_wb), rounds=1, iterations=1
     )
     rows = list(zip(result.iterations, result.accuracies))
     paper = list(zip(result.paper_iterations, result.paper_accuracies))

@@ -12,10 +12,9 @@ from repro.experiments import run_rule_tables
 from repro.rules.compare import Annotation
 
 
-def test_tables_6_7_8_rulesets(benchmark, wb, capfd):
-    wb.full_pipeline()
+def test_tables_6_7_8_rulesets(benchmark, fresh_wb, capfd):
     result = benchmark.pedantic(
-        lambda: run_rule_tables(wb), rounds=1, iterations=1
+        lambda: run_rule_tables(fresh_wb), rounds=1, iterations=1
     )
     emit(
         capfd,
@@ -33,7 +32,7 @@ def test_tables_6_7_8_rulesets(benchmark, wb, capfd):
         ),
     )
     # Full-budget column is exact for every class.
-    full_col = str(wb.space.count())
+    full_col = str(fresh_wb.space.count())
     for cls, cols in result.cells.items():
         for res in cols[full_col]:
             assert res.annotation is Annotation.EXACT

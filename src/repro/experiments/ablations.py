@@ -19,7 +19,7 @@ import numpy as np
 from repro.experiments.workbench import SpmvWorkbench
 from repro.ml.labeling import label_by_performance
 from repro.search.exhaustive import ExhaustiveSearch
-from repro.search.mcts import MctsConfig, MctsNode, MctsSearch
+from repro.search.mcts import MctsSearch, PlainUctMcts
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.measure import Benchmarker
 
@@ -49,26 +49,25 @@ class AblationResult:
         return "\n".join(lines)
 
 
+def _require_seeds(seeds: Sequence[int]) -> None:
+    if not seeds:
+        raise ValueError("an ablation needs at least one seed")
+
+
 def run_mcts_vs_random(
     wb: SpmvWorkbench,
     iterations: Optional[Sequence[int]] = None,
     seeds: Sequence[int] = (0, 1, 2),
 ) -> AblationResult:
     """Compare MCTS and random sampling on Table V's accuracy metric."""
-    from repro.experiments.tables import run_table5
-
+    _require_seeds(seeds)
     iters = list(iterations) if iterations is not None else wb.iteration_grid()[:-1]
     rows: List[List[object]] = []
     for strategy in ("mcts", "random", "beam"):
         for budget in iters:
-            accs = []
-            uniq = []
-            for seed in seeds:
-                t5 = run_table5(
-                    wb, iterations=[budget], seed=seed, strategy=strategy
-                )
-                accs.append(t5.accuracies[0])
-                uniq.append(t5.n_unique[0])
+            cells = [wb.cell(strategy, seed, budget) for seed in seeds]
+            accs = [c.accuracy for c in cells]
+            uniq = [len(c.result.search) for c in cells]
             rows.append(
                 [
                     strategy,
@@ -88,45 +87,22 @@ def run_mcts_vs_random(
     )
 
 
-class _PlainUctMcts(MctsSearch):
-    """MCTS with the paper's coverage exploitation replaced by a constant.
-
-    Isolation of the paper's novel exploitation term: with V ≡ 1 the
-    selection reduces to breadth-driven UCT over visit counts alone.
-    Expansion, rollouts and backpropagation are the paper's.
-    """
-
-    name = "mcts-plain-uct"
-
-    def _exploitation(self, node: MctsNode) -> float:
-        return 1.0
-
-
 def run_exploitation_ablation(
     wb: SpmvWorkbench,
     iterations: Optional[Sequence[int]] = None,
     seeds: Sequence[int] = (0, 1, 2),
 ) -> AblationResult:
-    """Coverage-ratio exploitation vs plain UCT on the Table V metric."""
+    """Coverage-ratio exploitation vs plain UCT
+    (:class:`~repro.search.mcts.PlainUctMcts`) on the Table V metric."""
+    _require_seeds(seeds)
     iters = list(iterations) if iterations is not None else wb.iteration_grid()[:-1]
-    full = wb.full_space()
     rows: List[List[object]] = []
-    for label, factory in (
-        ("coverage-V", lambda seed: wb.mcts(seed=seed)),
-        (
-            "plain-UCT",
-            lambda seed: _PlainUctMcts(
-                wb.space, wb.benchmarker, MctsConfig(seed=seed)
-            ),
-        ),
+    for label, strategy in (
+        ("coverage-V", MctsSearch.name),
+        ("plain-UCT", PlainUctMcts.name),
     ):
         for budget in iters:
-            accs = []
-            for seed in seeds:
-                search = factory(seed).run(budget)
-                pipe = wb.pipeline(strategy="mcts", seed=seed)
-                result = pipe.run(search)
-                accs.append(pipe.generalization_accuracy(result, full))
+            accs = [wb.cell(strategy, seed, budget).accuracy for seed in seeds]
             rows.append(
                 [label, budget, f"{np.mean(accs):.3f}", f"{np.std(accs):.3f}"]
             )

@@ -47,25 +47,16 @@ def run_table5(
     from the explored subset, then classify the FULL space and score each
     implementation against its predicted class's time range.  The final
     (full-budget) entry uses the exhaustive search, as the paper's 2036
-    column does.
+    column does.  Each budget is the workbench's cell
+    (:meth:`SpmvWorkbench.cell`), computed once per workbench.
     """
     iters = list(iterations) if iterations is not None else wb.iteration_grid()
-    full_search = wb.full_search()
-    full = wb.full_space()
-    n_space = wb.space.count()
-    accs: List[float] = []
-    uniq: List[int] = []
-    for budget in iters:
-        if budget >= n_space:
-            search = full_search
-            pipe = wb.pipeline(strategy="exhaustive")
-        else:
-            pipe = wb.pipeline(strategy=strategy, seed=seed)
-            search = pipe.make_strategy().run(budget)
-        result = pipe.run(search)
-        accs.append(pipe.generalization_accuracy(result, full))
-        uniq.append(len(search.unique()))
-    return Table5Result(iterations=iters, accuracies=accs, n_unique=uniq)
+    cells = [wb.cell(strategy, seed, budget) for budget in iters]
+    return Table5Result(
+        iterations=iters,
+        accuracies=[c.accuracy for c in cells],
+        n_unique=[len(c.result.search) for c in cells],
+    )
 
 
 @dataclass
@@ -111,19 +102,11 @@ def run_rule_tables(
     per-class rulesets and annotate them against the canonical (full-space)
     rulesets."""
     iters = list(iterations) if iterations is not None else wb.iteration_grid()
-    full_search = wb.full_search()
-    canonical_result = wb.full_pipeline()
-    canonical = canonical_result.rulesets
-    n_space = wb.space.count()
+    results = [wb.cell("mcts", seed, budget).result for budget in iters]
+    canonical = wb.full_pipeline().rulesets
 
     cells: Dict[int, Dict[str, List[CompareResult]]] = {}
-    for budget in iters:
-        if budget >= n_space:
-            result = canonical_result
-        else:
-            pipe = wb.pipeline(strategy="mcts", seed=seed)
-            search = pipe.make_strategy().run(budget)
-            result = pipe.run(search)
+    for budget, result in zip(iters, results):
         by_class = rulesets_by_class(result.rulesets)
         col = str(budget)
         for cls, rulesets in by_class.items():

@@ -4,14 +4,18 @@ All figure/table experiments operate on the same exhaustively-benchmarked
 SpMV design space (the paper's "2036 implementations"; 540 here, see
 :mod:`repro.apps.spmv.dag`).  The workbench builds and caches that data,
 so its experiments pay the exhaustive sweep once and scan the swept space
-once for every Table V score (:meth:`SpmvWorkbench.full_space`).
+once for every Table V score (:meth:`SpmvWorkbench.full_space`).  They
+pay each search once too: the workbench keeps every Table V cell, a
+search at one budget with its pipeline and score
+(:meth:`SpmvWorkbench.cell`), and grows one MCTS per variant and seed
+across budgets.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.spmv import SpmvCase, SpmvInstance, build_spmv_program
 from repro.core.pipeline import (
@@ -25,12 +29,25 @@ from repro.ml.labeling import LabelingConfig
 from repro.platform.machine import MachineConfig
 from repro.platform.presets import perlmutter_like
 from repro.schedule.space import DesignSpace
-from repro.search.base import SearchResult
+from repro.search.base import SearchResult, SearchSample
 from repro.search.exhaustive import ExhaustiveSearch
-from repro.search.mcts import MctsConfig, MctsSearch
+from repro.search.mcts import MctsConfig, MctsSearch, PlainUctMcts
 from repro.search.random_search import RandomSearch
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.measure import Benchmarker, MeasurementConfig
+
+#: The searches one tree per seed extends across budgets: the paper's
+#: MCTS and the exploitation ablation's plain UCT, by strategy name.
+MCTS_VARIANTS = {cls.name: cls for cls in (MctsSearch, PlainUctMcts)}
+
+
+@dataclass(frozen=True)
+class TableCell:
+    """One Table V cell: the pipeline trained on a search's samples and
+    its accuracy over the full space."""
+
+    result: PipelineResult
+    accuracy: float
 
 
 @dataclass
@@ -54,6 +71,11 @@ class SpmvWorkbench:
     _full: Optional[SearchResult] = None
     _full_space: Optional[FullSpace] = None
     _full_pipeline: Optional[PipelineResult] = None
+    _cells: Dict[Tuple[str, int, int], TableCell] = field(default_factory=dict)
+    #: (strategy, seed) -> the live MCTS and every sample it has taken.
+    _trees: Dict[Tuple[str, int], Tuple[MctsSearch, List[SearchSample]]] = (
+        field(default_factory=dict)
+    )
 
     # ------------------------------------------------------------------
     @property
@@ -131,9 +153,58 @@ class SpmvWorkbench:
             ),
             evaluator=self.evaluator,
         )
-        # Share the benchmark cache across all experiments on this bench.
+        # Share the benchmark cache and the space's state graph across
+        # all experiments on this bench.
         pipe.benchmarker = self.benchmarker
+        pipe.space = self.space
         return pipe
+
+    def cell(self, strategy: str, seed: int, budget: int) -> TableCell:
+        """The Table V cell of a ``strategy`` search with ``seed`` at
+        ``budget`` iterations (cached).  A budget at or above the space's
+        count is the exhaustive sweep's cell (:meth:`full_pipeline`), as
+        the paper's full column is.
+
+        MCTS cells of one variant and seed share one tree, run on to the
+        largest budget asked for (see :meth:`MctsSearch.run`); a cell
+        takes that search's first ``budget`` samples, which are a fresh
+        ``run(budget)``'s.
+        """
+        if budget < 1:
+            raise ValueError(f"a search budget must be at least 1, got {budget}")
+        n_space = self.space.count()
+        full = budget >= n_space
+        key = ("exhaustive", 0, n_space) if full else (strategy, seed, budget)
+        cell = self._cells.get(key)
+        if cell is None:
+            pipe = self.pipeline(strategy=strategy, seed=seed)
+            if full:
+                result = self.full_pipeline()
+            else:
+                result = pipe.run(self._search(pipe, budget))
+            accuracy = pipe.generalization_accuracy(result, self.full_space())
+            cell = self._cells[key] = TableCell(result, accuracy)
+        return cell
+
+    def _search(self, pipe: DesignRulePipeline, budget: int) -> SearchResult:
+        strategy, seed = pipe.config.strategy, pipe.config.seed
+        variant = MCTS_VARIANTS.get(strategy)
+        if variant is None:
+            return pipe.make_strategy().run(budget)
+        tree = self._trees.get((strategy, seed))
+        if tree is None:
+            search = variant(self.space, self.evaluator, MctsConfig(seed=seed))
+            tree = self._trees[strategy, seed] = (search, [])
+        search, samples = tree
+        if len(samples) < budget:
+            samples.extend(search.run(budget - len(samples)).samples)
+        first = samples[:budget]
+        return SearchResult(
+            strategy=search.name,
+            samples=first,
+            n_iterations=len(first),
+            n_simulations=self.evaluator.n_simulations,
+        )
 
     def mcts(self, seed: int = 0) -> MctsSearch:
         return MctsSearch(self.space, self.evaluator, MctsConfig(seed=seed))

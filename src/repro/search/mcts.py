@@ -173,6 +173,13 @@ class MctsSearch(SearchStrategy):
 
     # ------------------------------------------------------------------
     def run(self, n_iterations: int) -> SearchResult:
+        """Run ``n_iterations`` more iterations, or until the tree is
+        fully explored, and return their samples.
+
+        A second call continues the same tree and generator: the budget
+        is only the loop's stop test, so ``run(a)`` then ``run(b)``
+        samples exactly what one fresh search's ``run(a + b)`` does.
+        """
         with obs.span("search.mcts", n_iterations=n_iterations):
             result = self._run(n_iterations)
         result.record_metrics()
@@ -274,3 +281,17 @@ class MctsSearch(SearchStrategy):
             return 1 + sum(count(ch) for ch in node.children.values())
 
         return count(self.root)
+
+
+class PlainUctMcts(MctsSearch):
+    """MCTS with the paper's coverage exploitation replaced by a constant.
+
+    Isolation of the paper's novel exploitation term: with V ≡ 1 the
+    selection reduces to breadth-driven UCT over visit counts alone.
+    Expansion, rollouts and backpropagation are the paper's.
+    """
+
+    name = "mcts-plain-uct"
+
+    def _exploitation(self, node: MctsNode) -> float:
+        return 1.0

@@ -19,6 +19,12 @@ and rng state, on every built-in family, spmv, halo3d x and Hypothesis
 DAGs, for several seeds and budgets (some past full exploration), with
 and without a rule guide.  A property test checks the invariant the new
 selection relies on after every iteration.
+
+Continuation: successive runs on one ``MctsSearch`` or ``PlainUctMcts``
+must give, in order, the samples of one fresh search's run of the summed
+budget, and leave the same node statistics, tree size and rng state,
+past full exploration too.  The experiment workbench grows one tree per
+seed across Table V budgets on the strength of this.
 """
 
 from __future__ import annotations
@@ -35,12 +41,11 @@ from hypothesis import given, settings, strategies as st
 from repro.advisor import ScheduleGuide
 from repro.errors import SearchError
 from repro.exec import Evaluator, build_evaluator
-from repro.experiments.ablations import _PlainUctMcts
 from repro.platform import perlmutter_like
 from repro.schedule.space import DecisionState, DesignSpace
 from repro.search.base import SearchResult, SearchStrategy
 from repro.search.beam import BeamSearch
-from repro.search.mcts import MctsConfig, MctsNode, MctsSearch
+from repro.search.mcts import MctsConfig, MctsNode, MctsSearch, PlainUctMcts
 from repro.sim.measure import Measurement, MeasurementConfig
 from repro.workloads import WorkloadSpec, build_workload
 from repro.workloads.spec import list_families
@@ -420,7 +425,7 @@ def assert_mcts_matches(
     space, evaluators, seed, budgets, guide=None, plain=False
 ) -> Tuple[MctsSearch, RefMctsSearch]:
     ref_cls, new_cls = (
-        (RefPlainUct, _PlainUctMcts) if plain else (RefMctsSearch, MctsSearch)
+        (RefPlainUct, PlainUctMcts) if plain else (RefMctsSearch, MctsSearch)
     )
     config = MctsConfig(seed=seed)
     with recording(RefMctsNode) as ref_nodes, recording(MctsNode) as new_nodes:
@@ -547,6 +552,74 @@ def test_hypothesis_beam_matches_reference(program, n_streams, seed, budget, wid
     assert_beam_matches(space, KeyedTimes, budget, width=width, seed=seed)
 
 
+# -- continuation: successive runs on one tree --------------------------------------
+def assert_continues(space, evaluators, seed, splits, guide=None, plain=False):
+    """Runs of each budget in ``splits``, one after the other on one
+    search, against one fresh search's run of their sum."""
+    cls = PlainUctMcts if plain else MctsSearch
+    config = MctsConfig(seed=seed)
+    with recording(MctsNode) as whole_nodes:
+        whole = cls(space, evaluators(), config, guide=guide)
+        want = whole.run(sum(splits))
+    with recording(MctsNode) as split_nodes:
+        split = cls(space, evaluators(), config, guide=guide)
+        runs = [split.run(budget) for budget in splits]
+    assert [s for run in runs for s in samples(run)] == samples(want)
+    assert sum(run.n_iterations for run in runs) == want.n_iterations
+    assert runs[-1].n_simulations == want.n_simulations
+    assert split.tree_size() == whole.tree_size() == len(whole_nodes)
+    assert node_stats(split_nodes) == node_stats(whole_nodes)
+    assert split.root.fully_explored == whole.root.fully_explored
+    assert split.rng.bit_generator.state == whole.rng.bit_generator.state
+    return whole
+
+
+SPLITS = st.lists(st.integers(min_value=1, max_value=60), min_size=2, max_size=4)
+
+
+@pytest.mark.parametrize("case", CASES)
+@given(splits=SPLITS, seed=st.integers(0, 3), plain=st.booleans())
+@settings(max_examples=4, deadline=None)
+def test_family_runs_continue_one_tree(case, splits, seed, plain):
+    program, space = _case(case)
+    assert_continues(space, partial(simulator, program), seed, splits, plain=plain)
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_runs_continue_past_full_exploration(plain):
+    for case, splits in (("wavefront", [3, 20, 5]), ("spmv", [1, 139, 400, 7])):
+        program, space = _case(case)
+        whole = assert_continues(
+            space, partial(simulator, program), 2, splits, plain=plain
+        )
+        assert whole.root.fully_explored
+        assert whole.root.n_rollouts == space.count() < sum(splits)
+
+
+@pytest.mark.parametrize("case", GUIDED)
+@given(splits=SPLITS, seed=st.integers(0, 5), plain=st.booleans())
+@settings(max_examples=3, deadline=None)
+def test_guided_runs_continue_one_tree(guided, case, splits, seed, plain):
+    program, space, guide = guided[case]
+    assert_continues(
+        space, partial(simulator, program), seed, splits, guide=guide,
+        plain=plain,
+    )
+
+
+@given(
+    programs(),
+    STREAMS,
+    SEEDS,
+    st.lists(st.integers(min_value=1, max_value=80), min_size=2, max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_hypothesis_runs_continue_one_tree(program, n_streams, seed, splits, plain):
+    space = DesignSpace(program, n_streams=n_streams)
+    assert_continues(space, KeyedTimes, seed, splits, plain=plain)
+
+
 # -- the invariant selection relies on ----------------------------------------------
 def assert_invariant(root: MctsNode) -> None:
     """No node has a child without rollouts, and a node is marked fully
@@ -570,7 +643,7 @@ def assert_invariant(root: MctsNode) -> None:
 @settings(max_examples=40, deadline=None)
 def test_invariant_holds_after_every_iteration(program, n_streams, seed, plain):
     space = DesignSpace(program, n_streams=n_streams)
-    cls = _PlainUctMcts if plain else MctsSearch
+    cls = PlainUctMcts if plain else MctsSearch
     search = cls(space, KeyedTimes(), MctsConfig(seed=seed))
     for _ in range(min(space.count() + 2, 120)):
         search.run(1)
