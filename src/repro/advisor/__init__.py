@@ -24,7 +24,6 @@ The subsystems before this one extract (:mod:`repro.rules`), score
 from repro.advisor.guided import (
     MIN_SOURCE_WEIGHT,
     PRUNE_THRESHOLD,
-    GuideScore,
     ResolvedRule,
     ScheduleGuide,
 )
@@ -55,7 +54,6 @@ from repro.advisor.store import (
 __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactStore",
-    "GuideScore",
     "MAX_CANDIDATES",
     "MIN_SOURCE_WEIGHT",
     "PRUNE_THRESHOLD",

@@ -38,15 +38,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dag.program import Program
 from repro.dag.vertex import OpKind
-from repro.ml.features import OrderFeature
+from repro.ml.features import KeySpans, OrderFeature, StreamFeature
 from repro.schedule.schedule import BoundOp, Schedule
 from repro.transfer.signature import OpSignature, program_signatures
 
 #: Resolved-rule kinds.
 ORDER = "order"
 STREAM = "stream"
+
+#: The feature whose relation decides a rule of each kind.
+_FEATURE = {ORDER: OrderFeature, STREAM: StreamFeature}
 
 #: Default floor on a source rule's |self-discrimination weight| for it
 #: to participate in guidance at all.
@@ -83,23 +88,6 @@ class ResolvedRule:
             )
         rel = "same stream as" if self.value else "different stream than"
         return f"{self.u} {rel} {self.v}"
-
-
-@dataclass
-class GuideScore:
-    """Weighted rule satisfaction of one schedule."""
-
-    #: Normalized signed satisfaction in [-1, 1] (0 when nothing applies).
-    score: float
-    #: Sum of |weight| over rules evaluable on the schedule / over all.
-    weight_evaluated: float
-    weight_total: float
-
-    @property
-    def coverage(self) -> float:
-        if self.weight_total <= 0.0:
-            return 0.0
-        return self.weight_evaluated / self.weight_total
 
 
 class ScheduleGuide:
@@ -304,28 +292,31 @@ class ScheduleGuide:
         return not (same if rule.value else diff)
 
     # ------------------------------------------------------------------
-    def score_detail(self, schedule: Schedule) -> GuideScore:
-        """Weighted satisfaction: each evaluable rule contributes
-        ``+weight`` when followed, ``-weight`` when violated (negative
-        weights invert naturally: violating an anti-rule helps)."""
-        order, streams = self._groups(schedule.ops)
-        signed = 0.0
-        evaluated = 0.0
-        total = 0.0
-        for rule in self.rules:
-            total += abs(rule.weight)
-            verdict = self._violated(rule, order, streams)
-            if verdict is None:
-                continue
-            evaluated += abs(rule.weight)
-            signed += -rule.weight if verdict else rule.weight
-        score = signed / evaluated if evaluated > 0.0 else 0.0
-        return GuideScore(
-            score=score, weight_evaluated=evaluated, weight_total=total
-        )
+    def scores(self, spans: KeySpans) -> np.ndarray:
+        """Weighted rule satisfaction of each schedule of ``spans`` (a
+        schedule table keyed by :attr:`op_keys`), in [-1, 1].
 
-    def score(self, schedule: Schedule) -> float:
-        return self.score_detail(schedule).score
+        A rule decided on a schedule contributes ``+weight`` when followed
+        and ``-weight`` when violated (negative weights invert naturally:
+        violating an anti-rule helps); the sum is divided by the decided
+        rules' total |weight|, and a schedule that decides none scores 0.
+        :meth:`KeySpans.relations` decides the rules, and each schedule's
+        sums add the rules' terms in rule order.  On a complete schedule
+        every mandatory op is placed, so a rule is decided exactly where
+        its relation is defined, as :meth:`_violated` judges it."""
+        defined, holds = spans.relations(
+            [_FEATURE[r.kind](r.u, r.v) for r in self.rules],
+            [r.value for r in self.rules],
+        )
+        signed = np.zeros(spans.n_schedules)
+        evaluated = np.zeros(spans.n_schedules)
+        for rule, decided, followed in zip(self.rules, defined, holds):
+            terms = np.where(followed, rule.weight, -rule.weight)
+            np.add(signed, terms, out=signed, where=decided)
+            np.add(evaluated, abs(rule.weight), out=evaluated, where=decided)
+        return np.divide(
+            signed, evaluated, out=np.zeros_like(signed), where=evaluated > 0.0
+        )
 
     def admits(self, schedule: Schedule) -> bool:
         """False when the schedule violates any prune-strength rule:

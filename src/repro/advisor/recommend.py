@@ -9,8 +9,12 @@ schedules **without running a single simulation**:
 * primary: the union tree's leaf probability of the *fast* class, with
   the candidate projected into the signature-canonical feature space;
 * secondary: the normalized weighted rule-satisfaction score
-  (:meth:`~repro.advisor.guided.ScheduleGuide.score_detail`);
+  (:meth:`~repro.advisor.guided.ScheduleGuide.scores`);
 * tie-break: the schedule fingerprint, for cross-process determinism.
+
+The candidates are scanned once, into a
+:class:`~repro.ml.features.ScheduleTable` keyed by the target's
+signature keys; the union projection and the rule scores both read it.
 
 Do-not-transfer advisories are honored structurally: the trained
 workload most similar to the target (signature-key Jaccard) is found,
@@ -41,6 +45,7 @@ from repro.advisor.store import (
     union_is_applicable,
 )
 from repro.dag.program import Program
+from repro.ml.features import ScheduleTable
 from repro.schedule.schedule import Schedule
 from repro.schedule.space import DesignSpace
 from repro.transfer.signature import program_signatures
@@ -327,12 +332,10 @@ def _recommend(
             capped=draws > 0 and len(candidates) < max_candidates,
         )
     obs.add("advisor.candidate_draws", draws)
-    details = [guide.score_detail(s) for s in candidates]
-    rule_scores = np.array([d.score for d in details])
+    spans = ScheduleTable(candidates).keyed(guide.op_keys.get)
+    rule_scores = guide.scores(spans)
     if union_usable:
-        mapping = {name: sig.key for name, sig in signatures.items()}
-        x = union.extractor().transform(candidates, mapping).matrix
-        p_fast = _p_fast(union, x)
+        p_fast = _p_fast(union, union.extractor().project(spans).matrix)
     else:
         p_fast = np.zeros(len(candidates))
 
@@ -341,8 +344,8 @@ def _recommend(
         range(len(candidates)),
         key=lambda i: (-p_fast[i], -rule_scores[i], fingerprints[i]),
     )
-    pick = details[best]
-    rs_norm = (1.0 + pick.score) / 2.0
+    rule_score = float(rule_scores[best])
+    rs_norm = (1.0 + rule_score) / 2.0
     if union_usable and guide.weight_total > 0.0:
         confidence = 0.5 * float(p_fast[best]) + 0.5 * rs_norm
     elif union_usable:
@@ -354,7 +357,7 @@ def _recommend(
         status=STATUS_OK,
         schedule=candidates[best],
         confidence=max(0.0, min(1.0, confidence)),
-        rule_score=float(pick.score),
+        rule_score=rule_score,
         p_fast=float(p_fast[best]),
         n_rules=guide.n_rules,
         n_candidates=len(candidates),

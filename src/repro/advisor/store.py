@@ -29,7 +29,10 @@ validates three things and raises
   program's :func:`~repro.transfer.signature.program_signatures`.
 
 Validation rebuilds the workload, which costs milliseconds for registry
-specs; pass ``validate=False`` to skip it when the store is trusted.
+specs, so a store object validates each artifact once: it keeps the
+bytes it validated under each key, and a later read of the same bytes
+skips the rebuild while changed bytes are validated again.  Pass
+``validate=False`` to skip validation when the store is trusted.
 """
 
 from __future__ import annotations
@@ -280,6 +283,8 @@ class ArtifactStore:
 
     def __init__(self, root: str) -> None:
         self.root = root
+        #: Key -> the file bytes this object last validated under it.
+        self._validated: Dict[str, bytes] = {}
 
     # ------------------------------------------------------------------
     def path_of(self, key: str) -> str:
@@ -309,19 +314,35 @@ class ArtifactStore:
         return path
 
     def load(self, key: str, *, validate: bool = True):
-        """Load one artifact by key, validating unless told otherwise."""
-        path = self.path_of(key)
+        """Load one artifact by key, validating unless told otherwise.
+
+        The file is read once, and its bytes are both parsed and, for a
+        workload artifact, compared with the bytes this object last
+        validated under ``key``: equal bytes are not validated again."""
+        raw, artifact = self._read(key)
+        if validate:
+            self._validate(key, raw, artifact)
+        return artifact
+
+    def _read(self, key: str) -> Tuple[bytes, object]:
+        """The artifact file's bytes and the artifact they parse to."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(self.path_of(key), "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
             raise ArtifactError(f"no artifact {key!r} in {self.root}") from None
+        try:
+            data = json.loads(raw.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise ArtifactError(f"artifact {key!r} is not valid JSON") from exc
-        artifact = artifact_from_dict(data)
-        if validate and isinstance(artifact, WorkloadArtifact):
+        return raw, artifact_from_dict(data)
+
+    def _validate(self, key: str, raw: bytes, artifact) -> None:
+        if not isinstance(artifact, WorkloadArtifact):
+            return
+        if self._validated.get(key) != raw:
             validate_workload_artifact(artifact)
-        return artifact
+            self._validated[key] = raw
 
     # ------------------------------------------------------------------
     def load_workloads(
@@ -331,17 +352,18 @@ class ArtifactStore:
 
         The machine filter is applied *before* validation, so a store
         shared by several platform presets never pays the workload
-        rebuild cost for artifacts it is about to discard.
+        rebuild cost for artifacts it is about to discard.  Validation
+        is :meth:`load`'s, once per artifact's bytes.
         """
         out: List[WorkloadArtifact] = []
         for key in self.keys():
             if not key.startswith(KIND_WORKLOAD + "-"):
                 continue
-            artifact = self.load(key, validate=False)
+            raw, artifact = self._read(key)
             if machine is not None and artifact.machine != machine:
                 continue
-            if validate and isinstance(artifact, WorkloadArtifact):
-                validate_workload_artifact(artifact)
+            if validate:
+                self._validate(key, raw, artifact)
             out.append(artifact)
         return out
 

@@ -15,6 +15,7 @@ one over the pipeline's own benchmarker, which holds nothing to close.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -130,13 +131,24 @@ class DesignRulePipeline:
         self.program = program
         self.machine = machine
         self.config = config
-        self.space = DesignSpace(program, n_streams=config.n_streams)
-        self.executor = ScheduleExecutor(program, machine)
-        self.benchmarker = Benchmarker(self.executor, config.measurement)
         #: When set, every strategy measures through this evaluator (used
         #: to share one memo across many pipelines, see SpmvWorkbench);
         #: it stays owned, and closed, by its caller.
         self.evaluator = evaluator
+
+    # The space and the measurement stack are built on first use, so a
+    # caller that assigns its own (SpmvWorkbench.pipeline) builds none.
+    @functools.cached_property
+    def space(self) -> DesignSpace:
+        return DesignSpace(self.program, n_streams=self.config.n_streams)
+
+    @functools.cached_property
+    def executor(self) -> ScheduleExecutor:
+        return ScheduleExecutor(self.program, self.machine)
+
+    @functools.cached_property
+    def benchmarker(self) -> Benchmarker:
+        return Benchmarker(self.executor, self.config.measurement)
 
     # ------------------------------------------------------------------
     def make_evaluator(self) -> Evaluator:

@@ -196,14 +196,17 @@ class SpmvWorkbench:
             search = variant(self.space, self.evaluator, MctsConfig(seed=seed))
             tree = self._trees[strategy, seed] = (search, [])
         search, samples = tree
+        n_simulations = 0
         if len(samples) < budget:
-            samples.extend(search.run(budget - len(samples)).samples)
+            run = search.run(budget - len(samples))
+            samples.extend(run.samples)
+            n_simulations = run.n_simulations
         first = samples[:budget]
         return SearchResult(
             strategy=search.name,
             samples=first,
             n_iterations=len(first),
-            n_simulations=self.evaluator.n_simulations,
+            n_simulations=n_simulations,
         )
 
     def mcts(self, seed: int = 0) -> MctsSearch:

@@ -206,18 +206,12 @@ def _run_suite_cells(machine: MachineConfig, task: WorkloadTask) -> object:
     evaluator = _task_evaluator(machine, task, program)
     try:
         for strat_name in task.strategies:
-            sims_before = evaluator.n_simulations
             with obs.stage(f"search:{strat_name}") as st:
                 strategy = make_strategy(strat_name, space, evaluator, task.seed)
                 result = strategy.run(task.n_iterations)
             cells.append(
                 _cell_from_result(
-                    task.spec,
-                    strat_name,
-                    space,
-                    result,
-                    evaluator.n_simulations - sims_before,
-                    st.duration,
+                    task.spec, strat_name, space, result, st.duration
                 )
             )
     finally:

@@ -37,6 +37,8 @@ class SearchResult:
     strategy: str
     samples: List[SearchSample] = field(default_factory=list)
     n_iterations: int = 0
+    #: Simulations the run made: its evaluator's count after the run
+    #: minus before (0 when the evaluator had measured every schedule).
     n_simulations: int = 0
     #: Schedules a rule guide rejected before evaluation (guided search
     #: only; see :mod:`repro.advisor.guided`).

@@ -75,6 +75,7 @@ class BeamSearch(SearchStrategy):
 
     def _run(self, n_iterations: int) -> SearchResult:
         result = SearchResult(strategy=self.name)
+        sims_before = self.evaluator.n_simulations
         budget = n_iterations
         beam: List[Tuple[float, DecisionState]] = [
             (np.inf, self.space.initial_state())
@@ -132,5 +133,5 @@ class BeamSearch(SearchStrategy):
                 key=lambda sc: (sc[0], sc[1]),
             )
             beam = [(score, state) for score, _, state in scored[: self.width]]
-        result.n_simulations = self.evaluator.n_simulations
+        result.n_simulations = self.evaluator.n_simulations - sims_before
         return result

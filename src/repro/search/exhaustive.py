@@ -61,6 +61,7 @@ class ExhaustiveSearch(SearchStrategy):
 
     def run(self, n_iterations: Optional[int] = None) -> SearchResult:
         result = SearchResult(strategy=self.name)
+        sims_before = self.evaluator.n_simulations
         keep = self.guide.admits if self.guide is not None else None
         keep_prefix = (
             self.guide.admits_prefix
@@ -96,6 +97,6 @@ class ExhaustiveSearch(SearchStrategy):
                     and result.n_iterations >= n_iterations
                 ):
                     break
-        result.n_simulations = self.evaluator.n_simulations
+        result.n_simulations = self.evaluator.n_simulations - sims_before
         result.record_metrics()
         return result

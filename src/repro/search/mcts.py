@@ -187,6 +187,7 @@ class MctsSearch(SearchStrategy):
 
     def _run(self, n_iterations: int) -> SearchResult:
         result = SearchResult(strategy=self.name)
+        sims_before = self.evaluator.n_simulations
         while result.n_iterations < n_iterations and not self.root.fully_explored:
             node = self._expand(self._select(self.root))
             schedule, path = self._rollout(node)
@@ -194,7 +195,7 @@ class MctsSearch(SearchStrategy):
             self._backpropagate(path, time)
             result.add(schedule, time)
             result.n_iterations += 1
-        result.n_simulations = self.evaluator.n_simulations
+        result.n_simulations = self.evaluator.n_simulations - sims_before
         return result
 
     # -- phases ----------------------------------------------------------

@@ -65,6 +65,7 @@ class RandomSearch(SearchStrategy):
 
     def _run(self, n_iterations: int) -> SearchResult:
         result = SearchResult(strategy=self.name)
+        sims_before = self.evaluator.n_simulations
         seen = set()
         attempts = 0
         max_attempts = 50 * max(1, n_iterations)
@@ -102,5 +103,5 @@ class RandomSearch(SearchStrategy):
             ):
                 result.add(schedule, m.time)
                 result.n_iterations += 1
-        result.n_simulations = self.evaluator.n_simulations
+        result.n_simulations = self.evaluator.n_simulations - sims_before
         return result

@@ -505,7 +505,6 @@ def _cell_from_result(
     strategy: str,
     space: DesignSpace,
     result: SearchResult,
-    n_simulations: int,
     wall: float,
 ) -> SuiteCell:
     times = result.times()
@@ -516,7 +515,7 @@ def _cell_from_result(
         n_ops=len(space.program_ops),
         n_iterations=result.n_iterations,
         n_unique=len(result.unique()),
-        n_simulations=n_simulations,
+        n_simulations=result.n_simulations,
         best_time=float(times.min()),
         mean_time=float(times.mean()),
         wall_s=wall,

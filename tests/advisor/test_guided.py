@@ -5,6 +5,7 @@ import pytest
 
 from repro.advisor import ScheduleGuide
 from repro.advisor.guided import ResolvedRule
+from repro.ml.features import ScheduleTable
 from repro.schedule.space import DesignSpace
 from repro.search.beam import BeamSearch
 from repro.search.exhaustive import ExhaustiveSearch
@@ -39,6 +40,10 @@ def halo_guide(trained_store, halo_program):
     return ScheduleGuide.from_store(
         trained_store, halo_program, machine=MACHINE_NAME
     )
+
+
+def _spans(guide, schedules):
+    return ScheduleTable(schedules).keyed(guide.op_keys.get)
 
 
 def _benchmarker(program, advisor_machine):
@@ -81,9 +86,13 @@ class TestGuideSemantics:
 
     def test_score_bounds_and_determinism(self, halo_guide, halo_space):
         schedules = list(halo_space.enumerate_schedules())[:50]
-        scores = [halo_guide.score(s) for s in schedules]
+        scores = halo_guide.scores(_spans(halo_guide, schedules)).tolist()
         assert all(-1.0 <= sc <= 1.0 for sc in scores)
-        assert scores == [halo_guide.score(s) for s in schedules]
+        assert scores == halo_guide.scores(_spans(halo_guide, schedules)).tolist()
+        # One schedule's score does not depend on the others in its table.
+        assert scores[7:8] == halo_guide.scores(
+            _spans(halo_guide, schedules[7:8])
+        ).tolist()
         assert len(set(np.round(scores, 12))) > 1  # rules discriminate
 
     def test_prefix_penalty_monotone_along_schedule(
@@ -102,7 +111,7 @@ class TestGuideSemantics:
         guide = ScheduleGuide([], {})
         schedule = next(iter(halo_space.enumerate_schedules()))
         assert guide.admits(schedule)
-        assert guide.score(schedule) == 0.0
+        assert guide.scores(_spans(guide, [schedule])).tolist() == [0.0]
         assert guide.prefix_penalty(schedule.ops) == 0.0
 
     def test_resolution_excludes_sources(self, trained_store, halo_program):

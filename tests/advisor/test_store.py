@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -11,17 +12,20 @@ import pytest
 from repro.advisor import (
     ARTIFACT_VERSION,
     ArtifactStore,
+    ScheduleGuide,
     ScoredRule,
     artifact_from_dict,
     publish,
     publish_artifacts,
+    recommend,
 )
+from repro.advisor import store as store_module
 from repro.errors import ArtifactError
 from repro.ml.features import OrderFeature
 from repro.rules.ruleset import Rule
 from repro.sim.measure import MeasurementConfig
 from repro.transfer import matrix, union
-from repro.workloads import Suite, SuiteRunner, WorkloadSpec
+from repro.workloads import Suite, SuiteRunner, WorkloadSpec, build_workload
 
 MACHINE_NAME = "perlmutter-like"
 MEASUREMENT = MeasurementConfig(max_samples=1)
@@ -194,6 +198,78 @@ class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ArtifactError, match="unknown artifact kind"):
             artifact_from_dict({"version": ARTIFACT_VERSION, "kind": "blob"})
+
+
+class TestValidationOncePerStore:
+    """A store object validates an artifact's bytes once: the six reads
+    of an ``advise`` pass rebuild each program once, and changed bytes
+    are validated again."""
+
+    @pytest.fixture()
+    def validations(self, monkeypatch):
+        """Labels of the artifacts validated, one entry per rebuild."""
+        calls = []
+        real = store_module.validate_workload_artifact
+
+        def counting(artifact):
+            calls.append(artifact.label)
+            real(artifact)
+
+        monkeypatch.setattr(store_module, "validate_workload_artifact", counting)
+        return calls
+
+    def test_six_reads_validate_each_artifact_once(self, store, validations):
+        program = build_workload(
+            WorkloadSpec(
+                "layered_random", {"layers": 3, "width": 2, "edge_p": 0.7}, seed=5
+            )
+        )
+        labels = sorted(a.label for a in store.load_workloads(validate=False))
+        assert len(labels) == len(_workload_keys(store)) == 7
+        first = ArtifactStore(store.root)
+        for seed in range(5):
+            assert recommend(
+                program, first, machine=MACHINE_NAME, seed=seed
+            ).recommended
+        ScheduleGuide.from_store(first, program, machine=MACHINE_NAME)
+        assert sorted(validations) == labels
+        for key in _workload_keys(store):
+            first.load(key)
+        assert sorted(validations) == labels
+        # A second store object keeps its own record.
+        second = ArtifactStore(store.root)
+        second.load_workloads(machine=MACHINE_NAME)
+        second.load_workloads()
+        assert sorted(validations) == sorted(labels * 2)
+
+    def test_rewritten_file_is_validated_again(self, store, tmp_path, validations):
+        root = tmp_path / "copy"
+        shutil.copytree(store.root, root)
+        copy = ArtifactStore(str(root))
+        key = _workload_keys(copy)[0]
+        label = copy.load(key).label
+        copy.load(key)
+        assert validations.count(label) == 1
+        with open(copy.path_of(key), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+
+        # Other valid bytes (the same artifact, indented differently) are
+        # validated once more, then trusted again.
+        with open(copy.path_of(key), "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+        assert copy.load(key).to_dict() == data
+        copy.load_workloads()
+        assert validations.count(label) == 2
+
+        # A tampered fingerprint is rejected by the next read.
+        data["program_fingerprint"] = "0" * 64
+        with open(copy.path_of(key), "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+        with pytest.raises(ArtifactError, match="stale artifact"):
+            copy.load(key)
+        with pytest.raises(ArtifactError, match="stale artifact"):
+            copy.load_workloads()
+        assert validations.count(label) == 4
 
 
 class TestScoredRule:

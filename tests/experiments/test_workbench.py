@@ -5,7 +5,10 @@ import pytest
 from repro.apps.spmv import SpmvCase
 from repro.experiments.workbench import SpmvWorkbench, default_workbench
 from repro.platform import perlmutter_like
+from repro.schedule.space import DesignSpace
 from repro.sim import MeasurementConfig
+from repro.sim.executor import ScheduleExecutor
+from repro.sim.measure import Benchmarker
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +39,46 @@ class TestCaching:
     def test_benchmarker_shared_with_pipelines(self, wb):
         pipe = wb.pipeline(strategy="mcts")
         assert pipe.benchmarker is wb.benchmarker
+
+    def test_pipelines_build_no_space_or_measurement_stack(
+        self, wb, monkeypatch
+    ):
+        """A workbench pipeline uses the workbench's space, benchmarker and
+        evaluator, and constructs no space, executor or benchmarker of its
+        own, also while its cells search, train and score."""
+        wb.full_pipeline()
+        made = []
+        for cls in (DesignSpace, ScheduleExecutor, Benchmarker):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, **kwargs):
+                made.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        pipe = wb.pipeline(strategy="random", seed=3)
+        assert pipe.space is wb.space
+        assert pipe.benchmarker is wb.benchmarker
+        assert pipe.make_strategy().space is wb.space
+        for strategy in ("random", "beam", "mcts"):
+            wb.cell(strategy, 3, 5)
+        assert made == []
+
+    def test_cell_reports_its_own_simulations(self):
+        """A cell's search reports the simulations made for it: one per
+        new schedule (one sample each here), none when its tree already
+        held the samples, and none once the space is swept."""
+        fresh = SpmvWorkbench(
+            case=SpmvCase().scaled(1 / 80),
+            machine=perlmutter_like(noise_sigma=0.01),
+            measurement=MeasurementConfig(max_samples=1),
+        )
+        first = fresh.cell("mcts", 4, 7).result.search  # before the sweep
+        assert first.n_simulations == len(first) > 0
+        assert fresh.evaluator.n_simulations == fresh.space.count()
+        for strategy, budget in (("mcts", 3), ("mcts", 9), ("random", 7)):
+            cell = fresh.cell(strategy, 4, budget)
+            assert cell.result.search.n_simulations == 0
 
 
 class TestIterationGrid:
