@@ -51,10 +51,11 @@ def test_bench_score_transfer_cell(benchmark, per_workload):
     matcher = SignatureMatcher(
         program_signatures(src.program), program_signatures(dst.program)
     )
+    schedules = dst.result.search.schedules()
+    fast = [s for s, is_fast in zip(schedules, dst.fast_rows) if is_fast]
+    slow = [s for s, is_fast in zip(schedules, dst.fast_rows) if not is_fast]
     scores = benchmark(
-        lambda: score_transfer(
-            src.rules, dst.fast_schedules, dst.slow_schedules, matcher=matcher
-        )
+        lambda: score_transfer(src.rules, fast, slow, matcher=matcher)
     )
     assert len(scores) == len(src.rules)
 

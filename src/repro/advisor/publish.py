@@ -62,7 +62,7 @@ def workload_artifact(
             )
             for s in scores
         ],
-        n_schedules=len(wl.fast_schedules) + len(wl.slow_schedules),
+        n_schedules=wl.table.n_schedules,
     )
 
 
@@ -118,7 +118,9 @@ def publish_artifacts(
     n_streams: int = 2,
     advisories: Optional[Sequence[AdvisoryEdge]] = None,
 ) -> List[str]:
-    """Publish one artifact per workload plus the union artifact.
+    """Publish one artifact per workload plus the union artifact, then
+    remove every other artifact they supersede
+    (:meth:`~repro.advisor.store.ArtifactStore.remove_superseded`).
 
     Returns the written file paths (workloads first, spec order, union
     last when trainable).  When ``advisories`` is ``None`` and at least
@@ -135,12 +137,11 @@ def publish_artifacts(
             (c.source, c.target, c.mean_discrimination)
             for c in transfer_advisories(per_workload)
         ]
-    paths = [
-        store.publish(
-            workload_artifact(wl, machine=machine, n_streams=n_streams)
-        )
+    artifacts = [
+        workload_artifact(wl, machine=machine, n_streams=n_streams)
         for wl in per_workload
     ]
+    paths = [store.publish(a) for a in artifacts]
     union = union_artifact(
         per_workload,
         machine=machine,
@@ -148,5 +149,7 @@ def publish_artifacts(
         advisories=advisories,
     )
     if union is not None:
+        artifacts.append(union)
         paths.append(store.publish(union))
+    store.remove_superseded(artifacts)
     return paths

@@ -16,7 +16,11 @@ Integrity contract
 Artifacts are addressed by a key derived from the **program
 fingerprint** (:func:`repro.exec.cache.program_fingerprint`), the
 machine preset name, and the stream count, so retraining the same
-workload on the same platform overwrites its artifact in place.  Loading
+workload on the same platform overwrites its artifact in place.  A
+retrained artifact whose key changed (its generator changed since the
+last training) replaces the old file too:
+:func:`~repro.advisor.publish.publish_artifacts` removes every other
+artifact of the same :attr:`~WorkloadArtifact.identity`.  Loading
 validates three things and raises
 :class:`~repro.errors.ArtifactError` on any failure:
 
@@ -37,6 +41,7 @@ skips the rebuild while changed bytes are validated again.  Pass
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -143,6 +148,12 @@ class WorkloadArtifact:
             self.program_fingerprint, self.machine, self.n_streams
         )
 
+    @property
+    def identity(self) -> Tuple[object, ...]:
+        """What the artifact describes, whatever program version it was
+        trained on: retraining supersedes an artifact of equal identity."""
+        return (self.kind, self.machine, self.n_streams, self.label)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "version": ARTIFACT_VERSION,
@@ -206,6 +217,11 @@ class UnionArtifact:
         return "union-" + _short_digest(
             tuple(sorted(self.fingerprints)), self.machine, self.n_streams
         )
+
+    @property
+    def identity(self) -> Tuple[object, ...]:
+        """As :attr:`WorkloadArtifact.identity`, over the label set."""
+        return (self.kind, self.machine, self.n_streams, tuple(sorted(self.workloads)))
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -313,6 +329,26 @@ class ArtifactStore:
             fh.write(text + "\n")
         return path
 
+    def remove_superseded(self, artifacts: Sequence) -> None:
+        """Delete every other artifact file with the identity of one of
+        ``artifacts``.
+
+        The files of ``artifacts`` are not read and unreadable files are
+        left alone, so a store that holds only ``artifacts`` costs one
+        directory listing."""
+        written = {a.key for a in artifacts}
+        identities = {a.identity for a in artifacts}
+        for key in self.keys():
+            if key in written:
+                continue
+            try:
+                _, artifact = self._read(key)
+            except ArtifactError:
+                continue  # not an artifact this build can supersede
+            if artifact.identity in identities:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(self.path_of(key))
+
     def load(self, key: str, *, validate: bool = True):
         """Load one artifact by key, validating unless told otherwise.
 
@@ -333,7 +369,7 @@ class ArtifactStore:
             raise ArtifactError(f"no artifact {key!r} in {self.root}") from None
         try:
             data = json.loads(raw.decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ArtifactError(f"artifact {key!r} is not valid JSON") from exc
         return raw, artifact_from_dict(data)
 

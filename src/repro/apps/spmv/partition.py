@@ -60,12 +60,6 @@ class RankPart:
     def nnz_remote(self) -> int:
         return int(self.a_remote.nnz)
 
-    def send_bytes(self, dtype_size: int = 8) -> int:
-        return dtype_size * sum(len(v) for v in self.send_idx.values())
-
-    def recv_bytes(self, dtype_size: int = 8) -> int:
-        return dtype_size * sum(len(v) for v in self.needed_from.values())
-
 
 @dataclass
 class SpmvPartition:

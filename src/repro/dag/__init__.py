@@ -2,19 +2,13 @@
 
 A program is a directed acyclic graph whose vertices are operations — CPU
 ops, GPU kernels (initially unassigned to a stream), and synchronization
-ops — and whose edges are dependencies.  The design space of the program is
-the set of topological traversals of the graph combined with stream
-assignments for the GPU vertices.
+ops — and whose edges are dependencies.  The design space of the program
+(:mod:`repro.schedule`) is the set of topological traversals of the graph
+combined with stream assignments for the GPU vertices.
 """
 
 from repro.dag.graph import Graph
 from repro.dag.program import CommPlan, Message, Program
-from repro.dag.traversal import (
-    all_topological_orders,
-    count_linear_extensions,
-    is_topological_order,
-    random_topological_order,
-)
 from repro.dag.vertex import Action, ActionKind, OpKind, Vertex, Work, cpu_op, gpu_op
 
 __all__ = [
@@ -27,10 +21,6 @@ __all__ = [
     "Program",
     "Vertex",
     "Work",
-    "all_topological_orders",
-    "count_linear_extensions",
     "cpu_op",
     "gpu_op",
-    "is_topological_order",
-    "random_topological_order",
 ]

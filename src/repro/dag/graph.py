@@ -20,8 +20,8 @@ class Graph:
 
     Vertices are keyed by name.  Edges ``u -> v`` mean "v may start only
     after u completes".  The graph is mutable during construction; call
-    :meth:`validate` (or any traversal helper, which validates implicitly)
-    once built.
+    :meth:`validate` (or :meth:`with_start_end`, which validates) once
+    built.
     """
 
     def __init__(self) -> None:
@@ -243,50 +243,6 @@ class Graph:
                 acc.add(s)
                 acc |= closure[s]
         return closure
-
-    def ancestors(self, v: Vertex | str) -> Set[str]:
-        name = v.name if isinstance(v, Vertex) else v
-        return self._reaching(name) - {name}
-
-    def descendants(self, v: Vertex | str) -> Set[str]:
-        name = v.name if isinstance(v, Vertex) else v
-        return self._reachable_from(name) - {name}
-
-    # ------------------------------------------------------------------
-    # interop / rendering
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Return a :class:`networkx.DiGraph` view (vertex objects as node data)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for v in self._vertices.values():
-            g.add_node(v.name, vertex=v)
-        for u, v in self.edges():
-            g.add_edge(u.name, v.name)
-        return g
-
-    def to_dot(self) -> str:
-        """Render the graph in GraphViz DOT syntax."""
-        shape = {
-            OpKind.CPU: "box",
-            OpKind.GPU: "ellipse",
-            OpKind.START: "point",
-            OpKind.END: "point",
-            OpKind.EVENT_RECORD: "diamond",
-            OpKind.EVENT_SYNC: "diamond",
-            OpKind.STREAM_WAIT: "diamond",
-        }
-        lines = ["digraph program {", "  rankdir=TB;"]
-        for v in self._vertices.values():
-            lines.append(
-                f'  "{v.name}" [shape={shape[v.kind]}, '
-                f'label="{v.name}\\n({v.kind.value})"];'
-            )
-        for u, v in self.edges():
-            lines.append(f'  "{u.name}" -> "{v.name}";')
-        lines.append("}")
-        return "\n".join(lines)
 
     @classmethod
     def from_edges(

@@ -49,15 +49,6 @@ class OpKind(enum.Enum):
         """True for operations that execute on a GPU stream."""
         return self in (OpKind.GPU,)
 
-    @property
-    def is_sync(self) -> bool:
-        """True for inserted synchronization operations."""
-        return self in (
-            OpKind.EVENT_RECORD,
-            OpKind.EVENT_SYNC,
-            OpKind.STREAM_WAIT,
-        )
-
 
 class ActionKind(enum.Enum):
     """Semantic action a CPU vertex performs when executed."""
@@ -171,19 +162,6 @@ class Vertex:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
-
-    def with_name(self, name: str) -> "Vertex":
-        """Return a copy with a different name."""
-        return Vertex(
-            name=name,
-            kind=self.kind,
-            duration=self.duration,
-            work=self.work,
-            action=self.action,
-            payload=self.payload,
-            reads=self.reads,
-            writes=self.writes,
-        )
 
 
 def cpu_op(

@@ -88,18 +88,6 @@ class LabelResult:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def class_of_time(self, t: float) -> int:
-        """Class whose time range contains ``t`` (nearest range if none)."""
-        for c in self.classes:
-            if c.contains_time(t):
-                return c.label
-        # Outside every range: attribute to the nearest class by distance.
-        dists = [
-            0.0 if c.contains_time(t) else min(abs(t - c.t_min), abs(t - c.t_max))
-            for c in self.classes
-        ]
-        return int(np.argmin(dists))
-
 
 def step_kernel_convolution(sorted_times: np.ndarray, radius: int) -> np.ndarray:
     """Convolve the sorted curve with the ±r step kernel (valid region only).

@@ -41,13 +41,3 @@ def range_accuracy(
         if c is not None and c.contains_time(float(t)):
             ok += 1
     return ok / len(times) if len(times) else 0.0
-
-
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Counts[i, j] = samples with true class i predicted as j."""
-    m = np.zeros((n_classes, n_classes), dtype=int)
-    for t, p in zip(np.asarray(y_true, int), np.asarray(y_pred, int)):
-        m[t, p] += 1
-    return m

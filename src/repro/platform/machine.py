@@ -135,9 +135,6 @@ class MachineConfig:
     def with_noise(self, noise: NoiseModel) -> "MachineConfig":
         return replace(self, noise=noise)
 
-    def with_gpus(self, n_gpus: int) -> "MachineConfig":
-        return replace(self, n_gpus=n_gpus)
-
     def with_streams(self, n_streams: int) -> "MachineConfig":
         return replace(self, n_streams=n_streams)
 

@@ -1,24 +1,17 @@
-"""Programmatic experiment reports (markdown).
+"""Markdown reports of the cross-workload commands.
 
-``generate_report(wb)`` runs every paper experiment on a workbench and
-renders a single markdown document, useful for regenerating results on a
-different platform configuration or problem scale.  ``render_transfer_report(result)``
-renders a :class:`repro.transfer.TransferMatrixResult` the same way (the
-``repro transfer --report`` output), and ``render_suite_report(report)``
-does the same for a :class:`repro.workloads.SuiteReport` (``repro suite
---report``).  Both include the run's execution-plan timing — shard
-count plus per-task wall and stage breakdown — which the JSON reports
-always carried but the rendered output used to drop.
+``render_transfer_report(result)`` renders a
+:class:`repro.transfer.TransferMatrixResult` (the ``repro transfer
+--report`` output), and ``render_suite_report(report)`` does the same for
+a :class:`repro.workloads.SuiteReport` (``repro suite --report``).  Both
+include the run's execution-plan timing — shard count plus per-task wall
+and stage breakdown — which the JSON reports always carried but the
+rendered output used to drop.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-from repro.experiments.figures import run_fig1, run_fig4, run_fig5, run_fig6
-from repro.experiments.tables import run_rule_tables, run_table5
-from repro.experiments.workbench import SpmvWorkbench
-from repro.platform.presets import describe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.transfer.matrix import TransferMatrixResult
@@ -29,10 +22,6 @@ def _section(title: str, body: str) -> str:
     return f"## {title}\n\n{body.rstrip()}\n"
 
 
-def _code(body: str) -> str:
-    return f"```\n{body.rstrip()}\n```"
-
-
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines = [
         "| " + " | ".join(headers) + " |",
@@ -40,60 +29,6 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     ]
     lines += ["| " + " | ".join(r) + " |" for r in rows]
     return "\n".join(lines)
-
-
-def generate_report(
-    wb: SpmvWorkbench,
-    *,
-    include_rule_tables: bool = True,
-    iterations: Optional[Sequence[int]] = None,
-) -> str:
-    """Run all experiments on ``wb`` and render a markdown report."""
-    parts: List[str] = [
-        "# Design-rule reproduction report",
-        "",
-        f"Program: `{wb.instance.program.name}`  ",
-        f"Design space: {wb.space.count()} implementations "
-        f"({wb.n_streams} streams)",
-        "",
-        _section("Platform", _code(describe(wb.machine))),
-    ]
-
-    fig1 = run_fig1(wb)
-    parts.append(
-        _section(
-            "Figure 1 — sorted implementation sweep",
-            fig1.report() + "\n\n" + _code(fig1.ascii_plot()),
-        )
-    )
-
-    fig4 = run_fig4(wb)
-    parts.append(_section("Figure 4 — class labeling", _code(fig4.report())))
-
-    fig5 = run_fig5(wb)
-    parts.append(
-        _section("Figure 5 — Algorithm 1 trace", _code(fig5.report()))
-    )
-
-    fig6 = run_fig6(wb)
-    parts.append(
-        _section("Figure 6 — six-leaf decision tree", _code(fig6.report()))
-    )
-
-    t5 = run_table5(wb, iterations=iterations)
-    parts.append(
-        _section("Table V — MCTS iterations vs accuracy", _code(t5.report()))
-    )
-
-    if include_rule_tables:
-        rt = run_rule_tables(wb, iterations=iterations)
-        parts.append(
-            _section(
-                "Tables VI–VIII — rulesets vs canonical",
-                _code(rt.report(max_rulesets=3)),
-            )
-        )
-    return "\n".join(parts)
 
 
 # ----------------------------------------------------------------------

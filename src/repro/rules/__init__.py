@@ -10,7 +10,7 @@ paper's Tables VI-VIII.
 
 from repro.rules.compare import Annotation, CompareResult, compare_rulesets
 from repro.rules.extract import extract_rulesets
-from repro.rules.render import render_ruleset_table, render_rulesets
+from repro.rules.render import render_ruleset_table
 from repro.rules.ruleset import Rule, RuleSet
 from repro.rules.score import (
     ROLE,
@@ -35,7 +35,6 @@ __all__ = [
     "extract_rulesets",
     "op_role",
     "render_ruleset_table",
-    "render_rulesets",
     "rule_from_dict",
     "rule_satisfied",
     "rule_to_dict",

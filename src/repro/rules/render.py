@@ -8,32 +8,9 @@ with ``(+)`` and underconstrained cells with ``insufficient rules``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.rules.compare import Annotation, CompareResult
-from repro.rules.ruleset import RuleSet
-
-
-def render_rulesets(
-    rulesets: Sequence[RuleSet], class_names: Optional[Mapping[int, str]] = None
-) -> str:
-    """Plain listing of rulesets grouped by class."""
-    lines: List[str] = []
-    by_class: Dict[int, List[RuleSet]] = {}
-    for rs in rulesets:
-        by_class.setdefault(rs.predicted_class, []).append(rs)
-    for cls in sorted(by_class):
-        name = (
-            class_names[cls]
-            if class_names and cls in class_names
-            else f"class {cls}"
-        )
-        lines.append(f"=== {name} ===")
-        for i, rs in enumerate(by_class[cls], 1):
-            lines.append(f"  ruleset {i} (samples={rs.n_samples}):")
-            for rule in rs:
-                lines.append(f"    - {rule.text}")
-    return "\n".join(lines)
 
 
 def render_compare_cell(result: CompareResult) -> List[str]:

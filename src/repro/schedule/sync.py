@@ -87,9 +87,6 @@ class SyncPlan:
     ces_name_of: Dict[Tuple[str, str], str] = field(hash=False)
     gpu_gpu_edges: Tuple[Tuple[str, str], ...] = ()
 
-    def ces_for_target(self, v: str) -> Tuple[Tuple[str, str], ...]:
-        return tuple(e for e in self.ces_edges if e[1] == v)
-
     def n_sync_ops_min(self) -> int:
         """Sync ops present in every schedule (CER+CES per GPU->CPU edge)."""
         return len(self.cer_sources) + len(self.ces_edges)

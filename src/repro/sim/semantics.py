@@ -49,9 +49,6 @@ class HazardTracker:
     def mark_ready(self, rank: int, buffer: str, at: float) -> None:
         self._ready[(rank, buffer)] = at
 
-    def is_ready(self, rank: int, buffer: str) -> bool:
-        return (rank, buffer) in self._ready
-
     def check_read(self, rank: int, op: str, buffer: str, at: float) -> None:
         ready_at = self._ready.get((rank, buffer))
         if ready_at is None or ready_at > at:

@@ -74,41 +74,6 @@ class Trace:
         return total
 
 
-def to_chrome_trace(trace: "Trace") -> List[dict]:
-    """Export as Chrome-trace (``chrome://tracing`` / Perfetto) events.
-
-    Each rank becomes a process, each resource a thread; durations are in
-    microseconds as the format expects.  Serialize with ``json.dumps`` and
-    load the file in any trace viewer.
-    """
-    events: List[dict] = []
-    seen: Dict[Tuple[int, str], None] = {}
-    for r in trace.records:
-        key = (r.rank, r.resource)
-        if key not in seen:
-            seen[key] = None
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": r.rank,
-                    "tid": r.resource,
-                    "args": {"name": f"rank{r.rank}/{r.resource}"},
-                }
-            )
-        events.append(
-            {
-                "name": r.op,
-                "ph": "X",
-                "pid": r.rank,
-                "tid": r.resource,
-                "ts": r.start * 1e6,
-                "dur": r.duration * 1e6,
-            }
-        )
-    return events
-
-
 class Gantt:
     """ASCII Gantt chart of a :class:`Trace`."""
 

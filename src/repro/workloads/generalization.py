@@ -40,7 +40,6 @@ from repro.rules.score import (
     spans_of,
     transfer_summary,
 )
-from repro.schedule.schedule import Schedule
 from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:
@@ -58,10 +57,6 @@ class WorkloadRules:
     result: PipelineResult
     #: Deduplicated fastest-class rules.
     rules: List[Rule]
-    #: Unique schedules labeled into the fastest class.
-    fast_schedules: List[Schedule]
-    #: Unique schedules labeled into every slower class.
-    slow_schedules: List[Schedule]
     #: The concrete program the schedules were explored on.
     program: Program
 
@@ -132,18 +127,11 @@ def reduce_workload_rules(
     result: PipelineResult,
 ) -> WorkloadRules:
     """Reduce a finished pipeline run to what transfer needs: the
-    fastest-class rules plus the fast/slow labeled schedule classes."""
-    schedules = result.search.schedules()
-    fast: List[Schedule] = []
-    slow: List[Schedule] = []
-    for s, label in zip(schedules, result.labeling.labels):
-        (fast if int(label) == FASTEST_CLASS else slow).append(s)
+    fastest-class rules; the labeled schedules stay in ``result``."""
     return WorkloadRules(
         spec=spec,
         result=result,
         rules=class_rules(result.rulesets, FASTEST_CLASS),
-        fast_schedules=fast,
-        slow_schedules=slow,
         program=program,
     )
 

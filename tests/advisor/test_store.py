@@ -195,6 +195,16 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="not valid JSON"):
             ArtifactStore(str(root)).load("workload-x")
 
+    def test_non_utf8_rejected(self, tmp_path):
+        root = tmp_path / "binary"
+        os.makedirs(root)
+        (root / "workload-x.json").write_bytes(b"\xff{}")
+        broken = ArtifactStore(str(root))
+        with pytest.raises(ArtifactError, match="not valid JSON"):
+            broken.load("workload-x")
+        with pytest.raises(ArtifactError, match="not valid JSON"):
+            broken.load_workloads()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ArtifactError, match="unknown artifact kind"):
             artifact_from_dict({"version": ARTIFACT_VERSION, "kind": "blob"})
@@ -270,6 +280,52 @@ class TestValidationOncePerStore:
         with pytest.raises(ArtifactError, match="stale artifact"):
             copy.load_workloads()
         assert validations.count(label) == 4
+
+
+class TestRetrainReplacesSuperseded:
+    """Retraining replaces an artifact published before its generator
+    changed, whose key (from the old fingerprint) differs from the new
+    artifact's."""
+
+    def _copy_of(self, store, key, **changes):
+        with open(store.path_of(key), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        data.update(changes)
+        return store.publish(artifact_from_dict(data))
+
+    def test_retraining_replaces_stale_artifacts(
+        self, tmp_path, trained_workloads
+    ):
+        per = [
+            wl
+            for wl in trained_workloads
+            if wl.spec.family in ("wavefront", "stencil_reduce")
+        ]
+        store = ArtifactStore(str(tmp_path / "store"))
+        publish_artifacts(store, per, machine=MACHINE_NAME)
+        (stencil,) = [
+            k
+            for k in _workload_keys(store)
+            if store.load(k).label.startswith("stencil_reduce")
+        ]
+        (union_key,) = _union_keys(store)
+        stale = [
+            self._copy_of(store, stencil, program_fingerprint="0" * 64),
+            self._copy_of(store, union_key, fingerprints=["0" * 64] * 2),
+        ]
+        foreign = self._copy_of(store, stencil, machine="other-machine")
+        with pytest.raises(ArtifactError, match="stale artifact"):
+            store.load_workloads(machine=MACHINE_NAME)
+
+        paths = publish_artifacts(store, per, machine=MACHINE_NAME)
+        assert not any(os.path.exists(p) for p in stale)
+        assert os.path.exists(foreign)  # another machine's training stays
+        assert sorted(store.keys()) == sorted(
+            os.path.basename(p)[: -len(".json")] for p in paths + [foreign]
+        )
+        labels = [a.label for a in store.load_workloads(machine=MACHINE_NAME)]
+        assert sorted(labels) == sorted(wl.spec.label for wl in per)
+        assert store.load_union(machine=MACHINE_NAME).key == union_key
 
 
 class TestScoredRule:

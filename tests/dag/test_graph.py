@@ -105,11 +105,6 @@ class TestTopology:
         assert clo["a"] == {"b", "c", "d"}
         assert clo["d"] == set()
 
-    def test_ancestors_descendants(self):
-        g = diamond()
-        assert g.ancestors("d") == {"a", "b", "c"}
-        assert g.descendants("a") == {"b", "c", "d"}
-
 
 class TestStartEnd:
     def test_with_start_end_structure(self):
@@ -146,15 +141,3 @@ class TestInterop:
         h = g.copy()
         h.add_edge(cpu_op("e"), "a")
         assert "e" not in g
-
-    def test_to_networkx(self):
-        nxg = diamond().to_networkx()
-        assert nxg.number_of_nodes() == 4
-        assert nxg.number_of_edges() == 4
-        assert nxg.nodes["b"]["vertex"].kind.is_gpu
-
-    def test_to_dot_contains_all_vertices(self):
-        dot = diamond().to_dot()
-        for name in ("a", "b", "c", "d"):
-            assert f'"{name}"' in dot
-        assert "digraph" in dot

@@ -1,17 +1,23 @@
-"""Tests (incl. property-based) for topological traversal helpers."""
+"""Topological traversals of a program DAG, as the design space yields them.
+
+A DAG of CPU ops alone has no stream to bind and no sync op to insert, so
+its design space is exactly the graph's set of topological orders.  These
+tests check the space's count, enumeration, sampling and membership test
+against closed forms and a brute-force oracle over all permutations.
+"""
+
+import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dag.graph import Graph
-from repro.dag.traversal import (
-    all_topological_orders,
-    count_linear_extensions,
-    is_topological_order,
-    longest_path_lengths,
-    random_topological_order,
-)
+from repro.dag.program import Program
 from repro.dag.vertex import cpu_op
+from repro.errors import ScheduleError
+from repro.schedule.schedule import BoundOp, Schedule
+from repro.schedule.space import DesignSpace
 
 
 def chain(n: int) -> Graph:
@@ -50,12 +56,31 @@ def random_dags(draw):
     return g
 
 
+def space_of(g: Graph) -> DesignSpace:
+    return DesignSpace(Program(graph=g.with_start_end(), n_ranks=1), n_streams=1)
+
+
+def topological_orders(g: Graph) -> set:
+    """Every permutation of the vertex names that respects every edge."""
+    edges = [(u.name, v.name) for u, v in g.edges()]
+    orders = set()
+    for perm in itertools.permutations(g.vertex_names):
+        pos = {name: i for i, name in enumerate(perm)}
+        if all(pos[u] < pos[v] for u, v in edges):
+            orders.add(perm)
+    return orders
+
+
+def schedule_of(g: Graph, names) -> Schedule:
+    return Schedule([BoundOp(g.vertex(name)) for name in names])
+
+
 class TestCounting:
     def test_chain_has_one_extension(self):
-        assert count_linear_extensions(chain(6)) == 1
+        assert space_of(chain(6)).count() == 1
 
     def test_antichain_has_factorial_extensions(self):
-        assert count_linear_extensions(antichain(5)) == 120
+        assert space_of(antichain(5)).count() == 120
 
     def test_two_disjoint_chains(self):
         g = chain(3)
@@ -67,69 +92,54 @@ class TestCounting:
                 g.add_edge(prev, v)
             prev = v
         # interleavings of two length-3 chains: C(6,3) = 20
-        assert count_linear_extensions(g) == 20
+        assert space_of(g).count() == 20
 
     @given(random_dags())
     @settings(max_examples=40, deadline=None)
     def test_count_matches_enumeration(self, g):
-        assert count_linear_extensions(g) == sum(
-            1 for _ in all_topological_orders(g)
-        )
+        assert space_of(g).count() == len(topological_orders(g))
 
 
 class TestEnumeration:
     @given(random_dags())
     @settings(max_examples=30, deadline=None)
     def test_all_orders_are_valid_and_distinct(self, g):
-        seen = set()
-        for order in all_topological_orders(g):
-            assert is_topological_order(g, order)
-            key = tuple(v.name for v in order)
-            assert key not in seen
-            seen.add(key)
+        orders = [s.op_names() for s in space_of(g).enumerate_schedules()]
+        assert len(set(orders)) == len(orders)
+        assert set(orders) == topological_orders(g)
 
 
 class TestValidation:
     def test_wrong_length_rejected(self):
         g = chain(3)
-        assert not is_topological_order(g, ["v0", "v1"])
+        with pytest.raises(ScheduleError, match="missing op"):
+            space_of(g).validate_schedule(schedule_of(g, ["v0", "v1"]))
 
     def test_wrong_order_rejected(self):
         g = chain(3)
-        assert not is_topological_order(g, ["v1", "v0", "v2"])
+        with pytest.raises(ScheduleError, match="dependency violated"):
+            space_of(g).validate_schedule(schedule_of(g, ["v1", "v0", "v2"]))
 
     def test_right_order_accepted(self):
         g = chain(3)
-        assert is_topological_order(g, ["v0", "v1", "v2"])
+        space_of(g).validate_schedule(schedule_of(g, ["v0", "v1", "v2"]))
 
 
 class TestRandomOrder:
     @given(random_dags(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
     def test_random_order_is_valid(self, g, seed):
-        order = random_topological_order(g, np.random.default_rng(seed))
-        assert is_topological_order(g, order)
+        schedule = space_of(g).random_schedule(np.random.default_rng(seed))
+        assert schedule.op_names() in topological_orders(g)
 
     def test_deterministic_given_seed(self):
-        g = antichain(6)
-        a = random_topological_order(g, np.random.default_rng(7))
-        b = random_topological_order(g, np.random.default_rng(7))
-        assert [v.name for v in a] == [v.name for v in b]
+        space = space_of(antichain(6))
+        a = space.random_schedule(np.random.default_rng(7))
+        b = space.random_schedule(np.random.default_rng(7))
+        assert a.op_names() == b.op_names()
 
     def test_covers_space_eventually(self):
-        g = antichain(3)
+        space = space_of(antichain(3))
         rng = np.random.default_rng(0)
-        seen = {
-            tuple(v.name for v in random_topological_order(g, rng))
-            for _ in range(200)
-        }
+        seen = {space.random_schedule(rng).op_names() for _ in range(200)}
         assert len(seen) == 6
-
-
-class TestLongestPath:
-    def test_chain_depths(self):
-        depths = longest_path_lengths(chain(4))
-        assert depths == {"v0": 0, "v1": 1, "v2": 2, "v3": 3}
-
-    def test_antichain_depths_zero(self):
-        assert set(longest_path_lengths(antichain(3)).values()) == {0}

@@ -21,13 +21,6 @@ class TestOpKind:
         assert not OpKind.CPU.is_gpu
         assert not OpKind.EVENT_RECORD.is_gpu
 
-    def test_sync_flags(self):
-        assert OpKind.EVENT_RECORD.is_sync
-        assert OpKind.EVENT_SYNC.is_sync
-        assert OpKind.STREAM_WAIT.is_sync
-        assert not OpKind.CPU.is_sync
-        assert not OpKind.GPU.is_sync
-
     def test_values_are_cuda_names(self):
         assert OpKind.EVENT_RECORD.value == "cudaEventRecord"
         assert OpKind.EVENT_SYNC.value == "cudaEventSynchronize"
@@ -72,14 +65,6 @@ class TestVertex:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             cpu_op("")
-
-    def test_with_name_preserves_fields(self):
-        v = gpu_op("K", work=Work(flops=5), payload="p", reads=("a",))
-        w = v.with_name("K2")
-        assert w.name == "K2"
-        assert w.work == v.work
-        assert w.payload == "p"
-        assert w.reads == ("a",)
 
     def test_frozen(self):
         v = cpu_op("A")

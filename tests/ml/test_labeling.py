@@ -90,14 +90,6 @@ class TestLabeling:
         assert cfg.radius(2000) == 10     # 0.5% of 2000
         assert cfg.radius(10) == 1
 
-    def test_class_of_time_inside_and_outside(self):
-        res = label_by_performance(two_level_data())
-        assert res.class_of_time(1.005) == 0
-        assert res.class_of_time(2.005) == 1
-        # Between ranges: attributed to nearest class.
-        assert res.class_of_time(1.2) == 0
-        assert res.class_of_time(1.9) == 1
-
     @given(
         st.lists(
             st.floats(min_value=1e-6, max_value=1.0, allow_nan=False),

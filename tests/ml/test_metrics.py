@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.ml.labeling import ClassInfo
-from repro.ml.metrics import confusion_matrix, range_accuracy, training_error
+from repro.ml.metrics import range_accuracy, training_error
 from repro.ml.tree import DecisionTree
 
 
@@ -48,15 +48,3 @@ class TestRangeAccuracy:
     def test_empty_inputs(self):
         t, _, _ = fitted_tree()
         assert range_accuracy(t, np.zeros((0, 1)), np.array([]), []) == 0.0
-
-
-class TestConfusion:
-    def test_diagonal_when_perfect(self):
-        m = confusion_matrix(np.array([0, 1, 2]), np.array([0, 1, 2]), 3)
-        assert np.array_equal(m, np.eye(3, dtype=int))
-
-    def test_counts(self):
-        m = confusion_matrix(
-            np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), 2
-        )
-        assert m.tolist() == [[1, 1], [0, 2]]

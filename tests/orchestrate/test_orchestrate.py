@@ -131,9 +131,10 @@ class TestExecution:
             wb = restore_rules_payload(b)
             assert wa.spec == wb.spec
             assert [r.text for r in wa.rules] == [r.text for r in wb.rules]
-            assert [s.fingerprint() for s in wa.fast_schedules] == [
-                s.fingerprint() for s in wb.fast_schedules
+            assert [s.fingerprint() for s in wa.result.search.schedules()] == [
+                s.fingerprint() for s in wb.result.search.schedules()
             ]
+            assert (wa.fast_rows == wb.fast_rows).all()
             assert wa.program is not None and wb.program is not None
             # the rules task records the pipeline's stage DAG
             stages = dict(b.stages)

@@ -2,11 +2,7 @@
 
 from repro.ml.features import OrderFeature
 from repro.rules.compare import Annotation, CompareResult
-from repro.rules.render import (
-    render_compare_cell,
-    render_ruleset_table,
-    render_rulesets,
-)
+from repro.rules.render import render_compare_cell, render_ruleset_table
 from repro.rules.ruleset import Rule, RuleSet
 
 
@@ -16,16 +12,6 @@ F2 = OrderFeature("b", "c")
 
 def rs(rules, cls=0, n=10):
     return RuleSet(rules=frozenset(rules), predicted_class=cls, n_samples=n)
-
-
-def test_render_rulesets_groups_by_class():
-    out = render_rulesets(
-        [rs([Rule(F1, True)], cls=0), rs([Rule(F2, False)], cls=1)],
-        class_names={0: "fastest", 1: "slowest"},
-    )
-    assert "fastest" in out and "slowest" in out
-    assert "a before b" in out
-    assert "c before b" in out
 
 
 def test_render_cell_marks_extras():

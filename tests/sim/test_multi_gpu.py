@@ -86,23 +86,3 @@ class TestCrossGpuPenalty:
         space = DesignSpace(spmv_instance.program, n_streams=2)
         s = next(space.enumerate_schedules())
         assert ex1.run(s).elapsed == pytest.approx(ex2.run(s).elapsed)
-
-
-class TestChromeTrace:
-    def test_export_shape(self, spmv_instance, machine, spmv_schedules):
-        import json
-
-        from repro.sim.trace import to_chrome_trace
-
-        ex = ScheduleExecutor(
-            spmv_instance.program, machine, collect_trace=True
-        )
-        result = ex.run(spmv_schedules[0])
-        events = to_chrome_trace(result.trace)
-        text = json.dumps(events)  # must be JSON-serializable
-        assert text
-        xs = [e for e in events if e["ph"] == "X"]
-        metas = [e for e in events if e["ph"] == "M"]
-        assert len(xs) == len(result.trace.records)
-        assert metas  # one name record per lane
-        assert all(e["dur"] >= 0 for e in xs)

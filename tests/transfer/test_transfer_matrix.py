@@ -90,7 +90,7 @@ class TestControls:
             rule = vacuous_control_rule(wl, sigs)
             assert rule is not None
             matcher = SignatureMatcher(sigs, sigs)
-            for schedule in wl.fast_schedules + wl.slow_schedules:
+            for schedule in wl.result.search.schedules():
                 assert (
                     rule_satisfied(rule, schedule, matcher=matcher) is True
                 )

@@ -29,10 +29,9 @@ class TestWorkloadRules:
     def test_pipeline_reduction(self):
         (wr,) = rules_for_specs(SPECS[:1], measurement=MEASUREMENT)
         assert wr.spec == SPECS[0]
-        assert wr.fast_schedules  # fastest class is never empty
-        # every fast schedule was labeled class 0
-        labels = wr.result.labeling.labels
-        assert (labels == 0).sum() == len(wr.fast_schedules)
+        assert wr.fast_rows.any()  # fastest class is never empty
+        # one flag per explored schedule
+        assert len(wr.fast_rows) == wr.table.n_schedules
 
 
 class TestCrossWorkload:
@@ -112,7 +111,12 @@ def test_role_table_matches_per_pair_scoring(role_workloads, monkeypatch):
         for dst in role_workloads:
             if src is dst:
                 continue
-            scores = score_rules(src.rules, dst.fast_schedules, matcher=ROLE)
+            fast = [
+                s
+                for s, is_fast in zip(dst.result.search.schedules(), dst.fast_rows)
+                if is_fast
+            ]
+            scores = score_rules(src.rules, fast, matcher=ROLE)
             n_rules, n_trans, sat = transfer_summary(scores)
             want.append(
                 {
