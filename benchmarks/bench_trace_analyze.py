@@ -13,23 +13,12 @@ recorded without a budget:
 * concurrent-aware critical-path extraction (``critical_path``);
 * counter identity check (``diff_runs``) of two archived runs of that
   trace.
-
-The one budget is the live-progress overhead gate: an instrumented
-sweep under ``obs.progress_scope`` (the progress meter installed as
-the ticker, so every ``obs.add`` makes its throttled clock check) must
-stay within 5% of the identical progress-off sweep, asserted on
-interleaved best-of-N walls just like ``bench_obs_overhead.py``.
 """
 
 from __future__ import annotations
 
-import io
-import time
-
 import pytest
 
-from repro import obs
-from repro.exec import build_evaluator
 from repro.obs import (
     MetricsRegistry,
     RunArchive,
@@ -39,11 +28,6 @@ from repro.obs import (
     diff_runs,
     read_trace,
 )
-from repro.platform.presets import noiseless, perlmutter_like
-from repro.schedule.space import DesignSpace
-from repro.search.exhaustive import ExhaustiveSearch
-from repro.sim.measure import MeasurementConfig
-from repro.workloads import WorkloadSpec, build_workload
 
 # 1 root + 64 tasks + 64*8 stages + 64*8*100 batch leaves = 51_777.
 N_TASKS = 64
@@ -163,54 +147,3 @@ def test_bench_diff_runs_50k(benchmark, big_archive):
     assert diff.ok
     assert not diff.counters
 
-
-SPEC = WorkloadSpec("fork_join", {"stages": 2, "branches": 2, "depth": 1})
-
-
-def _sweep():
-    program = build_workload(SPEC)
-    machine = noiseless(perlmutter_like()).with_ranks(program.n_ranks)
-    evaluator = build_evaluator(
-        program, machine, MeasurementConfig(max_samples=1)
-    )
-    space = DesignSpace(program, n_streams=2)
-    try:
-        return ExhaustiveSearch(space, evaluator).run()
-    finally:
-        evaluator.close()
-
-
-def _interleaved_best(fns, rounds: int):
-    """Best wall per function, alternating them each round."""
-    best = [float("inf")] * len(fns)
-    for _ in range(rounds):
-        for i, fn in enumerate(fns):
-            t0 = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
-
-
-def test_bench_progress_heartbeat_overhead(benchmark):
-    """Progress-ticker overhead: a meter-ticked sweep vs. the same sweep
-    with progress off.  (The name predates the removal of worker
-    heartbeat files; the history store keys ``bench:`` series by it.)"""
-    obs.reset()
-    _sweep()  # warm imports and caches outside the timed region
-
-    def with_progress():
-        with obs.progress_scope(
-            10_000, label="bench", stream=io.StringIO(), interval=0.05
-        ):
-            _sweep()
-
-    off_wall, on_wall = _interleaved_best([_sweep, with_progress], rounds=7)
-    benchmark.pedantic(with_progress, rounds=2, iterations=1)
-
-    overhead = on_wall / off_wall - 1.0
-    benchmark.extra_info["off_wall_s"] = off_wall
-    benchmark.extra_info["on_wall_s"] = on_wall
-    benchmark.extra_info["overhead_frac"] = overhead
-    # The ticker is one attribute load + throttled clock check per
-    # counter bump; a progress-enabled sweep must stay within 5%.
-    assert overhead < 0.05

@@ -70,12 +70,6 @@ class SpmvPartition:
     ranges: List[Tuple[int, int]]
     parts: List[RankPart]
 
-    def owner_of(self, col: int) -> int:
-        for r, (lo, hi) in enumerate(self.ranges):
-            if lo <= col < hi:
-                return r
-        raise ValueError(f"column {col} out of range")
-
     def message_pairs(self) -> List[Tuple[int, int, int]]:
         """(src, dst, n_entries) for every required point-to-point message."""
         out = []

@@ -192,7 +192,6 @@ def _cmd_suite(args) -> str:
         seed=args.seed,
         execution=_execution(args),
         store_path=args.store,
-        progress=args.progress,
     )
     json_path = args.json or f"repro-suite-{args.name}.json"
     out = report.ascii_table()
@@ -430,11 +429,6 @@ def _cmd_search(args) -> str:
 
     if args.family is None:
         raise SystemExit("repro search needs --family (see `repro list`)")
-    if args.progress and args.strategy != "exhaustive":
-        raise SystemExit(
-            "--progress requires --strategy exhaustive (the meter's "
-            "denominator is the enumerated space)"
-        )
     if args.shard_workers > 1 and args.range_shards <= 1:
         raise SystemExit(
             "--shard-workers requires --range-shards (only range shards "
@@ -466,7 +460,6 @@ def _cmd_search(args) -> str:
             measurement=MeasurementConfig(),
             execution=execution,
             store_path=args.store if args.guided else None,
-            progress=args.progress,
         )
         result = sharded.result
         wall = time.perf_counter() - t0
@@ -504,15 +497,7 @@ def _cmd_search(args) -> str:
                 )
                 budget = 64 if args.iterations is None else args.iterations
             t0 = time.perf_counter()
-            from repro import obs
-
-            total = space.count()
-            if budget is not None:
-                total = min(total, budget)
-            with obs.progress_scope(
-                total, label=f"search {spec.family}", enabled=args.progress
-            ):
-                result = strategy.run(budget)
+            result = strategy.run(budget)
             wall = time.perf_counter() - t0
         finally:
             evaluator.close()
@@ -672,7 +657,7 @@ def _cmd_obs(args) -> str:
             f"{len(store.run_ids())} runs"
         ]
         for name in sorted(groups):
-            points = groups[name][-max(1, args.last):]
+            points = groups[name][-args.last:]
             values = " ".join(f"{p.value:.6g}" for p in points)
             lines.append(
                 f"  {name} ({len(groups[name])} points): {values}"
@@ -927,14 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(p)
     _add_sharding_options(p)
     _add_obs_options(p)
-    p.add_argument(
-        "--progress",
-        action="store_true",
-        help=(
-            "live stderr progress line over completed workload tasks "
-            "(sharded runs advance as each task finishes)"
-        ),
-    )
 
     p = sub.add_parser(
         "transfer",
@@ -1088,15 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(p)
     _add_sharding_options(p)
     _add_obs_options(p)
-    p.add_argument(
-        "--progress",
-        action="store_true",
-        help=(
-            "live stderr progress line with ETA over enumeration "
-            "positions retired (exhaustive sweeps; range-sharded sweeps "
-            "advance as each range finishes)"
-        ),
-    )
 
     p = sub.add_parser(
         "trace",
@@ -1223,7 +1191,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hp.add_argument(
         "--last",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="N",
         help="values per series to print (default 8)",

@@ -8,9 +8,10 @@ The shared observability substrate for the whole search/serve stack:
   orchestrator's per-stage walls in ``SuiteReport``/
   ``TransferMatrixResult`` are views over these.
 * ``obs.add / gauge / observe`` — always-on counters, gauges, and
-  histograms (reservoir-bounded); snapshots merge across processes
+  histograms (append-only lists); snapshots merge across processes
   exactly like ``execute_plan`` merges task results, and their counter
-  digests are bit-stable between serial and sharded runs.
+  digests are bit-stable between serial and sharded runs.  A run's
+  counts are read once it ends (``--metrics``, ``--trace``).
 * ``obs.capture(trace=True)`` / ``write_trace`` / ``read_trace`` /
   ``render_trace`` — JSONL export and the ``repro trace`` ASCII view.
 * ``RunArchive`` / ``resolve_trace`` — persisted, self-describing run
@@ -19,9 +20,6 @@ The shared observability substrate for the whole search/serve stack:
   side: per-span-path analytics for ``repro trace --analyze``.
 * ``diff_runs`` — exact counter identity between two runs
   (``repro trace --diff``; CI runs it on serial vs. sharded archives).
-* ``progress_scope`` / ``progress_shipped`` — throttled stderr progress
-  lines with ETA for long serial and sharded runs (``--progress``);
-  sharded work counts as each task's shipped counters come home.
 * ``TelemetrySampler`` / ``resource_stats`` / ``worker_stats`` —
   ``--telemetry`` resource sampling (CPU, RSS, GC) attributed to span
   paths and worker pids, riding ``TaskResult`` payloads.
@@ -63,17 +61,7 @@ from repro.obs.history import (
     detect_regressions,
 )
 from repro.obs.logs import configure_logging, log
-from repro.obs.metrics import (
-    RESERVOIR_CAP,
-    MetricsRegistry,
-    MetricsSnapshot,
-    summarize_histogram,
-)
-from repro.obs.progress import (
-    PLAN_PROGRESS_COUNTERS,
-    SEARCH_PROGRESS_COUNTERS,
-    ProgressMeter,
-)
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, summarize_histogram
 from repro.obs.render import render_metrics, render_span_tree, render_trace
 from repro.obs.runtime import (
     absorb,
@@ -82,9 +70,6 @@ from repro.obs.runtime import (
     gauge,
     metrics_snapshot,
     observe,
-    progress_enabled,
-    progress_scope,
-    progress_shipped,
     reset,
     span,
     stage,
@@ -105,15 +90,11 @@ from repro.obs.trace_io import (
     TraceData,
     TraceSchemaError,
     read_trace,
-    validate_trace,
     write_trace,
 )
 
 __all__ = [
     "ARCHIVE_VERSION",
-    "PLAN_PROGRESS_COUNTERS",
-    "RESERVOIR_CAP",
-    "SEARCH_PROGRESS_COUNTERS",
     "SUPPORTED_VERSIONS",
     "CounterDelta",
     "CriticalStep",
@@ -122,7 +103,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "PathStats",
-    "ProgressMeter",
     "Regression",
     "ResourceSample",
     "ResourceStats",
@@ -152,9 +132,6 @@ __all__ = [
     "log",
     "metrics_snapshot",
     "observe",
-    "progress_enabled",
-    "progress_scope",
-    "progress_shipped",
     "read_resources",
     "read_trace",
     "render_analysis",
@@ -173,7 +150,6 @@ __all__ = [
     "telemetry_active",
     "to_perfetto",
     "tracing_active",
-    "validate_trace",
     "walk_spans",
     "worker_capture",
     "worker_stats",

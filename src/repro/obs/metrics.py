@@ -1,21 +1,16 @@
 """Counters, gauges, and histograms with a process-safe merge protocol.
 
 The registry is deliberately dumb and fast: counters are plain dict adds,
-histograms feed a bounded reservoir.  Cross-process safety comes from the
+histograms append to plain lists.  Cross-process safety comes from the
 same protocol ``execute_plan`` uses for task results — each worker runs
 against its *own* fresh registry, ships an immutable
 :class:`MetricsSnapshot` back on the task result, and the parent merges
 snapshots in task order.  Nothing is shared, so nothing needs locks.
 
-Histogram memory is bounded: each series keeps at most
-:data:`RESERVOIR_CAP` samples via Algorithm-R reservoir sampling, seeded
-per series name (``crc32``), so long-lived processes (a serving loop
-observing ``advisor.recommend_s`` millions of times) stay flat while two
-runs of the same deterministic observation sequence still produce the
-same retained sample set and therefore the same quantiles.  Below the
-cap the reservoir is a plain append-ordered list, which is the regime
-every short-lived CLI run lives in — snapshots, diffs, and JSONL
-round-trips are unchanged there.
+A histogram keeps every observation in arrival order, so quantiles are
+exact and a later snapshot's series extends an earlier one's.  Runs of
+this program observe a handful of values per series (``sim.compile_s``,
+``advisor.recommend_s``), so nothing bounds the lists.
 
 ``MetricsSnapshot.digest()`` hashes the *counters only*, sorted by name.
 Counters count deterministic events (schedules enumerated, subtrees cut,
@@ -29,42 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 __all__ = [
-    "RESERVOIR_CAP",
     "MetricsRegistry",
     "MetricsSnapshot",
     "summarize_histogram",
 ]
-
-#: Maximum raw samples retained per histogram series.
-RESERVOIR_CAP = 4096
-
-
-class _Reservoir:
-    """Algorithm-R reservoir, seeded by series name for determinism."""
-
-    __slots__ = ("cap", "seen", "values", "_rng")
-
-    def __init__(self, name: str, cap: int = RESERVOIR_CAP) -> None:
-        self.cap = cap
-        self.seen = 0
-        self.values: list = []
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
-
-    def observe(self, value: float) -> None:
-        self.seen += 1
-        if len(self.values) < self.cap:
-            self.values.append(value)
-            return
-        slot = self._rng.randrange(self.seen)
-        if slot < self.cap:
-            self.values[slot] = value
-
 
 def summarize_histogram(values: Sequence[float]) -> Dict[str, float]:
     """count/sum/min/max plus nearest-rank p50/p95/p99 of raw samples."""
@@ -110,12 +77,8 @@ class MetricsSnapshot:
         """What happened between ``before`` and this snapshot.
 
         Both snapshots must come from the same registry: counters
-        subtract, histograms drop the prefix already present in
-        ``before``.  Below :data:`RESERVOIR_CAP` a series is append-only
-        and earlier observations are a strict prefix of later ones; once
-        the reservoir starts replacing samples the prefix property no
-        longer holds, so the full current series is kept instead of a
-        (meaningless) positional tail.
+        subtract, and each histogram drops the prefix that ``before``
+        already holds (series only grow, by appending).
         """
         counters = {}
         for name, value in self.counters.items():
@@ -124,11 +87,7 @@ class MetricsSnapshot:
                 counters[name] = delta
         histograms = {}
         for name, values in self.histograms.items():
-            prior = tuple(before.histograms.get(name, ()))
-            if tuple(values[: len(prior)]) == prior:
-                tail = values[len(prior) :]
-            else:
-                tail = values
+            tail = values[len(before.histograms.get(name, ())) :]
             if tail:
                 histograms[name] = tail
         return MetricsSnapshot(
@@ -168,7 +127,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, _Reservoir] = {}
+        self._histograms: Dict[str, List[float]] = {}
 
     # -- write path ----------------------------------------------------
     def add(self, name: str, value: float = 1) -> None:
@@ -178,19 +137,14 @@ class MetricsRegistry:
         self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        reservoir = self._histograms.get(name)
-        if reservoir is None:
-            reservoir = self._histograms[name] = _Reservoir(name)
-        reservoir.observe(value)
+        self._histograms.setdefault(name, []).append(value)
 
     # -- read / merge path ---------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(
             counters=dict(self._counters),
             gauges=dict(self._gauges),
-            histograms={
-                k: tuple(r.values) for k, r in self._histograms.items()
-            },
+            histograms={k: tuple(v) for k, v in self._histograms.items()},
         )
 
     def merge_snapshot(self, snap: MetricsSnapshot) -> None:
@@ -200,5 +154,4 @@ class MetricsRegistry:
         for name, value in snap.gauges.items():
             self.gauge(name, value)
         for name, values in snap.histograms.items():
-            for value in values:
-                self.observe(name, value)
+            self._histograms.setdefault(name, []).extend(values)

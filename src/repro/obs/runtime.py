@@ -1,11 +1,13 @@
 """Module-level observability state and the primitives built on it.
 
-Three pieces of ambient state, all process-local:
+Four pieces of ambient state, all process-local:
 
 * ``metrics`` — a :class:`MetricsRegistry` that is **always on**.  Hot
   paths emit at block/batch granularity (one dict add per enumeration
   block, not per schedule), so the always-on cost is unmeasurable while
-  keeping cache hit/miss counts available without any opt-in.
+  keeping cache hit/miss counts available without any opt-in.  Counts
+  are read once a run ends (``--metrics``, ``--trace``); nothing
+  watches them live.
 * ``tracer`` — ``None`` by default.  :func:`span` is a shared no-op
   context manager until a :class:`~repro.obs.span.Tracer` is installed
   (via :class:`capture`), which is what makes tracing zero-cost when
@@ -15,6 +17,9 @@ Three pieces of ambient state, all process-local:
   whoever is running the task.  This replaces the hand-threaded stage
   float lists the orchestrator used to build, and doubles as a span when
   tracing is active.
+* ``telemetry`` — ``None`` unless a capture scope installs a
+  :class:`~repro.obs.telemetry.TelemetrySampler` (``--telemetry``);
+  :func:`add` then takes a resource sample whenever the sampler is due.
 
 Worker processes never share this state usefully (fork inherits a stale
 copy): :class:`worker_capture` swaps in a fresh registry/tracer for the
@@ -27,10 +32,9 @@ worker to the parent.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.progress import SEARCH_PROGRESS_COUNTERS, ProgressMeter
 from repro.obs.span import SpanRecord, Tracer
 from repro.obs.telemetry import ResourceSample, TelemetrySampler
 
@@ -40,9 +44,6 @@ __all__ = [
     "capture",
     "gauge",
     "metrics_snapshot",
-    "progress_enabled",
-    "progress_scope",
-    "progress_shipped",
     "reset",
     "span",
     "stage",
@@ -54,22 +55,12 @@ __all__ = [
 
 
 class _ObsState:
-    __slots__ = (
-        "tracer",
-        "metrics",
-        "stage_log",
-        "ticker",
-        "telemetry",
-    )
+    __slots__ = ("tracer", "metrics", "stage_log", "telemetry")
 
     def __init__(self) -> None:
         self.tracer: Optional[Tracer] = None
         self.metrics: MetricsRegistry = MetricsRegistry()
         self.stage_log: Optional[List[Tuple[str, float]]] = None
-        #: Counter-bump hook: the active :class:`progress_scope`'s meter
-        #: (parent process only).  Called from :func:`add`, so it must be
-        #: cheap.
-        self.ticker: Optional[ProgressMeter] = None
         #: Resource sampler (``--telemetry``), installed by capture scopes.
         self.telemetry: Optional[TelemetrySampler] = None
 
@@ -78,14 +69,13 @@ _STATE = _ObsState()
 
 
 def reset() -> None:
-    """Drop all ambient state (fresh registry, no tracer, no meter).
+    """Drop all ambient state (fresh registry, no tracer, no sampler).
 
     Tests call it between cases.
     """
     _STATE.tracer = None
     _STATE.metrics = MetricsRegistry()
     _STATE.stage_log = None
-    _STATE.ticker = None
     _STATE.telemetry = None
 
 
@@ -95,9 +85,6 @@ def reset() -> None:
 
 def add(name: str, value: float = 1) -> None:
     _STATE.metrics.add(name, value)
-    ticker = _STATE.ticker
-    if ticker is not None:
-        ticker.tick(_STATE.metrics)
     sampler = _STATE.telemetry
     if sampler is not None and sampler.due():
         sampler.sample(_open_span_path())
@@ -189,86 +176,6 @@ def _force_sample() -> None:
     sampler = _STATE.telemetry
     if sampler is not None:
         sampler.sample(_open_span_path())
-
-
-# ---------------------------------------------------------------------------
-# progress
-
-
-class progress_scope:
-    """Live progress for one long operation (``--progress``).
-
-    Installs a :class:`~repro.obs.progress.ProgressMeter` as the ambient
-    counter ticker so serial counter bumps update the stderr line.
-    Sharded work reaches the meter through :func:`progress_shipped`, once
-    per finished task.  On clean exit the meter prints its exact 100%
-    line from the post-absorb registry; ``.done`` then holds the final
-    numerator.  With ``enabled=False`` the scope is inert — call sites
-    keep one code path.
-    """
-
-    def __init__(
-        self,
-        total: int,
-        *,
-        label: str = "progress",
-        counters: Iterable[str] = SEARCH_PROGRESS_COUNTERS,
-        stream: Optional[TextIO] = None,
-        interval: float = 0.5,
-        enabled: bool = True,
-    ) -> None:
-        self.enabled = enabled
-        self.total = total
-        self.label = label
-        self.counters = tuple(counters)
-        self.stream = stream
-        self.interval = interval
-        self.meter: Optional[ProgressMeter] = None
-        self.done = 0
-
-    def __enter__(self) -> "progress_scope":
-        if not self.enabled:
-            return self
-        self._prev_ticker = _STATE.ticker
-        self.meter = ProgressMeter(
-            self.total,
-            label=self.label,
-            counters=self.counters,
-            stream=self.stream,
-            interval=self.interval,
-            baseline=_STATE.metrics.snapshot(),
-        )
-        _STATE.ticker = self.meter
-        return self
-
-    def __exit__(self, exc_type: object, *exc: object) -> None:
-        if not self.enabled:
-            return
-        _STATE.ticker = self._prev_ticker
-        if exc_type is None and self.meter is not None:
-            self.done = self.meter.finish(_STATE.metrics)
-
-
-def progress_enabled() -> bool:
-    """True inside an enabled :class:`progress_scope` (parent only).
-
-    Hot paths use this to turn on accounting that only progress needs
-    (e.g. counting leaves under cut subtrees), so disabled runs pay
-    nothing.
-    """
-    return _STATE.ticker is not None
-
-
-def progress_shipped(snapshot: MetricsSnapshot) -> None:
-    """Count a finished worker task's shipped counters toward progress.
-
-    The plan runner calls this as each shard's future completes; the
-    counters leave the meter's pool again when :func:`absorb` merges the
-    same snapshot into the registry, so nothing is counted twice.
-    """
-    meter = _STATE.ticker
-    if meter is not None:
-        meter.ship(snapshot, _STATE.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +328,12 @@ class worker_capture:
     Swaps in a *fresh* registry (and tracer, when the parent is tracing)
     so a pooled worker process — which may run many tasks back to back —
     never leaks metrics between tasks.  After exit, ``.spans`` and
-    ``.snapshot`` are the picklable payloads to ship on the TaskResult;
-    the parent counts that snapshot toward progress when the task
-    finishes (:func:`progress_shipped`).
+    ``.snapshot`` are the picklable payloads to ship on the TaskResult.
 
-    The ticker slot is *always* cleared for the task — a forked worker
-    inherits the parent's ProgressMeter in its stale state copy, and
-    ticking that from a worker would print a stale line from the child.
-    The telemetry slot is overridden for the same reason: with
+    The telemetry slot is *always* overridden for the task — a forked
+    worker inherits the parent's sampler in its stale state copy: with
     ``telemetry=True`` a fresh sampler is installed, otherwise the
-    inherited stale sampler is masked with None.
+    inherited one is masked with None.
 
     After exit ``.resources`` holds the worker's samples and ``.epoch``
     the worker-side clock origin, which :func:`absorb` uses to rebase
@@ -448,7 +351,6 @@ class worker_capture:
     def __enter__(self) -> "worker_capture":
         self._prev_tracer = _STATE.tracer
         self._prev_metrics = _STATE.metrics
-        self._prev_ticker = _STATE.ticker
         self._prev_telemetry = _STATE.telemetry
         _STATE.tracer = Tracer() if self.trace else None
         _STATE.metrics = MetricsRegistry()
@@ -458,7 +360,6 @@ class worker_capture:
             else None
         )
         _STATE.telemetry = sampler
-        _STATE.ticker = None
         if sampler is not None:
             sampler.sample("")  # baseline reading before any work
         return self
@@ -478,7 +379,6 @@ class worker_capture:
         self.snapshot = _STATE.metrics.snapshot()
         _STATE.tracer = self._prev_tracer
         _STATE.metrics = self._prev_metrics
-        _STATE.ticker = self._prev_ticker
         _STATE.telemetry = self._prev_telemetry
 
 
@@ -497,10 +397,9 @@ def absorb(
 ) -> None:
     """Fold a worker's shipped telemetry into the ambient state.
 
-    Metrics merge into the live registry (and leave the progress meter's
-    pool of shipped counters, see :func:`progress_shipped`); span
-    subtrees graft under the current open span (``plan.execute`` during
-    plan merging), giving one coherent trace tree per run.  When the
+    Metrics merge into the live registry; span subtrees graft under the
+    current open span (``plan.execute`` during plan merging), giving one
+    coherent trace tree per run.  When the
     worker ships its clock ``epoch``, span starts and sample timestamps
     are rebased by ``worker_epoch - parent_epoch`` first —
     ``perf_counter`` is the system-wide monotonic clock on the platforms
@@ -511,8 +410,6 @@ def absorb(
     """
     if snapshot is not None and not snapshot.is_empty():
         _STATE.metrics.merge_snapshot(snapshot)
-        if _STATE.ticker is not None:
-            _STATE.ticker.absorbed(snapshot)
     tracer = _STATE.tracer
     sampler = _STATE.telemetry
     shift = 0.0

@@ -128,8 +128,8 @@ class TelemetrySampler:
 
     The sampler shares its epoch with the process's tracer (when both
     are active) so sample timestamps land on the same axis as span
-    starts.  ``maybe_sample`` is the hot-path hook — one clock read when
-    throttled — while ``sample`` forces a reading at span boundaries.
+    starts.  ``due`` is the hot-path check — one clock read — and
+    ``sample`` takes a reading, whether due or forced at a span boundary.
     """
 
     __slots__ = ("interval", "epoch", "samples", "_clock", "_last")
@@ -159,12 +159,6 @@ class TelemetrySampler:
         rec = sample_now(path, ts=now - self.epoch)
         self.samples.append(rec)
         return rec
-
-    def maybe_sample(self, path: str = "") -> Optional[ResourceSample]:
-        """Throttled sample; returns None inside the throttle window."""
-        if not self.due():
-            return None
-        return self.sample(path)
 
     # ------------------------------------------------------------------
     def absorb(

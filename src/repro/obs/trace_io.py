@@ -16,10 +16,10 @@ Schema (one JSON object per line):
   so quantiles survive the round-trip exactly).
 
 ``read_trace(write_trace(...))`` reconstructs the span forest, samples,
-and snapshot bit-for-bit; :func:`validate_trace` is the strict reader CI
-runs against ``repro suite --trace`` output.  The reader accepts every
-version in :data:`SUPPORTED_VERSIONS` — v1 files (pre-telemetry) simply
-have no sample lines — and always writes :data:`TRACE_VERSION`.
+and snapshot bit-for-bit.  The reader is strict (CI runs it against
+``repro suite --trace`` output) and accepts every version in
+:data:`SUPPORTED_VERSIONS` — v1 files (pre-telemetry) simply have no
+sample lines; the writer always writes :data:`TRACE_VERSION`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "TraceData",
     "TraceSchemaError",
     "read_trace",
-    "validate_trace",
     "write_trace",
 ]
 
@@ -282,8 +281,3 @@ def read_trace(path: str) -> TraceData:
         samples=tuple(samples),
         version=int(version),
     )
-
-
-def validate_trace(path: str) -> TraceData:
-    """Strict parse; alias of :func:`read_trace` kept for intent at call sites."""
-    return read_trace(path)

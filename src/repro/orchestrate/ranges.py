@@ -92,7 +92,6 @@ def run_range_sharded_search(
     measurement: Optional[MeasurementConfig] = None,
     execution: ExecConfig = ExecConfig(),
     store_path: Optional[str] = None,
-    progress: bool = False,
 ) -> RangeShardedSearch:
     """Exhaustively sweep one workload's space as ``n_shards`` ranges.
 
@@ -105,13 +104,9 @@ def run_range_sharded_search(
     measurement cache and sweep block (``cache_path``, ``block_size``);
     none of them changes the merged result.
 
-    ``progress=True`` wraps execution in an :func:`obs.progress_scope`
-    over the exact ``space.count()`` denominator: the stderr line tracks
-    enumeration positions retired (enumerated + cut) with an ETA, and
-    advances as each range finishes and its shipped counters come home.
-    Under ``--telemetry`` every shard ships its resource samples home the
-    same way, for parent-side absorption — no extra wiring here, the
-    plan runner threads it through.
+    Under ``--telemetry`` every shard ships its resource samples home on
+    its task result, for parent-side absorption — no extra wiring here,
+    the plan runner threads it through.
     """
     t0 = time.perf_counter()
     space = DesignSpace(build_workload(spec), n_streams=n_streams)
@@ -143,10 +138,7 @@ def run_range_sharded_search(
         for i, r in enumerate(ranges)
     )
     plan = ExecutionPlan(machine=machine, tasks=tasks)
-    with obs.progress_scope(
-        total, label=f"search {spec.family}", enabled=progress
-    ):
-        run: PlanRun = execute_plan(plan, shard_workers=execution.shard_workers)
+    run: PlanRun = execute_plan(plan, shard_workers=execution.shard_workers)
     merged = SearchResult(strategy="exhaustive")
     for task_result in run.results:
         shard: SearchResult = task_result.payload  # type: ignore[assignment]

@@ -21,10 +21,9 @@ Task payloads must pickle.  Programs may not (payload closures), so
 bit-identical by the workload determinism contract.
 
 The :class:`TaskResult` is a worker's only channel to the parent: its
-counters, spans and resource samples ship home with the payload.  As
-each shard's future completes, the progress meter counts the shipped
-counters (:func:`repro.obs.progress_shipped`); once every task is back,
-``execute_plan`` absorbs them all in task-index order.
+counters, spans and resource samples ship home with the payload, and
+once every task is back ``execute_plan`` absorbs them all in task-index
+order.
 """
 
 from __future__ import annotations
@@ -332,8 +331,7 @@ def _execute_task_shipped(
     fresh worker-local registry (and tracer, when the parent traces —
     ``observe``), whose snapshot and span subtrees ship home on the
     result for :func:`repro.obs.absorb` in ``execute_plan``.  The result
-    is the worker's only channel home: the parent's progress meter counts
-    its shipped counters when the task finishes.
+    is the worker's only channel home.
     """
     with obs.worker_capture(trace=observe, telemetry=telemetry) as cap:
         result = execute_task(machine, task)
@@ -426,8 +424,5 @@ def _execute_sharded(plan: ExecutionPlan, shard_workers: int) -> List[TaskResult
         for future in as_completed(futures):
             result = future.result()  # re-raises task errors
             results.append(result)
-            # Progress counts the shipped counters now; execute_plan
-            # absorbs them into the registry once every task is back.
-            obs.progress_shipped(result.metrics)
             obs.add("plan.tasks_completed")
     return results

@@ -482,8 +482,8 @@ class ScheduleBlock:
     cut before expansion while this block filled (their schedules were
     never even enumerated — branch-and-bound, not filtering).
     ``n_leaves_cut`` is the number of enumeration positions those cut
-    subtrees spanned — populated only when leaf counting is on (range
-    limits or live progress), zero otherwise.
+    subtrees spanned — populated only under a range ``limit``, zero
+    otherwise.
     """
 
     index: int
@@ -698,10 +698,8 @@ class DesignSpace:
             return
         after = cursor.path if cursor is not None else ()
         # Leaf counting costs a completion-count DP per cut, so it stays
-        # off unless a range limit needs exact positions or a progress
-        # meter needs every retired position in its numerator.
-        count_leaves = limit is not None or obs.progress_enabled()
-        cuts = _CutLog(count_leaves=count_leaves)
+        # off unless a range limit needs exact positions.
+        cuts = _CutLog(count_leaves=limit is not None)
         stream = self._stream(after, keep_prefix=keep_prefix, cuts=cuts)
         produced = 0
         ended = False

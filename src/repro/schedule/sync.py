@@ -87,10 +87,6 @@ class SyncPlan:
     ces_name_of: Dict[Tuple[str, str], str] = field(hash=False)
     gpu_gpu_edges: Tuple[Tuple[str, str], ...] = ()
 
-    def n_sync_ops_min(self) -> int:
-        """Sync ops present in every schedule (CER+CES per GPU->CPU edge)."""
-        return len(self.cer_sources) + len(self.ces_edges)
-
 
 def build_sync_plan(graph: Graph) -> SyncPlan:
     """Analyze ``graph`` and derive its synchronization structure."""

@@ -24,7 +24,7 @@ from repro.sim.batch import (
     compile_context,
     select_engine,
 )
-from repro.sim.engine import AllOf, AnyOf, Environment, Event, Process, Timeout
+from repro.sim.engine import AllOf, Environment, Event, Process, Timeout
 from repro.sim.executor import ScheduleExecutor, SimResult
 from repro.sim.measure import Benchmarker, Measurement, MeasurementConfig
 from repro.sim.semantics import HazardTracker, PayloadContext, RankContext
@@ -32,7 +32,6 @@ from repro.sim.trace import Gantt, Trace, TraceRecord
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Benchmarker",
     "compile_context",
     "CompiledContext",

@@ -5,7 +5,7 @@ queue of ``(time, seq, callback)`` entries: at each entry's time it calls
 ``callback()``, and ties fire in push order (``seq``).  Two kinds of entry
 share the queue:
 
-* a scheduled :class:`Event` (a :class:`Timeout`, an empty composite)
+* a scheduled :class:`Event` (a :class:`Timeout`, an empty :class:`AllOf`)
   pushes its bound ``_fire``, which fires the event and so resumes
   whatever waits on it;
 * everything else pushes a bare callback through
@@ -14,10 +14,10 @@ share the queue:
   transfer completions.
 
 Processes are Python generators that ``yield`` either a waitable
-(:class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`) or a
-plain ``float`` delay in seconds; a delay resumes the process through the
-queue without allocating an event, and fires at the same point in the
-queue as ``env.timeout(delay)`` would.  The design follows the SimPy
+(:class:`Event`, :class:`Timeout`, :class:`AllOf`) or a plain ``float``
+delay in seconds; a delay resumes the process through the queue without
+allocating an event, and fires at the same point in the queue as
+``env.timeout(delay)`` would.  The design follows the SimPy
 process model but is self-contained, deterministic, and adds deadlock
 detection: if the queue drains while processes are still blocked,
 :class:`~repro.errors.DeadlockError` is raised with a description of who
@@ -110,11 +110,13 @@ class Timeout(Event):
         heappush(env._queue, (env.now + delay, env._seq, self._fire))
 
 
-class _Composite(Event):
+class AllOf(Event):
+    """Fires when all constituent events have fired."""
+
     __slots__ = ("_pending",)
 
     def __init__(
-        self, env: "Environment", events: Iterable[Event], label: Label
+        self, env: "Environment", events: Iterable[Event], label: Label = "all"
     ) -> None:
         super().__init__(env, label)
         events = list(events)
@@ -127,39 +129,10 @@ class _Composite(Event):
         for e in events:
             e.add_callback(on_fire)
 
-    def _on_fire(self, evt: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Composite):
-    """Fires when all constituent events have fired."""
-
-    __slots__ = ()
-
-    def __init__(
-        self, env: "Environment", events: Iterable[Event], label: Label = "all"
-    ) -> None:
-        super().__init__(env, events, label)
-
     def _on_fire(self, _evt: Event) -> None:
         self._pending -= 1
         if self._pending == 0 and not self.triggered:
             self.succeed()
-
-
-class AnyOf(_Composite):
-    """Fires when the first constituent event fires."""
-
-    __slots__ = ()
-
-    def __init__(
-        self, env: "Environment", events: Iterable[Event], label: Label = "any"
-    ) -> None:
-        super().__init__(env, events, label)
-
-    def _on_fire(self, evt: Event) -> None:
-        if not self.triggered:
-            self.succeed(evt.value)
 
 
 #: What a process yields: a waitable, or a delay in seconds.
@@ -259,9 +232,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event], label: Label = "all") -> AllOf:
         return AllOf(self, events, label)
-
-    def any_of(self, events: Iterable[Event], label: Label = "any") -> AnyOf:
-        return AnyOf(self, events, label)
 
     def process(
         self, gen: Generator[Yieldable, Any, Any], name: str = "process"

@@ -38,9 +38,6 @@ class Trace:
     ) -> None:
         self.records.append(TraceRecord(rank, resource, op, start, end))
 
-    def for_rank(self, rank: int) -> List[TraceRecord]:
-        return [r for r in self.records if r.rank == rank]
-
     def for_resource(self, rank: int, resource: str) -> List[TraceRecord]:
         return [
             r
@@ -48,30 +45,8 @@ class Trace:
             if r.rank == rank and r.resource == resource
         ]
 
-    def busy_time(self, rank: int, resource: str) -> float:
-        return sum(r.duration for r in self.for_resource(rank, resource))
-
     def makespan(self) -> float:
         return max((r.end for r in self.records), default=0.0)
-
-    def overlap(
-        self, rank: int, resource_a: str, resource_b: str
-    ) -> float:
-        """Total time during which both resources are simultaneously busy."""
-        a = sorted(self.for_resource(rank, resource_a), key=lambda r: r.start)
-        b = sorted(self.for_resource(rank, resource_b), key=lambda r: r.start)
-        total = 0.0
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i].start, b[j].start)
-            hi = min(a[i].end, b[j].end)
-            if hi > lo:
-                total += hi - lo
-            if a[i].end <= b[j].end:
-                i += 1
-            else:
-                j += 1
-        return total
 
 
 class Gantt:

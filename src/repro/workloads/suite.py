@@ -388,7 +388,6 @@ class SuiteRunner:
         seed: int = 0,
         execution: ExecConfig = ExecConfig(),
         store_path: Optional[str] = None,
-        progress: bool = False,
     ) -> None:
         self.suite = suite
         self.machine = machine if machine is not None else perlmutter_like()
@@ -397,8 +396,6 @@ class SuiteRunner:
         #: Advisor artifact store directory; cross-workload suite runs
         #: publish their trained outputs there (:mod:`repro.advisor`).
         self.store_path = store_path
-        #: Live stderr progress over completed plan tasks (``--progress``).
-        self.progress = progress
 
     # ------------------------------------------------------------------
     def run(self) -> SuiteReport:
@@ -422,15 +419,7 @@ class SuiteRunner:
             shard_workers=shard_workers,
         )
         metrics_before = obs.metrics_snapshot()
-        # Suite progress counts whole tasks: the denominator is exact and
-        # task completions are the granularity sharded suites observe.
-        with obs.progress_scope(
-            len(plan.tasks),
-            label=f"suite {suite.name}",
-            counters=obs.PLAN_PROGRESS_COUNTERS,
-            enabled=self.progress,
-        ):
-            run = execute_plan(plan, shard_workers=shard_workers)
+        run = execute_plan(plan, shard_workers=shard_workers)
         delta = obs.metrics_snapshot().diff(metrics_before)
         cells: List[SuiteCell] = [
             cell
@@ -529,7 +518,6 @@ def run_suite(
     seed: int = 0,
     execution: ExecConfig = ExecConfig(),
     store_path: Optional[str] = None,
-    progress: bool = False,
 ) -> SuiteReport:
     """Convenience: look up a built-in suite by name and run it."""
     return SuiteRunner(
@@ -538,5 +526,4 @@ def run_suite(
         seed=seed,
         execution=execution,
         store_path=store_path,
-        progress=progress,
     ).run()

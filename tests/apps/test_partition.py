@@ -73,13 +73,6 @@ class TestPartition:
             pieces.append(y)
         assert np.allclose(np.concatenate(pieces), a @ x)
 
-    def test_owner_of(self, parted):
-        _, part = parted
-        assert part.owner_of(0) == 0
-        assert part.owner_of(part.n_rows - 1) == part.n_ranks - 1
-        with pytest.raises(ValueError):
-            part.owner_of(part.n_rows)
-
     def test_rectangular_matrix_rejected(self):
         with pytest.raises(ValueError, match="square"):
             partition_spmv(sp.csr_matrix((10, 20)), 2)

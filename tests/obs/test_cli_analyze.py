@@ -1,6 +1,5 @@
-"""CLI surface for PR 8: --archive, trace --analyze/--diff, --progress."""
+"""CLI surface: --archive, trace --analyze/--diff."""
 
-import re
 import sys
 
 import pytest
@@ -98,74 +97,6 @@ def test_trace_diff_requires_two_paths(tmp_path):
         main(["trace", "--diff", str(tmp_path / "only-one")])
     with pytest.raises(SystemExit, match="renders one trace"):
         main(["trace", str(tmp_path / "a"), str(tmp_path / "b")])
-
-
-# -- --progress --------------------------------------------------------
-def _progress_lines(err, label="search wavefront"):
-    return [line for line in err.splitlines() if line.startswith(label)]
-
-
-def _done_counts(lines):
-    return [int(re.search(r"\((\d+)/16\)", line).group(1)) for line in lines]
-
-
-def test_search_progress_serial_monotone_to_100(capsys):
-    assert main(SEARCH_ARGV + ["--progress"]) == 0
-    err = capsys.readouterr().err
-    lines = _progress_lines(err)
-    assert lines, err
-    done = _done_counts(lines)
-    assert done == sorted(done)
-    # Exhaustive 2x2 wavefront: 16 enumerated leaves, none cut, so the
-    # meter ends at exactly 100% = evaluated + pruned + cut.
-    assert done[-1] == 16
-    assert "100.0%" in lines[-1] and "done" in lines[-1]
-
-
-def test_search_progress_range_sharded_monotone_to_100(capsys):
-    argv = SEARCH_ARGV + ["--range-shards", "4", "--progress"]
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    lines = _progress_lines(captured.err)
-    assert lines, captured.err
-    done = _done_counts(lines)
-    assert done == sorted(done)
-    assert done[-1] == 16
-    assert "100.0%" in lines[-1] and "done" in lines[-1]
-    # Sharding must not change the search result accounting.
-    assert "evaluated 16 schedules" in captured.out
-
-
-def test_search_progress_shard_workers_count_finished_ranges(capsys):
-    # Four 4-schedule ranges on two worker processes: the parent counts
-    # each range's shipped counters when it finishes, so every line shows
-    # whole ranges and the last one the exact total.
-    argv = SEARCH_ARGV + [
-        "--range-shards", "4", "--shard-workers", "2", "--progress",
-    ]
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    lines = _progress_lines(captured.err)
-    assert lines, captured.err
-    done = _done_counts(lines)
-    assert done == sorted(done)
-    assert all(n % 4 == 0 for n in done), done
-    assert "(16/16)" in lines[-1] and "done" in lines[-1]
-    assert "evaluated 16 schedules" in captured.out
-
-
-def test_search_progress_requires_exhaustive():
-    with pytest.raises(SystemExit, match="--progress requires"):
-        main(SEARCH_ARGV + ["--strategy", "random", "--progress"])
-
-
-def test_suite_progress_counts_tasks(capsys, tmp_path):
-    json_path = str(tmp_path / "smoke.json")
-    assert main(["suite", "smoke", "--progress", "--json", json_path]) == 0
-    err = capsys.readouterr().err
-    lines = [line for line in err.splitlines() if line.startswith("suite smoke")]
-    assert lines, err
-    assert "(7/7)" in lines[-1] and "done" in lines[-1]
 
 
 # -- renderer sibling ordering ----------------------------------------

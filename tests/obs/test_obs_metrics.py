@@ -104,3 +104,61 @@ class TestHistogramSummary:
     def test_single_value(self):
         s = summarize_histogram([7.0])
         assert s["p50"] == s["p95"] == s["p99"] == 7.0
+
+
+class TestHistogramSeries:
+    """A series is a plain list: every observation, in arrival order."""
+
+    N = 4096
+
+    @staticmethod
+    def _filled(n):
+        reg = MetricsRegistry()
+        for i in range(n):
+            reg.observe("lat", float(i))
+        return reg
+
+    def test_append_order(self):
+        reg = MetricsRegistry()
+        for v in (3.0, 1.0, 2.0):
+            reg.observe("lat", v)
+        assert reg.snapshot().histograms["lat"] == (3.0, 1.0, 2.0)
+
+    def test_diff_is_the_appended_tail(self):
+        reg = MetricsRegistry()
+        reg.observe("lat", 1.0)
+        before = reg.snapshot()
+        reg.observe("lat", 2.0)
+        assert reg.snapshot().diff(before).histograms["lat"] == (2.0,)
+
+    def test_diff_is_the_appended_tail_at_any_length(self):
+        for n in (self.N - 1, self.N, 5 * self.N):
+            reg = self._filled(n)
+            before = reg.snapshot()
+            for i in range(64):
+                reg.observe("lat", float(-i))
+            delta = reg.snapshot().diff(before)
+            assert delta.histograms["lat"] == tuple(float(-i) for i in range(64))
+
+    def test_unchanged_series_diffs_empty(self):
+        for n in (self.N - 1, self.N + 64):
+            snap = self._filled(n).snapshot()
+            assert "lat" not in snap.diff(snap).histograms
+
+    def test_quantiles_are_exact(self):
+        for n in (self.N, 5 * self.N):
+            values = self._filled(n).snapshot().histograms["lat"]
+            assert values == tuple(float(i) for i in range(n))
+            summary = summarize_histogram(values)
+            assert summary["count"] == n
+            assert summary["min"] == 0.0
+            assert summary["max"] == float(n - 1)
+            assert summary["p50"] == float(n // 2 - 1)
+
+    def test_merge_snapshot_appends_every_value(self):
+        reg = MetricsRegistry()
+        first = tuple(float(i) for i in range(10))
+        second = tuple(float(-i) for i in range(2 * self.N))
+        reg.merge_snapshot(MetricsSnapshot(histograms={"lat": first}))
+        reg.merge_snapshot(MetricsSnapshot(histograms={"lat": second}))
+        assert reg.snapshot().histograms["lat"] == first + second

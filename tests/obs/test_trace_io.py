@@ -10,7 +10,6 @@ from repro.obs import (
     SpanRecord,
     TraceSchemaError,
     read_trace,
-    validate_trace,
     write_trace,
 )
 from repro.obs.trace_io import TRACE_VERSION
@@ -75,7 +74,7 @@ class TestRoundTrip:
             obs.add("c", 2)
         path = str(tmp_path / "t.jsonl")
         write_trace(path, cap.spans, metrics=cap.metrics)
-        data = validate_trace(path)
+        data = read_trace(path)
         assert data.spans == cap.spans
         assert data.metrics.counter("c") == 2
 

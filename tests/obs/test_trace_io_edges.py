@@ -1,10 +1,10 @@
-"""validate_trace edge cases: torn files, bad ids, version drift."""
+"""read_trace edge cases: torn files, bad ids, version drift."""
 
 import json
 
 import pytest
 
-from repro.obs import TraceSchemaError, validate_trace, write_trace
+from repro.obs import TraceSchemaError, read_trace, write_trace
 from repro.obs.span import SpanRecord
 from repro.obs.trace_io import TRACE_VERSION
 
@@ -32,7 +32,7 @@ def _write(tmp_path, lines, tail=""):
 
 
 def test_valid_file_parses(tmp_path):
-    data = validate_trace(_write(tmp_path, _valid_lines()))
+    data = read_trace(_write(tmp_path, _valid_lines()))
     assert data.n_spans() == 2
     assert data.spans[0].children[0].name == "child"
 
@@ -44,7 +44,7 @@ def test_truncated_final_line_rejected(tmp_path):
     torn = lines[-1][: len(lines[-1]) // 2]
     path = _write(tmp_path, lines[:-1], tail=torn + "\n")
     with pytest.raises(TraceSchemaError, match="not JSON"):
-        validate_trace(path)
+        read_trace(path)
 
 
 def test_duplicate_span_ids_rejected(tmp_path):
@@ -53,7 +53,7 @@ def test_duplicate_span_ids_rejected(tmp_path):
     dup["id"] = 0  # collides with the root's DFS id
     path = _write(tmp_path, lines[:2] + [json.dumps(dup)])
     with pytest.raises(TraceSchemaError, match="duplicate span id"):
-        validate_trace(path)
+        read_trace(path)
 
 
 def test_child_before_parent_rejected(tmp_path):
@@ -62,7 +62,7 @@ def test_child_before_parent_rejected(tmp_path):
     lines = _valid_lines()
     path = _write(tmp_path, [lines[0], lines[2], lines[1]])
     with pytest.raises(TraceSchemaError, match="unknown parent"):
-        validate_trace(path)
+        read_trace(path)
 
 
 def test_schema_version_mismatch_rejected(tmp_path):
@@ -71,14 +71,14 @@ def test_schema_version_mismatch_rejected(tmp_path):
     header["version"] = TRACE_VERSION + 1
     path = _write(tmp_path, [json.dumps(header)] + lines[1:])
     with pytest.raises(TraceSchemaError, match="unsupported trace version"):
-        validate_trace(path)
+        read_trace(path)
 
 
 def test_missing_header_rejected(tmp_path):
     lines = _valid_lines()
     path = _write(tmp_path, lines[1:])
     with pytest.raises(TraceSchemaError, match="first line must be"):
-        validate_trace(path)
+        read_trace(path)
 
 
 def test_span_missing_keys_rejected(tmp_path):
@@ -87,7 +87,7 @@ def test_span_missing_keys_rejected(tmp_path):
     del span["dur"]
     path = _write(tmp_path, [lines[0], json.dumps(span)])
     with pytest.raises(TraceSchemaError, match="missing keys"):
-        validate_trace(path)
+        read_trace(path)
 
 
 def test_unknown_line_type_rejected(tmp_path):
@@ -95,14 +95,14 @@ def test_unknown_line_type_rejected(tmp_path):
         tmp_path, _valid_lines() + [json.dumps({"type": "mystery"})]
     )
     with pytest.raises(TraceSchemaError, match="unknown line type"):
-        validate_trace(path)
+        read_trace(path)
 
 
 def test_error_messages_carry_path_and_line(tmp_path):
     lines = _valid_lines()
     path = _write(tmp_path, lines[:-1], tail="{torn\n")
     with pytest.raises(TraceSchemaError, match=r"t\.jsonl:3"):
-        validate_trace(path)
+        read_trace(path)
 
 
 def test_round_trip_after_rewrite_is_valid(tmp_path):
@@ -115,7 +115,7 @@ def test_round_trip_after_rewrite_is_valid(tmp_path):
     root = SpanRecord(name="r", start=0.0, duration=1.0, pid=1)
     path = str(tmp_path / "rt.jsonl")
     write_trace(path, [root], registry.snapshot(), meta={"command": "x"})
-    data = validate_trace(path)
+    data = read_trace(path)
     assert data.meta == {"command": "x"}
     assert data.metrics.counter("n") == 3
     assert data.metrics.histograms["lat"] == (0.5,)
@@ -140,7 +140,7 @@ def test_archived_sample_line_with_malloc_key_still_reads(tmp_path):
         json.dumps(sample),
         json.dumps(dict(sample, ts=0.75, malloc=None)),
     ]
-    data = validate_trace(_write(tmp_path, lines))
+    data = read_trace(_write(tmp_path, lines))
     assert data.version == 2
     assert [rec.ts for rec in data.samples] == [0.5, 0.75]
     rec = data.samples[0]
@@ -153,6 +153,6 @@ def test_archived_sample_line_with_malloc_key_still_reads(tmp_path):
     )
     path = str(tmp_path / "rewritten.jsonl")
     write_trace(path, data.spans, samples=data.samples)
-    assert validate_trace(path).samples == data.samples
+    assert read_trace(path).samples == data.samples
     with open(path, encoding="utf-8") as fh:
         assert all('"malloc"' not in line for line in fh)

@@ -1,10 +1,7 @@
 """repro.orchestrate: plan construction, execution, shard determinism."""
 
-import os
-
 import pytest
 
-from repro import obs
 from repro.errors import WorkloadError
 from repro.exec import ExecConfig
 from repro.orchestrate import (
@@ -226,24 +223,6 @@ class TestExecution:
         ]
 
 
-class _PidTaggedStream:
-    """Appends every write to a file, prefixed with the writer's pid.
-
-    A forked shard worker writes through its own copy of this object, so
-    the file records which process printed each progress line.
-    """
-
-    def __init__(self, path):
-        self.path = path
-
-    def write(self, text):
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {text}")
-
-    def flush(self):
-        pass
-
-
 class TestWorkerBoundary:
     """What crosses the shard pool's process boundary besides payloads."""
 
@@ -265,15 +244,3 @@ class TestWorkerBoundary:
         with pytest.raises(WorkloadError, match="unknown suite strategy 'nope'") as exc:
             execute_plan(plan, shard_workers=2)
         assert "make_strategy" in str(exc.value.__cause__)
-
-    def test_workers_never_print_the_parents_progress(self, tmp_path):
-        """Shard workers drop the progress meter they inherit by fork:
-        the parent prints every line, so the count can never go
-        backwards to a child's stale copy."""
-        log = tmp_path / "progress.log"
-        plan = plan_suite(TINY, machine=_machine())
-        with obs.progress_scope(1000, interval=0.0, stream=_PidTaggedStream(str(log))):
-            run = execute_plan(plan, shard_workers=2)
-        assert os.getpid() not in {r.pid for r in run.results}
-        pids = [int(line.split()[0]) for line in log.read_text().splitlines()]
-        assert pids and set(pids) == {os.getpid()}

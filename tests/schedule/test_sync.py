@@ -32,7 +32,6 @@ class TestPlanAnalysis:
         assert plan.cer_sources == {"k"}
         assert plan.ces_edges == (("k", "c"),)
         assert plan.ces_name_of[("k", "c")] == "CES-b4-c"
-        assert plan.n_sync_ops_min() == 2
 
     def test_cpu_to_gpu_edge_needs_nothing(self):
         g = Graph()

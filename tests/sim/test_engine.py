@@ -74,18 +74,6 @@ class TestComposites:
         env.run()
         assert done_at == [3.0]
 
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        done_at = []
-
-        def proc():
-            yield env.any_of([env.timeout(1.0), env.timeout(3.0)])
-            done_at.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done_at == [1.0]
-
     def test_empty_all_of_fires_immediately(self):
         env = Environment()
         done = []

@@ -12,41 +12,6 @@ from repro.sim.network import Network
 from repro.sim.stream import StreamSet
 
 
-class TestAnyOfValues:
-    def test_first_value_delivered(self):
-        env = Environment()
-        got = []
-
-        def firer():
-            yield env.timeout(1.0)
-            e1.succeed("first")
-            yield env.timeout(1.0)
-            e2.succeed("second")
-
-        def waiter():
-            value = yield env.any_of([e1, e2])
-            got.append((env.now, value))
-
-        e1 = env.event("e1")
-        e2 = env.event("e2")
-        env.process(firer())
-        env.process(waiter())
-        env.run()
-        assert got == [(1.0, "first")]
-
-    def test_any_of_empty_fires_now(self):
-        env = Environment()
-        done = []
-
-        def proc():
-            yield env.any_of([])
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [0.0]
-
-
 class TestFireAt:
     def test_run_until_stops_early(self):
         env = Environment()

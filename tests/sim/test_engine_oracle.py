@@ -108,18 +108,6 @@ class RefAllOf(RefComposite):
             e.add_callback(on_fire)
 
 
-class RefAnyOf(RefComposite):
-    __slots__ = ()
-
-    def _arm(self, events):
-        def on_fire(evt):
-            if not self.triggered:
-                self.succeed(evt.value)
-
-        for e in events:
-            e.add_callback(on_fire)
-
-
 class RefProcess:
     __slots__ = ("env", "name", "_gen", "done", "_waiting_on", "daemon")
 
@@ -179,9 +167,6 @@ class RefEnvironment:
 
     def all_of(self, events, label="all"):
         return RefAllOf(self, events, label)
-
-    def any_of(self, events, label="any"):
-        return RefAnyOf(self, events, label)
 
     def process(self, gen, name="process", daemon=False):
         return RefProcess(self, gen, name, daemon)

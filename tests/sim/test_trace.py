@@ -1,7 +1,5 @@
 """Tests for trace collection and Gantt rendering."""
 
-import pytest
-
 from repro.sim.trace import Gantt, Trace, TraceRecord
 
 
@@ -15,29 +13,8 @@ def make_trace():
 
 
 class TestTrace:
-    def test_busy_time(self):
-        t = make_trace()
-        assert t.busy_time(0, "cpu") == pytest.approx(2.0)
-        assert t.busy_time(0, "stream0") == pytest.approx(2.0)
-
     def test_makespan(self):
         assert make_trace().makespan() == 4.0
-
-    def test_for_rank_filters(self):
-        t = make_trace()
-        assert len(t.for_rank(0)) == 3
-        assert len(t.for_rank(1)) == 1
-
-    def test_overlap(self):
-        t = make_trace()
-        # cpu [0,1]+[2,3] vs stream0 [0.5,2.5] -> 0.5 + 0.5
-        assert t.overlap(0, "cpu", "stream0") == pytest.approx(1.0)
-
-    def test_overlap_disjoint(self):
-        t = Trace()
-        t.add(0, "a", "x", 0.0, 1.0)
-        t.add(0, "b", "y", 2.0, 3.0)
-        assert t.overlap(0, "a", "b") == 0.0
 
     def test_record_duration(self):
         r = TraceRecord(0, "cpu", "x", 1.0, 3.5)

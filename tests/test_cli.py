@@ -453,6 +453,28 @@ def test_trace_rows_and_bar_width_must_be_positive(flag, value, tmp_path, capsys
     assert f"{flag}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("last", ["0", "-3"])
+def test_history_show_last_must_be_positive(last, tmp_path, capsys):
+    """`repro obs history show --last 0` (or a negative count) used to
+    print one value per series and exit 0."""
+    from repro.obs import HistoryStore
+
+    store = str(tmp_path / "hist")
+    history = HistoryStore(store)
+    for i in range(5):
+        history.ingest_analysis(
+            {"paths": [{"path": "plan.execute", "total_s": float(i + 1)}]},
+            ts=float(i),
+            run_id=f"run-{i}",
+        )
+    assert main(["obs", "history", "show", store, "--last", "2"]) == 0
+    assert "(5 points): 4 5\n" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", "history", "show", store, "--last", last])
+    assert exc.value.code == 2
+    assert f"--last: must be >= 1, got {last}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sigma", ["-0.5", "inf", "nan"])
 def test_noise_must_be_finite_and_non_negative(sigma, capsys):
     """A negative sigma used to end in a ValueError, and an infinite one
