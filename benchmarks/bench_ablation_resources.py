@@ -1,19 +1,11 @@
-"""Ablation: resource assignment — stream count and multi-GPU placement.
+"""Ablation: resource assignment — stream count.
 
-The paper fixes 2 streams per GPU and proposes (§VI) extending resource
-assignment to multiple GPUs.  Two sweeps:
-
-* stream count: how much of the SpMV design space's spread the second
-  stream creates (1 stream removes all stream-assignment freedom);
-* GPU placement: on the halo program (which has GPU→GPU dependencies),
-  splitting the two streams across two GPUs adds an inter-device fence to
-  every cross-stream wait — fast schedules change.
+The paper fixes 2 streams per GPU.  The sweep shows how much of the SpMV
+design space's spread the second stream creates (1 stream removes all
+stream-assignment freedom).
 """
 
-import dataclasses
-
 from benchmarks.conftest import emit
-from repro.apps.halo import GridCase, build_halo_program
 from repro.schedule import DesignSpace
 from repro.search import ExhaustiveSearch
 from repro.sim import Benchmarker, MeasurementConfig, ScheduleExecutor
@@ -59,37 +51,3 @@ def test_stream_count_sweep(benchmark, wb, capfd):
     assert by_streams[1][1] == 135
     assert by_streams[2][1] == 540
     assert by_streams[3][1] == 675
-
-
-def test_multi_gpu_placement(benchmark, capfd):
-    case = GridCase(nx=128, ny=128, nz=64, px=2, py=2, pz=1)
-    program = build_halo_program(case, axes=(0,))
-    space = DesignSpace(program, n_streams=2)
-    from repro.platform import perlmutter_like
-
-    base = perlmutter_like(noise_sigma=0.0)
-
-    def sweep():
-        rows = []
-        for n_gpus in (1, 2):
-            machine = dataclasses.replace(base, n_gpus=n_gpus)
-            bench = Benchmarker(
-                ScheduleExecutor(program, machine),
-                MeasurementConfig(max_samples=1),
-            )
-            res = ExhaustiveSearch(space, bench).run()
-            t = res.times()
-            rows.append((n_gpus, t.min(), t.max()))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    body = ["gpus  best(us)  worst(us)"]
-    for n, lo, hi in rows:
-        body.append(f"{n:4d}  {lo * 1e6:8.2f}  {hi * 1e6:9.2f}")
-    emit(capfd, "Ablation: GPU placement (halo, cross-device fences)",
-         "\n".join(body))
-    one, two = rows
-    # Cross-device fences can only slow the worst case down, never speed
-    # the best case up beyond the single-GPU optimum.
-    assert two[1] >= one[1] - 1e-12
-    assert two[2] >= one[2] - 1e-12

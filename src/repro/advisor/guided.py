@@ -237,10 +237,6 @@ class ScheduleGuide:
     def weight_total(self) -> float:
         return sum(abs(r.weight) for r in self.rules)
 
-    def prune_rules(self) -> List[ResolvedRule]:
-        """Rules strong enough to prune on violation."""
-        return [r for r in self.rules if r.weight >= self.prune_threshold]
-
     # ------------------------------------------------------------------
     def _groups(
         self, ops: Sequence[BoundOp]

@@ -321,12 +321,25 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     def publish(self, artifact) -> str:
-        """Write ``artifact``; returns the file path."""
+        """Write ``artifact``; returns the file path.
+
+        The text goes to a temporary file beside the target, which then
+        replaces ``<key>.json`` in one rename: a concurrent reader, or a
+        write that fails part-way, leaves the previous file whole.  The
+        temporary name does not end in ``.json``, so :meth:`keys` never
+        lists it."""
         os.makedirs(self.root, exist_ok=True)
         path = self.path_of(artifact.key)
         text = json.dumps(artifact.to_dict(), indent=2, sort_keys=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
         return path
 
     def remove_superseded(self, artifacts: Sequence) -> None:

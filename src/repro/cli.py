@@ -832,6 +832,9 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.workloads import builtin_suites
+
+    suite_names = sorted(builtin_suites())
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -872,7 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         help="run a workload suite (every workload x strategy cell)",
     )
-    p.add_argument("name", help="suite name (see `repro list`)")
+    p.add_argument(
+        "name", choices=suite_names, help="suite name (see `repro list`)"
+    )
     p.add_argument(
         "--seed",
         type=_non_negative_int,
@@ -922,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--suite",
-        type=str,
+        choices=suite_names,
         default="generalization",
         help=(
             "suite whose workloads form the matrix (needs exhaustible "
@@ -972,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--train",
-        type=str,
+        choices=suite_names,
         default=None,
         metavar="SUITE",
         help=(

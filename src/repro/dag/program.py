@@ -74,9 +74,6 @@ class CommPlan:
     def n_messages(self) -> int:
         return len(self.messages)
 
-    def total_bytes(self) -> float:
-        return sum(m.nbytes for m in self.messages)
-
 
 #: Signature of a numeric payload callback: receives the per-rank context
 #: (see :class:`repro.sim.semantics.RankContext`) when the op completes.

@@ -291,16 +291,6 @@ class MeasurementCache:
         (n,) = self._conn.execute("SELECT COUNT(*) FROM measurements").fetchone()
         return int(n)
 
-    def n_contexts(self) -> int:
-        (n,) = self._conn.execute(
-            "SELECT COUNT(DISTINCT context) FROM measurements"
-        ).fetchone()
-        return int(n)
-
-    def clear(self) -> None:
-        self._conn.execute("DELETE FROM measurements")
-        self._conn.commit()
-
     def close(self) -> None:
         self._conn.close()
 

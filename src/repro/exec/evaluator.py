@@ -49,9 +49,6 @@ class Evaluator(abc.ABC):
     def time_of(self, schedule: Schedule) -> float:
         return self.evaluate(schedule).time
 
-    def times_of(self, schedules: Sequence[Schedule]) -> List[float]:
-        return [m.time for m in self.evaluate_batch(schedules)]
-
     def close(self) -> None:
         """Release any resources (cache connections)."""
 

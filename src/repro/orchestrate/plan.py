@@ -128,9 +128,6 @@ class ExecutionPlan:
     def __len__(self) -> int:
         return len(self.tasks)
 
-    def tasks_of_kind(self, kind: str) -> List[WorkloadTask]:
-        return [t for t in self.tasks if t.kind == kind]
-
 
 # ----------------------------------------------------------------------
 def plan_suite(

@@ -46,10 +46,6 @@ class GpuModel:
     event_sync_overhead_s: float = 0.5e-6
     #: CPU-side cost of a ``cudaStreamWaitEvent`` call (s).
     stream_wait_overhead_s: float = 0.3e-6
-    #: Extra latency a stream pays when waiting on an event recorded on a
-    #: *different GPU* (inter-device fence; paper §VI proposes extending
-    #: resource assignment beyond streams to multiple GPUs).
-    cross_gpu_sync_extra_s: float = 2.0e-6
 
     def __post_init__(self) -> None:
         if self.flops_per_s <= 0 or self.mem_bw_bytes_per_s <= 0:
@@ -109,11 +105,6 @@ class MachineConfig:
 
     n_ranks: int = 4
     n_streams: int = 2
-    #: GPUs per rank.  Streams are assigned to GPUs round-robin by stream
-    #: id (``gpu = stream % n_gpus``), so ``n_streams=2, n_gpus=2`` places
-    #: each stream on its own device (paper §VI: "extending resource
-    #: assignment to include multiple GPUs").
-    n_gpus: int = 1
     gpu: GpuModel = field(default_factory=GpuModel)
     cpu: CpuModel = field(default_factory=CpuModel)
     net: NetworkModel = field(default_factory=NetworkModel)
@@ -125,12 +116,6 @@ class MachineConfig:
             raise ValueError("n_ranks must be >= 1")
         if self.n_streams < 1:
             raise ValueError("n_streams must be >= 1")
-        if self.n_gpus < 1:
-            raise ValueError("n_gpus must be >= 1")
-
-    def gpu_of_stream(self, stream_id: int) -> int:
-        """Device hosting the given stream (round-robin assignment)."""
-        return stream_id % self.n_gpus
 
     def with_noise(self, noise: NoiseModel) -> "MachineConfig":
         return replace(self, noise=noise)

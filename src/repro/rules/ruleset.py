@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Tuple
 
-from repro.ml.features import OrderFeature, StreamFeature
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -24,14 +22,6 @@ class Rule:
     @property
     def text(self) -> str:
         return self.feature.describe(self.value)
-
-    @property
-    def is_stream_rule(self) -> bool:
-        return isinstance(self.feature, StreamFeature)
-
-    @property
-    def is_order_rule(self) -> bool:
-        return isinstance(self.feature, OrderFeature)
 
     def negated(self) -> "Rule":
         return Rule(feature=self.feature, value=not self.value)

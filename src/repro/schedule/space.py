@@ -463,10 +463,6 @@ class EnumerationCursor:
     path: Tuple[int, ...] = ()
     exhausted: bool = False
 
-    @property
-    def at_start(self) -> bool:
-        return not self.path and not self.exhausted
-
 
 @dataclass
 class ScheduleBlock:
@@ -481,9 +477,6 @@ class ScheduleBlock:
     ``n_subtrees_cut`` counts whole subtrees a ``keep_prefix`` predicate
     cut before expansion while this block filled (their schedules were
     never even enumerated — branch-and-bound, not filtering).
-    ``n_leaves_cut`` is the number of enumeration positions those cut
-    subtrees spanned — populated only under a range ``limit``, zero
-    otherwise.
     """
 
     index: int
@@ -491,7 +484,6 @@ class ScheduleBlock:
     cursor: EnumerationCursor = EnumerationCursor()
     n_skipped: int = 0
     n_subtrees_cut: int = 0
-    n_leaves_cut: int = 0
 
     def __len__(self) -> int:
         return len(self.schedules)
@@ -509,8 +501,6 @@ def _record_block_metrics(block: "ScheduleBlock") -> None:
         obs.add("space.schedules_skipped", block.n_skipped)
     if block.n_subtrees_cut:
         obs.add("space.subtrees_cut", block.n_subtrees_cut)
-    if block.n_leaves_cut:
-        obs.add("space.leaves_cut", block.n_leaves_cut)
 
 
 @dataclass
@@ -723,7 +713,6 @@ class DesignSpace:
 
         index = 0
         cut_base = 0
-        leaf_base = 0
         pending = pull()
         while pending is not None:
             block = ScheduleBlock(index=index)
@@ -737,8 +726,6 @@ class DesignSpace:
                 pending = pull()
             block.n_subtrees_cut = cuts.n_subtrees - cut_base
             cut_base = cuts.n_subtrees
-            block.n_leaves_cut = cuts.n_leaves - leaf_base
-            leaf_base = cuts.n_leaves
             block.cursor = EnumerationCursor(
                 path=last_path, exhausted=pending is None and ended
             )
@@ -752,7 +739,6 @@ class DesignSpace:
                 index=0,
                 cursor=EnumerationCursor(path=after, exhausted=ended),
                 n_subtrees_cut=cuts.n_subtrees,
-                n_leaves_cut=cuts.n_leaves,
             )
             _record_block_metrics(block)
             yield block

@@ -22,8 +22,7 @@ clock ``t``, per-stream clocks, and per-event fire times:
 * event record     ``t += dur; p = max(clock[s], t); ev[e] = p;``
                    ``clock[s] = p``
 * event sync       ``t += dur; t = max(t, ev[e])``
-* stream wait      ``t += dur; clock[s] = max(clock[s], t, ev[e]) +``
-                   ``cross_gpu_extra`` (other-device events only)
+* stream wait      ``t += dur; clock[s] = max(clock[s], t, ev[e])``
 * program end      ``finish = max(t, max_s clock[s])``  (device sync)
 
 These are insensitive to event-loop tie ordering, so evaluating them as
@@ -152,11 +151,7 @@ class CompiledContext:
         self.config = config
         self.n_ranks = machine.n_ranks
         self.n_streams = machine.n_streams
-        self.n_gpus = machine.n_gpus
         self._noise = machine.noise
-        cross = machine.gpu.cross_gpu_sync_extra_s
-        # The engine only pays the penalty when it is strictly positive.
-        self._cross_extra = cross if cross > 0 else 0.0
         self._sync_dur = {
             _RECORD: machine.gpu.event_record_s,
             _SYNC: machine.gpu.event_sync_overhead_s,
@@ -264,7 +259,6 @@ class CompiledContext:
             t = np.zeros(n_rows)
             clock = np.zeros((n_rows, self.n_streams))
             ev_time = np.zeros((n_rows, pack.n_events))
-            ev_src = np.zeros((n_rows, pack.n_events), dtype=np.int64)
             for i in range(n_cols):
                 k = kind[:, i]
                 sel = np.nonzero((k == _CPU) | (k == _GPU))[0]
@@ -284,7 +278,6 @@ class CompiledContext:
                     e = eid[sel, i]
                     proc = np.maximum(clock[sel, s], t[sel])
                     ev_time[sel, e] = proc
-                    ev_src[sel, e] = s
                     clock[sel, s] = proc
                 sel = np.nonzero(k == _SYNC)[0]
                 if sel.size:
@@ -294,16 +287,9 @@ class CompiledContext:
                 if sel.size:
                     s = sid[sel, i]
                     e = eid[sel, i]
-                    resume = np.maximum(
+                    clock[sel, s] = np.maximum(
                         np.maximum(clock[sel, s], t[sel]), ev_time[sel, e]
                     )
-                    if self.n_gpus > 1 and self._cross_extra > 0:
-                        resume = resume + np.where(
-                            ev_src[sel, e] % self.n_gpus != s % self.n_gpus,
-                            self._cross_extra,
-                            0.0,
-                        )
-                    clock[sel, s] = resume
             out[:, r] = np.maximum(t, clock.max(axis=1))
         return out
 

@@ -10,8 +10,8 @@ share the queue:
   whatever waits on it;
 * everything else pushes a bare callback through
   :meth:`Environment.call_at`: a process's start and its resume after a
-  delay, a GPU stream's kernel and fence completions, and the network's
-  transfer completions.
+  delay, a GPU stream's kernel completions, and the network's transfer
+  completions.
 
 Processes are Python generators that ``yield`` either a waitable
 (:class:`Event`, :class:`Timeout`, :class:`AllOf`) or a plain ``float``

@@ -305,13 +305,7 @@ class ScheduleExecutor:
             wire_times=table.wire,
         )
         stream_sets = [
-            StreamSet(
-                env,
-                rank,
-                self.machine.n_streams,
-                n_gpus=self.machine.n_gpus,
-                cross_gpu_extra_s=self.machine.gpu.cross_gpu_sync_extra_s,
-            )
+            StreamSet(env, rank, self.machine.n_streams)
             for rank in range(self.machine.n_ranks)
         ]
         finish_at: List[float] = [0.0] * self.machine.n_ranks
@@ -465,11 +459,9 @@ class ScheduleExecutor:
         kdur = table.kdur[rank]
         expected = (table.recvs[rank], table.sends[rank])
         wait_dt = self.cost.wait_overhead()
-        n_gpus = self.machine.n_gpus
-        extra = self.machine.gpu.cross_gpu_sync_extra_s
         clock = [0.0] * self.machine.n_streams
-        # Fire time and recording stream of each CUDA event.
-        fired: Dict[str, Tuple[float, int]] = {}
+        # Fire time of each CUDA event.
+        fired: Dict[str, float] = {}
         requests: Dict[Tuple[str, bool], List[Request]] = {}
         t = 0.0
         for kind, j, dur, s, event, action, name in plan:
@@ -516,20 +508,18 @@ class ScheduleExecutor:
                     c = clock[s]
                     if t > c:
                         c = clock[s] = t
-                    fired[event] = (c, s)
+                    fired[event] = c
                 elif kind is _EVENT_SYNC:
-                    at = fired[event][0]
+                    at = fired[event]
                     if at > t:
                         t = at
                 else:  # stream wait
-                    at, src = fired[event]
+                    at = fired[event]
                     c = clock[s]
                     if t > c:
                         c = t
                     if at > c:
                         c = at
-                    if extra > 0 and src % n_gpus != s % n_gpus:
-                        c += extra
                     clock[s] = c
         # Device synchronize, then every request still in flight.
         for c in clock:

@@ -23,29 +23,23 @@ from repro.sim.engine import Environment, Event
 
 
 class CudaEvent:
-    """A CUDA event: fires when the recording stream reaches the record op.
+    """A CUDA event: fires when the recording stream reaches the record op."""
 
-    ``source_stream`` records which stream fired the event; waits on
-    another *device*'s event pay an inter-GPU fence penalty.
-    """
-
-    __slots__ = ("name", "_evt", "fired_at", "source_stream")
+    __slots__ = ("name", "_evt", "fired_at")
 
     def __init__(self, env: Environment, name: str) -> None:
         self.name = name
         self._evt = Event(env, ("cuda_event:{}", name))
         self.fired_at: Optional[float] = None
-        self.source_stream: Optional[int] = None
 
     @property
     def fired(self) -> bool:
         return self._evt.triggered
 
-    def fire(self, now: float, source_stream: Optional[int] = None) -> None:
+    def fire(self, now: float) -> None:
         if self.fired:
             raise SimulationError(f"CUDA event {self.name!r} recorded twice")
         self.fired_at = now
-        self.source_stream = source_stream
         self._evt.succeed()
 
     @property
@@ -75,44 +69,32 @@ class Stream:
       completion callback (used for tracing, payload execution, and
       dependency bookkeeping) with the kernel's start time;
     * ``record`` — fire the attached :class:`CudaEvent` at the current time;
-    * ``wait``  — block the stream until the attached event has fired
-      (plus the cross-GPU fence when another device recorded it).
+    * ``wait``  — block the stream until the attached event has fired.
 
     An idle stream starts an enqueued item at once, inside :meth:`enqueue`;
     a busy one queues it.  When an item has to wait, the stream leaves a
     callback that completes the item and goes on down the queue: a
-    kernel's or a fence's end is a bare callback on the environment's
-    queue (:meth:`~repro.sim.engine.Environment.call_at`), an unfired
-    CUDA event gets a callback on its engine event.  A stream is therefore
+    kernel's end is a bare callback on the environment's queue
+    (:meth:`~repro.sim.engine.Environment.call_at`), an unfired CUDA
+    event gets a callback on its engine event.  A stream is therefore
     no simulation process: it needs no start event, and deadlock detection
     never sees it.
     """
 
     __slots__ = (
-        "env", "rank", "stream_id", "gpu", "cross_gpu_extra_s", "_gpu_of",
-        "_queue", "_busy", "_current", "_kernel_start",
+        "env", "rank", "stream_id", "_queue", "_busy", "_current",
+        "_kernel_start",
     )
 
-    def __init__(
-        self,
-        env: Environment,
-        rank: int,
-        stream_id: int,
-        gpu: int = 0,
-        cross_gpu_extra_s: float = 0.0,
-    ) -> None:
+    def __init__(self, env: Environment, rank: int, stream_id: int) -> None:
         self.env = env
         self.rank = rank
         self.stream_id = stream_id
-        self.gpu = gpu
-        self.cross_gpu_extra_s = cross_gpu_extra_s
-        #: Stream id -> device; injected by StreamSet (None: one device).
-        self._gpu_of: Optional[Callable[[int], int]] = None
         self._queue: Deque[StreamItem] = deque()
         #: True from the start of an item until the queue runs dry.
         self._busy = False
-        #: The item in progress while the stream waits on its kernel, its
-        #: event or its fence.
+        #: The item in progress while the stream waits on its kernel or
+        #: its event.
         self._current: Optional[StreamItem] = None
         self._kernel_start = 0.0
 
@@ -146,30 +128,19 @@ class Stream:
                 item.on_complete(env.now)
         elif kind == "record":
             assert item.event is not None
-            item.event.fire(env.now, source_stream=self.stream_id)
+            item.event.fire(env.now)
             if item.on_complete is not None:
                 item.on_complete(env.now)
         elif kind == "wait":
             assert item.event is not None
-            self._current = item
             if not item.event.fired:
+                self._current = item
                 item.event.wait_event.add_callback(self._event_fired)
                 return True
-            return self._after_wait()
+            if item.on_complete is not None:
+                item.on_complete(env.now)
         else:  # pragma: no cover - guarded by construction
             raise SimulationError(f"unknown stream item kind {kind!r}")
-        return False
-
-    def _after_wait(self) -> bool:
-        """The current wait's event has fired: start its cross-GPU fence
-        (True), or complete the wait (False)."""
-        item = self._current
-        extra = self._cross_gpu_penalty(item.event)
-        if extra > 0:
-            self.env.call_at(self.env.now + extra, self._fence_done)
-            return True
-        if item.on_complete is not None:
-            item.on_complete(self.env.now)
         return False
 
     def _kernel_done(self) -> None:
@@ -179,46 +150,21 @@ class Stream:
         self._advance()
 
     def _event_fired(self, _evt: Event) -> None:
-        if not self._after_wait():
-            self._advance()
-
-    def _fence_done(self) -> None:
         item = self._current
         if item.on_complete is not None:
             item.on_complete(self.env.now)
         self._advance()
 
-    def _cross_gpu_penalty(self, event: CudaEvent) -> float:
-        """Inter-device fence cost when waiting on another GPU's event."""
-        src = event.source_stream
-        if src is None or self._gpu_of is None:
-            return 0.0
-        if self._gpu_of(src) == self.gpu:
-            return 0.0
-        return self.cross_gpu_extra_s
-
 
 class StreamSet:
     """All streams of one rank, plus the rank's CUDA event namespace."""
 
-    def __init__(
-        self,
-        env: Environment,
-        rank: int,
-        n_streams: int,
-        n_gpus: int = 1,
-        cross_gpu_extra_s: float = 0.0,
-    ) -> None:
+    def __init__(self, env: Environment, rank: int, n_streams: int) -> None:
         self.env = env
         self.rank = rank
-        self.n_gpus = n_gpus
         self.streams: List[Stream] = [
-            Stream(env, rank, s, s % n_gpus, cross_gpu_extra_s)
-            for s in range(n_streams)
+            Stream(env, rank, s) for s in range(n_streams)
         ]
-        gpu_of = lambda sid: sid % n_gpus  # noqa: E731 - tiny closure
-        for stream in self.streams:
-            stream._gpu_of = gpu_of
         self._events: Dict[str, CudaEvent] = {}
 
     def stream(self, stream_id: int) -> Stream:

@@ -38,13 +38,6 @@ class Trace:
     ) -> None:
         self.records.append(TraceRecord(rank, resource, op, start, end))
 
-    def for_resource(self, rank: int, resource: str) -> List[TraceRecord]:
-        return [
-            r
-            for r in self.records
-            if r.rank == rank and r.resource == resource
-        ]
-
     def makespan(self) -> float:
         return max((r.end for r in self.records), default=0.0)
 

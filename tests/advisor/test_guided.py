@@ -72,7 +72,9 @@ class TestGuideSemantics:
     def test_admits_agrees_with_rule_evaluation(self, halo_guide, halo_space):
         """A schedule is rejected iff it violates a prune-strength rule;
         prefix penalty on the full sequence agrees."""
-        prune = halo_guide.prune_rules()
+        prune = [
+            r for r in halo_guide.rules if r.weight >= halo_guide.prune_threshold
+        ]
         assert prune
         schedules = list(halo_space.enumerate_schedules())[:200]
         rejected = [s for s in schedules if not halo_guide.admits(s)]

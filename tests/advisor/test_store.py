@@ -1,5 +1,6 @@
 """Artifact store round-trips, validation, and version error paths."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -280,6 +281,81 @@ class TestValidationOncePerStore:
         with pytest.raises(ArtifactError, match="stale artifact"):
             copy.load_workloads()
         assert validations.count(label) == 4
+
+
+class TestAtomicPublish:
+    """``publish`` replaces ``<key>.json`` in one rename: a reader never
+    sees a truncated or part-written artifact, and no temporary file is
+    left in the store."""
+
+    def _copy(self, store, tmp_path):
+        root = tmp_path / "copy"
+        shutil.copytree(store.root, root)
+        copy = ArtifactStore(str(root))
+        return copy, _workload_keys(copy)[0]
+
+    def _on_write(self, monkeypatch, hook):
+        """Call ``hook()`` before each write to a file the store opens
+        for writing."""
+        real_open = open
+
+        class Writer:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
+
+            def write(self, text):
+                hook()
+                return self._fh.write(text)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return Writer(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(store_module, "open", spy_open, raising=False)
+
+    def _read(self, path):
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    def test_reader_during_publish_sees_previous_bytes(
+        self, store, tmp_path, monkeypatch
+    ):
+        copy, key = self._copy(store, tmp_path)
+        path = copy.path_of(key)
+        before = self._read(path)
+        artifact = copy.load(key)
+        seen = []
+        self._on_write(monkeypatch, lambda: seen.append(self._read(path)))
+        changed = dataclasses.replace(
+            artifact, n_schedules=artifact.n_schedules + 1
+        )
+        assert copy.publish(changed) == path
+        assert seen == [before]
+        assert copy.load(key).n_schedules == artifact.n_schedules + 1
+        assert sorted(os.listdir(copy.root)) == [f"{k}.json" for k in copy.keys()]
+
+    def test_failed_write_keeps_previous_file(self, store, tmp_path, monkeypatch):
+        copy, key = self._copy(store, tmp_path)
+        path = copy.path_of(key)
+        before = self._read(path)
+        listing = sorted(os.listdir(copy.root))
+        artifact = copy.load(key)
+
+        def fail():
+            raise OSError("disk full")
+
+        self._on_write(monkeypatch, fail)
+        with pytest.raises(OSError, match="disk full"):
+            copy.publish(artifact)
+        assert self._read(path) == before
+        assert sorted(os.listdir(copy.root)) == listing
+        assert copy.load(key).to_dict() == artifact.to_dict()
 
 
 class TestRetrainReplacesSuperseded:

@@ -47,24 +47,3 @@ class TestNumericCorrectness:
         y1 = spmv_instance.gather_result(ex.run(spmv_schedules[0]).payload)
         y2 = spmv_instance.gather_result(ex.run(spmv_schedules[-1]).payload)
         assert np.allclose(y1, y2)
-
-
-class TestReference:
-    def test_reference_spmv_matches_scipy(self, spmv_instance, machine):
-        from repro.apps.spmv.reference import reference_spmv
-
-        y, elapsed = reference_spmv(spmv_instance, machine)
-        assert np.allclose(y, spmv_instance.reference_result())
-        assert elapsed > 0
-
-    def test_reference_time_comparable_to_good_schedules(
-        self, spmv_instance, machine, spmv_exhaustive
-    ):
-        """The hand-written overlap program should be within the envelope
-        of the design space (same platform, same ops)."""
-        from repro.apps.spmv.reference import reference_spmv
-
-        _, elapsed = reference_spmv(spmv_instance, machine)
-        best = spmv_exhaustive.best().time
-        worst = spmv_exhaustive.worst().time
-        assert 0.5 * best <= elapsed <= 2.0 * worst

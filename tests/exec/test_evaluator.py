@@ -44,7 +44,6 @@ class TestSerialEvaluator:
         ev = SerialEvaluator(bench)
         s = spmv_schedules[2]
         assert ev.time_of(s) == ev.evaluate(s).time
-        assert ev.times_of([s]) == [ev.evaluate(s).time]
 
     def test_n_simulations_tracks_benchmarker(self, bench, spmv_schedules):
         ev = SerialEvaluator(bench)

@@ -32,10 +32,6 @@ class TestRule:
         assert not order_rule("a", "b").contradicts(order_rule("a", "b"))
         assert not order_rule("a", "b").contradicts(order_rule("a", "c", False))
 
-    def test_kind_flags(self):
-        assert order_rule("a", "b").is_order_rule
-        assert stream_rule("a", "b").is_stream_rule
-
 
 class TestRuleSet:
     def make(self, *rules, cls=0, n=10):

@@ -72,9 +72,6 @@ class TestCursorResume:
         assert last.cursor.exhausted
         assert list(space.iter_blocks(4, cursor=last.cursor)) == []
 
-    def test_fresh_cursor_is_start(self):
-        assert EnumerationCursor().at_start
-
     def test_corrupt_cursor_rejected(self):
         space = _space()
         bad = EnumerationCursor(path=(999,))

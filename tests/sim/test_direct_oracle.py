@@ -67,9 +67,7 @@ from tests.sim.test_engine_oracle import (
 
 #: The engine oracle's configurations, plus each of them at σ = 0.01.
 ALL_CONFIGS = CONFIGS + [
-    (0.01, protocol, nic, n_gpus)
-    for sigma, protocol, nic, n_gpus in CONFIGS
-    if sigma == 0.0
+    (0.01, protocol, nic) for sigma, protocol, nic in CONFIGS if sigma == 0.0
 ]
 
 
@@ -159,7 +157,7 @@ def test_random_schedules_match_event_loop(name, config, seed, sample):
     schedule = space.random_schedule(np.random.default_rng(seed))
     executor = ScheduleExecutor(program, machine_for(program, *config))
     took = check(executor, schedule, sample)
-    sigma, _, nic, _ = config
+    sigma, _, nic = config
     if sigma > 0 or not nic:
         assert took
 
@@ -200,16 +198,16 @@ def family_space(spec):
     return program, DesignSpace(program, n_streams=2)
 
 
-def preset_or(program, sigma, protocol, nic, n_gpus):
+def preset_or(program, sigma, protocol, nic):
     """``machine_for``, or the preset's own eager threshold (``"preset"``),
     which mixes eager and rendezvous messages in one program."""
     if protocol != "preset":
-        return machine_for(program, sigma, protocol, nic, n_gpus)
+        return machine_for(program, sigma, protocol, nic)
     machine = perlmutter_like(
         n_ranks=program.n_ranks, noise_sigma=sigma, noise_seed=5
     )
     net = replace(machine.net, serialize_nic=nic)
-    return replace(machine, net=net, n_gpus=n_gpus)
+    return replace(machine, net=net)
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,16 +216,11 @@ def preset_or(program, sigma, protocol, nic, n_gpus):
     sigma=st.sampled_from([0.0, 0.01, 0.05]),
     protocol=st.sampled_from(["eager", "rendezvous", "preset"]),
     nic=st.booleans(),
-    n_gpus=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_random_mpi_programs_match_event_loop(
-    spec, sigma, protocol, nic, n_gpus, seed
-):
+def test_random_mpi_programs_match_event_loop(spec, sigma, protocol, nic, seed):
     program, space = family_space(spec)
-    executor = ScheduleExecutor(
-        program, preset_or(program, sigma, protocol, nic, n_gpus)
-    )
+    executor = ScheduleExecutor(program, preset_or(program, sigma, protocol, nic))
     rng = np.random.default_rng(seed)
     for sample in range(3):
         took = check(executor, space.random_schedule(rng), sample)
@@ -245,8 +238,8 @@ def test_samples_defer_exactly_on_channel_ties(name):
     program, space = program_and_space(name)
     mpi = posts_messages(program)
     schedules = fixed_schedules(space, n_first=3, n_random=3)
-    for sigma, protocol, nic, n_gpus in ALL_CONFIGS:
-        machine = machine_for(program, sigma, protocol, nic, n_gpus)
+    for sigma, protocol, nic in ALL_CONFIGS:
+        machine = machine_for(program, sigma, protocol, nic)
         executor = ScheduleExecutor(program, machine)
         for schedule in schedules:
             for sample in range(3):
@@ -381,7 +374,7 @@ def test_noiseless_spmv_sweep_counts_channel_ties():
 
 def test_tracing_executor_counts_only_trace():
     program, _ = program_and_space("tree_allreduce")
-    machine = machine_for(program, 0.05, "eager", True, 1)
+    machine = machine_for(program, 0.05, "eager", True)
     counts, n_simulations = path_counters(program, machine, collect_trace=True)
     assert n_simulations > 0
     assert counts == {"sim.path.event_loop.trace": n_simulations}
@@ -468,7 +461,7 @@ def test_degenerate_schedules_defer_to_event_loop(case):
     program, _ = program_and_space("tree_allreduce")
     schedule, protocol, error = degenerate(case)
     executor = ScheduleExecutor(
-        program, machine_for(program, 0.05, protocol, True, 1)
+        program, machine_for(program, 0.05, protocol, True)
     )
     reason = DEFER_REASONS[case]
     assert executor._run_direct(schedule, 0) == reason

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dag.program import Message
 from repro.errors import DeadlockError, SimulationError
-from repro.mpi.comm import SimMpiWorld
 from repro.platform import perlmutter_like
 from repro.sim.engine import Environment
 from repro.sim.network import Network
@@ -192,19 +191,3 @@ class TestDiagnosticText:
         assert repr(process.done) == "Event('p.done', pending)"
         composite = env.all_of([env.event("a")], label="rank0.x")
         assert repr(composite) == "Event('rank0.x', pending)"
-
-    def test_mpi_deadlock_text(self):
-        world = SimMpiWorld(perlmutter_like(n_ranks=2))
-
-        def program(comm):
-            if comm.rank == 0:
-                yield from comm.recv(source=1, tag=5)
-            else:
-                yield from comm.compute(1e-3)
-
-        with pytest.raises(DeadlockError) as info:
-            world.run(program)
-        assert str(info.value) == (
-            "simulation deadlock at t=0.001: "
-            "mpi.rank0 waiting on Event('recv 1->0 tag5', pending)"
-        )

@@ -4,10 +4,10 @@ generator-driven, event-only engine it replaced.
 The engine pieces below are the implementation the current engine
 replaced, kept as they were (without docstrings and type hints, trimmed to what the
 executor uses): every queue entry was an event (a timeout for each CPU
-delay, kernel and fence, a ``fire_at`` event for each network
-completion), a GPU stream ran as a generator process (a start kick, a
-wakeup event per idle spell), processes resumed through a new lambda per
-``yield``, composites through closures, ``run`` popped before checking
+delay and kernel, a ``fire_at`` event for each network completion), a
+GPU stream ran as a generator process (a start kick, a wakeup event per
+idle spell), processes resumed through a new lambda per ``yield``,
+composites through closures, ``run`` popped before checking
 ``until``, every label was formatted eagerly, and the executor built its
 trace and payload hooks for every op whether or not a run collected
 them, and a device synchronize put a drain marker on every stream.
@@ -23,16 +23,14 @@ logs its queue pops, and the logs must match, leaving out only the
 reference streams' start kicks.  The live engine's bare callbacks are
 named as the reference's events were labelled (:func:`entry_name`): a
 process's start ``<process>.start`` and its delay ``timeout+<delay>``, a
-kernel's end the kernel's name, a fence's end ``<wait>.xgpu``, and a
-network completion ``eager_injected``, ``xfer_send_done`` or
-``xfer_recv_done`` with its ``src->dst``.  Results are compared exactly
-as well: per-rank and elapsed times, transfer counts, every trace record
-in order (``collect_trace=True``) and, on spmv, every payload buffer and
-hazard.
+kernel's end the kernel's name, and a network completion
+``eager_injected``, ``xfer_send_done`` or ``xfer_recv_done`` with its
+``src->dst``.  Results are compared exactly as well: per-rank and
+elapsed times, transfer counts, every trace record in order
+(``collect_trace=True``) and, on spmv, every payload buffer and hazard.
 The cases cover the paper's MPI programs and two synthetic families,
 exact ties (σ = 0) and noise (σ = 0.05), eager and rendezvous messages,
-NIC serialization on and off, and one or two GPUs per rank (two reach the
-cross-GPU fence).
+and NIC serialization on and off.
 """
 
 from __future__ import annotations
@@ -247,12 +245,10 @@ class RefNetwork(Network):
 class GeneratorStream:
     """FIFO GPU stream as a simulation process."""
 
-    def __init__(self, env, rank, stream_id, gpu=0, cross_gpu_extra_s=0.0):
+    def __init__(self, env, rank, stream_id):
         self.env = env
         self.rank = rank
         self.stream_id = stream_id
-        self.gpu = gpu
-        self.cross_gpu_extra_s = cross_gpu_extra_s
         self.name = f"rank{rank}.stream{stream_id}"
         self._queue = deque()
         self._wakeup = None
@@ -292,30 +288,17 @@ class GeneratorStream:
                     item.on_complete(start)
             elif item.kind == "record":
                 assert item.event is not None
-                item.event.fire(self.env.now, source_stream=self.stream_id)
+                item.event.fire(self.env.now)
                 if item.on_complete is not None:
                     item.on_complete(self.env.now)
             elif item.kind == "wait":
                 assert item.event is not None
                 if not item.event.fired:
                     yield item.event.wait_event
-                extra = self._cross_gpu_penalty(item.event)
-                if extra > 0:
-                    yield self.env.timeout(extra, label=f"{item.name}.xgpu")
                 if item.on_complete is not None:
                     item.on_complete(self.env.now)
             else:
                 raise SimulationError(f"unknown stream item kind {item.kind!r}")
-
-    def _cross_gpu_penalty(self, event):
-        src = event.source_stream
-        if src is None or self._gpu_of is None:
-            return 0.0
-        if self._gpu_of(src) == self.gpu:
-            return 0.0
-        return self.cross_gpu_extra_s
-
-    _gpu_of = None
 
 
 class RefStreamSet(StreamSet):
@@ -367,13 +350,7 @@ def reference_run(executor: ScheduleExecutor, schedule, sample: int = 0) -> SimR
         wire_times=table.wire,
     )
     stream_sets = [
-        RefStreamSet(
-            env,
-            rank,
-            self.machine.n_streams,
-            n_gpus=self.machine.n_gpus,
-            cross_gpu_extra_s=self.machine.gpu.cross_gpu_sync_extra_s,
-        )
+        RefStreamSet(env, rank, self.machine.n_streams)
         for rank in range(self.machine.n_ranks)
     ]
     assert all(
@@ -586,7 +563,7 @@ def program_and_space(name):
     return program, DesignSpace(program, n_streams=2)
 
 
-def machine_for(program, sigma, protocol, serialize_nic, n_gpus):
+def machine_for(program, sigma, protocol, serialize_nic):
     machine = perlmutter_like(
         n_ranks=program.n_ranks, noise_sigma=sigma, noise_seed=5
     )
@@ -595,7 +572,7 @@ def machine_for(program, sigma, protocol, serialize_nic, n_gpus):
         serialize_nic=serialize_nic,
         eager_threshold_bytes=THRESHOLD[protocol],
     )
-    return replace(machine, net=net, n_gpus=n_gpus)
+    return replace(machine, net=net)
 
 
 def entry_name(callback):
@@ -614,8 +591,6 @@ def entry_name(callback):
         return f"timeout+{owner.waiting_on:g}"
     if func is Stream._kernel_done:
         return owner._current.name
-    if func is Stream._fence_done:
-        return f"{owner._current.name}.xgpu"
     if func is MpiRequest.complete:
         msg = owner.message
         if owner.kind == "recv":
@@ -720,11 +695,10 @@ def check_case(name, config, schedule, sample):
 
 
 CONFIGS = [
-    (sigma, protocol, nic, n_gpus)
+    (sigma, protocol, nic)
     for sigma in (0.0, 0.05)
     for protocol in ("eager", "rendezvous")
     for nic in (True, False)
-    for n_gpus in (1, 2)
 ]
 
 
@@ -752,26 +726,3 @@ def test_random_schedules_match_reference(name, config, seed, sample):
     _, space = program_and_space(name)
     schedule = space.random_schedule(np.random.default_rng(seed))
     check_case(name, config, schedule, sample)
-
-
-def test_reference_reaches_cross_gpu_fence():
-    """Two GPUs per rank put a fence on some wait of these cases, so the
-    comparison covers the fence path."""
-    fences = []
-
-    class Counting(GeneratorStream):
-        def _cross_gpu_penalty(self, event):
-            extra = super()._cross_gpu_penalty(event)
-            fences.append(extra)
-            return extra
-
-    program, space = program_and_space("stencil_reduce")
-    machine = machine_for(program, 0.0, "rendezvous", True, 2)
-    rng = np.random.default_rng(3)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stream_module, "Stream", Counting)
-        for _ in range(20):
-            reference_run(
-                ScheduleExecutor(program, machine), space.random_schedule(rng)
-            )
-    assert any(extra > 0 for extra in fences)

@@ -151,7 +151,7 @@ class TestMpiActions:
         ex = ScheduleExecutor(p, quiet_machine(), collect_trace=True)
         r = ex.run(sched(BoundOp(pr), BoundOp(ps), BoundOp(ws), BoundOp(wr)))
         assert r.trace is not None
-        nets = r.trace.for_resource(0, "net")
+        nets = [t for t in r.trace.records if t.rank == 0 and t.resource == "net"]
         assert len(nets) == 1
         assert nets[0].end == pytest.approx(2.0)
 

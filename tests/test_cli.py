@@ -118,11 +118,12 @@ def test_suite_json_to_stdout(capsys):
     assert '"suite": "smoke"' in out
 
 
-def test_suite_unknown_name_raises():
-    from repro.errors import WorkloadError
-
-    with pytest.raises(WorkloadError, match="unknown suite"):
+def test_suite_unknown_name_raises(capsys):
+    """An unknown suite name is a usage error, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
         main(["suite", "not-a-suite"])
+    assert exc.value.code == 2
+    assert "argument name: invalid choice: 'not-a-suite'" in capsys.readouterr().err
 
 
 @pytest.mark.slow
@@ -173,11 +174,19 @@ def test_transfer_smoke_writes_reports(tmp_path, capsys):
     assert "label+train" in md
 
 
-def test_transfer_unknown_suite_raises():
-    from repro.errors import WorkloadError
-
-    with pytest.raises(WorkloadError, match="unknown suite"):
+def test_transfer_unknown_suite_raises(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["transfer", "--suite", "not-a-suite"])
+    assert exc.value.code == 2
+    assert "argument --suite: invalid choice: 'not-a-suite'" in capsys.readouterr().err
+
+
+def test_advise_unknown_train_suite_raises(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["advise", "--store", str(tmp_path), "--train", "not-a-suite"])
+    assert exc.value.code == 2
+    assert "argument --train: invalid choice: 'not-a-suite'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_public_api_importable():
