@@ -1,18 +1,19 @@
-"""Trace analytics cost (repro.obs.analyze/diff) at archive scale.
+"""Trace analytics cost (repro.obs.analyze/diff/export) at scale.
 
-The read side has to stay interactive on real archived runs: a sharded
+The read side has to stay interactive on real traced runs: a sharded
 paper-scale sweep produces tens of thousands of spans, and ``repro
-trace <archive> --analyze`` / ``--diff`` parse and fold the whole
-bundle on every invocation.  Four timings on a synthetic >=50k-span
-archived trace (same shape as a sharded suite run — one
+trace FILE --analyze`` / ``--diff`` / ``--export-perfetto`` parse and
+fold the whole file on every invocation.  Five timings on a synthetic
+>=50k-span trace file (same shape as a sharded suite run — one
 ``plan.execute`` root fanning out into task/stage/batch subtrees),
 recorded without a budget:
 
-* JSONL parse (``read_trace``) of the archived bundle;
+* JSONL parse (``read_trace``) of the trace file;
 * per-span-path aggregation (``aggregate_spans``);
 * concurrent-aware critical-path extraction (``critical_path``);
-* counter identity check (``diff_runs``) of two archived runs of that
-  trace.
+* counter identity check (``diff_runs``) of two trace files of that
+  run;
+* Perfetto lowering (``to_perfetto``) of the parsed trace.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    RunArchive,
     SpanRecord,
     aggregate_spans,
+    check_perfetto,
     critical_path,
     diff_runs,
     read_trace,
+    to_perfetto,
+    write_trace,
 )
 
 # 1 root + 64 tasks + 64*8 stages + 64*8*100 batch leaves = 51_777.
@@ -92,23 +95,25 @@ def _synthetic_run(scale: float = 1.0) -> tuple[SpanRecord, MetricsRegistry]:
 
 
 @pytest.fixture(scope="session")
-def big_archive(tmp_path_factory) -> RunArchive:
-    """Archive with two >=50k-span runs: a baseline and a 1.02x rerun."""
-    archive = RunArchive(str(tmp_path_factory.mktemp("trace-archive")))
+def big_traces(tmp_path_factory) -> dict[str, str]:
+    """Two >=50k-span trace files: a baseline and a 1.02x rerun."""
+    root_dir = tmp_path_factory.mktemp("traces")
+    paths = {}
     for run_id, scale in (("baseline", 1.0), ("rerun", 1.02)):
         root, registry = _synthetic_run(scale)
-        archive.record(
+        paths[run_id] = str(root_dir / f"{run_id}.jsonl")
+        write_trace(
+            paths[run_id],
             [root],
             registry.snapshot(),
-            command="bench",
-            run_id=run_id,
+            meta={"command": "bench"},
         )
-    return archive
+    return paths
 
 
-def test_bench_trace_parse_50k(benchmark, big_archive):
-    """JSONL parse of the archived >=50k-span bundle."""
-    path = big_archive.get("baseline").trace_path
+def test_bench_trace_parse_50k(benchmark, big_traces):
+    """JSONL parse of the >=50k-span trace file."""
+    path = big_traces["baseline"]
 
     data = benchmark(lambda: read_trace(path))
     n = data.n_spans()
@@ -116,9 +121,9 @@ def test_bench_trace_parse_50k(benchmark, big_archive):
     assert n >= 50_000
 
 
-def test_bench_aggregate_spans_50k(benchmark, big_archive):
+def test_bench_aggregate_spans_50k(benchmark, big_traces):
     """Per-span-path aggregation over the parsed forest."""
-    data = big_archive.load("baseline")
+    data = read_trace(big_traces["baseline"])
 
     stats = benchmark(lambda: aggregate_spans(data.spans))
     benchmark.extra_info["n_paths"] = len(stats)
@@ -127,9 +132,9 @@ def test_bench_aggregate_spans_50k(benchmark, big_archive):
     assert sum(s.count for s in stats.values()) >= 50_000
 
 
-def test_bench_critical_path_50k(benchmark, big_archive):
+def test_bench_critical_path_50k(benchmark, big_traces):
     """Concurrent-aware longest-chain extraction."""
-    data = big_archive.load("baseline")
+    data = read_trace(big_traces["baseline"])
 
     chain = benchmark(lambda: critical_path(data.spans))
     benchmark.extra_info["chain_len"] = len(chain)
@@ -137,13 +142,21 @@ def test_bench_critical_path_50k(benchmark, big_archive):
     assert chain[-1].name == "eval.batch"
 
 
-def test_bench_diff_runs_50k(benchmark, big_archive):
-    """Archived-run diff: exact counter comparison of both sides."""
-    baseline = big_archive.load("baseline")
-    current = big_archive.load("rerun")
+def test_bench_diff_runs_50k(benchmark, big_traces):
+    """Two trace files' diff: exact counter comparison of both sides."""
+    baseline = read_trace(big_traces["baseline"])
+    current = read_trace(big_traces["rerun"])
 
     diff = benchmark(lambda: diff_runs(baseline, current))
     # The rerun is 1.02x slower, but its counters are identical.
     assert diff.ok
     assert not diff.counters
 
+
+def test_bench_perfetto_lowering(benchmark, big_traces):
+    """trace -> Chrome/Perfetto JSON object for the >=50k-span trace."""
+    data = read_trace(big_traces["baseline"])
+
+    obj = benchmark(to_perfetto, data)
+    assert check_perfetto(obj) == []
+    benchmark.extra_info["n_events"] = len(obj["traceEvents"])

@@ -533,18 +533,26 @@ def _cmd_search(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_trace(args) -> str:
-    """Render, analyze, or diff recorded traces / archived runs.
+def _read_trace_file(path: str):
+    """Parse a trace file named on the command line, or exit saying why."""
+    from repro.obs import TraceSchemaError, read_trace
 
-    Accepts bare trace files (``--trace PATH`` output), run-bundle
-    directories, or archive roots (``--archive DIR``; resolves to the
-    archive's latest run).  ``--diff BASELINE CURRENT`` compares the
-    two runs' counters exactly and exits nonzero when any differs — the
-    check CI runs on its serial and sharded archives.  ``--analyze
-    --json`` emits the analysis tables as machine-readable JSON (the
-    history store's ingestion format);
-    ``--export-perfetto OUT.json`` lowers the trace to Chrome/Perfetto
-    trace-event JSON for ``ui.perfetto.dev``.
+    try:
+        return read_trace(path)
+    except (TraceSchemaError, OSError) as err:
+        raise SystemExit(str(err)) from err
+
+
+def _cmd_trace(args) -> str:
+    """Render, analyze, or diff trace files (``--trace PATH`` output).
+
+    ``--diff BASELINE CURRENT`` compares the two runs' counters exactly
+    and exits nonzero when any differs — the check CI runs on its serial
+    and sharded smoke traces.  ``--analyze --json`` emits the analysis
+    tables as machine-readable JSON (the history store's ingestion
+    format); ``--export-perfetto OUT.json`` lowers the trace to
+    Chrome/Perfetto trace-event JSON for ``ui.perfetto.dev``.  A file
+    that is missing or not a valid trace exits with its path and line.
     """
     import json as json_mod
 
@@ -555,7 +563,6 @@ def _cmd_trace(args) -> str:
         render_analysis,
         render_diff,
         render_trace,
-        resolve_trace,
     )
 
     if args.diff:
@@ -564,7 +571,7 @@ def _cmd_trace(args) -> str:
                 "repro trace --diff takes exactly two runs: BASELINE CURRENT"
             )
         diff = diff_runs(
-            resolve_trace(args.paths[0]), resolve_trace(args.paths[1])
+            _read_trace_file(args.paths[0]), _read_trace_file(args.paths[1])
         )
         report = render_diff(diff)
         if not diff.ok:
@@ -577,7 +584,7 @@ def _cmd_trace(args) -> str:
         raise SystemExit(
             "repro trace renders one trace (use --diff to compare two)"
         )
-    data = resolve_trace(args.paths[0])
+    data = _read_trace_file(args.paths[0])
     lines = []
     if args.export_perfetto:
         n_events = export_perfetto(data, args.export_perfetto)
@@ -606,9 +613,7 @@ def _cmd_trace(args) -> str:
 
 def _cmd_obs(args) -> str:
     """``repro obs history ingest|show|gate`` — the cross-run trend store."""
-    import os as os_mod
-
-    from repro.obs import HistoryStore, detect_regressions
+    from repro.obs import HistoryStore, TraceSchemaError, detect_regressions
     from repro.obs.history import MIN_POINTS
 
     store = HistoryStore(args.store)
@@ -619,21 +624,15 @@ def _cmd_obs(args) -> str:
         lines = []
         total = 0
         for source in args.sources:
-            if os_mod.path.isdir(source):
-                if not os_mod.path.isfile(
-                    os_mod.path.join(source, "index.jsonl")
-                ):
-                    raise SystemExit(
-                        f"{source}: not an archive root (no index.jsonl)"
-                    )
-                added = store.ingest_archive(source)
-            elif source.endswith(".json"):
-                added = store.ingest_bench(source, sha=args.sha or "")
-            else:
-                raise SystemExit(
-                    f"{source}: expected an archive directory or a "
-                    "pytest-benchmark .json file"
-                )
+            ingest = (
+                store.ingest_bench
+                if source.endswith(".json")
+                else store.ingest_trace
+            )
+            try:
+                added = ingest(source, sha=args.sha or "")
+            except (TraceSchemaError, OSError) as err:
+                raise SystemExit(str(err)) from err
             lines.append(f"ingested {source}: {added} points")
             total += added
         lines.append(
@@ -783,7 +782,7 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
-    """Run-telemetry flags (repro.obs) for the long-running commands."""
+    """Observability flags (repro.obs) for the long-running commands."""
     parser.add_argument(
         "--trace",
         dest="trace",
@@ -803,30 +802,6 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "append the run's metrics (counters, gauges, latency "
             "histograms) to the output"
-        ),
-    )
-    parser.add_argument(
-        "--archive",
-        dest="archive",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help=(
-            "archive this run (span trace + metrics + meta: git sha, "
-            "argv, machine preset) as a self-describing bundle under "
-            "DIR; inspect or compare with `repro trace DIR "
-            "[--analyze|--diff]`"
-        ),
-    )
-    parser.add_argument(
-        "--telemetry",
-        dest="telemetry",
-        action="store_true",
-        help=(
-            "sample per-process resources (CPU, RSS, GC) across the run "
-            "and every shard worker; workers ship their samples home "
-            "with their task results, samples land in the trace/archive "
-            "and surface in `repro trace --analyze` resource columns"
         ),
     )
 
@@ -1074,19 +1049,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace",
         help=(
-            "render, analyze (--analyze), or diff (--diff) recorded "
-            "traces or archived runs"
+            "render, analyze (--analyze), or diff (--diff) trace files "
+            "written by --trace PATH"
         ),
     )
     p.add_argument(
         "paths",
         nargs="+",
         metavar="TRACE",
-        help=(
-            "a trace file (--trace PATH), a run-bundle directory, or an "
-            "archive root (--archive DIR; resolves to its latest run); "
-            "--diff takes two"
-        ),
+        help="a trace file written by --trace PATH; --diff takes two",
     )
     p.add_argument(
         "--width",
@@ -1137,9 +1108,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="OUT.json",
         help=(
-            "lower the trace (spans across pids, counters, resource "
-            "samples) to Chrome/Perfetto trace-event JSON at OUT.json; "
-            "open in ui.perfetto.dev"
+            "lower the trace (spans across pids, counters) to "
+            "Chrome/Perfetto trace-event JSON at OUT.json; open in "
+            "ui.perfetto.dev"
         ),
     )
 
@@ -1165,8 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
     hp = hist_sub.add_parser(
         "ingest",
         help=(
-            "index archive roots (--archive DIR) and/or pytest-benchmark "
-            "JSON files into the store (idempotent per run id)"
+            "index trace files (--trace PATH) and/or pytest-benchmark "
+            "JSON files into the store (idempotent per file name)"
         ),
     )
     hp.add_argument("store", help="history store directory")
@@ -1174,13 +1145,13 @@ def build_parser() -> argparse.ArgumentParser:
         "sources",
         nargs="+",
         metavar="SOURCE",
-        help="archive root directories and/or BENCH_*.json files",
+        help="trace files and/or BENCH_*.json files (*.json)",
     )
     hp.add_argument(
         "--sha",
         type=str,
         default=None,
-        help="git sha to stamp on benchmark points (archives carry their own)",
+        help="git sha to stamp on the ingested points",
     )
 
     hp = hist_sub.add_parser(
@@ -1284,22 +1255,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs.configure_logging(verbose=args.verbose, quiet=args.quiet)
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
-    archive_dir = getattr(args, "archive", None)
-    telemetry = getattr(args, "telemetry", False)
-    if (
-        trace_path is None
-        and not want_metrics
-        and archive_dir is None
-        and not telemetry
-    ):
+    if trace_path is None and not want_metrics:
         print(_dispatch(args))
         return 0
-    # Archiving implies span capture: a bundle without spans can't be
-    # critical-path-analyzed or ingested as span: history series later.
-    with obs.capture(
-        trace=trace_path is not None or archive_dir is not None,
-        telemetry=telemetry,
-    ) as cap:
+    with obs.capture(trace=trace_path is not None) as cap:
         out = _dispatch(args)
     print(out)
     if trace_path is not None:
@@ -1308,32 +1267,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             cap.spans,
             metrics=cap.metrics,
             meta={"command": args.command},
-            samples=cap.resources,
         )
         print(f"trace with {n_spans} spans written to {trace_path}")
-    if archive_dir is not None:
-        from repro.platform.presets import perlmutter_like
-
-        rec = obs.RunArchive(archive_dir).record(
-            cap.spans,
-            cap.metrics,
-            command=args.command,
-            meta={
-                "argv": list(argv) if argv is not None else sys.argv[1:],
-                "machine": perlmutter_like(
-                    noise_sigma=getattr(args, "noise", 0.01)
-                ).name,
-            },
-            samples=cap.resources,
-        )
-        print(f"archived run {rec.run_id} to {rec.path}")
-    if telemetry:
-        rss = cap.metrics.gauges.get("telemetry.rss_max_bytes", 0.0)
-        cpu = cap.metrics.gauges.get("telemetry.cpu_s", 0.0)
-        print(
-            f"telemetry: {len(cap.resources)} resource samples, "
-            f"peak rss {rss / (1024 * 1024):.0f}MB, cpu {cpu:.2f}s"
-        )
     if want_metrics:
         print(obs.render_metrics(cap.metrics))
     return 0

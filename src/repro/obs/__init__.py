@@ -1,4 +1,4 @@
-"""repro.obs — span tracing, metrics, and cross-process run telemetry.
+"""repro.obs — span tracing and metrics across the run's processes.
 
 The shared observability substrate for the whole search/serve stack:
 
@@ -13,17 +13,14 @@ The shared observability substrate for the whole search/serve stack:
   digests are bit-stable between serial and sharded runs.  A run's
   counts are read once it ends (``--metrics``, ``--trace``).
 * ``obs.capture(trace=True)`` / ``write_trace`` / ``read_trace`` /
-  ``render_trace`` — JSONL export and the ``repro trace`` ASCII view.
-* ``RunArchive`` / ``resolve_trace`` — persisted, self-describing run
-  bundles (``--archive DIR``) behind an append-only index.
-* ``aggregate_spans`` / ``critical_path`` / ``hotspots`` — the read
-  side: per-span-path analytics for ``repro trace --analyze``.
+  ``render_trace`` — the JSONL trace file (``--trace PATH``), a run's
+  one persisted record, and the ``repro trace`` ASCII view.
+* ``aggregate_spans`` / ``critical_path`` / ``hotspots`` /
+  ``worker_stats`` — the read side: per-span-path analytics and shard
+  worker utilization for ``repro trace --analyze``.
 * ``diff_runs`` — exact counter identity between two runs
-  (``repro trace --diff``; CI runs it on serial vs. sharded archives).
-* ``TelemetrySampler`` / ``resource_stats`` / ``worker_stats`` —
-  ``--telemetry`` resource sampling (CPU, RSS, GC) attributed to span
-  paths and worker pids, riding ``TaskResult`` payloads.
-* ``to_perfetto`` / ``export_perfetto`` — lower any archived trace to
+  (``repro trace --diff``; CI runs it on serial vs. sharded traces).
+* ``to_perfetto`` / ``export_perfetto`` — lower any trace to
   Chrome/Perfetto trace-event JSON (``--export-perfetto``).
 * ``HistoryStore`` / ``detect_regressions`` — cross-run per-metric time
   series with a rolling median + MAD trend gate, the one wall-time
@@ -35,22 +32,13 @@ The shared observability substrate for the whole search/serve stack:
 from repro.obs.analyze import (
     CriticalStep,
     PathStats,
-    ResourceStats,
     WorkerStats,
     aggregate_spans,
     analysis_to_dict,
     critical_path,
     hotspots,
     render_analysis,
-    resource_stats,
     worker_stats,
-)
-from repro.obs.archive import (
-    ARCHIVE_VERSION,
-    RunArchive,
-    RunRecord,
-    git_revision,
-    resolve_trace,
 )
 from repro.obs.diff import CounterDelta, RunDiff, diff_runs, render_diff
 from repro.obs.export import check_perfetto, export_perfetto, to_perfetto
@@ -74,17 +62,10 @@ from repro.obs.runtime import (
     span,
     stage,
     task_scope,
-    telemetry_active,
     tracing_active,
     worker_capture,
 )
 from repro.obs.span import SpanRecord, Tracer, walk_spans
-from repro.obs.telemetry import (
-    ResourceSample,
-    TelemetrySampler,
-    read_resources,
-    sample_now,
-)
 from repro.obs.trace_io import (
     SUPPORTED_VERSIONS,
     TraceData,
@@ -94,7 +75,6 @@ from repro.obs.trace_io import (
 )
 
 __all__ = [
-    "ARCHIVE_VERSION",
     "SUPPORTED_VERSIONS",
     "CounterDelta",
     "CriticalStep",
@@ -104,13 +84,8 @@ __all__ = [
     "MetricsSnapshot",
     "PathStats",
     "Regression",
-    "ResourceSample",
-    "ResourceStats",
-    "RunArchive",
     "RunDiff",
-    "RunRecord",
     "SpanRecord",
-    "TelemetrySampler",
     "TraceData",
     "TraceSchemaError",
     "Tracer",
@@ -127,12 +102,10 @@ __all__ = [
     "diff_runs",
     "export_perfetto",
     "gauge",
-    "git_revision",
     "hotspots",
     "log",
     "metrics_snapshot",
     "observe",
-    "read_resources",
     "read_trace",
     "render_analysis",
     "render_diff",
@@ -140,14 +113,10 @@ __all__ = [
     "render_span_tree",
     "render_trace",
     "reset",
-    "resolve_trace",
-    "resource_stats",
-    "sample_now",
     "span",
     "stage",
     "summarize_histogram",
     "task_scope",
-    "telemetry_active",
     "to_perfetto",
     "tracing_active",
     "walk_spans",

@@ -23,6 +23,9 @@ forest:
   binding constraint.
 * :func:`hotspots` — top-N paths by self wall, the table to read first
   when a run got slower.
+
+:func:`worker_stats` reads a sharded run's task spans per worker pid:
+how busy each shard worker was over the ``plan.execute`` window.
 """
 
 from __future__ import annotations
@@ -32,21 +35,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import summarize_histogram
 from repro.obs.span import SpanRecord, walk_spans
-from repro.obs.telemetry import ResourceSample
 from repro.obs.trace_io import TraceData
 from repro.textutil import format_table
 
 __all__ = [
     "CriticalStep",
     "PathStats",
-    "ResourceStats",
     "WorkerStats",
     "aggregate_spans",
     "analysis_to_dict",
     "critical_path",
     "hotspots",
     "render_analysis",
-    "resource_stats",
     "worker_stats",
 ]
 
@@ -149,67 +149,7 @@ def critical_path(roots: Sequence[SpanRecord]) -> List[CriticalStep]:
 
 
 # ----------------------------------------------------------------------
-# resource attribution (telemetry samples)
-
-
-@dataclass
-class ResourceStats:
-    """Resource usage attributed to one span path (and its subtree).
-
-    CPU counters in a :class:`ResourceSample` are cumulative, so a
-    path's CPU is the sum over each (pid, path-prefix) group of
-    ``last.cpu_s - first.cpu_s``; wall is the matching timestamp delta,
-    which makes ``cpu_pct`` a real utilization (can exceed 100 on a
-    multi-threaded span).
-    """
-
-    path: str
-    n_samples: int = 0
-    rss_max_bytes: int = 0
-    cpu_s: float = 0.0
-    wall_s: float = 0.0
-
-    @property
-    def cpu_pct(self) -> float:
-        if self.wall_s <= 0:
-            return 0.0
-        return 100.0 * self.cpu_s / self.wall_s
-
-
-def _path_prefixes(path: str) -> List[str]:
-    parts = path.split("/")
-    return ["/".join(parts[: i + 1]) for i in range(len(parts))]
-
-
-def resource_stats(
-    samples: Sequence[ResourceSample],
-) -> Dict[str, ResourceStats]:
-    """Attribute telemetry samples to span paths, keyed by path.
-
-    Every sample credits *all* prefixes of its span path (a sample taken
-    inside ``a/b/c`` is evidence about ``a`` and ``a/b`` too), so parent
-    rows aggregate their subtree the same way span wall totals do.
-    """
-    groups: Dict[Tuple[int, str], List[ResourceSample]] = {}
-    for rec in samples:
-        if not rec.path:
-            continue
-        for prefix in _path_prefixes(rec.path):
-            groups.setdefault((rec.pid, prefix), []).append(rec)
-
-    stats: Dict[str, ResourceStats] = {}
-    for (_pid, prefix), series in groups.items():
-        series.sort(key=lambda s: s.ts)
-        entry = stats.get(prefix)
-        if entry is None:
-            entry = stats[prefix] = ResourceStats(path=prefix)
-        entry.n_samples += len(series)
-        entry.rss_max_bytes = max(
-            entry.rss_max_bytes, max(s.rss_bytes for s in series)
-        )
-        entry.cpu_s += max(0.0, series[-1].cpu_s - series[0].cpu_s)
-        entry.wall_s += max(0.0, series[-1].ts - series[0].ts)
-    return stats
+# worker utilization (task spans of a sharded run)
 
 
 @dataclass
@@ -220,8 +160,6 @@ class WorkerStats:
     n_tasks: int = 0
     busy_s: float = 0.0
     window_s: float = 0.0
-    rss_max_bytes: int = 0
-    cpu_s: float = 0.0
     #: (start, end) of each task span, on the rebased parent clock.
     intervals: Tuple[Tuple[float, float], ...] = ()
 
@@ -264,19 +202,6 @@ def worker_stats(data: TraceData) -> List[WorkerStats]:
         if rec.name.startswith("task:") and rec.pid != own_pid:
             by_pid.setdefault(rec.pid, []).append(rec)
 
-    rss_by_pid: Dict[int, int] = {}
-    cpu_by_pid: Dict[int, float] = {}
-    for pid in by_pid:
-        series = sorted(
-            (s for s in data.samples if s.pid == pid),
-            key=lambda s: s.ts,
-        )
-        if series:
-            rss_by_pid[pid] = max(s.rss_bytes for s in series)
-            cpu_by_pid[pid] = max(
-                0.0, series[-1].cpu_s - series[0].cpu_s
-            )
-
     out: List[WorkerStats] = []
     for pid, recs in sorted(by_pid.items()):
         intervals = tuple(
@@ -294,8 +219,6 @@ def worker_stats(data: TraceData) -> List[WorkerStats]:
                 n_tasks=len(recs),
                 busy_s=sum(r.duration for r in recs),
                 window_s=window_s,
-                rss_max_bytes=rss_by_pid.get(pid, 0),
-                cpu_s=cpu_by_pid.get(pid, 0.0),
                 intervals=intervals,
             )
         )
@@ -330,17 +253,9 @@ def _fmt_seconds(seconds: float) -> str:
     return f"{seconds * 1e6:.0f}us"
 
 
-def _fmt_bytes(n: float) -> str:
-    n = float(n)
-    for unit in ("B", "KB", "MB", "GB"):
-        if n < 1024 or unit == "GB":
-            return f"{n:.0f}{unit}" if unit == "B" else f"{n:.1f}{unit}"
-        n /= 1024
-    return f"{n:.1f}GB"
-
-
 def render_analysis(data: TraceData, top: int = 10) -> str:
-    """``repro trace --analyze``: aggregation, hotspots, critical path."""
+    """``repro trace --analyze``: aggregation, hotspots, critical path,
+    and worker utilization when shard workers ran task spans."""
     stats = aggregate_spans(data.spans)
     lines = [
         f"trace analysis: {data.n_spans()} spans, "
@@ -401,53 +316,28 @@ def render_analysis(data: TraceData, top: int = 10) -> str:
         ],
     )
 
-    if data.samples:
-        res = sorted(
-            resource_stats(data.samples).values(),
-            key=lambda r: (-r.rss_max_bytes, r.path),
-        )
+    workers = worker_stats(data)
+    if workers:
+        window = _execute_window(data.spans)
         lines.append("")
-        lines.append(
-            f"resources by span path ({len(data.samples)} samples, "
-            f"top {top}):"
-        )
+        lines.append("worker utilization (plan.execute window):")
         lines += format_table(
-            ("path", "samples", "max rss", "cpu", "cpu%"),
+            ("pid", "tasks", "busy", "util", "timeline"),
             [
                 (
-                    r.path,
-                    str(r.n_samples),
-                    _fmt_bytes(r.rss_max_bytes),
-                    _fmt_seconds(r.cpu_s),
-                    f"{r.cpu_pct:.0f}%",
+                    str(w.pid),
+                    str(w.n_tasks),
+                    _fmt_seconds(w.busy_s),
+                    f"{100.0 * w.utilization:.0f}%",
+                    (
+                        _timeline(w.intervals, window)
+                        if window is not None
+                        else ""
+                    ),
                 )
-                for r in res[:top]
+                for w in workers
             ],
         )
-
-        workers = worker_stats(data)
-        if workers:
-            window = _execute_window(data.spans)
-            lines.append("")
-            lines.append("worker utilization (plan.execute window):")
-            lines += format_table(
-                ("pid", "tasks", "busy", "util", "max rss", "timeline"),
-                [
-                    (
-                        str(w.pid),
-                        str(w.n_tasks),
-                        _fmt_seconds(w.busy_s),
-                        f"{100.0 * w.utilization:.0f}%",
-                        _fmt_bytes(w.rss_max_bytes),
-                        (
-                            _timeline(w.intervals, window)
-                            if window is not None
-                            else ""
-                        ),
-                    )
-                    for w in workers
-                ],
-            )
     return "\n".join(lines)
 
 
@@ -465,13 +355,8 @@ ingest_analysis` indexes, so key names here are a compatibility
     )
     if top > 0:
         stats = stats[:top]
-    res = sorted(
-        resource_stats(data.samples).values(),
-        key=lambda r: (-r.rss_max_bytes, r.path),
-    )
     return {
         "n_spans": data.n_spans(),
-        "n_samples": len(data.samples),
         "meta": dict(data.meta),
         "paths": [
             {
@@ -499,17 +384,6 @@ ingest_analysis` indexes, so key names here are a compatibility
             name: summarize_histogram(values)
             for name, values in data.metrics.histograms.items()
         },
-        "resources": [
-            {
-                "path": r.path,
-                "n_samples": r.n_samples,
-                "rss_max_bytes": r.rss_max_bytes,
-                "cpu_s": r.cpu_s,
-                "wall_s": r.wall_s,
-                "cpu_pct": r.cpu_pct,
-            }
-            for r in res
-        ],
         "workers": [
             {
                 "pid": w.pid,
@@ -517,8 +391,6 @@ ingest_analysis` indexes, so key names here are a compatibility
                 "busy_s": w.busy_s,
                 "window_s": w.window_s,
                 "utilization": w.utilization,
-                "rss_max_bytes": w.rss_max_bytes,
-                "cpu_s": w.cpu_s,
             }
             for w in worker_stats(data)
         ],

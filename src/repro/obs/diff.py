@@ -6,8 +6,8 @@ must agree on every one of them: any drift in e.g.
 :func:`diff_runs` lists each counter whose value differs or that exists
 in only one run, and every such delta fails; there is no tolerance.
 Wall time is not compared here: perfbench and the history trend gate
-(:func:`repro.obs.history.detect_regressions`) judge it.  CI diffs its
-archived serial and sharded smoke runs with this check.
+(:func:`repro.obs.history.detect_regressions`) judge it.  CI diffs the
+trace files of its serial and sharded smoke runs with this check.
 """
 
 from __future__ import annotations

@@ -6,18 +6,15 @@ The trace-event format (the JSON flavour ``ui.perfetto.dev`` and
 * every span becomes one complete event (``ph: "X"``) with
   microsecond ``ts``/``dur`` on its process's track (``pid``; ``tid``
   mirrors ``pid`` because our workers are single-threaded processes);
-* every :class:`~repro.obs.telemetry.ResourceSample` becomes counter
-  events (``ph: "C"``) — an RSS track in MB and a cumulative-CPU track
-  split into user/system — on the sampled process's row;
 * final run counters from the metrics snapshot become one counter
   event each at the end of the trace;
 * per-pid ``process_name`` metadata events (``ph: "M"``) label tracks.
 
-Span starts and sample timestamps were already rebased onto one clock
-at absorb time, so multi-pid archives render as aligned tracks with no
-further work here.  :func:`check_perfetto` is the schema check CI runs
-on exported files: every event must carry a valid ``ph``, numeric
-``ts``, and integer ``pid``/``tid``.
+Span starts were already rebased onto one clock at absorb time, so
+multi-pid traces render as aligned tracks with no further work here.
+:func:`check_perfetto` is the schema check CI runs on exported files:
+every event must carry a valid ``ph``, numeric ``ts``, and integer
+``pid``/``tid``.
 """
 
 from __future__ import annotations
@@ -62,35 +59,6 @@ def to_perfetto(data: TraceData) -> Dict[str, object]:
 
     for root in data.spans:
         visit(root)
-
-    for sample in data.samples:
-        pids.add(sample.pid)
-        ts = sample.ts * 1e6
-        events.append(
-            {
-                "name": "rss_mb",
-                "cat": "telemetry",
-                "ph": "C",
-                "ts": ts,
-                "pid": sample.pid,
-                "tid": sample.pid,
-                "args": {"rss_mb": sample.rss_bytes / (1024 * 1024)},
-            }
-        )
-        events.append(
-            {
-                "name": "cpu_s",
-                "cat": "telemetry",
-                "ph": "C",
-                "ts": ts,
-                "pid": sample.pid,
-                "tid": sample.pid,
-                "args": {
-                    "user": sample.cpu_utime_s,
-                    "system": sample.cpu_stime_s,
-                },
-            }
-        )
 
     # Final run counters as one terminal counter event each, placed at
     # the end of the span timeline so they read as run totals.

@@ -4,15 +4,17 @@
 :class:`HistoryPoint` rows — one scalar per (series, run) — fed from
 two sources:
 
-* archived run bundles (:meth:`ingest_archive` /
+* trace files written by ``--trace PATH`` (:meth:`ingest_trace` /
   :meth:`ingest_analysis`), whose per-span-path wall totals become
   ``span:<path>`` series, counters ``counter:<name>`` series, and
   histogram quantiles ``hist:<name>:<q>`` series;
 * pytest-benchmark JSON artifacts (:meth:`ingest_bench`), whose
   per-benchmark means become ``bench:<fullname>`` series.
 
-Runs are deduplicated by ``run_id``, so re-ingesting the same archive
-is idempotent and CI can cache the store across nightly jobs.
+Both key a file the same way: the run id is the file name, the time its
+mtime, and the git sha whatever the caller passes.  Runs are
+deduplicated by ``run_id``, so re-ingesting the same file is idempotent
+and CI can cache the store across nightly jobs.
 
 :func:`detect_regressions` is the one wall-time regression gate: for
 each series it compares the newest point against the rolling median of
@@ -30,7 +32,8 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
-from repro.obs.trace_io import TraceSchemaError
+from repro.obs.analyze import analysis_to_dict
+from repro.obs.trace_io import TraceSchemaError, read_trace
 
 __all__ = [
     "HistoryPoint",
@@ -203,24 +206,22 @@ class HistoryStore:
                         point(f"hist:{name}:{q}", summary[q])
         return self.append(points)
 
-    def ingest_archive(self, root: str) -> int:
-        """Ingest every run bundle of an archive; returns points added."""
-        from repro.obs.analyze import analysis_to_dict
-        from repro.obs.archive import RunArchive
+    def ingest_trace(self, path: str, *, sha: str = "") -> int:
+        """Ingest one trace file (``--trace PATH``); points added.
 
-        added = 0
-        for rec in RunArchive(root).runs():
-            data = rec.load()
-            meta = rec.meta
-            ts = _parse_created(str(meta.get("created", "") or ""))
-            added += self.ingest_analysis(
-                analysis_to_dict(data),
-                sha=str(meta.get("git_sha", "") or ""),
-                ts=ts,
-                run_id=rec.run_id,
-                source=rec.path,
-            )
-        return added
+        The series are :meth:`ingest_analysis`'s over the file's
+        ``analysis_to_dict`` payload.  Raises ``OSError`` or
+        :class:`TraceSchemaError` when the file cannot be read as a
+        trace.
+        """
+        payload = analysis_to_dict(read_trace(path))
+        return self.ingest_analysis(
+            payload,
+            sha=sha,
+            ts=_mtime(path),
+            run_id=os.path.basename(path),
+            source=path,
+        )
 
     def ingest_bench(self, path: str, *, sha: str = "") -> int:
         """Ingest one pytest-benchmark JSON artifact; points added.
@@ -242,10 +243,7 @@ class HistoryStore:
         run_id = os.path.basename(path)
         if run_id in self.run_ids():
             return 0
-        try:
-            ts = os.path.getmtime(path)
-        except OSError:
-            ts = 0.0
+        ts = _mtime(path)
         means = []
         for bench in benches:
             if not isinstance(bench, dict):
@@ -271,13 +269,11 @@ class HistoryStore:
         )
 
 
-def _parse_created(created: str) -> float:
-    """ISO-8601 ``created`` stamp → epoch seconds (0.0 when unparsable)."""
-    from datetime import datetime
-
+def _mtime(path: str) -> float:
+    """A source file's mtime, the time its points carry (0.0 if gone)."""
     try:
-        return datetime.fromisoformat(created).timestamp()
-    except ValueError:
+        return os.path.getmtime(path)
+    except OSError:
         return 0.0
 
 

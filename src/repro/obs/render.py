@@ -127,11 +127,9 @@ def render_trace(data: TraceData, width: int = 24) -> str:
     header = (
         f"trace v{data.version}"
         + (f"  {meta}" if meta else "")
-        + f"  ({data.n_spans()} spans"
+        + f"  ({data.n_spans()} spans)"
     )
-    if data.samples:
-        header += f", {len(data.samples)} resource samples"
-    lines = [header + ")"]
+    lines = [header]
     if data.spans:
         lines.append(
             "span tree (bars scaled to each root's wall):"

@@ -1,6 +1,6 @@
 """Module-level observability state and the primitives built on it.
 
-Four pieces of ambient state, all process-local:
+Three pieces of ambient state, all process-local:
 
 * ``metrics`` — a :class:`MetricsRegistry` that is **always on**.  Hot
   paths emit at block/batch granularity (one dict add per enumeration
@@ -17,9 +17,6 @@ Four pieces of ambient state, all process-local:
   whoever is running the task.  This replaces the hand-threaded stage
   float lists the orchestrator used to build, and doubles as a span when
   tracing is active.
-* ``telemetry`` — ``None`` unless a capture scope installs a
-  :class:`~repro.obs.telemetry.TelemetrySampler` (``--telemetry``);
-  :func:`add` then takes a resource sample whenever the sampler is due.
 
 Worker processes never share this state usefully (fork inherits a stale
 copy): :class:`worker_capture` swaps in a fresh registry/tracer for the
@@ -36,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.span import SpanRecord, Tracer
-from repro.obs.telemetry import ResourceSample, TelemetrySampler
 
 __all__ = [
     "absorb",
@@ -48,35 +44,31 @@ __all__ = [
     "span",
     "stage",
     "task_scope",
-    "telemetry_active",
     "tracing_active",
     "worker_capture",
 ]
 
 
 class _ObsState:
-    __slots__ = ("tracer", "metrics", "stage_log", "telemetry")
+    __slots__ = ("tracer", "metrics", "stage_log")
 
     def __init__(self) -> None:
         self.tracer: Optional[Tracer] = None
         self.metrics: MetricsRegistry = MetricsRegistry()
         self.stage_log: Optional[List[Tuple[str, float]]] = None
-        #: Resource sampler (``--telemetry``), installed by capture scopes.
-        self.telemetry: Optional[TelemetrySampler] = None
 
 
 _STATE = _ObsState()
 
 
 def reset() -> None:
-    """Drop all ambient state (fresh registry, no tracer, no sampler).
+    """Drop all ambient state (fresh registry, no tracer).
 
     Tests call it between cases.
     """
     _STATE.tracer = None
     _STATE.metrics = MetricsRegistry()
     _STATE.stage_log = None
-    _STATE.telemetry = None
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +77,6 @@ def reset() -> None:
 
 def add(name: str, value: float = 1) -> None:
     _STATE.metrics.add(name, value)
-    sampler = _STATE.telemetry
-    if sampler is not None and sampler.due():
-        sampler.sample(_open_span_path())
 
 
 def gauge(name: str, value: float) -> None:
@@ -156,29 +145,6 @@ def tracing_active() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# telemetry
-
-
-def _open_span_path() -> str:
-    """``/``-joined names of the currently open span stack ("" if none)."""
-    tracer = _STATE.tracer
-    if tracer is None or not tracer._stack:
-        return ""
-    return "/".join(rec.name for rec in tracer._stack)
-
-
-def telemetry_active() -> bool:
-    return _STATE.telemetry is not None
-
-
-def _force_sample() -> None:
-    """Boundary sample (task/stage open+close) so CPU deltas bracket."""
-    sampler = _STATE.telemetry
-    if sampler is not None:
-        sampler.sample(_open_span_path())
-
-
-# ---------------------------------------------------------------------------
 # stages: always-timed coarse phases reported to the enclosing task
 
 
@@ -206,13 +172,11 @@ class stage:
             if tracer is not None
             else None
         )
-        _force_sample()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.duration = time.perf_counter() - self._t0
-        _force_sample()
         if self._rec is not None and _STATE.tracer is not None:
             _STATE.tracer.close(self._rec)
         if _STATE.stage_log is not None:
@@ -247,13 +211,11 @@ class task_scope:
             if tracer is not None
             else None
         )
-        _force_sample()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.duration = time.perf_counter() - self._t0
-        _force_sample()
         _STATE.stage_log = self._prev
         if self._rec is not None and _STATE.tracer is not None:
             _STATE.tracer.close(self._rec)
@@ -270,51 +232,24 @@ class capture:
     ``trace=False``) and ``.metrics`` the :class:`MetricsSnapshot` delta
     of everything recorded — or absorbed from workers — inside the
     block.  Nestable; the previous tracer is restored on exit.
-
-    ``telemetry=True`` additionally installs a
-    :class:`~repro.obs.telemetry.TelemetrySampler` sharing the tracer's
-    epoch; after exit ``.resources`` holds every collected (and
-    absorbed) :class:`ResourceSample` and the registry gains
-    ``telemetry.*`` gauges (peak RSS, CPU seconds) that land in the
-    metrics delta.
     """
 
-    def __init__(self, trace: bool = False, telemetry: bool = False) -> None:
+    def __init__(self, trace: bool = False) -> None:
         self.trace = trace
-        self.telemetry = telemetry
         self.spans: Tuple[SpanRecord, ...] = ()
         self.metrics = MetricsSnapshot()
-        self.resources: Tuple[ResourceSample, ...] = ()
-        self.epoch: Optional[float] = None
 
     def __enter__(self) -> "capture":
         self._before = _STATE.metrics.snapshot()
         self._prev_tracer = _STATE.tracer
-        self._prev_telemetry = _STATE.telemetry
         if self.trace:
             _STATE.tracer = Tracer()
-        if self.telemetry:
-            sampler = TelemetrySampler(
-                epoch=_STATE.tracer.epoch if self.trace else None
-            )
-            _STATE.telemetry = sampler
-            sampler.sample("")  # baseline reading before any work
         return self
 
     def __exit__(self, *exc: object) -> None:
-        sampler = _STATE.telemetry
-        if self.telemetry and sampler is not None:
-            sampler.sample(_open_span_path())
-            self.resources = tuple(sampler.samples)
-            self.epoch = sampler.epoch
-            for name, value in sampler.summary().items():
-                # Gauges, never counters: counter digests must stay
-                # bit-identical between serial and sharded runs.
-                _STATE.metrics.gauge(f"telemetry.{name}", value)
         if self.trace and _STATE.tracer is not None:
             self.spans = _STATE.tracer.finished_roots()
         _STATE.tracer = self._prev_tracer
-        _STATE.telemetry = self._prev_telemetry
         self.metrics = _STATE.metrics.snapshot().diff(self._before)
 
     @property
@@ -328,58 +263,32 @@ class worker_capture:
     Swaps in a *fresh* registry (and tracer, when the parent is tracing)
     so a pooled worker process — which may run many tasks back to back —
     never leaks metrics between tasks.  After exit, ``.spans`` and
-    ``.snapshot`` are the picklable payloads to ship on the TaskResult.
-
-    The telemetry slot is *always* overridden for the task — a forked
-    worker inherits the parent's sampler in its stale state copy: with
-    ``telemetry=True`` a fresh sampler is installed, otherwise the
-    inherited one is masked with None.
-
-    After exit ``.resources`` holds the worker's samples and ``.epoch``
-    the worker-side clock origin, which :func:`absorb` uses to rebase
-    shipped timestamps (and span starts) onto the parent clock.
+    ``.snapshot`` are the picklable payloads to ship on the TaskResult,
+    and ``.epoch`` (traced tasks only) is the worker tracer's clock
+    origin, which :func:`absorb` uses to rebase shipped span starts onto
+    the parent clock.
     """
 
-    def __init__(self, trace: bool = False, telemetry: bool = False) -> None:
+    def __init__(self, trace: bool = False) -> None:
         self.trace = trace
-        self.telemetry = telemetry
         self.spans: Tuple[SpanRecord, ...] = ()
         self.snapshot = MetricsSnapshot()
-        self.resources: Tuple[ResourceSample, ...] = ()
         self.epoch: Optional[float] = None
 
     def __enter__(self) -> "worker_capture":
         self._prev_tracer = _STATE.tracer
         self._prev_metrics = _STATE.metrics
-        self._prev_telemetry = _STATE.telemetry
         _STATE.tracer = Tracer() if self.trace else None
         _STATE.metrics = MetricsRegistry()
-        sampler = (
-            TelemetrySampler(epoch=_STATE.tracer.epoch if self.trace else None)
-            if self.telemetry
-            else None
-        )
-        _STATE.telemetry = sampler
-        if sampler is not None:
-            sampler.sample("")  # baseline reading before any work
         return self
 
     def __exit__(self, *exc: object) -> None:
-        sampler = _STATE.telemetry
-        if self.telemetry and sampler is not None:
-            sampler.sample(_open_span_path())
-            self.resources = tuple(sampler.samples)
-            self.epoch = sampler.epoch
         if self.trace and _STATE.tracer is not None:
             self.spans = _STATE.tracer.finished_roots()
-            if self.epoch is None:
-                # Ship the clock origin even without telemetry so the
-                # parent can rebase span starts onto its own axis.
-                self.epoch = _STATE.tracer.epoch
+            self.epoch = _STATE.tracer.epoch
         self.snapshot = _STATE.metrics.snapshot()
         _STATE.tracer = self._prev_tracer
         _STATE.metrics = self._prev_metrics
-        _STATE.telemetry = self._prev_telemetry
 
 
 def _shift_span(rec: SpanRecord, shift: float) -> None:
@@ -392,36 +301,24 @@ def _shift_span(rec: SpanRecord, shift: float) -> None:
 def absorb(
     spans: Sequence[SpanRecord] = (),
     snapshot: Optional[MetricsSnapshot] = None,
-    resources: Sequence[ResourceSample] = (),
     epoch: Optional[float] = None,
 ) -> None:
-    """Fold a worker's shipped telemetry into the ambient state.
+    """Fold a worker's shipped spans and metrics into the ambient state.
 
     Metrics merge into the live registry; span subtrees graft under the
     current open span (``plan.execute`` during plan merging), giving one
-    coherent trace tree per run.  When the
-    worker ships its clock ``epoch``, span starts and sample timestamps
-    are rebased by ``worker_epoch - parent_epoch`` first —
-    ``perf_counter`` is the system-wide monotonic clock on the platforms
-    we run on, so after rebasing one trace holds a single coherent
-    cross-pid timeline.
-    Resource sample paths are grafted under the open span path, the same
-    discipline span subtrees get.
+    coherent trace tree per run.  When the worker ships its clock
+    ``epoch``, span starts are rebased by ``worker_epoch -
+    parent_epoch`` first — ``perf_counter`` is the system-wide monotonic
+    clock on the platforms we run on, so after rebasing one trace holds
+    a single coherent cross-pid timeline.
     """
     if snapshot is not None and not snapshot.is_empty():
         _STATE.metrics.merge_snapshot(snapshot)
     tracer = _STATE.tracer
-    sampler = _STATE.telemetry
-    shift = 0.0
-    if epoch is not None:
-        if tracer is not None:
-            shift = epoch - tracer.epoch
-        elif sampler is not None:
-            shift = epoch - sampler.epoch
     if spans and tracer is not None:
-        if shift:
+        if epoch is not None:
+            shift = epoch - tracer.epoch
             for root in spans:
                 _shift_span(root, shift)
         tracer.attach(list(spans))
-    if resources and sampler is not None:
-        sampler.absorb(resources, shift=shift, prefix=_open_span_path())

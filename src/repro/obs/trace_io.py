@@ -1,4 +1,4 @@
-"""JSONL export/import for traces (spans + metrics + resource samples).
+"""JSONL export/import for traces (spans + metrics).
 
 Schema (one JSON object per line):
 
@@ -6,20 +6,16 @@ Schema (one JSON object per line):
 * span lines — ``{"type": "span", "id": N, "parent": N|null, "name": ...,
   "start": ..., "dur": ..., "pid": ..., "attrs": {...}}``; ids are
   depth-first preorder, so every parent id precedes its children.
-* sample lines (v2) — ``{"type": "sample", "ts": ..., "pid": ...,
-  "path": ..., "rss": ..., "utime": ..., "stime": ..., "gc": ...}``: one
-  :class:`~repro.obs.telemetry.ResourceSample` recorded under
-  ``--telemetry``.  Older v2 files may also carry a ``"malloc"`` key;
-  the reader ignores it.
 * metric lines — ``{"type": "counter"|"gauge", "name": ..., "value": ...}``
   and ``{"type": "hist", "name": ..., "values": [...]}`` (raw samples,
   so quantiles survive the round-trip exactly).
 
-``read_trace(write_trace(...))`` reconstructs the span forest, samples,
-and snapshot bit-for-bit.  The reader is strict (CI runs it against
-``repro suite --trace`` output) and accepts every version in
-:data:`SUPPORTED_VERSIONS` — v1 files (pre-telemetry) simply have no
-sample lines; the writer always writes :data:`TRACE_VERSION`.
+``read_trace(write_trace(...))`` reconstructs the span forest and
+snapshot bit-for-bit.  The reader is strict (CI runs it against
+``repro suite --trace`` output): any other line type, including the
+``sample`` lines older resource-sampling runs wrote, is refused.  It
+accepts every version in :data:`SUPPORTED_VERSIONS`, which share this
+schema; the writer always writes :data:`TRACE_VERSION`.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.span import SpanRecord, walk_spans
-from repro.obs.telemetry import ResourceSample
 
 __all__ = [
     "SUPPORTED_VERSIONS",
@@ -42,7 +37,7 @@ __all__ = [
 
 TRACE_VERSION = 2
 
-#: Versions :func:`read_trace` accepts (v1 = spans+metrics only).
+#: Versions :func:`read_trace` accepts.
 SUPPORTED_VERSIONS = (1, 2)
 
 
@@ -57,7 +52,6 @@ class TraceData:
     meta: Dict[str, object] = field(default_factory=dict)
     spans: Tuple[SpanRecord, ...] = ()
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
-    samples: Tuple[ResourceSample, ...] = ()
     version: int = TRACE_VERSION
 
     def walk(self) -> Iterator[SpanRecord]:
@@ -72,7 +66,6 @@ def write_trace(
     spans: Sequence[SpanRecord],
     metrics: Optional[MetricsSnapshot] = None,
     meta: Optional[Dict[str, object]] = None,
-    samples: Sequence[ResourceSample] = (),
 ) -> int:
     """Write a trace file; returns the number of span lines written."""
     n_spans = 0
@@ -107,24 +100,6 @@ def write_trace(
 
         for root in spans:
             emit(root, None)
-
-        for rec in samples:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "sample",
-                        "ts": rec.ts,
-                        "pid": rec.pid,
-                        "path": rec.path,
-                        "rss": rec.rss_bytes,
-                        "utime": rec.cpu_utime_s,
-                        "stime": rec.cpu_stime_s,
-                        "gc": rec.gc_collections,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
 
         if metrics is not None:
             for name in sorted(metrics.counters):
@@ -167,7 +142,6 @@ def write_trace(
 
 
 _SPAN_KEYS = {"type", "id", "parent", "name", "start", "dur", "pid", "attrs"}
-_SAMPLE_KEYS = {"type", "ts", "pid", "path", "rss", "utime", "stime", "gc"}
 
 
 def read_trace(path: str) -> TraceData:
@@ -198,7 +172,6 @@ def read_trace(path: str) -> TraceData:
 
     roots: list = []
     by_id: Dict[int, SpanRecord] = {}
-    samples: list = []
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     histograms: Dict[str, Tuple[float, ...]] = {}
@@ -237,28 +210,6 @@ def read_trace(path: str) -> TraceData:
                     f"unknown parent {parent!r}"
                 )
             by_id[span_id] = rec
-        elif kind == "sample":
-            missing = _SAMPLE_KEYS - obj.keys()
-            if missing:
-                raise TraceSchemaError(
-                    f"{path}:{i + 1}: sample missing keys {sorted(missing)}"
-                )
-            try:
-                samples.append(
-                    ResourceSample(
-                        ts=float(obj["ts"]),
-                        pid=int(obj["pid"]),
-                        path=str(obj["path"]),
-                        rss_bytes=int(obj["rss"]),
-                        cpu_utime_s=float(obj["utime"]),
-                        cpu_stime_s=float(obj["stime"]),
-                        gc_collections=int(obj["gc"]),
-                    )
-                )
-            except (TypeError, ValueError) as err:
-                raise TraceSchemaError(
-                    f"{path}:{i + 1}: bad sample line: {err}"
-                ) from err
         elif kind in ("counter", "gauge"):
             name, value = obj.get("name"), obj.get("value")
             if not isinstance(name, str) or not isinstance(value, (int, float)):
@@ -278,6 +229,5 @@ def read_trace(path: str) -> TraceData:
         metrics=MetricsSnapshot(
             counters=counters, gauges=gauges, histograms=histograms
         ),
-        samples=tuple(samples),
         version=int(version),
     )

@@ -103,10 +103,6 @@ def run_range_sharded_search(
     ``execution`` sets the shard pool (``shard_workers``) and each shard's
     measurement cache and sweep block (``cache_path``, ``block_size``);
     none of them changes the merged result.
-
-    Under ``--telemetry`` every shard ships its resource samples home on
-    its task result, for parent-side absorption — no extra wiring here,
-    the plan runner threads it through.
     """
     t0 = time.perf_counter()
     space = DesignSpace(build_workload(spec), n_streams=n_streams)

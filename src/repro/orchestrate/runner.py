@@ -42,7 +42,7 @@ from repro.core.pipeline import DesignRulePipeline, PipelineConfig
 from repro.dag.program import Program
 from repro.errors import WorkloadError
 from repro.exec import Evaluator, build_evaluator
-from repro.obs import MetricsSnapshot, ResourceSample, SpanRecord
+from repro.obs import MetricsSnapshot, SpanRecord
 from repro.orchestrate.plan import (
     TASK_SEARCH_RANGE,
     TASK_SUITE_CELLS,
@@ -79,11 +79,8 @@ class TaskResult:
     #: Worker-local metrics snapshot shipped home for parent-side merge
     #: (None for in-process tasks, which hit the live registry directly).
     metrics: Optional[MetricsSnapshot] = None
-    #: Worker-local resource samples (``--telemetry``), shipped home for
-    #: parent-side merge alongside the spans.
-    resources: Tuple[ResourceSample, ...] = ()
     #: Worker-side clock origin; lets ``obs.absorb`` rebase shipped span
-    #: starts and sample timestamps onto the parent clock.
+    #: starts onto the parent clock.
     obs_epoch: Optional[float] = None
 
     def timing_dict(self) -> Dict[str, object]:
@@ -317,7 +314,6 @@ def _execute_task_shipped(
     machine: MachineConfig,
     task: WorkloadTask,
     observe: bool = False,
-    telemetry: bool = False,
 ) -> TaskResult:
     """Worker-side entry: run the task, then make the result picklable.
 
@@ -327,13 +323,13 @@ def _execute_task_shipped(
     spec — bit-identical by the workload determinism contract.  The
     in-process path skips the round trip entirely.
 
-    Telemetry crosses the boundary the same way: the task runs against a
-    fresh worker-local registry (and tracer, when the parent traces —
-    ``observe``), whose snapshot and span subtrees ship home on the
-    result for :func:`repro.obs.absorb` in ``execute_plan``.  The result
-    is the worker's only channel home.
+    Metrics and spans cross the boundary the same way: the task runs
+    against a fresh worker-local registry (and tracer, when the parent
+    traces — ``observe``), whose snapshot and span subtrees ship home on
+    the result for :func:`repro.obs.absorb` in ``execute_plan``.  The
+    result is the worker's only channel home.
     """
-    with obs.worker_capture(trace=observe, telemetry=telemetry) as cap:
+    with obs.worker_capture(trace=observe) as cap:
         result = execute_task(machine, task)
     payload = result.payload
     if getattr(payload, "program", None) is not None:
@@ -344,7 +340,6 @@ def _execute_task_shipped(
         result,
         spans=cap.spans,
         metrics=cap.snapshot,
-        resources=cap.resources,
         obs_epoch=cap.epoch,
     )
 
@@ -383,15 +378,10 @@ def execute_plan(plan: ExecutionPlan, *, shard_workers: int = 0) -> PlanRun:
                 results.append(execute_task(plan.machine, task))
                 obs.add("plan.tasks_completed")
         results.sort(key=lambda r: r.index)
-        # Merge shipped worker telemetry in task-index order — the same
-        # deterministic merge discipline the payloads themselves get.
+        # Merge shipped worker spans and metrics in task-index order — the
+        # same deterministic merge discipline the payloads themselves get.
         for result in results:
-            obs.absorb(
-                result.spans,
-                result.metrics,
-                resources=result.resources,
-                epoch=result.obs_epoch,
-            )
+            obs.absorb(result.spans, result.metrics, epoch=result.obs_epoch)
     return PlanRun(
         results=results,
         shard_workers=shard_workers,
@@ -417,7 +407,6 @@ def _execute_sharded(plan: ExecutionPlan, shard_workers: int) -> List[TaskResult
                 plan.machine,
                 plan.tasks[index],
                 obs.tracing_active(),
-                obs.telemetry_active(),
             )
             for index in submission_order(plan.tasks, costs)
         ]

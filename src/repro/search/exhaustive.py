@@ -11,10 +11,10 @@ per call, results remain in enumeration order, and peak schedule
 residency is one block — never the space.
 
 A rule ``guide`` (:class:`repro.advisor.guided.ScheduleGuide`) turns the
-sweep into *guided* exhaustive search.  With ``branch_and_bound`` (the
-default) the guide prunes at two levels: incomplete prefixes that
-determinately violate a prune-strength rule cut their entire subtree
-before enumeration (``result.n_subtrees_cut``), and surviving complete
+sweep into *guided* exhaustive search, a branch-and-bound walk.  The
+guide prunes at two levels: incomplete prefixes that determinately
+violate a prune-strength rule cut their entire subtree before
+enumeration (``result.n_subtrees_cut``), and surviving complete
 schedules that still violate are dropped before simulation
 (``result.n_pruned``).  Both prune toward exactly the set
 ``guide.admits`` keeps, so the guided best is found while enumerating —
@@ -48,7 +48,6 @@ class ExhaustiveSearch(SearchStrategy):
         guide=None,
         cursor: Optional[EnumerationCursor] = None,
         limit: Optional[int] = None,
-        branch_and_bound: bool = True,
     ) -> None:
         super().__init__(space, evaluator)
         if batch_size < 1:
@@ -57,16 +56,13 @@ class ExhaustiveSearch(SearchStrategy):
         self.guide = guide
         self.cursor = cursor
         self.limit = limit
-        self.branch_and_bound = branch_and_bound
 
     def run(self, n_iterations: Optional[int] = None) -> SearchResult:
         result = SearchResult(strategy=self.name)
         sims_before = self.evaluator.n_simulations
         keep = self.guide.admits if self.guide is not None else None
         keep_prefix = (
-            self.guide.admits_prefix
-            if self.guide is not None and self.branch_and_bound
-            else None
+            self.guide.admits_prefix if self.guide is not None else None
         )
         with obs.span(
             "search.exhaustive",

@@ -34,7 +34,6 @@ class RandomSearch(SearchStrategy):
         space,
         evaluator,
         seed: int = 0,
-        dedup: bool = False,
         batch_size: int = 64,
         guide=None,
     ) -> None:
@@ -42,7 +41,6 @@ class RandomSearch(SearchStrategy):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.rng = np.random.default_rng(seed)
-        self.dedup = dedup
         self.batch_size = batch_size
         #: Optional rule guide (:mod:`repro.advisor.guided`): rollouts
         #: whose prefix determinately violates a prune-strength rule are
@@ -66,7 +64,6 @@ class RandomSearch(SearchStrategy):
     def _run(self, n_iterations: int) -> SearchResult:
         result = SearchResult(strategy=self.name)
         sims_before = self.evaluator.n_simulations
-        seen = set()
         attempts = 0
         max_attempts = 50 * max(1, n_iterations)
         while result.n_iterations < n_iterations and attempts < max_attempts:
@@ -91,10 +88,6 @@ class RandomSearch(SearchStrategy):
                 if self.guide is not None and not self.guide.admits(schedule):
                     result.n_pruned += 1
                     continue
-                if self.dedup:
-                    if schedule in seen:
-                        continue
-                    seen.add(schedule)
                 block.append(schedule)
             if not block:
                 break

@@ -24,8 +24,7 @@ both engines read: the reference engine
 on its event loop with the :class:`~repro.sim.network.Network`) and
 batch replay (:class:`~repro.sim.batch.CompiledContext`).  The
 per-duration functions below also price what no table holds: ops that
-are not the program's own vertices, and the messages of a
-:class:`~repro.sim.network.Network` built without a table.
+are not the program's own vertices.
 """
 
 from __future__ import annotations

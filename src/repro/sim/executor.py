@@ -299,10 +299,8 @@ class ScheduleExecutor:
         net = Network(
             env,
             self.machine.net,
-            self.machine.noise,
-            sample=sample,
+            table.wire,
             on_transfer=on_transfer if hooked else None,
-            wire_times=table.wire,
         )
         stream_sets = [
             StreamSet(env, rank, self.machine.n_streams)

@@ -32,8 +32,6 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 from repro.dag.program import Message
 from repro.errors import MpiError
 from repro.platform.machine import NetworkModel, Protocol
-from repro.platform.noise import NoiseModel
-from repro.sim.durations import wire_time
 from repro.sim.engine import Channel, Environment, Event
 
 
@@ -70,26 +68,21 @@ TransferHook = Callable[[Message, float, float], None]
 class Network:
     """Message-matching and transfer engine shared by all ranks.
 
-    ``wire_times`` holds precomputed wire times (a sample's
-    :attr:`~repro.sim.durations.SampleDurations.wire`); a message it
-    lacks is priced on the spot by the same function.
+    ``wire_times`` holds every message's wire time (a sample's
+    :attr:`~repro.sim.durations.SampleDurations.wire`).
     """
 
     def __init__(
         self,
         env: Environment,
         model: NetworkModel,
-        noise: NoiseModel,
-        sample: int = 0,
+        wire_times: Mapping[Message, float],
         on_transfer: Optional[TransferHook] = None,
-        wire_times: Optional[Mapping[Message, float]] = None,
     ) -> None:
         self.env = env
         self.model = model
-        self.noise = noise
-        self.sample = sample
         self.on_transfer = on_transfer
-        self._wire_times = wire_times if wire_times is not None else {}
+        self._wire_times = wire_times
         self._pending_sends: Dict[Tuple[int, int, int], Deque[MpiRequest]] = {}
         self._pending_recvs: Dict[Tuple[int, int, int], Deque[MpiRequest]] = {}
         self._send_ch: Dict[int, Channel] = {}
@@ -138,12 +131,6 @@ class Network:
             return _EAGER
         return self.model.protocol
 
-    def _wire_time(self, msg: Message) -> float:
-        wire = self._wire_times.get(msg)
-        if wire is None:
-            wire = wire_time(self.model, self.noise, msg, self.sample)
-        return wire
-
     def _occupy_channels(self, msg: Message, ready: float, wire: float):
         """Reserve NIC channels; returns the (begin, end) wire interval."""
         if self.model.serialize_nic:
@@ -160,7 +147,7 @@ class Network:
         """Eager protocol: transfer at send-post time; send completes at
         injection end independent of any matching receive."""
         msg = send.message
-        begin, end = self._occupy_channels(msg, send.posted_at, self._wire_time(msg))
+        begin, end = self._occupy_channels(msg, send.posted_at, self._wire_times[msg])
         send.transfer_interval = (begin, end)
         self.env.call_at(max(end, self.env.now), send.complete)
 
@@ -175,7 +162,7 @@ class Network:
             # Rendezvous: the wire transfer starts once both sides posted
             # (i.e. now); both requests complete when it ends.
             ready = max(send.posted_at, recv.posted_at, self.env.now)
-            begin, end = self._occupy_channels(msg, ready, self._wire_time(msg))
+            begin, end = self._occupy_channels(msg, ready, self._wire_times[msg])
             recv_done_at = max(end, self.env.now)
             self.env.call_at(recv_done_at, send.complete)
         if self.on_transfer is None:

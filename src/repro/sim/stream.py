@@ -25,21 +25,19 @@ from repro.sim.engine import Environment, Event
 class CudaEvent:
     """A CUDA event: fires when the recording stream reaches the record op."""
 
-    __slots__ = ("name", "_evt", "fired_at")
+    __slots__ = ("name", "_evt")
 
     def __init__(self, env: Environment, name: str) -> None:
         self.name = name
         self._evt = Event(env, ("cuda_event:{}", name))
-        self.fired_at: Optional[float] = None
 
     @property
     def fired(self) -> bool:
         return self._evt.triggered
 
-    def fire(self, now: float) -> None:
+    def fire(self) -> None:
         if self.fired:
             raise SimulationError(f"CUDA event {self.name!r} recorded twice")
-        self.fired_at = now
         self._evt.succeed()
 
     @property
@@ -81,15 +79,10 @@ class Stream:
     never sees it.
     """
 
-    __slots__ = (
-        "env", "rank", "stream_id", "_queue", "_busy", "_current",
-        "_kernel_start",
-    )
+    __slots__ = ("env", "_queue", "_busy", "_current", "_kernel_start")
 
-    def __init__(self, env: Environment, rank: int, stream_id: int) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.rank = rank
-        self.stream_id = stream_id
         self._queue: Deque[StreamItem] = deque()
         #: True from the start of an item until the queue runs dry.
         self._busy = False
@@ -128,7 +121,7 @@ class Stream:
                 item.on_complete(env.now)
         elif kind == "record":
             assert item.event is not None
-            item.event.fire(env.now)
+            item.event.fire()
             if item.on_complete is not None:
                 item.on_complete(env.now)
         elif kind == "wait":
@@ -162,9 +155,7 @@ class StreamSet:
     def __init__(self, env: Environment, rank: int, n_streams: int) -> None:
         self.env = env
         self.rank = rank
-        self.streams: List[Stream] = [
-            Stream(env, rank, s) for s in range(n_streams)
-        ]
+        self.streams: List[Stream] = [Stream(env) for _ in range(n_streams)]
         self._events: Dict[str, CudaEvent] = {}
 
     def stream(self, stream_id: int) -> Stream:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.advisor import ScheduleGuide
 from repro.advisor.guided import ResolvedRule
+from repro.exec import SerialEvaluator
 from repro.ml.features import ScheduleTable
 from repro.schedule.space import DesignSpace
 from repro.search.beam import BeamSearch
@@ -201,26 +202,25 @@ class TestGuidedExhaustiveRegression:
     def test_branch_and_bound_matches_block_filter(
         self, halo_space, halo_program, halo_guide, advisor_machine
     ):
-        """B&B and the PR-5 block filter keep the exact same samples in
-        the same order — cutting a subtree loses nothing `admits` would
-        have kept.  The cut count is deterministic, so it's pinned: 232
-        subtrees covering 1600 - (304 + 172) = 1124 never-built leaves."""
+        """B&B and a block filter over the whole space keep the exact
+        same samples in the same order — cutting a subtree loses nothing
+        `admits` would have kept.  The cut count is deterministic, so
+        it's pinned: 232 subtrees covering 1600 - (304 + 172) = 1124
+        never-built leaves."""
         bb = ExhaustiveSearch(
             halo_space,
             _benchmarker(halo_program, advisor_machine),
             guide=halo_guide,
         ).run()
-        filtered = ExhaustiveSearch(
-            halo_space,
-            _benchmarker(halo_program, advisor_machine),
-            guide=halo_guide,
-            branch_and_bound=False,
-        ).run()
-        assert filtered.n_subtrees_cut == 0
-        assert filtered.n_iterations + filtered.n_pruned == 1600
-        assert [(s.schedule, s.time) for s in bb.samples] == [
-            (s.schedule, s.time) for s in filtered.samples
-        ]
+        evaluator = SerialEvaluator(_benchmarker(halo_program, advisor_machine))
+        filtered, n_skipped = [], 0
+        for block in halo_space.iter_blocks(64, keep=halo_guide.admits):
+            assert block.n_subtrees_cut == 0
+            n_skipped += block.n_skipped
+            measured = evaluator.evaluate_batch(block.schedules)
+            filtered += [(s, m.time) for s, m in zip(block.schedules, measured)]
+        assert len(filtered) + n_skipped == 1600
+        assert [(s.schedule, s.time) for s in bb.samples] == filtered
         assert (bb.n_iterations, bb.n_pruned, bb.n_subtrees_cut) == (
             304,
             172,

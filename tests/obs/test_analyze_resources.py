@@ -1,30 +1,16 @@
-"""Resource attribution and worker utilization over telemetry samples."""
+"""Worker utilization over a sharded trace's task spans."""
 
 import pytest
 
 from repro.obs import (
     MetricsSnapshot,
-    ResourceSample,
     SpanRecord,
     analysis_to_dict,
     render_analysis,
-    resource_stats,
     worker_stats,
 )
 from repro.obs.analyze import _timeline
 from repro.obs.trace_io import TraceData
-
-
-def _sample(ts, pid, path, rss=100, cpu=0.0):
-    return ResourceSample(
-        ts=ts,
-        pid=pid,
-        path=path,
-        rss_bytes=rss,
-        cpu_utime_s=cpu,
-        cpu_stime_s=0.0,
-        gc_collections=0,
-    )
 
 
 def _sharded_trace():
@@ -38,61 +24,11 @@ def _sharded_trace():
         pid=1,
         children=[t_a, t_b],
     )
-    samples = (
-        _sample(0.1, 2, "plan.execute/task:a", rss=300, cpu=0.0),
-        _sample(0.5, 2, "plan.execute/task:a", rss=500, cpu=0.3),
-        _sample(0.5, 3, "plan.execute/task:b", rss=400, cpu=0.0),
-        _sample(1.0, 3, "plan.execute/task:b", rss=350, cpu=0.4),
-    )
     return TraceData(
         meta={"command": "search"},
         spans=(root,),
         metrics=MetricsSnapshot(counters={"n": 2}),
-        samples=samples,
     )
-
-
-# -- resource_stats ----------------------------------------------------
-def test_samples_credit_every_path_prefix():
-    stats = resource_stats(
-        [
-            _sample(0.0, 1, "a/b/c", rss=10, cpu=0.0),
-            _sample(1.0, 1, "a/b/c", rss=20, cpu=0.5),
-        ]
-    )
-    assert set(stats) == {"a", "a/b", "a/b/c"}
-    for path in ("a", "a/b", "a/b/c"):
-        entry = stats[path]
-        assert entry.rss_max_bytes == 20
-        assert entry.cpu_s == pytest.approx(0.5)
-        assert entry.wall_s == pytest.approx(1.0)
-        assert entry.cpu_pct == pytest.approx(50.0)
-
-
-def test_cpu_deltas_are_per_pid_not_cross_process():
-    # Two pids sampled on the same path: deltas must be computed within
-    # each pid's cumulative counter series, then summed.
-    stats = resource_stats(
-        [
-            _sample(0.0, 1, "p", cpu=10.0),
-            _sample(1.0, 1, "p", cpu=10.2),
-            _sample(0.0, 2, "p", cpu=0.0),
-            _sample(1.0, 2, "p", cpu=0.7),
-        ]
-    )
-    assert stats["p"].cpu_s == pytest.approx(0.9)
-    assert stats["p"].wall_s == pytest.approx(2.0)
-
-
-def test_pathless_samples_are_ignored():
-    assert resource_stats([_sample(0.0, 1, "")]) == {}
-
-
-def test_single_sample_path_has_zero_cpu_and_wall():
-    stats = resource_stats([_sample(0.0, 1, "p", rss=42)])
-    assert stats["p"].rss_max_bytes == 42
-    assert stats["p"].cpu_s == 0.0
-    assert stats["p"].cpu_pct == 0.0  # wall 0 guard
 
 
 # -- worker_stats ------------------------------------------------------
@@ -104,8 +40,7 @@ def test_worker_stats_measure_utilization_over_execute_window():
     assert a.busy_s == pytest.approx(0.4)
     assert a.window_s == pytest.approx(1.0)
     assert a.utilization == pytest.approx(0.4)
-    assert a.rss_max_bytes == 500
-    assert a.cpu_s == pytest.approx(0.3)
+    assert a.intervals == ((0.1, 0.5),)
     assert b.utilization == pytest.approx(0.5)
 
 
@@ -127,19 +62,29 @@ def test_timeline_marks_busy_bins():
 
 
 # -- rendering / JSON payload ------------------------------------------
-def test_render_analysis_includes_resource_and_worker_tables():
+def test_render_analysis_includes_worker_table():
     out = render_analysis(_sharded_trace())
-    assert "resources by span path (4 samples" in out
-    assert "worker utilization (plan.execute window)" in out
-    assert "plan.execute/task:a" in out
-    # The timeline column renders busy/idle cells.
-    assert "#" in out.splitlines()[-1] or "#" in out
+    table = out[out.index("worker utilization (plan.execute window):") :]
+    lines = table.splitlines()
+    assert lines[1].split() == ["pid", "tasks", "busy", "util", "timeline"]
+    # pid 3 ran the second half of the window: its timeline's busy
+    # cells are the right half.
+    assert lines[-1].split() == ["3", "1", "500.0ms", "50%", "." * 20 + "#" * 20]
 
 
 def test_analysis_to_dict_payload_shape():
     payload = analysis_to_dict(_sharded_trace())
+    assert set(payload) == {
+        "n_spans",
+        "meta",
+        "paths",
+        "critical_path",
+        "counters",
+        "gauges",
+        "histograms",
+        "workers",
+    }
     assert payload["n_spans"] == 3
-    assert payload["n_samples"] == 4
     assert payload["meta"] == {"command": "search"}
     assert payload["counters"] == {"n": 2}
     top = payload["paths"][0]
@@ -148,9 +93,6 @@ def test_analysis_to_dict_payload_shape():
     step = payload["critical_path"][0]
     assert step["name"] == "plan.execute"
     assert step["fraction"] == 1.0
-    res = {r["path"]: r for r in payload["resources"]}
-    assert res["plan.execute/task:a"]["rss_max_bytes"] == 500
-    assert res["plan.execute/task:a"]["cpu_pct"] == pytest.approx(75.0)
     workers = {w["pid"]: w for w in payload["workers"]}
     assert workers[3]["utilization"] == pytest.approx(0.5)
 
@@ -158,6 +100,5 @@ def test_analysis_to_dict_payload_shape():
 def test_analysis_to_dict_without_samples_is_empty_but_stable():
     root = SpanRecord(name="r", start=0.0, duration=0.1, pid=1)
     payload = analysis_to_dict(TraceData(spans=(root,)))
-    assert payload["resources"] == []
     assert payload["workers"] == []
-    assert payload["n_samples"] == 0
+    assert "n_samples" not in payload and "resources" not in payload

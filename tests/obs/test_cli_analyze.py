@@ -1,11 +1,11 @@
-"""CLI surface: --archive, trace --analyze/--diff."""
+"""CLI surface: trace --analyze/--diff on --trace files."""
 
 import sys
 
 import pytest
 
 from repro.cli import main
-from repro.obs import RunArchive, SpanRecord, configure_logging, render_span_tree
+from repro.obs import SpanRecord, configure_logging, render_span_tree
 
 
 @pytest.fixture(autouse=True)
@@ -25,37 +25,12 @@ SEARCH_ARGV = [
 ]
 
 
-# -- --archive ---------------------------------------------------------
-def test_archive_flag_records_bundle(tmp_path, capsys):
-    root = str(tmp_path / "arch")
-    assert main(SEARCH_ARGV + ["--archive", root]) == 0
-    out = capsys.readouterr().out
-    assert "archived run" in out
-
-    archive = RunArchive(root)
-    (rec,) = archive.runs()
-    assert rec.command == "search"
-    assert rec.meta["argv"][0] == "search"
-    assert rec.meta["machine"] == "perlmutter-like"
-    data = rec.load()
-    assert data.n_spans() > 0
-    assert data.metrics.counter("search.schedules_evaluated") == 16
-
-
-def test_archive_accumulates_runs(tmp_path, capsys):
-    root = str(tmp_path / "arch")
-    assert main(SEARCH_ARGV + ["--archive", root]) == 0
-    assert main(SEARCH_ARGV + ["--archive", root]) == 0
-    capsys.readouterr()
-    assert len(RunArchive(root).runs()) == 2
-
-
 # -- trace --analyze ---------------------------------------------------
-def test_trace_analyze_on_archive_root(tmp_path, capsys):
-    root = str(tmp_path / "arch")
-    assert main(SEARCH_ARGV + ["--range-shards", "4", "--archive", root]) == 0
+def test_trace_analyze_on_range_sharded_trace(tmp_path, capsys):
+    trace = str(tmp_path / "t.jsonl")
+    assert main(SEARCH_ARGV + ["--range-shards", "4", "--trace", trace]) == 0
     capsys.readouterr()
-    assert main(["trace", root, "--analyze"]) == 0
+    assert main(["trace", trace, "--analyze"]) == 0
     out = capsys.readouterr().out
     assert "trace analysis:" in out
     assert "critical path" in out
@@ -63,13 +38,15 @@ def test_trace_analyze_on_archive_root(tmp_path, capsys):
     # The critical path starts at the plan root and descends into one
     # of the four parallel shard tasks.
     assert "3 sibling(s)" in out
+    # The shards ran in this process: no worker table.
+    assert "worker utilization" not in out
 
 
 # -- trace --diff ------------------------------------------------------
 def test_trace_diff_same_config_passes_counters_exact(tmp_path, capsys):
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(SEARCH_ARGV + ["--archive", a]) == 0
-    assert main(SEARCH_ARGV + ["--archive", b]) == 0
+    a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    assert main(SEARCH_ARGV + ["--trace", a]) == 0
+    assert main(SEARCH_ARGV + ["--trace", b]) == 0
     capsys.readouterr()
     # Same config twice: counters identical, so the check passes
     # whatever the two runs' walls.
@@ -80,11 +57,11 @@ def test_trace_diff_same_config_passes_counters_exact(tmp_path, capsys):
 
 
 def test_trace_diff_counter_drift_fails(tmp_path, capsys):
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(SEARCH_ARGV + ["--archive", a]) == 0
+    a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    assert main(SEARCH_ARGV + ["--trace", a]) == 0
     assert main(
         # height=3: a bigger space, so counters legitimately differ.
-        SEARCH_ARGV[:-1] + ["height=3", "--archive", b]
+        SEARCH_ARGV[:-1] + ["height=3", "--trace", b]
     ) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit, match="regression"):

@@ -63,13 +63,42 @@ def test_trace_subcommand_renders_tree(tmp_path, capsys):
     assert "|#" in out  # duration bars
 
 
+def _refusal(argv):
+    """The one-line message ``main(argv)`` exits with."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    message = str(err.value)
+    assert "\n" not in message
+    return message
+
+
 def test_trace_subcommand_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
-    from repro.obs import TraceSchemaError
+    assert f"{bad}:1: not JSON" in _refusal(["trace", str(bad)])
 
-    with pytest.raises(TraceSchemaError):
-        main(["trace", str(bad)])
+
+def test_trace_subcommand_rejects_missing_file(tmp_path):
+    missing = str(tmp_path / "nosuch.jsonl")
+    message = _refusal(["trace", missing])
+    assert "No such file" in message and missing in message
+
+
+def test_trace_subcommand_rejects_unsupported_version(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"type": "trace", "version": 9}\n')
+    message = _refusal(["trace", str(bad)])
+    assert message == f"{bad}:1: unsupported trace version 9"
+
+
+def test_trace_diff_rejects_garbage(tmp_path, capsys):
+    good = str(tmp_path / "t.jsonl")
+    assert main(SEARCH_ARGV + ["--trace", good]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    message = _refusal(["trace", "--diff", str(bad), good])
+    assert f"{bad}:1: not JSON" in message
 
 
 def test_advise_smoke_metrics_include_recommend_histogram(tmp_path, capsys):
@@ -121,51 +150,64 @@ def test_suite_json_reports_cache_metrics(tmp_path, capsys):
     assert payload["metrics"]["cache"]["hits"] > 0
 
 
-# -- --telemetry + trace --analyze --json + --export-perfetto ----------
-def _telemetry_archive(tmp_path, capsys):
-    archive = str(tmp_path / "archive")
+# -- sharded traces: --analyze (--json) + --export-perfetto -----------
+def _sharded_trace(tmp_path, capsys, name="sharded.jsonl"):
+    trace = str(tmp_path / name)
     argv = SEARCH_ARGV + [
         "--range-shards",
         "2",
         "--shard-workers",
         "2",
-        "--archive",
-        archive,
-        "--telemetry",
+        "--trace",
+        trace,
     ]
     assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "telemetry:" in out and "resource samples" in out
-    return archive
+    capsys.readouterr()
+    return trace
 
 
-def test_telemetry_flag_archives_resource_samples(tmp_path, capsys):
-    archive = _telemetry_archive(tmp_path, capsys)
-    assert main(["trace", archive, "--analyze"]) == 0
+def test_trace_analyze_prints_worker_table_for_sharded_suite(tmp_path, capsys):
+    trace = str(tmp_path / "trace.jsonl")
+    argv = ["suite", "smoke", "--shard-workers", "2", "--trace", trace]
+    assert main(argv + ["--json", str(tmp_path / "suite.json")]) == 0
+    capsys.readouterr()
+    assert main(["trace", trace, "--analyze"]) == 0
     out = capsys.readouterr().out
-    assert "resources by span path" in out
-    assert "worker utilization (plan.execute window)" in out
+    table = out[out.index("worker utilization (plan.execute window):") :]
+    header = table.splitlines()[1]
+    assert header.split() == ["pid", "tasks", "busy", "util", "timeline"]
+    data = read_trace(trace)
+    parent = data.spans[0].pid
+    workers = {
+        s.pid for s in data.walk() if s.name.startswith("task:")
+    } - {parent}
+    assert workers
+    rows = table.splitlines()[3:]
+    assert sorted(int(row.split()[0]) for row in rows) == sorted(workers)
 
 
 def test_trace_analyze_json_reports_worker_resources(tmp_path, capsys):
-    archive = _telemetry_archive(tmp_path, capsys)
-    assert main(["trace", archive, "--analyze", "--json", "-"]) == 0
+    trace = _sharded_trace(tmp_path, capsys)
+    assert main(["trace", trace, "--analyze", "--json", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["n_samples"] > 0
-    # Acceptance: task spans that ran in worker pids report nonzero RSS.
-    task_rows = [
-        r for r in payload["resources"] if "/task:" in r["path"]
-    ]
-    assert task_rows
-    assert all(r["rss_max_bytes"] > 0 for r in task_rows)
-    assert len(payload["workers"]) == 2
-    assert all(w["rss_max_bytes"] > 0 for w in payload["workers"])
+    assert "n_samples" not in payload and "resources" not in payload
+    workers = payload["workers"]
+    assert len(workers) == 2
+    assert sum(w["n_tasks"] for w in workers) == 2
+    assert all(0 < w["utilization"] <= 1 for w in workers)
+    assert set(workers[0]) == {
+        "pid",
+        "n_tasks",
+        "busy_s",
+        "window_s",
+        "utilization",
+    }
 
 
 def test_trace_analyze_json_to_file(tmp_path, capsys):
-    archive = _telemetry_archive(tmp_path, capsys)
+    trace = _sharded_trace(tmp_path, capsys)
     out_json = str(tmp_path / "analysis.json")
-    assert main(["trace", archive, "--analyze", "--json", out_json]) == 0
+    assert main(["trace", trace, "--analyze", "--json", out_json]) == 0
     out = capsys.readouterr().out
     assert f"analysis JSON written to {out_json}" in out
     assert "span paths by total wall" in out  # tables still render
@@ -175,9 +217,9 @@ def test_trace_analyze_json_to_file(tmp_path, capsys):
 def test_trace_export_perfetto_passes_schema_check(tmp_path, capsys):
     from repro.obs import check_perfetto
 
-    archive = _telemetry_archive(tmp_path, capsys)
+    trace = _sharded_trace(tmp_path, capsys)
     out_json = str(tmp_path / "perfetto.json")
-    assert main(["trace", archive, "--export-perfetto", out_json]) == 0
+    assert main(["trace", trace, "--export-perfetto", out_json]) == 0
     out = capsys.readouterr().out
     assert "perfetto trace with" in out and "ui.perfetto.dev" in out
     obj = json.load(open(out_json))
@@ -202,26 +244,48 @@ def _seed_history(tmp_path, walls):
 
 
 def test_obs_history_ingest_show_roundtrip(tmp_path, capsys):
-    archive = _telemetry_archive(tmp_path, capsys)
+    trace = _sharded_trace(tmp_path, capsys)
     store = str(tmp_path / "hist")
-    assert main(["obs", "history", "ingest", store, archive]) == 0
+    assert main(["obs", "history", "ingest", store, trace]) == 0
     out = capsys.readouterr().out
-    assert f"ingested {archive}:" in out
+    assert f"ingested {trace}:" in out
     assert "runs total" in out
-    # Re-ingesting the same archive is idempotent.
-    assert main(["obs", "history", "ingest", store, archive]) == 0
+    # Re-ingesting the same trace file is idempotent.
+    assert main(["obs", "history", "ingest", store, trace]) == 0
     assert "+0 points" in capsys.readouterr().out
     assert main(["obs", "history", "show", store, "--series", "span:"]) == 0
     out = capsys.readouterr().out
     assert "span:plan.execute" in out
 
 
-def test_obs_history_ingest_rejects_non_archive_dir(tmp_path):
+def test_obs_history_ingest_trace_files_once_per_file(tmp_path, capsys):
+    first = _sharded_trace(tmp_path, capsys, "first.jsonl")
+    second = _sharded_trace(tmp_path, capsys, "second.jsonl")
+    store = str(tmp_path / "hist")
+    ingest = ["obs", "history", "ingest", store]
+    assert main(ingest + [first, "--sha", "abc"]) == 0
+    added = capsys.readouterr().out
+    assert "+0 points" not in added and "1 runs total" in added
+    assert main(ingest + [first]) == 0
+    assert "+0 points, 1 runs total" in capsys.readouterr().out
+    assert main(ingest + [second]) == 0
+    assert "2 runs total" in capsys.readouterr().out
+
+
+def test_obs_history_ingest_rejects_directory(tmp_path):
     store = str(tmp_path / "hist")
     plain = tmp_path / "plain"
     plain.mkdir()
-    with pytest.raises(SystemExit, match="not an archive root"):
-        main(["obs", "history", "ingest", store, str(plain)])
+    message = _refusal(["obs", "history", "ingest", store, str(plain)])
+    assert "Is a directory" in message and str(plain) in message
+
+
+def test_obs_history_ingest_rejects_bad_benchmark_file(tmp_path):
+    bench = tmp_path / "b.json"
+    bench.write_text('{"benchmarks": 3}')
+    store = str(tmp_path / "hist")
+    message = _refusal(["obs", "history", "ingest", store, str(bench)])
+    assert message == f"{bench}: no 'benchmarks' array"
 
 
 def test_obs_history_gate_fails_naming_regressed_path(tmp_path, capsys):

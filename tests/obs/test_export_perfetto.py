@@ -6,25 +6,12 @@ import pytest
 
 from repro.obs import (
     MetricsSnapshot,
-    ResourceSample,
     SpanRecord,
     check_perfetto,
     export_perfetto,
     to_perfetto,
 )
 from repro.obs.trace_io import TraceData
-
-
-def _sample(ts, pid, path="p", rss=2 * 1024 * 1024):
-    return ResourceSample(
-        ts=ts,
-        pid=pid,
-        path=path,
-        rss_bytes=rss,
-        cpu_utime_s=1.0,
-        cpu_stime_s=0.5,
-        gc_collections=0,
-    )
 
 
 def _trace():
@@ -42,7 +29,6 @@ def _trace():
         meta={"command": "search"},
         spans=(root,),
         metrics=MetricsSnapshot(counters={"n": 16}),
-        samples=(_sample(0.2, 42), _sample(0.3, 43)),
     )
 
 
@@ -60,20 +46,6 @@ def test_spans_become_complete_events_in_microseconds():
     task = next(e for e in spans if e["name"] == "task:w[i]")
     assert task["ts"] == pytest.approx(0.1e6)
     assert task["args"] == {"index": 0}
-
-
-def test_samples_become_rss_and_cpu_counter_tracks():
-    obj = to_perfetto(_trace())
-    counters = [
-        e for e in obj["traceEvents"] if e.get("cat") == "telemetry"
-    ]
-    # Two samples -> one rss_mb + one cpu_s event each.
-    assert len(counters) == 4
-    rss = next(e for e in counters if e["name"] == "rss_mb")
-    assert rss["ph"] == "C"
-    assert rss["args"]["rss_mb"] == pytest.approx(2.0)
-    cpu = next(e for e in counters if e["name"] == "cpu_s")
-    assert cpu["args"] == {"user": 1.0, "system": 0.5}
 
 
 def test_final_counters_and_process_names_emitted():

@@ -1,15 +1,19 @@
 """HistoryStore: ingestion, dedup, and the rolling median+MAD gate."""
 
 import json
+import os
 
 import pytest
 
 from repro.obs import (
     HistoryPoint,
     HistoryStore,
+    MetricsRegistry,
+    SpanRecord,
     TraceSchemaError,
     detect_regressions,
     history,
+    write_trace,
 )
 
 
@@ -91,6 +95,30 @@ def test_ingest_analysis_dedups_by_run_id(tmp_path):
     assert store.ingest_analysis(_analysis(1.0), run_id="r1") > 0
     assert store.ingest_analysis(_analysis(9.0), run_id="r1") == 0
     assert store.run_ids() == ["r1"]
+
+
+def test_ingest_trace_keys_run_by_file_name(tmp_path):
+    registry = MetricsRegistry()
+    registry.add("search.schedules_evaluated", 16)
+    registry.observe("lat", 0.5)
+    root = SpanRecord(name="plan.execute", start=0.0, duration=1.0, pid=1)
+    path = str(tmp_path / "TRACE_abc.jsonl")
+    write_trace(path, [root], registry.snapshot(), meta={"command": "suite"})
+    store = _store(tmp_path)
+    assert store.ingest_trace(path, sha="abc") == 5
+    points = store.load()
+    assert {(p.run_id, p.sha, p.ts, p.source) for p in points} == {
+        ("TRACE_abc.jsonl", "abc", os.path.getmtime(path), path)
+    }
+    assert {p.series: p.value for p in points} == {
+        "span:plan.execute": 1.0,
+        "counter:search.schedules_evaluated": 16,
+        "hist:lat:p50": 0.5,
+        "hist:lat:p95": 0.5,
+        "hist:lat:p99": 0.5,
+    }
+    # The file name is the run id: ingesting it again adds nothing.
+    assert store.ingest_trace(path, sha="abc") == 0
 
 
 def test_ingest_bench_uses_benchmark_means(tmp_path):

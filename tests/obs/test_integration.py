@@ -1,4 +1,4 @@
-"""End-to-end telemetry: sharded runs merge into one coherent story.
+"""End-to-end observability: sharded runs merge into one coherent story.
 
 The bit-stability contract: counters count *deterministic* events, and
 the worker-capture/absorb protocol merges them exactly like task

@@ -1,6 +1,9 @@
 """The ambient obs API: no-op spans, captures, stages, worker merging."""
 
+import pytest
+
 from repro import obs
+from repro.obs import SpanRecord, runtime
 
 
 class TestDisabledTracing:
@@ -150,3 +153,19 @@ class TestWorkerCaptureAndAbsorb:
             obs.add("c")
         obs.absorb(worker.spans, worker.snapshot)  # no tracer: spans dropped
         assert obs.metrics_snapshot().counter("c") == 1
+
+    def test_absorb_rebases_span_starts_onto_parent_clock(self):
+        with obs.worker_capture() as untraced:
+            pass
+        assert untraced.epoch is None  # nothing to rebase
+        with obs.capture(trace=True) as cap:
+            with obs.span("plan.execute"):
+                parent_epoch = runtime._STATE.tracer.epoch
+                shipped = SpanRecord(
+                    name="task:w", start=0.25, duration=0.1, pid=2
+                )
+                # The worker's clock origin lies 5 s after the parent's.
+                obs.absorb([shipped], epoch=parent_epoch + 5.0)
+        (root,) = cap.spans
+        (task,) = root.children
+        assert task.start == pytest.approx(5.25)

@@ -121,10 +121,9 @@ def test_round_trip_after_rewrite_is_valid(tmp_path):
     assert data.metrics.histograms["lat"] == (0.5,)
 
 
-def test_archived_sample_line_with_malloc_key_still_reads(tmp_path):
-    # Runs archived while telemetry could record tracemalloc peaks carry
-    # a "malloc" key (a byte count or null) on each v2 sample line; the
-    # reader ignores it, and a rewrite drops it.
+def test_sample_line_rejected(tmp_path):
+    # Resource-sampling runs wrote ``sample`` lines into v2 traces; no
+    # reader of them is left, so the strict reader refuses the file.
     sample = {
         "type": "sample",
         "ts": 0.5,
@@ -134,25 +133,9 @@ def test_archived_sample_line_with_malloc_key_still_reads(tmp_path):
         "utime": 0.25,
         "stime": 0.125,
         "gc": 3,
-        "malloc": 1024,
     }
-    lines = _valid_lines() + [
-        json.dumps(sample),
-        json.dumps(dict(sample, ts=0.75, malloc=None)),
-    ]
-    data = read_trace(_write(tmp_path, lines))
-    assert data.version == 2
-    assert [rec.ts for rec in data.samples] == [0.5, 0.75]
-    rec = data.samples[0]
-    assert (rec.pid, rec.path, rec.rss_bytes, rec.cpu_s, rec.gc_collections) == (
-        7,
-        "root",
-        4096,
-        0.375,
-        3,
-    )
-    path = str(tmp_path / "rewritten.jsonl")
-    write_trace(path, data.spans, samples=data.samples)
-    assert read_trace(path).samples == data.samples
-    with open(path, encoding="utf-8") as fh:
-        assert all('"malloc"' not in line for line in fh)
+    path = _write(tmp_path, _valid_lines() + [json.dumps(sample)])
+    with pytest.raises(
+        TraceSchemaError, match=r"t\.jsonl:4: unknown line type 'sample'"
+    ):
+        read_trace(path)

@@ -14,11 +14,6 @@ class TestRandomSearch:
         for s in r.samples:
             spmv_space.validate_schedule(s.schedule)
 
-    def test_dedup_mode_unique(self, spmv_space, spmv_benchmarker):
-        r = RandomSearch(spmv_space, spmv_benchmarker, seed=2, dedup=True).run(50)
-        schedules = [s.schedule for s in r.samples]
-        assert len(set(schedules)) == len(schedules)
-
     def test_deterministic_for_seed(self, spmv_space, spmv_benchmarker):
         a = RandomSearch(spmv_space, spmv_benchmarker, seed=3).run(15)
         b = RandomSearch(spmv_space, spmv_benchmarker, seed=3).run(15)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dag.program import Message
 from repro.errors import DeadlockError, SimulationError
 from repro.platform import perlmutter_like
+from repro.sim.durations import wire_time
 from repro.sim.engine import Environment
 from repro.sim.network import Network
 from repro.sim.stream import StreamSet
@@ -167,16 +168,18 @@ class TestDiagnosticText:
         env = Environment()
         event = StreamSet(env, rank=1, n_streams=2).cuda_event("ev")
         assert repr(event.wait_event) == "Event('cuda_event:rank1:ev', pending)"
-        event.fire(0.0)
+        event.fire()
         with pytest.raises(SimulationError) as info:
-            event.fire(1.0)
+            event.fire()
         assert str(info.value) == "CUDA event 'rank1:ev' recorded twice"
 
     def test_mpi_request_text(self):
         env = Environment()
         machine = perlmutter_like()
-        net = Network(env, machine.net, machine.noise)
-        send = net.post_send(Message(src=0, dst=1, nbytes=8.0, tag=7))
+        sent = Message(src=0, dst=1, nbytes=8.0, tag=7)
+        wires = {sent: wire_time(machine.net, machine.noise, sent, 0)}
+        net = Network(env, machine.net, wires)
+        send = net.post_send(sent)
         recv = net.post_recv(Message(src=2, dst=3, nbytes=8.0, tag=1))
         assert repr(send.done) == "Event('send 0->1 tag7', pending)"
         assert repr(recv.done) == "Event('recv 2->3 tag1', pending)"

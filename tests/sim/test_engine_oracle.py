@@ -11,8 +11,8 @@ composites through closures, ``run`` popped before checking
 ``until``, every label was formatted eagerly, and the executor built its
 trace and payload hooks for every op whether or not a run collected
 them, and a device synchronize put a drain marker on every stream.
-``reference_run`` drives them, with ``repro.sim.stream.Stream`` swapped
-for :class:`GeneratorStream` by monkeypatch.  The reference has its own
+``reference_run`` drives them, on stream sets made of
+:class:`GeneratorStream` streams.  The reference has its own
 environment, queue, processes, timeouts, composites, network completions
 and device synchronize; it shares with the live engine only ``Event``,
 ``CudaEvent``, ``StreamItem``, message matching and NIC channels.
@@ -49,7 +49,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim.engine as engine_module
-import repro.sim.stream as stream_module
 from repro.apps.spmv import SpmvCase, build_spmv_program
 from repro.dag.program import Message
 from repro.dag.vertex import ActionKind, OpKind
@@ -200,7 +199,7 @@ class RefNetwork(Network):
 
     def _inject_eager(self, send):
         msg = send.message
-        begin, end = self._occupy_channels(msg, send.posted_at, self._wire_time(msg))
+        begin, end = self._occupy_channels(msg, send.posted_at, self._wire_times[msg])
         send.transfer_interval = (begin, end)
 
         def complete_send(_evt, req=send, at=end):
@@ -219,7 +218,7 @@ class RefNetwork(Network):
             recv_done_at = max(end, recv.posted_at, self.env.now)
         else:
             ready = max(send.posted_at, recv.posted_at, self.env.now)
-            begin, end = self._occupy_channels(msg, ready, self._wire_time(msg))
+            begin, end = self._occupy_channels(msg, ready, self._wire_times[msg])
             send_done_at = max(end, self.env.now)
             recv_done_at = send_done_at
 
@@ -288,7 +287,7 @@ class GeneratorStream:
                     item.on_complete(start)
             elif item.kind == "record":
                 assert item.event is not None
-                item.event.fire(self.env.now)
+                item.event.fire()
                 if item.on_complete is not None:
                     item.on_complete(self.env.now)
             elif item.kind == "wait":
@@ -302,8 +301,12 @@ class GeneratorStream:
 
 
 class RefStreamSet(StreamSet):
-    """The live stream set (making :class:`GeneratorStream` streams when
-    patched in), with a drain marker on every stream at device sync."""
+    """The live stream set with :class:`GeneratorStream` streams, and a
+    drain marker on every stream at device sync."""
+
+    def __init__(self, env, rank, n_streams):
+        super().__init__(env, rank, 0)
+        self.streams = [GeneratorStream(env, rank, s) for s in range(n_streams)]
 
     def device_synchronize_event(self):
         return self.env.all_of(
@@ -313,8 +316,7 @@ class RefStreamSet(StreamSet):
 
 
 def reference_run(executor: ScheduleExecutor, schedule, sample: int = 0) -> SimResult:
-    """``ScheduleExecutor.run`` on the reference engine (requires
-    :class:`GeneratorStream` patched in as ``repro.sim.stream.Stream``)."""
+    """``ScheduleExecutor.run`` on the reference engine."""
     self = executor
     table = self.durations(sample)
     env = RefEnvironment()
@@ -341,14 +343,7 @@ def reference_run(executor: ScheduleExecutor, schedule, sample: int = 0) -> SimR
                 payload.transfer(msg.src, msg.dst, msg.src_buf, msg.dst_buf)
                 payload.hazards.mark_ready(msg.dst, msg.dst_buf, end)
 
-    net = RefNetwork(
-        env,
-        self.machine.net,
-        self.machine.noise,
-        sample=sample,
-        on_transfer=on_transfer,
-        wire_times=table.wire,
-    )
+    net = RefNetwork(env, self.machine.net, table.wire, on_transfer=on_transfer)
     stream_sets = [
         RefStreamSet(env, rank, self.machine.n_streams)
         for rank in range(self.machine.n_ranks)
@@ -644,7 +639,6 @@ STREAM_KICK = re.compile(r"rank\d+\.stream\d+\.start")
 def assert_same_run(executor, schedule, sample):
     ref_log, log = FiringLog(ref_entry_name), FiringLog(entry_name)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stream_module, "Stream", GeneratorStream)
         mp.setattr(sys.modules[__name__], "heapq", ref_log)
         want = reference_run(executor, schedule, sample)
     with pytest.MonkeyPatch.context() as mp:

@@ -6,11 +6,13 @@ from repro.dag.program import Message
 from repro.errors import MpiError
 from repro.platform.machine import NetworkModel, Protocol
 from repro.platform.noise import NoiseModel
+from repro.sim.durations import wire_time
 from repro.sim.engine import Environment
 from repro.sim.network import Network
 
 
-def make_net(env, **kwargs):
+def make_net(env, *messages, on_transfer=None, **kwargs):
+    """A network carrying ``messages``, priced as the executor's table is."""
     defaults = dict(
         latency_s=1.0,
         bandwidth_bytes_per_s=100.0,
@@ -19,14 +21,16 @@ def make_net(env, **kwargs):
         serialize_nic=True,
     )
     defaults.update(kwargs)
-    return Network(env, NetworkModel(**defaults), NoiseModel())
+    model = NetworkModel(**defaults)
+    wires = {m: wire_time(model, NoiseModel(), m, 0) for m in messages}
+    return Network(env, model, wires, on_transfer=on_transfer)
 
 
 class TestMatching:
     def test_send_then_recv_completes(self):
         env = Environment()
-        net = make_net(env)
         msg = Message(src=0, dst=1, nbytes=100.0)
+        net = make_net(env, msg)
         s = net.post_send(msg)
         r = net.post_recv(msg)
         env.run()
@@ -47,9 +51,9 @@ class TestMatching:
     def test_non_overtaking_order(self):
         """Two same-triple messages match in posting order."""
         env = Environment()
-        net = make_net(env, serialize_nic=False)
         m1 = Message(src=0, dst=1, nbytes=100.0)
         m2 = Message(src=0, dst=1, nbytes=500.0)
+        net = make_net(env, m1, m2, serialize_nic=False)
         s1, s2 = net.post_send(m1), net.post_send(m2)
         r1, r2 = net.post_recv(m1), net.post_recv(m2)
         env.run()
@@ -61,8 +65,8 @@ class TestMatching:
 class TestRendezvous:
     def test_late_recv_delays_start(self):
         env = Environment()
-        net = make_net(env)
         msg = Message(src=0, dst=1, nbytes=100.0)
+        net = make_net(env, msg)
         s = net.post_send(msg)
 
         def poster():
@@ -78,8 +82,8 @@ class TestRendezvous:
 class TestEager:
     def test_small_message_send_completes_early(self):
         env = Environment()
-        net = make_net(env)
         msg = Message(src=0, dst=1, nbytes=5.0)  # below threshold
+        net = make_net(env, msg)
         s = net.post_send(msg)
 
         def poster():
@@ -94,8 +98,8 @@ class TestEager:
 
     def test_recv_after_arrival_completes_at_post(self):
         env = Environment()
-        net = make_net(env)
         msg = Message(src=0, dst=1, nbytes=5.0)
+        net = make_net(env, msg)
         net.post_send(msg)
         r = [None]
 
@@ -111,9 +115,9 @@ class TestEager:
 class TestNicSerialization:
     def test_outgoing_transfers_serialize(self):
         env = Environment()
-        net = make_net(env)
         m1 = Message(src=0, dst=1, nbytes=100.0)
         m2 = Message(src=0, dst=2, nbytes=100.0)
+        net = make_net(env, m1, m2)
         net.post_recv(m1)
         net.post_recv(m2)
         s1 = net.post_send(m1)
@@ -125,9 +129,9 @@ class TestNicSerialization:
 
     def test_no_serialization_when_disabled(self):
         env = Environment()
-        net = make_net(env, serialize_nic=False)
         m1 = Message(src=0, dst=1, nbytes=100.0)
         m2 = Message(src=0, dst=2, nbytes=100.0)
+        net = make_net(env, m1, m2, serialize_nic=False)
         net.post_recv(m1)
         net.post_recv(m2)
         s1 = net.post_send(m1)
@@ -138,9 +142,9 @@ class TestNicSerialization:
 
     def test_incoming_channel_also_serializes(self):
         env = Environment()
-        net = make_net(env)
         m1 = Message(src=0, dst=2, nbytes=100.0)
         m2 = Message(src=1, dst=2, nbytes=100.0)
+        net = make_net(env, m1, m2)
         r1, r2 = net.post_recv(m1), net.post_recv(m2)
         net.post_send(m1)
         net.post_send(m2)
@@ -154,17 +158,13 @@ class TestHooks:
     def test_on_transfer_called_with_interval(self):
         env = Environment()
         calls = []
-        net = Network(
-            env,
-            NetworkModel(
-                latency_s=1.0,
-                bandwidth_bytes_per_s=100.0,
-                eager_threshold_bytes=0.0,
-            ),
-            NoiseModel(),
-            on_transfer=lambda msg, b, e: calls.append((msg.src, b, e)),
-        )
         msg = Message(src=0, dst=1, nbytes=100.0)
+        net = make_net(
+            env,
+            msg,
+            on_transfer=lambda msg, b, e: calls.append((msg.src, b, e)),
+            eager_threshold_bytes=0.0,
+        )
         net.post_send(msg)
         net.post_recv(msg)
         env.run()

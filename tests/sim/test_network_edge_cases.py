@@ -5,11 +5,13 @@ import pytest
 from repro.dag.program import Message
 from repro.platform.machine import NetworkModel, Protocol
 from repro.platform.noise import NoiseModel
+from repro.sim.durations import wire_time
 from repro.sim.engine import Environment
 from repro.sim.network import Network
 
 
-def make(env, noise=NoiseModel(), **kwargs):
+def make(env, *messages, noise=NoiseModel(), sample=0, **kwargs):
+    """A network carrying ``messages``, priced as the executor's table is."""
     defaults = dict(
         latency_s=1.0,
         bandwidth_bytes_per_s=100.0,
@@ -18,14 +20,16 @@ def make(env, noise=NoiseModel(), **kwargs):
         serialize_nic=True,
     )
     defaults.update(kwargs)
-    return Network(env, NetworkModel(**defaults), noise)
+    model = NetworkModel(**defaults)
+    wires = {m: wire_time(model, noise, m, sample) for m in messages}
+    return Network(env, model, wires)
 
 
 class TestZeroByteMessages:
     def test_zero_bytes_costs_latency_only(self):
         env = Environment()
-        net = make(env)
         msg = Message(src=0, dst=1, nbytes=0.0)
+        net = make(env, msg)
         net.post_recv(msg)
         s = net.post_send(msg)
         env.run()
@@ -36,9 +40,10 @@ class TestNoiseOnTransfers:
     def test_noise_changes_wire_time_per_sample(self):
         def run(sample):
             env = Environment()
-            net = make(env, noise=NoiseModel(sigma=0.1, seed=4))
-            net.sample = sample
             msg = Message(src=0, dst=1, nbytes=1000.0)
+            net = make(
+                env, msg, noise=NoiseModel(sigma=0.1, seed=4), sample=sample
+            )
             net.post_recv(msg)
             s = net.post_send(msg)
             env.run()
@@ -49,9 +54,11 @@ class TestNoiseOnTransfers:
 
     def test_noise_key_includes_peer(self):
         env = Environment()
-        net = make(env, noise=NoiseModel(sigma=0.1, seed=4), serialize_nic=False)
         m1 = Message(src=0, dst=1, nbytes=1000.0)
         m2 = Message(src=0, dst=2, nbytes=1000.0)
+        net = make(
+            env, m1, m2, noise=NoiseModel(sigma=0.1, seed=4), serialize_nic=False
+        )
         net.post_recv(m1)
         net.post_recv(m2)
         s1, s2 = net.post_send(m1), net.post_send(m2)
@@ -62,10 +69,10 @@ class TestNoiseOnTransfers:
 class TestManyToOne:
     def test_incast_serializes_at_receiver(self):
         env = Environment()
-        net = make(env)
+        msgs = [Message(src=src, dst=3, nbytes=100.0) for src in (0, 1, 2)]
+        net = make(env, *msgs)
         reqs = []
-        for src in (0, 1, 2):
-            msg = Message(src=src, dst=3, nbytes=100.0)
+        for msg in msgs:
             net.post_recv(msg)
             reqs.append(net.post_send(msg))
         env.run()

@@ -14,7 +14,7 @@ def run_all(env):
 class TestStreamFifo:
     def test_kernels_execute_in_order(self):
         env = Environment()
-        s = Stream(env, rank=0, stream_id=0)
+        s = Stream(env)
         ends = []
         for i, dur in enumerate([1.0, 2.0]):
             s.enqueue(
@@ -32,7 +32,7 @@ class TestStreamFifo:
         """Reentrancy regression: enqueue while the stream idles after a
         previous drain must not orphan the queue (the wakeup-clobber bug)."""
         env = Environment()
-        s = Stream(env, rank=0, stream_id=0)
+        s = Stream(env)
         ends = []
 
         def producer():
@@ -48,18 +48,20 @@ class TestStreamFifo:
 
     def test_record_fires_event_at_queue_position(self):
         env = Environment()
-        s = Stream(env, rank=0, stream_id=0)
+        s = Stream(env)
         evt = CudaEvent(env, "e")
+        fired_at = []
+        evt.wait_event.add_callback(lambda _evt: fired_at.append(env.now))
         s.enqueue(StreamItem(kind="kernel", name="k", duration=2.0))
         s.enqueue(StreamItem(kind="record", name="r", event=evt))
         run_all(env)
         assert evt.fired
-        assert evt.fired_at == 2.0
+        assert fired_at == [2.0]
 
     def test_wait_blocks_stream_until_event(self):
         env = Environment()
-        a = Stream(env, rank=0, stream_id=0)
-        b = Stream(env, rank=0, stream_id=1)
+        a = Stream(env)
+        b = Stream(env)
         evt = CudaEvent(env, "cross")
         ends = []
         a.enqueue(StreamItem(kind="kernel", name="ka", duration=3.0))
@@ -78,13 +80,13 @@ class TestStreamFifo:
 
     def test_wait_on_already_fired_event_proceeds(self):
         env = Environment()
-        s = Stream(env, rank=0, stream_id=0)
+        s = Stream(env)
         evt = CudaEvent(env, "pre")
         done = []
 
         def fire_then_use():
             yield env.timeout(1.0)
-            evt.fire(env.now)
+            evt.fire()
             s.enqueue(StreamItem(kind="wait", name="w", event=evt))
             s.enqueue(
                 StreamItem(
@@ -102,9 +104,9 @@ class TestCudaEvent:
     def test_double_record_rejected(self):
         env = Environment()
         evt = CudaEvent(env, "e")
-        evt.fire(1.0)
+        evt.fire()
         with pytest.raises(SimulationError, match="twice"):
-            evt.fire(2.0)
+            evt.fire()
 
 
 class TestStreamSet:
