@@ -6,7 +6,7 @@ from repro.apps.spmv.dag import (
     build_spmv_program,
     spmv_paper_case,
 )
-from repro.apps.spmv.matrix import band_matrix, matrix_stats
+from repro.apps.spmv.matrix import CsrMatrix, band_matrix, matrix_stats
 from repro.apps.spmv.partition import (
     RankPart,
     SpmvPartition,
@@ -15,6 +15,7 @@ from repro.apps.spmv.partition import (
 )
 
 __all__ = [
+    "CsrMatrix",
     "RankPart",
     "SpmvCase",
     "SpmvInstance",

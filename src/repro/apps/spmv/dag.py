@@ -41,9 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.apps.spmv.matrix import band_matrix
+from repro.apps.spmv.matrix import CsrMatrix, band_matrix
 from repro.apps.spmv.partition import SpmvPartition, partition_spmv
 from repro.dag.graph import Graph
 from repro.dag.program import CommPlan, Message, Program
@@ -97,7 +96,7 @@ class SpmvInstance:
     """Everything needed to explore and verify one SpMV case."""
 
     case: SpmvCase
-    matrix: sp.csr_matrix
+    matrix: CsrMatrix
     x: np.ndarray
     partition: SpmvPartition
     program: Program
@@ -111,7 +110,9 @@ class SpmvInstance:
             ctx.hazards.mark_ready(part.rank, "x_local", 0.0)
 
     def reference_result(self) -> np.ndarray:
-        """Ground truth y = A x via scipy."""
+        """Ground truth y = A x, the whole matrix's CSR multiply (each row
+        summed in column order), against which the ranks' local plus remote
+        products are checked."""
         return self.matrix @ self.x
 
     def gather_result(self, ctx: PayloadContext) -> np.ndarray:

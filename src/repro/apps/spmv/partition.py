@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+from repro.apps.spmv.matrix import CsrMatrix, row_ids
 
 
 def row_ranges(n_rows: int, n_ranks: int) -> List[Tuple[int, int]]:
@@ -38,9 +39,9 @@ class RankPart:
     row_lo: int
     row_hi: int
     #: Local block: columns owned by this rank, over this rank's rows.
-    a_local: sp.csr_matrix
+    a_local: CsrMatrix
     #: Remote block, column-compressed: only columns this rank must fetch.
-    a_remote: sp.csr_matrix
+    a_remote: CsrMatrix
     #: Global column index of each compressed remote column.
     remote_cols: np.ndarray
     #: remote_cols grouped by owning rank: owner -> global col indices.
@@ -79,7 +80,21 @@ class SpmvPartition:
         return out
 
 
-def partition_spmv(a: sp.csr_matrix, n_ranks: int) -> SpmvPartition:
+def _rows_block(
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: Tuple[int, int]
+) -> CsrMatrix:
+    """CSR block of the entries with row ids ``rows`` (ascending)."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CsrMatrix(
+        shape=shape,
+        indptr=indptr,
+        indices=cols.astype(np.int32, copy=False),
+        data=data,
+    )
+
+
+def partition_spmv(a: CsrMatrix, n_ranks: int) -> SpmvPartition:
     """Partition ``a`` row-wise and split each block into local/remote."""
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
@@ -91,30 +106,33 @@ def partition_spmv(a: sp.csr_matrix, n_ranks: int) -> SpmvPartition:
 
     parts: List[RankPart] = []
     for rank, (lo, hi) in enumerate(ranges):
-        block = a[lo:hi, :].tocsc()
-        col_owner = owners
-        local_mask = (col_owner == rank)
+        entries = slice(a.indptr[lo], a.indptr[hi])
+        rows = row_ids(a.indptr[lo : hi + 1])
+        cols = a.indices[entries]
+        data = a.data[entries]
         # Local block, restricted to owned columns (kept at local width).
-        a_local_full = block[:, np.flatnonzero(local_mask)].tocsr()
+        local = (cols >= lo) & (cols < hi)
+        a_local = _rows_block(
+            rows[local], cols[local] - lo, data[local], (hi - lo, hi - lo)
+        )
         # Remote block: compress to referenced columns only.
-        remote_candidates = np.flatnonzero(~local_mask)
-        sub = block[:, remote_candidates]
-        col_nnz = np.diff(sub.indptr)
-        used = np.flatnonzero(col_nnz > 0)
-        remote_cols = remote_candidates[used]
-        a_remote = sub[:, used].tocsr()
+        remote = ~local
+        remote_cols, compressed = np.unique(
+            cols[remote].astype(np.int64), return_inverse=True
+        )
+        a_remote = _rows_block(
+            rows[remote], compressed, data[remote], (hi - lo, len(remote_cols))
+        )
         needed_from: Dict[int, np.ndarray] = {}
-        for owner in np.unique(col_owner[remote_cols]):
-            needed_from[int(owner)] = remote_cols[
-                col_owner[remote_cols] == owner
-            ]
+        for owner in np.unique(owners[remote_cols]):
+            needed_from[int(owner)] = remote_cols[owners[remote_cols] == owner]
         parts.append(
             RankPart(
                 rank=rank,
                 row_lo=lo,
                 row_hi=hi,
-                a_local=a_local_full,
-                a_remote=a_remote.tocsr(),
+                a_local=a_local,
+                a_remote=a_remote,
                 remote_cols=remote_cols,
                 needed_from=needed_from,
             )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -619,6 +620,10 @@ def _cmd_obs(args) -> str:
     store = HistoryStore(args.store)
     if args.obs_command != "history":  # pragma: no cover - argparse gates
         raise SystemExit(f"unknown obs command {args.obs_command!r}")
+    # Only ingest makes a store: reading a misspelled path is an error,
+    # not an empty (and so always passing) history.
+    if args.history_command != "ingest" and not os.path.isdir(args.store):
+        raise SystemExit(f"{args.store}: no such history store directory")
 
     if args.history_command == "ingest":
         lines = []
@@ -800,7 +805,7 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
         dest="metrics",
         action="store_true",
         help=(
-            "append the run's metrics (counters, gauges, latency "
+            "append the run's metrics (counters and latency "
             "histograms) to the output"
         ),
     )

@@ -7,8 +7,8 @@ The shared observability substrate for the whole search/serve stack:
 * ``obs.stage("label+train")`` — always-timed coarse task phases; the
   orchestrator's per-stage walls in ``SuiteReport``/
   ``TransferMatrixResult`` are views over these.
-* ``obs.add / gauge / observe`` — always-on counters, gauges, and
-  histograms (append-only lists); snapshots merge across processes
+* ``obs.add / observe`` — always-on counters and histograms
+  (append-only lists); snapshots merge across processes
   exactly like ``execute_plan`` merges task results, and their counter
   digests are bit-stable between serial and sharded runs.  A run's
   counts are read once it ends (``--metrics``, ``--trace``).
@@ -55,7 +55,6 @@ from repro.obs.runtime import (
     absorb,
     add,
     capture,
-    gauge,
     metrics_snapshot,
     observe,
     reset,
@@ -101,7 +100,6 @@ __all__ = [
     "detect_regressions",
     "diff_runs",
     "export_perfetto",
-    "gauge",
     "hotspots",
     "log",
     "metrics_snapshot",

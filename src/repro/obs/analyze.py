@@ -379,7 +379,6 @@ ingest_analysis` indexes, so key names here are a compatibility
             for step in critical_path(data.spans)
         ],
         "counters": dict(data.metrics.counters),
-        "gauges": dict(data.metrics.gauges),
         "histograms": {
             name: summarize_histogram(values)
             for name, values in data.metrics.histograms.items()

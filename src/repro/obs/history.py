@@ -86,11 +86,14 @@ class HistoryPoint:
 
 
 class HistoryStore:
-    """Append-only on-disk store of :class:`HistoryPoint` rows."""
+    """Append-only on-disk store of :class:`HistoryPoint` rows.
+
+    The directory is made by the first :meth:`append`; a store that was
+    never written loads no points.
+    """
 
     def __init__(self, root: str) -> None:
         self.root = root
-        os.makedirs(root, exist_ok=True)
 
     @property
     def path(self) -> str:
@@ -98,6 +101,7 @@ class HistoryStore:
 
     # -- raw read/write ------------------------------------------------
     def append(self, points: Iterable[HistoryPoint]) -> int:
+        os.makedirs(self.root, exist_ok=True)
         n = 0
         with open(self.path, "a", encoding="utf-8") as fh:
             for point in points:

@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms with a process-safe merge protocol.
+"""Counters and histograms with a process-safe merge protocol.
 
 The registry is deliberately dumb and fast: counters are plain dict adds,
 histograms append to plain lists.  Cross-process safety comes from the
@@ -14,10 +14,9 @@ this program observe a handful of values per series (``sim.compile_s``,
 
 ``MetricsSnapshot.digest()`` hashes the *counters only*, sorted by name.
 Counters count deterministic events (schedules enumerated, subtrees cut,
-cache hits); gauges and histograms may carry wall-clock values and are
-excluded.  Two runs of the same deterministic work — serial or sharded —
-therefore produce the same digest, which is what the bit-stability tests
-assert.
+cache hits); histograms may carry wall-clock values and are excluded.
+Two runs of the same deterministic work — serial or sharded — therefore
+produce the same digest, which is what the bit-stability tests assert.
 """
 
 from __future__ import annotations
@@ -64,14 +63,13 @@ class MetricsSnapshot:
     """
 
     counters: Mapping[str, float] = field(default_factory=dict)
-    gauges: Mapping[str, float] = field(default_factory=dict)
     histograms: Mapping[str, Tuple[float, ...]] = field(default_factory=dict)
 
     def counter(self, name: str, default: float = 0) -> float:
         return self.counters.get(name, default)
 
     def is_empty(self) -> bool:
-        return not (self.counters or self.gauges or self.histograms)
+        return not (self.counters or self.histograms)
 
     def diff(self, before: "MetricsSnapshot") -> "MetricsSnapshot":
         """What happened between ``before`` and this snapshot.
@@ -90,25 +88,17 @@ class MetricsSnapshot:
             tail = values[len(before.histograms.get(name, ())) :]
             if tail:
                 histograms[name] = tail
-        return MetricsSnapshot(
-            counters=counters,
-            gauges=dict(self.gauges),
-            histograms=histograms,
-        )
+        return MetricsSnapshot(counters=counters, histograms=histograms)
 
     def merged(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         """Combine two independent snapshots (e.g. from two workers)."""
         counters = dict(self.counters)
         for name, value in other.counters.items():
             counters[name] = counters.get(name, 0) + value
-        gauges = dict(self.gauges)
-        gauges.update(other.gauges)
         histograms = dict(self.histograms)
         for name, values in other.histograms.items():
             histograms[name] = histograms.get(name, ()) + tuple(values)
-        return MetricsSnapshot(
-            counters=counters, gauges=gauges, histograms=histograms
-        )
+        return MetricsSnapshot(counters=counters, histograms=histograms)
 
     def digest(self) -> str:
         """SHA-256 over sorted counters; timing-carrying series excluded."""
@@ -126,15 +116,11 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, List[float]] = {}
 
     # -- write path ----------------------------------------------------
     def add(self, name: str, value: float = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         self._histograms.setdefault(name, []).append(value)
@@ -143,7 +129,6 @@ class MetricsRegistry:
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(
             counters=dict(self._counters),
-            gauges=dict(self._gauges),
             histograms={k: tuple(v) for k, v in self._histograms.items()},
         )
 
@@ -151,7 +136,5 @@ class MetricsRegistry:
         """Fold a shipped worker snapshot into this registry."""
         for name, value in snap.counters.items():
             self.add(name, value)
-        for name, value in snap.gauges.items():
-            self.gauge(name, value)
         for name, values in snap.histograms.items():
             self._histograms.setdefault(name, []).extend(values)

@@ -82,7 +82,7 @@ def render_span_tree(
 
 
 def render_metrics(snapshot: MetricsSnapshot) -> str:
-    """Counters, gauges, and histogram quantile tables."""
+    """Counters and histogram quantile tables."""
     sections: List[str] = []
     if snapshot.counters:
         rows = [
@@ -90,13 +90,6 @@ def render_metrics(snapshot: MetricsSnapshot) -> str:
             for name, value in sorted(snapshot.counters.items())
         ]
         sections.append("counters:")
-        sections += format_table(("name", "value"), rows)
-    if snapshot.gauges:
-        rows = [
-            (name, f"{value:g}")
-            for name, value in sorted(snapshot.gauges.items())
-        ]
-        sections.append("gauges:")
         sections += format_table(("name", "value"), rows)
     if snapshot.histograms:
         rows = []

@@ -38,7 +38,6 @@ __all__ = [
     "absorb",
     "add",
     "capture",
-    "gauge",
     "metrics_snapshot",
     "reset",
     "span",
@@ -77,10 +76,6 @@ def reset() -> None:
 
 def add(name: str, value: float = 1) -> None:
     _STATE.metrics.add(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    _STATE.metrics.gauge(name, value)
 
 
 def observe(name: str, value: float) -> None:

@@ -6,16 +6,16 @@ Schema (one JSON object per line):
 * span lines — ``{"type": "span", "id": N, "parent": N|null, "name": ...,
   "start": ..., "dur": ..., "pid": ..., "attrs": {...}}``; ids are
   depth-first preorder, so every parent id precedes its children.
-* metric lines — ``{"type": "counter"|"gauge", "name": ..., "value": ...}``
+* metric lines — ``{"type": "counter", "name": ..., "value": ...}``
   and ``{"type": "hist", "name": ..., "values": [...]}`` (raw samples,
   so quantiles survive the round-trip exactly).
 
 ``read_trace(write_trace(...))`` reconstructs the span forest and
 snapshot bit-for-bit.  The reader is strict (CI runs it against
 ``repro suite --trace`` output): any other line type, including the
-``sample`` lines older resource-sampling runs wrote, is refused.  It
-accepts every version in :data:`SUPPORTED_VERSIONS`, which share this
-schema; the writer always writes :data:`TRACE_VERSION`.
+``sample`` and ``gauge`` lines older resource-sampling runs wrote, is
+refused.  It accepts every version in :data:`SUPPORTED_VERSIONS`, which
+share this schema; the writer always writes :data:`TRACE_VERSION`.
 """
 
 from __future__ import annotations
@@ -114,18 +114,6 @@ def write_trace(
                     )
                     + "\n"
                 )
-            for name in sorted(metrics.gauges):
-                fh.write(
-                    json.dumps(
-                        {
-                            "type": "gauge",
-                            "name": name,
-                            "value": metrics.gauges[name],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
             for name in sorted(metrics.histograms):
                 fh.write(
                     json.dumps(
@@ -173,7 +161,6 @@ def read_trace(path: str) -> TraceData:
     roots: list = []
     by_id: Dict[int, SpanRecord] = {}
     counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
     histograms: Dict[str, Tuple[float, ...]] = {}
 
     for i, line in enumerate(lines[1:], start=1):
@@ -210,11 +197,11 @@ def read_trace(path: str) -> TraceData:
                     f"unknown parent {parent!r}"
                 )
             by_id[span_id] = rec
-        elif kind in ("counter", "gauge"):
+        elif kind == "counter":
             name, value = obj.get("name"), obj.get("value")
             if not isinstance(name, str) or not isinstance(value, (int, float)):
-                raise TraceSchemaError(f"{path}:{i + 1}: bad {kind} line")
-            (counters if kind == "counter" else gauges)[name] = value
+                raise TraceSchemaError(f"{path}:{i + 1}: bad counter line")
+            counters[name] = value
         elif kind == "hist":
             name, values = obj.get("name"), obj.get("values")
             if not isinstance(name, str) or not isinstance(values, list):
@@ -226,8 +213,6 @@ def read_trace(path: str) -> TraceData:
     return TraceData(
         meta=dict(meta),
         spans=tuple(roots),
-        metrics=MetricsSnapshot(
-            counters=counters, gauges=gauges, histograms=histograms
-        ),
+        metrics=MetricsSnapshot(counters=counters, histograms=histograms),
         version=int(version),
     )

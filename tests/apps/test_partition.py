@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro.apps.spmv.matrix import band_matrix
+from repro.apps.spmv.matrix import CsrMatrix, band_matrix
 from repro.apps.spmv.partition import partition_spmv, row_ranges
 
 
@@ -74,5 +73,7 @@ class TestPartition:
         assert np.allclose(np.concatenate(pieces), a @ x)
 
     def test_rectangular_matrix_rejected(self):
+        no_cols = np.zeros(0, dtype=np.int32)
+        wide = CsrMatrix((10, 20), np.zeros(11, dtype=np.int32), no_cols, np.zeros(0))
         with pytest.raises(ValueError, match="square"):
-            partition_spmv(sp.csr_matrix((10, 20)), 2)
+            partition_spmv(wide, 2)

@@ -80,7 +80,6 @@ def test_analysis_to_dict_payload_shape():
         "paths",
         "critical_path",
         "counters",
-        "gauges",
         "histograms",
         "workers",
     }

@@ -1,6 +1,7 @@
 """CLI surface: --trace/--metrics flags, the trace subcommand, -v/-q."""
 
 import json
+import os
 import sys
 
 import pytest
@@ -307,3 +308,23 @@ def test_obs_history_gate_passes_without_regression(tmp_path, capsys):
     assert main(["obs", "history", "gate", store]) == 0
     out = capsys.readouterr().out
     assert "history gate: OK" in out and "warn-only" in out
+
+
+@pytest.mark.parametrize("action", ["show", "gate"])
+def test_obs_history_reader_refuses_missing_store(action, tmp_path):
+    """A misspelled store used to read as an empty history: `gate`
+    passed, `show` found no series, and both made the directory."""
+    missing = str(tmp_path / "nosuchstore")
+    message = _refusal(["obs", "history", action, missing])
+    assert message == f"{missing}: no such history store directory"
+    assert not os.path.exists(missing)
+
+
+def test_obs_history_refused_ingest_makes_no_store(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    store = str(tmp_path / "hist")
+    assert "not a benchmark JSON" in _refusal(
+        ["obs", "history", "ingest", store, str(bad)]
+    )
+    assert not os.path.exists(store)

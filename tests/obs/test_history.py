@@ -45,6 +45,15 @@ def test_append_load_round_trip(tmp_path):
     assert loaded == point
 
 
+def test_store_directory_made_by_first_append(tmp_path):
+    store = _store(tmp_path)
+    assert not os.path.exists(store.root)
+    assert store.load() == [] and store.series() == {}
+    assert not os.path.exists(store.root)
+    store.append([HistoryPoint(series="s", value=1.0)])
+    assert os.path.isfile(store.path)
+
+
 def test_load_tolerates_torn_and_garbage_lines(tmp_path):
     store = _store(tmp_path)
     store.append([HistoryPoint(series="s", value=1.0)])

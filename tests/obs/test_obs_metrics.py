@@ -6,18 +6,15 @@ from repro.obs import MetricsRegistry, MetricsSnapshot, summarize_histogram
 
 
 class TestRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_and_histograms(self):
         reg = MetricsRegistry()
         reg.add("c")
         reg.add("c", 4)
-        reg.gauge("g", 2.5)
-        reg.gauge("g", 3.5)
         reg.observe("h", 1.0)
         reg.observe("h", 2.0)
         snap = reg.snapshot()
         assert snap.counter("c") == 5
         assert snap.counter("absent") == 0
-        assert snap.gauges["g"] == 3.5
         assert snap.histograms["h"] == (1.0, 2.0)
 
     def test_snapshot_is_immutable_view(self):
@@ -69,8 +66,8 @@ class TestSnapshot:
         assert ab.counters == ba.counters == {"x": 1, "y": 5, "z": 4}
 
     def test_digest_covers_counters_only(self):
-        a = MetricsSnapshot(counters={"x": 1}, gauges={"wall_s": 1.23})
-        b = MetricsSnapshot(counters={"x": 1}, gauges={"wall_s": 9.99})
+        a = MetricsSnapshot(counters={"x": 1}, histograms={"wall_s": (1.23,)})
+        b = MetricsSnapshot(counters={"x": 1}, histograms={"wall_s": (9.99,)})
         c = MetricsSnapshot(counters={"x": 2})
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
@@ -81,9 +78,7 @@ class TestSnapshot:
         assert a.digest() == b.digest()
 
     def test_snapshot_pickles(self):
-        snap = MetricsSnapshot(
-            counters={"c": 1}, gauges={"g": 2.0}, histograms={"h": (3.0,)}
-        )
+        snap = MetricsSnapshot(counters={"c": 1}, histograms={"h": (3.0,)})
         assert pickle.loads(pickle.dumps(snap)) == snap
 
 

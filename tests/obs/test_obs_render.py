@@ -46,13 +46,11 @@ class TestMetrics:
     def test_counters_and_histograms_tabulated(self):
         snap = MetricsSnapshot(
             counters={"cache.hits": 3},
-            gauges={"g": 1.5},
             histograms={"advisor.recommend_s": (0.01, 0.02, 0.03)},
         )
         out = render_metrics(snap)
         assert "counters:" in out
         assert "cache.hits" in out
-        assert "gauges:" in out
         assert "histograms:" in out
         assert "p95" in out
 

@@ -26,7 +26,6 @@ def _forest():
 def _snapshot():
     return MetricsSnapshot(
         counters={"c": 5, "b": 1},
-        gauges={"g": 2.5},
         histograms={"h": (1.0, 2.0, 3.0)},
     )
 
@@ -153,6 +152,15 @@ class TestValidation:
             {"type": "mystery"},
         )
         with pytest.raises(TraceSchemaError, match="unknown line type"):
+            read_trace(self._write(tmp_path, text))
+
+    def test_gauge_line_rejected(self, tmp_path):
+        """Gauges were written only by the removed resource sampler."""
+        text = self._lines(
+            {"type": "trace", "version": 2, "meta": {}},
+            {"type": "gauge", "name": "g", "value": 1.0},
+        )
+        with pytest.raises(TraceSchemaError, match="unknown line type 'gauge'"):
             read_trace(self._write(tmp_path, text))
 
     def test_error_messages_carry_line_numbers(self, tmp_path):
