@@ -57,7 +57,7 @@ def _synthetic_run(scale: float = 1.0) -> tuple[SpanRecord, MetricsRegistry]:
             ]
             stages.append(
                 SpanRecord(
-                    name=f"stage:search:{s % 2 and 'mcts' or 'random'}",
+                    name=f"search.{s % 2 and 'mcts' or 'random'}",
                     start=clock,
                     duration=scale * sum(c.duration for c in leaves) * 1.05,
                     pid=1000 + t % 4,

@@ -9,7 +9,7 @@ discrimination weights, giving three levers the search strategies wire in
 
 * **pruning** (exhaustive / random) — :meth:`ScheduleGuide.admits`
   rejects schedules violating any rule whose combined weight reaches
-  ``prune_threshold``; the space streams through
+  :data:`PRUNE_THRESHOLD`; the space streams through
   :meth:`repro.schedule.space.DesignSpace.iter_blocks` with the guide as
   the ``keep`` filter, so pruned schedules are never simulated;
 * **ordering prior** (beam) — :meth:`ScheduleGuide.prefix_penalty`
@@ -57,7 +57,7 @@ _FEATURE = {ORDER: OrderFeature, STREAM: StreamFeature}
 #: to participate in guidance at all.
 MIN_SOURCE_WEIGHT = 0.05
 
-#: Default combined weight at which violating a rule prunes a schedule.
+#: Combined weight at which violating a rule prunes a schedule.
 PRUNE_THRESHOLD = 0.10
 
 
@@ -98,7 +98,6 @@ class ScheduleGuide:
         rules: Sequence[ResolvedRule],
         op_keys: Dict[str, str],
         *,
-        prune_threshold: float = PRUNE_THRESHOLD,
         mandatory_counts: Optional[Dict[str, int]] = None,
     ) -> None:
         #: Deterministic rule order: strongest first, then text.
@@ -106,7 +105,6 @@ class ScheduleGuide:
             rules, key=lambda r: (-r.weight, r.text)
         )
         self.op_keys = dict(op_keys)
-        self.prune_threshold = prune_threshold
         #: Key → number of ops guaranteed to appear in every complete
         #: schedule (program ops; sync ops are conditional).  Lets a
         #: prefix judgment see ordering violations the moment they
@@ -121,7 +119,6 @@ class ScheduleGuide:
         target: "Program | Dict[str, OpSignature]",
         *,
         min_source_weight: float = MIN_SOURCE_WEIGHT,
-        prune_threshold: float = PRUNE_THRESHOLD,
         exclude_sources: Sequence[str] = (),
     ) -> "ScheduleGuide":
         """Resolve every artifact's rules onto ``target``.
@@ -207,12 +204,7 @@ class ScheduleGuide:
             )
             for (kind, u, v, value), (weight, sources) in resolved.items()
         ]
-        return cls(
-            rules,
-            op_keys,
-            prune_threshold=prune_threshold,
-            mandatory_counts=mandatory,
-        )
+        return cls(rules, op_keys, mandatory_counts=mandatory)
 
     @classmethod
     def from_store(
@@ -221,11 +213,10 @@ class ScheduleGuide:
         target: Program,
         *,
         machine: Optional[str] = None,
-        validate: bool = True,
         **kwargs,
     ) -> "ScheduleGuide":
         """Build a guide straight from an :class:`ArtifactStore`."""
-        artifacts = store.load_workloads(machine=machine, validate=validate)
+        artifacts = store.load_workloads(machine=machine)
         return cls.from_artifacts(artifacts, target, **kwargs)
 
     # ------------------------------------------------------------------
@@ -336,7 +327,7 @@ class ScheduleGuide:
         """
         order, streams = self._groups(ops)
         for rule in self.rules:
-            if rule.weight < self.prune_threshold:
+            if rule.weight < PRUNE_THRESHOLD:
                 continue
             if self._violated(rule, order, streams) is True:
                 return False
@@ -360,7 +351,7 @@ class ScheduleGuide:
         """Human-readable summary of the strongest resolved rules."""
         lines = [
             f"{self.n_rules} resolved rules "
-            f"(prune threshold {self.prune_threshold:+.2f}):"
+            f"(prune threshold {PRUNE_THRESHOLD:+.2f}):"
         ]
         for rule in self.rules[:limit]:
             srcs = ", ".join(rule.sources)

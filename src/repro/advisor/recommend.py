@@ -220,7 +220,6 @@ def recommend(
     n_streams: int = 2,
     max_candidates: int = MAX_CANDIDATES,
     seed: int = 0,
-    validate: bool = True,
 ) -> Recommendation:
     """Recommend a schedule for ``program`` from persisted knowledge.
 
@@ -248,7 +247,6 @@ def recommend(
             n_streams=n_streams,
             max_candidates=max_candidates,
             seed=seed,
-            validate=validate,
         )
     obs.observe("advisor.recommend_s", time.perf_counter() - t0)
     obs.add("advisor.recommendations")
@@ -265,10 +263,9 @@ def _recommend(
     n_streams: int,
     max_candidates: int,
     seed: int,
-    validate: bool,
 ) -> Recommendation:
     if isinstance(store, ArtifactStore):
-        artifacts = store.load_workloads(machine=machine, validate=validate)
+        artifacts = store.load_workloads(machine=machine)
         if union is None:
             union = store.load_union(machine=machine)
     else:

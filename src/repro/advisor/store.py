@@ -32,11 +32,11 @@ validates three things and raises
 * **signatures** — the stored signature table must equal the rebuilt
   program's :func:`~repro.transfer.signature.program_signatures`.
 
-Validation rebuilds the workload, which costs milliseconds for registry
-specs, so a store object validates each artifact once: it keeps the
-bytes it validated under each key, and a later read of the same bytes
-skips the rebuild while changed bytes are validated again.  Pass
-``validate=False`` to skip validation when the store is trusted.
+Every read validates: a caller never sees an artifact whose bytes were
+not checked.  Validation rebuilds the workload, which costs milliseconds
+for registry specs, so a store object validates each artifact once: it
+keeps the bytes it validated under each key, and a later read of the
+same bytes skips the rebuild while changed bytes are validated again.
 """
 
 from __future__ import annotations
@@ -362,15 +362,14 @@ class ArtifactStore:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(self.path_of(key))
 
-    def load(self, key: str, *, validate: bool = True):
-        """Load one artifact by key, validating unless told otherwise.
+    def load(self, key: str):
+        """Load and validate one artifact by key.
 
         The file is read once, and its bytes are both parsed and, for a
         workload artifact, compared with the bytes this object last
         validated under ``key``: equal bytes are not validated again."""
         raw, artifact = self._read(key)
-        if validate:
-            self._validate(key, raw, artifact)
+        self._validate(key, raw, artifact)
         return artifact
 
     def _read(self, key: str) -> Tuple[bytes, object]:
@@ -395,7 +394,7 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     def load_workloads(
-        self, *, machine: Optional[str] = None, validate: bool = True
+        self, *, machine: Optional[str] = None
     ) -> List[WorkloadArtifact]:
         """Every workload artifact (optionally one machine's), key-sorted.
 
@@ -411,8 +410,7 @@ class ArtifactStore:
             raw, artifact = self._read(key)
             if machine is not None and artifact.machine != machine:
                 continue
-            if validate:
-                self._validate(key, raw, artifact)
+            self._validate(key, raw, artifact)
             out.append(artifact)
         return out
 

@@ -201,12 +201,6 @@ def _cmd_suite(args) -> str:
     else:
         report.save_json(json_path)
         out += f"\nJSON report written to {json_path}"
-    if args.report:
-        from repro.report import render_suite_report
-
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(render_suite_report(report) + "\n")
-        out += f"\nMarkdown report written to {args.report}"
     return out
 
 
@@ -239,12 +233,6 @@ def _cmd_transfer(args) -> str:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         out += f"\nJSON report written to {json_path}"
-    if args.report:
-        from repro.report import render_transfer_report
-
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(render_transfer_report(result) + "\n")
-        out += f"\nMarkdown report written to {args.report}"
     return out
 
 
@@ -299,7 +287,7 @@ def _train_store(args, store, machine) -> list:
         measurement=measurement,
         execution=_execution(args),
     )
-    with obs.stage("publish"):
+    with obs.span("advisor.publish"):
         return publish_artifacts(
             store,
             per_workload,
@@ -553,7 +541,10 @@ def _cmd_trace(args) -> str:
     tables as machine-readable JSON (the history store's ingestion
     format); ``--export-perfetto OUT.json`` lowers the trace to
     Chrome/Perfetto trace-event JSON for ``ui.perfetto.dev``.  A file
-    that is missing or not a valid trace exits with its path and line.
+    that is missing or not a valid trace exits with its path and line; a
+    flag the mode would ignore (``--json`` without ``--analyze``, or
+    ``--analyze``, ``--json`` or ``--export-perfetto`` with ``--diff``)
+    exits naming the flag.
     """
     import json as json_mod
 
@@ -567,6 +558,16 @@ def _cmd_trace(args) -> str:
     )
 
     if args.diff:
+        for flag, value in (
+            ("--analyze", args.analyze),
+            ("--json", args.json),
+            ("--export-perfetto", args.export_perfetto),
+        ):
+            if value:
+                raise SystemExit(
+                    f"{flag} does not apply to --diff (a diff compares "
+                    "the two runs' counters only)"
+                )
         if len(args.paths) != 2:
             raise SystemExit(
                 "repro trace --diff takes exactly two runs: BASELINE CURRENT"
@@ -584,6 +585,10 @@ def _cmd_trace(args) -> str:
     if len(args.paths) != 1:
         raise SystemExit(
             "repro trace renders one trace (use --diff to compare two)"
+        )
+    if args.json and not args.analyze:
+        raise SystemExit(
+            "--json requires --analyze (it writes the analysis tables)"
         )
     data = _read_trace_file(args.paths[0])
     lines = []
@@ -875,16 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--report",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "also write a markdown report with per-stage timing "
-            "(repro.report.render_suite_report) to PATH"
-        ),
-    )
-    p.add_argument(
         "--store",
         type=str,
         default=None,
@@ -928,13 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
             "where to write the JSON report "
             "(default repro-transfer.json; '-' appends it to stdout)"
         ),
-    )
-    p.add_argument(
-        "--report",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="also write a markdown report (repro.report) to PATH",
     )
     _add_common_options(p)
     _add_sharding_options(p)

@@ -21,6 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.dag.program import Program
 from repro.errors import SearchError
 from repro.exec import Evaluator, SerialEvaluator
@@ -191,21 +192,30 @@ class DesignRulePipeline:
 
     # ------------------------------------------------------------------
     def run(self, search_result: Optional[SearchResult] = None) -> PipelineResult:
-        """Execute the pipeline; optionally reuse an existing search."""
+        """Execute the pipeline; optionally reuse an existing search.
+
+        Each stage after the search runs in its own span: ``ml.label``,
+        ``ml.features``, ``ml.train``, ``ml.error`` and ``rules.extract``.
+        """
         search = search_result if search_result is not None else self.explore()
         unique = search.unique()
         if not unique.samples:
             raise SearchError("search produced no samples")
-        labeling = label_by_performance(unique.times(), self.config.labeling)
-        extractor = FeatureExtractor()
-        features = extractor.fit_transform(unique.schedules())
-        tree, trace = search_tree_size(
-            features.matrix,
-            labeling.labels,
-            criterion=self.config.tree_criterion,
-        )
-        err = training_error(tree, features.matrix, labeling.labels)
-        rulesets = extract_rulesets(tree, features.features)
+        with obs.span("ml.label"):
+            labeling = label_by_performance(unique.times(), self.config.labeling)
+        with obs.span("ml.features"):
+            extractor = FeatureExtractor()
+            features = extractor.fit_transform(unique.schedules())
+        with obs.span("ml.train"):
+            tree, trace = search_tree_size(
+                features.matrix,
+                labeling.labels,
+                criterion=self.config.tree_criterion,
+            )
+        with obs.span("ml.error"):
+            err = training_error(tree, features.matrix, labeling.labels)
+        with obs.span("rules.extract"):
+            rulesets = extract_rulesets(tree, features.features)
         return PipelineResult(
             search=unique,
             labeling=labeling,

@@ -4,9 +4,6 @@ The shared observability substrate for the whole search/serve stack:
 
 * ``obs.span("search.exhaustive", batch_size=64)`` — nested spans,
   no-op (a shared null handle) unless a tracer is installed.
-* ``obs.stage("label+train")`` — always-timed coarse task phases; the
-  orchestrator's per-stage walls in ``SuiteReport``/
-  ``TransferMatrixResult`` are views over these.
 * ``obs.add / observe`` — always-on counters and histograms
   (append-only lists); snapshots merge across processes
   exactly like ``execute_plan`` merges task results, and their counter
@@ -59,8 +56,6 @@ from repro.obs.runtime import (
     observe,
     reset,
     span,
-    stage,
-    task_scope,
     tracing_active,
     worker_capture,
 )
@@ -112,9 +107,7 @@ __all__ = [
     "render_trace",
     "reset",
     "span",
-    "stage",
     "summarize_histogram",
-    "task_scope",
     "to_perfetto",
     "tracing_active",
     "walk_spans",

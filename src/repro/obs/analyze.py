@@ -1,7 +1,7 @@
 """Trace analytics: per-span-path aggregation, hotspots, critical path.
 
 A *span path* is the ``/``-joined chain of span names from a root down
-to a span (``plan.execute/task:spmv[scale=0.025]/stage:search:random``).
+to a span (``plan.execute/task:spmv[scale=0.025]/search.random``).
 Paths are pure functions of the instrumented code and the workload
 labels — never of pids, timestamps, or completion order — so the same
 run configuration always produces the same path set.  That stability is

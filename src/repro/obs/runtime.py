@@ -1,6 +1,6 @@
 """Module-level observability state and the primitives built on it.
 
-Three pieces of ambient state, all process-local:
+Two pieces of ambient state, both process-local:
 
 * ``metrics`` — a :class:`MetricsRegistry` that is **always on**.  Hot
   paths emit at block/batch granularity (one dict add per enumeration
@@ -11,12 +11,7 @@ Three pieces of ambient state, all process-local:
 * ``tracer`` — ``None`` by default.  :func:`span` is a shared no-op
   context manager until a :class:`~repro.obs.span.Tracer` is installed
   (via :class:`capture`), which is what makes tracing zero-cost when
-  disabled.
-* ``stage_log`` — a plain list the innermost :class:`task_scope`
-  installs so :class:`stage` blocks can report ``(name, wall)`` pairs to
-  whoever is running the task.  This replaces the hand-threaded stage
-  float lists the orchestrator used to build, and doubles as a span when
-  tracing is active.
+  disabled.  A run's per-layer wall time is read from its spans alone.
 
 Worker processes never share this state usefully (fork inherits a stale
 copy): :class:`worker_capture` swaps in a fresh registry/tracer for the
@@ -28,8 +23,7 @@ worker to the parent.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.span import SpanRecord, Tracer
@@ -41,20 +35,17 @@ __all__ = [
     "metrics_snapshot",
     "reset",
     "span",
-    "stage",
-    "task_scope",
     "tracing_active",
     "worker_capture",
 ]
 
 
 class _ObsState:
-    __slots__ = ("tracer", "metrics", "stage_log")
+    __slots__ = ("tracer", "metrics")
 
     def __init__(self) -> None:
         self.tracer: Optional[Tracer] = None
         self.metrics: MetricsRegistry = MetricsRegistry()
-        self.stage_log: Optional[List[Tuple[str, float]]] = None
 
 
 _STATE = _ObsState()
@@ -67,7 +58,6 @@ def reset() -> None:
     """
     _STATE.tracer = None
     _STATE.metrics = MetricsRegistry()
-    _STATE.stage_log = None
 
 
 # ---------------------------------------------------------------------------
@@ -137,83 +127,6 @@ def span(name: str, **attrs: object):
 
 def tracing_active() -> bool:
     return _STATE.tracer is not None
-
-
-# ---------------------------------------------------------------------------
-# stages: always-timed coarse phases reported to the enclosing task
-
-
-class stage:
-    """Time one coarse phase of a task.
-
-    Always measures wall time (``.duration`` after exit) and appends
-    ``(name, duration)`` to the innermost :class:`task_scope`'s stage
-    log; additionally records a ``stage:<name>`` span when tracing is
-    active.  This is the single primitive behind the per-stage walls in
-    ``SuiteReport``/``TransferMatrixResult`` timing dicts.
-    """
-
-    __slots__ = ("name", "attrs", "duration", "_t0", "_rec")
-
-    def __init__(self, name: str, **attrs: object) -> None:
-        self.name = name
-        self.attrs = attrs
-        self.duration = 0.0
-
-    def __enter__(self) -> "stage":
-        tracer = _STATE.tracer
-        self._rec = (
-            tracer.open(f"stage:{self.name}", self.attrs)
-            if tracer is not None
-            else None
-        )
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.duration = time.perf_counter() - self._t0
-        if self._rec is not None and _STATE.tracer is not None:
-            _STATE.tracer.close(self._rec)
-        if _STATE.stage_log is not None:
-            _STATE.stage_log.append((self.name, self.duration))
-
-
-class task_scope:
-    """Scope for one orchestrated task: stage log + ``task:<label>`` span.
-
-    Exposes ``.stages`` (ordered ``(name, wall)`` pairs from nested
-    :class:`stage` blocks) and ``.duration`` after exit — exactly what
-    ``TaskResult`` records.
-    """
-
-    __slots__ = ("label", "kind", "index", "stages", "duration", "_prev", "_rec", "_t0")
-
-    def __init__(self, label: str, *, kind: str = "", index: int = 0) -> None:
-        self.label = label
-        self.kind = kind
-        self.index = index
-        self.stages: List[Tuple[str, float]] = []
-        self.duration = 0.0
-
-    def __enter__(self) -> "task_scope":
-        self._prev = _STATE.stage_log
-        _STATE.stage_log = self.stages
-        tracer = _STATE.tracer
-        self._rec = (
-            tracer.open(
-                f"task:{self.label}", {"kind": self.kind, "index": self.index}
-            )
-            if tracer is not None
-            else None
-        )
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.duration = time.perf_counter() - self._t0
-        _STATE.stage_log = self._prev
-        if self._rec is not None and _STATE.tracer is not None:
-            _STATE.tracer.close(self._rec)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ Task payloads must pickle.  Programs may not (payload closures), so
 bit-identical by the workload determinism contract.
 
 The :class:`TaskResult` is a worker's only channel to the parent: its
-counters, spans and resource samples ship home with the payload, and
-once every task is back ``execute_plan`` absorbs them all in task-index
-order.
+counters and spans ship home with the payload, and once every task is
+back ``execute_plan`` absorbs them all in task-index order.
 """
 
 from __future__ import annotations
@@ -67,10 +66,8 @@ class TaskResult:
     label: str
     kind: str
     payload: object
-    #: Total task wall time and the per-stage breakdown
-    #: (build → search/enumerate → label → extract-rules).
+    #: Total task wall time (per-layer time is in the trace's spans).
     wall_s: float
-    stages: Tuple[Tuple[str, float], ...] = ()
     #: PID of the executing process (parent PID for in-process runs).
     pid: int = 0
     #: Span subtrees recorded in a worker process (empty when the task
@@ -88,7 +85,6 @@ class TaskResult:
             "label": self.label,
             "kind": self.kind,
             "wall_s": self.wall_s,
-            "stages": {name: wall for name, wall in self.stages},
         }
 
 
@@ -195,20 +191,19 @@ def _run_suite_cells(machine: MachineConfig, task: WorkloadTask) -> object:
     """
     from repro.workloads.suite import _cell_from_result
 
-    with obs.stage("build"):
+    with obs.span("workloads.build"):
         program = build_workload(task.spec)
         space = DesignSpace(program, n_streams=task.n_streams)
     cells = []
     evaluator = _task_evaluator(machine, task, program)
     try:
         for strat_name in task.strategies:
-            with obs.stage(f"search:{strat_name}") as st:
-                strategy = make_strategy(strat_name, space, evaluator, task.seed)
-                result = strategy.run(task.n_iterations)
+            t0 = time.perf_counter()
+            strategy = make_strategy(strat_name, space, evaluator, task.seed)
+            result = strategy.run(task.n_iterations)
+            wall = time.perf_counter() - t0
             cells.append(
-                _cell_from_result(
-                    task.spec, strat_name, space, result, st.duration
-                )
+                _cell_from_result(task.spec, strat_name, space, result, wall)
             )
     finally:
         evaluator.close()
@@ -220,7 +215,7 @@ def _run_workload_rules(machine: MachineConfig, task: WorkloadTask) -> object:
     (program-free, picklable) :class:`WorkloadRules` payload."""
     from repro.workloads.generalization import reduce_workload_rules
 
-    with obs.stage("build"):
+    with obs.span("workloads.build"):
         program = build_workload(task.spec)
     evaluator = _task_evaluator(machine, task, program)
     try:
@@ -235,15 +230,10 @@ def _run_workload_rules(machine: MachineConfig, task: WorkloadTask) -> object:
             ),
             evaluator=evaluator,
         )
-        with obs.stage("enumerate"):
-            search = pipe.explore()
-        with obs.stage("label+train"):
-            result = pipe.run(search)
+        result = pipe.run()
     finally:
         evaluator.close()
-    with obs.stage("extract-rules"):
-        rules = reduce_workload_rules(task.spec, program, result)
-    return rules
+    return reduce_workload_rules(task.spec, program, result)
 
 
 def _run_search_range(machine: MachineConfig, task: WorkloadTask) -> object:
@@ -258,7 +248,7 @@ def _run_search_range(machine: MachineConfig, task: WorkloadTask) -> object:
     """
     from repro.search.exhaustive import ExhaustiveSearch
 
-    with obs.stage("build+seek"):
+    with obs.span("workloads.build"):
         program = build_workload(task.spec)
         space = DesignSpace(program, n_streams=task.n_streams)
         cursor = space.seek(task.range_start)
@@ -267,22 +257,21 @@ def _run_search_range(machine: MachineConfig, task: WorkloadTask) -> object:
         from repro.advisor import ArtifactStore
         from repro.advisor.guided import ScheduleGuide
 
-        with obs.stage("load-guide"):
+        with obs.span("advisor.guide"):
             guide = ScheduleGuide.from_store(
                 ArtifactStore(task.store_path), program, machine=machine.name
             )
     evaluator = _task_evaluator(machine, task, program)
     block = 64 if task.block_size is None else task.block_size
     try:
-        with obs.stage("search"):
-            result = ExhaustiveSearch(
-                space,
-                evaluator,
-                batch_size=block,
-                guide=guide,
-                cursor=cursor,
-                limit=task.range_limit,
-            ).run()
+        result = ExhaustiveSearch(
+            space,
+            evaluator,
+            batch_size=block,
+            guide=guide,
+            cursor=cursor,
+            limit=task.range_limit,
+        ).run()
     finally:
         evaluator.close()
     return result
@@ -296,16 +285,17 @@ _EXECUTORS = {
 
 
 def execute_task(machine: MachineConfig, task: WorkloadTask) -> TaskResult:
-    """Run one task to completion in the current process."""
-    with obs.task_scope(task.label, kind=task.kind, index=task.index) as scope:
+    """Run one task to completion in the current process, in a
+    ``task:<label>`` span when tracing."""
+    t0 = time.perf_counter()
+    with obs.span(f"task:{task.label}", kind=task.kind, index=task.index):
         payload = _EXECUTORS[task.kind](machine, task)
     return TaskResult(
         index=task.index,
         label=task.label,
         kind=task.kind,
         payload=payload,
-        wall_s=scope.duration,
-        stages=tuple(scope.stages),
+        wall_s=time.perf_counter() - t0,
         pid=os.getpid(),
     )
 

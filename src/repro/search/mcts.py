@@ -49,12 +49,15 @@ from repro.schedule.space import Action, DecisionState, DesignSpace
 from repro.search.base import SearchResult, SearchStrategy
 
 
+#: Exploration constant c of the UCT selection term (paper: sqrt(2)).
+EXPLORATION_C = math.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class MctsConfig:
-    """MCTS hyperparameters (paper defaults)."""
+    """MCTS run settings (the exploration constant is
+    :data:`EXPLORATION_C`)."""
 
-    #: Exploration constant c (paper: sqrt(2)).
-    exploration_c: float = math.sqrt(2.0)
     #: RNG seed for rollouts and tie-breaking.
     seed: int = 0
 
@@ -206,7 +209,7 @@ class MctsSearch(SearchStrategy):
     def _select(self, root: MctsNode) -> MctsNode:
         # A node with every action expanded and not fully explored has a
         # child that is not fully explored (see _backpropagate).
-        c = self.config.exploration_c
+        c = EXPLORATION_C
         node = root
         while not node.is_terminal and len(node.children) == len(node.actions):
             node = max(

@@ -164,8 +164,8 @@ class TransferMatrixResult:
     scores: Dict[Tuple[str, str], List[DiscriminationScore]] = field(
         default_factory=dict, repr=False
     )
-    #: Execution-plan timing (shard count, per-task wall/stages); empty
-    #: when the matrix was built from precomputed pipeline outputs.
+    #: Execution-plan timing (shard count, per-task wall); empty when the
+    #: matrix was built from precomputed pipeline outputs.
     timing: Dict[str, object] = field(default_factory=dict)
 
     def rows(self) -> List[Dict[str, object]]:
@@ -200,23 +200,7 @@ class TransferMatrixResult:
             f"Cross-program transfer matrix over {len(self.workloads)} "
             f"workloads (signature-matched, discrimination-scored):"
         ]
-        rows = [
-            (
-                c["source"],
-                c["target"],
-                f"{c['n_transferable']}/{c['n_rules']}",
-                f"{float(c['mean_discrimination']):+.2f}",
-                f"{100.0 * float(c['mean_coverage']):.0f}%",
-                f"{float(c['best_discrimination']):+.2f}",
-                "avoid" if c["do_not_transfer"] else "",
-            )
-            for c in self.rows()
-        ]
-        lines += format_table(
-            ("rules from", "scored on", "transfer", "disc", "cover", "best",
-             "advice"),
-            rows,
-        )
+        lines += format_transfer_rows(self.rows())
         lines.append("")
         advisories = self.advisories()
         if advisories:
@@ -253,24 +237,57 @@ class TransferMatrixResult:
             lines.append(
                 "Union-trained tree, leave-one-workload-out accuracy:"
             )
-            lines += format_table(
-                ("held-out target", "train sources", "feat", "leaves",
-                 "train acc", "held-out acc"),
-                [
-                    (
-                        u.target,
-                        str(len(u.trained_on)),
-                        str(u.n_features),
-                        str(u.n_leaves),
-                        f"{100.0 * u.train_accuracy:.0f}%",
-                        f"{100.0 * u.holdout_accuracy:.0f}%",
-                    )
-                    for u in self.union_rows
-                ],
-            )
+            lines += format_union_rows([u.to_dict() for u in self.union_rows])
         if self.union_note:
             lines.append(self.union_note)
         return "\n".join(lines)
+
+
+def format_transfer_rows(rows: Sequence[Dict[str, object]]) -> List[str]:
+    """Fixed-width discrimination grid, one line per
+    :meth:`TransferCell.to_dict` row (``repro transfer`` and suite
+    reports print the same table)."""
+    return format_table(
+        ("rules from", "scored on", "transfer", "disc", "cover", "best", "advice"),
+        [
+            (
+                str(r["source"]),
+                str(r["target"]),
+                f"{r['n_transferable']}/{r['n_rules']}",
+                f"{float(r['mean_discrimination']):+.2f}",
+                f"{100.0 * float(r['mean_coverage']):.0f}%",
+                f"{float(r['best_discrimination']):+.2f}",
+                "avoid" if r["do_not_transfer"] else "",
+            )
+            for r in rows
+        ],
+    )
+
+
+def format_union_rows(rows: Sequence[Dict[str, object]]) -> List[str]:
+    """Fixed-width leave-one-workload-out accuracy table, one line per
+    :meth:`UnionRow.to_dict` row."""
+    return format_table(
+        (
+            "held-out target",
+            "train sources",
+            "feat",
+            "leaves",
+            "train acc",
+            "held-out acc",
+        ),
+        [
+            (
+                str(r["target"]),
+                str(len(r["trained_on"])),
+                str(r["n_features"]),
+                str(r["n_leaves"]),
+                f"{100.0 * float(r['train_accuracy']):.0f}%",
+                f"{100.0 * float(r['holdout_accuracy']):.0f}%",
+            )
+            for r in rows
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +500,7 @@ def run_transfer_matrix(
         measurement=measurement,
         execution=execution,
     )
-    with obs.stage("transfer-matrix"):
+    with obs.span("transfer.matrix"):
         result = transfer_matrix_from(per_workload)
     result.timing = plan_run.timing()
     return result

@@ -109,17 +109,6 @@ class CrossWorkloadResult:
             )
         return out
 
-    def report(self) -> str:
-        lines = ["Cross-workload rule transfer (fastest-class rules):"]
-        for row in self.rows():
-            lines.append(
-                f"  {row['source']} -> {row['target']}: "
-                f"{row['n_transferable']}/{row['n_rules']} rules transfer, "
-                f"{100.0 * float(row['mean_satisfaction']):.0f}% satisfied "
-                f"by the target's fastest class"
-            )
-        return "\n".join(lines)
-
 
 def reduce_workload_rules(
     spec: WorkloadSpec,
@@ -170,7 +159,7 @@ def run_rules_plan(
 
     Returns ``(per_workload, plan_run)`` — the :class:`WorkloadRules`
     list in spec order plus the :class:`~repro.orchestrate.PlanRun`
-    carrying per-task wall/stage timing.  ``execution.shard_workers > 1``
+    carrying per-task wall time.  ``execution.shard_workers > 1``
     shards whole workloads across processes; results are bit-identical to
     the serial sweep for any ``execution``.
     """

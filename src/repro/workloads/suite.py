@@ -199,10 +199,9 @@ class SuiteReport:
     union_table: List[Dict[str, object]] = field(default_factory=list)
     #: Why union rows are missing / incomplete (empty when none skipped).
     union_note: str = ""
-    #: Execution-plan timing: shard count, total wall, per-task wall and
-    #: per-stage breakdown (:meth:`repro.orchestrate.PlanRun.timing`).
-    #: Wall-clock only — every other field is identical for any shard
-    #: count.
+    #: Execution-plan timing: shard count, total wall and per-task wall
+    #: (:meth:`repro.orchestrate.PlanRun.timing`).  Wall-clock only —
+    #: every other field is identical for any shard count.
     timing: Dict[str, object] = field(default_factory=dict)
     #: Run telemetry from the obs metrics registry delta — today the
     #: measurement-cache hit/miss/lock-retry counts, which are
@@ -237,7 +236,10 @@ class SuiteReport:
 
     # ------------------------------------------------------------------
     def ascii_table(self) -> str:
-        """Fixed-width comparison table, one row per cell."""
+        """Fixed-width comparison table, one row per cell, then the
+        cross-workload tables (drawn as ``repro transfer`` draws them)."""
+        from repro.transfer.matrix import format_transfer_rows, format_union_rows
+
         headers = (
             "workload",
             "strategy",
@@ -271,10 +273,15 @@ class SuiteReport:
             lines.append(self._rules_ascii())
         if self.transfer_table:
             lines.append("")
-            lines.append(self._transfer_ascii())
+            lines.append(
+                "Signature-matched transfer (discrimination = fast/slow "
+                "satisfaction gap):"
+            )
+            lines += format_transfer_rows(self.transfer_table)
         if self.union_table:
             lines.append("")
-            lines.append(self._union_ascii())
+            lines.append("Union-trained tree, leave-one-workload-out accuracy:")
+            lines += format_union_rows(self.union_table)
         if self.union_note:
             lines.append(self.union_note)
         if self.timing:
@@ -324,44 +331,6 @@ class SuiteReport:
         lines = ["Cross-workload rule transfer (fastest-class rules):"]
         lines += format_table(headers, rows)
         return "\n".join(lines)
-
-    def _transfer_ascii(self) -> str:
-        headers = ("rules from", "scored on", "transfer", "disc", "cover")
-        rows = [
-            (
-                str(r["source"]),
-                str(r["target"]),
-                f"{r['n_transferable']}/{r['n_rules']}",
-                f"{float(r['mean_discrimination']):+.2f}",
-                f"{100.0 * float(r['mean_coverage']):.0f}%",
-            )
-            for r in self.transfer_table
-        ]
-        lines = [
-            "Signature-matched transfer (discrimination = fast/slow "
-            "satisfaction gap):"
-        ]
-        lines += format_table(headers, rows)
-        return "\n".join(lines)
-
-    def _union_ascii(self) -> str:
-        headers = ("held-out target", "feat", "leaves", "train acc", "held-out acc")
-        rows = [
-            (
-                str(r["target"]),
-                str(r["n_features"]),
-                str(r["n_leaves"]),
-                f"{100.0 * float(r['train_accuracy']):.0f}%",
-                f"{100.0 * float(r['holdout_accuracy']):.0f}%",
-            )
-            for r in self.union_table
-        ]
-        lines = ["Union-trained tree, leave-one-workload-out accuracy:"]
-        lines += format_table(headers, rows)
-        return "\n".join(lines)
-
-    def report(self) -> str:
-        return self.ascii_table()
 
 
 # ----------------------------------------------------------------------
@@ -459,9 +428,9 @@ class SuiteRunner:
                 restore_rules_payload(task)
                 for task in run.of_kind(TASK_WORKLOAD_RULES)
             ]
-            with obs.stage("score-rules"):
+            with obs.span("rules.score"):
                 report.rules_table = score_cross_workload(per_workload).rows()
-            with obs.stage("transfer-matrix"):
+            with obs.span("transfer.matrix"):
                 matrix = transfer_matrix_from(per_workload)
             report.transfer_table = matrix.rows()
             report.union_table = [u.to_dict() for u in matrix.union_rows]
@@ -469,7 +438,7 @@ class SuiteRunner:
             if self.store_path is not None:
                 from repro.advisor import ArtifactStore, publish_artifacts
 
-                with obs.stage("publish"):
+                with obs.span("advisor.publish"):
                     report.published = publish_artifacts(
                         ArtifactStore(self.store_path),
                         per_workload,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.advisor import ScheduleGuide
-from repro.advisor.guided import ResolvedRule
+from repro.advisor.guided import PRUNE_THRESHOLD, ResolvedRule
 from repro.exec import SerialEvaluator
 from repro.ml.features import ScheduleTable
 from repro.schedule.space import DesignSpace
@@ -67,14 +67,14 @@ class TestGuideSemantics:
         # The strongest rule comes from halo3d's own training run and
         # orders the unpack kernel before the send wait.
         strongest = halo_guide.rules[0]
-        assert strongest.weight >= halo_guide.prune_threshold
+        assert strongest.weight >= PRUNE_THRESHOLD
         assert any("halo3d" in s for s in strongest.sources)
 
     def test_admits_agrees_with_rule_evaluation(self, halo_guide, halo_space):
         """A schedule is rejected iff it violates a prune-strength rule;
         prefix penalty on the full sequence agrees."""
         prune = [
-            r for r in halo_guide.rules if r.weight >= halo_guide.prune_threshold
+            r for r in halo_guide.rules if r.weight >= PRUNE_THRESHOLD
         ]
         assert prune
         schedules = list(halo_space.enumerate_schedules())[:200]
@@ -118,9 +118,7 @@ class TestGuideSemantics:
         assert guide.prefix_penalty(schedule.ops) == 0.0
 
     def test_resolution_excludes_sources(self, trained_store, halo_program):
-        all_labels = {
-            a.label for a in trained_store.load_workloads(validate=False)
-        }
+        all_labels = {a.label for a in trained_store.load_workloads()}
         guide = ScheduleGuide.from_store(
             trained_store,
             halo_program,

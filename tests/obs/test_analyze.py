@@ -26,12 +26,12 @@ def _sharded_forest():
     t0 = _span(
         "task:a",
         0.6,
-        [_span("stage:search", 0.5, [_span("eval.batch", 0.4)])],
+        [_span("search.exhaustive", 0.5, [_span("eval.batch", 0.4)])],
     )
     t1 = _span(
         "task:b",
         0.8,
-        [_span("stage:search", 0.7, [_span("eval.batch", 0.65)])],
+        [_span("search.exhaustive", 0.7, [_span("eval.batch", 0.65)])],
     )
     # Tasks ran concurrently: the root wall (0.9) is far below the
     # summed task walls (1.4).
@@ -44,10 +44,10 @@ def test_aggregate_counts_and_totals_by_path():
     # Same-name siblings fold into one path entry.
     tasks_a = stats["plan.execute/task:a"]
     assert tasks_a.count == 1 and tasks_a.total == 0.6
-    stages = stats["plan.execute/task:a/stage:search"]
+    stages = stats["plan.execute/task:a/search.exhaustive"]
     assert stages.total == 0.5
     assert (
-        "plan.execute/task:b/stage:search/eval.batch" in stats
+        "plan.execute/task:b/search.exhaustive/eval.batch" in stats
     )
 
 
@@ -56,7 +56,7 @@ def test_aggregate_self_time_clamped_at_zero():
     stats = aggregate_spans(_sharded_forest())
     assert stats["plan.execute"].self_total == 0.0
     # Serial nesting: self = own - children.
-    a_stage = stats["plan.execute/task:a/stage:search"]
+    a_stage = stats["plan.execute/task:a/search.exhaustive"]
     assert abs(a_stage.self_total - 0.1) < 1e-12
 
 
@@ -74,7 +74,7 @@ def test_aggregate_max_tracks_largest_occurrence():
 def test_hotspots_ranked_by_self_time():
     ranked = hotspots(_sharded_forest(), n=3)
     # The biggest leaf batch dominates self time.
-    assert ranked[0].path == "plan.execute/task:b/stage:search/eval.batch"
+    assert ranked[0].path == "plan.execute/task:b/search.exhaustive/eval.batch"
     assert len(ranked) == 3
     assert all(
         ranked[i].self_total >= ranked[i + 1].self_total
@@ -95,7 +95,7 @@ def test_critical_path_descends_max_child_not_sum():
     assert [s.name for s in steps] == [
         "plan.execute",
         "task:b",
-        "stage:search",
+        "search.exhaustive",
         "eval.batch",
     ]
     assert steps[1].n_siblings == 1
@@ -120,7 +120,7 @@ def test_render_analysis_sections_and_counts():
     assert "span paths by total wall" in out
     assert "hotspots by self wall" in out
     assert "critical path (longest concurrent-aware chain)" in out
-    assert "plan.execute/task:b/stage:search/eval.batch" in out
+    assert "plan.execute/task:b/search.exhaustive/eval.batch" in out
 
 
 def test_render_analysis_empty_trace():

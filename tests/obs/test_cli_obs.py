@@ -102,6 +102,47 @@ def test_trace_diff_rejects_garbage(tmp_path, capsys):
     assert f"{bad}:1: not JSON" in message
 
 
+def _search_trace(tmp_path, capsys):
+    trace = str(tmp_path / "t.jsonl")
+    assert main(SEARCH_ARGV + ["--trace", trace]) == 0
+    capsys.readouterr()
+    return trace
+
+
+def test_trace_refuses_json_without_analyze(tmp_path, capsys):
+    """``--json`` writes the analysis tables, so without ``--analyze`` it
+    is refused instead of silently dropped."""
+    trace = _search_trace(tmp_path, capsys)
+    out_json = tmp_path / "a.json"
+    message = _refusal(["trace", trace, "--json", str(out_json)])
+    assert message.startswith("--json requires --analyze")
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize(
+    "extra,flag",
+    [
+        (["--analyze"], "--analyze"),
+        (["--json", "a.json"], "--json"),
+        (["--export-perfetto", "p.json"], "--export-perfetto"),
+        (
+            ["--analyze", "--json", "a.json", "--export-perfetto", "p.json"],
+            "--analyze",
+        ),
+    ],
+    ids=["analyze", "json", "export-perfetto", "all-three"],
+)
+def test_trace_diff_refuses_flags_it_would_ignore(
+    extra, flag, tmp_path, capsys, monkeypatch
+):
+    trace = _search_trace(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    message = _refusal(["trace", "--diff", trace, trace] + extra)
+    assert message.startswith(f"{flag} does not apply to --diff")
+    assert not (tmp_path / "a.json").exists()
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_advise_smoke_metrics_include_recommend_histogram(tmp_path, capsys):
     argv = [
         "advise",

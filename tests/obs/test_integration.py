@@ -98,5 +98,9 @@ class TestCrossProcessTrace:
         (root,) = cap.spans
         tasks = [s for s in root.children if s.name.startswith("task:")]
         assert len(tasks) == len(sharded.ranges)
+        for task in tasks:
+            assert [c.name for c in task.children][:1] == ["workloads.build"]
+            assert task.find("search.exhaustive") is not None
         names = {s.name for s in walk_spans(cap.spans)}
-        assert {"plan.execute", "stage:search", "search.exhaustive"} <= names
+        assert {"plan.execute", "workloads.build", "search.exhaustive"} <= names
+        assert not [n for n in names if n.startswith("stage:")]

@@ -1,4 +1,4 @@
-"""The ambient obs API: no-op spans, captures, stages, worker merging."""
+"""The ambient obs API: no-op spans, captures, worker merging."""
 
 import pytest
 
@@ -74,46 +74,6 @@ class TestCapture:
                 pass
         assert [r.name for r in inner.spans] == ["inside"]
         assert [r.name for r in outer.spans] == ["before", "after"]
-
-
-class TestStageAndTaskScope:
-    def test_stage_times_and_reports_to_enclosing_task_scope(self):
-        with obs.task_scope("wl-a", kind="suite-cells", index=3) as scope:
-            with obs.stage("build"):
-                pass
-            with obs.stage("search") as st:
-                pass
-        assert [name for name, _ in scope.stages] == ["build", "search"]
-        assert all(wall >= 0.0 for _, wall in scope.stages)
-        assert st.duration >= 0.0
-        assert scope.duration >= sum(wall for _, wall in scope.stages)
-
-    def test_stage_without_task_scope_still_times(self):
-        with obs.stage("lonely") as st:
-            pass
-        assert st.duration >= 0.0
-
-    def test_task_scope_emits_task_span_when_tracing(self):
-        with obs.capture(trace=True) as cap:
-            with obs.task_scope("wl-a", kind="suite-cells", index=3):
-                with obs.stage("build"):
-                    pass
-        (root,) = cap.spans
-        assert root.name == "task:wl-a"
-        assert root.attrs == {"kind": "suite-cells", "index": 3}
-        assert [c.name for c in root.children] == ["stage:build"]
-
-    def test_task_scopes_nest(self):
-        with obs.task_scope("outer") as outer:
-            with obs.stage("a"):
-                pass
-            with obs.task_scope("inner") as inner:
-                with obs.stage("b"):
-                    pass
-            with obs.stage("c"):
-                pass
-        assert [n for n, _ in outer.stages] == ["a", "c"]
-        assert [n for n, _ in inner.stages] == ["b"]
 
 
 class TestWorkerCaptureAndAbsorb:

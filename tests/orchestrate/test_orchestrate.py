@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import WorkloadError
 from repro.exec import ExecConfig
 from repro.orchestrate import (
@@ -99,15 +100,20 @@ def _comparable_cells(run):
 class TestExecution:
     def test_serial_execution_ordered_and_timed(self):
         plan = plan_suite(TINY, machine=_machine())
-        run = execute_plan(plan)
+        with obs.capture(trace=True) as cap:
+            run = execute_plan(plan)
         assert [r.index for r in run.results] == [0, 1]
         assert run.shard_workers == 0
         timing = run.timing()
         assert timing["n_tasks"] == 2
         for row in timing["tasks"]:
             assert row["wall_s"] > 0
-            assert "build" in row["stages"]
-            assert "search:random" in row["stages"]
+        # Each task's layers are spans: its build, then its searches.
+        (root,) = cap.spans
+        for task in root.children:
+            names = [c.name for c in task.children]
+            assert names[0] == "workloads.build"
+            assert "search.random" in names
 
     def test_sharded_bit_identical_to_serial(self):
         plan = plan_suite(TINY, machine=_machine())
@@ -123,7 +129,8 @@ class TestExecution:
             SPECS, machine=_machine(), measurement=MEASUREMENT
         )
         serial = execute_plan(plan)
-        sharded = execute_plan(plan, shard_workers=2)
+        with obs.capture(trace=True) as cap:
+            sharded = execute_plan(plan, shard_workers=2)
         for a, b in zip(serial.results, sharded.results):
             wa = restore_rules_payload(a)
             wb = restore_rules_payload(b)
@@ -134,11 +141,21 @@ class TestExecution:
             ]
             assert (wa.fast_rows == wb.fast_rows).all()
             assert wa.program is not None and wb.program is not None
-            # the rules task records the pipeline's stage DAG
-            stages = dict(b.stages)
-            assert {"build", "enumerate", "label+train", "extract-rules"} <= set(
-                stages
-            )
+        # Each rules task, shipped home from its worker, traces the
+        # pipeline's layers.
+        (root,) = cap.spans
+        tasks = [s for s in root.children if s.name.startswith("task:")]
+        assert len(tasks) == len(plan.tasks)
+        for task in tasks:
+            assert {
+                "workloads.build",
+                "search.exhaustive",
+                "ml.label",
+                "ml.features",
+                "ml.train",
+                "ml.error",
+                "rules.extract",
+            } <= {s.name for s in task.walk()}
 
     def test_cost_aware_submission_order(self):
         """Sharded submission is costliest-first: the long-pole workload

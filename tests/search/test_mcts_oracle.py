@@ -48,7 +48,13 @@ from repro.platform import perlmutter_like
 from repro.schedule.space import DecisionState, DesignSpace
 from repro.search.base import SearchResult, SearchStrategy
 from repro.search.beam import BeamSearch
-from repro.search.mcts import MctsConfig, MctsNode, MctsSearch, PlainUctMcts
+from repro.search.mcts import (
+    EXPLORATION_C,
+    MctsConfig,
+    MctsNode,
+    MctsSearch,
+    PlainUctMcts,
+)
 from repro.sim.measure import Measurement, MeasurementConfig
 from repro.workloads import WorkloadSpec, build_workload
 from repro.workloads.spec import list_families
@@ -175,7 +181,7 @@ class RefMctsSearch(SearchStrategy):
                     return node
                 node = node.parent
                 continue
-            c = self.config.exploration_c
+            c = EXPLORATION_C
             node = max(viable, key=lambda ch: ch.value(c))
 
     def _expand(self, node):
@@ -260,7 +266,7 @@ class RefPlainUct(RefMctsSearch):
                     return node
                 node = node.parent
                 continue
-            c = self.config.exploration_c
+            c = EXPLORATION_C
             node = max(viable, key=lambda ch: ch.exploration_value(c) + 1.0)
 
 

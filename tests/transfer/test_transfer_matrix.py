@@ -164,12 +164,6 @@ class TestAdvisories:
         text = matrix.report()
         assert "Do-not-transfer advisories" in text
         assert "avoid" in text
-        # ...and in the markdown renderer (all three surfaces agree).
-        from repro.report import render_transfer_report
-
-        md = render_transfer_report(matrix)
-        assert "Do-not-transfer advisories" in md
-        assert "**avoid**" in md
 
     def test_positive_and_untransferable_cells_not_flagged(self, matrix):
         for cell in matrix.cells.values():

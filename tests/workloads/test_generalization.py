@@ -60,11 +60,6 @@ class TestCrossWorkload:
                 "mean_satisfaction",
             } <= set(row)
 
-    def test_report_mentions_every_pair(self, cross_result):
-        text = cross_result.report()
-        for (src, dst) in cross_result.matrix:
-            assert f"{src} -> {dst}" in text
-
     def test_deterministic(self, cross_result):
         again = _cross_workload()
         assert again.matrix == cross_result.matrix

@@ -145,14 +145,28 @@ class TestRunner:
         _assert_same_counters(serial_delta, sharded_delta)
 
     def test_timing_records_per_task_stages(self):
-        report = SuiteRunner(TINY).run()
+        """``timing`` keeps each task's wall; the trace keeps its layers:
+        the build, then one search span per strategy."""
+        with obs.capture(trace=True) as cap:
+            report = SuiteRunner(TINY).run()
         timing = report.timing
         assert timing["n_tasks"] == len(TINY.specs)
         for row in timing["tasks"]:
+            assert set(row) == {"label", "kind", "wall_s"}
             assert row["kind"] == "suite-cells"
-            assert "build" in row["stages"]
-            for strat in TINY.strategies:
-                assert f"search:{strat}" in row["stages"]
+        (plan,) = cap.spans
+        assert [t.name for t in plan.children] == [
+            f"task:{row['label']}" for row in timing["tasks"]
+        ]
+        for task in plan.children:
+            names = [c.name for c in task.children]
+            assert names[0] == "workloads.build"
+            assert [n for n in names if n.startswith("search.")] == [
+                f"search.{strat}" for strat in TINY.strategies
+            ]
+        assert not [
+            s.name for s in plan.walk() if s.name.startswith("stage:")
+        ]
 
     def test_cache_hits_across_runs(self, tmp_path):
         """Same suite, same cache file ⇒ second run re-simulates nothing
@@ -205,8 +219,15 @@ class TestCrossWorkloadTables:
             assert 0.0 <= float(row["holdout_accuracy"]) <= 1.0
 
     def test_tables_render_and_serialize(self, report):
+        from repro.transfer.matrix import format_transfer_rows, format_union_rows
+
         text = report.ascii_table()
         assert "Signature-matched transfer" in text
+        # Both tables are drawn as `repro transfer` draws them.
+        assert report.union_table
+        assert "\n".join(format_transfer_rows(report.transfer_table)) in text
+        assert "\n".join(format_union_rows(report.union_table)) in text
+        assert "advice" in text and "train sources" in text
         data = json.loads(report.to_json())
         assert "transfer_table" in data
         assert "union_table" in data
@@ -218,9 +239,9 @@ class TestCrossWorkloadTables:
             traced = SuiteRunner(TINY_RULES, store_path=str(tmp_path)).run()
         assert [s.name for s in cap.spans] == [
             "plan.execute",
-            "stage:score-rules",
-            "stage:transfer-matrix",
-            "stage:publish",
+            "rules.score",
+            "transfer.matrix",
+            "advisor.publish",
         ]
         assert traced.published
         traced.published = []
